@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race lint check bench bench-diff bench-paper bench-submit load load-smoke load-hostile load-scale load-api load-federation
+.PHONY: all build vet test test-short test-race lint check bench bench-diff bench-paper bench-submit load
 
 all: build vet test-short
 
@@ -33,63 +33,60 @@ lint:
 	$(GO) run ./cmd/repolint
 
 # CI gate: static checks (including building cmd/bench and the other
-# tools), the fast suite under the race detector, and the live-service
-# load smoke.
+# tools), the fast suite under the race detector, the nested benchmark
+# module's own vet + tests (root `./...` skips it, so a product-side rename
+# the benchmark depends on would otherwise break it unnoticed), and the
+# five live-service load gates.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -short -race ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) load-smoke
 	$(MAKE) load-hostile
 	$(MAKE) load-scale
 	$(MAKE) load-api
 	$(MAKE) load-federation
 
-# Live-service gate (≈10s): both transports — 500 concurrent ws miner
-# sessions, then 500 concurrent raw-TCP stratum sessions — against an
-# in-process coinhived, zero protocol errors or the target fails.
-load-smoke:
-	$(GO) run ./cmd/loadd -smoke
-
-# Abuse gate (≈15s): a steady baseline fixes honest accept p99, then the
-# mixed-hostile population (80% honest vardiff-paced miners + duplicate
-# submitters, stale flooders, difficulty gamers and a reconnect hammer)
-# runs against a defended in-process target. Fails unless attackers are
-# banned with zero duplicate credit, honest cadence converges to the
-# vardiff goal ±25%, and honest p99 stays within 2× the baseline.
-load-hostile:
-	$(GO) run ./cmd/loadd -hostile-smoke
-
-# Scaling gate (≈30s): tcp-scale at 1k then 10k sessions over in-memory
-# conns (zero fds — the box's fd cap stops real sockets near 9k). Fails
-# unless both tiers finish with zero protocol errors, 10k parked
-# sessions hold far fewer than one goroutine each, job encodes stay
-# O(tiers) per tip, and the hold-window fan-out p99 at 10k is within 2×
-# the 1k fan-out baseline.
-load-scale:
-	$(GO) run ./cmd/loadd -scale-smoke
-
-# Observability gate (≈15s): a "mixed" run fixes the no-archive submit
-# p99 baseline, then api-readers — the same swarm shape plus 8 HTTP
-# clients paging /api/v1 — runs against a file-backed archived target.
-# Fails on any failed query (non-200, transport error, broken cursor),
-# a query p99 over the responsiveness bound, silent archive instruments,
-# or a submit p99 beyond the stall tripwire (4× the no-archive
-# baseline, 100ms floor — loose by design: the readers are real CPU
-# load, while a blocking archive would overshoot by orders of magnitude).
-load-api:
-	$(GO) run ./cmd/loadd -api-smoke
-
-# Federation gate (≈15s): the federation scenario splits one swarm
-# across three gossip-linked pool nodes (memconn mesh), kills one node
-# mid-run and cold-replaces it with an empty share-chain that must
-# catch-up-sync while new shares arrive. Fails on any protocol error,
-# unconverged tips, lost credit (every accepted share's difficulty must
-# reach the replicated books), a federation-queue drop, a replacement
-# that never ran a sync round, or gossip propagation p99 over 1s.
-load-federation:
-	$(GO) run ./cmd/loadd -federation-smoke
+# The live-service gates, one pattern rule: `make load-<gate>` runs
+# `loadd -gate <gate>` against in-process targets and fails unless the
+# gate's invariants hold (`loadd -h` lists them; DESIGN.md has the
+# reasoning behind each bound).
+#
+#   load-smoke (≈10s)       500 concurrent ws sessions, then 500 raw-TCP
+#                           stratum sessions: full concurrency, every
+#                           expected share accepted, zero protocol errors.
+#   load-hostile (≈15s)     a steady baseline fixes honest accept p99, then
+#                           mixed-hostile (80% honest vardiff-paced miners +
+#                           duplicate submitters, stale flooders, difficulty
+#                           gamers and a reconnect hammer) runs against a
+#                           defended target: attackers banned with zero
+#                           duplicate credit, honest cadence within ±25% of
+#                           the vardiff goal, honest p99 within 2× baseline.
+#   load-scale (≈30s)       tcp-scale at 1k then 10k sessions over in-memory
+#                           conns (zero fds — the box's fd cap stops real
+#                           sockets near 9k): zero protocol errors, 10k
+#                           parked sessions on far fewer than one goroutine
+#                           each, job encodes O(tiers) per tip, hold-window
+#                           fan-out p99 at 10k within 2× the 1k baseline.
+#   load-api (≈15s)         a "mixed" run fixes the no-archive submit p99,
+#                           then api-readers — the same swarm plus 8 HTTP
+#                           clients paging /api/v1 — runs against a
+#                           file-backed archived target: no failed query, a
+#                           bounded query p99, live archive instruments, and
+#                           a submit p99 inside the stall tripwire (4× the
+#                           baseline, 100ms floor — loose by design: the
+#                           readers are real CPU load, while a blocking
+#                           archive would overshoot by orders of magnitude).
+#   load-federation (≈15s)  one swarm split across three gossip-linked pool
+#                           nodes (memconn mesh), one node killed mid-run
+#                           and cold-replaced with an empty share-chain:
+#                           zero protocol errors, converged tips, zero lost
+#                           credit, no federation-queue drop, a counted sync
+#                           round on the replacement, gossip p99 ≤ 1s.
+load-%:
+	$(GO) run ./cmd/loadd -gate $*
 
 # Full load-scenario catalogue (ws: steady/churn/storm/slow/malformed/
 # smoke; tcp: tcp-steady/tcp-storm/tcp-smoke; both: mixed, the hostile

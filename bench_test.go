@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,7 +253,10 @@ func BenchmarkAblationShareDifficulty(b *testing.B) {
 // premineBenchShares solves one share per live job so the submit benches
 // measure pool-side verification only, not client-side nonce search. Jobs
 // stay valid until the tip moves (pinned far above share difficulty here),
-// so the same share bank can be resubmitted indefinitely.
+// so the same share bank can be resubmitted indefinitely — under a fresh
+// site key each time round (benchTokens): the pool credits one (job,
+// nonce) pair once per account. n must not exceed the backend count, or
+// two shares land on one blob and duplicate each other within a pass.
 type benchShare struct {
 	jobID string
 	nonce uint32
@@ -279,15 +283,26 @@ func premineBenchShares(b *testing.B, pool *coinhive.Pool, n int) []benchShare {
 // BenchmarkSubmitShareParallel: one goroutine, one CryptoNight scratchpad.
 func BenchmarkSubmitShareSerial(b *testing.B) {
 	pool := newBenchPool(b, 64)
-	shares := premineBenchShares(b, pool, 32)
+	shares := premineBenchShares(b, pool, coinhive.DefaultNumBackends)
+	tokens := benchTokens(b, len(shares))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := shares[i%len(shares)]
-		if _, err := pool.SubmitShare("bench", s.jobID, s.nonce, s.sum, ""); err != nil {
+		if _, err := pool.SubmitShare(tokens[i/len(shares)], s.jobID, s.nonce, s.sum, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchTokens returns one site key per pass that b.N submissions make over
+// a deck of the given size, built before the timer starts.
+func benchTokens(b *testing.B, deck int) []string {
+	tokens := make([]string, b.N/deck+1)
+	for i := range tokens {
+		tokens[i] = "bench-" + strconv.Itoa(i)
+	}
+	return tokens
 }
 
 // BenchmarkSubmitShareParallel measures SubmitShare throughput with one
@@ -297,14 +312,16 @@ func BenchmarkSubmitShareSerial(b *testing.B) {
 // (run with -cpu 1,2,4,8 to see the scaling curve).
 func BenchmarkSubmitShareParallel(b *testing.B) {
 	pool := newBenchPool(b, 64)
-	shares := premineBenchShares(b, pool, 32)
+	shares := premineBenchShares(b, pool, coinhive.DefaultNumBackends)
+	tokens := benchTokens(b, len(shares))
 	var next atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			s := shares[next.Add(1)%uint64(len(shares))]
-			if _, err := pool.SubmitShare("bench", s.jobID, s.nonce, s.sum, ""); err != nil {
+			i := int(next.Add(1) - 1)
+			s := shares[i%len(shares)]
+			if _, err := pool.SubmitShare(tokens[i/len(shares)], s.jobID, s.nonce, s.sum, ""); err != nil {
 				b.Fatal(err)
 			}
 		}

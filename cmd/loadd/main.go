@@ -6,8 +6,9 @@
 //
 // Usage:
 //
-//	loadd -smoke                              # CI gate: 500 ws + 500 TCP sessions, zero protocol errors
-//	loadd -api-smoke                          # CI gate: api-readers page /api/v1 while the swarm mines
+//	loadd -gate smoke                         # CI gate: 500 ws + 500 TCP sessions, zero protocol errors
+//	loadd -gate api                           # CI gate: api-readers page /api/v1 while the swarm mines
+//	                                          # (also: hostile, scale, federation — `make load-<gate>`)
 //	loadd -scenario all -out BENCH_load.json  # full catalogue against an in-process service
 //	loadd -target ws://host:8080 -target-tcp host:3333 -scenario tcp-steady -sessions 2000
 //
@@ -28,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/archive"
@@ -57,6 +59,148 @@ type report struct {
 	Results   []loadgen.Result `json:"results"`
 }
 
+// gate is one CI gate: a fixed run list against in-process targets this
+// process boots and configures, and an assertion over the resulting rows.
+type gate struct {
+	name string
+	doc  string
+	// scenarios run in order, each at the gate's swarm size; tiers are
+	// tcp-scale runs appended after them at these sizes.
+	scenarios []string
+	tiers     []int
+	// sessions is the default swarm size (0: the -sessions default); an
+	// explicit -sessions wins.
+	sessions int
+	// baseline names the scenario whose accept p99 the assertion is
+	// measured against. That row is not itself asserted.
+	baseline string
+	// assert runs after every other row, with all rows so far and the
+	// target's counter deltas over the last one. It returns the gate's OK
+	// line, or "" while rows it needs are still to come.
+	assert func(rows []loadgen.Result, baselineP99 int64, srvDelta func(string) uint64) (string, error)
+}
+
+var gates = []gate{
+	{
+		// One full-size swarm over each transport, all sessions asserted.
+		name:      "smoke",
+		doc:       "in-process smoke over both transports; full concurrency and zero protocol errors",
+		scenarios: []string{"smoke", "tcp-smoke"},
+		sessions:  500,
+		assert:    assertSmoke,
+	},
+	{
+		// An honest steady run fixes the latency baseline, then the
+		// mixed-hostile population (80% honest, four attacker kinds) runs
+		// against the defended target.
+		name:      "hostile",
+		doc:       "steady baseline then mixed-hostile against a defended target; containment, vardiff convergence and the honest-latency bound",
+		scenarios: []string{"steady", "mixed-hostile"},
+		sessions:  300,
+		baseline:  "steady",
+		assert:    assertHostile,
+	},
+	{
+		name:   "scale",
+		doc:    "tcp-scale at 1k then 10k sessions; zero protocol errors, bounded fan-out p99 and the goroutine diet",
+		tiers:  []int{1000, 10000},
+		assert: assertScale,
+	},
+	{
+		// The baseline is "mixed" — the same transport blend, turn count and
+		// tip-refresh cadence as api-readers, minus the archive and the
+		// readers — so the submit p99 comparison isolates exactly what the
+		// gate is about: the archive hook plus reader contention, not push
+		// fan-out cost.
+		name:      "api",
+		doc:       "mixed baseline then api-readers against an archived target; zero API errors, the query-latency bound and an unperturbed submit p99",
+		scenarios: []string{"mixed", "api-readers"},
+		baseline:  "mixed",
+		assert:    assertAPI,
+	},
+	{
+		name:      "federation",
+		doc:       "3 gossip-linked pool nodes, one killed and cold-replaced mid-run; converged tips, zero lost credit and bounded gossip propagation",
+		scenarios: []string{"federation"},
+		sessions:  120,
+		assert:    assertFederation,
+	},
+}
+
+func gateByName(name string) (*gate, error) {
+	var names []string
+	for i := range gates {
+		if gates[i].name == name {
+			return &gates[i], nil
+		}
+		names = append(names, gates[i].name)
+	}
+	return nil, fmt.Errorf("loadd: unknown gate %q (have: %s)", name, strings.Join(names, ", "))
+}
+
+// inprocs boots the in-process services a run needs, each on first use
+// and each with its own registry (the pool's, cumulative across scenarios,
+// so rows report deltas): the plain one; the defended one (vardiff +
+// banscore on), kept apart so the defense layer cannot perturb the
+// baseline scenarios' numbers; and the archived one (file-backed event
+// archive + stats API on /api/v1), whose archive directory is scratch —
+// the gate measures durability cost, not the history itself.
+type inprocs struct {
+	out       io.Writer
+	shareDiff uint64
+	byKind    map[string]*loadgen.InprocTarget
+	scratch   []string
+}
+
+func (ts *inprocs) get(sc loadgen.Scenario) (*loadgen.InprocTarget, error) {
+	kind := "in-process"
+	switch {
+	case sc.Archived:
+		kind = "archived"
+	case sc.Defended:
+		kind = "defended"
+	}
+	if t := ts.byKind[kind]; t != nil {
+		return t, nil
+	}
+	reg := metrics.NewRegistry()
+	opts := loadgen.InprocOptions{ShareDifficulty: ts.shareDiff, Registry: reg}
+	blurb := fmt.Sprintf("share difficulty %d", ts.shareDiff)
+	switch kind {
+	case "defended":
+		opts = loadgen.DefendedInprocOptions(ts.shareDiff, reg)
+		blurb = "vardiff + banscore on"
+	case "archived":
+		dir, err := os.MkdirTemp("", "loadd-archive-")
+		if err != nil {
+			return nil, err
+		}
+		ts.scratch = append(ts.scratch, dir)
+		store, err := archive.OpenFileStore(dir, archive.FileStoreOptions{})
+		if err != nil {
+			return nil, err
+		}
+		opts.Archive = store
+		blurb = "file-backed archive + stats API on"
+	}
+	t, err := loadgen.StartInprocOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(ts.out, "loadd: %s coinhived on %s (stratum %s, %s)\n", kind, t.URL, t.TCPAddr, blurb)
+	ts.byKind[kind] = t
+	return t, nil
+}
+
+func (ts *inprocs) close() {
+	for _, t := range ts.byKind {
+		t.Close()
+	}
+	for _, dir := range ts.scratch {
+		os.RemoveAll(dir)
+	}
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadd", flag.ContinueOnError)
 	target := fs.String("target", "", "ws:// base of a live service (empty: boot one in-process)")
@@ -69,12 +213,12 @@ func run(args []string, out io.Writer) error {
 	variant := fs.String("variant", "test", "target's cryptonight profile: test, lite, full")
 	deadline := fs.Duration("deadline", 60*time.Second, "per-scenario time budget")
 	outFile := fs.String("out", "", "write the JSON report here")
-	smoke := fs.Bool("smoke", false, "CI gate: in-process smoke over both transports, assert full concurrency and zero protocol errors")
-	hostileSmoke := fs.Bool("hostile-smoke", false, "CI gate: steady baseline then mixed-hostile against a defended in-process target; assert containment, vardiff convergence and the honest-latency bound")
-	apiSmoke := fs.Bool("api-smoke", false, "CI gate: steady baseline then api-readers against an archived in-process target; assert zero API errors, the query-latency bound and an unperturbed submit p99")
-	fedSmoke := fs.Bool("federation-smoke", false, "CI gate: the federation scenario (3 gossip-linked pool nodes, one killed and cold-replaced mid-run); assert converged tips, zero lost credit and bounded gossip propagation")
+	var gateDoc strings.Builder
+	for _, g := range gates {
+		fmt.Fprintf(&gateDoc, "\n  %s: %s", g.name, g.doc)
+	}
+	gateName := fs.String("gate", "", "run a CI gate in-process instead of -scenario, and assert its invariants:"+gateDoc.String())
 	scale := fs.Bool("scale", false, "append the 10k/25k/50k tcp-scale tiers (in-memory conns) to the report")
-	scaleSmoke := fs.Bool("scale-smoke", false, "CI gate: tcp-scale at 1k then 10k sessions; assert zero protocol errors, bounded fan-out p99 and the goroutine diet")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run here (pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,59 +235,26 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
 
-	sessionsSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "sessions" {
-			sessionsSet = true
-		}
-	})
+	var g *gate
 	names := []string{*scenario}
-	if *smoke {
-		// The gate covers both dialects: one full-size swarm over each
-		// transport, all sessions asserted below. The default shrinks to
-		// 500 per dialect (1,000 total); an explicit -sessions wins.
-		names = []string{"smoke", "tcp-smoke"}
-		*target = ""
-		if !sessionsSet {
-			*sessions = 500
+	var tiers []int
+	switch {
+	case *gateName != "":
+		var err error
+		if g, err = gateByName(*gateName); err != nil {
+			return err
 		}
-	} else if *hostileSmoke {
-		// The abuse gate: an honest steady run fixes the latency baseline,
-		// then the mixed-hostile population (80% honest, four attacker
-		// kinds) runs against the defended target and assertHostile checks
-		// the containment + convergence + honest-latency invariants.
-		names = []string{"steady", "mixed-hostile"}
-		*target = ""
-		if !sessionsSet {
-			*sessions = 300
+		names, tiers, *target = g.scenarios, g.tiers, ""
+		sessionsSet := false
+		fs.Visit(func(f *flag.Flag) { sessionsSet = sessionsSet || f.Name == "sessions" })
+		if g.sessions != 0 && !sessionsSet {
+			*sessions = g.sessions
 		}
-	} else if *apiSmoke {
-		// The observability gate. The baseline is "mixed" — the same
-		// transport blend, turn count and tip-refresh cadence as
-		// api-readers, minus the archive and the readers — so the submit
-		// p99 comparison isolates exactly what the gate is about: the
-		// archive hook plus reader contention, not push fan-out cost.
-		// Then api-readers pages the stats API while the same-size swarm
-		// mines against the archived target; assertAPI checks zero API
-		// errors, the query p99 bound, the archive instruments and the
-		// unperturbed submit tail.
-		names = []string{"mixed", "api-readers"}
-		*target = ""
-	} else if *fedSmoke {
-		// The federation gate: one scenario, three nodes. RunFederation
-		// boots its own cluster, so no shared in-process target is needed.
-		names = []string{"federation"}
-		*target = ""
-		if !sessionsSet {
-			*sessions = 120
-		}
-	} else if *scaleSmoke {
-		// The scale gate needs nothing from the catalogue loop except the
-		// two tcp-scale tiers appended below.
-		names = nil
-		*target = ""
-	} else if *scenario == "all" {
+	case *scenario == "all":
 		names = loadgen.ScenarioNames()
+	}
+	if g == nil && *scale {
+		tiers = []int{10000, 25000, 50000}
 	}
 
 	// Each run is a (scenario, swarm size, time budget) triple. The scale
@@ -155,23 +266,16 @@ func run(args []string, out io.Writer) error {
 		sessions int
 		deadline time.Duration
 	}
-	specs := make([]runSpec, 0, len(names)+3)
+	specs := make([]runSpec, 0, len(names)+len(tiers))
 	for _, n := range names {
 		specs = append(specs, runSpec{n, *sessions, *deadline})
 	}
-	addTiers := func(tiers ...int) {
-		for _, tier := range tiers {
-			d := *deadline
-			if floor := time.Duration(tier/250) * time.Second; d < floor {
-				d = floor
-			}
-			specs = append(specs, runSpec{"tcp-scale", tier, d})
+	for _, tier := range tiers {
+		d := *deadline
+		if floor := time.Duration(tier/250) * time.Second; d < floor {
+			d = floor
 		}
-	}
-	if *scaleSmoke {
-		addTiers(1000, 10000)
-	} else if *scale {
-		addTiers(10000, 25000, 50000)
+		specs = append(specs, runSpec{"tcp-scale", tier, d})
 	}
 
 	if *cpuprofile != "" {
@@ -186,36 +290,14 @@ func run(args []string, out io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// The in-process pool keeps one registry across scenarios (its
-	// counters are cumulative by nature); each swarm run below gets a
-	// fresh one so every report row is per-scenario, not cumulative.
-	poolReg := metrics.NewRegistry()
-	url := *target
-	tcpAddr := *targetTCP
-	if url == "" && tcpAddr != "" {
+	if *target == "" && *targetTCP != "" {
 		// An orphan -target-tcp would be silently replaced by the
 		// in-process listener below, load-testing the wrong server while
 		// the report claims otherwise.
 		return fmt.Errorf("loadd: -target-tcp requires -target (without -target the run boots its own in-process service)")
 	}
-	var refresh func()
-	var inproc *loadgen.InprocTarget
-	if url == "" && !*fedSmoke {
-		// The federation gate runs only RunFederation, which boots its own
-		// 3-node cluster — a shared single target would sit idle.
-		t, err := loadgen.StartInproc(*shareDiff, poolReg)
-		if err != nil {
-			return err
-		}
-		defer t.Close()
-		inproc = t
-		url = t.URL
-		tcpAddr = t.TCPAddr
-		refresh = t.AdvanceTip
-		v = t.Pool.Chain().Params().PowVariant
-		fmt.Fprintf(out, "loadd: in-process coinhived on %s (stratum %s, share difficulty %d)\n",
-			url, tcpAddr, *shareDiff)
-	}
+	targets := &inprocs{out: out, shareDiff: *shareDiff, byKind: map[string]*loadgen.InprocTarget{}}
+	defer targets.close()
 
 	rep := report{
 		Kind:      "bench-load",
@@ -225,269 +307,121 @@ func run(args []string, out io.Writer) error {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	// The defended target (vardiff + banscore enabled) is booted lazily,
-	// only if a Defended scenario actually runs, and kept separate from
-	// the plain target so the defense layer cannot perturb the baseline
-	// scenarios' numbers.
-	defReg := metrics.NewRegistry()
-	var defended *loadgen.InprocTarget
-	defer func() {
-		if defended != nil {
-			defended.Close()
-		}
-	}()
-	// The archived target (file-backed event archive + stats API on
-	// /api/v1) is likewise booted lazily, only for Archived scenarios,
-	// with its own registry so the pool.archive_* / server.api_*
-	// instruments delta cleanly. Its archive directory is scratch: the
-	// gate measures durability cost, not the history itself.
-	archReg := metrics.NewRegistry()
-	var archived *loadgen.InprocTarget
-	var archivedDir string
-	defer func() {
-		if archived != nil {
-			archived.Close()
-		}
-		if archivedDir != "" {
-			os.RemoveAll(archivedDir)
-		}
-	}()
-	var baselineP99 int64 // steady accept p99, the hostile gate's yardstick
+	var baselineP99 int64 // the gate's baseline scenario's accept p99
 	for _, spec := range specs {
 		name := spec.name
 		sc, err := loadgen.ScenarioByName(name)
 		if err != nil {
 			return err
 		}
-		if sc.Federation {
-			if *target != "" {
-				fmt.Fprintf(out, "loadd: skipping %s (the federation scenario boots its own 3-node cluster; drop -target)\n", name)
+		// Scenarios that assert the behaviour of a target this process
+		// configured (or, for the in-memory tiers, dial its fd-less
+		// listener) have nothing to run against a remote one; they are
+		// skipped (announced) instead of aborting a catalogue run halfway
+		// through and discarding the finished rows.
+		if *target != "" {
+			why := ""
+			switch {
+			case sc.Federation:
+				why = "the federation scenario boots its own 3-node cluster; drop -target"
+			case sc.Mem:
+				why = "in-memory scale tiers need the in-process target; drop -target"
+			case sc.Transport != loadgen.TransportWS && *targetTCP == "":
+				why = "target has no raw-TCP stratum listener; pass -target-tcp"
+			case sc.Defended:
+				why = "hostile scenarios need the in-process defended target; drop -target"
+			case sc.Archived:
+				why = "archived scenarios need the in-process archived target; drop -target"
+			}
+			if why != "" {
+				fmt.Fprintf(out, "loadd: skipping %s (%s)\n", name, why)
 				continue
 			}
-			res, err := loadgen.RunFederation(loadgen.Config{
-				Scenario: sc,
-				Sessions: spec.sessions,
-				Deadline: spec.deadline,
-				Registry: metrics.NewRegistry(),
-			}, *shareDiff)
-			if err != nil {
-				return fmt.Errorf("scenario %s: %w (samples: %v)", name, err, res.ErrorSamples)
-			}
-			rep.Results = append(rep.Results, res)
-			fmt.Fprintf(out, "loadd: %-10s [%s] sessions=%d shares_ok=%d proto_errors=%d | federation: nodes=%d entries=%d converged=%v lost_credit=%d drops=%d sync_rounds=%d reorgs=%d gossip p50=%s p99=%s\n",
-				res.Scenario, res.Transport, res.Sessions, res.SharesOK, res.ProtocolErrors,
-				res.FedNodes, res.FedEntries, res.FedConverged, res.FedLostCredit, res.FedDrops,
-				res.FedSyncRounds, res.FedReorgs,
-				time.Duration(res.FedGossipP50Ns), time.Duration(res.FedGossipP99Ns))
-			if *fedSmoke {
-				if err := assertFederation(res); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "loadd: federation OK — 3 nodes converged on %d entries through a kill and cold resync, zero lost credit, gossip p99 %s\n",
-					res.FedEntries, time.Duration(res.FedGossipP99Ns))
-			}
-			continue
-		}
-		if sc.Mem && inproc == nil {
-			// The in-memory tiers dial the in-process target's memconn
-			// listener; a remote target has no fd-less path to offer.
-			fmt.Fprintf(out, "loadd: skipping %s (in-memory scale tiers need the in-process target; drop -target)\n", name)
-			continue
-		}
-		if sc.Transport != loadgen.TransportWS && tcpAddr == "" {
-			// A remote ws-only target cannot run the tcp/mixed scenarios;
-			// skip them (announced) instead of aborting a catalogue run
-			// halfway through and discarding the finished rows.
-			fmt.Fprintf(out, "loadd: skipping %s (target has no raw-TCP stratum listener; pass -target-tcp)\n", name)
-			continue
-		}
-		runURL, runTCP, runRefresh, runTarget := url, tcpAddr, refresh, inproc
-		if sc.Defended {
-			if *target != "" {
-				// A remote target's defense tuning is unknown; the hostile
-				// scenarios assert exact containment behaviour, so they only
-				// run against a target this process configured.
-				fmt.Fprintf(out, "loadd: skipping %s (hostile scenarios need the in-process defended target; drop -target)\n", name)
-				continue
-			}
-			if defended == nil {
-				defended, err = loadgen.StartInprocOpts(loadgen.DefendedInprocOptions(*shareDiff, defReg))
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "loadd: defended coinhived on %s (stratum %s, vardiff + banscore on)\n",
-					defended.URL, defended.TCPAddr)
-			}
-			runURL, runTCP, runRefresh, runTarget = defended.URL, defended.TCPAddr, defended.AdvanceTip, defended
-		}
-		if sc.Archived {
-			if *target != "" {
-				// A remote target's archive/API wiring is unknown; the
-				// Archived scenarios assert instrument behaviour, so they
-				// only run against a target this process configured.
-				fmt.Fprintf(out, "loadd: skipping %s (archived scenarios need the in-process archived target; drop -target)\n", name)
-				continue
-			}
-			if archived == nil {
-				archivedDir, err = os.MkdirTemp("", "loadd-archive-")
-				if err != nil {
-					return err
-				}
-				store, err := archive.OpenFileStore(archivedDir, archive.FileStoreOptions{})
-				if err != nil {
-					return err
-				}
-				archived, err = loadgen.StartInprocOpts(loadgen.InprocOptions{
-					ShareDifficulty: *shareDiff,
-					Registry:        archReg,
-					Archive:         store,
-				})
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "loadd: archived coinhived on %s (stratum %s, file-backed archive + stats API on)\n",
-					archived.URL, archived.TCPAddr)
-			}
-			runURL, runTCP, runRefresh, runTarget = archived.URL, archived.TCPAddr, archived.AdvanceTip, archived
-		}
-		// The target's registry is cumulative across scenarios; deltas
-		// scope its server-side counters to this row.
-		srvReg := poolReg
-		if sc.Defended {
-			srvReg = defReg
-		}
-		if sc.Archived {
-			srvReg = archReg
-		}
-		var pushCursor metrics.HistCursor
-		var srvBefore map[string]uint64
-		if runTarget != nil {
-			pushCursor = runTarget.Stratum.PushCursor()
-			srvBefore = counterValues(srvReg)
 		}
 		cfg := loadgen.Config{
-			URL:       runURL,
-			TCPAddr:   runTCP,
-			Refresh:   runRefresh,
+			URL:       *target,
+			TCPAddr:   *targetTCP,
 			Endpoints: *endpoints,
 			Sessions:  spec.sessions,
 			Workers:   *workers,
 			Scenario:  sc,
 			Variant:   v,
 			Deadline:  spec.deadline,
-			Registry:  metrics.NewRegistry(),
+			Registry:  metrics.NewRegistry(), // fresh per run: every report row is per-scenario
 		}
-		if runTarget != nil {
-			cfg.DialTCP = runTarget.DialMem
-			cfg.HTTPURL = runTarget.HTTPURL()
-			st := runTarget.Stratum
-			cfg.ParkedFn = func() int64 { return st.Parked() }
-			if sc.Mem {
-				// Scale rows measure fan-out over the hold window only:
-				// re-scoping the cursor and counter baseline at the
-				// all-parked barrier drops ramp-phase pushes (partial
-				// swarm, contended with login/grind work) from the
-				// percentiles, and keeps bytes-per-push and encodes-per-
-				// tip honest for the same window.
-				cfg.AtBarrier = func() {
-					pushCursor = st.PushCursor()
-					srvBefore = counterValues(srvReg)
+		var res loadgen.Result
+		var srvDelta func(string) uint64
+		if sc.Federation {
+			// RunFederation boots its own 3-node cluster.
+			res, err = loadgen.RunFederation(cfg, *shareDiff)
+		} else {
+			var pushCursor metrics.HistCursor
+			var srvBefore map[string]uint64
+			var t *loadgen.InprocTarget
+			if *target == "" {
+				if t, err = targets.get(sc); err != nil {
+					return err
+				}
+				st, reg := t.Stratum, t.Pool.Metrics()
+				cfg.URL, cfg.TCPAddr, cfg.Refresh = t.URL, t.TCPAddr, t.AdvanceTip
+				cfg.Variant = t.Pool.Chain().Params().PowVariant
+				cfg.DialTCP, cfg.HTTPURL = t.DialMem, t.HTTPURL()
+				cfg.ParkedFn = func() int64 { return st.Parked() }
+				// The server-side counters and the job-push histogram are
+				// cumulative; the cursor and the baseline scope them to this
+				// row. Scale rows measure fan-out over the hold window only:
+				// re-scoping both at the all-parked barrier drops ramp-phase
+				// pushes (partial swarm, contended with login/grind work)
+				// from the percentiles, and keeps bytes-per-push and
+				// encodes-per-tip honest for the same window.
+				rescope := func() { pushCursor, srvBefore = st.PushCursor(), counterValues(reg) }
+				rescope()
+				if sc.Mem {
+					cfg.AtBarrier = rescope
+				}
+			}
+			res, err = loadgen.Run(cfg)
+			if err == nil && t != nil {
+				pushes, lat := t.Stratum.PushStatsSince(pushCursor)
+				res.JobPushes = pushes
+				if pushes > 0 {
+					res.PushP99Ns = int64(lat.P99)
+				}
+				after := counterValues(t.Pool.Metrics())
+				srvDelta = func(name string) uint64 { return after[name] - srvBefore[name] }
+				res.PushBytes = srvDelta("server.push_bytes")
+				res.JobEncodes = srvDelta("pool.job_encodes")
+				if sc.Defended {
+					res.SrvBans = srvDelta("server.bans")
+					res.SrvRetargets = srvDelta("server.retargets")
+					res.SrvSharesForged = srvDelta("server.shares_forged")
+					res.SrvStaleFloods = srvDelta("server.stale_flood")
+					res.SrvRateLimited = srvDelta("server.rate_limited")
+					res.SrvLoginsBanned = srvDelta("server.logins_banned")
+					res.PoolDupShares = srvDelta("pool.shares_duplicate")
 				}
 			}
 		}
-		res, err := loadgen.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w (samples: %v)", name, err, res.ErrorSamples)
 		}
-		if runTarget != nil {
-			// Job-push fan-out is measured server-side; the cursor scopes
-			// both the count and the latency percentiles to this scenario.
-			pushes, lat := runTarget.Stratum.PushStatsSince(pushCursor)
-			res.JobPushes = pushes
-			if pushes > 0 {
-				res.PushP99Ns = int64(lat.P99)
-			}
-			after := counterValues(srvReg)
-			res.PushBytes = after["server.push_bytes"] - srvBefore["server.push_bytes"]
-			res.JobEncodes = after["pool.job_encodes"] - srvBefore["pool.job_encodes"]
-		}
-		if sc.Defended {
-			after := counterValues(defReg)
-			delta := func(name string) uint64 { return after[name] - srvBefore[name] }
-			res.SrvBans = delta("server.bans")
-			res.SrvRetargets = delta("server.retargets")
-			res.SrvSharesForged = delta("server.shares_forged")
-			res.SrvStaleFloods = delta("server.stale_flood")
-			res.SrvDupShares = delta("server.shares_duplicate")
-			res.SrvRateLimited = delta("server.rate_limited")
-			res.SrvLoginsBanned = delta("server.logins_banned")
-			res.PoolDupShares = delta("pool.shares_duplicate")
-		}
 		rep.Results = append(rep.Results, res)
-		fmt.Fprintf(out, "loadd: %-10s [%s] sessions=%d peak=%d shares_ok=%d shares/s=%.0f accept p50=%s p99=%s max=%s reconnects=%d pushes=%d push_p99=%s proto_errors=%d\n",
-			res.Scenario, res.Transport, res.Sessions, res.PeakConcurrent, res.SharesOK, res.SharesPerSec,
-			time.Duration(res.AcceptP50Ns), time.Duration(res.AcceptP99Ns), time.Duration(res.AcceptMaxNs),
-			res.Reconnects, res.JobPushes, time.Duration(res.PushP99Ns), res.ProtocolErrors)
-		if sc.Mem {
-			var bytesPerPush uint64
-			if res.JobPushes > 0 {
-				bytesPerPush = res.PushBytes / res.JobPushes
-			}
-			fmt.Fprintf(out, "loadd: %-10s scale: server_parked=%d goroutines_at_park=%d job_encodes=%d bytes/push=%d\n",
-				res.Scenario, res.ServerParked, res.GoroutinesAtPark, res.JobEncodes, bytesPerPush)
-		}
-		if sc.APIReaders > 0 {
-			after := counterValues(archReg)
-			delta := func(name string) uint64 { return after[name] - srvBefore[name] }
-			fmt.Fprintf(out, "loadd: %-10s api: queries=%d errors=%d query p50=%s p99=%s | archive appends=%d dropped=%d fsyncs=%d api_requests=%d\n",
-				res.Scenario, res.APIQueries, res.APIErrors,
-				time.Duration(res.APIQueryP50Ns), time.Duration(res.APIQueryP99Ns),
-				delta("pool.archive_appends"), delta("pool.archive_dropped"),
-				delta("pool.archive_fsyncs"), delta("server.api_requests"))
-			if *apiSmoke {
-				if err := assertAPI(res, baselineP99, delta); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "loadd: api-readers OK — %d queries answered clean, query p99 %s, submit p99 within the stall tripwire\n",
-					res.APIQueries, time.Duration(res.APIQueryP99Ns))
-			}
-		}
-		if sc.Attack != loadgen.AttackNone {
-			fmt.Fprintf(out, "loadd: %-10s contained: banned=%d (srv %d) dup_rejected=%d dup_credited=%d rate_limited=%d stale_flood=%d retargets=%d honest=%d cadence=%.0f/min @diff=%d\n",
-				res.Scenario, res.SessionsBanned, res.SrvBans, res.RejectedDuplicate, res.DuplicateCredited,
-				res.RejectedRateLimit, res.RejectedStaleFlood, res.SrvRetargets,
-				res.HonestSessions, res.HonestCadencePerMin, res.ConvergedDifficulty)
-		}
+		printRow(out, sc, res, srvDelta)
 
-		if *smoke {
-			if err := assertSmoke(res, spec.sessions); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "loadd: %s OK — %d concurrent %s sessions sustained, zero protocol errors\n",
-				res.Scenario, res.EndConcurrent, res.Transport)
+		if g == nil {
+			continue
 		}
-		if (*hostileSmoke && name == "steady") || (*apiSmoke && name == "mixed") {
+		if name == g.baseline {
 			baselineP99 = res.AcceptP99Ns
+			continue
 		}
-		if *hostileSmoke {
-			switch name {
-			case "mixed-hostile":
-				if err := assertHostile(res, baselineP99); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "loadd: mixed-hostile OK — %d attackers contained, honest cadence %.0f/min at difficulty %d, p99 within bound\n",
-					res.SessionsBanned, res.HonestCadencePerMin, res.ConvergedDifficulty)
-			}
-		}
-	}
-
-	if *scaleSmoke {
-		if err := assertScale(rep.Results); err != nil {
+		ok, err := g.assert(rep.Results, baselineP99, srvDelta)
+		if err != nil {
 			return err
 		}
-		top := rep.Results[len(rep.Results)-1]
-		fmt.Fprintf(out, "loadd: scale OK — %d sessions parked on %d goroutines, push p99 %s within 2× the 1k baseline, zero protocol errors\n",
-			top.Sessions, top.GoroutinesAtPark, time.Duration(top.PushP99Ns))
+		if ok != "" {
+			fmt.Fprintln(out, "loadd:", ok)
+		}
 	}
 
 	if *outFile != "" {
@@ -509,21 +443,62 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// printRow prints one report row in human form: the common line, then the
+// lines only some scenario shapes have numbers for.
+func printRow(out io.Writer, sc loadgen.Scenario, res loadgen.Result, srvDelta func(string) uint64) {
+	if sc.Federation {
+		fmt.Fprintf(out, "loadd: %-10s [%s] sessions=%d shares_ok=%d proto_errors=%d | federation: nodes=%d entries=%d converged=%v lost_credit=%d drops=%d sync_rounds=%d reorgs=%d gossip p50=%s p99=%s\n",
+			res.Scenario, res.Transport, res.Sessions, res.SharesOK, res.ProtocolErrors,
+			res.FedNodes, res.FedEntries, res.FedConverged, res.FedLostCredit, res.FedDrops,
+			res.FedSyncRounds, res.FedReorgs,
+			time.Duration(res.FedGossipP50Ns), time.Duration(res.FedGossipP99Ns))
+		return
+	}
+	fmt.Fprintf(out, "loadd: %-10s [%s] sessions=%d peak=%d shares_ok=%d shares/s=%.0f accept p50=%s p99=%s max=%s reconnects=%d pushes=%d push_p99=%s proto_errors=%d\n",
+		res.Scenario, res.Transport, res.Sessions, res.PeakConcurrent, res.SharesOK, res.SharesPerSec,
+		time.Duration(res.AcceptP50Ns), time.Duration(res.AcceptP99Ns), time.Duration(res.AcceptMaxNs),
+		res.Reconnects, res.JobPushes, time.Duration(res.PushP99Ns), res.ProtocolErrors)
+	if sc.Mem {
+		var bytesPerPush uint64
+		if res.JobPushes > 0 {
+			bytesPerPush = res.PushBytes / res.JobPushes
+		}
+		fmt.Fprintf(out, "loadd: %-10s scale: server_parked=%d goroutines_at_park=%d job_encodes=%d bytes/push=%d\n",
+			res.Scenario, res.ServerParked, res.GoroutinesAtPark, res.JobEncodes, bytesPerPush)
+	}
+	if sc.APIReaders > 0 { // Archived scenarios only ever run in-process, so srvDelta is set
+		fmt.Fprintf(out, "loadd: %-10s api: queries=%d errors=%d query p50=%s p99=%s | archive appends=%d dropped=%d fsyncs=%d api_requests=%d\n",
+			res.Scenario, res.APIQueries, res.APIErrors,
+			time.Duration(res.APIQueryP50Ns), time.Duration(res.APIQueryP99Ns),
+			srvDelta("pool.archive_appends"), srvDelta("pool.archive_dropped"),
+			srvDelta("pool.archive_fsyncs"), srvDelta("server.api_requests"))
+	}
+	if sc.Attack != loadgen.AttackNone {
+		fmt.Fprintf(out, "loadd: %-10s contained: banned=%d (srv %d) dup_rejected=%d dup_credited=%d rate_limited=%d stale_flood=%d retargets=%d honest=%d cadence=%.0f/min @diff=%d\n",
+			res.Scenario, res.SessionsBanned, res.SrvBans, res.RejectedDuplicate, res.DuplicateCredited,
+			res.RejectedRateLimit, res.RejectedStaleFlood, res.SrvRetargets,
+			res.HonestSessions, res.HonestCadencePerMin, res.ConvergedDifficulty)
+	}
+}
+
 // assertSmoke is the CI gate: the full swarm must be connected
 // simultaneously at the all-parked barrier, every expected share must
 // have been accepted, and nothing may have deviated from the dialect.
-func assertSmoke(res loadgen.Result, sessions int) error {
+func assertSmoke(rows []loadgen.Result, _ int64, _ func(string) uint64) (string, error) {
+	res := rows[len(rows)-1]
+	sessions := res.Sessions
 	if res.ProtocolErrors != 0 {
-		return fmt.Errorf("smoke: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
+		return "", fmt.Errorf("smoke: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
 	}
 	if res.EndConcurrent != int64(sessions) || res.PeakConcurrent < int64(sessions) {
-		return fmt.Errorf("smoke: concurrency end=%d peak=%d, want %d sustained",
+		return "", fmt.Errorf("smoke: concurrency end=%d peak=%d, want %d sustained",
 			res.EndConcurrent, res.PeakConcurrent, sessions)
 	}
 	if want := uint64(sessions * 2); res.SharesOK != want { // smoke scenario: 2 turns
-		return fmt.Errorf("smoke: SharesOK = %d, want %d", res.SharesOK, want)
+		return "", fmt.Errorf("smoke: SharesOK = %d, want %d", res.SharesOK, want)
 	}
-	return nil
+	return fmt.Sprintf("%s OK — %d concurrent %s sessions sustained, zero protocol errors",
+		res.Scenario, res.EndConcurrent, res.Transport), nil
 }
 
 // assertHostile is the abuse gate: the defended pool must have contained
@@ -531,20 +506,21 @@ func assertSmoke(res loadgen.Result, sessions int) error {
 // honest population to the vardiff goal (±25%), and kept honest accept
 // latency within 2× the steady baseline (plus a small absolute floor so
 // a sub-millisecond baseline doesn't make scheduler jitter a failure).
-func assertHostile(res loadgen.Result, baselineP99 int64) error {
+func assertHostile(rows []loadgen.Result, baselineP99 int64, _ func(string) uint64) (string, error) {
+	res := rows[len(rows)-1]
 	if res.ProtocolErrors != 0 {
-		return fmt.Errorf("hostile: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
+		return "", fmt.Errorf("hostile: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
 	}
 	if res.DuplicateCredited != 0 {
-		return fmt.Errorf("hostile: pool credited %d duplicate shares (must be zero)", res.DuplicateCredited)
+		return "", fmt.Errorf("hostile: pool credited %d duplicate shares (must be zero)", res.DuplicateCredited)
 	}
 	if res.SessionsBanned == 0 || res.SrvBans == 0 {
-		return fmt.Errorf("hostile: no attacker was banned (client saw %d, server counted %d)",
+		return "", fmt.Errorf("hostile: no attacker was banned (client saw %d, server counted %d)",
 			res.SessionsBanned, res.SrvBans)
 	}
 	const goal = 12.0 // DefendedInprocOptions vardiff target
 	if res.HonestCadencePerMin < goal*0.75 || res.HonestCadencePerMin > goal*1.25 {
-		return fmt.Errorf("hostile: honest cadence %.1f shares/min, want within ±25%% of %.0f (converged difficulty %d over %d sessions)",
+		return "", fmt.Errorf("hostile: honest cadence %.1f shares/min, want within ±25%% of %.0f (converged difficulty %d over %d sessions)",
 			res.HonestCadencePerMin, goal, res.ConvergedDifficulty, res.HonestSessions)
 	}
 	// Compared at the histogram's power-of-2 bucket resolution (see
@@ -553,10 +529,11 @@ func assertHostile(res loadgen.Result, baselineP99 int64) error {
 	// fast-baseline run (524µs) would demand ≤6.05ms of a measurement
 	// that can only read 4.19ms or 8.39ms.
 	if bound := histBucketCeil(2*baselineP99 + int64(5*time.Millisecond)); baselineP99 > 0 && res.AcceptP99Ns > bound {
-		return fmt.Errorf("hostile: honest accept p99 %s exceeds 2× steady baseline %s (+5ms floor, bucket-ceiled to %s)",
+		return "", fmt.Errorf("hostile: honest accept p99 %s exceeds 2× steady baseline %s (+5ms floor, bucket-ceiled to %s)",
 			time.Duration(res.AcceptP99Ns), time.Duration(baselineP99), time.Duration(bound))
 	}
-	return nil
+	return fmt.Sprintf("mixed-hostile OK — %d attackers contained, honest cadence %.0f/min at difficulty %d, p99 within bound",
+		res.SessionsBanned, res.HonestCadencePerMin, res.ConvergedDifficulty), nil
 }
 
 // assertAPI is the observability gate: the stats API must have answered
@@ -568,18 +545,19 @@ func assertHostile(res loadgen.Result, baselineP99 int64) error {
 // stay within 2× the no-archive steady baseline (+5ms scheduler floor,
 // compared at the histogram's power-of-2 bucket resolution like the
 // hostile gate).
-func assertAPI(res loadgen.Result, baselineP99 int64, srvDelta func(string) uint64) error {
+func assertAPI(rows []loadgen.Result, baselineP99 int64, srvDelta func(string) uint64) (string, error) {
+	res := rows[len(rows)-1]
 	if res.ProtocolErrors != 0 {
-		return fmt.Errorf("api: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
+		return "", fmt.Errorf("api: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
 	}
 	if res.APIErrors != 0 {
-		return fmt.Errorf("api: %d failed stats-API queries: %v", res.APIErrors, res.ErrorSamples)
+		return "", fmt.Errorf("api: %d failed stats-API queries: %v", res.APIErrors, res.ErrorSamples)
 	}
 	if res.APIQueries == 0 {
-		return fmt.Errorf("api: readers issued no queries (stats API unreachable?)")
+		return "", fmt.Errorf("api: readers issued no queries (stats API unreachable?)")
 	}
 	if bound := histBucketCeil(int64(100 * time.Millisecond)); res.APIQueryP99Ns > bound {
-		return fmt.Errorf("api: query p99 %s exceeds the %s responsiveness bound",
+		return "", fmt.Errorf("api: query p99 %s exceeds the %s responsiveness bound",
 			time.Duration(res.APIQueryP99Ns), time.Duration(bound))
 	}
 	// The submit-tail tripwire targets order-of-magnitude perturbation —
@@ -597,19 +575,20 @@ func assertAPI(res loadgen.Result, baselineP99 int64, srvDelta func(string) uint
 		allowed = floor
 	}
 	if bound := histBucketCeil(allowed); baselineP99 > 0 && res.AcceptP99Ns > bound {
-		return fmt.Errorf("api: submit p99 %s exceeds 4× the no-archive baseline %s (100ms floor, bucket-ceiled to %s) — archiving is leaking synchronous work into the submit path",
+		return "", fmt.Errorf("api: submit p99 %s exceeds 4× the no-archive baseline %s (100ms floor, bucket-ceiled to %s) — archiving is leaking synchronous work into the submit path",
 			time.Duration(res.AcceptP99Ns), time.Duration(baselineP99), time.Duration(bound))
 	}
 	if srvDelta("pool.archive_appends") == 0 {
-		return fmt.Errorf("api: pool.archive_appends is zero — no events reached the archive")
+		return "", fmt.Errorf("api: pool.archive_appends is zero — no events reached the archive")
 	}
 	if srvDelta("pool.archive_fsyncs") == 0 {
-		return fmt.Errorf("api: pool.archive_fsyncs is zero — the file-backed archive never synced")
+		return "", fmt.Errorf("api: pool.archive_fsyncs is zero — the file-backed archive never synced")
 	}
 	if srvDelta("server.api_requests") == 0 {
-		return fmt.Errorf("api: server.api_requests is zero — reader queries bypassed the stats API")
+		return "", fmt.Errorf("api: server.api_requests is zero — reader queries bypassed the stats API")
 	}
-	return nil
+	return fmt.Sprintf("api-readers OK — %d queries answered clean, query p99 %s, submit p99 within the stall tripwire",
+		res.APIQueries, time.Duration(res.APIQueryP99Ns)), nil
 }
 
 // assertFederation is the multi-node gate: every session spoke the
@@ -621,30 +600,32 @@ func assertAPI(res loadgen.Result, baselineP99 int64, srvDelta func(string) uint
 // 1s (bucket-ceiled): generous for memconn links on a loaded CI box, yet
 // far below the sync-repair cadence that would indicate broadcast is
 // silently broken and convergence is riding catch-up alone.
-func assertFederation(res loadgen.Result) error {
+func assertFederation(rows []loadgen.Result, _ int64, _ func(string) uint64) (string, error) {
+	res := rows[len(rows)-1]
 	if res.ProtocolErrors != 0 {
-		return fmt.Errorf("federation: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
+		return "", fmt.Errorf("federation: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
 	}
 	if res.SharesOK == 0 {
-		return fmt.Errorf("federation: swarm produced no accepted shares")
+		return "", fmt.Errorf("federation: swarm produced no accepted shares")
 	}
 	if !res.FedConverged {
-		return fmt.Errorf("federation: nodes did not converge on one tip (%d entries expected)", res.FedEntries)
+		return "", fmt.Errorf("federation: nodes did not converge on one tip (%d entries expected)", res.FedEntries)
 	}
 	if res.FedLostCredit != 0 {
-		return fmt.Errorf("federation: %d difficulty-credit lost between local acceptance and the replicated books", res.FedLostCredit)
+		return "", fmt.Errorf("federation: %d difficulty-credit lost between local acceptance and the replicated books", res.FedLostCredit)
 	}
 	if res.FedDrops != 0 {
-		return fmt.Errorf("federation: %d shares dropped off a node's federation queue", res.FedDrops)
+		return "", fmt.Errorf("federation: %d shares dropped off a node's federation queue", res.FedDrops)
 	}
 	if res.FedSyncRounds == 0 {
-		return fmt.Errorf("federation: the cold replacement converged without a catch-up sync round")
+		return "", fmt.Errorf("federation: the cold replacement converged without a catch-up sync round")
 	}
 	if bound := histBucketCeil(int64(time.Second)); res.FedGossipP99Ns > bound {
-		return fmt.Errorf("federation: gossip propagation p99 %s exceeds the %s bound",
+		return "", fmt.Errorf("federation: gossip propagation p99 %s exceeds the %s bound",
 			time.Duration(res.FedGossipP99Ns), time.Duration(bound))
 	}
-	return nil
+	return fmt.Sprintf("federation OK — 3 nodes converged on %d entries through a kill and cold resync, zero lost credit, gossip p99 %s",
+		res.FedEntries, time.Duration(res.FedGossipP99Ns)), nil
 }
 
 // assertScale is the scaling gate: every tcp-scale tier must have run
@@ -661,7 +642,10 @@ func assertFederation(res loadgen.Result) error {
 // claim is measured against.
 const scaleAnchorP99 = 16800 * time.Microsecond
 
-func assertScale(rows []loadgen.Result) error {
+func assertScale(rows []loadgen.Result, _ int64, _ func(string) uint64) (string, error) {
+	if len(rows) < 2 {
+		return "", nil // the baseline tier alone proves nothing yet
+	}
 	var base, top *loadgen.Result
 	for i := range rows {
 		r := &rows[i]
@@ -669,13 +653,13 @@ func assertScale(rows []loadgen.Result) error {
 			continue
 		}
 		if r.ProtocolErrors != 0 {
-			return fmt.Errorf("scale %d: %d protocol errors: %v", r.Sessions, r.ProtocolErrors, r.ErrorSamples)
+			return "", fmt.Errorf("scale %d: %d protocol errors: %v", r.Sessions, r.ProtocolErrors, r.ErrorSamples)
 		}
 		if r.EndConcurrent != int64(r.Sessions) {
-			return fmt.Errorf("scale %d: concurrency end=%d, want all sessions live at the barrier", r.Sessions, r.EndConcurrent)
+			return "", fmt.Errorf("scale %d: concurrency end=%d, want all sessions live at the barrier", r.Sessions, r.EndConcurrent)
 		}
 		if r.JobPushes == 0 {
-			return fmt.Errorf("scale %d: no job pushes measured (tip refreshes not reaching the stratum front?)", r.Sessions)
+			return "", fmt.Errorf("scale %d: no job pushes measured (tip refreshes not reaching the stratum front?)", r.Sessions)
 		}
 		if base == nil {
 			base = r
@@ -683,7 +667,7 @@ func assertScale(rows []loadgen.Result) error {
 		top = r
 	}
 	if base == nil || top == base {
-		return fmt.Errorf("scale: need at least two tcp-scale tiers, got %d rows", len(rows))
+		return "", fmt.Errorf("scale: need at least two tcp-scale tiers, got %d rows", len(rows))
 	}
 	// The fan-out tail bound. Fan-out is O(sessions) work on however many
 	// cores the box has, so the tail at 10× the sessions cannot be held
@@ -706,21 +690,22 @@ func assertScale(rows []loadgen.Result) error {
 	// = 33.6ms is 46µs above the 2^25ns bucket, so an honest ~33ms tail
 	// would fail on quantisation alone roughly half the time.
 	if bound := histBucketCeil(2 * baseline); top.PushP99Ns > bound {
-		return fmt.Errorf("scale: push p99 %s at %d sessions exceeds 2× the 1k fan-out baseline %s (bucket-ceiled bound %s)",
+		return "", fmt.Errorf("scale: push p99 %s at %d sessions exceeds 2× the 1k fan-out baseline %s (bucket-ceiled bound %s)",
 			time.Duration(top.PushP99Ns), top.Sessions, time.Duration(baseline), time.Duration(bound))
 	}
 	if top.GoroutinesAtPark >= top.Sessions/4 {
-		return fmt.Errorf("scale: %d goroutines for %d parked sessions (want < sessions/4 — parked sessions must not hold stacks)",
+		return "", fmt.Errorf("scale: %d goroutines for %d parked sessions (want < sessions/4 — parked sessions must not hold stacks)",
 			top.GoroutinesAtPark, top.Sessions)
 	}
 	if top.ServerParked < int64(top.Sessions)*95/100 {
-		return fmt.Errorf("scale: server reports %d parked of %d sessions at the barrier", top.ServerParked, top.Sessions)
+		return "", fmt.Errorf("scale: server reports %d parked of %d sessions at the barrier", top.ServerParked, top.Sessions)
 	}
 	if bound := (top.TipRefreshes + 2) * 128; top.JobEncodes > bound {
-		return fmt.Errorf("scale: %d job encodes over %d tip refreshes (bound %d) — encode-once fan-out is not amortising",
+		return "", fmt.Errorf("scale: %d job encodes over %d tip refreshes (bound %d) — encode-once fan-out is not amortising",
 			top.JobEncodes, top.TipRefreshes, bound)
 	}
-	return nil
+	return fmt.Sprintf("scale OK — %d sessions parked on %d goroutines, push p99 %s within 2× the 1k baseline, zero protocol errors",
+		top.Sessions, top.GoroutinesAtPark, time.Duration(top.PushP99Ns)), nil
 }
 
 // histBucketCeil rounds ns up to the metrics histogram's bucket edge

@@ -6,11 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/loadgen"
 )
 
 func TestRunSmokeSmall(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-smoke", "-sessions", "64", "-workers", "32"}, &out); err != nil {
+	if err := run([]string{"-gate", "smoke", "-sessions", "64", "-workers", "32"}, &out); err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
 	// The gate runs both dialects, each at the full session count.
@@ -88,10 +90,42 @@ func TestRunSkipsTCPScenariosWithoutTCPTarget(t *testing.T) {
 	}
 }
 
+// TestGateTable: every gate resolves by name to a runnable row list —
+// catalogue scenarios or scale tiers — with an assertion behind it, and
+// the Makefile's load-% rule has exactly these names to expand to.
+func TestGateTable(t *testing.T) {
+	for _, want := range []string{"smoke", "hostile", "scale", "api", "federation"} {
+		g, err := gateByName(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.name != want || g.assert == nil || len(g.scenarios)+len(g.tiers) == 0 {
+			t.Errorf("gate %s = %+v", want, g)
+		}
+		for _, name := range g.scenarios {
+			if _, err := loadgen.ScenarioByName(name); err != nil {
+				t.Errorf("gate %s: %v", want, err)
+			}
+		}
+		if g.baseline != "" && (len(g.scenarios) < 2 || g.scenarios[0] != g.baseline) {
+			t.Errorf("gate %s: baseline %q must run first and not alone, have %v", want, g.baseline, g.scenarios)
+		}
+	}
+	if len(gates) != 5 {
+		t.Errorf("%d gates in the table, 5 named here", len(gates))
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-not-a-flag"}, &out); err == nil {
 		t.Error("bad flag accepted")
+	}
+	if err := run([]string{"-gate", "nope"}, &out); err == nil || !strings.Contains(err.Error(), "unknown gate") {
+		t.Errorf("unknown gate: err = %v", err)
+	}
+	if err := run([]string{"-smoke"}, &out); err == nil {
+		t.Error("a retired per-gate boolean was accepted")
 	}
 	if err := run([]string{"-scenario", "nope"}, &out); err == nil {
 		t.Error("unknown scenario accepted")

@@ -160,36 +160,20 @@ func EncodedLen(ev *Event) int {
 //lint:hotpath
 func AppendRecord(dst []byte, ev *Event) []byte {
 	payload := fixedPayload + len(ev.Actor) + len(ev.Ref)
-	dst = appendU32(dst, uint32(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(payload))
 	body := len(dst)
 	dst = append(dst, byte(ev.Kind))
-	dst = appendU64(dst, uint64(ev.TimeNs))
-	dst = appendU64(dst, ev.Height)
-	dst = appendU64(dst, ev.Amount)
-	dst = appendU64(dst, ev.Aux)
-	dst = appendU64(dst, ev.Aux2)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.TimeNs))
+	dst = binary.LittleEndian.AppendUint64(dst, ev.Height)
+	dst = binary.LittleEndian.AppendUint64(dst, ev.Amount)
+	dst = binary.LittleEndian.AppendUint64(dst, ev.Aux)
+	dst = binary.LittleEndian.AppendUint64(dst, ev.Aux2)
 	dst = append(dst, ev.Hash[:]...)
-	dst = appendU16(dst, uint16(len(ev.Actor)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ev.Actor)))
 	dst = append(dst, ev.Actor...)
-	dst = appendU16(dst, uint16(len(ev.Ref)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ev.Ref)))
 	dst = append(dst, ev.Ref...)
-	return appendU32(dst, crc32.ChecksumIEEE(dst[body:]))
-}
-
-//lint:hotpath
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
-
-//lint:hotpath
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-//lint:hotpath
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[body:]))
 }
 
 // decodeRecord parses one framed record from the front of b.

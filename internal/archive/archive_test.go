@@ -1,11 +1,14 @@
 package archive
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func testEvents(n int) []Event {
@@ -277,6 +280,81 @@ func (b *blockingStore) Next(c Cursor, out []Event) (int, Cursor, error) {
 	return 0, c, nil
 }
 func (b *blockingStore) Close() error { return nil }
+
+// failingStore is a MemStore that fails Append and/or Sync on demand — a
+// full or failing disk, as the recorder sees one. The flags are toggled
+// only between Flush barriers, never concurrently with the drain.
+type failingStore struct {
+	*MemStore
+	failAppend, failSync bool
+}
+
+func (f *failingStore) Append(ev *Event) error {
+	if f.failAppend {
+		return errors.New("append: no space left on device")
+	}
+	return f.MemStore.Append(ev)
+}
+
+func (f *failingStore) Sync() error {
+	if f.failSync {
+		return errors.New("sync: input/output error")
+	}
+	return nil
+}
+
+// TestRecorderCountsStoreErrors pins the recorder's contract with a
+// failing Store: every failed Append and Sync lands in
+// pool.archive_errors instead of vanishing (and not in
+// pool.archive_dropped, which is the queue's), a failed Sync stays owed
+// until one succeeds, and a store that recovers is written to again.
+func TestRecorderCountsStoreErrors(t *testing.T) {
+	reg := metrics.NewRegistry()
+	store := &failingStore{MemStore: NewMemStore(1 << 10)}
+	rec := NewRecorder(store, reg, 0)
+	evs := testEvents(6)
+	errors := reg.Counter("pool.archive_errors")
+	check := func(when string, appends, fsyncs, errs uint64) {
+		t.Helper()
+		rec.Flush()
+		a, f, e := reg.Counter("pool.archive_appends").Load(), reg.Counter("pool.archive_fsyncs").Load(), errors.Load()
+		if a != appends || f != fsyncs || e != errs {
+			t.Fatalf("%s: appends=%d fsyncs=%d errors=%d, want %d,%d,%d", when, a, f, e, appends, fsyncs, errs)
+		}
+	}
+
+	rec.Record(evs[0])
+	check("healthy store", 1, 1, 0)
+
+	store.failAppend = true
+	for i := 1; i <= 4; i++ {
+		rec.Record(evs[i])
+	}
+	check("appends failing", 1, 1, 4)
+
+	// The drain syncs whenever it empties the queue, so one owed Sync may
+	// fail (and be counted) more than once before the store recovers.
+	store.failAppend, store.failSync = false, true
+	rec.Record(evs[5])
+	rec.Flush()
+	failed := errors.Load()
+	if failed < 5 {
+		t.Fatalf("sync failing: errors=%d, want the 4 appends plus at least one sync", failed)
+	}
+
+	store.failSync = false
+	check("sync recovered, nothing new recorded", 2, 2, failed)
+
+	if n := reg.Counter("pool.archive_dropped").Load(); n != 0 {
+		t.Errorf("store errors were counted as %d queue drops", n)
+	}
+	if got := drain(t, store); !reflect.DeepEqual(got, []Event{evs[0], evs[5]}) {
+		t.Fatalf("store holds %d events, want the 2 whose Append succeeded", len(got))
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestReplayAggregates(t *testing.T) {
 	mem := NewMemStore(1 << 10)

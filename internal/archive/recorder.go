@@ -1,27 +1,28 @@
 package archive
 
 import (
+	"repro/internal/handoff"
 	"repro/internal/metrics"
 )
 
 // Recorder is the bridge between the pool's hot paths and a Store: a
-// bounded queue drained by one background goroutine. Record never
-// blocks — when the queue is full the event is dropped and counted in
-// pool.archive_dropped — so a slow disk can cost history, never
+// bounded hand-off queue drained by one background goroutine. Record
+// never blocks — when the queue is full the event is dropped and counted
+// in pool.archive_dropped — so a slow disk can cost history, never
 // submit-path latency. Appends are batched and each drained batch gets
-// one Sync, counted in pool.archive_fsyncs.
+// one Sync, counted in pool.archive_fsyncs. A Store that fails an Append
+// or a Sync costs the events involved, counted in pool.archive_errors;
+// the drain carries on, so a disk that recovers is written to again.
 type Recorder struct {
 	store Store
-	ch    chan Event
-	flush chan chan struct{}
-	done  chan struct{}
-	dead  chan struct{} // closed when the drain goroutine exits
+	q     *handoff.Queue[Event]
 
 	pending bool // appended since the last sync (drain goroutine only)
 
 	appends *metrics.Counter
 	dropped *metrics.Counter
 	fsyncs  *metrics.Counter
+	errors  *metrics.Counter
 }
 
 // DefaultQueueDepth bounds the Record queue: deep enough to absorb a
@@ -41,15 +42,12 @@ func NewRecorder(store Store, reg *metrics.Registry, depth int) *Recorder {
 	}
 	r := &Recorder{
 		store:   store,
-		ch:      make(chan Event, depth),
-		flush:   make(chan chan struct{}),
-		done:    make(chan struct{}),
-		dead:    make(chan struct{}),
 		appends: reg.Counter("pool.archive_appends"),
 		dropped: reg.Counter("pool.archive_dropped"),
 		fsyncs:  reg.Counter("pool.archive_fsyncs"),
+		errors:  reg.Counter("pool.archive_errors"),
 	}
-	go r.run()
+	r.q = handoff.New(depth, r.dropped, r.append, r.sync)
 	return r
 }
 
@@ -57,75 +55,44 @@ func NewRecorder(store Store, reg *metrics.Registry, depth int) *Recorder {
 // and bumps pool.archive_dropped.
 //
 //lint:hotpath
-func (r *Recorder) Record(ev Event) {
-	select {
-	case r.ch <- ev:
-	default:
-		r.dropped.Inc()
-	}
-}
+func (r *Recorder) Record(ev Event) { r.q.Offer(ev) }
 
 // Flush blocks until every event enqueued before the call is appended
 // and synced. Events recorded concurrently with Flush may or may not
 // be covered.
-func (r *Recorder) Flush() {
-	ack := make(chan struct{})
-	select {
-	case r.flush <- ack:
-		<-ack
-	case <-r.dead:
-	}
-}
+func (r *Recorder) Flush() { r.q.Flush() }
 
 // Close drains the queue, syncs, stops the goroutine and closes the
 // underlying Store.
 func (r *Recorder) Close() error {
-	select {
-	case <-r.done:
-	default:
-		close(r.done)
-	}
-	<-r.dead
+	r.q.Close()
 	return r.store.Close()
 }
 
-func (r *Recorder) run() {
-	defer close(r.dead)
-	for {
-		select {
-		case ev := <-r.ch:
-			r.append(&ev)
-			r.drainAndSync()
-		case ack := <-r.flush:
-			r.drainAndSync()
-			close(ack)
-		case <-r.done:
-			r.drainAndSync()
-			return
-		}
+// append is the queue's handler. It never returns an error: a failed
+// Append is counted and the drain moves on to the next event.
+func (r *Recorder) append(ev Event) error {
+	if r.store.Append(&ev) != nil {
+		r.errors.Inc()
+		return nil
 	}
+	r.appends.Inc()
+	r.pending = true
+	return nil
 }
 
-// drainAndSync appends everything currently queued, then syncs once —
-// the fsync batching that keeps durability off the per-event bill.
-func (r *Recorder) drainAndSync() {
-	for {
-		select {
-		case ev := <-r.ch:
-			r.append(&ev)
-		default:
-			if r.pending && r.store.Sync() == nil {
-				r.fsyncs.Inc()
-				r.pending = false
-			}
-			return
-		}
+// sync runs each time the drain has emptied the queue: one Sync for
+// everything appended since the last — the fsync batching that keeps
+// durability off the per-event bill. After a failed Sync the batch stays
+// pending, so the next drained batch retries it.
+func (r *Recorder) sync() {
+	if !r.pending {
+		return
 	}
-}
-
-func (r *Recorder) append(ev *Event) {
-	if r.store.Append(ev) == nil {
-		r.appends.Inc()
-		r.pending = true
+	if r.store.Sync() != nil {
+		r.errors.Inc()
+		return
 	}
+	r.fsyncs.Inc()
+	r.pending = false
 }

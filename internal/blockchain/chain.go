@@ -34,7 +34,6 @@ type Chain struct {
 	index     map[[32]byte]uint64 // block ID -> height
 	ids       [][32]byte          // cached block IDs by height
 	roots     [][32]byte          // cached Merkle roots by height
-	diffs     []uint64            // per-block difficulty at acceptance
 	cumDiff   []uint64            // cumulative difficulty
 	generated uint64              // atomic units emitted so far
 	tipID     [32]byte            // cached ID of blocks[len-1]
@@ -121,7 +120,6 @@ func NewChain(p Params, genesisTimestamp uint64, to Address) (*Chain, error) {
 	c.index[c.tipID] = 0
 	c.ids = append(c.ids, c.tipID)
 	c.roots = append(c.roots, root)
-	c.diffs = append(c.diffs, 1)
 	c.cumDiff = append(c.cumDiff, 1)
 	c.generated = g.Coinbase.Amount
 	c.nextDiff = c.recomputeDifficultyLocked()
@@ -237,16 +235,6 @@ func (c *Chain) SuccessorInfoOf(id [32]byte) (SuccessorInfo, bool) {
 	}, true
 }
 
-// IDByHeight returns the cached identifier of the block at height h.
-func (c *Chain) IDByHeight(h uint64) ([32]byte, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if h >= uint64(len(c.ids)) {
-		return [32]byte{}, false
-	}
-	return c.ids[h], true
-}
-
 // NextDifficulty returns the difficulty required of the next block. The
 // value only changes when a block lands, so it is computed once per append
 // and served from cache here — callers on the share-verification hot path
@@ -282,16 +270,6 @@ func (c *Chain) timestampScratchLocked(n int) []uint64 {
 		c.tsScratch = make([]uint64, 0, n+n/2)
 	}
 	return c.tsScratch[:n]
-}
-
-// DifficultyOf returns the difficulty the block at height h was held to.
-func (c *Chain) DifficultyOf(h uint64) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if h >= uint64(len(c.diffs)) {
-		return 0
-	}
-	return c.diffs[h]
 }
 
 // BaseReward returns the reward the next block's coinbase must claim.
@@ -434,7 +412,6 @@ func (c *Chain) append(b *Block, verifyPoW bool) (tip [32]byte, height uint64, e
 	c.index[id] = height
 	c.ids = append(c.ids, id)
 	c.roots = append(c.roots, root)
-	c.diffs = append(c.diffs, diff)
 	c.cumDiff = append(c.cumDiff, c.cumDiff[len(c.cumDiff)-1]+diff)
 	c.generated += b.Coinbase.Amount
 	c.nextDiff = c.recomputeDifficultyLocked()

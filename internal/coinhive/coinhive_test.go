@@ -182,14 +182,14 @@ func TestJobIDCodecRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		id := makeJobID(c.backend, c.seq, c.slot, c.link, c.diff)
-		b, seq, slot, link, diff, ok := parseJobID(id)
-		if !ok || b != c.backend || seq != c.seq || slot != c.slot || link != c.link || diff != c.diff {
-			t.Errorf("round trip %+v via %q -> (%d,%d,%d,%v,%d,%v)", c, id, b, seq, slot, link, diff, ok)
+		ref, ok := parseJobID(id)
+		if !ok || ref != (jobRef{c.backend, c.seq, c.slot, c.link, c.diff}) {
+			t.Errorf("round trip %+v via %q -> (%+v,%v)", c, id, ref, ok)
 		}
 	}
 	for _, bad := range []string{"", "-", "1-", "1-2", "x-1-2", "1-x-2", "1-2-x", "99999", "-1-2-3", "1-2--L",
 		"1-2-3-d", "1-2-3-dx", "1-2-3-d0", "1-2-3-d-1", "1-2-3-L-d"} {
-		if _, _, _, _, _, ok := parseJobID(bad); ok {
+		if _, ok := parseJobID(bad); ok {
 			t.Errorf("parseJobID(%q) accepted malformed ID", bad)
 		}
 	}

@@ -141,7 +141,6 @@ type Engine struct {
 	bans         *metrics.Counter // bans issued
 	loginsBanned *metrics.Counter // logins rejected because the identity is banned
 	rateLimited  *metrics.Counter // logins/submits rejected by the rate limiter
-	dupShares    *metrics.Counter // submits rejected by the per-session duplicate memo
 	staleFloods  *metrics.Counter // too-many-stale errors issued
 	forgedDiffs  *metrics.Counter // submits at a difficulty tier never served
 }
@@ -165,7 +164,6 @@ func NewEngine(p *Pool) *Engine {
 		bans:          reg.Counter("server.bans"),
 		loginsBanned:  reg.Counter("server.logins_banned"),
 		rateLimited:   reg.Counter("server.rate_limited"),
-		dupShares:     reg.Counter("server.shares_duplicate"),
 		staleFloods:   reg.Counter("server.stale_flood"),
 		forgedDiffs:   reg.Counter("server.shares_forged"),
 	}
@@ -255,7 +253,7 @@ func (e *Engine) ServeSession(endpoint int, t SessionTransport) {
 
 // MinerSession is one miner's protocol state, independent of transport.
 // Step is called from a single goroutine (the transport's reader);
-// Authed/CurrentJob may be called concurrently (the TCP push fan-out).
+// Authed/mintWire may be called concurrently (the TCP push fan-out).
 type MinerSession struct {
 	eng      *Engine
 	endpoint int
@@ -277,17 +275,15 @@ type MinerSession struct {
 
 	// Vardiff state. curDiff is the difficulty currently served: 0 means
 	// the session is on the static tier (vardiff off, or a link/captcha
-	// session). Atomic because CurrentJob reads it from the TCP push
+	// session). Atomic because mintWire reads it from the TCP push
 	// fan-out goroutine; the rest is Step-goroutine only.
 	curDiff      atomic.Uint64
 	prevDiff     uint64 // one retarget of grace for in-flight shares
 	vdWin        vardiffWindow
 	lastAcceptNs int64
 
-	// Defense state: consecutive stale submissions since the last accept,
-	// and the session-local memo of accepted share keys.
+	// Defense state: consecutive stale submissions since the last accept.
 	staleRun int
-	dupMemo  shareMemo
 
 	evs []Event // reused reply buffer; valid until the next Step
 }
@@ -305,22 +301,12 @@ func (ms *MinerSession) Close() {
 	ms.eng.sessions.Dec()
 }
 
-// CurrentJob mints the session's current PoW input — what a server-clocked
-// transport pushes when the chain tip moves. Safe for concurrent use with
-// Step once the session is authed (curDiff is the one retarget-mutated
-// field it reads, and it is atomic).
-func (ms *MinerSession) CurrentJob() stratum.Job {
-	return ms.CurrentWire().Job
-}
-
-// CurrentWire is CurrentJob's encode-once form: the fan-out pushes the
-// returned wire bytes to every session on the same tier without
-// re-marshaling. Same concurrency contract as CurrentJob.
-func (ms *MinerSession) CurrentWire() *JobWire {
-	ms.eng.jobsSent.Inc()
-	return ms.mintWire()
-}
-
+// mintWire mints the session's current PoW input in its encode-once form
+// — what a reply carries and what a server-clocked transport pushes when
+// the chain tip moves, the same wire bytes going to every session on the
+// same tier without re-marshaling. Safe for concurrent use with Step once
+// the session is authed (curDiff is the one retarget-mutated field it
+// reads, and it is atomic).
 func (ms *MinerSession) mintWire() *JobWire {
 	if d := ms.curDiff.Load(); d != 0 {
 		return ms.eng.pool.jobWire(ms.endpoint, ms.slot, d, false)
@@ -522,21 +508,15 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 
 // submit scores one decoded share and emits the dialect-independent
 // outcome: credit (plus link/captcha progress), a named rejection, or a
-// silent stale re-job. The defense screens — rate limit, duplicate memo,
-// served-tier check — run before the pool call, so every abusive shape is
-// rejected without the CryptoNight verify it is trying to make us burn.
+// silent stale re-job. The defense screens — rate limit, served-tier
+// check, and the pool's duplicate memo — all come before the CryptoNight
+// verify, which is what every abusive shape is trying to make us burn.
 func (ms *MinerSession) submit(cmd Command) {
 	p := ms.eng.pool
 	e := ms.eng
-	// Parse once: the duplicate memo keys on the tier-independent job
-	// identity (backend/generation/slot — the -d<N> and -L suffixes name
-	// the same PoW blob, so one nonce must dedupe across tiers), and the
-	// served-tier check needs the difficulty the ID claims.
-	jb, jseq, jslot, _, jdiff, jok := parseJobID(cmd.JobID)
-	var memoKey uint64
-	if jok {
-		memoKey = shareMemoKey(jb, jseq, jslot, cmd.Nonce)
-	}
+	// Parsed once, here: the served-tier check needs the difficulty the ID
+	// claims, and the pool takes the rest.
+	ref, refOK := parseJobID(cmd.JobID)
 	if e.abuse != nil {
 		nowNs := e.clock.Now().UnixNano()
 		if !e.abuse.allowSubmit(ms.siteKey, nowNs) {
@@ -550,22 +530,6 @@ func (ms *MinerSession) submit(cmd Command) {
 			})
 			return
 		}
-		// Session-local duplicate memo: replays of a share this session
-		// was already paid for are named and scored. (The per-account memo
-		// in SubmitShare remains the authoritative net — it survives
-		// reconnects and covers direct-API callers.)
-		if jok && ms.dupMemo.has(memoKey) {
-			e.dupShares.Inc()
-			// Session-memo rejections never reach SubmitShare, so they are
-			// archived here; account-memo rejections are archived by the
-			// pool. Each duplicate takes exactly one of the two paths.
-			p.archiveShare(archive.KindShareDuplicate, ms.siteKey, cmd.JobID, cmd.Nonce, 0, 0)
-			if ms.offend(e.ban.DuplicateScore, nowNs) {
-				return
-			}
-			ms.emitError(stratum.DuplicateShareMessage, false)
-			return
-		}
 	}
 	// Served-tier check: a vardiff session may only submit the difficulty
 	// it is being served (or the one just before it — one retarget of
@@ -573,7 +537,7 @@ func (ms *MinerSession) submit(cmd Command) {
 	// cheap targets; answer with the unknown-job re-job shape, scored,
 	// without parsing further or verifying.
 	if d := ms.curDiff.Load(); d != 0 {
-		if jok && jdiff != d && (jdiff == 0 || jdiff != ms.prevDiff) {
+		if refOK && ref.diff != d && (ref.diff == 0 || ref.diff != ms.prevDiff) {
 			e.forgedDiffs.Inc()
 			if ms.offend(e.ban.ForgedDiffScore, ms.abuseNowNs()) {
 				return
@@ -583,16 +547,13 @@ func (ms *MinerSession) submit(cmd Command) {
 		}
 	}
 	verifyStart := time.Now()
-	out, err := p.SubmitShare(ms.siteKey, cmd.JobID, cmd.Nonce, cmd.Result, ms.linkID)
+	out, err := p.submitShare(ms.siteKey, cmd.JobID, ref, refOK, cmd.Nonce, cmd.Result, ms.linkID)
 	ms.eng.submitNs.Observe(time.Since(verifyStart))
 	stale := false
 	retargeted := false
 	switch err {
 	case nil:
 		ms.staleRun = 0
-		if e.abuse != nil && jok {
-			ms.sessionMemoAdd(memoKey)
-		}
 		ms.emit(Event{Kind: EvAccepted, Accepted: stratum.HashAccepted{Hashes: int64(out.Credited)}})
 		if ms.linkID != "" {
 			if url, derr := p.Links().Destination(ms.linkID); derr == nil {
@@ -612,7 +573,7 @@ func (ms *MinerSession) submit(cmd Command) {
 			// the new target, so the previous-tier grace is over: leaving
 			// prevDiff open would keep the old, possibly cheaper tier
 			// submittable for the rest of the retarget interval.
-			if jdiff == d {
+			if ref.diff == d {
 				ms.prevDiff = 0
 			}
 			_, retargeted = ms.vardiffAccept(e.clock.Now().UnixNano())
@@ -644,9 +605,9 @@ func (ms *MinerSession) submit(cmd Command) {
 		}
 		stale = true
 	case ErrDuplicateShare:
-		// The account-level memo caught a replay the session memo could
-		// not see (e.g. resubmitted across a reconnect). Same reply and
-		// score as the session-level hit; no fresh work for replays.
+		// A replay of a share the account was already paid for — on this
+		// session or, across a reconnect, an earlier one. Named and scored;
+		// no fresh work for replays.
 		if ms.offend(e.ban.DuplicateScore, ms.abuseNowNs()) {
 			return
 		}
@@ -665,20 +626,6 @@ func (ms *MinerSession) submit(cmd Command) {
 	} else if retargeted {
 		ms.emitJobRetarget(false, true)
 	}
-}
-
-// sessionMemoAdd records an accepted share key in the session-local ring,
-// sized lazily to the pool's memo depth (bounded at 64 — the session memo
-// is a fast path; the account memo is the authoritative one).
-func (ms *MinerSession) sessionMemoAdd(key uint64) {
-	if ms.dupMemo.keys == nil {
-		size := ms.eng.pool.cfg.ShareMemoSize
-		if size <= 0 || size > 64 {
-			size = 64
-		}
-		ms.dupMemo.keys = make([]uint64, size)
-	}
-	ms.dupMemo.insert(key)
 }
 
 // submitCommand decodes the wire-level share fields shared by every

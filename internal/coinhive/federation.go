@@ -11,11 +11,11 @@ package coinhive
 // share-chain's Verifier) before admission, so a hostile peer buys
 // nothing but its own disconnection.
 //
-// When a Federation is configured, found-block settlement switches from
-// the per-node round tallies to the share-chain's PPLNS window
-// (settleFederatedLocked): every converged node computes bit-identical
-// payout vectors for the same reward, which is the property the
-// federation convergence tests pin.
+// When a Federation is configured, found-block settlement takes its
+// payout vector from the share-chain's PPLNS window instead of the
+// per-node round tallies (settleLocked): every converged node computes
+// bit-identical payout vectors for the same reward, which is the property
+// the federation convergence tests pin.
 
 import (
 	"net"
@@ -23,15 +23,16 @@ import (
 	"time"
 
 	"repro/internal/cryptonight"
+	"repro/internal/handoff"
 	"repro/internal/metrics"
 	"repro/internal/p2p"
 	"repro/internal/sharechain"
 )
 
-// defaultEmitQueueDepth bounds the accepted-share → share-chain hand-off.
-// Sized like the archive recorder's queue: deep enough that only a
-// stalled drain goroutine (not a burst) ever drops, with drops counted.
-const defaultEmitQueueDepth = 4096
+// emitQueueDepth bounds the accepted-share → share-chain hand-off. Sized
+// like the archive recorder's queue: deep enough that only a stalled
+// drain goroutine (not a burst) ever drops, with drops counted.
+const emitQueueDepth = 4096
 
 // FederationConfig configures a pool node's federation membership.
 type FederationConfig struct {
@@ -51,8 +52,6 @@ type FederationConfig struct {
 	// Registry receives the p2p.* and pool.sharechain_* instruments;
 	// pass the pool's registry so they surface in /metrics.
 	Registry *metrics.Registry
-	// EmitQueueDepth bounds the submit-path hand-off queue.
-	EmitQueueDepth int
 	// TipInterval overrides the p2p tip-announce period (0: p2p default).
 	TipInterval time.Duration
 }
@@ -74,16 +73,16 @@ type Federation struct {
 	chain *sharechain.Chain
 	node  *p2p.Node
 
-	emit  chan fedShare
+	// emit is the submit path's hand-off to the single minting goroutine:
+	// one minter per node assigns claimed heights (local tip + 1) in
+	// hand-off order, keeping them monotonic without a lock around the
+	// submit path.
+	emit  *handoff.Queue[fedShare]
 	drops *metrics.Counter
 
 	hookMu    sync.Mutex
 	hooks     []func(e *sharechain.Entry, reorged bool)
 	mintHooks []func(e *sharechain.Entry)
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // NewFederation builds the share-chain and p2p node for one pool node.
@@ -93,9 +92,6 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
-	if cfg.EmitQueueDepth <= 0 {
-		cfg.EmitQueueDepth = defaultEmitQueueDepth
-	}
 	// Warm (and validate) the per-variant hasher pool the verifier borrows
 	// from, exactly as NewPool does for the submit path.
 	h, err := cryptonight.GetHasher(cfg.Variant)
@@ -104,11 +100,7 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	}
 	cryptonight.PutHasher(h)
 	variant := cfg.Variant
-	f := &Federation{
-		emit:  make(chan fedShare, cfg.EmitQueueDepth),
-		drops: cfg.Registry.Counter("pool.federation_drops"),
-		stop:  make(chan struct{}),
-	}
+	f := &Federation{drops: cfg.Registry.Counter("pool.federation_drops")}
 	f.chain = sharechain.New(sharechain.Config{
 		Window:     cfg.Window,
 		FeePercent: cfg.FeePercent,
@@ -143,8 +135,7 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.wg.Add(1)
-	go f.drain()
+	f.emit = handoff.New(emitQueueDepth, f.drops, f.mint, nil)
 	return f, nil
 }
 
@@ -200,47 +191,19 @@ func (f *Federation) dispatchIngest(e *sharechain.Entry, reorged bool) {
 // never blocks: a full queue drops (counted), mirroring the archive
 // recorder's contract, so federation can never stall the submit path.
 func (f *Federation) emitShare(token string, diff uint64, nonce uint32, blob []byte, result [32]byte) {
-	s := fedShare{
+	f.emit.Offer(fedShare{
 		token:  token,
 		diff:   diff,
 		nonce:  nonce,
 		blob:   append([]byte(nil), blob...),
 		result: result,
-	}
-	select {
-	case f.emit <- s:
-	default:
-		f.drops.Inc()
-	}
+	})
 }
 
-// drain is the single minting goroutine: it assigns claimed heights
-// (local tip + 1) in hand-off order, inserts locally and broadcasts.
-// One minter per node keeps height claims monotonic without a lock
-// around the submit path.
-func (f *Federation) drain() {
-	defer f.wg.Done()
-	for {
-		select {
-		case s := <-f.emit:
-			f.mint(s)
-		case <-f.stop:
-			// Graceful drain: every share already accepted must reach the
-			// share-chain, or "zero lost credit" would depend on shutdown
-			// timing.
-			for {
-				select {
-				case s := <-f.emit:
-					f.mint(s)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (f *Federation) mint(s fedShare) {
+// mint is the emit queue's handler: it turns one accepted share into a
+// share-chain entry, inserts it locally and broadcasts it. It never
+// returns an error — nothing a share can do stops the minter.
+func (f *Federation) mint(s fedShare) error {
 	e := &sharechain.Entry{
 		Height: f.chain.NextHeight(),
 		Token:  s.token,
@@ -253,7 +216,7 @@ func (f *Federation) mint(s fedShare) {
 		// Structurally impossible for a pool-accepted share; counted
 		// rather than silently lost so the load gates would catch it.
 		f.drops.Inc()
-		return
+		return nil
 	}
 	f.hookMu.Lock()
 	mintHooks := f.mintHooks
@@ -262,15 +225,14 @@ func (f *Federation) mint(s fedShare) {
 		cb(e)
 	}
 	f.node.Publish(e)
+	return nil
 }
 
-// Close drains the emit queue, then tears the peer layer down (each
-// peer's queued frames flush before the links drop).
+// Close drains the emit queue — every share already accepted must reach
+// the share-chain, or "zero lost credit" would depend on shutdown timing
+// — then tears the peer layer down (each peer's queued frames flush
+// before the links drop).
 func (f *Federation) Close() error {
-	f.closeOnce.Do(func() {
-		close(f.stop)
-		f.wg.Wait()
-		f.node.Close()
-	})
-	return nil
+	f.emit.Close()
+	return f.node.Close()
 }

@@ -148,14 +148,14 @@ type FoundBlock struct {
 // The session engine re-jobs both the same way, but only stale ones
 // count toward pool.shares_stale.
 var (
-	ErrUnknownJob   = errors.New("coinhive: unknown job")
-	ErrStaleJob     = errors.New("coinhive: job from a previous chain tip")
-	ErrBadShare     = errors.New("coinhive: share hash does not verify")
-	ErrLowShare     = errors.New("coinhive: share above target")
-	ErrUnknownToken = errors.New("coinhive: unknown site key")
+	ErrUnknownJob = errors.New("coinhive: unknown job")
+	ErrStaleJob   = errors.New("coinhive: job from a previous chain tip")
+	ErrBadShare   = errors.New("coinhive: share hash does not verify")
+	ErrLowShare   = errors.New("coinhive: share above target")
 	// ErrDuplicateShare rejects a (job, nonce) pair the account was
-	// already credited for — the pool-layer dedupe beneath the engine's
-	// per-session memo, so direct-API callers cannot double-credit either.
+	// already credited for. The per-account memo is the pool's only
+	// duplicate check, so sessions, transports and direct-API callers
+	// all meet the same one.
 	ErrDuplicateShare = errors.New("coinhive: duplicate share")
 )
 
@@ -195,10 +195,9 @@ type accountStripe struct {
 	memo  map[string]*shareMemo
 }
 
-// shareMemo remembers the last N accepted share keys for one account (or
-// one session — the engine embeds the same ring). Lookup is a linear scan
-// of at most ShareMemoSize uint64s under a lock already held for the
-// credit; no hashing happens inside it.
+// shareMemo remembers the last N accepted share keys for one account.
+// Lookup is a linear scan of at most ShareMemoSize uint64s under a lock
+// already held for the credit; no hashing happens inside it.
 type shareMemo struct {
 	keys []uint64 // ring storage; len(keys) is the capacity
 	n    int      // live entries
@@ -233,7 +232,17 @@ func (m *shareMemo) insert(k uint64) bool {
 	return true
 }
 
-// shareMemoKey folds a submission's tier-independent identity — the
+// jobRef is a parsed job ID (see makeJobID). The engine parses a
+// submission's ID once and hands the result down to the pool with it.
+type jobRef struct {
+	backend int
+	seq     uint32 // the shard's refresh generation
+	slot    int
+	link    bool
+	diff    uint64 // vardiff tier the ID carries; 0 on the two static tiers
+}
+
+// memoKey folds a submission's tier-independent identity — the
 // backend/generation/slot triple that names one PoW blob, plus the nonce —
 // to the memo's fixed-width key (FNV-1a). The job ID's difficulty and link
 // suffixes are deliberately excluded: a retargeted (or link-tier) ID names
@@ -244,9 +253,9 @@ func (m *shareMemo) insert(k uint64) bool {
 // accidental collision — a rejected honest share — vanishingly unlikely,
 // and a deliberate collision still earns the attacker nothing but their
 // own rejection.
-func shareMemoKey(backend int, seq uint32, slot int, nonce uint32) uint64 {
+func (r jobRef) memoKey(nonce uint32) uint64 {
 	h := uint64(14695981039346656037)
-	for _, w := range [4]uint32{uint32(backend), seq, uint32(slot), nonce} {
+	for _, w := range [4]uint32{uint32(r.backend), r.seq, uint32(r.slot), nonce} {
 		for i := 0; i < 4; i++ {
 			h ^= uint64(byte(w >> (8 * i)))
 			h *= 1099511628211
@@ -497,44 +506,42 @@ func makeJobID(backend int, seq uint32, slot int, link bool, diff uint64) string
 	return string(b)
 }
 
-// parseJobID inverts makeJobID. diff is 0 for static-tier IDs; link and
-// diff are mutually exclusive (the link tier is never retargeted).
-func parseJobID(id string) (backend int, seq uint32, slot int, link bool, diff uint64, ok bool) {
+// parseJobID inverts makeJobID. link and diff are mutually exclusive (the
+// link tier is never retargeted).
+func parseJobID(id string) (ref jobRef, ok bool) {
 	if strings.HasSuffix(id, "-L") {
-		link = true
+		ref.link = true
 		id = id[:len(id)-2]
 	}
 	// The numeric fields are pure digits, so "-d" can only be the vardiff
 	// suffix; a link ID carrying one was never minted.
 	if k := strings.LastIndex(id, "-d"); k >= 0 {
 		d, err := strconv.ParseUint(id[k+2:], 10, 64)
-		if err != nil || d == 0 || link {
-			return 0, 0, 0, false, 0, false
+		if err != nil || d == 0 || ref.link {
+			return jobRef{}, false
 		}
-		diff = d
+		ref.diff = d
 		id = id[:k]
 	}
 	i := strings.IndexByte(id, '-')
-	if i <= 0 {
-		return 0, 0, 0, false, 0, false
-	}
 	j := strings.LastIndexByte(id, '-')
-	if j <= i {
-		return 0, 0, 0, false, 0, false
+	if i <= 0 || j <= i {
+		return jobRef{}, false
 	}
 	b, err := strconv.Atoi(id[:i])
 	if err != nil || b < 0 {
-		return 0, 0, 0, false, 0, false
+		return jobRef{}, false
 	}
-	s64, err := strconv.ParseUint(id[i+1:j], 10, 32)
+	seq, err := strconv.ParseUint(id[i+1:j], 10, 32)
 	if err != nil {
-		return 0, 0, 0, false, 0, false
+		return jobRef{}, false
 	}
-	s, err := strconv.Atoi(id[j+1:])
-	if err != nil || s < 0 {
-		return 0, 0, 0, false, 0, false
+	slot, err := strconv.Atoi(id[j+1:])
+	if err != nil || slot < 0 {
+		return jobRef{}, false
 	}
-	return b, uint32(s64), s, link, diff, true
+	ref.backend, ref.seq, ref.slot = b, uint32(seq), slot
+	return ref, true
 }
 
 // refreshShardLocked rebuilds one backend's PoW inputs on a new tip. The
@@ -630,14 +637,6 @@ func (p *Pool) JobAt(endpoint, slot int, diff uint64) stratum.Job {
 	return p.jobWire(endpoint, slot, diff, false).Job
 }
 
-// shareDiffOf returns the hash credit for a job.
-func (p *Pool) shareDiffOf(link bool) uint64 {
-	if link {
-		return p.cfg.LinkShareDifficulty
-	}
-	return p.cfg.ShareDifficulty
-}
-
 // ShareOutcome reports what an accepted share achieved.
 type ShareOutcome struct {
 	// Credited is the account's total hash credit after this share — what
@@ -658,139 +657,37 @@ type ShareOutcome struct {
 // the dominant cost — runs on the submitter's own scratchpad, so
 // concurrent submitters verify in parallel.
 func (p *Pool) SubmitShare(token, jobID string, nonce uint32, result [32]byte, linkID string) (ShareOutcome, error) {
+	ref, ok := parseJobID(jobID)
+	return p.submitShare(token, jobID, ref, ok, nonce, result, linkID)
+}
+
+// submitShare is SubmitShare for a caller that has already parsed the job
+// ID (the engine): resolve the job, verify the hash, credit the account.
+// Each stage's error leaves through the one reject below.
+func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce uint32, result [32]byte, linkID string) (ShareOutcome, error) {
+	var bbuf [128]byte // hashing blobs fit; keeps the verify path alloc-free
+	tmpl, blob, tip, err := p.resolve(token, jobID, ref, refOK, nonce, bbuf[:0])
 	var out ShareOutcome
-	b, seq, slot, link, vdiff, ok := parseJobID(jobID)
-	if !ok || b >= len(p.backends) || slot >= p.cfg.TemplatesPerBackend {
-		p.sharesBad.Add(1)
-		p.archiveShare(archive.KindShareRejected, token, jobID, nonce, 0, 0)
-		return out, ErrUnknownJob
+	if err == nil {
+		out.Diff, err = p.verify(ref, tmpl, blob, nonce, result)
 	}
-	// A vardiff-tier ID is only meaningful when vardiff is on and its
-	// difficulty inside the configured clamp; anything else was forged.
-	if vdiff != 0 && (!p.cfg.Vardiff.Enabled() || vdiff < p.cfg.Vardiff.MinDifficulty || vdiff > p.cfg.Vardiff.MaxDifficulty) {
-		p.sharesBad.Add(1)
-		p.archiveShare(archive.KindShareRejected, token, jobID, nonce, 0, 0)
-		return out, ErrUnknownJob
+	if err == nil {
+		out.Credited, err = p.credit(token, ref.memoKey(nonce), out.Diff)
 	}
-	// Duplicate pre-check before the CryptoNight verify: a duplicate
-	// flood's cost must stay the memo scan, not the very CPU burn the
-	// flood is after. The authoritative check-and-insert runs again at
-	// credit time under the same stripe lock, closing the race of two
-	// concurrent submissions of one share.
-	var memoKey uint64
-	if p.cfg.ShareMemoSize > 0 {
-		memoKey = shareMemoKey(b, seq, slot, nonce)
-		st := p.stripeFor(token)
-		st.mu.Lock()
-		dup := st.memo[token].has(memoKey) // nil memo: has is false
-		st.mu.Unlock()
-		if dup {
-			p.sharesDup.Inc()
-			p.sharesBad.Add(1)
-			p.archiveShare(archive.KindShareDuplicate, token, jobID, nonce, 0, 0)
-			return out, ErrDuplicateShare
-		}
+	if err != nil {
+		return p.reject(err, token, jobID, nonce, out.Diff)
 	}
-	sh := p.backends[b]
-	tip := p.cfg.Chain.TipID()
-	var (
-		tmpl *blockchain.Block
-		bbuf [128]byte // hashing blobs fit; keeps the verify path alloc-free
-		blob []byte
-	)
-	sh.mu.RLock()
-	// A static-tier ID must equal the ID this refresh actually minted for
-	// the slot (link IDs are minted lazily, so an un-issued link ID is the
-	// empty string and never matches) and the shard must still be on the
-	// chain tip. Together these reproduce what the per-job lookup table
-	// enforced: only issued, non-stale jobs resolve, and the difficulty
-	// tier is pinned at issue time, not chosen by the submitter. A
-	// vardiff-tier ID is a pure function of (backend, generation, slot,
-	// diff), so currency is the generation + tip check; its difficulty
-	// legitimacy is the clamp above plus the engine's served-tier check
-	// (the session rejects tiers it was never served before verification).
-	minted := sh.jobIDs[slot]
-	if link {
-		minted = sh.linkJobIDs[slot]
-	}
-	curSeq := sh.refreshSeq
-	current := sh.tip == tip && seq == curSeq
-	if vdiff == 0 {
-		current = current && minted == jobID
-	}
-	if current {
-		tmpl = sh.templates[slot]
-		blob = append(bbuf[:0], sh.blobs[slot]...)
-	}
-	sh.mu.RUnlock()
-	if blob == nil {
-		p.sharesBad.Add(1)
-		// Was this identifier ever real? A current-generation ID that
-		// matches the minted string (tip moved under it) or any ID from an
-		// earlier generation is honest-but-stale; anything else — a future
-		// generation, or a current-generation string the shard never
-		// issued (e.g. an un-minted link tier) — was forged.
-		if minted == jobID || seq < curSeq || (vdiff != 0 && seq == curSeq) {
-			p.archiveShare(archive.KindShareStale, token, jobID, nonce, 0, 0)
-			return out, ErrStaleJob
-		}
-		p.archiveShare(archive.KindShareRejected, token, jobID, nonce, 0, 0)
-		return out, ErrUnknownJob
-	}
-
-	blockchain.SpliceNonce(blob, tmpl.NonceOffset(), nonce)
-	got := cryptonight.Sum(blob, p.variant)
-	if got != result {
-		p.sharesBad.Add(1)
-		p.archiveShare(archive.KindShareRejected, token, jobID, nonce, 0, 0)
-		return out, ErrBadShare
-	}
-	// Verify against — and credit — the tier the ID itself carries: that
-	// is what keeps TotalHashes an unbiased hashrate estimate across
-	// retargets (credit scales with the difficulty actually served).
-	diff := p.shareDiffOf(link)
-	if vdiff != 0 {
-		diff = vdiff
-	}
-	if !cryptonight.CheckCompactTarget(result, cryptonight.DifficultyForTarget(diff)) {
-		p.sharesBad.Add(1)
-		p.archiveShare(archive.KindShareRejected, token, jobID, nonce, diff, 0)
-		return out, ErrLowShare
-	}
-	out.Diff = diff
-
-	st := p.stripeFor(token)
-	st.mu.Lock()
-	if p.cfg.ShareMemoSize > 0 {
-		m := st.memo[token]
-		if m == nil {
-			m = &shareMemo{keys: make([]uint64, p.cfg.ShareMemoSize)}
-			st.memo[token] = m
-		}
-		if !m.insert(memoKey) {
-			st.mu.Unlock()
-			p.sharesDup.Inc()
-			p.sharesBad.Add(1)
-			p.archiveShare(archive.KindShareDuplicate, token, jobID, nonce, 0, 0)
-			return out, ErrDuplicateShare
-		}
-	}
-	acct := st.accountLocked(token)
-	acct.TotalHashes += diff
-	st.round[token] += diff
-	out.Credited = acct.TotalHashes
-	st.mu.Unlock()
 	p.sharesOK.Add(1)
-	p.archiveShare(archive.KindShareAccepted, token, jobID, nonce, diff, out.Credited)
+	p.archiveShare(archive.KindShareAccepted, token, jobID, nonce, out.Diff, out.Credited)
 	if fed := p.cfg.Federation; fed != nil {
 		// The blob already has the winning nonce spliced, so the entry is
 		// self-certifying on every peer. emitShare copies the stack buffer
 		// and never blocks — federation rides the submit path at the cost
 		// of one queue offer.
-		fed.emitShare(token, diff, nonce, blob, result)
+		fed.emitShare(token, out.Diff, nonce, blob, result)
 	}
 	if linkID != "" {
-		p.links.Credit(linkID, diff)
+		p.links.Credit(linkID, out.Diff)
 	}
 
 	// Did the share also satisfy the network difficulty?
@@ -812,9 +709,141 @@ func (p *Pool) SubmitShare(token, jobID string, nonce uint32, result [32]byte, l
 		}
 		return out, fmt.Errorf("coinhive: chain rejected our block: %w", err)
 	}
-	p.settleLocked(won, b)
+	p.settleLocked(won, ref.backend)
 	out.Block = won
 	return out, nil
+}
+
+// reject is the one exit for a submission that earns no credit: counted in
+// pool.shares_bad (duplicates also in pool.shares_duplicate) and archived
+// under the kind the error names. diff is the tier the share was held to,
+// 0 when it never got as far as verification; a duplicate archives none
+// on either side of the verify, being judged by its key alone.
+func (p *Pool) reject(err error, token, jobID string, nonce uint32, diff uint64) (ShareOutcome, error) {
+	kind := archive.KindShareRejected
+	switch err {
+	case ErrStaleJob:
+		kind = archive.KindShareStale
+	case ErrDuplicateShare:
+		kind = archive.KindShareDuplicate
+		p.sharesDup.Inc()
+		diff = 0
+	}
+	p.sharesBad.Add(1)
+	p.archiveShare(kind, token, jobID, nonce, diff, 0)
+	return ShareOutcome{}, err
+}
+
+// resolve maps a submission to the template it was mined against. It
+// returns the template, a private copy of its hashing blob appended to
+// buf, and the chain tip the job was current on; or ErrUnknownJob for an
+// identifier the pool never issued, ErrStaleJob for one the chain has
+// outrun, ErrDuplicateShare for a share the account was already paid for.
+func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32, buf []byte) (tmpl *blockchain.Block, blob []byte, tip [32]byte, err error) {
+	if !refOK || ref.backend >= len(p.backends) || ref.slot >= p.cfg.TemplatesPerBackend {
+		return nil, nil, tip, ErrUnknownJob
+	}
+	// A vardiff-tier ID is only meaningful when vardiff is on and its
+	// difficulty inside the configured clamp; anything else was forged.
+	if vd := p.cfg.Vardiff; ref.diff != 0 && (!vd.Enabled() || ref.diff < vd.MinDifficulty || ref.diff > vd.MaxDifficulty) {
+		return nil, nil, tip, ErrUnknownJob
+	}
+	// Duplicate pre-check before the CryptoNight verify: a duplicate
+	// flood's cost must stay the memo scan, not the very CPU burn the
+	// flood is after. The authoritative check-and-insert runs again at
+	// credit time under the same stripe lock, closing the race of two
+	// concurrent submissions of one share.
+	if p.cfg.ShareMemoSize > 0 {
+		st := p.stripeFor(token)
+		st.mu.Lock()
+		dup := st.memo[token].has(ref.memoKey(nonce)) // nil memo: has is false
+		st.mu.Unlock()
+		if dup {
+			return nil, nil, tip, ErrDuplicateShare
+		}
+	}
+	sh := p.backends[ref.backend]
+	tip = p.cfg.Chain.TipID()
+	sh.mu.RLock()
+	// A static-tier ID must equal the ID this refresh actually minted for
+	// the slot (link IDs are minted lazily, so an un-issued link ID is the
+	// empty string and never matches) and the shard must still be on the
+	// chain tip. Together these reproduce what the per-job lookup table
+	// enforced: only issued, non-stale jobs resolve, and the difficulty
+	// tier is pinned at issue time, not chosen by the submitter. A
+	// vardiff-tier ID is a pure function of (backend, generation, slot,
+	// diff), so currency is the generation + tip check; its difficulty
+	// legitimacy is the clamp above plus the engine's served-tier check
+	// (the session rejects tiers it was never served before verification).
+	minted := sh.jobIDs[ref.slot]
+	if ref.link {
+		minted = sh.linkJobIDs[ref.slot]
+	}
+	curSeq := sh.refreshSeq
+	current := sh.tip == tip && ref.seq == curSeq
+	if ref.diff == 0 {
+		current = current && minted == jobID
+	}
+	if current {
+		tmpl = sh.templates[ref.slot]
+		blob = append(buf, sh.blobs[ref.slot]...)
+	}
+	sh.mu.RUnlock()
+	if current {
+		return tmpl, blob, tip, nil
+	}
+	// Was this identifier ever real? A current-generation ID that
+	// matches the minted string (tip moved under it) or any ID from an
+	// earlier generation is honest-but-stale; anything else — a future
+	// generation, or a current-generation string the shard never
+	// issued (e.g. an un-minted link tier) — was forged.
+	if minted == jobID || ref.seq < curSeq || (ref.diff != 0 && ref.seq == curSeq) {
+		return nil, nil, tip, ErrStaleJob
+	}
+	return nil, nil, tip, ErrUnknownJob
+}
+
+// verify splices the nonce into blob, checks the claimed hash and holds it
+// to the tier the ID itself carries — the tier that is then credited,
+// which keeps TotalHashes an unbiased hashrate estimate across retargets
+// (credit scales with the difficulty actually served). The difficulty is
+// returned with ErrLowShare as well as with success.
+func (p *Pool) verify(ref jobRef, tmpl *blockchain.Block, blob []byte, nonce uint32, result [32]byte) (diff uint64, err error) {
+	blockchain.SpliceNonce(blob, tmpl.NonceOffset(), nonce)
+	if cryptonight.Sum(blob, p.variant) != result {
+		return 0, ErrBadShare
+	}
+	diff = p.ShareDifficulty(ref.link)
+	if ref.diff != 0 {
+		diff = ref.diff
+	}
+	if !cryptonight.CheckCompactTarget(result, cryptonight.DifficultyForTarget(diff)) {
+		return diff, ErrLowShare
+	}
+	return diff, nil
+}
+
+// credit books diff hashes to the account and this round, and returns the
+// account's new all-time total — unless the memo shows the share was
+// already paid for (the authoritative half of resolve's pre-check).
+func (p *Pool) credit(token string, memoKey, diff uint64) (total uint64, err error) {
+	st := p.stripeFor(token)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if p.cfg.ShareMemoSize > 0 {
+		m := st.memo[token]
+		if m == nil {
+			m = &shareMemo{keys: make([]uint64, p.cfg.ShareMemoSize)}
+			st.memo[token] = m
+		}
+		if !m.insert(memoKey) {
+			return 0, ErrDuplicateShare
+		}
+	}
+	acct := st.accountLocked(token)
+	acct.TotalHashes += diff
+	st.round[token] += diff
+	return acct.TotalHashes, nil
 }
 
 // ProduceWinningBlock is the simulation fast path: the discrete-event
@@ -847,30 +876,33 @@ func (p *Pool) ProduceWinningBlock(ts uint64, backend int, nonce uint32) (*block
 }
 
 // settleLocked distributes a found block's reward: FeePercent stays with
-// the pool, the rest is split across accounts in proportion to the hashes
-// they contributed this round. The caller holds settleMu; stripe locks are
-// taken one at a time, so shares submitted concurrently with settlement
-// land cleanly in this round or the next.
+// the pool, the rest goes to accounts — split over this round's hashes on
+// a standalone pool, over the share-chain's PPLNS window on a federated
+// one. The window is a pure function of the (converged) entry set, so
+// every node in a federation computes the same payout vector for the same
+// block, which is what lets N nodes settle without reconciling. The
+// caller holds settleMu; stripe locks are taken one at a time, so shares
+// submitted concurrently with settlement land cleanly in this round or
+// the next.
 func (p *Pool) settleLocked(b *blockchain.Block, backend int) {
-	if p.cfg.Federation != nil {
-		p.settleFederatedLocked(b, backend)
-		return
-	}
 	reward := b.Coinbase.Amount
-	// Users receive floor(reward × (100−fee)%); rounding dust favours the
-	// pool, as any self-respecting fee schedule would.
-	userPart := reward * uint64(100-p.cfg.FeePercent) / 100
+	// The round tallies reset either way: "this round" stays a meaningful
+	// local statistic even when it no longer prices payouts.
 	round := map[string]uint64{}
-	var total uint64
 	for i := range p.stripes {
 		st := &p.stripes[i]
 		st.mu.Lock()
 		for token, h := range st.round {
 			round[token] += h
-			total += h
 		}
 		st.round = map[string]uint64{}
 		st.mu.Unlock()
+	}
+	var payouts []sharechain.Payout
+	if fed := p.cfg.Federation; fed != nil {
+		payouts = fed.Chain().PayoutVector(reward)
+	} else {
+		payouts = p.roundPayouts(reward, round)
 	}
 	height := p.cfg.Chain.Height()
 	p.archiveEvent(archive.Event{
@@ -881,68 +913,7 @@ func (p *Pool) settleLocked(b *blockchain.Block, backend int) {
 		Aux2:   uint64(backend),
 	})
 	distributed := uint64(0)
-	if total > 0 {
-		// Tokens are paid in sorted order so the archived payout sequence
-		// is deterministic — map iteration order must not leak into what a
-		// replay is compared against.
-		tokens := make([]string, 0, len(round))
-		for token := range round {
-			tokens = append(tokens, token)
-		}
-		sort.Strings(tokens)
-		for _, token := range tokens {
-			cut := userPart * round[token] / total
-			st := p.stripeFor(token)
-			st.mu.Lock()
-			st.accountLocked(token).BalanceAtomic += cut
-			st.mu.Unlock()
-			distributed += cut
-			p.archiveEvent(archive.Event{
-				Kind:   archive.KindPayout,
-				Height: height,
-				Amount: cut,
-				Actor:  token,
-			})
-		}
-	}
-	// Rounding dust (and the whole user part, when nobody contributed
-	// shares this round) stays with the pool.
-	p.kept.Add(reward - distributed)
-	p.paid.Add(distributed)
-	p.blocksFound.Inc()
-	p.found = append(p.found, FoundBlock{
-		Height: height, Timestamp: b.Timestamp, Backend: backend, Reward: reward,
-	})
-}
-
-// settleFederatedLocked is settleLocked's federation twin: the reward
-// still splits FeePercent/user-part, but the user part follows the
-// share-chain's PPLNS window instead of this node's round tallies. The
-// window is a pure function of the (converged) entry set, so every node
-// in the federation computes the same payout vector for the same block —
-// which is what lets N nodes settle independently without reconciling.
-// Local round tallies still reset: "this round" remains a meaningful
-// local statistic even though it no longer prices payouts.
-func (p *Pool) settleFederatedLocked(b *blockchain.Block, backend int) {
-	reward := b.Coinbase.Amount
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		st.round = map[string]uint64{}
-		st.mu.Unlock()
-	}
-	height := p.cfg.Chain.Height()
-	p.archiveEvent(archive.Event{
-		Kind:   archive.KindBlockFound,
-		Height: height,
-		Amount: reward,
-		Aux:    b.Timestamp,
-		Aux2:   uint64(backend),
-	})
-	// PayoutVector is already fee-discounted, sorted-token, integer math
-	// with dust truncated per account — deterministic across nodes.
-	distributed := uint64(0)
-	for _, po := range p.cfg.Federation.Chain().PayoutVector(reward) {
+	for _, po := range payouts {
 		st := p.stripeFor(po.Token)
 		st.mu.Lock()
 		st.accountLocked(po.Token).BalanceAtomic += po.Amount
@@ -955,12 +926,39 @@ func (p *Pool) settleFederatedLocked(b *blockchain.Block, backend int) {
 			Actor:  po.Token,
 		})
 	}
+	// Rounding dust (and the whole user part, when nobody contributed
+	// shares) stays with the pool.
 	p.kept.Add(reward - distributed)
 	p.paid.Add(distributed)
 	p.blocksFound.Inc()
 	p.found = append(p.found, FoundBlock{
 		Height: height, Timestamp: b.Timestamp, Backend: backend, Reward: reward,
 	})
+}
+
+// roundPayouts is the standalone pool's payout vector, shaped like
+// sharechain.Chain.PayoutVector: users receive floor(reward × (100−fee)%)
+// in proportion to the hashes they contributed this round, rounding dust
+// favouring the pool, as any self-respecting fee schedule would. Tokens
+// come out sorted so the archived payout sequence is deterministic — map
+// iteration order must not leak into what a replay is compared against.
+func (p *Pool) roundPayouts(reward uint64, round map[string]uint64) []sharechain.Payout {
+	userPart := reward * uint64(100-p.cfg.FeePercent) / 100
+	var total uint64
+	tokens := make([]string, 0, len(round))
+	for token, h := range round {
+		tokens = append(tokens, token)
+		total += h
+	}
+	if total == 0 {
+		return nil
+	}
+	sort.Strings(tokens)
+	payouts := make([]sharechain.Payout, 0, len(tokens))
+	for _, token := range tokens {
+		payouts = append(payouts, sharechain.Payout{Token: token, Amount: userPart * round[token] / total})
+	}
+	return payouts
 }
 
 // Federation exposes the federation bundle, nil for standalone pools.

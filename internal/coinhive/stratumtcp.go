@@ -772,15 +772,14 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 			return err
 		}
 	}
-	if err := c.flushLocked(); err != nil {
-		return err
-	}
-
-	// A successful login makes the session part of the push fan-out.
-	if cmd.Kind == CmdOpen && ms.Authed() && !c.pushable.Load() {
+	// A successful login makes the session part of the push fan-out — from
+	// before its reply is flushed, or a tip that moves while the reply is
+	// on the wire would never reach it. Push batches take wmu like this
+	// reply does, so the reply still goes out first.
+	if cmd.Kind == CmdOpen && ms.Authed() {
 		c.pushable.Store(true)
 	}
-	return nil
+	return c.flushLocked()
 }
 
 // appendJobNotify writes one job notification line, preferring the

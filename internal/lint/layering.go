@@ -65,8 +65,13 @@ var DefaultLayerRules = []LayerRule{
 		Reason: "the service core must not depend on its own clients or load harness",
 	},
 	{
-		Pkg:    "repro/internal/archive",
+		Pkg:    "repro/internal/handoff",
 		Allow:  []string{"repro/internal/metrics"},
+		Reason: "the hand-off queue is a leaf under archive, p2p and coinhive: it counts its drops and knows nothing of what it carries",
+	},
+	{
+		Pkg:    "repro/internal/archive",
+		Allow:  []string{"repro/internal/handoff", "repro/internal/metrics"},
 		Deny:   []string{"repro/internal/coinhive"},
 		Reason: "the archive is a passive sink: events flow in via the pool's hook, never by reaching back",
 	},
@@ -78,7 +83,7 @@ var DefaultLayerRules = []LayerRule{
 	},
 	{
 		Pkg:    "repro/internal/p2p",
-		Allow:  []string{"repro/internal/sharechain", "repro/internal/metrics", "repro/internal/memconn"},
+		Allow:  []string{"repro/internal/sharechain", "repro/internal/handoff", "repro/internal/metrics", "repro/internal/memconn"},
 		Deny:   []string{"repro/internal/coinhive", "repro/internal/ws", "repro/internal/stratum"},
 		Reason: "the peer layer moves share-chain entries over net.Conns; it must not know the pool engine or the miner-facing protocols",
 	},

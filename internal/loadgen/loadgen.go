@@ -224,7 +224,6 @@ type Result struct {
 	SrvRetargets    uint64 `json:"srv_retargets,omitempty"`
 	SrvSharesForged uint64 `json:"srv_shares_forged,omitempty"`
 	SrvStaleFloods  uint64 `json:"srv_stale_floods,omitempty"`
-	SrvDupShares    uint64 `json:"srv_shares_duplicate,omitempty"`
 	SrvRateLimited  uint64 `json:"srv_rate_limited,omitempty"`
 	SrvLoginsBanned uint64 `json:"srv_logins_banned,omitempty"`
 	PoolDupShares   uint64 `json:"pool_shares_duplicate,omitempty"`

@@ -68,12 +68,6 @@ func NewOracle(v cryptonight.Variant, maxHashes int) *Oracle {
 	return &Oracle{variant: v, maxHashes: maxHashes, entries: map[string]*oracleEntry{}}
 }
 
-// Solve returns the input's first solution — the replay every session
-// used before sequences existed, kept for callers that want exactly one.
-func (o *Oracle) Solve(job session.Job) (uint32, [32]byte, error) {
-	return o.SolveSeq(job, 0)
-}
-
 // SolveSeq returns the seq-th distinct nonce/result pair meeting the
 // job's share target, grinding forward lazily on first demand. The grind
 // itself runs outside the entry lock (CryptoNight under a mutex would

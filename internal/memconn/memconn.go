@@ -300,15 +300,6 @@ func (c *Conn) ArmReadWaker(f func()) {
 	p.mu.Unlock()
 }
 
-// DisarmReadWaker clears any armed waker (idempotent; racing an in-flight
-// fire is fine — the waker side tolerates spurious wakes).
-func (c *Conn) DisarmReadWaker() {
-	p := c.rd
-	p.mu.Lock()
-	p.waker = nil
-	p.mu.Unlock()
-}
-
 // Listener hands dialed conns to an accept loop, like a net.Listener
 // with no port.
 type Listener struct {

@@ -11,17 +11,24 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/handoff"
 	"repro/internal/metrics"
 	"repro/internal/sharechain"
 )
 
-// Defaults for Config zero values.
 const (
-	defaultQueueDepth   = 256
-	defaultSyncBatch    = 256
-	defaultTipInterval  = 250 * time.Millisecond
-	defaultReconnectMin = 50 * time.Millisecond
-	defaultReconnectMax = 2 * time.Second
+	// sendQueueDepth bounds each peer's send queue. Offers never block: a
+	// full queue drops the frame (counted in p2p.send_drops) and the
+	// periodic tip announce later repairs the gap via sync.
+	sendQueueDepth = 256
+	// syncBatch caps entries per sync response.
+	syncBatch = 256
+	// defaultTipInterval is Config.TipInterval's zero-value default.
+	defaultTipInterval = 250 * time.Millisecond
+	// reconnectMin/Max bound the dial backoff for peers added with
+	// AddPeer/Connect.
+	reconnectMin = 50 * time.Millisecond
+	reconnectMax = 2 * time.Second
 )
 
 // Config parameterises a Node.
@@ -37,52 +44,25 @@ type Config struct {
 	// AdvertiseAddr is the listen address sent in handshakes for the
 	// peer-list exchange ("" advertises nothing).
 	AdvertiseAddr string
-	// QueueDepth bounds each peer's send queue. Enqueue never blocks:
-	// a full queue drops the frame and the periodic tip announce later
-	// repairs the gap via sync.
-	QueueDepth int
-	// SyncBatch caps entries per sync response.
-	SyncBatch int
 	// TipInterval is the tip-announce period — the convergence repair
 	// heartbeat.
 	TipInterval time.Duration
-	// ReconnectMin/Max bound the dial backoff for peers added with
-	// AddPeer/Connect.
-	ReconnectMin time.Duration
-	ReconnectMax time.Duration
 	// OnIngest, if set, fires after a gossiped or synced entry is
 	// admitted to the chain. Used by the pool to archive gossip-in
 	// events and by loadgen to measure propagation latency.
 	OnIngest func(e *sharechain.Entry, reorged bool)
-	// Logf receives peer lifecycle noise (nil: silent).
-	Logf func(format string, args ...any)
 }
 
 // peer is one live connection after a successful handshake.
 type peer struct {
-	id    uint64
-	conn  net.Conn
-	sendq chan []byte
-	// closing tells the writer to drain what is queued and exit.
-	closing chan struct{}
-	once    sync.Once
+	conn net.Conn
+	// sendq feeds the peer's writer. Frames dropped by a full queue are
+	// repaired by the tip-announce/sync cycle.
+	sendq *handoff.Queue[[]byte]
 
 	// syncing guards one in-flight sync conversation per peer.
 	mu      sync.Mutex
 	syncing bool
-}
-
-func (p *peer) shutdown() { p.once.Do(func() { close(p.closing) }) }
-
-// enqueue offers a frame to the peer's writer without ever blocking the
-// caller. Dropped frames are repaired by the tip-announce/sync cycle.
-func (p *peer) enqueue(frame []byte) bool {
-	select {
-	case p.sendq <- frame:
-		return true
-	default:
-		return false
-	}
 }
 
 // Node is the peer layer: it serves inbound connections, maintains
@@ -107,6 +87,7 @@ type Node struct {
 	duplicate   *metrics.Counter
 	syncRounds  *metrics.Counter
 	reconnects  *metrics.Counter
+	sendDrops   *metrics.Counter
 	broadcastNs *metrics.Histogram
 }
 
@@ -126,20 +107,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = defaultQueueDepth
-	}
-	if cfg.SyncBatch <= 0 {
-		cfg.SyncBatch = defaultSyncBatch
-	}
 	if cfg.TipInterval <= 0 {
 		cfg.TipInterval = defaultTipInterval
-	}
-	if cfg.ReconnectMin <= 0 {
-		cfg.ReconnectMin = defaultReconnectMin
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = defaultReconnectMax
 	}
 	n := &Node{
 		cfg:         cfg,
@@ -152,6 +121,7 @@ func NewNode(cfg Config) (*Node, error) {
 		duplicate:   cfg.Registry.Counter("p2p.shares_duplicate"),
 		syncRounds:  cfg.Registry.Counter("p2p.sync_rounds"),
 		reconnects:  cfg.Registry.Counter("p2p.reconnects"),
+		sendDrops:   cfg.Registry.Counter("p2p.send_drops"),
 		broadcastNs: cfg.Registry.Histogram("p2p.broadcast_ns"),
 	}
 	n.wg.Add(1)
@@ -182,12 +152,6 @@ func (n *Node) KnownAddrs() []string {
 	return out
 }
 
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
-}
-
 // Serve accepts inbound peer connections from ln until the listener or
 // the node closes. It blocks; run it in a goroutine.
 func (n *Node) Serve(ln net.Listener) error {
@@ -207,22 +171,21 @@ func (n *Node) Serve(ln net.Listener) error {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if err := n.runConn(conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				n.logf("p2p: inbound peer: %v", err)
-			}
+			_ = n.runConn(conn) // every way a link ends is the peer's to redial
 		}()
 	}
 }
 
 // AddPeer maintains a persistent outbound link: dial, handshake, serve,
 // and on any failure redial with exponential backoff until the node
-// closes. name labels the peer in logs; dial produces the transport
-// (net.Dial for TCP, memconn Listener.Dial in tests).
+// closes. name is the caller's label for the link and means nothing to
+// the node; dial produces the transport (net.Dial for TCP, memconn
+// Listener.Dial in tests).
 func (n *Node) AddPeer(name string, dial func() (net.Conn, error)) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		backoff := n.cfg.ReconnectMin
+		backoff := reconnectMin
 		first := true
 		for {
 			select {
@@ -238,25 +201,21 @@ func (n *Node) AddPeer(name string, dial func() (net.Conn, error)) {
 					return
 				}
 				backoff *= 2
-				if backoff > n.cfg.ReconnectMax {
-					backoff = n.cfg.ReconnectMax
+				if backoff > reconnectMax {
+					backoff = reconnectMax
 				}
 			}
 			first = false
 			conn, err := dial()
 			if err != nil {
-				n.logf("p2p: dial %s: %v", name, err)
 				continue
 			}
 			err = n.runConn(conn)
 			switch {
 			case errors.Is(err, ErrSelfConnect):
-				n.logf("p2p: peer %s is self, dropping link", name)
-				return
+				return // the address is our own: drop the link for good
 			case err == nil, errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
-				backoff = n.cfg.ReconnectMin // clean session: reset backoff
-			default:
-				n.logf("p2p: peer %s: %v", name, err)
+				backoff = reconnectMin // clean session: reset backoff
 			}
 		}
 	}()
@@ -270,23 +229,30 @@ func (n *Node) Connect(addr string) {
 }
 
 // Publish broadcasts a locally-accepted entry to every peer. The frame
-// is encoded once and shared across peers; enqueue never blocks, so the
-// pool's submit hot path pays one encode plus one channel offer per
+// is encoded once and shared across peers; the offer never blocks, so
+// the federation minter pays one encode plus one channel offer per
 // peer. Dropped frames are repaired by the tip/sync heartbeat.
 func (n *Node) Publish(e *sharechain.Entry) {
 	start := time.Now()
-	frame := AppendShareFrame(nil, e)
+	n.broadcast(AppendShareFrame(nil, e), nil)
+	n.gossiped.Inc()
+	n.broadcastNs.Observe(time.Since(start))
+}
+
+// broadcast offers one encoded frame to every live peer but except (nil:
+// all of them). The peer set is snapshotted so no offer runs under n.mu.
+func (n *Node) broadcast(frame []byte, except *peer) {
 	n.mu.Lock()
 	targets := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
-		targets = append(targets, p)
+		if p != except {
+			targets = append(targets, p)
+		}
 	}
 	n.mu.Unlock()
 	for _, p := range targets {
-		p.enqueue(frame)
+		p.sendq.Offer(frame)
 	}
-	n.gossiped.Inc()
-	n.broadcastNs.Observe(time.Since(start))
 }
 
 // Close drains and tears down the peer layer: no new connections are
@@ -309,10 +275,16 @@ func (n *Node) Close() error {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	// Ask writers to drain their queues, then close the conns (which
+	// Drain every peer's send queue at once, then close the conns (which
 	// unblocks the readers).
 	for _, p := range peers {
-		p.shutdown()
+		p := p
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			p.sendq.Close()
+			p.conn.Close()
+		}()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -341,16 +313,7 @@ func (n *Node) tipLoop() {
 		case <-t.C:
 		}
 		tip, count := n.cfg.Chain.Tip()
-		frame := AppendTipFrame(nil, uint64(count), tip)
-		n.mu.Lock()
-		targets := make([]*peer, 0, len(n.peers))
-		for _, p := range n.peers {
-			targets = append(targets, p)
-		}
-		n.mu.Unlock()
-		for _, p := range targets {
-			p.enqueue(frame)
-		}
+		n.broadcast(AppendTipFrame(nil, uint64(count), tip), nil)
 	}
 }
 
@@ -393,12 +356,6 @@ func (n *Node) runConn(conn net.Conn) error {
 		return ErrSelfConnect
 	}
 
-	p := &peer{
-		id:      rh.NodeID,
-		conn:    conn,
-		sendq:   make(chan []byte, n.cfg.QueueDepth),
-		closing: make(chan struct{}),
-	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -408,6 +365,8 @@ func (n *Node) runConn(conn net.Conn) error {
 		n.mu.Unlock()
 		return ErrDupPeer
 	}
+	p := &peer{conn: conn}
+	p.sendq = handoff.New(sendQueueDepth, n.sendDrops, func(frame []byte) error { return n.writeFrame(p, frame) }, nil)
 	n.peers[rh.NodeID] = p
 	for _, a := range rh.Peers {
 		if a != "" && a != n.cfg.AdvertiseAddr {
@@ -423,44 +382,35 @@ func (n *Node) runConn(conn net.Conn) error {
 		}
 		n.mu.Unlock()
 		n.peersGauge.Dec()
-		p.shutdown()
+		// The link is dead, so there is no one to flush to: close the conn
+		// first and the writer's next frame fails, ending its drain.
+		conn.Close()
+		p.sendq.Close()
 	}()
-
-	n.wg.Add(1)
-	go n.writeLoop(p)
 
 	// The remote hello doubles as its first tip announce.
 	n.maybeSync(p, rh.Count, rh.Tip)
 	return n.readLoop(p, br)
 }
 
-// writeLoop drains the peer's send queue onto the conn. On shutdown it
-// flushes whatever is already queued (graceful drain), then closes the
-// conn to unblock the reader.
-func (n *Node) writeLoop(p *peer) {
-	defer n.wg.Done()
-	defer p.conn.Close()
-	for {
-		select {
-		case frame := <-p.sendq:
-			p.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, err := p.conn.Write(frame); err != nil {
-				return
-			}
-		case <-p.closing:
-			for {
-				select {
-				case frame := <-p.sendq:
-					p.conn.SetWriteDeadline(time.Now().Add(time.Second))
-					if _, err := p.conn.Write(frame); err != nil {
-						return
-					}
-				default:
-					return
-				}
-			}
-		}
+// writeFrame is a peer's send-queue handler: one frame onto the conn. A
+// failed write closes the conn — which unblocks the reader and so ends
+// the link — and the error ends the queue's drain. Once the node is
+// closing the write deadline shortens, so a graceful drain cannot hold
+// shutdown hostage to a stuck peer.
+func (n *Node) writeFrame(p *peer, frame []byte) error {
+	deadline := 5 * time.Second
+	select {
+	case <-n.stop:
+		deadline = time.Second
+	default:
 	}
+	p.conn.SetWriteDeadline(time.Now().Add(deadline))
+	_, err := p.conn.Write(frame)
+	if err != nil {
+		p.conn.Close()
+	}
+	return err
 }
 
 // readLoop dispatches inbound frames until the link dies.
@@ -489,12 +439,12 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 				return err
 			}
 			maxN := int(r.Max)
-			if maxN <= 0 || maxN > n.cfg.SyncBatch {
-				maxN = n.cfg.SyncBatch
+			if maxN <= 0 || maxN > syncBatch {
+				maxN = syncBatch
 			}
 			entries := n.cfg.Chain.EntriesFrom(r.From, maxN)
 			tip, count := n.cfg.Chain.Tip()
-			p.enqueue(AppendSyncRespFrame(nil, uint64(count), tip, entries))
+			p.sendq.Offer(AppendSyncRespFrame(nil, uint64(count), tip, entries))
 		case frameSyncResp:
 			t, entries, err := decodeSyncResp(body)
 			if err != nil {
@@ -522,8 +472,6 @@ func (n *Node) ingest(from *peer, e *sharechain.Entry) {
 	if err != nil {
 		if errors.Is(err, sharechain.ErrDuplicate) {
 			n.duplicate.Inc()
-		} else {
-			n.logf("p2p: reject gossiped share from %d: %v", from.id, err)
 		}
 		return
 	}
@@ -531,18 +479,7 @@ func (n *Node) ingest(from *peer, e *sharechain.Entry) {
 	if n.cfg.OnIngest != nil {
 		n.cfg.OnIngest(e, reorged)
 	}
-	frame := AppendShareFrame(nil, e)
-	n.mu.Lock()
-	targets := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		if p != from {
-			targets = append(targets, p)
-		}
-	}
-	n.mu.Unlock()
-	for _, p := range targets {
-		p.enqueue(frame)
-	}
+	n.broadcast(AppendShareFrame(nil, e), from)
 }
 
 // maybeSync starts a catch-up round with a peer whose announced tip
@@ -564,7 +501,7 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	p.syncing = true
 	p.mu.Unlock()
 	n.syncRounds.Inc()
-	p.enqueue(AppendSyncReqFrame(nil, 0, uint32(n.cfg.SyncBatch)))
+	p.sendq.Offer(AppendSyncReqFrame(nil, 0, uint32(syncBatch)))
 }
 
 // finishSyncRound ingests a sync batch and either continues the round
@@ -574,7 +511,7 @@ func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entr
 	for i := range entries {
 		n.ingest(p, &entries[i])
 	}
-	more := len(entries) == n.cfg.SyncBatch
+	more := len(entries) == syncBatch
 	if !more {
 		p.mu.Lock()
 		p.syncing = false
@@ -583,7 +520,7 @@ func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entr
 	}
 	// Full batch ⇒ more may follow: continue from the last height seen
 	// (same-height stragglers re-sent, deduped on arrival).
-	p.enqueue(AppendSyncReqFrame(nil, entries[len(entries)-1].Height, uint32(n.cfg.SyncBatch)))
+	p.sendq.Offer(AppendSyncReqFrame(nil, entries[len(entries)-1].Height, uint32(syncBatch)))
 }
 
 // readFrame reads one length-prefixed frame and splits off the kind

@@ -97,22 +97,6 @@ func endFrame(dst []byte, start int) []byte {
 	return dst
 }
 
-//lint:hotpath
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
-
-//lint:hotpath
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-//lint:hotpath
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
 // AppendShareFrame appends one share-broadcast frame. The encode-once
 // idiom from the pool's job fan-out applies here too: Publish encodes a
 // frame once and every peer's writer reuses the same bytes.
@@ -130,12 +114,12 @@ func AppendShareFrame(dst []byte, e *sharechain.Entry) []byte {
 //
 //lint:hotpath
 func appendEntry(dst []byte, e *sharechain.Entry) []byte {
-	dst = appendU64(dst, e.Height)
-	dst = appendU64(dst, e.Diff)
-	dst = appendU32(dst, e.Nonce)
-	dst = appendU16(dst, uint16(len(e.Token)))
+	dst = binary.LittleEndian.AppendUint64(dst, e.Height)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Diff)
+	dst = binary.LittleEndian.AppendUint32(dst, e.Nonce)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Token)))
 	dst = append(dst, e.Token...)
-	dst = appendU16(dst, uint16(len(e.Blob)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Blob)))
 	dst = append(dst, e.Blob...)
 	return append(dst, e.Result[:]...)
 }
@@ -175,15 +159,15 @@ func decodeEntry(b []byte) (sharechain.Entry, int, error) {
 func AppendHelloFrame(dst []byte, h *hello) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameHello)
-	dst = appendU16(dst, h.Version)
-	dst = appendU64(dst, h.NodeID)
-	dst = appendU64(dst, h.Count)
+	dst = binary.LittleEndian.AppendUint16(dst, h.Version)
+	dst = binary.LittleEndian.AppendUint64(dst, h.NodeID)
+	dst = binary.LittleEndian.AppendUint64(dst, h.Count)
 	dst = append(dst, h.Tip[:]...)
 	n := len(h.Peers)
 	if n > maxHelloPeers {
 		n = maxHelloPeers
 	}
-	dst = appendU16(dst, uint16(n))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
 	for _, p := range h.Peers[:n] {
 		if len(p) > 255 {
 			p = p[:255]
@@ -229,7 +213,7 @@ func decodeHello(b []byte) (hello, error) {
 func AppendTipFrame(dst []byte, count uint64, tip [32]byte) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameTip)
-	dst = appendU64(dst, count)
+	dst = binary.LittleEndian.AppendUint64(dst, count)
 	dst = append(dst, tip[:]...)
 	return endFrame(dst, start)
 }
@@ -250,8 +234,8 @@ func decodeTip(b []byte) (tipAnnounce, error) {
 func AppendSyncReqFrame(dst []byte, from uint64, max uint32) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameSyncReq)
-	dst = appendU64(dst, from)
-	dst = appendU32(dst, max)
+	dst = binary.LittleEndian.AppendUint64(dst, from)
+	dst = binary.LittleEndian.AppendUint32(dst, max)
 	return endFrame(dst, start)
 }
 
@@ -271,9 +255,9 @@ func decodeSyncReq(b []byte) (syncReq, error) {
 func AppendSyncRespFrame(dst []byte, count uint64, tip [32]byte, entries []*sharechain.Entry) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameSyncResp)
-	dst = appendU64(dst, count)
+	dst = binary.LittleEndian.AppendUint64(dst, count)
 	dst = append(dst, tip[:]...)
-	dst = appendU16(dst, uint16(len(entries)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(entries)))
 	for _, e := range entries {
 		dst = appendEntry(dst, e)
 	}

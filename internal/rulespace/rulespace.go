@@ -37,14 +37,6 @@ const (
 	CatBlog        = "Blog"
 )
 
-// AllCategories lists every category the engine can emit.
-var AllCategories = []string{
-	CatGaming, CatPorn, CatEducation, CatShopping, CatTech, CatFilesharing,
-	CatEntMusic, CatBusiness, CatReligion, CatHealth, CatFinance, CatDynamic,
-	CatHosting, CatMsgBoard, CatAutomotive, CatNews, CatSports, CatTravel,
-	CatStreaming, CatBlog,
-}
-
 // entry is one classified domain.
 type entry struct {
 	cats []string

@@ -156,9 +156,3 @@ func (n *Network) PollJob(endpoint, slot int) (stratum.Job, bool) {
 	}
 	return n.cfg.Pool.Job(endpoint, slot, false), true
 }
-
-// TipChanged reports whether the chain tip differs from the given ID —
-// a convenience for event-driven watchers.
-func (n *Network) TipChanged(tip [32]byte) bool {
-	return n.cfg.Chain.TipID() != tip
-}
