@@ -33,13 +33,17 @@ lint:
 	$(GO) run ./cmd/repolint
 
 # CI gate: static checks (including building cmd/bench and the other
-# tools), the fast suite under the race detector, the nested benchmark
+# tools, and cross-building for arm64 so the files behind `!amd64` — the
+# CryptoNight path the CI box never runs — keep compiling and vetting; the
+# amd64 kernels' frame layouts are held to their Go stubs by vet's
+# asmdecl), the fast suite under the race detector, the nested benchmark
 # module's own vet + tests (root `./...` skips it, so a product-side rename
 # the benchmark depends on would otherwise break it unnoticed), and the
 # five live-service load gates.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/cryptonight/
 	$(MAKE) lint
 	$(GO) test -short -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

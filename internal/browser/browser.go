@@ -12,6 +12,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/htmlx"
 	"repro/internal/nocoin"
+	"repro/internal/parallel"
 	"repro/internal/wasm"
 	"repro/internal/webgen"
 )
@@ -131,49 +132,37 @@ func Crawl(c *webgen.Corpus, db *fingerprint.DB, list *nocoin.List, workers int)
 		workers = 8
 	}
 	rep := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
-	jobs := make(chan *webgen.Site)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				v := classify(s, db, list)
-				mu.Lock()
-				if v.TimedOut {
-					rep.TimedOut++
-				}
-				if v.HasWasm {
-					rep.WasmSites++
-				}
-				if v.MinerWasm {
-					rep.MinerSites++
-					rep.FamilyCounts[v.Family]++
-					if v.NoCoinHit {
-						rep.MinersBlockedByNoCoin++
-					} else {
-						rep.MinersMissedByNoCoin++
-					}
-				}
-				if v.NoCoinHit {
-					rep.NoCoinHits++
-					if v.MinerWasm {
-						rep.NoCoinHitsWithMinerWasm++
-					}
-				}
-				if v.MinerWasm || v.NoCoinHit || v.HasWasm {
-					rep.Verdicts = append(rep.Verdicts, v)
-				}
-				mu.Unlock()
+	parallel.ForEach(len(c.Sites), workers, func(i int) {
+		s := c.Sites[i]
+		v := classify(s, db, list)
+		mu.Lock()
+		defer mu.Unlock()
+		if v.TimedOut {
+			rep.TimedOut++
+		}
+		if v.HasWasm {
+			rep.WasmSites++
+		}
+		if v.MinerWasm {
+			rep.MinerSites++
+			rep.FamilyCounts[v.Family]++
+			if v.NoCoinHit {
+				rep.MinersBlockedByNoCoin++
+			} else {
+				rep.MinersMissedByNoCoin++
 			}
-		}()
-	}
-	for _, s := range c.Sites {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
+		}
+		if v.NoCoinHit {
+			rep.NoCoinHits++
+			if v.MinerWasm {
+				rep.NoCoinHitsWithMinerWasm++
+			}
+		}
+		if v.MinerWasm || v.NoCoinHit || v.HasWasm {
+			rep.Verdicts = append(rep.Verdicts, v)
+		}
+	})
 	return rep
 }
 

@@ -378,6 +378,21 @@ func TestRevenueSplitProportionalToHashes(t *testing.T) {
 	}
 }
 
+// TestRoundPayoutsAtVardiffScaleWeights: two equal miners at a vardiff tier
+// of 2^20 split the sim chain's user part in half — userPart × weight does
+// not fit in 64 bits there, and the remainder used to land in kept.
+func TestRoundPayoutsAtVardiffScaleWeights(t *testing.T) {
+	pool := newTestPool(t, 16)
+	const reward = 35_184_372_088_832
+	const userPart = reward * 70 / 100
+	for shift := 20; shift <= 40; shift += 10 {
+		payouts := pool.roundPayouts(reward, map[string]uint64{"a": 1 << shift, "b": 1 << shift})
+		if len(payouts) != 2 || payouts[0].Amount != userPart/2 || payouts[1].Amount != userPart/2 {
+			t.Errorf("weights 2^%d: payouts %v, want two of %d", shift, payouts, uint64(userPart/2))
+		}
+	}
+}
+
 func TestShareCreditsLinkGoal(t *testing.T) {
 	pool := newTestPool(t, 16)
 	id := pool.Links().Create("creator", "https://example.org/file", 32)

@@ -936,29 +936,19 @@ func (p *Pool) settleLocked(b *blockchain.Block, backend int) {
 	})
 }
 
-// roundPayouts is the standalone pool's payout vector, shaped like
-// sharechain.Chain.PayoutVector: users receive floor(reward × (100−fee)%)
-// in proportion to the hashes they contributed this round, rounding dust
-// favouring the pool, as any self-respecting fee schedule would. Tokens
-// come out sorted so the archived payout sequence is deterministic — map
-// iteration order must not leak into what a replay is compared against.
+// roundPayouts is the standalone pool's payout vector — sharechain.Split,
+// the rule Chain.PayoutVector applies to the PPLNS window, over the hashes
+// each account contributed this round: rounding dust favours the pool, as
+// any self-respecting fee schedule would. Tokens go in sorted so the
+// archived payout sequence is deterministic — map iteration order must not
+// leak into what a replay is compared against.
 func (p *Pool) roundPayouts(reward uint64, round map[string]uint64) []sharechain.Payout {
-	userPart := reward * uint64(100-p.cfg.FeePercent) / 100
-	var total uint64
-	tokens := make([]string, 0, len(round))
+	weights := make([]sharechain.TokenWeight, 0, len(round))
 	for token, h := range round {
-		tokens = append(tokens, token)
-		total += h
+		weights = append(weights, sharechain.TokenWeight{Token: token, Weight: h})
 	}
-	if total == 0 {
-		return nil
-	}
-	sort.Strings(tokens)
-	payouts := make([]sharechain.Payout, 0, len(tokens))
-	for _, token := range tokens {
-		payouts = append(payouts, sharechain.Payout{Token: token, Amount: userPart * round[token] / total})
-	}
-	return payouts
+	sort.Slice(weights, func(i, j int) bool { return weights[i].Token < weights[j].Token })
+	return sharechain.Split(reward, p.cfg.FeePercent, weights)
 }
 
 // Federation exposes the federation bundle, nil for standalone pools.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/htmlx"
 	"repro/internal/nocoin"
+	"repro/internal/parallel"
 	"repro/internal/webgen"
 )
 
@@ -160,43 +161,32 @@ func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
 		workers = 8
 	}
 	rep := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
-	jobs := make(chan *webgen.Site)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				res := f.Fetch(s.Domain)
-				if !res.OK {
-					continue
-				}
-				matches := ScanPage(list, res.Body)
-				mu.Lock()
-				rep.Fetched++
-				if len(matches) > 0 {
-					h := Hit{Domain: s.Domain, Matches: matches, Family: FamilyOfMatch(matches[0])}
-					rep.Hits = append(rep.Hits, h)
-					// A site can carry several matching scripts; Fig. 2
-					// counts each matched family once per site.
-					seen := map[string]bool{}
-					for _, m := range matches {
-						fam := FamilyOfMatch(m)
-						if !seen[fam] {
-							seen[fam] = true
-							rep.FamilyCounts[fam]++
-						}
-					}
-				}
-				mu.Unlock()
+	parallel.ForEach(len(c.Sites), workers, func(i int) {
+		s := c.Sites[i]
+		res := f.Fetch(s.Domain)
+		if !res.OK {
+			return
+		}
+		matches := ScanPage(list, res.Body)
+		mu.Lock()
+		defer mu.Unlock()
+		rep.Fetched++
+		if len(matches) == 0 {
+			return
+		}
+		h := Hit{Domain: s.Domain, Matches: matches, Family: FamilyOfMatch(matches[0])}
+		rep.Hits = append(rep.Hits, h)
+		// A site can carry several matching scripts; Fig. 2 counts each
+		// matched family once per site.
+		seen := map[string]bool{}
+		for _, m := range matches {
+			fam := FamilyOfMatch(m)
+			if !seen[fam] {
+				seen[fam] = true
+				rep.FamilyCounts[fam]++
 			}
-		}()
-	}
-	for _, s := range c.Sites {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
+		}
+	})
 	return rep
 }

@@ -6,15 +6,15 @@ import "math/bits"
 // phases. CryptoNight keys both phases off the Keccak state, with a fresh
 // key schedule per hash — crypto/aes would heap-allocate a cipher object
 // for every one of them, so the schedule is expanded into a Hasher-owned
-// array instead and the blocks are encrypted either by the AES-NI assembly
-// kernel (amd64) or by the T-table software path below. Both are
-// bit-identical to crypto/aes (checked by tests), so swapping them never
-// changes a digest.
+// array instead and the blocks are encrypted either by the AES-NI explode/
+// implode kernels (kernels_amd64.s) or by the T-table software path below.
+// Both are bit-identical to crypto/aes (checked by tests), so swapping them
+// never changes a digest.
 
 // roundKeys is an expanded AES-128 schedule: 11 round keys of 4 columns,
 // each column a little-endian uint32 — the same column convention the
 // T-tables use. On a little-endian machine the array's memory image is
-// exactly the 176 round-key bytes, which is what the assembly kernel loads.
+// exactly the 176 round-key bytes, which is what the assembly kernels load.
 type roundKeys [44]uint32
 
 // expandKey computes the AES-128 key schedule for the 16-byte key at
@@ -31,7 +31,7 @@ func expandKey(key []byte, rk *roundKeys) {
 	for i := 4; i < 44; i++ {
 		t := w[i-1]
 		if i%4 == 0 {
-			t = t<<8 | t>>24 // RotWord
+			t = t<<8 | t>>24                                               // RotWord
 			t = uint32(sbox[t>>24])<<24 | uint32(sbox[(t>>16)&0xFF])<<16 | // SubWord
 				uint32(sbox[(t>>8)&0xFF])<<8 | uint32(sbox[t&0xFF])
 			t ^= uint32(rc) << 24
@@ -71,9 +71,9 @@ func encryptBlockGo(rk *roundKeys, s0, s1 uint64) (uint64, uint64) {
 	return uint64(o1)<<32 | uint64(o0), uint64(o3)<<32 | uint64(o2)
 }
 
-// encryptLanesGo encrypts the eight 16-byte blocks of a 128-byte lane
-// buffer in place — the software fallback for the assembly kernel.
-func encryptLanesGo(rk *roundKeys, text *[16]uint64) {
+// encryptLanes encrypts the eight 16-byte blocks of a 128-byte lane
+// buffer in place — one explode/implode step of the pure-Go path.
+func encryptLanes(rk *roundKeys, text *[16]uint64) {
 	for i := 0; i < 16; i += 2 {
 		text[i], text[i+1] = encryptBlockGo(rk, text[i], text[i+1])
 	}

@@ -4,7 +4,8 @@ package cryptonight
 // as used by the CryptoNight main loop, where the 16-byte register `a`
 // serves directly as the round key — no key schedule is involved.
 //
-// The hot path is aesRound64, which works on the state as two uint64
+// walkGo's round is aesRound64 (the AES-NI main-loop kernel does the same
+// round with one AESENC), which works on the state as two uint64
 // register pairs (four little-endian uint32 columns) via four precomputed
 // T-tables. Each T-table entry fuses SubBytes with one column of the
 // MixColumns circulant, so a full round is 16 table loads and a handful of

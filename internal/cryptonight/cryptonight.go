@@ -21,12 +21,17 @@
 // same tens-of-hashes-per-second regime as the paper's 2013 MacBook
 // (20 H/s) that calibrates Figure 4's top axis.
 //
-// The scratchpad is held as little-endian uint64 lanes and the main loop
-// runs on uint64 register pairs through the T-tables (see aesround.go), so
-// the 2^12–2^19 memory-hard rounds do no byte marshalling at all. Mining
-// and verification code paths reuse Hashers: either explicitly
-// (NewHasher, one per goroutine) or through the per-variant pool behind
-// Sum and Grind.
+// The scratchpad is held as little-endian uint64 lanes, so the 2^12–2^19
+// memory-hard rounds do no byte marshalling at all. Explode, the main loop
+// and implode have two implementations, chosen once per hash: on amd64
+// CPUs with AES-NI, three assembly kernels (kernels_amd64.s — one AESENC
+// per main-loop round, eight AES blocks in flight through explode and
+// implode, each kernel entered in bounded slices so a Full-profile hash
+// stays preemptible); everywhere else walkGo, which runs the same steps on
+// uint64 register pairs through the T-tables (aesround.go, aeskey.go) and
+// is the reference the kernels are tested against. Mining and verification
+// code paths reuse Hashers: either explicitly (NewHasher, one per
+// goroutine) or through the per-variant pool behind Sum and Grind.
 package cryptonight
 
 import (
@@ -81,11 +86,13 @@ type Hasher struct {
 	v   Variant
 	pad []uint64 // scratchpad as little-endian uint64 lanes
 
-	// Per-hash working state, kept on the Hasher so Sum allocates nothing:
-	// the two expanded AES-128 schedules and the 128-byte explode/implode
-	// lane buffer.
+	// Per-hash working state, kept on the Hasher so Sum allocates nothing
+	// and so a kernel entered in slices finds where the last one stopped:
+	// the two expanded AES-128 schedules, the 128-byte explode/implode lane
+	// buffer and the main loop's registers a (ab[0:2]) and b (ab[2:4]).
 	rk0, rk1 roundKeys
 	text     [16]uint64
+	ab       [4]uint64
 
 	// blob is Grind's reusable copy of the job blob.
 	blob []byte
@@ -111,27 +118,72 @@ func (h *Hasher) Sum(data []byte) [32]byte {
 	expandKey(state[0:16], &h.rk0)
 	expandKey(state[32:48], &h.rk1)
 
+	// Explode, main loop, implode: state[64:192] goes in, its fold over
+	// the worked scratchpad comes out. One dispatch per hash picks the
+	// AES-NI kernels or walkGo (kernels_*.go).
+	h.walk(&state)
+
+	// Final permutation and hash.
+	var st [25]uint64
+	for i := 0; i < 25; i++ {
+		st[i] = binary.LittleEndian.Uint64(state[i*8:])
+	}
+	keccak.Permute(&st)
+	var out [200]byte
+	for i := 0; i < 25; i++ {
+		binary.LittleEndian.PutUint64(out[i*8:], st[i])
+	}
+	return keccak.Sum256(out[:])
+}
+
+// loadText sets the lane buffer to state[64:192], the seed of both the
+// explode and the implode chain.
+func (h *Hasher) loadText(state *[200]byte) {
+	for i := range h.text {
+		h.text[i] = binary.LittleEndian.Uint64(state[64+8*i:])
+	}
+}
+
+// storeText writes the imploded lane buffer back over state[64:192].
+func (h *Hasher) storeText(state *[200]byte) {
+	for i, v := range h.text {
+		binary.LittleEndian.PutUint64(state[64+8*i:], v)
+	}
+}
+
+// loadAB derives the main loop's two 16-byte registers from the Keccak
+// state: a = state[0:16] ^ state[32:48], b = state[16:32] ^ state[48:64].
+func (h *Hasher) loadAB(state *[200]byte) {
+	for i := range h.ab {
+		h.ab[i] = binary.LittleEndian.Uint64(state[8*i:]) ^ binary.LittleEndian.Uint64(state[32+8*i:])
+	}
+}
+
+// mask turns register a (resp. c) into the byte address of a 16-byte
+// scratchpad line.
+func (h *Hasher) mask() uint64 { return uint64(h.v.ScratchpadSize-1) &^ 0xF }
+
+// walkGo is the portable explode / main loop / implode: AES through the
+// T-tables, everything on uint64 lanes. It is the only path off amd64 and
+// without AES-NI, and the reference the kernels are tested against.
+//
+//lint:hotpath
+func (h *Hasher) walkGo(state *[200]byte) {
+	pad := h.pad
+	text := &h.text
+
 	// Explode: expand state[64:192] into the scratchpad, 128 bytes at a
 	// time through the AES lane buffer.
-	text := &h.text
-	for i := 0; i < 16; i++ {
-		text[i] = binary.LittleEndian.Uint64(state[64+8*i:])
-	}
-	pad := h.pad
+	h.loadText(state)
 	for off := 0; off < len(pad); off += 16 {
 		encryptLanes(&h.rk0, text)
 		copy(pad[off:off+16], text[:])
 	}
 
-	// Main loop state: two 16-byte registers derived from the Keccak state.
-	a0 := binary.LittleEndian.Uint64(state[0:]) ^ binary.LittleEndian.Uint64(state[32:])
-	a1 := binary.LittleEndian.Uint64(state[8:]) ^ binary.LittleEndian.Uint64(state[40:])
-	b0 := binary.LittleEndian.Uint64(state[16:]) ^ binary.LittleEndian.Uint64(state[48:])
-	b1 := binary.LittleEndian.Uint64(state[24:]) ^ binary.LittleEndian.Uint64(state[56:])
-
-	// mask turns register a (resp. c) into the byte address of a 16-byte
-	// cache line; >>3 converts it to the line's first uint64 lane.
-	mask := uint64(h.v.ScratchpadSize-1) &^ 0xF
+	h.loadAB(state)
+	a0, a1, b0, b1 := h.ab[0], h.ab[1], h.ab[2], h.ab[3]
+	// >>3 converts a line's byte address to its first uint64 lane.
+	mask := h.mask()
 	for i := h.v.Iterations; i > 0; i-- {
 		// First half-round: one AES round on the a-addressed cache line,
 		// keyed directly by register a (no key schedule — as in the
@@ -156,9 +208,7 @@ func (h *Hasher) Sum(data []byte) [32]byte {
 	}
 
 	// Implode: fold the scratchpad back into state[64:192].
-	for i := 0; i < 16; i++ {
-		text[i] = binary.LittleEndian.Uint64(state[64+8*i:])
-	}
+	h.loadText(state)
 	for off := 0; off < len(pad); off += 16 {
 		line := pad[off : off+16 : off+16]
 		for i := 0; i < 16; i++ {
@@ -166,21 +216,7 @@ func (h *Hasher) Sum(data []byte) [32]byte {
 		}
 		encryptLanes(&h.rk1, text)
 	}
-	for i := 0; i < 16; i++ {
-		binary.LittleEndian.PutUint64(state[64+8*i:], text[i])
-	}
-
-	// Final permutation and hash.
-	var st [25]uint64
-	for i := 0; i < 25; i++ {
-		st[i] = binary.LittleEndian.Uint64(state[i*8:])
-	}
-	keccak.Permute(&st)
-	var out [200]byte
-	for i := 0; i < 25; i++ {
-		binary.LittleEndian.PutUint64(out[i*8:], st[i])
-	}
-	return keccak.Sum256(out[:])
+	h.storeText(state)
 }
 
 // Grind searches nonces n = start, start+1, … for one that meets the

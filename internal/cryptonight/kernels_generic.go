@@ -1,0 +1,7 @@
+//go:build !amd64 || !gc
+
+package cryptonight
+
+// walk runs explode, the main loop and implode for one hash. Builds without
+// the amd64 kernels always take the pure-Go path.
+func (h *Hasher) walk(state *[200]byte) { h.walkGo(state) }

@@ -4,6 +4,5 @@ package cryptonight
 
 import "testing"
 
-// forceSoftAES is a no-op on builds whose encryptLanes is already the
-// software path.
+// forceSoftAES is a no-op on builds where walkGo is the only path.
 func forceSoftAES(t *testing.T) {}

@@ -22,10 +22,9 @@ type Script struct {
 // end of the (possibly truncated) document.
 func ExtractScripts(doc string) []Script {
 	var out []Script
-	low := lowerASCII(doc)
 	pos := 0
 	for {
-		i := strings.Index(low[pos:], "<script")
+		i := indexTag(doc[pos:], "<script")
 		if i < 0 {
 			break
 		}
@@ -46,7 +45,7 @@ func ExtractScripts(doc string) []Script {
 		attrs := parseAttrs(doc[after:tagEnd])
 		s := Script{Attrs: attrs, Src: attrs["src"]}
 		// Find the closing tag.
-		close := strings.Index(low[tagEnd+1:], "</script")
+		close := indexTag(doc[tagEnd+1:], "</script")
 		if close < 0 {
 			s.Inline = doc[tagEnd+1:]
 			out = append(out, s)
@@ -66,26 +65,42 @@ func isTagDelim(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '>' || c == '/'
 }
 
-// lowerASCII lowercases only ASCII letters, preserving byte offsets.
-// strings.ToLower would also fold multi-byte characters whose lower form
-// has a different encoded length (Ɱ→ɱ, K→k), desynchronising indices
-// computed on the lowered copy from the original document — tag names are
+// indexTag returns the index of the first occurrence of tag in s, ASCII
+// letters compared case-insensitively, or -1. tag is lower-case and starts
+// with '<'. It reads s in place: a lowered copy of the document would cost
+// two page-sized allocations per call, and strings.ToLower would also fold
+// multi-byte characters whose lower form has a different encoded length
+// (Ɱ→ɱ, K→k), desynchronising indices from the original — tag names are
 // ASCII, so ASCII folding is all case-insensitivity requires.
-func lowerASCII(s string) string {
-	i := 0
-	for i < len(s) && (s[i] < 'A' || s[i] > 'Z') {
-		i++
-	}
-	if i == len(s) {
-		return s
-	}
-	b := []byte(s)
-	for ; i < len(b); i++ {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
+func indexTag(s, tag string) int {
+	for at := 0; ; at++ {
+		i := strings.IndexByte(s[at:], '<')
+		if i < 0 {
+			return -1
+		}
+		at += i
+		if hasPrefixFold(s[at:], tag) {
+			return at
 		}
 	}
-	return string(b)
+}
+
+// hasPrefixFold reports whether s begins with the lower-case prefix, ASCII
+// upper-case letters in s counting as their lower-case forms.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // parseAttrs parses the attribute region of a tag.
@@ -154,8 +169,7 @@ func parseAttrs(s string) map[string]string {
 
 // ExtractTitle returns the document title, or "".
 func ExtractTitle(doc string) string {
-	low := lowerASCII(doc)
-	i := strings.Index(low, "<title")
+	i := indexTag(doc, "<title")
 	if i < 0 {
 		return ""
 	}
@@ -164,7 +178,7 @@ func ExtractTitle(doc string) string {
 		return ""
 	}
 	start := i + gt + 1
-	end := strings.Index(low[start:], "</title")
+	end := indexTag(doc[start:], "</title")
 	if end < 0 {
 		return strings.TrimSpace(doc[start:])
 	}

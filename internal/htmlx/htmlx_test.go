@@ -149,3 +149,48 @@ func TestExtractScriptsSurvivesLengthChangingCaseFolds(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexTagIsIndexOnAnASCIILoweredCopy holds indexTag to the definition
+// it replaced: strings.Index on a copy of the document with A–Z lowered.
+func TestIndexTagIsIndexOnAnASCIILoweredCopy(t *testing.T) {
+	lowered := func(s string) string {
+		b := []byte(s)
+		for i, c := range b {
+			if c >= 'A' && c <= 'Z' {
+				b[i] = c + 'a' - 'A'
+			}
+		}
+		return string(b)
+	}
+	// Documents drawn from the tags' own letters in both cases, so near and
+	// full matches are common, plus multi-byte runes whose case folds
+	// change length.
+	alphabet := []string{"<", "</", "/", ">", "s", "S", "c", "C", "r", "i", "I", "p", "P", "t", "T", "title", "K", "Ɱ", " "}
+	f := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		doc := b.String()
+		for _, tag := range []string{"<script", "</script", "<title", "</title"} {
+			if got, want := indexTag(doc, tag), strings.Index(lowered(doc), tag); got != want {
+				t.Logf("indexTag(%q, %q) = %d, want %d", doc, tag, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestScanningAPageWithoutScriptsAllocatesNothing(t *testing.T) {
+	doc := strings.Repeat(`<DIV class="x">Text <span>more</span></DIV>`, 200) + `<TITLE>t</TITLE>`
+	if n := testing.AllocsPerRun(100, func() {
+		ExtractScripts(doc)
+		ExtractTitle(doc)
+	}); n != 0 {
+		t.Errorf("%v allocations scanning a page with no script tag, want 0", n)
+	}
+}

@@ -464,7 +464,7 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 // other peers — relay is what makes non-mesh topologies (lines, stars)
 // converge without every node dialing every other.
 func (n *Node) ingest(from *peer, e *sharechain.Entry) {
-	if n.cfg.Chain.Has(e.ID()) {
+	if n.cfg.Chain.Has(e) {
 		n.duplicate.Inc()
 		return
 	}

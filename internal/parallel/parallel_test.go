@@ -42,3 +42,16 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 		t.Errorf("peak concurrency %d exceeds 4 workers", p)
 	}
 }
+
+func TestForEachOneWorkerRunsInOrder(t *testing.T) {
+	var got []int
+	ForEach(50, 1, func(i int) { got = append(got, i) })
+	if len(got) != 50 {
+		t.Fatalf("visited %d indices, want 50", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("call %d got index %d", i, v)
+		}
+	}
+}

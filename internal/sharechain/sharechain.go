@@ -12,7 +12,8 @@
 // A late-gossiped entry whose sort position precedes the current tip is a
 // reorg: the canonical order says the branch containing it is better (it
 // holds strictly more weight), so the rolling tip hashes after its
-// insertion point are rebuilt and the PPLNS window credit is recomputed.
+// insertion point are rebuilt and, when it lands inside the PPLNS window,
+// it enters the window credit as the entry it pushes off the head leaves.
 // No entry is ever orphaned — every valid share stays in the chain — which
 // is what makes "zero lost credit" a structural property rather than an
 // accounting promise.
@@ -24,9 +25,11 @@
 package sharechain
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -84,14 +87,13 @@ type Entry struct {
 	// Result is the claimed CryptoNight hash of Blob.
 	Result [32]byte
 
-	id    [32]byte // cached canonical ID
-	hasID bool
+	id [32]byte // cached canonical ID; all zero (no SHA-256 output) until computed
 }
 
 // ID returns the entry's canonical identity: SHA-256 over the fixed
 // fields and length-prefixed variable fields. Cached after first use.
 func (e *Entry) ID() [32]byte {
-	if e.hasID {
+	if e.id != ([32]byte{}) {
 		return e.id
 	}
 	var hdr [8 + 8 + 4 + 2 + 2]byte
@@ -106,23 +108,18 @@ func (e *Entry) ID() [32]byte {
 	h.Write(e.Blob)
 	h.Write(e.Result[:])
 	h.Sum(e.id[:0])
-	e.hasID = true
 	return e.id
 }
 
-// less orders entries canonically: by claimed height, then by ID bytes
+// before orders entries canonically: by claimed height, then by ID bytes
 // (lexicographic). This is the deterministic tie-break the convergence
-// proof rests on — never map iteration, never arrival order.
-func less(aH uint64, aID [32]byte, bH uint64, bID [32]byte) bool {
-	if aH != bH {
-		return aH < bH
+// proof rests on — never map iteration, never arrival order. Both entries
+// must have their IDs cached, as every entry in a chain has.
+func (e *Entry) before(o *Entry) bool {
+	if e.Height != o.Height {
+		return e.Height < o.Height
 	}
-	for i := 0; i < 32; i++ {
-		if aID[i] != bID[i] {
-			return aID[i] < bID[i]
-		}
-	}
-	return false
+	return bytes.Compare(e.id[:], o.id[:]) < 0
 }
 
 // Verifier checks an entry's proof of work. The pool injects one backed
@@ -166,17 +163,23 @@ type Chain struct {
 	cfg Config
 
 	mu      sync.RWMutex
-	entries []*Entry
-	ids     [][32]byte        // entry IDs by position (avoids pointer chase in sort)
-	tips    [][32]byte        // rolling hash: tips[i] = SHA-256(tips[i-1] || ids[i])
-	known   map[[32]byte]bool // dedupe set
-	credit  map[string]uint64 // all-time difficulty-weighted credit per token
-	window  map[string]uint64 // credit inside the PPLNS window
-	winTot  uint64            // total window weight
+	entries []*Entry            // canonical order, IDs cached; also the dedupe index
+	tip     [32]byte            // rolling hash over all entries: tip(i) = SHA-256(tip(i-1) || ID(entries[i]))
+	marks   [][32]byte          // marks[k] = tip(tipStride·(k+1) − 1): where a reorg's rebuild restarts
+	credit  map[string]*account // all-time difficulty-weighted credit per token
+	window  map[string]uint64   // credit inside the PPLNS window
+	winTot  uint64              // total window weight
 
-	height   *metrics.Gauge
-	reorgs   *metrics.Counter
-	rebuilds *metrics.Counter
+	height *metrics.Gauge
+	reorgs *metrics.Counter
+}
+
+// account is one token's all-time credit, and the chain's one copy of the
+// token string: every entry of the account is re-pointed at it on insert,
+// so a gossiped entry does not keep the string it was decoded with.
+type account struct {
+	token  string
+	credit uint64
 }
 
 // New builds an empty chain.
@@ -194,13 +197,11 @@ func New(cfg Config) *Chain {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	return &Chain{
-		cfg:      cfg,
-		known:    map[[32]byte]bool{},
-		credit:   map[string]uint64{},
-		window:   map[string]uint64{},
-		height:   cfg.Metrics.Gauge("pool.sharechain_height"),
-		reorgs:   cfg.Metrics.Counter("pool.sharechain_reorgs"),
-		rebuilds: cfg.Metrics.Counter("pool.window_credit_rebuilds"),
+		cfg:    cfg,
+		credit: map[string]*account{},
+		window: map[string]uint64{},
+		height: cfg.Metrics.Gauge("pool.sharechain_height"),
+		reorgs: cfg.Metrics.Counter("pool.sharechain_reorgs"),
 	}
 }
 
@@ -220,10 +221,7 @@ func (c *Chain) Len() int {
 func (c *Chain) Tip() ([32]byte, int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if len(c.tips) == 0 {
-		return [32]byte{}, 0
-	}
-	return c.tips[len(c.tips)-1], len(c.tips)
+	return c.tip, len(c.entries)
 }
 
 // TipHeight returns the highest claimed height in the chain (0 when
@@ -241,11 +239,21 @@ func (c *Chain) TipHeight() uint64 {
 // the current tip height plus one.
 func (c *Chain) NextHeight() uint64 { return c.TipHeight() + 1 }
 
-// Has reports whether the entry identified by id is already in the chain.
-func (c *Chain) Has(id [32]byte) bool {
+// Has reports whether e is already in the chain.
+func (c *Chain) Has(e *Entry) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.known[id]
+	_, found := c.searchLocked(e)
+	return found
+}
+
+// searchLocked returns e's canonical position — the first entry not
+// before it — and whether that entry is e itself. The sorted slice is the
+// dedupe index: equal (height, ID) means equal entry.
+func (c *Chain) searchLocked(e *Entry) (pos int, found bool) {
+	e.ID() // before compares cached IDs; the chain's entries have theirs
+	pos = sort.Search(len(c.entries), func(i int) bool { return !c.entries[i].before(e) })
+	return pos, pos < len(c.entries) && !e.before(c.entries[pos])
 }
 
 // validate applies the structural checks shared by both insert paths.
@@ -265,14 +273,13 @@ func (c *Chain) validate(e *Entry) error {
 //
 // Returns whether the insertion displaced existing order (a reorg): the
 // entry's canonical position preceded existing entries, so the rolling
-// hashes after it were rebuilt and the window credit recomputed.
+// hashes after it were rebuilt.
 func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 	if err := c.validate(e); err != nil {
 		return false, err
 	}
-	id := e.ID()
 	c.mu.RLock()
-	dup := c.known[id]
+	_, dup := c.searchLocked(e)
 	tipH := uint64(0)
 	if len(c.entries) > 0 {
 		tipH = c.entries[len(c.entries)-1].Height
@@ -295,7 +302,8 @@ func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.known[id] {
+	pos, dup := c.searchLocked(e)
+	if dup {
 		return false, ErrDuplicate
 	}
 	// Re-check the skew bound against the tip as it stands now: the
@@ -303,79 +311,78 @@ func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 	if n := len(c.entries); n > 0 && e.Height > c.entries[n-1].Height+c.cfg.MaxHeightSkew {
 		return false, ErrHeightSkew
 	}
-	pos := sort.Search(len(c.entries), func(i int) bool {
-		return less(e.Height, id, c.entries[i].Height, c.ids[i])
-	})
 	c.entries = append(c.entries, nil)
-	c.ids = append(c.ids, [32]byte{})
-	c.tips = append(c.tips, [32]byte{})
 	copy(c.entries[pos+1:], c.entries[pos:])
-	copy(c.ids[pos+1:], c.ids[pos:])
 	c.entries[pos] = e
-	c.ids[pos] = id
-	c.known[id] = true
-	c.credit[e.Token] += e.Diff
+	acct := c.credit[e.Token]
+	if acct == nil {
+		acct = &account{token: e.Token}
+		c.credit[acct.token] = acct
+	}
+	e.Token = acct.token
+	acct.credit += e.Diff
 
 	reorged = pos != len(c.entries)-1
 	c.rebuildTipsLocked(pos)
 	if reorged {
 		c.reorgs.Inc()
-		c.rebuildWindowLocked()
-	} else {
-		c.advanceWindowLocked(e)
 	}
+	c.slideWindowLocked(pos)
 	c.height.Set(int64(c.entries[len(c.entries)-1].Height))
 	return reorged, nil
 }
 
-// rebuildTipsLocked recomputes rolling hashes from position pos on. An
-// append recomputes exactly one; a reorg recomputes the displaced suffix.
+// tipStride is the spacing of the rolling-hash checkpoints. A chain keeps
+// every entry for ever, so a hash per position would be a fifth of what it
+// holds; one per 64 costs a reorg at most 63 extra hashes.
+const tipStride = 64
+
+// rebuildTipsLocked recomputes the rolling hash after an insert at pos. An
+// append extends the old tip by one hash; a reorg restarts from the last
+// checkpoint before pos and re-marks every checkpoint from there on.
 func (c *Chain) rebuildTipsLocked(pos int) {
-	var prev [32]byte
-	if pos > 0 {
-		prev = c.tips[pos-1]
+	start, prev := pos, c.tip
+	if pos < len(c.entries)-1 {
+		start = pos &^ (tipStride - 1)
+		prev = [32]byte{}
+		if start > 0 {
+			prev = c.marks[start/tipStride-1]
+		}
 	}
+	c.marks = c.marks[:start/tipStride]
 	h := sha256.New()
-	var buf [32]byte
-	for i := pos; i < len(c.tips); i++ {
+	for i := start; i < len(c.entries); i++ {
 		h.Reset()
 		h.Write(prev[:])
-		h.Write(c.ids[i][:])
-		h.Sum(buf[:0])
-		c.tips[i] = buf
-		prev = buf
+		h.Write(c.entries[i].id[:])
+		h.Sum(prev[:0])
+		if i%tipStride == tipStride-1 {
+			c.marks = append(c.marks, prev)
+		}
 	}
+	c.tip = prev
 }
 
-// advanceWindowLocked slides the PPLNS window forward after an append:
-// the new tail entry enters; the entry that fell off the head leaves.
-func (c *Chain) advanceWindowLocked(e *Entry) {
+// slideWindowLocked accounts the entry just inserted at pos to the PPLNS
+// window, the last Window entries. At or after the window's head it enters
+// and, once the chain is longer than the window, pushes the entry before
+// the head out; before the head it shifts the window's W entries along
+// without changing which they are.
+func (c *Chain) slideWindowLocked(pos int) {
+	head := len(c.entries) - c.cfg.Window
+	if pos < head {
+		return
+	}
+	e := c.entries[pos]
 	c.window[e.Token] += e.Diff
 	c.winTot += e.Diff
-	if n := len(c.entries); n > c.cfg.Window {
-		old := c.entries[n-c.cfg.Window-1]
+	if head > 0 {
+		old := c.entries[head-1]
 		c.window[old.Token] -= old.Diff
 		c.winTot -= old.Diff
 		if c.window[old.Token] == 0 {
 			delete(c.window, old.Token)
 		}
-	}
-}
-
-// rebuildWindowLocked recomputes the window aggregates from scratch —
-// the reorg path, counted so operators can see how often late gossip
-// displaces order.
-func (c *Chain) rebuildWindowLocked() {
-	c.rebuilds.Inc()
-	clear(c.window)
-	c.winTot = 0
-	start := 0
-	if len(c.entries) > c.cfg.Window {
-		start = len(c.entries) - c.cfg.Window
-	}
-	for _, e := range c.entries[start:] {
-		c.window[e.Token] += e.Diff
-		c.winTot += e.Diff
 	}
 }
 
@@ -385,8 +392,8 @@ func (c *Chain) CreditSnapshot() map[string]uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make(map[string]uint64, len(c.credit))
-	for t, v := range c.credit {
-		out[t] = v
+	for t, a := range c.credit {
+		out[t] = a.credit
 	}
 	return out
 }
@@ -415,14 +422,29 @@ func (c *Chain) WindowWeights() ([]TokenWeight, uint64) {
 // sorted-token order; rounding dust stays with the pool. It is a pure
 // function of the window, so converged nodes produce identical vectors.
 func (c *Chain) PayoutVector(reward uint64) []Payout {
-	weights, total := c.WindowWeights()
+	weights, _ := c.WindowWeights()
+	return Split(reward, c.cfg.FeePercent, weights)
+}
+
+// Split is the payout rule itself, shared with the standalone pool's
+// per-round settle: floor(reward × (100−feePercent)% × weight ⁄ Σ weights)
+// to each weight in the order given, nothing when they sum to zero. The
+// product is taken in 128 bits — an atomic-unit block reward times a
+// vardiff-scale weight does not fit in 64.
+func Split(reward uint64, feePercent int, weights []TokenWeight) []Payout {
+	var total uint64
+	for _, w := range weights {
+		total += w.Weight
+	}
 	if total == 0 {
 		return nil
 	}
-	userPart := reward * uint64(100-c.cfg.FeePercent) / 100
+	userPart := reward * uint64(100-feePercent) / 100
 	out := make([]Payout, 0, len(weights))
 	for _, w := range weights {
-		out = append(out, Payout{Token: w.Token, Amount: userPart * w.Weight / total})
+		hi, lo := bits.Mul64(userPart, w.Weight)
+		amount, _ := bits.Div64(hi, lo, total) // weight ≤ total, so the quotient fits
+		out = append(out, Payout{Token: w.Token, Amount: amount})
 	}
 	return out
 }

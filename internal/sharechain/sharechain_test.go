@@ -37,7 +37,7 @@ func TestInsertionOrderIndependence(t *testing.T) {
 		c := New(Config{Window: 32})
 		for _, i := range perm {
 			e := *base[i] // fresh copy: cached IDs must not leak between chains
-			e.hasID = false
+			e.id = [32]byte{}
 			if _, err := c.Insert(&e, true); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
@@ -86,8 +86,11 @@ func TestAppendVsReorgAccounting(t *testing.T) {
 	if got := reg.Counter("pool.sharechain_reorgs").Load(); got != 1 {
 		t.Fatalf("reorgs = %d, want 1", got)
 	}
-	if got := reg.Counter("pool.window_credit_rebuilds").Load(); got != 1 {
-		t.Fatalf("window rebuilds = %d, want 1", got)
+	// It landed inside the window (6 entries ≤ Window), so it is credited
+	// there too, with nothing pushed off the head.
+	weights, total := c.WindowWeights()
+	if want := []TokenWeight{{"a", 10}, {"b", 3}}; total != 13 || !reflect.DeepEqual(weights, want) {
+		t.Fatalf("window after reorg: %v / %d, want %v / 13", weights, total, want)
 	}
 	// The displaced chain still holds every entry: zero lost credit.
 	credit := c.CreditSnapshot()
@@ -133,7 +136,7 @@ func TestDuplicateAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := *e
-	dup.hasID = false
+	dup.id = [32]byte{}
 	if _, err := c.Insert(&dup, true); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("dup insert: %v", err)
 	}
