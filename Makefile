@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race lint check bench bench-diff bench-paper bench-submit load
+.PHONY: all build vet test test-short test-race lint check bench-paper bench-submit
 
 all: build vet test-short
 
@@ -32,20 +32,24 @@ test-race:
 lint:
 	$(GO) run ./cmd/repolint
 
-# CI gate: static checks (including building cmd/bench and the other
-# tools, and cross-building for arm64 so the files behind `!amd64` — the
-# CryptoNight path the CI box never runs — keep compiling and vetting; the
-# amd64 kernels' frame layouts are held to their Go stubs by vet's
-# asmdecl), the fast suite under the race detector, the nested benchmark
-# module's own vet + tests (root `./...` skips it, so a product-side rename
-# the benchmark depends on would otherwise break it unnoticed), and the
-# five live-service load gates.
+# CI gate: static checks (including building the tools, and
+# cross-building for arm64 so the files behind `!amd64` — the CryptoNight
+# path the CI box never runs — keep compiling and vetting; the amd64
+# kernels' frame layouts are held to their Go stubs by vet's asmdecl), the
+# fast suite under the race detector, one pass of every package micro-
+# benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
+# attributes blocks" check keeps running), the nested benchmark module's
+# own vet + tests (root `./...` skips it, so a product-side rename the
+# benchmark depends on would otherwise break it unnoticed), and the five
+# live-service load gates. Performance itself is measured by
+# `bash benchmark/run.sh` against BENCHMARK.json, not here.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/cryptonight/
 	$(MAKE) lint
 	$(GO) test -short -race ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) load-smoke
 	$(MAKE) load-hostile
@@ -91,26 +95,6 @@ check:
 #                           round on the replacement, gossip p99 ≤ 1s.
 load-%:
 	$(GO) run ./cmd/loadd -gate $*
-
-# Full load-scenario catalogue (ws: steady/churn/storm/slow/malformed/
-# smoke; tcp: tcp-steady/tcp-storm/tcp-smoke; both: mixed, the hostile
-# set and api-readers with its query p50/p99 columns) at swarm
-# scale, plus the 10k/25k/50k tcp-scale tiers; writes the trajectory
-# point to BENCH_load.json, including the server-side job-push fan-out
-# p99 for the server-clocked scenarios and the scaling-curve telemetry
-# (goroutines at park, parked sessions, encodes and bytes per push).
-load:
-	$(GO) run ./cmd/loadd -scenario all -sessions 1000 -scale -out BENCH_load.json
-
-# Core perf benchmarks (CryptoNight, Keccak, chain, simclock, pool, Fig5
-# day); writes the machine-readable trajectory point to BENCH_core.json.
-bench:
-	$(GO) run ./cmd/bench -benchtime 1s -out BENCH_core.json
-
-# Re-run the core benchmarks and print per-benchmark deltas against the
-# committed BENCH_core.json without overwriting it.
-bench-diff:
-	$(GO) run ./cmd/bench -benchtime 1s -diff BENCH_core.json
 
 # Paper artefacts as benchmarks; -benchtime=1x regenerates each once.
 bench-paper:

@@ -1,15 +1,17 @@
 // Command loadd runs a named load-generation scenario against a
-// coinhive service and writes the run's trajectory point(s) to a JSON
-// report — the measurement the paper's scale story needs: a live
-// service under thousands of protocol-faithful ws+stratum miner
-// sessions, with client-observed accept latency.
+// coinhive service and prints one row per run: a live service under
+// thousands of protocol-faithful ws+stratum miner sessions, with
+// client-observed accept latency. Its job is correctness under load —
+// the five -gate runs are CI gates; performance is recorded by the
+// benchmark module (benchmark/, BENCHMARK.json), not here.
 //
 // Usage:
 //
-//	loadd -gate smoke                         # CI gate: 500 ws + 500 TCP sessions, zero protocol errors
-//	loadd -gate api                           # CI gate: api-readers page /api/v1 while the swarm mines
-//	                                          # (also: hostile, scale, federation — `make load-<gate>`)
-//	loadd -scenario all -out BENCH_load.json  # full catalogue against an in-process service
+//	loadd -gate smoke         # CI gate: 500 ws + 500 TCP sessions, zero protocol errors
+//	loadd -gate api           # CI gate: api-readers page /api/v1 while the swarm mines
+//	                          # (also: hostile, scale, federation — `make load-<gate>`)
+//	loadd -scenario all       # full catalogue against an in-process service
+//	loadd -scenario tcp-scale -sessions 50000 -deadline 200s   # one big in-memory tier
 //	loadd -target ws://host:8080 -target-tcp host:3333 -scenario tcp-steady -sessions 2000
 //
 // Without -target, loadd boots an in-process coinhived on loopback
@@ -20,14 +22,12 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -45,18 +45,6 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-}
-
-// report is the BENCH_load.json document, shaped like BENCH_core.json so
-// trajectory tooling reads both.
-type report struct {
-	Kind      string           `json:"kind"`
-	Generated string           `json:"generated"`
-	GoVersion string           `json:"go_version"`
-	GOOS      string           `json:"goos"`
-	GOARCH    string           `json:"goarch"`
-	NumCPU    int              `json:"num_cpu"`
-	Results   []loadgen.Result `json:"results"`
 }
 
 // gate is one CI gate: a fixed run list against in-process targets this
@@ -212,13 +200,11 @@ func run(args []string, out io.Writer) error {
 	shareDiff := fs.Uint64("share-diff", 2, "share difficulty of the in-process service")
 	variant := fs.String("variant", "test", "target's cryptonight profile: test, lite, full")
 	deadline := fs.Duration("deadline", 60*time.Second, "per-scenario time budget")
-	outFile := fs.String("out", "", "write the JSON report here")
 	var gateDoc strings.Builder
 	for _, g := range gates {
 		fmt.Fprintf(&gateDoc, "\n  %s: %s", g.name, g.doc)
 	}
 	gateName := fs.String("gate", "", "run a CI gate in-process instead of -scenario, and assert its invariants:"+gateDoc.String())
-	scale := fs.Bool("scale", false, "append the 10k/25k/50k tcp-scale tiers (in-memory conns) to the report")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run here (pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -253,29 +239,19 @@ func run(args []string, out io.Writer) error {
 	case *scenario == "all":
 		names = loadgen.ScenarioNames()
 	}
-	if g == nil && *scale {
-		tiers = []int{10000, 25000, 50000}
-	}
 
-	// Each run is a (scenario, swarm size, time budget) triple. The scale
-	// tiers reuse the tcp-scale shape at growing sizes; their budget
-	// grows with the tier (ramp alone is 25s at 50k) but never shrinks
-	// below the -deadline flag.
+	// Each run is a (scenario, swarm size) pair; a gate's scale tiers reuse
+	// the tcp-scale shape at growing sizes.
 	type runSpec struct {
 		name     string
 		sessions int
-		deadline time.Duration
 	}
 	specs := make([]runSpec, 0, len(names)+len(tiers))
 	for _, n := range names {
-		specs = append(specs, runSpec{n, *sessions, *deadline})
+		specs = append(specs, runSpec{n, *sessions})
 	}
 	for _, tier := range tiers {
-		d := *deadline
-		if floor := time.Duration(tier/250) * time.Second; d < floor {
-			d = floor
-		}
-		specs = append(specs, runSpec{"tcp-scale", tier, d})
+		specs = append(specs, runSpec{"tcp-scale", tier})
 	}
 
 	if *cpuprofile != "" {
@@ -293,20 +269,13 @@ func run(args []string, out io.Writer) error {
 	if *target == "" && *targetTCP != "" {
 		// An orphan -target-tcp would be silently replaced by the
 		// in-process listener below, load-testing the wrong server while
-		// the report claims otherwise.
+		// the printed rows claim otherwise.
 		return fmt.Errorf("loadd: -target-tcp requires -target (without -target the run boots its own in-process service)")
 	}
 	targets := &inprocs{out: out, shareDiff: *shareDiff, byKind: map[string]*loadgen.InprocTarget{}}
 	defer targets.close()
 
-	rep := report{
-		Kind:      "bench-load",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
+	var rows []loadgen.Result
 	var baselineP99 int64 // the gate's baseline scenario's accept p99
 	for _, spec := range specs {
 		name := spec.name
@@ -346,8 +315,8 @@ func run(args []string, out io.Writer) error {
 			Workers:   *workers,
 			Scenario:  sc,
 			Variant:   v,
-			Deadline:  spec.deadline,
-			Registry:  metrics.NewRegistry(), // fresh per run: every report row is per-scenario
+			Deadline:  *deadline,
+			Registry:  metrics.NewRegistry(), // fresh per run: every row is per-scenario
 		}
 		var res loadgen.Result
 		var srvDelta func(string) uint64
@@ -405,7 +374,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w (samples: %v)", name, err, res.ErrorSamples)
 		}
-		rep.Results = append(rep.Results, res)
+		rows = append(rows, res)
 		printRow(out, sc, res, srvDelta)
 
 		if g == nil {
@@ -415,7 +384,7 @@ func run(args []string, out io.Writer) error {
 			baselineP99 = res.AcceptP99Ns
 			continue
 		}
-		ok, err := g.assert(rep.Results, baselineP99, srvDelta)
+		ok, err := g.assert(rows, baselineP99, srvDelta)
 		if err != nil {
 			return err
 		}
@@ -423,27 +392,10 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "loadd:", ok)
 		}
 	}
-
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "loadd: wrote %s (%d scenario rows)\n", *outFile, len(rep.Results))
-	}
 	return nil
 }
 
-// printRow prints one report row in human form: the common line, then the
+// printRow prints one result row in human form: the common line, then the
 // lines only some scenario shapes have numbers for.
 func printRow(out io.Writer, sc loadgen.Scenario, res loadgen.Result, srvDelta func(string) uint64) {
 	if sc.Federation {

@@ -1,11 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/loadgen"
 )
@@ -23,58 +22,73 @@ func TestRunSmokeSmall(t *testing.T) {
 }
 
 // TestRunTCPScenarioWithRefresh drives the server-clocked dialect with
-// tip refreshes on: the report row must show job pushes fanned out and
-// still zero protocol errors (stale submits are re-jobbed, not errored).
+// tip refreshes on: the printed row must show every share accepted with a
+// measured accept tail, job pushes fanned out, and still zero protocol
+// errors (stale submits are re-jobbed, not errored).
 func TestRunTCPScenarioWithRefresh(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
 	var out strings.Builder
-	err := run([]string{"-scenario", "tcp-steady", "-sessions", "32", "-workers", "16", "-out", path}, &out)
+	err := run([]string{"-scenario", "tcp-steady", "-sessions", "32", "-workers", "16"}, &out)
 	if err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	row := rowFields(t, out.String(), "tcp-steady")
+	for key, want := range map[string]string{"": "[tcp]", "sessions": "32", "shares_ok": "96", "proto_errors": "0"} {
+		if row[key] != want {
+			t.Errorf("%s = %q, want %q (row %v)", key, row[key], want, row)
+		}
 	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
+	if n, err := strconv.Atoi(row["pushes"]); err != nil || n <= 0 {
+		t.Errorf("pushes = %q, want > 0: push fan-out not exercised", row["pushes"])
 	}
-	r := rep.Results[0]
-	if r.Transport != "tcp" || r.ProtocolErrors != 0 {
-		t.Fatalf("result row = %+v (samples %v)", r, r.ErrorSamples)
-	}
-	if r.SharesOK != 96 {
-		t.Errorf("SharesOK = %d, want 96", r.SharesOK)
-	}
-	if r.TipRefreshes == 0 || r.JobPushes == 0 || r.PushP99Ns <= 0 {
-		t.Errorf("push fan-out not exercised: refreshes=%d pushes=%d p99=%d",
-			r.TipRefreshes, r.JobPushes, r.PushP99Ns)
+	for _, key := range []string{"p99", "push_p99"} {
+		if d, err := time.ParseDuration(row[key]); err != nil || d <= 0 {
+			t.Errorf("%s = %q, want a positive duration", key, row[key])
+		}
 	}
 }
 
+// TestRunWritesReport pins the ws steady scenario's printed report row:
+// one row for the scenario, every session's shares accepted, and a
+// measured accept tail.
 func TestRunWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
 	var out strings.Builder
-	err := run([]string{"-scenario", "steady", "-sessions", "32", "-workers", "16", "-out", path}, &out)
+	err := run([]string{"-scenario", "steady", "-sessions", "32", "-workers", "16"}, &out)
 	if err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if n := strings.Count(out.String(), "loadd: steady "); n != 1 {
+		t.Fatalf("%d steady rows, want 1:\n%s", n, out.String())
 	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
+	row := rowFields(t, out.String(), "steady")
+	for key, want := range map[string]string{"sessions": "32", "shares_ok": "96", "proto_errors": "0"} {
+		if row[key] != want {
+			t.Errorf("%s = %q, want %q (row %v)", key, row[key], want, row)
+		}
 	}
-	if rep.Kind != "bench-load" || len(rep.Results) != 1 {
-		t.Fatalf("report = %+v", rep)
+	if d, err := time.ParseDuration(row["p99"]); err != nil || d <= 0 {
+		t.Errorf("accept p99 = %q, want a positive duration", row["p99"])
 	}
-	r := rep.Results[0]
-	if r.Scenario != "steady" || r.Sessions != 32 || r.SharesOK != 96 || r.AcceptP99Ns <= 0 {
-		t.Errorf("result row = %+v", r)
+}
+
+// rowFields finds the printed result row of a scenario and splits it into
+// its key=value fields; the bracketed transport is stored under "".
+func rowFields(t *testing.T, out, scenario string) map[string]string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "loadd:" || f[1] != scenario || !strings.HasPrefix(f[2], "[") {
+			continue
+		}
+		row := map[string]string{"": f[2]}
+		for _, kv := range f[3:] {
+			if k, v, ok := strings.Cut(kv, "="); ok {
+				row[k] = v
+			}
+		}
+		return row
 	}
+	t.Fatalf("no %s row in output:\n%s", scenario, out)
+	return nil
 }
 
 // TestRunSkipsTCPScenariosWithoutTCPTarget pins the remote-target
@@ -124,8 +138,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-gate", "nope"}, &out); err == nil || !strings.Contains(err.Error(), "unknown gate") {
 		t.Errorf("unknown gate: err = %v", err)
 	}
-	if err := run([]string{"-smoke"}, &out); err == nil {
-		t.Error("a retired per-gate boolean was accepted")
+	// Retired flags: the per-gate booleans, and the report file and its
+	// scale tiers (performance is the benchmark module's job).
+	for _, retired := range [][]string{{"-smoke"}, {"-out", "x"}, {"-scale"}} {
+		if err := run(retired, &out); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("retired flag %v: err = %v", retired, err)
+		}
 	}
 	if err := run([]string{"-scenario", "nope"}, &out); err == nil {
 		t.Error("unknown scenario accepted")

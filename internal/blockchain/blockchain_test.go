@@ -191,13 +191,13 @@ func TestChainGenesisAndAppend(t *testing.T) {
 	if c.Tip().ID() != b1.ID() {
 		t.Error("tip is not the appended block")
 	}
-	// Lookup paths.
-	if _, h, ok := c.BlockByID(b1.ID()); !ok || h != 1 {
-		t.Error("BlockByID failed for appended block")
+	// Lookup path: the §4.2 successor of genesis is block 1.
+	succ, ok := c.SuccessorInfoOf(c.BlockByHeight(0).ID())
+	if !ok || succ.Height != 1 || succ.ID != b1.ID() {
+		t.Errorf("SuccessorInfoOf(genesis) = %+v, %v; want block 1", succ, ok)
 	}
-	succ, ok := c.SuccessorOf(c.BlockByHeight(0).ID())
-	if !ok || succ.ID() != b1.ID() {
-		t.Error("SuccessorOf(genesis) != block 1")
+	if _, ok := c.SuccessorInfoOf(b1.ID()); ok {
+		t.Error("the tip has a successor")
 	}
 }
 

@@ -181,30 +181,6 @@ func (c *Chain) BlockByHeight(h uint64) *Block {
 	return c.blocks[h]
 }
 
-// BlockByID returns the block with the given identifier and its height.
-func (c *Chain) BlockByID(id [32]byte) (*Block, uint64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	h, ok := c.index[id]
-	if !ok {
-		return nil, 0, false
-	}
-	return c.blocks[h], h, true
-}
-
-// SuccessorOf returns the block mined directly on top of the block with the
-// given identifier. This is the §4.2 primitive: given the prev-pointer from
-// a pool's PoW input, fetch the block that actually extended it.
-func (c *Chain) SuccessorOf(id [32]byte) (*Block, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	h, ok := c.index[id]
-	if !ok || h+1 >= uint64(len(c.blocks)) {
-		return nil, false
-	}
-	return c.blocks[h+1], true
-}
-
 // SuccessorInfo is the append-time-cached summary of the block mined on top
 // of a given block: everything the §4.2 attribution sweep needs, with no
 // hashing.
@@ -216,8 +192,11 @@ type SuccessorInfo struct {
 	Root      [32]byte
 }
 
-// SuccessorInfoOf is SuccessorOf without the re-hashing: the successor's ID
-// and Merkle root come from the chain's append-time cache.
+// SuccessorInfoOf summarises the block mined directly on top of the block
+// with the given identifier. This is the §4.2 primitive: given the
+// prev-pointer from a pool's PoW input, fetch the block that actually
+// extended it — with no re-hashing, since the successor's ID and Merkle
+// root come from the chain's append-time cache.
 func (c *Chain) SuccessorInfoOf(id [32]byte) (SuccessorInfo, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -35,7 +35,6 @@ type BanConfig struct {
 	// Per-offense scores (defaults in parentheses).
 	DuplicateScore  float64 // resubmitted (job, nonce) (10)
 	StaleFloodScore float64 // consecutive stales past StaleFloodAfter (10)
-	MalformedScore  float64 // garbage frame / bad params / unknown type (5)
 	ForgedDiffScore float64 // job ID at a difficulty never served (10)
 	RateLimitScore  float64 // login or submit bucket exhausted (10)
 
@@ -46,11 +45,10 @@ type BanConfig struct {
 
 	// Login/submit token buckets, per identity. Rates are tokens/second;
 	// bursts the bucket capacity (and initial fill). Defaults: logins
-	// 5/s burst 10, submits 20/s burst 40.
+	// 5/s burst 10, submits 20/s; the submit burst is banSubmitBurst.
 	LoginRatePerSec  float64
 	LoginBurst       float64
 	SubmitRatePerSec float64
-	SubmitBurst      float64
 
 	// BanByRemoteHost additionally keys scores and bans on the peer's
 	// remote host ("ip:<host>"), so an attacker rotating site keys from
@@ -79,9 +77,6 @@ func (c *BanConfig) fillDefaults() {
 	if c.StaleFloodScore == 0 {
 		c.StaleFloodScore = 10
 	}
-	if c.MalformedScore == 0 {
-		c.MalformedScore = 5
-	}
 	if c.ForgedDiffScore == 0 {
 		c.ForgedDiffScore = 10
 	}
@@ -100,10 +95,15 @@ func (c *BanConfig) fillDefaults() {
 	if c.SubmitRatePerSec == 0 {
 		c.SubmitRatePerSec = 20
 	}
-	if c.SubmitBurst == 0 {
-		c.SubmitBurst = 40
-	}
 }
+
+const (
+	// banMalformedScore scores a garbage frame, bad params or an unknown
+	// message type.
+	banMalformedScore = 5
+	// banSubmitBurst is the submit bucket's capacity (and initial fill).
+	banSubmitBurst = 40
+)
 
 // abuseShardCount stripes the table; identities hash onto stripes so
 // concurrent submitters for different accounts rarely contend.
@@ -278,7 +278,7 @@ func (t *abuseTable) allowSubmit(key string, nowNs int64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entryLocked(key, nowNs)
-	refillLocked(&e.submitTokens, &e.submitAtNs, nowNs, t.cfg.SubmitRatePerSec, t.cfg.SubmitBurst)
+	refillLocked(&e.submitTokens, &e.submitAtNs, nowNs, t.cfg.SubmitRatePerSec, banSubmitBurst)
 	if e.submitTokens < 1 {
 		return false
 	}

@@ -58,21 +58,18 @@ func TestIDCodecRoundTrip(t *testing.T) {
 		if got := IDForIndex(idx); got != want {
 			t.Errorf("IDForIndex(%d) = %q, want %q", idx, got, want)
 		}
-		back, err := IndexForID(want)
-		if err != nil || back != idx {
-			t.Errorf("IndexForID(%q) = (%d, %v), want %d", want, back, err, idx)
-		}
 	}
 }
 
+// TestQuickIDCodec: IDs stay within the 8-byte buffer and distinct
+// creation indices never share an ID, so enumeration visits each link once.
 func TestQuickIDCodec(t *testing.T) {
-	f := func(i uint32) bool {
+	f := func(i, j uint32) bool {
 		id := IDForIndex(uint64(i))
 		if len(id) == 0 || len(id) > 8 {
 			return false
 		}
-		back, err := IndexForID(id)
-		return err == nil && back == uint64(i)
+		return i == j || id != IDForIndex(uint64(j))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -91,14 +88,6 @@ func TestIDSpaceMatchesPaperCount(t *testing.T) {
 	}
 	if got := IDForIndex(space); len(got) != 5 {
 		t.Errorf("first 5-char ID = %q", got)
-	}
-}
-
-func TestIndexForIDRejectsBadInput(t *testing.T) {
-	for _, bad := range []string{"", "UPPER", "sp ce", "way-too-long!", "ab_c"} {
-		if _, err := IndexForID(bad); err == nil {
-			t.Errorf("IndexForID(%q) accepted", bad)
-		}
 	}
 }
 
@@ -133,7 +122,7 @@ func TestJobTopology(t *testing.T) {
 		t.Fatalf("endpoints = %d, want 32", pool.NumEndpoints())
 	}
 	// Polling every endpoint across all slots must reveal exactly
-	// NumBackends × TemplatesPerBackend = 128 distinct PoW inputs, and one
+	// 16 backends × 8 templates = 128 distinct PoW inputs, and one
 	// endpoint alone at most 8 (the paper's key §4.2 observation).
 	distinct := map[string]bool{}
 	perEndpoint := map[string]bool{}

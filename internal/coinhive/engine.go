@@ -406,17 +406,17 @@ func (ms *MinerSession) Step(cmd Command) []Event {
 	case CmdGarbage:
 		// Fatal either way; scoring it means a reconnect-and-garbage loop
 		// still accumulates toward a ban.
-		if ms.offend(ms.eng.ban.MalformedScore, ms.abuseNowNs()) {
+		if ms.offend(banMalformedScore, ms.abuseNowNs()) {
 			return ms.evs
 		}
 		ms.emitError("bad message", true)
 	case CmdBadParams:
-		if ms.offend(ms.eng.ban.MalformedScore, ms.abuseNowNs()) {
+		if ms.offend(banMalformedScore, ms.abuseNowNs()) {
 			return ms.evs
 		}
 		ms.emitError(cmd.Reply, false)
 	case CmdUnknown:
-		if ms.offend(ms.eng.ban.MalformedScore, ms.abuseNowNs()) {
+		if ms.offend(banMalformedScore, ms.abuseNowNs()) {
 			return ms.evs
 		}
 		ms.emitError("unexpected "+cmd.Name, false)

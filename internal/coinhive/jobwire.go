@@ -40,7 +40,7 @@ func (p *Pool) newJobWire(j stratum.Job) *JobWire {
 func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *JobWire {
 	b := p.BackendOfEndpoint(endpoint)
 	sh := p.backends[b]
-	s := ((slot % p.cfg.TemplatesPerBackend) + p.cfg.TemplatesPerBackend) % p.cfg.TemplatesPerBackend
+	s := ((slot % templatesPerBackend) + templatesPerBackend) % templatesPerBackend
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if tip := p.cfg.Chain.TipID(); sh.tip != tip {
@@ -63,7 +63,7 @@ func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *JobWire {
 			if sh.wireDiff == nil {
 				sh.wireDiff = map[uint64][]*JobWire{}
 			}
-			tier = make([]*JobWire, p.cfg.TemplatesPerBackend)
+			tier = make([]*JobWire, templatesPerBackend)
 			sh.wireDiff[diff] = tier
 		}
 		if tier[s] == nil {

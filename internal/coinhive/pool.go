@@ -32,11 +32,12 @@ import (
 	"repro/internal/stratum"
 )
 
-// Topology constants observed by the paper.
+// Topology constants observed by the paper: 16 backend systems, each
+// serving 8 distinct templates per block behind 2 public endpoints.
 const (
-	DefaultNumBackends         = 16
-	DefaultTemplatesPerBackend = 8
-	DefaultEndpointsPerBackend = 2
+	DefaultNumBackends  = 16
+	templatesPerBackend = 8
+	endpointsPerBackend = 2
 )
 
 // accountStripeCount is the number of independent account locks. Tokens are
@@ -45,12 +46,9 @@ const accountStripeCount = 64
 
 // PoolConfig configures a Pool.
 type PoolConfig struct {
-	Chain               *blockchain.Chain
-	Wallet              blockchain.Address
-	Clock               simclock.Clock
-	NumBackends         int
-	TemplatesPerBackend int
-	EndpointsPerBackend int
+	Chain  *blockchain.Chain
+	Wallet blockchain.Address
+	Clock  simclock.Clock
 	// ShareDifficulty is the per-share difficulty for ordinary miners;
 	// LinkShareDifficulty the (lower) one for short-link visitors.
 	ShareDifficulty     uint64
@@ -93,15 +91,6 @@ type PoolConfig struct {
 }
 
 func (c *PoolConfig) fillDefaults() {
-	if c.NumBackends == 0 {
-		c.NumBackends = DefaultNumBackends
-	}
-	if c.TemplatesPerBackend == 0 {
-		c.TemplatesPerBackend = DefaultTemplatesPerBackend
-	}
-	if c.EndpointsPerBackend == 0 {
-		c.EndpointsPerBackend = DefaultEndpointsPerBackend
-	}
 	if c.ShareDifficulty == 0 {
 		c.ShareDifficulty = 256
 	}
@@ -348,14 +337,14 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	p.targetHex = stratum.EncodeTarget(cryptonight.DifficultyForTarget(cfg.ShareDifficulty))
 	p.linkTargetHex = stratum.EncodeTarget(cryptonight.DifficultyForTarget(cfg.LinkShareDifficulty))
 	tip := cfg.Chain.TipID()
-	p.backends = make([]*backendShard, cfg.NumBackends)
+	p.backends = make([]*backendShard, DefaultNumBackends)
 	for b := range p.backends {
 		sh := &backendShard{
-			templates:  make([]*blockchain.Block, cfg.TemplatesPerBackend),
-			blobs:      make([][]byte, cfg.TemplatesPerBackend),
-			jobBlobHex: make([]string, cfg.TemplatesPerBackend),
-			jobIDs:     make([]string, cfg.TemplatesPerBackend),
-			linkJobIDs: make([]string, cfg.TemplatesPerBackend),
+			templates:  make([]*blockchain.Block, templatesPerBackend),
+			blobs:      make([][]byte, templatesPerBackend),
+			jobBlobHex: make([]string, templatesPerBackend),
+			jobIDs:     make([]string, templatesPerBackend),
+			linkJobIDs: make([]string, templatesPerBackend),
 		}
 		p.refreshShardLocked(sh, b, tip)
 		p.backends[b] = sh
@@ -466,13 +455,13 @@ func (p *Pool) Ban() BanConfig { return p.cfg.Ban }
 func (p *Pool) Metrics() *metrics.Registry { return p.cfg.Metrics }
 
 // NumEndpoints returns the number of public WebSocket endpoints.
-func (p *Pool) NumEndpoints() int { return p.cfg.NumBackends * p.cfg.EndpointsPerBackend }
+func (p *Pool) NumEndpoints() int { return DefaultNumBackends * endpointsPerBackend }
 
 // BackendOfEndpoint maps a public endpoint index to its backend system:
 // two endpoints share one backend, as the paper infers ("this suggests
 // that there are two endpoints per backend system").
 func (p *Pool) BackendOfEndpoint(endpoint int) int {
-	return endpoint % p.cfg.NumBackends
+	return endpoint % DefaultNumBackends
 }
 
 // makeJobID encodes the owning backend, the shard's refresh generation and
@@ -624,7 +613,7 @@ func (st *accountStripe) accountLocked(token string) *Account {
 // Job hands out the current PoW input for an endpoint and connection slot —
 // obfuscated, exactly as Coinhive serves it. slot selects one of the
 // backend's rotating templates, so polling one endpoint reveals at most
-// TemplatesPerBackend distinct inputs per block (the paper measured 8).
+// templatesPerBackend distinct inputs per block (the paper measured 8).
 func (p *Pool) Job(endpoint, slot int, forLink bool) stratum.Job {
 	return p.jobWire(endpoint, slot, 0, forLink).Job
 }
@@ -740,7 +729,7 @@ func (p *Pool) reject(err error, token, jobID string, nonce uint32, diff uint64)
 // identifier the pool never issued, ErrStaleJob for one the chain has
 // outrun, ErrDuplicateShare for a share the account was already paid for.
 func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32, buf []byte) (tmpl *blockchain.Block, blob []byte, tip [32]byte, err error) {
-	if !refOK || ref.backend >= len(p.backends) || ref.slot >= p.cfg.TemplatesPerBackend {
+	if !refOK || ref.backend >= len(p.backends) || ref.slot >= templatesPerBackend {
 		return nil, nil, tip, ErrUnknownJob
 	}
 	// A vardiff-tier ID is only meaningful when vardiff is on and its
@@ -855,13 +844,13 @@ func (p *Pool) credit(token string, memoKey, diff uint64) (total uint64, err err
 func (p *Pool) ProduceWinningBlock(ts uint64, backend int, nonce uint32) (*blockchain.Block, error) {
 	p.settleMu.Lock()
 	defer p.settleMu.Unlock()
-	b := ((backend % p.cfg.NumBackends) + p.cfg.NumBackends) % p.cfg.NumBackends
+	b := ((backend % DefaultNumBackends) + DefaultNumBackends) % DefaultNumBackends
 	sh := p.backends[b]
 	sh.mu.Lock()
 	if tip := p.cfg.Chain.TipID(); sh.tip != tip {
 		p.refreshShardLocked(sh, b, tip)
 	}
-	tmpl := sh.templates[int(nonce)%p.cfg.TemplatesPerBackend]
+	tmpl := sh.templates[int(nonce)%templatesPerBackend]
 	sh.mu.Unlock()
 	won := &blockchain.Block{Header: tmpl.Header, Coinbase: tmpl.Coinbase, TxHashes: tmpl.TxHashes}
 	if ts > won.Timestamp {

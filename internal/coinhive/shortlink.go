@@ -31,36 +31,6 @@ func IDForIndex(i uint64) string {
 	return string(buf[pos:])
 }
 
-// IndexForID is the inverse of IDForIndex: index = offset(len) + value,
-// where offset(L) = 36 + 36² + … + 36^(L−1) counts all shorter IDs and
-// value is the plain base-36 reading of the string.
-func IndexForID(id string) (uint64, error) {
-	if id == "" || len(id) > 8 {
-		return 0, fmt.Errorf("coinhive: bad link id %q", id)
-	}
-	var value uint64
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'z':
-			d = uint64(c-'a') + 10
-		default:
-			return 0, fmt.Errorf("coinhive: bad link id %q", id)
-		}
-		value = value*36 + d
-	}
-	var offset uint64
-	pow := uint64(36)
-	for k := 1; k < len(id); k++ {
-		offset += pow
-		pow *= 36
-	}
-	return offset + value, nil
-}
-
 // Link is one short link.
 type Link struct {
 	ID       string

@@ -21,7 +21,7 @@ import (
 //	ideal = current × observed / goal
 //
 // (the difficulty that would have produced the goal cadence at the
-// session's implied hashrate), damped to at most ×MaxStepFactor per step
+// session's implied hashrate), damped to at most ×vardiffMaxStep per step
 // and clamped to [MinDifficulty, MaxDifficulty]. Credit always equals the
 // difficulty actually served — it is encoded in the job ID (see makeJobID)
 // — so TotalHashes/second stays an unbiased hashrate estimate across
@@ -49,18 +49,20 @@ type VardiffConfig struct {
 	// this many accepts since the last retarget (default 4). Short-lived
 	// sessions below it never retarget.
 	MinWindowShares int
-	// HysteresisPct is the dead band: observed cadence within ±this
-	// percent of the goal is jitter, not signal (default 30).
-	HysteresisPct int
-	// MaxStepFactor damps each retarget to at most ×/÷ this factor
-	// (default 8).
-	MaxStepFactor uint64
-	// IdleGraceShares is the idle downstep trigger: a session silent for
-	// this many goal share intervals has its difficulty halved on its
-	// next keepalive (default 4; server-clocked dialects only — the ws
-	// dialect has no unsolicited client traffic to evaluate on).
-	IdleGraceShares int
 }
+
+const (
+	// vardiffHysteresisPct is the dead band: observed cadence within ±this
+	// percent of the goal is jitter, not signal.
+	vardiffHysteresisPct = 30
+	// vardiffMaxStep damps each retarget to at most ×/÷ this factor.
+	vardiffMaxStep = 8
+	// vardiffIdleGrace is the idle downstep trigger: a session silent for
+	// this many goal share intervals has its difficulty halved on its next
+	// keepalive (server-clocked dialects only — the ws dialect has no
+	// unsolicited client traffic to evaluate on).
+	vardiffIdleGrace = 4
+)
 
 // Enabled reports whether vardiff is configured on.
 func (c VardiffConfig) Enabled() bool { return c.TargetSharesPerMin > 0 }
@@ -98,15 +100,6 @@ func (c *VardiffConfig) fillDefaults(shareDiff uint64) {
 	if c.MinWindowShares > c.WindowShares {
 		c.MinWindowShares = c.WindowShares
 	}
-	if c.HysteresisPct == 0 {
-		c.HysteresisPct = 30
-	}
-	if c.MaxStepFactor == 0 {
-		c.MaxStepFactor = 8
-	}
-	if c.IdleGraceShares == 0 {
-		c.IdleGraceShares = 4
-	}
 }
 
 // clampDiff bounds a difficulty to the configured range.
@@ -130,13 +123,13 @@ func (c VardiffConfig) retarget(cur uint64, observedPerMin float64) (uint64, boo
 	if cur == 0 {
 		cur = 1
 	}
-	band := c.TargetSharesPerMin * float64(c.HysteresisPct) / 100
+	band := c.TargetSharesPerMin * vardiffHysteresisPct / 100
 	if observedPerMin >= c.TargetSharesPerMin-band && observedPerMin <= c.TargetSharesPerMin+band {
 		return cur, false
 	}
 	fcur := float64(cur)
 	ideal := fcur * (observedPerMin / c.TargetSharesPerMin)
-	step := float64(c.MaxStepFactor)
+	step := float64(vardiffMaxStep)
 	if !(ideal <= fcur*step) { // also catches +Inf and NaN
 		ideal = fcur * step
 	}
@@ -227,7 +220,7 @@ func (ms *MinerSession) vardiffAccept(nowNs int64) (uint64, bool) {
 func (ms *MinerSession) vardiffIdle(nowNs int64) (uint64, bool) {
 	vd := &ms.eng.vardiff
 	goalIntervalNs := int64(float64(time.Minute) / vd.TargetSharesPerMin)
-	if nowNs-ms.lastAcceptNs < int64(vd.IdleGraceShares)*goalIntervalNs {
+	if nowNs-ms.lastAcceptNs < vardiffIdleGrace*goalIntervalNs {
 		return 0, false
 	}
 	cur := ms.curDiff.Load()

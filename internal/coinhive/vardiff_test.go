@@ -118,7 +118,7 @@ func TestVardiffDefaults(t *testing.T) {
 	if c.MinDifficulty != 1 || c.MaxDifficulty != 256<<12 {
 		t.Errorf("clamp defaults = [%d, %d], want [1, %d]", c.MinDifficulty, c.MaxDifficulty, 256<<12)
 	}
-	if c.WindowShares != 8 || c.MinWindowShares != 4 || c.HysteresisPct != 30 || c.MaxStepFactor != 8 {
+	if c.WindowShares != 8 || c.MinWindowShares != 4 {
 		t.Errorf("window defaults = %+v", c)
 	}
 

@@ -253,6 +253,29 @@ func BenchmarkSumTestVariant(b *testing.B) {
 	}
 }
 
+func BenchmarkSumLiteVariant(b *testing.B) {
+	h, _ := NewHasher(Lite)
+	blob := make([]byte, 76)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Sum(blob)
+	}
+}
+
+// BenchmarkGrindTestVariant measures one nonce attempt of the Grind kernel
+// (splice + hash + compact-target check) under the Test profile; the
+// unmeetable target 0 makes every op exactly one hash.
+func BenchmarkGrindTestVariant(b *testing.B) {
+	h, _ := NewHasher(Test)
+	blob := make([]byte, 76)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Grind(blob, 39, 0, uint32(i), 1)
+	}
+}
+
 func BenchmarkSumFullVariant(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full 2MB profile")

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/blockchain"
 )
 
 // The paper's closing economics (§4.2 takeaway and §6): Coinhive turns over
@@ -94,9 +92,3 @@ func (r EconomicsResult) Render() string {
 	fmt.Fprintf(&b, "whole-service turnover at 5.5 MH/s: %.0f USD/month (paper: ~150,000)\n", r.PoolMonthlyUSD)
 	return b.String()
 }
-
-// MonthlyUSD converts a Table 6 XMR figure at the paper's exchange rate.
-func MonthlyUSD(xmr float64) float64 { return xmr * 120 }
-
-// AtomicToXMR converts atomic units.
-func AtomicToXMR(a uint64) float64 { return float64(a) / blockchain.AtomicPerXMR }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blockchain"
 	"repro/internal/fingerprint"
 	"repro/internal/rulespace"
 	"repro/internal/webgen"
@@ -306,14 +305,5 @@ func TestEconomicsModel(t *testing.T) {
 	ratio := res100.USDPerVisitorHour / res.USDPerVisitorHour
 	if ratio < 4.9 || ratio > 5.1 {
 		t.Errorf("revenue not linear in hash rate: ×%.2f for ×5 rate", ratio)
-	}
-}
-
-func TestAtomicConversions(t *testing.T) {
-	if got := AtomicToXMR(blockchain.AtomicPerXMR); got != 1 {
-		t.Errorf("1 XMR = %v", got)
-	}
-	if got := MonthlyUSD(1250); got != 150_000 {
-		t.Errorf("1250 XMR = %v USD, want 150000", got)
 	}
 }

@@ -273,31 +273,3 @@ func PartialDB(skipEvery int) *DB {
 	}
 	return db
 }
-
-// TopFamilies tallies verdicts by family and returns (family, count) pairs
-// sorted descending — the shape of the paper's Table 1.
-func TopFamilies(verdicts []Verdict) []FamilyCount {
-	counts := map[string]int{}
-	for _, v := range verdicts {
-		if v.Miner {
-			counts[v.Family]++
-		}
-	}
-	out := make([]FamilyCount, 0, len(counts))
-	for f, c := range counts {
-		out = append(out, FamilyCount{Family: f, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Family < out[j].Family
-	})
-	return out
-}
-
-// FamilyCount is one Table 1 row.
-type FamilyCount struct {
-	Family string
-	Count  int
-}

@@ -188,19 +188,6 @@ func TestPartialDBStillClassifiesViaHeuristics(t *testing.T) {
 	}
 }
 
-func TestTopFamiliesOrdering(t *testing.T) {
-	verdicts := []Verdict{
-		{Miner: true, Family: "coinhive"},
-		{Miner: true, Family: "coinhive"},
-		{Miner: true, Family: "cryptoloot"},
-		{Miner: false, Family: "benign"},
-	}
-	top := TopFamilies(verdicts)
-	if len(top) != 2 || top[0].Family != "coinhive" || top[0].Count != 2 {
-		t.Errorf("top = %+v", top)
-	}
-}
-
 func BenchmarkSignatureOf(b *testing.B) {
 	spec, _ := SpecByName(FamilyCoinhive)
 	m := ModuleFor(spec, 0)

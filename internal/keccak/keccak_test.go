@@ -169,5 +169,4 @@ func TestOneShotHashesAllocateNothing(t *testing.T) {
 	}
 }
 
-// Benchmarks live in bench_test.go (external test package), delegating to
-// internal/benchcore so cmd/bench measures the identical workloads.
+// Benchmarks live in bench_test.go (external test package).

@@ -96,8 +96,6 @@ type Config struct {
 	// pool's own registry gives one unified /metrics view; nil gets a
 	// private one.
 	Registry *metrics.Registry
-	// OracleMaxHashes bounds the per-input pre-grind (see Oracle).
-	OracleMaxHashes int
 }
 
 func (c *Config) fillDefaults() {
@@ -390,7 +388,7 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 	reg := cfg.Registry
 	return &Swarm{
 		cfg:    cfg,
-		oracle: NewOracle(cfg.Variant, cfg.OracleMaxHashes),
+		oracle: NewOracle(cfg.Variant),
 		// The queue holds every session plus slack, so enqueues from
 		// workers and timers never block.
 		runq:       make(chan *minerSession, cfg.Sessions+cfg.Workers),

@@ -27,8 +27,7 @@ import (
 // per-account, exactly like the real service's (absent) cross-account
 // defense.
 type Oracle struct {
-	variant   cryptonight.Variant
-	maxHashes int
+	variant cryptonight.Variant
 
 	mu      sync.Mutex
 	entries map[string]*oracleEntry
@@ -58,14 +57,14 @@ type oracleEntry struct {
 	err  error
 }
 
-// NewOracle builds an oracle for the given PoW profile. maxHashes bounds
-// the grind per solution (0 means 1<<16); at the low share difficulties a
-// load target runs with, the expected cost is a handful of hashes.
-func NewOracle(v cryptonight.Variant, maxHashes int) *Oracle {
-	if maxHashes <= 0 {
-		maxHashes = 1 << 16
-	}
-	return &Oracle{variant: v, maxHashes: maxHashes, entries: map[string]*oracleEntry{}}
+// oracleMaxHashes bounds the grind per solution; at the low share
+// difficulties a load target runs with, the expected cost is a handful of
+// hashes.
+const oracleMaxHashes = 1 << 16
+
+// NewOracle builds an oracle for the given PoW profile.
+func NewOracle(v cryptonight.Variant) *Oracle {
+	return &Oracle{variant: v, entries: map[string]*oracleEntry{}}
 }
 
 // SolveSeq returns the seq-th distinct nonce/result pair meeting the
@@ -129,10 +128,10 @@ func (o *Oracle) grind(job session.Job, start uint32) (uint32, [32]byte, error) 
 		return 0, [32]byte{}, err
 	}
 	defer cryptonight.PutHasher(h)
-	nonce, sum, _, found := h.Grind(job.Blob, job.NonceOffset, job.Target, start, o.maxHashes)
+	nonce, sum, _, found := h.Grind(job.Blob, job.NonceOffset, job.Target, start, oracleMaxHashes)
 	if !found {
 		return 0, [32]byte{}, fmt.Errorf("loadgen: no share within %d hashes from nonce %d for target %08x (share difficulty too high for load generation)",
-			o.maxHashes, start, job.Target)
+			oracleMaxHashes, start, job.Target)
 	}
 	return nonce, sum, nil
 }

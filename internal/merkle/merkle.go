@@ -56,56 +56,3 @@ func TreeHash(hashes []Hash) Hash {
 		return hashPair(ints[0], ints[1])
 	}
 }
-
-// Branch returns the per-level sibling hashes proving that the leaf at
-// position 0 (the coinbase transaction) is included in the tree. Monero uses
-// coinbase branches for merge mining; we use them in tests as an
-// independent witness that TreeHash composes correctly.
-func Branch(hashes []Hash) []Hash {
-	n := len(hashes)
-	if n == 0 {
-		panic("merkle: branch of zero leaves")
-	}
-	if n == 1 {
-		return nil
-	}
-	if n == 2 {
-		return []Hash{hashes[1]}
-	}
-	cnt := 1
-	for cnt<<1 < n {
-		cnt <<= 1
-	}
-	ints := make([]Hash, cnt)
-	carried := 2*cnt - n
-	copy(ints, hashes[:carried])
-	for i, j := carried, carried; i < n; i, j = i+2, j+1 {
-		ints[j] = hashPair(hashes[i], hashes[i+1])
-	}
-	var branch []Hash
-	if carried == 0 {
-		// n is a power of two: leaf 0 was already paired with leaf 1 in the
-		// first reduction, so that sibling leads the branch.
-		branch = append(branch, hashes[1])
-	}
-	// Leaf 0 stays at index 0 through every remaining reduction, so its
-	// sibling at each level is ints[1]; collecting before each reduction
-	// yields leaf-first order directly.
-	for cnt > 1 {
-		branch = append(branch, ints[1])
-		cnt >>= 1
-		for i := 0; i < cnt; i++ {
-			ints[i] = hashPair(ints[2*i], ints[2*i+1])
-		}
-	}
-	return branch
-}
-
-// FromBranch folds a coinbase hash through its branch, reproducing the root.
-func FromBranch(leaf Hash, branch []Hash) Hash {
-	h := leaf
-	for _, s := range branch {
-		h = hashPair(h, s)
-	}
-	return h
-}

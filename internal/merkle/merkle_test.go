@@ -72,23 +72,38 @@ func TestTreeHashSensitivity(t *testing.T) {
 	}
 }
 
-func TestBranchReproducesRoot(t *testing.T) {
-	for n := 1; n <= 33; n++ {
-		h := leaves(n)
-		root := TreeHash(h)
-		br := Branch(h)
-		if got := FromBranch(h[0], br); got != root {
-			t.Fatalf("n=%d: FromBranch = %x, want %x", n, got[:4], root[:4])
-		}
+// referenceTreeHash is the CryptoNote tree hash written level by level:
+// carry the leading 2·cnt−n leaves, pair the rest, then halve to the root.
+func referenceTreeHash(h []Hash) Hash {
+	if len(h) == 1 {
+		return h[0]
 	}
+	cnt := 1
+	for 2*cnt < len(h) {
+		cnt *= 2
+	}
+	carried := 2*cnt - len(h)
+	level := append([]Hash{}, h[:carried]...)
+	for i := carried; i < len(h); i += 2 {
+		level = append(level, hashPair(h[i], h[i+1]))
+	}
+	for len(level) > 1 {
+		var next []Hash
+		for i := 0; i < len(level); i += 2 {
+			next = append(next, hashPair(level[i], level[i+1]))
+		}
+		level = next
+	}
+	return level[0]
 }
 
-func TestBranchLength(t *testing.T) {
-	// Branch length is ceil(log2) of the reduced tree depth.
-	cases := map[int]int{1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 8: 3, 9: 3, 16: 4, 17: 4}
-	for n, want := range cases {
-		if got := len(Branch(leaves(n))); got != want {
-			t.Errorf("n=%d: branch len = %d, want %d", n, got, want)
+// TestTreeHashMatchesReference checks the in-place reduction against the
+// level-by-level definition across every carry shape up to 33 leaves.
+func TestTreeHashMatchesReference(t *testing.T) {
+	for n := 1; n <= 33; n++ {
+		h := leaves(n)
+		if got, want := TreeHash(h), referenceTreeHash(h); got != want {
+			t.Fatalf("n=%d: TreeHash = %x, want %x", n, got[:4], want[:4])
 		}
 	}
 }

@@ -135,8 +135,6 @@ type Config struct {
 	// (gossiped-in shares). Locally-accepted shares were already
 	// verified by the pool and skip it.
 	Verify Verifier
-	// MaxHeightSkew bounds claimed heights (DefaultMaxHeightSkew if 0).
-	MaxHeightSkew uint64
 	// FeePercent is the pool cut applied by PayoutVector (30 if 0).
 	FeePercent int
 	// Metrics receives pool.sharechain_* instruments (nil: private).
@@ -186,9 +184,6 @@ type account struct {
 func New(cfg Config) *Chain {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.MaxHeightSkew == 0 {
-		cfg.MaxHeightSkew = DefaultMaxHeightSkew
 	}
 	if cfg.FeePercent == 0 {
 		cfg.FeePercent = 30
@@ -288,7 +283,7 @@ func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 	if dup {
 		return false, ErrDuplicate
 	}
-	if e.Height > tipH+c.cfg.MaxHeightSkew {
+	if e.Height > tipH+DefaultMaxHeightSkew {
 		return false, ErrHeightSkew
 	}
 	if !verified {
@@ -308,7 +303,7 @@ func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 	}
 	// Re-check the skew bound against the tip as it stands now: the
 	// pre-lock check ran against a stale snapshot.
-	if n := len(c.entries); n > 0 && e.Height > c.entries[n-1].Height+c.cfg.MaxHeightSkew {
+	if n := len(c.entries); n > 0 && e.Height > c.entries[n-1].Height+DefaultMaxHeightSkew {
 		return false, ErrHeightSkew
 	}
 	c.entries = append(c.entries, nil)

@@ -2,11 +2,19 @@ package simclock_test
 
 import (
 	"testing"
+	"time"
 
-	"repro/internal/benchcore"
+	"repro/internal/simclock"
 )
 
 // BenchmarkSchedulePop measures one schedule/pop cycle on the de-boxed
-// event heap. The body lives in internal/benchcore, shared with cmd/bench
-// so BENCH_core.json measures the identical workload.
-func BenchmarkSchedulePop(b *testing.B) { benchcore.SchedulePop(b) }
+// event heap with a prebuilt handler — allocation-free at steady state.
+func BenchmarkSchedulePop(b *testing.B) {
+	s := simclock.New(time.Date(2018, 4, 26, 0, 0, 0, 0, time.UTC))
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.ScheduleAfter(time.Millisecond, fn)
+		s.RunFor(2 * time.Millisecond)
+	}
+}

@@ -38,27 +38,24 @@ import (
 	"repro/internal/metrics"
 )
 
-// Options tune aggregation granularity and retention.
+// Options tune aggregation granularity.
 type Options struct {
 	// BucketNs is the time-series bucket width (default 10s).
 	BucketNs int64
-	// MaxBuckets caps each series' retained buckets (default 1024).
-	MaxBuckets int
-	// Recent caps the blocks and bans rings (default 512).
-	Recent int
 }
 
 func (o *Options) fillDefaults() {
 	if o.BucketNs <= 0 {
 		o.BucketNs = 10 * int64(time.Second)
 	}
-	if o.MaxBuckets <= 0 {
-		o.MaxBuckets = 1024
-	}
-	if o.Recent <= 0 {
-		o.Recent = 512
-	}
 }
+
+// Retention: each series keeps its last maxBuckets buckets, the blocks
+// and bans rings their last maxRecent entries.
+const (
+	maxBuckets = 1024
+	maxRecent  = 512
+)
 
 // API is the /api/v1 handler. One mutex guards the aggregates; the
 // critical section per request is the ingest of *new* events plus an
@@ -128,7 +125,7 @@ type seriesAgg struct {
 // at returns the bucket for time t, appending (or rolling forward to)
 // it as needed. Events arrive in archive order, so out-of-order times
 // land in the newest bucket rather than allocating history backwards.
-func (s *seriesAgg) at(t int64, bucketNs int64, maxBuckets int) *bucket {
+func (s *seriesAgg) at(t int64, bucketNs int64) *bucket {
 	bt := t - t%bucketNs
 	if n := len(s.buckets); n > 0 && s.buckets[n-1].T >= bt {
 		return &s.buckets[n-1]
@@ -176,10 +173,10 @@ type ring[T any] struct {
 	items []T
 }
 
-func (r *ring[T]) push(v T, max int) {
+func (r *ring[T]) push(v T) {
 	r.items = append(r.items, v)
-	if len(r.items) > max {
-		drop := len(r.items) - max
+	if len(r.items) > maxRecent {
+		drop := len(r.items) - maxRecent
 		r.items = append(r.items[:0], r.items[drop:]...)
 		r.base += int64(drop)
 	}
@@ -214,27 +211,27 @@ func (a *API) apply(ev *archive.Event) {
 		}
 		acct.credit += ev.Amount
 		acct.shares++
-		b := acct.series.at(ev.TimeNs, a.opts.BucketNs, a.opts.MaxBuckets)
+		b := acct.series.at(ev.TimeNs, a.opts.BucketNs)
 		b.Hashes += ev.Amount
 		b.Accepted++
-		pb := a.pool.at(ev.TimeNs, a.opts.BucketNs, a.opts.MaxBuckets)
+		pb := a.pool.at(ev.TimeNs, a.opts.BucketNs)
 		pb.Hashes += ev.Amount
 		pb.Accepted++
 	case archive.KindShareStale:
-		a.pool.at(ev.TimeNs, a.opts.BucketNs, a.opts.MaxBuckets).Stale++
+		a.pool.at(ev.TimeNs, a.opts.BucketNs).Stale++
 	case archive.KindShareDuplicate:
-		a.pool.at(ev.TimeNs, a.opts.BucketNs, a.opts.MaxBuckets).Dup++
+		a.pool.at(ev.TimeNs, a.opts.BucketNs).Dup++
 	case archive.KindShareRejected:
-		a.pool.at(ev.TimeNs, a.opts.BucketNs, a.opts.MaxBuckets).Rejected++
+		a.pool.at(ev.TimeNs, a.opts.BucketNs).Rejected++
 	case archive.KindBlockFound:
 		a.blocks.push(blockEntry{
 			Height:    ev.Height,
 			Timestamp: ev.Aux,
 			Backend:   int(ev.Aux2),
 			Reward:    ev.Amount,
-		}, a.opts.Recent)
+		})
 	case archive.KindBan:
-		a.bans.push(banEntry{TimeNs: ev.TimeNs, Identity: ev.Actor}, a.opts.Recent)
+		a.bans.push(banEntry{TimeNs: ev.TimeNs, Identity: ev.Actor})
 	case archive.KindPayout:
 		if acct := a.accounts[ev.Actor]; acct != nil {
 			acct.paid += ev.Amount

@@ -38,13 +38,6 @@ func (b *BodyBuilder) I32Const(v int32) *BodyBuilder {
 	return b
 }
 
-// I64Const emits an i64.const.
-func (b *BodyBuilder) I64Const(v int64) *BodyBuilder {
-	b.buf = append(b.buf, byte(OpI64Const))
-	b.buf = appendS64(b.buf, v)
-	return b
-}
-
 // Block emits a void block header; pair with End.
 func (b *BodyBuilder) Block(op Opcode) *BodyBuilder {
 	b.buf = append(b.buf, byte(op), 0x40)
