@@ -21,9 +21,12 @@ test-short:
 
 # Race-detector pass over the concurrent pool core and its drivers
 # (including the TCP stratum push fan-out, the loadgen swarm, the client
-# session/dialect layer and the loadd front-end).
+# session/dialect layer and the loadd front-end) and over the federation
+# packages, where a share-chain fold takes the write lock while gossip
+# readers call Has and EntriesFrom.
 test-race:
-	$(GO) test -race ./internal/coinhive/... ./internal/webminer/... ./internal/loadgen/... ./internal/session/... ./internal/stratum/... ./internal/ws/... ./cmd/loadd/...
+	$(GO) test -race ./internal/coinhive/... ./internal/webminer/... ./internal/loadgen/... ./internal/session/... ./internal/stratum/... ./internal/ws/... ./cmd/loadd/... \
+		./internal/sharechain/... ./internal/p2p/... ./internal/handoff/... ./internal/archive/...
 
 # Project-specific static analysis (internal/lint via cmd/repolint):
 # lockscope, hotpath, atomicfield, metricname and layering over every

@@ -85,7 +85,10 @@ type Node struct {
 	gossiped    *metrics.Counter
 	ingested    *metrics.Counter
 	duplicate   *metrics.Counter
+	rejected    *metrics.Counter
 	syncRounds  *metrics.Counter
+	syncSent    *metrics.Counter
+	adopted     *metrics.Counter
 	reconnects  *metrics.Counter
 	sendDrops   *metrics.Counter
 	broadcastNs *metrics.Histogram
@@ -119,7 +122,10 @@ func NewNode(cfg Config) (*Node, error) {
 		gossiped:    cfg.Registry.Counter("p2p.shares_gossiped"),
 		ingested:    cfg.Registry.Counter("p2p.shares_ingested"),
 		duplicate:   cfg.Registry.Counter("p2p.shares_duplicate"),
+		rejected:    cfg.Registry.Counter("p2p.shares_rejected"),
 		syncRounds:  cfg.Registry.Counter("p2p.sync_rounds"),
+		syncSent:    cfg.Registry.Counter("p2p.sync_entries_sent"),
+		adopted:     cfg.Registry.Counter("p2p.checkpoints_adopted"),
 		reconnects:  cfg.Registry.Counter("p2p.reconnects"),
 		sendDrops:   cfg.Registry.Counter("p2p.send_drops"),
 		broadcastNs: cfg.Registry.Histogram("p2p.broadcast_ns"),
@@ -442,7 +448,13 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 			if maxN <= 0 || maxN > syncBatch {
 				maxN = syncBatch
 			}
+			// A requester starting below our horizon needs the folded
+			// history first: the held range alone does not reach back to it.
+			if cp, ok := n.cfg.Chain.Checkpoint(); ok && r.From <= cp.Height {
+				p.sendq.Offer(AppendCheckpointFrame(nil, &cp))
+			}
 			entries := n.cfg.Chain.EntriesFrom(r.From, maxN)
+			n.syncSent.Add(uint64(len(entries)))
 			tip, count := n.cfg.Chain.Tip()
 			p.sendq.Offer(AppendSyncRespFrame(nil, uint64(count), tip, entries))
 		case frameSyncResp:
@@ -451,6 +463,19 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 				return err
 			}
 			n.finishSyncRound(p, t, entries)
+		case frameCheckpoint:
+			cp, err := decodeCheckpoint(body)
+			if err != nil {
+				return err
+			}
+			// Only a checkpoint that answers our own sync request is
+			// adopted: it is taken on this peer's word.
+			p.mu.Lock()
+			asked := p.syncing
+			p.mu.Unlock()
+			if asked && n.cfg.Chain.Adopt(cp) {
+				n.adopted.Inc()
+			}
 		case frameHello:
 			// A second hello on a live link is a protocol violation.
 			return ErrUnknownFrame
@@ -462,17 +487,24 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 
 // ingest admits one gossiped entry into the chain and relays it to the
 // other peers — relay is what makes non-mesh topologies (lines, stars)
-// converge without every node dialing every other.
+// converge without every node dialing every other. Every refusal is
+// counted: duplicates here, entries below the horizon by the chain, and
+// the rest — bad PoW, height skew, malformed — as rejected.
 func (n *Node) ingest(from *peer, e *sharechain.Entry) {
 	if n.cfg.Chain.Has(e) {
 		n.duplicate.Inc()
 		return
 	}
 	reorged, err := n.cfg.Chain.Insert(e, false)
-	if err != nil {
-		if errors.Is(err, sharechain.ErrDuplicate) {
-			n.duplicate.Inc()
-		}
+	switch {
+	case err == nil:
+	case errors.Is(err, sharechain.ErrDuplicate):
+		n.duplicate.Inc()
+		return
+	case errors.Is(err, sharechain.ErrBelowHorizon):
+		return
+	default:
+		n.rejected.Inc()
 		return
 	}
 	n.ingested.Inc()
@@ -485,7 +517,9 @@ func (n *Node) ingest(from *peer, e *sharechain.Entry) {
 // maybeSync starts a catch-up round with a peer whose announced tip
 // shows it holds entries we lack: a larger count, or an equal count
 // with a different tip (divergent sets of the same size). One round is
-// in flight per peer at a time.
+// in flight per peer at a time. The round starts at our own horizon —
+// everything below it is folded and settled — or at 0 while nothing has
+// folded; a peer whose horizon is higher leads with its checkpoint.
 func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	tip, count := n.cfg.Chain.Tip()
 	behind := remoteCount > uint64(count) ||
@@ -501,7 +535,11 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	p.syncing = true
 	p.mu.Unlock()
 	n.syncRounds.Inc()
-	p.sendq.Offer(AppendSyncReqFrame(nil, 0, uint32(syncBatch)))
+	var from uint64
+	if cp, ok := n.cfg.Chain.Checkpoint(); ok {
+		from = cp.Height
+	}
+	p.sendq.Offer(AppendSyncReqFrame(nil, from, uint32(syncBatch)))
 }
 
 // finishSyncRound ingests a sync batch and either continues the round

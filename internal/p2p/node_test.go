@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -388,4 +389,232 @@ func TestDuplicateGossipCounted(t *testing.T) {
 			t.Fatalf("node %d credit = %d, want 30", i, got)
 		}
 	}
+}
+
+// TestIngestCountsRefusals: every share frame a node refuses is counted —
+// a duplicate as a duplicate, one below the horizon by the chain, and bad
+// PoW, height skew and a malformed entry as rejected.
+func TestIngestCountsRefusals(t *testing.T) {
+	reg := metrics.NewRegistry()
+	chain := sharechain.New(sharechain.Config{Window: 8, Metrics: reg, Verify: func(e *sharechain.Entry) error {
+		if e.Token == "forged" {
+			return sharechain.ErrBadPoW
+		}
+		return nil
+	}})
+	chain.Adopt(sharechain.Checkpoint{Count: 50, Height: 100}) // a horizon at height 100
+	node, err := NewNode(Config{NodeID: 9, Chain: chain, Registry: reg, TipInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	good := testEntry(101, "good", 1, 1)
+	frames := []*sharechain.Entry{
+		good,
+		good,                           // duplicate
+		testEntry(102, "forged", 1, 2), // bad PoW
+		testEntry(101+sharechain.DefaultMaxHeightSkew+1, "far", 1, 3), // height skew
+		{Height: 103, Token: "zero", Diff: 0, Blob: []byte{1}},        // malformed
+		testEntry(50, "late", 1, 4),                                   // below the horizon
+	}
+	want := map[string]uint64{
+		"p2p.shares_ingested":           1,
+		"p2p.shares_duplicate":          1,
+		"p2p.shares_rejected":           3,
+		"pool.sharechain_below_horizon": 1,
+	}
+	runHandshake(t, node, func(c net.Conn) {
+		h := hello{Version: ProtocolVersion, NodeID: 5}
+		c.Write(AppendHelloFrame(nil, &h))
+		for _, e := range frames {
+			c.Write(AppendShareFrame(nil, e))
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for name, n := range want {
+			for reg.Counter(name).Load() != n {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s = %d, want %d", name, reg.Counter(name).Load(), n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		c.Close()
+	})
+}
+
+// TestSyncRequestStartsAtHorizon: a node behind a peer asks for entries
+// from its own horizon — the height of its last folded entry — and from 0
+// only while nothing has folded.
+func TestSyncRequestStartsAtHorizon(t *testing.T) {
+	for _, base := range []uint64{0, 100} {
+		chain := sharechain.New(sharechain.Config{Window: 8, Verify: acceptAll})
+		if base > 0 {
+			chain.Adopt(sharechain.Checkpoint{Count: 50, Height: base})
+		}
+		node, err := NewNode(Config{NodeID: 9, Chain: chain, TipInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runHandshake(t, node, func(c net.Conn) {
+			h := hello{Version: ProtocolVersion, NodeID: 5, Count: 1000, Tip: [32]byte{1}}
+			c.Write(AppendHelloFrame(nil, &h))
+			br := bufio.NewReader(c)
+			for {
+				kind, body, err := readFrame(br)
+				if err != nil {
+					t.Fatalf("base %d: no sync request: %v", base, err)
+				}
+				if kind == frameSyncReq {
+					if r, err := decodeSyncReq(body); err != nil || r.From != base {
+						t.Fatalf("base %d: sync request from %d (%v), want %d", base, r.From, err, base)
+					}
+					break
+				}
+			}
+			c.Close()
+		})
+		node.Close()
+	}
+}
+
+// The share-chain's finality horizon (unexported there): a chain holds at
+// most window + reorgDepth + foldChunk entries, which bounds a catch-up.
+const (
+	testWindow     = 64 // startNode's
+	testReorgDepth = 8192
+	testFoldChunk  = 4096
+	heldBound      = testWindow + testReorgDepth + testFoldChunk
+)
+
+// mintConverged mints entries from..to-1 round-robin on minters, 200 at a
+// time — well inside the reorg depth, so no entry is ever later than the
+// horizon allows — and waits for every node in all to converge after each
+// batch.
+func mintConverged(t *testing.T, minters, all []*testNode, from, to int) {
+	t.Helper()
+	for i := from; i < to; {
+		end := min(to, i+200)
+		for ; i < end; i++ {
+			mint(t, minters[i%len(minters)], fmt.Sprintf("acct%d", i%5), uint64(1+i%7), uint32(i))
+		}
+		waitConverged(t, end, all...)
+	}
+}
+
+// requireSameBooks checks what waitConverged does not: window weights.
+func requireSameBooks(t *testing.T, nodes ...*testNode) {
+	t.Helper()
+	refW, refT := nodes[0].chain.WindowWeights()
+	for i, n := range nodes[1:] {
+		if w, tot := n.chain.WindowWeights(); tot != refT || !reflect.DeepEqual(w, refW) {
+			t.Fatalf("node %d window diverged", i+1)
+		}
+	}
+}
+
+// TestCatchUpAfterMissedFold: a node that misses a whole fold chunk while
+// its link is down heals on reconnect by adopting the peer's checkpoint
+// and streaming the peer's held range — at most window + reorgDepth +
+// foldChunk entries, counted on the responder — not the history.
+func TestCatchUpAfterMissedFold(t *testing.T) {
+	a := startNode(t, 1)
+	regB := metrics.NewRegistry()
+	b := &testNode{chain: sharechain.New(sharechain.Config{Window: testWindow, Verify: acceptAll, Metrics: regB}), reg: regB}
+	connectB := func() {
+		var err error
+		b.node, err = NewNode(Config{NodeID: 2, Chain: b.chain, Registry: regB, TipInterval: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.node.AddPeer("a", func() (net.Conn, error) { return a.ln.Dial() })
+	}
+	connectB()
+	first := testWindow + testReorgDepth + testFoldChunk + 100
+	mintConverged(t, []*testNode{a}, []*testNode{a, b}, 0, first)
+	if cp, ok := b.chain.Checkpoint(); !ok || cp.Count != testFoldChunk {
+		t.Fatalf("b folded %d entries, want one chunk", cp.Count)
+	}
+
+	b.node.Close()
+	for a.node.PeerCount() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	mintConverged(t, []*testNode{a}, []*testNode{a}, first, first+testFoldChunk)
+	sent := a.reg.Counter("p2p.sync_entries_sent").Load()
+	connectB()
+	defer b.node.Close()
+	waitConverged(t, first+testFoldChunk, a, b)
+	requireSameBooks(t, a, b)
+	if got := regB.Counter("p2p.checkpoints_adopted").Load(); got != 1 {
+		t.Fatalf("b adopted %d checkpoints, want 1", got)
+	}
+	if streamed := a.reg.Counter("p2p.sync_entries_sent").Load() - sent; streamed > heldBound {
+		t.Fatalf("catch-up streamed %d entries, want ≤ %d", streamed, heldBound)
+	}
+	if got := regB.Counter("pool.sharechain_below_horizon").Load(); got != 0 {
+		t.Fatalf("b refused %d entries below its horizon", got)
+	}
+}
+
+// TestColdRestartAfterFolds: three nodes fold at least three times; one
+// is killed and replaced with an empty chain. The replacement adopts a
+// checkpoint and converges to the same tip (count and hash), credit,
+// window and payouts after receiving at most window + reorgDepth +
+// foldChunk entries rather than the whole history. The entries are
+// counted where they arrive: a and b may still be syncing with each
+// other after their last batch, so their send counters mix in that
+// traffic.
+func TestColdRestartAfterFolds(t *testing.T) {
+	a := startNode(t, 1)
+	b := startNode(t, 2)
+	var mu sync.Mutex
+	cLn := memconn.Listen()
+	a.node.AddPeer("c", func() (net.Conn, error) {
+		mu.Lock()
+		ln := cLn
+		mu.Unlock()
+		return ln.Dial()
+	})
+	link(a, b)
+	startC := func() *testNode {
+		reg := metrics.NewRegistry()
+		chain := sharechain.New(sharechain.Config{Window: testWindow, Verify: acceptAll, Metrics: reg})
+		node, err := NewNode(Config{NodeID: 3, Chain: chain, Registry: reg, TipInterval: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		ln := cLn
+		mu.Unlock()
+		go node.Serve(ln)
+		return &testNode{chain: chain, node: node, ln: ln, reg: reg}
+	}
+	c := startC()
+	total := testWindow + testReorgDepth + 3*testFoldChunk + 100
+	mintConverged(t, []*testNode{a, b, c}, []*testNode{a, b, c}, 0, total)
+	if cp, ok := a.chain.Checkpoint(); !ok || cp.Count < 3*testFoldChunk {
+		t.Fatalf("folded %d entries, want at least three chunks", cp.Count)
+	}
+
+	c.node.Close()
+	c.ln.Close()
+	mintConverged(t, []*testNode{a, b}, []*testNode{a, b}, total, total+100)
+	mu.Lock()
+	cLn = memconn.Listen()
+	mu.Unlock()
+	c2 := startC()
+	defer c2.node.Close()
+	waitConverged(t, total+100, a, b, c2)
+	requireSameBooks(t, a, b, c2)
+	if got := c2.reg.Counter("p2p.checkpoints_adopted").Load(); got == 0 {
+		t.Fatalf("the replacement converged without adopting a checkpoint")
+	}
+	var streamed uint64
+	for _, name := range []string{"p2p.shares_ingested", "p2p.shares_duplicate", "p2p.shares_rejected", "pool.sharechain_below_horizon"} {
+		streamed += c2.reg.Counter(name).Load()
+	}
+	if streamed > heldBound {
+		t.Fatalf("cold catch-up streamed %d entries of a %d-entry history, want ≤ %d", streamed, total+100, heldBound)
+	}
+	t.Logf("cold catch-up streamed %d entries of a %d-entry history", streamed, total+100)
 }

@@ -1,11 +1,13 @@
 // Package p2p is the federation's peer layer: a small gossip protocol
 // that moves share-chain entries between pool nodes over any net.Conn —
 // real TCP in production, memconn in tests, so N-node convergence suites
-// need no ports. The protocol is four frame kinds over the repo's
+// need no ports. The protocol is six frame kinds over the repo's
 // length-prefixed framing idiom: a version-checked handshake carrying
 // chain tip and peer list, share broadcast with dedupe-by-hash and
-// relay, ranged catch-up sync for tip-ahead peers, and a periodic tip
-// announce that turns any silent divergence into a sync round.
+// relay, ranged catch-up sync for tip-ahead peers — led by the share-chain's
+// checkpoint when the requester is behind the responder's finality
+// horizon — and a periodic tip announce that turns any silent divergence
+// into a sync round.
 //
 // The package sees the share-chain as data and the transport as bytes:
 // layering pins it to sharechain + metrics + memconn. PoW validation of
@@ -21,16 +23,17 @@ import (
 )
 
 // ProtocolVersion is checked in the handshake; mismatched peers are
-// rejected before any share crosses.
-const ProtocolVersion = 1
+// rejected before any share crosses. Version 2 added the checkpoint frame.
+const ProtocolVersion = 2
 
 // Frame kinds. Values are wire format: never renumber, only append.
 const (
-	frameHello    byte = 1
-	frameShare    byte = 2
-	frameSyncReq  byte = 3
-	frameSyncResp byte = 4
-	frameTip      byte = 5
+	frameHello      byte = 1
+	frameShare      byte = 2
+	frameSyncReq    byte = 3
+	frameSyncResp   byte = 4
+	frameTip        byte = 5
+	frameCheckpoint byte = 6
 )
 
 // Framing: [u32 length][kind byte][body], little-endian. MaxFrameLen
@@ -285,6 +288,73 @@ func decodeSyncResp(b []byte) (tipAnnounce, []sharechain.Entry, error) {
 		return t, nil, ErrTruncated
 	}
 	return t, entries, nil
+}
+
+// AppendCheckpointFrame appends a share-chain checkpoint: the responder's
+// folded history, sent ahead of the held range to a requester behind its
+// horizon. Layout: count, height, last ID, tip, then a u32-counted credit
+// list of [u16 token length][token][u64 credit].
+func AppendCheckpointFrame(dst []byte, cp *sharechain.Checkpoint) []byte {
+	start := len(dst)
+	dst = beginFrame(dst, frameCheckpoint)
+	dst = binary.LittleEndian.AppendUint64(dst, cp.Count)
+	dst = binary.LittleEndian.AppendUint64(dst, cp.Height)
+	dst = append(dst, cp.ID[:]...)
+	dst = append(dst, cp.Tip[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cp.Credit)))
+	for _, w := range cp.Credit {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(w.Token)))
+		dst = append(dst, w.Token...)
+		dst = binary.LittleEndian.AppendUint64(dst, w.Weight)
+	}
+	return endFrame(dst, start)
+}
+
+// checkpointFixedLen is the checkpoint body before its credit list;
+// minCreditLen is the smallest credit record (a one-byte token).
+const (
+	checkpointFixedLen = 8 + 8 + 32 + 32 + 4
+	minCreditLen       = 2 + 1 + 8
+)
+
+// decodeCheckpoint parses a checkpoint body. The credit list is walked
+// once for bounds before anything is allocated for it, so a count the
+// body could not hold, or a malformed record, costs no allocation;
+// otherwise the decode allocates the list and one string per token.
+func decodeCheckpoint(b []byte) (sharechain.Checkpoint, error) {
+	var cp sharechain.Checkpoint
+	if len(b) < checkpointFixedLen {
+		return cp, ErrTruncated
+	}
+	cp.Count = binary.LittleEndian.Uint64(b)
+	cp.Height = binary.LittleEndian.Uint64(b[8:])
+	copy(cp.ID[:], b[16:48])
+	copy(cp.Tip[:], b[48:80])
+	n := int(binary.LittleEndian.Uint32(b[80:]))
+	list := b[checkpointFixedLen:]
+	rest := list
+	for i := 0; i < n; i++ {
+		if len(rest) < minCreditLen {
+			return cp, ErrTruncated
+		}
+		l := int(binary.LittleEndian.Uint16(rest))
+		if l == 0 || l > sharechain.MaxTokenLen || len(rest) < 2+l+8 {
+			return cp, ErrTruncated
+		}
+		rest = rest[2+l+8:]
+	}
+	if len(rest) != 0 {
+		return cp, ErrTruncated
+	}
+	if n > 0 {
+		cp.Credit = make([]sharechain.TokenWeight, n)
+	}
+	for i := range cp.Credit {
+		l := int(binary.LittleEndian.Uint16(list))
+		cp.Credit[i] = sharechain.TokenWeight{Token: string(list[2 : 2+l]), Weight: binary.LittleEndian.Uint64(list[2+l:])}
+		list = list[2+l+8:]
+	}
+	return cp, nil
 }
 
 // DecodeFrame splits one framed message into kind and body. b must hold

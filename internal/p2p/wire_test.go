@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -181,6 +182,18 @@ func TestEncodeAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("DecodeFrame allocs = %v, want 0", n)
 	}
+	cp := testCheckpoint(rand.New(rand.NewSource(5)), 16)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = AppendCheckpointFrame(buf[:0], &cp)
+	}); n != 0 {
+		t.Fatalf("AppendCheckpointFrame allocs = %v, want 0", n)
+	}
+	body := append([]byte(nil), buf[frameHeaderLen+1:]...)
+	if n := testing.AllocsPerRun(200, func() {
+		_, _ = decodeCheckpoint(body)
+	}); n != 1+16 {
+		t.Fatalf("decodeCheckpoint allocs = %v, want 17: the list and one string per token", n)
+	}
 }
 
 // FuzzP2PDecode drives every frame decoder with arbitrary bytes: the
@@ -196,6 +209,10 @@ func FuzzP2PDecode(f *testing.F) {
 	f.Add(AppendTipFrame(nil, 4, [32]byte{2})[frameHeaderLen:])
 	f.Add([]byte{})
 	f.Add([]byte{frameShare})
+	cp := testCheckpoint(rand.New(rand.NewSource(1)), 3)
+	f.Add(AppendCheckpointFrame(nil, &cp)[frameHeaderLen:])
+	f.Add(hostileCheckpoint(1 << 31))
+	f.Add(hostileCheckpoint(1)[:checkpointFixedLen+1+minCreditLen])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, body, err := DecodeFrame(data)
 		if err != nil {
@@ -227,6 +244,89 @@ func FuzzP2PDecode(f *testing.F) {
 			}
 		case frameTip:
 			decodeTip(body)
+		case frameCheckpoint:
+			// The encoding has no slack, so whatever decodes re-encodes
+			// to the same bytes.
+			if cp, err := decodeCheckpoint(body); err == nil {
+				if again := AppendCheckpointFrame(nil, &cp)[frameHeaderLen:]; !bytes.Equal(again, data) {
+					t.Fatalf("checkpoint re-encodes differently")
+				}
+				for _, w := range cp.Credit {
+					if len(w.Token) == 0 || len(w.Token) > sharechain.MaxTokenLen {
+						t.Fatalf("decoded credit token of %d bytes", len(w.Token))
+					}
+				}
+			}
 		}
 	})
+}
+
+// testCheckpoint draws a checkpoint with n credit records, tokens 1 to
+// MaxTokenLen bytes long.
+func testCheckpoint(rng *rand.Rand, n int) sharechain.Checkpoint {
+	cp := sharechain.Checkpoint{Count: rng.Uint64(), Height: rng.Uint64()}
+	rng.Read(cp.ID[:])
+	rng.Read(cp.Tip[:])
+	for i := 0; i < n; i++ {
+		tok := make([]byte, 1+rng.Intn(sharechain.MaxTokenLen))
+		rng.Read(tok)
+		cp.Credit = append(cp.Credit, sharechain.TokenWeight{Token: string(tok), Weight: rng.Uint64()})
+	}
+	return cp
+}
+
+// hostileCheckpoint is a checkpoint body (kind byte first) that claims
+// count credit records and carries one.
+func hostileCheckpoint(count uint32) []byte {
+	cp := sharechain.Checkpoint{Count: 1, Height: 1, Credit: []sharechain.TokenWeight{{Token: "a", Weight: 1}}}
+	b := AppendCheckpointFrame(nil, &cp)[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(b[1+checkpointFixedLen-4:], count)
+	return b
+}
+
+// TestCheckpointFrameRoundtrip: any checkpoint — no credit, or many
+// records with tokens of every legal length — decodes to itself.
+func TestCheckpointFrameRoundtrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		cp := testCheckpoint(rng, rng.Intn(40))
+		kind, body, err := DecodeFrame(stripHeader(t, AppendCheckpointFrame(nil, &cp)))
+		if err != nil || kind != frameCheckpoint {
+			t.Fatalf("decode: kind=%d err=%v", kind, err)
+		}
+		got, err := decodeCheckpoint(body)
+		if err != nil || !reflect.DeepEqual(got, cp) {
+			t.Fatalf("roundtrip %d: err=%v\n got %+v\nwant %+v", i, err, got, cp)
+		}
+	}
+}
+
+// TestDecodeCheckpointRejectsMalformed: every proper prefix fails, and so
+// do a zero-length token, an oversize token, trailing bytes, and a credit
+// count the frame could not hold — that one before a single allocation.
+func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
+	cp := testCheckpoint(rand.New(rand.NewSource(3)), 4)
+	full := AppendCheckpointFrame(nil, &cp)[frameHeaderLen+1:]
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := decodeCheckpoint(full[:cut]); err == nil {
+			t.Fatalf("prefix %d/%d decoded", cut, len(full))
+		}
+	}
+	if _, err := decodeCheckpoint(append(full[:len(full):len(full)], 0)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("trailing byte: %v", err)
+	}
+	one := hostileCheckpoint(1)[1:]
+	for _, tokLen := range []uint16{0, sharechain.MaxTokenLen + 1} {
+		bad := append([]byte(nil), one...)
+		binary.LittleEndian.PutUint16(bad[checkpointFixedLen:], tokLen)
+		bad = append(bad, make([]byte, int(tokLen))...)
+		if _, err := decodeCheckpoint(bad); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("token length %d: %v", tokLen, err)
+		}
+	}
+	huge := hostileCheckpoint(1<<32 - 1)[1:]
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = decodeCheckpoint(huge) }); n != 0 || !errors.Is(err, ErrTruncated) {
+		t.Fatalf("credit count 2^32-1 in a %d-byte body: err=%v after %v allocs, want ErrTruncated after 0", len(huge), err, n)
+	}
 }

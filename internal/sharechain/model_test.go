@@ -10,7 +10,10 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // model is the share-chain's specification: sort the entry set by
@@ -26,14 +29,7 @@ type model struct {
 }
 
 func fold(set []*Entry, window, feePercent int, reward uint64) model {
-	sorted := append([]*Entry(nil), set...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i].ID(), sorted[j].ID()
-		if sorted[i].Height != sorted[j].Height {
-			return sorted[i].Height < sorted[j].Height
-		}
-		return bytes.Compare(a[:], b[:]) < 0
-	})
+	sorted := canonical(set)
 	m := model{credit: map[string]uint64{}}
 	win := map[string]uint64{}
 	for i, e := range sorted {
@@ -57,54 +53,197 @@ func fold(set []*Entry, window, feePercent int, reward uint64) model {
 	return m
 }
 
-// TestChainMatchesModel delivers a random entry set — heights colliding,
-// several windows long, vardiff-scale weights — in a random order with
-// re-deliveries mixed in, and after every batch holds the chain to the
-// model of exactly the entries delivered so far. Early batches land in a
-// chain shorter than the window; later ones fall on both sides of its head.
+// canonical returns set sorted into the chain's order, IDs cached.
+func canonical(set []*Entry) []*Entry {
+	sorted := append([]*Entry(nil), set...)
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i].ID(), sorted[j].ID()
+		if sorted[i].Height != sorted[j].Height {
+			return sorted[i].Height < sorted[j].Height
+		}
+		return bytes.Compare(a[:], b[:]) < 0
+	})
+	return sorted
+}
+
+// horizon shrinks c's finality horizon so a test can fold many times over
+// a few hundred entries. foldChunk must stay a multiple of tipStride.
+func horizon(c *Chain, reorgDepth, foldChunk int) *Chain {
+	c.reorgDepth, c.foldChunk = reorgDepth, foldChunk
+	return c
+}
+
+const modelWindow, modelFee, modelReward = 48, 30, 35_184_372_088_832 // the sim chain's block reward, atomic units
+
+// modelSet draws a random entry set: heights colliding, several windows
+// long, vardiff-scale weights.
+func modelSet(rng *rand.Rand) []*Entry {
+	set := make([]*Entry, 300+rng.Intn(200))
+	for i := range set {
+		set[i] = mkEntry(uint64(1+i/3+rng.Intn(4)), fmt.Sprintf("tok%d", rng.Intn(9)), 1<<(20+rng.Intn(21)), byte(i))
+		set[i].Nonce = uint32(i) // mkEntry's salt is a byte; keep 500 entries distinct
+	}
+	return set
+}
+
+// lateOrder is a delivery order in which every entry arrives before depth
+// entries that sort after it have: its canonical rank plus a jitter below
+// depth.
+func lateOrder(set []*Entry, depth int, rng *rand.Rand) []int {
+	rank := map[*Entry]int{}
+	for r, e := range canonical(set) {
+		rank[e] = r
+	}
+	type slot struct{ at, i int }
+	slots := make([]slot, len(set))
+	for i, e := range set {
+		slots[i] = slot{rank[e] + rng.Intn(depth), i}
+	}
+	sort.Slice(slots, func(a, b int) bool { return slots[a].at < slots[b].at })
+	order := make([]int, len(slots))
+	for k, s := range slots {
+		order[k] = s.i
+	}
+	return order
+}
+
+// deliver feeds set to c in order, in batches of 1–40 with re-deliveries
+// mixed in, and after every batch holds c to the model of exactly the
+// entries it accepted: tip, count, credit, window and payouts, plus Has,
+// ErrDuplicate for a held re-delivery and ErrBelowHorizon for a folded
+// one, every refusal counted, and never more held than the horizon
+// allows. It returns what c accepted and how many first deliveries it
+// refused.
+func deliver(t *testing.T, c *Chain, reg *metrics.Registry, set []*Entry, order []int, rng *rand.Rand) (accepted []*Entry, refused int) {
+	t.Helper()
+	var counted uint64
+	for len(order) > 0 {
+		batch := order[:min(len(order), 1+rng.Intn(40))]
+		order = order[len(batch):]
+		for _, i := range batch {
+			if rng.Intn(4) == 0 && len(accepted) > 0 { // a re-delivery first
+				dup := *accepted[rng.Intn(len(accepted))]
+				dup.id = [32]byte{}
+				dup.ID()
+				held, want := !c.foldedLocked(&dup), ErrDuplicate
+				if !held {
+					want = ErrBelowHorizon
+					counted++
+				}
+				if c.Has(&dup) != held {
+					t.Fatalf("Has(re-delivery) = %v, want %v", !held, held)
+				}
+				if _, err := c.Insert(&dup, true); !errors.Is(err, want) {
+					t.Fatalf("re-delivery: %v, want %v", err, want)
+				}
+			}
+			e := *set[i]
+			if c.Has(&e) {
+				t.Fatalf("Has claims an undelivered entry")
+			}
+			switch _, err := c.Insert(&e, true); {
+			case err == nil:
+				accepted = append(accepted, set[i])
+			case errors.Is(err, ErrBelowHorizon):
+				refused++
+				counted++
+			default:
+				t.Fatalf("insert: %v", err)
+			}
+		}
+		want := fold(accepted, modelWindow, modelFee, modelReward)
+		tip, n := c.Tip()
+		weights, total := c.WindowWeights()
+		got := model{tip, c.CreditSnapshot(), weights, total, c.PayoutVector(modelReward)}
+		if n != len(accepted) || c.Len() != n || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d entries accepted:\n got %+v\nwant %+v", len(accepted), got, want)
+		}
+		if held := len(c.entries); held > c.cfg.Window+c.reorgDepth+c.foldChunk {
+			t.Fatalf("holds %d entries, horizon allows %d", held, c.cfg.Window+c.reorgDepth+c.foldChunk)
+		}
+		if got := reg.Counter("pool.sharechain_below_horizon").Load(); got != counted {
+			t.Fatalf("pool.sharechain_below_horizon = %d, want %d", got, counted)
+		}
+	}
+	return accepted, refused
+}
+
+// TestChainMatchesModel delivers a random entry set in three ways, and
+// after every batch holds the chain to the model of what it accepted. Any
+// order into a chain too short to fold: everything is accepted — the
+// model of everything delivered. Lateness below reorgDepth into a chain
+// whose horizon is shrunk so it folds several times: still everything
+// accepted, still the model of everything delivered, the finality
+// horizon's canonical claim. Any order into the shrunk chain: entries
+// later than the bound are refused and counted, and the chain is the
+// model of the rest. Early batches land in a chain shorter than the
+// window; later ones fall on both sides of its head.
 func TestChainMatchesModel(t *testing.T) {
-	const window, fee, reward = 48, 30, 35_184_372_088_832 // the sim chain's block reward, atomic units
+	const depth, chunk = 32, 64
+	lateRefused := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		set := make([]*Entry, 300+rng.Intn(200))
-		for i := range set {
-			set[i] = mkEntry(uint64(1+i/3+rng.Intn(4)), fmt.Sprintf("tok%d", rng.Intn(9)), 1<<(20+rng.Intn(21)), byte(i))
-			set[i].Nonce = uint32(i) // mkEntry's salt is a byte; keep 500 entries distinct
-		}
-		c := New(Config{Window: window, FeePercent: fee})
-		order := rng.Perm(len(set))
-		var delivered []*Entry
-		for len(order) > 0 {
-			batch := order[:min(len(order), 1+rng.Intn(40))]
-			order = order[len(batch):]
-			for _, i := range batch {
-				if rng.Intn(4) == 0 && len(delivered) > 0 { // a re-delivery first
-					dup := *delivered[rng.Intn(len(delivered))]
-					dup.id = [32]byte{}
-					if !c.Has(&dup) {
-						t.Fatalf("seed %d: Has denies a delivered entry", seed)
-					}
-					if _, err := c.Insert(&dup, true); !errors.Is(err, ErrDuplicate) {
-						t.Fatalf("seed %d: re-delivery: %v, want ErrDuplicate", seed, err)
-					}
-				}
-				e := *set[i]
-				if c.Has(&e) {
-					t.Fatalf("seed %d: Has claims an undelivered entry", seed)
-				}
-				if _, err := c.Insert(&e, true); err != nil {
-					t.Fatalf("seed %d: insert: %v", seed, err)
-				}
-				delivered = append(delivered, set[i])
+		set := modelSet(rng)
+		build := func(shrunk bool) (*Chain, *metrics.Registry) {
+			reg := metrics.NewRegistry()
+			c := New(Config{Window: modelWindow, FeePercent: modelFee, Metrics: reg})
+			if shrunk {
+				horizon(c, depth, chunk)
 			}
-			want := fold(delivered, window, fee, reward)
-			tip, n := c.Tip()
-			weights, total := c.WindowWeights()
-			got := model{tip, c.CreditSnapshot(), weights, total, c.PayoutVector(reward)}
-			if n != len(delivered) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d, %d entries in:\n got %+v\nwant %+v", seed, len(delivered), got, want)
-			}
+			return c, reg
 		}
+
+		c, reg := build(false)
+		if acc, refused := deliver(t, c, reg, set, rng.Perm(len(set)), rng); refused != 0 || len(acc) != len(set) || c.base.Count != 0 {
+			t.Fatalf("seed %d, unfolded: %d of %d accepted, %d refused, %d folded", seed, len(acc), len(set), refused, c.base.Count)
+		}
+
+		c, reg = build(true)
+		if acc, refused := deliver(t, c, reg, set, lateOrder(set, depth, rng), rng); refused != 0 || len(acc) != len(set) {
+			t.Fatalf("seed %d, lateness < %d: %d of %d accepted, %d refused", seed, depth, len(acc), len(set), refused)
+		}
+		if folds := c.base.Count / chunk; folds < 3 {
+			t.Fatalf("seed %d: folded %d times, want several", seed, folds)
+		}
+
+		c, reg = build(true)
+		_, refused := deliver(t, c, reg, set, rng.Perm(len(set)), rng)
+		lateRefused += refused
+	}
+	if lateRefused == 0 {
+		t.Fatalf("no seed delivered an entry later than the horizon")
+	}
+}
+
+// TestHorizonBoundsHeldEntries feeds a chain 10× Window + reorgDepth
+// entries at the real sizes: it never holds more than Window + reorgDepth
+// + foldChunk, folds by whole chunks, and still counts every entry.
+func TestHorizonBoundsHeldEntries(t *testing.T) {
+	c := New(Config{})
+	limit := c.cfg.Window + reorgDepth + foldChunk
+	n := 10 * (c.cfg.Window + reorgDepth)
+	for i := 0; i < n; i++ {
+		e := mkEntry(uint64(1+i/3), fmt.Sprintf("site-key-%02d", i%64), 256, byte(i))
+		e.Nonce = uint32(i)
+		if _, err := c.Insert(e, true); err != nil {
+			t.Fatal(err)
+		}
+		if held := len(c.entries); held > limit {
+			t.Fatalf("after %d inserts the chain holds %d entries, want ≤ %d", i+1, held, limit)
+		}
+	}
+	if _, count := c.Tip(); count != n || c.Len() != n {
+		t.Fatalf("Tip count %d, Len %d, want %d", count, c.Len(), n)
+	}
+	if c.base.Count%foldChunk != 0 || int(c.base.Count)+len(c.entries) != n || len(c.entries) < c.cfg.Window+reorgDepth {
+		t.Fatalf("base %d + held %d: not folded by whole chunks behind the horizon", c.base.Count, len(c.entries))
+	}
+	var sum uint64
+	for _, v := range c.CreditSnapshot() {
+		sum += v
+	}
+	if sum != uint64(n)*256 {
+		t.Fatalf("all-time credit %d, want %d", sum, n*256)
 	}
 }
 
@@ -133,9 +272,12 @@ func TestPayoutsAtVardiffScaleWeights(t *testing.T) {
 	}
 }
 
-// TestHeapBytesPerEntry pins what a chain holds per entry: a federation
-// node keeps every share, so this times its share rate is its memory growth.
-// Entries arrive as gossip decodes them — own Token string, own 76-byte Blob.
+// TestHeapBytesPerEntry pins what a chain holds per held entry. Behind the
+// finality horizon a node holds at most Window + reorgDepth + foldChunk
+// entries, so this times that bound is its share-chain memory, however
+// long it runs; the folded entries must really be freed for it to hold.
+// Entries arrive as gossip decodes them — own Token string, own 76-byte
+// Blob.
 func TestHeapBytesPerEntry(t *testing.T) {
 	const n = 80_000
 	heap := func() uint64 {
@@ -153,10 +295,82 @@ func TestHeapBytesPerEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	perEntry := (heap() - before) / n
+	held := uint64(len(c.entries))
+	perEntry := (heap() - before) / held
 	runtime.KeepAlive(c)
-	t.Logf("%d heap bytes per entry at %d entries", perEntry, n)
+	t.Logf("%d heap bytes per held entry, %d of %d entries held", perEntry, held, n)
 	if perEntry > 300 {
 		t.Errorf("chain holds %d heap bytes per entry, want ≤ 300", perEntry)
+	}
+}
+
+// TestConcurrentInsertFoldAndRead: writers insert while readers call Has,
+// EntriesFrom, Checkpoint, Tip and WindowWeights, and the shrunk horizon
+// folds under them many times. However the writers interleave, the chain
+// ends as the model of what it accepted. Run it with -race.
+func TestConcurrentInsertFoldAndRead(t *testing.T) {
+	const writers = 4
+	rng := rand.New(rand.NewSource(11))
+	set := modelSet(rng)
+	order := lateOrder(set, 32, rng)
+	c := horizon(New(Config{Window: modelWindow, FeePercent: modelFee}), 32, 64)
+
+	var wg, readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		rng := rand.New(rand.NewSource(int64(r)))
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				probe := *set[rng.Intn(len(set))]
+				probe.id = [32]byte{}
+				c.Has(&probe)
+				c.EntriesFrom(probe.Height, 16)
+				c.Checkpoint()
+				c.Tip()
+				c.WindowWeights()
+			}
+		}()
+	}
+	accepted := make([][]*Entry, writers)
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < len(order); k += writers {
+				e := *set[order[k]]
+				switch _, err := c.Insert(&e, true); {
+				case err == nil:
+					accepted[w] = append(accepted[w], set[order[k]])
+				case !errors.Is(err, ErrBelowHorizon):
+					t.Errorf("insert: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	var all []*Entry
+	for _, a := range accepted {
+		all = append(all, a...)
+	}
+	want := fold(all, modelWindow, modelFee, modelReward)
+	tip, n := c.Tip()
+	weights, total := c.WindowWeights()
+	got := model{tip, c.CreditSnapshot(), weights, total, c.PayoutVector(modelReward)}
+	if n != len(all) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d entries accepted:\n got %+v\nwant %+v", len(all), got, want)
+	}
+	if c.base.Count == 0 {
+		t.Fatalf("the horizon never folded")
 	}
 }

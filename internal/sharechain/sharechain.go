@@ -14,9 +14,20 @@
 // holds strictly more weight), so the rolling tip hashes after its
 // insertion point are rebuilt and, when it lands inside the PPLNS window,
 // it enters the window credit as the entry it pushes off the head leaves.
-// No entry is ever orphaned — every valid share stays in the chain — which
-// is what makes "zero lost credit" a structural property rather than an
-// accounting promise.
+// No reorg orphans an entry — every valid share stays in the sequence —
+// which is what makes "zero lost credit" a structural property rather
+// than an accounting promise.
+//
+// The sequence is not all held in memory. Behind a finality horizon the
+// oldest entries fold, foldChunk at a time, into a base Checkpoint that
+// keeps their count, the rolling tip after them and their per-account
+// credit, so a chain holds at most Window + reorgDepth + foldChunk
+// entries however long it grows. The fold is a function of the entry
+// count alone, so while every entry reaches every node within reorgDepth
+// entries of its slot, the tip, credit, window and payouts stay pure
+// functions of the delivered set; an arrival that sorts into the folded
+// history is refused (ErrBelowHorizon) and counted. DESIGN.md "Finality
+// horizon" has the argument.
 //
 // The package is a passive data structure: PoW verification is injected
 // through Config.Verify (the pool wires its pooled CryptoNight hashers
@@ -54,6 +65,17 @@ const DefaultMaxBlobBytes = 512
 // MaxTokenLen bounds the miner-token string in an entry.
 const MaxTokenLen = 128
 
+// The finality horizon. A chain holds its newest Window + reorgDepth
+// entries and folds the oldest foldChunk into its base each time it holds
+// foldChunk more than that. reorgDepth is how late, in entries, an entry
+// may reach a node and still be placed: 8× the worst honest gossip delay
+// seen at 10k entries/s. foldChunk is a multiple of tipStride, so the
+// rolling-hash marks re-base by whole slots.
+const (
+	reorgDepth = 8192
+	foldChunk  = 4096
+)
+
 // Validation errors.
 var (
 	ErrDuplicate  = errors.New("sharechain: entry already in chain")
@@ -61,6 +83,9 @@ var (
 	ErrHeightSkew = errors.New("sharechain: claimed height too far ahead of tip")
 	ErrBadPoW     = errors.New("sharechain: proof of work does not verify")
 	ErrUnverified = errors.New("sharechain: no verifier configured for remote entries")
+	// ErrBelowHorizon refuses an entry that sorts into history the chain
+	// has already folded into its base.
+	ErrBelowHorizon = errors.New("sharechain: entry sorts below the finality horizon")
 )
 
 // Entry is one accepted share as a share-chain record. The Blob carries
@@ -141,8 +166,8 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// TokenWeight is one account's difficulty-weighted credit inside the
-// PPLNS window, in sorted-token order.
+// TokenWeight is one account's difficulty-weighted credit — inside the
+// PPLNS window, or folded into a Checkpoint — in sorted-token order.
 type TokenWeight struct {
 	Token  string
 	Weight uint64
@@ -154,6 +179,17 @@ type Payout struct {
 	Amount uint64
 }
 
+// Checkpoint is the history a chain has folded below its finality
+// horizon: enough to continue the rolling tip and the all-time credit
+// without holding a single folded entry.
+type Checkpoint struct {
+	Count  uint64        // entries folded
+	Height uint64        // claimed height of the last folded entry
+	ID     [32]byte      // ID of the last folded entry
+	Tip    [32]byte      // rolling tip hash after the last folded entry
+	Credit []TokenWeight // all-time credit of the folded entries, sorted by token
+}
+
 // Chain is the share-chain: a canonically-ordered entry set with rolling
 // tip hashes, all-time credit and incrementally-maintained PPLNS window
 // aggregates. All methods are safe for concurrent use.
@@ -161,15 +197,21 @@ type Chain struct {
 	cfg Config
 
 	mu      sync.RWMutex
-	entries []*Entry            // canonical order, IDs cached; also the dedupe index
-	tip     [32]byte            // rolling hash over all entries: tip(i) = SHA-256(tip(i-1) || ID(entries[i]))
-	marks   [][32]byte          // marks[k] = tip(tipStride·(k+1) − 1): where a reorg's rebuild restarts
+	base    Checkpoint          // folded history; Credit stays nil (account.folded holds it)
+	entries []*Entry            // held entries after base, canonical order, IDs cached; also the dedupe index
+	tip     [32]byte            // rolling hash through base and entries: tip(i) = SHA-256(tip(i-1) || ID(entry i))
+	marks   [][32]byte          // marks[k] = tip after entries[tipStride·(k+1) − 1]: where a reorg's rebuild restarts
 	credit  map[string]*account // all-time difficulty-weighted credit per token
 	window  map[string]uint64   // credit inside the PPLNS window
 	winTot  uint64              // total window weight
 
-	height *metrics.Gauge
-	reorgs *metrics.Counter
+	// The horizon's sizes: the constants, except in tests that shrink them.
+	reorgDepth, foldChunk int
+
+	height       *metrics.Gauge
+	reorgs       *metrics.Counter
+	belowHorizon *metrics.Counter
+	lateDups     *metrics.Counter
 }
 
 // account is one token's all-time credit, and the chain's one copy of the
@@ -177,7 +219,8 @@ type Chain struct {
 // so a gossiped entry does not keep the string it was decoded with.
 type account struct {
 	token  string
-	credit uint64
+	credit uint64 // all-time, folded entries included
+	folded uint64 // the part of credit the base holds
 }
 
 // New builds an empty chain.
@@ -192,31 +235,36 @@ func New(cfg Config) *Chain {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	return &Chain{
-		cfg:    cfg,
-		credit: map[string]*account{},
-		window: map[string]uint64{},
-		height: cfg.Metrics.Gauge("pool.sharechain_height"),
-		reorgs: cfg.Metrics.Counter("pool.sharechain_reorgs"),
+		cfg:          cfg,
+		credit:       map[string]*account{},
+		window:       map[string]uint64{},
+		reorgDepth:   reorgDepth,
+		foldChunk:    foldChunk,
+		height:       cfg.Metrics.Gauge("pool.sharechain_height"),
+		reorgs:       cfg.Metrics.Counter("pool.sharechain_reorgs"),
+		belowHorizon: cfg.Metrics.Counter("pool.sharechain_below_horizon"),
+		lateDups:     cfg.Metrics.Counter("pool.sharechain_late_duplicates"),
 	}
 }
 
 // Window returns the configured PPLNS window size.
 func (c *Chain) Window() int { return c.cfg.Window }
 
-// Len returns the number of entries in the chain.
+// Len returns the number of entries in the chain, folded ones included.
 func (c *Chain) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.entries)
+	return int(c.base.Count) + len(c.entries)
 }
 
 // Tip returns the rolling tip hash and the entry count it covers. Two
 // chains with equal tips hold identical entry sequences — the hash folds
-// every ID in canonical order, so it is the convergence check.
+// every ID in canonical order, through the base, so it is the
+// convergence check.
 func (c *Chain) Tip() ([32]byte, int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.tip, len(c.entries)
+	return c.tip, int(c.base.Count) + len(c.entries)
 }
 
 // TipHeight returns the highest claimed height in the chain (0 when
@@ -224,10 +272,14 @@ func (c *Chain) Tip() ([32]byte, int) {
 func (c *Chain) TipHeight() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if len(c.entries) == 0 {
-		return 0
+	return c.tipHeightLocked()
+}
+
+func (c *Chain) tipHeightLocked() uint64 {
+	if n := len(c.entries); n > 0 {
+		return c.entries[n-1].Height
 	}
-	return c.entries[len(c.entries)-1].Height
+	return c.base.Height
 }
 
 // NextHeight is the claimed height a locally-minted entry should carry:
@@ -251,6 +303,33 @@ func (c *Chain) searchLocked(e *Entry) (pos int, found bool) {
 	return pos, pos < len(c.entries) && !e.before(c.entries[pos])
 }
 
+// foldedLocked reports whether e (ID cached) sorts at or below the base's
+// last entry, inside the history the chain has folded away.
+func (c *Chain) foldedLocked(e *Entry) bool {
+	if c.base.Count == 0 {
+		return false
+	}
+	if e.Height != c.base.Height {
+		return e.Height < c.base.Height
+	}
+	return bytes.Compare(e.id[:], c.base.ID[:]) <= 0
+}
+
+// placeLocked returns e's canonical position, or why the chain as it
+// stands cannot take e.
+func (c *Chain) placeLocked(e *Entry) (int, error) {
+	pos, dup := c.searchLocked(e)
+	switch {
+	case dup:
+		return pos, ErrDuplicate
+	case c.foldedLocked(e):
+		return pos, ErrBelowHorizon
+	case e.Height > c.tipHeightLocked()+DefaultMaxHeightSkew:
+		return pos, ErrHeightSkew
+	}
+	return pos, nil
+}
+
 // validate applies the structural checks shared by both insert paths.
 func (c *Chain) validate(e *Entry) error {
 	if e.Diff == 0 || e.Height == 0 || len(e.Token) == 0 ||
@@ -268,52 +347,48 @@ func (c *Chain) validate(e *Entry) error {
 //
 // Returns whether the insertion displaced existing order (a reorg): the
 // entry's canonical position preceded existing entries, so the rolling
-// hashes after it were rebuilt.
+// hashes after it were rebuilt. An entry that sorts into the folded
+// history is refused with ErrBelowHorizon and counted; nothing else
+// changes.
 func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 	if err := c.validate(e); err != nil {
 		return false, err
 	}
 	c.mu.RLock()
-	_, dup := c.searchLocked(e)
-	tipH := uint64(0)
-	if len(c.entries) > 0 {
-		tipH = c.entries[len(c.entries)-1].Height
-	}
+	_, err = c.placeLocked(e)
 	c.mu.RUnlock()
-	if dup {
-		return false, ErrDuplicate
-	}
-	if e.Height > tipH+DefaultMaxHeightSkew {
-		return false, ErrHeightSkew
-	}
-	if !verified {
-		if c.cfg.Verify == nil {
-			return false, ErrUnverified
+	if err == nil && !verified {
+		err = ErrUnverified
+		if c.cfg.Verify != nil {
+			err = c.cfg.Verify(e)
 		}
-		if err := c.cfg.Verify(e); err != nil {
-			return false, err
+	}
+	if err != nil {
+		if err == ErrBelowHorizon {
+			c.belowHorizon.Inc()
 		}
+		return false, err
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pos, dup := c.searchLocked(e)
-	if dup {
-		return false, ErrDuplicate
+	// Re-check against the chain as it stands now: the first check ran
+	// against a snapshot. A duplicate found only here raced another reader
+	// and lost after paying for a full verify.
+	var pos int
+	switch pos, err = c.placeLocked(e); {
+	case err == ErrBelowHorizon:
+		c.belowHorizon.Inc()
+	case err == ErrDuplicate && !verified:
+		c.lateDups.Inc()
 	}
-	// Re-check the skew bound against the tip as it stands now: the
-	// pre-lock check ran against a stale snapshot.
-	if n := len(c.entries); n > 0 && e.Height > c.entries[n-1].Height+DefaultMaxHeightSkew {
-		return false, ErrHeightSkew
+	if err != nil {
+		return false, err
 	}
 	c.entries = append(c.entries, nil)
 	copy(c.entries[pos+1:], c.entries[pos:])
 	c.entries[pos] = e
-	acct := c.credit[e.Token]
-	if acct == nil {
-		acct = &account{token: e.Token}
-		c.credit[acct.token] = acct
-	}
+	acct := c.accountLocked(e.Token)
 	e.Token = acct.token
 	acct.credit += e.Diff
 
@@ -323,13 +398,14 @@ func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 		c.reorgs.Inc()
 	}
 	c.slideWindowLocked(pos)
-	c.height.Set(int64(c.entries[len(c.entries)-1].Height))
+	c.foldLocked()
+	c.height.Set(int64(c.tipHeightLocked()))
 	return reorged, nil
 }
 
-// tipStride is the spacing of the rolling-hash checkpoints. A chain keeps
-// every entry for ever, so a hash per position would be a fifth of what it
-// holds; one per 64 costs a reorg at most 63 extra hashes.
+// tipStride is the spacing of the rolling-hash marks. A hash per held
+// position would be a fifth of what the chain holds; one per 64 costs a
+// reorg at most 63 extra hashes.
 const tipStride = 64
 
 // rebuildTipsLocked recomputes the rolling hash after an insert at pos. An
@@ -339,7 +415,7 @@ func (c *Chain) rebuildTipsLocked(pos int) {
 	start, prev := pos, c.tip
 	if pos < len(c.entries)-1 {
 		start = pos &^ (tipStride - 1)
-		prev = [32]byte{}
+		prev = c.base.Tip
 		if start > 0 {
 			prev = c.marks[start/tipStride-1]
 		}
@@ -379,6 +455,109 @@ func (c *Chain) slideWindowLocked(pos int) {
 			delete(c.window, old.Token)
 		}
 	}
+}
+
+// foldLocked folds the oldest foldChunk held entries into the base while
+// the chain holds at least foldChunk more than Window + reorgDepth. The
+// folded entries lie before the window's head, so the window is untouched;
+// their credit moves to each account's folded part and the rolling tip
+// after them is the mark that closes their last slot.
+func (c *Chain) foldLocked() {
+	for f := c.foldChunk; len(c.entries) >= c.cfg.Window+c.reorgDepth+f; {
+		for _, e := range c.entries[:f] {
+			c.credit[e.Token].folded += e.Diff
+		}
+		last := c.entries[f-1]
+		c.base.Count += uint64(f)
+		c.base.Height, c.base.ID = last.Height, last.id
+		c.base.Tip = c.marks[f/tipStride-1]
+		c.marks = c.marks[:copy(c.marks, c.marks[f/tipStride:])]
+		c.dropHeldLocked(f)
+	}
+}
+
+// dropHeldLocked forgets the first n held entries. It copies the rest
+// down rather than reslicing, so the backing array stops pointing at the
+// dropped entries and its capacity stays put.
+func (c *Chain) dropHeldLocked(n int) {
+	kept := copy(c.entries, c.entries[n:])
+	clear(c.entries[kept:])
+	c.entries = c.entries[:kept]
+}
+
+// Checkpoint returns the history the chain has folded below its horizon,
+// and false while nothing has folded. A peer that has fallen behind the
+// horizon adopts it (Adopt) before taking the held range.
+func (c *Chain) Checkpoint() (Checkpoint, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.base.Count == 0 {
+		return Checkpoint{}, false
+	}
+	cp := c.base
+	for t, a := range c.credit {
+		if a.folded > 0 {
+			cp.Credit = append(cp.Credit, TokenWeight{Token: t, Weight: a.folded})
+		}
+	}
+	sort.Slice(cp.Credit, func(i, j int) bool { return cp.Credit[i].Token < cp.Credit[j].Token })
+	return cp, true
+}
+
+// Adopt makes cp the chain's base if it lies ahead of the current one
+// (folds more entries) and reports whether it did. Held entries at or
+// below cp's last entry are dropped; when the chain held more of them
+// than cp folded, at least the difference were not part of cp, and that
+// many are counted below the horizon. Credit, rolling tips and window are
+// rebuilt from cp and the entries still held. Nothing in cp can be
+// checked: it is taken on the word of the peer that sent it (DESIGN.md
+// "Finality horizon", the trust assumption).
+func (c *Chain) Adopt(cp Checkpoint) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cp.Count <= c.base.Count {
+		return false
+	}
+	last := Entry{Height: cp.Height, id: cp.ID}
+	below := sort.Search(len(c.entries), func(i int) bool { return last.before(c.entries[i]) })
+	if had := c.base.Count + uint64(below); had > cp.Count {
+		c.belowHorizon.Add(had - cp.Count)
+	}
+	c.dropHeldLocked(below)
+	c.base = Checkpoint{Count: cp.Count, Height: cp.Height, ID: cp.ID, Tip: cp.Tip}
+
+	// Held entries keep their token strings: a sync reader may be encoding
+	// them outside the lock.
+	c.credit = make(map[string]*account, len(cp.Credit))
+	for _, w := range cp.Credit {
+		acct := c.accountLocked(w.Token)
+		acct.folded += w.Weight
+		acct.credit += w.Weight
+	}
+	c.window, c.winTot = map[string]uint64{}, 0
+	head := len(c.entries) - c.cfg.Window
+	for i, e := range c.entries {
+		c.accountLocked(e.Token).credit += e.Diff
+		if i >= head {
+			c.window[e.Token] += e.Diff
+			c.winTot += e.Diff
+		}
+	}
+	c.tip = cp.Tip
+	c.rebuildTipsLocked(0)
+	c.foldLocked()
+	c.height.Set(int64(c.tipHeightLocked()))
+	return true
+}
+
+// accountLocked returns token's account, creating it on first use.
+func (c *Chain) accountLocked(token string) *account {
+	acct := c.credit[token]
+	if acct == nil {
+		acct = &account{token: token}
+		c.credit[token] = acct
+	}
+	return acct
 }
 
 // CreditSnapshot returns a copy of the all-time difficulty-weighted
@@ -444,9 +623,10 @@ func Split(reward uint64, feePercent int, weights []TokenWeight) []Payout {
 	return out
 }
 
-// EntriesFrom returns up to max entries whose claimed height is ≥ from,
-// in canonical order — the ranged catch-up sync primitive. The returned
-// entries are the chain's own (immutable by convention).
+// EntriesFrom returns up to max held entries whose claimed height is ≥
+// from, in canonical order — the ranged catch-up sync primitive. Folded
+// entries are gone; a peer behind the horizon needs Checkpoint first. The
+// returned entries are the chain's own (immutable by convention).
 func (c *Chain) EntriesFrom(from uint64, max int) []*Entry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

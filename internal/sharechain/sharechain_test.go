@@ -214,3 +214,142 @@ func TestTipHeightAndNextHeight(t *testing.T) {
 		t.Fatalf("heights after insert: tip=%d", c.TipHeight())
 	}
 }
+
+// shrunkChain builds a chain with window 8 and a horizon shrunk to
+// reorgDepth 8, foldChunk 64.
+func shrunkChain(cfg Config) *Chain {
+	cfg.Window = 8
+	c := New(cfg)
+	c.reorgDepth, c.foldChunk = 8, 64
+	return c
+}
+
+// fill inserts the standard test entries at heights from..to, one per
+// height, over three accounts: the same entries into every chain.
+func fill(c *Chain, from, to int) *Chain {
+	for h := from; h <= to; h++ {
+		e := mkEntry(uint64(h), fmt.Sprintf("acct%d", h%3), uint64(1+h%5), byte(h))
+		e.Nonce = uint32(h)
+		if _, err := c.Insert(e, true); err != nil {
+			panic(err)
+		}
+	}
+	return c
+}
+
+// TestBelowHorizonRefused: an arrival that sorts into the folded history
+// is refused before its PoW is checked, counted, and changes nothing
+// else; one just above the horizon is still placed.
+func TestBelowHorizonRefused(t *testing.T) {
+	reg := metrics.NewRegistry()
+	verifies := 0
+	c := fill(shrunkChain(Config{Metrics: reg, Verify: func(*Entry) error { verifies++; return nil }}), 1, 300)
+	cp, ok := c.Checkpoint()
+	if !ok || cp.Count != 256 || cp.Height != 256 {
+		t.Fatalf("checkpoint after 300 entries: %+v, %v", cp, ok)
+	}
+	tip, n := c.Tip()
+	credit := c.CreditSnapshot()
+	weights, total := c.WindowWeights()
+	for _, h := range []uint64{1, 200, 256} {
+		if _, err := c.Insert(mkEntry(h, "late", 7, 0xEE), false); !errors.Is(err, ErrBelowHorizon) {
+			t.Fatalf("height %d under a horizon at 256: %v, want ErrBelowHorizon", h, err)
+		}
+	}
+	if got := reg.Counter("pool.sharechain_below_horizon").Load(); got != 3 {
+		t.Fatalf("pool.sharechain_below_horizon = %d, want 3", got)
+	}
+	tip2, n2 := c.Tip()
+	w2, t2 := c.WindowWeights()
+	if verifies != 0 || tip2 != tip || n2 != n || !reflect.DeepEqual(c.CreditSnapshot(), credit) || t2 != total || !reflect.DeepEqual(w2, weights) {
+		t.Fatalf("a refused arrival changed the chain (verifies %d)", verifies)
+	}
+	if _, err := c.Insert(mkEntry(257, "late", 7, 0xEE), false); err != nil {
+		t.Fatalf("first height above the horizon: %v", err)
+	}
+}
+
+// TestLateDuplicateCounted: a remote entry that passes the lock-free
+// duplicate check, pays for its verify, and then finds a copy under the
+// write lock is counted as a late duplicate; a duplicate caught before
+// the verify is not.
+func TestLateDuplicateCounted(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var c *Chain
+	c = New(Config{Metrics: reg, Verify: func(e *Entry) error {
+		// Another reader admits the same entry while this one verifies.
+		twin := *e
+		twin.id = [32]byte{}
+		_, err := c.Insert(&twin, true)
+		return err
+	}})
+	if _, err := c.Insert(mkEntry(1, "a", 1, 1), false); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("racing insert: %v, want ErrDuplicate", err)
+	}
+	if _, err := c.Insert(mkEntry(1, "a", 1, 1), false); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("plain duplicate: %v, want ErrDuplicate", err)
+	}
+	if got := reg.Counter("pool.sharechain_late_duplicates").Load(); got != 1 {
+		t.Fatalf("pool.sharechain_late_duplicates = %d, want 1", got)
+	}
+}
+
+// TestAdoptCheckpoint: a chain that adopts a folded chain's checkpoint
+// and then takes its held range is that chain — tip, count, credit,
+// window and payouts — whether it started empty, behind, or holding
+// entries the source never saw below the checkpoint (dropped, and
+// counted). A checkpoint not ahead of the base is refused.
+func TestAdoptCheckpoint(t *testing.T) {
+	src := fill(shrunkChain(Config{}), 1, 500)
+	cp, ok := src.Checkpoint()
+	if !ok || cp.Count != 448 {
+		t.Fatalf("checkpoint after 500 entries: %+v, %v", cp, ok)
+	}
+	catchUp := func(name string, c *Chain) {
+		t.Helper()
+		if !c.Adopt(cp) {
+			t.Fatalf("%s: refused a checkpoint ahead of its base", name)
+		}
+		if c.TipHeight() < cp.Height || c.Len() < int(cp.Count) {
+			t.Fatalf("%s: after adopting, tip height %d, len %d", name, c.TipHeight(), c.Len())
+		}
+		for _, e := range src.EntriesFrom(0, 1<<20) {
+			twin := *e
+			twin.id = [32]byte{}
+			if _, err := c.Insert(&twin, true); err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("%s: held range: %v", name, err)
+			}
+		}
+		tip, n := c.Tip()
+		wantTip, wantN := src.Tip()
+		w, tot := c.WindowWeights()
+		wantW, wantTot := src.WindowWeights()
+		if tip != wantTip || n != wantN || !reflect.DeepEqual(c.CreditSnapshot(), src.CreditSnapshot()) ||
+			tot != wantTot || !reflect.DeepEqual(w, wantW) || !reflect.DeepEqual(c.PayoutVector(1e6), src.PayoutVector(1e6)) {
+			t.Fatalf("%s: differs from the source after catching up (count %d vs %d)", name, n, wantN)
+		}
+		if c.Adopt(cp) {
+			t.Fatalf("%s: adopted a checkpoint that is not ahead of its base", name)
+		}
+	}
+
+	catchUp("empty", shrunkChain(Config{}))
+
+	reg := metrics.NewRegistry()
+	catchUp("behind", fill(shrunkChain(Config{Metrics: reg}), 1, 100))
+	if got := reg.Counter("pool.sharechain_below_horizon").Load(); got != 0 {
+		t.Fatalf("behind: counted %d lost, held only entries the checkpoint folded", got)
+	}
+
+	reg = metrics.NewRegistry()
+	diverged := shrunkChain(Config{Metrics: reg})
+	for h := uint64(10); h <= 11; h++ {
+		if _, err := diverged.Insert(mkEntry(h, "stray", 1, 0xEE), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catchUp("diverged", fill(diverged, 1, int(cp.Count)))
+	if got := reg.Counter("pool.sharechain_below_horizon").Load(); got != 2 {
+		t.Fatalf("diverged: counted %d lost, want the 2 strays", got)
+	}
+}
