@@ -8,8 +8,11 @@ package coinhive
 // share-chain entry (claimed height = local tip + 1), inserts it locally
 // and broadcasts it. Ingestion runs the other way: gossiped entries are
 // PoW-verified by the pool's pooled CryptoNight hashers (injected as the
-// share-chain's Verifier) before admission, so a hostile peer buys
-// nothing but its own disconnection.
+// share-chain's Verifier, verifyBatch) before admission, so a hostile
+// peer buys nothing but its own disconnection. The verify runs on the p2p
+// reader goroutine of the link the entry came in on, outside the chain
+// lock; when the reader finds a second share frame already buffered
+// behind the first, the two are verified as a pair in one Sum2.
 //
 // When a Federation is configured, found-block settlement takes its
 // payout vector from the share-chain's PPLNS window instead of the
@@ -108,21 +111,7 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		// The verifier makes every entry self-certifying on every node:
 		// the blob carries its nonce, so admission needs nothing but the
 		// entry and a scratchpad.
-		Verify: func(e *sharechain.Entry) error {
-			h, err := cryptonight.GetHasher(variant)
-			if err != nil {
-				return err
-			}
-			sum := h.Sum(e.Blob)
-			cryptonight.PutHasher(h)
-			if sum != e.Result {
-				return sharechain.ErrBadPoW
-			}
-			if !cryptonight.CheckCompactTarget(e.Result, cryptonight.DifficultyForTarget(e.Diff)) {
-				return sharechain.ErrBadPoW
-			}
-			return nil
-		},
+		Verify: func(batch []*sharechain.Entry, verdicts []error) { verifyBatch(variant, batch, verdicts) },
 	})
 	f.node, err = p2p.NewNode(p2p.Config{
 		NodeID:        cfg.NodeID,
@@ -137,6 +126,41 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	}
 	f.emit = handoff.New(emitQueueDepth, f.drops, f.mint, nil)
 	return f, nil
+}
+
+// verifyBatch is the share-chain's verifier: the batch two at a time,
+// each pair in one Sum2 on two pooled hashers, and an odd last entry in
+// one Sum.
+func verifyBatch(v cryptonight.Variant, batch []*sharechain.Entry, verdicts []error) {
+	h, err := cryptonight.GetHasher(v)
+	if err != nil {
+		for i := range verdicts {
+			verdicts[i] = err
+		}
+		return
+	}
+	defer cryptonight.PutHasher(h)
+	i := 0
+	if len(batch) > 1 {
+		o, _ := cryptonight.GetHasher(v) // the variant is valid: h came from its pool
+		defer cryptonight.PutHasher(o)
+		for ; i+1 < len(batch); i += 2 {
+			x, y := h.Sum2(o, batch[i].Blob, batch[i+1].Blob)
+			verdicts[i], verdicts[i+1] = powVerdict(batch[i], x), powVerdict(batch[i+1], y)
+		}
+	}
+	if i < len(batch) {
+		verdicts[i] = powVerdict(batch[i], h.Sum(batch[i].Blob))
+	}
+}
+
+// powVerdict checks an entry against the hash of its blob: the hash must
+// be the claimed result, and the result must meet the entry's difficulty.
+func powVerdict(e *sharechain.Entry, sum [32]byte) error {
+	if sum != e.Result || !cryptonight.CheckCompactTarget(e.Result, cryptonight.DifficultyForTarget(e.Diff)) {
+		return sharechain.ErrBadPoW
+	}
+	return nil
 }
 
 // Chain exposes the node's share-chain (windowed credit, payout vectors,

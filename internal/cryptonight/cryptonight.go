@@ -24,8 +24,9 @@
 // The scratchpad is held as little-endian uint64 lanes, so the 2^12–2^19
 // memory-hard rounds do no byte marshalling at all. Explode, the main loop
 // and implode have two implementations, chosen once per hash: on amd64
-// CPUs with AES-NI, three assembly kernels (kernels_amd64.s — one AESENC
-// per main-loop round, eight AES blocks in flight through explode and
+// CPUs with AES-NI, four assembly kernels (kernels_amd64.s — one AESENC
+// per main-loop round, a second main loop that runs two hashes' rounds
+// interleaved for Sum2, eight AES blocks in flight through explode and
 // implode, each kernel entered in bounded slices so a Full-profile hash
 // stays preemptible); everywhere else walkGo, which runs the same steps on
 // uint64 register pairs through the T-tables (aesround.go, aeskey.go) and
@@ -113,17 +114,43 @@ func (h *Hasher) Variant() Variant { return h.v }
 //
 //lint:hotpath
 func (h *Hasher) Sum(data []byte) [32]byte {
-	state := keccak.State1600(data)
-
-	expandKey(state[0:16], &h.rk0)
-	expandKey(state[32:48], &h.rk1)
-
+	state := h.absorb(data)
 	// Explode, main loop, implode: state[64:192] goes in, its fold over
 	// the worked scratchpad comes out. One dispatch per hash picks the
 	// AES-NI kernels or walkGo (kernels_*.go).
 	h.walk(&state)
+	return finish(&state)
+}
 
-	// Final permutation and hash.
+// Sum2 computes the CryptoNight hashes of a, on h, and of b, on o: the
+// same digests as h.Sum(a) and o.Sum(b), in less time than both. The two
+// main loops run interleaved, so one hash's serial round fills the AES
+// unit and multiplier the other's leaves idle; absorb, explode, implode
+// and the final hash stay per hash. o must be a second Hasher of h's
+// variant.
+//
+//lint:hotpath
+func (h *Hasher) Sum2(o *Hasher, a, b []byte) (x, y [32]byte) {
+	if o == h || o.v != h.v {
+		panic("cryptonight: Sum2 needs a second Hasher of the same variant")
+	}
+	sa, sb := h.absorb(a), o.absorb(b)
+	h.walk2(o, &sa, &sb)
+	return finish(&sa), finish(&sb)
+}
+
+// absorb is a hash's first step: the Keccak state of data, and the two
+// AES-128 schedules keyed from it.
+func (h *Hasher) absorb(data []byte) [200]byte {
+	state := keccak.State1600(data)
+	expandKey(state[0:16], &h.rk0)
+	expandKey(state[32:48], &h.rk1)
+	return state
+}
+
+// finish is a hash's last step: the final permutation of the imploded
+// state, then Keccak-256 of it.
+func finish(state *[200]byte) [32]byte {
 	var st [25]uint64
 	for i := 0; i < 25; i++ {
 		st[i] = binary.LittleEndian.Uint64(state[i*8:])

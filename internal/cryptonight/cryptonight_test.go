@@ -253,6 +253,18 @@ func BenchmarkSumTestVariant(b *testing.B) {
 	}
 }
 
+// BenchmarkSum2TestVariant measures one Sum2 — two hashes — under the
+// Test profile; set it against two ops of BenchmarkSumTestVariant.
+func BenchmarkSum2TestVariant(b *testing.B) {
+	h, _ := NewHasher(Test)
+	o, _ := NewHasher(Test)
+	in := []byte("benchmark input blob that is header-sized, 76 bytes total pad pad pad!!")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Sum2(o, in, in)
+	}
+}
+
 func BenchmarkSumLiteVariant(b *testing.B) {
 	h, _ := NewHasher(Lite)
 	blob := make([]byte, 76)

@@ -112,12 +112,46 @@ implode:
 	STORE8(BX)
 	RET
 
+// One round of the memory-hard loop (see walkGo, which the two halves
+// mirror statement for statement) over the scratchpad at pad, with mask
+// in DI. Register a lives in a0:a1 because it is an address, a
+// multiply-add accumulator and an XOR target; b and c live in XMM
+// because they only ever meet AESENC, PXOR and 16-byte loads and stores.
+// R12, R13, AX, DX and k, kt are scratch.
+//
+// HALF1: c = AES round of the a-addressed line, keyed by a; store b ^ c
+// there (b is left holding it).
+#define HALF1(pad, a0, a1, b, c, k, kt) \
+	MOVQ a0, R12; \
+	ANDQ DI, R12; \
+	MOVQ a0, k; \
+	MOVQ a1, kt; \
+	PUNPCKLQDQ kt, k; \
+	MOVOU (pad)(R12*1), c; \
+	AESENC k, c; \
+	PXOR c, b; \
+	MOVOU b, (pad)(R12*1)
+
+// HALF2: a += hi:lo of c0 × d0 on the c-addressed line d; store a; a ^= d;
+// b = c. Both lanes of d are loaded before a overwrites them.
+#define HALF2(pad, a0, a1, b, c) \
+	MOVQ c, AX; \
+	MOVQ AX, R13; \
+	ANDQ DI, R13; \
+	MOVQ (pad)(R13*1), R12; \
+	MULQ R12; \
+	ADDQ DX, a0; \
+	ADDQ AX, a1; \
+	MOVQ 8(pad)(R13*1), DX; \
+	MOVQ a0, (pad)(R13*1); \
+	MOVQ a1, 8(pad)(R13*1); \
+	XORQ R12, a0; \
+	XORQ DX, a1; \
+	MOVO c, b
+
 // func mainLoopAsm(pad *uint64, mask uint64, iters int, ab *[4]uint64)
-// Runs iters rounds of the memory-hard loop (see walkGo, which it mirrors
-// statement for statement) over the scratchpad at pad. Register a lives in
-// R8:R9 because it is an address, a multiply-add accumulator and an XOR
-// target; b and c live in X0/X1 because they only ever meet AESENC, PXOR
-// and 16-byte loads and stores. ab carries a and b across calls.
+// Runs iters rounds over the scratchpad at pad, a in R8:R9 and b in X0.
+// ab carries a and b across calls.
 TEXT ·mainLoopAsm(SB), NOSPLIT, $0-32
 	MOVQ pad+0(FP), SI
 	MOVQ mask+8(FP), DI
@@ -127,33 +161,49 @@ TEXT ·mainLoopAsm(SB), NOSPLIT, $0-32
 	MOVQ 8(BX), R9
 	MOVOU 16(BX), X0
 mainloop:
-	// c = AES round of the a-addressed line, keyed by a; store b ^ c there.
-	MOVQ R8, R10
-	ANDQ DI, R10
-	MOVQ R8, X2
-	MOVQ R9, X3
-	PUNPCKLQDQ X3, X2
-	MOVOU (SI)(R10*1), X1
-	AESENC X2, X1
-	PXOR X1, X0
-	MOVOU X0, (SI)(R10*1)
-	// a += hi:lo of c0 × d0 on the c-addressed line d; store a; a ^= d.
-	MOVQ X1, AX
-	MOVQ AX, R11
-	ANDQ DI, R11
-	MOVQ (SI)(R11*1), R12
-	MOVQ 8(SI)(R11*1), R13
-	MULQ R12
-	ADDQ DX, R8
-	ADDQ AX, R9
-	MOVQ R8, (SI)(R11*1)
-	MOVQ R9, 8(SI)(R11*1)
-	XORQ R12, R8
-	XORQ R13, R9
-	MOVO X1, X0
+	HALF1(SI, R8, R9, X0, X1, X2, X3)
+	HALF2(SI, R8, R9, X0, X1)
 	DECQ CX
 	JNZ mainloop
 	MOVQ R8, 0(BX)
 	MOVQ R9, 8(BX)
 	MOVOU X0, 16(BX)
+	RET
+
+// func mainLoop2Asm(padA, padB *uint64, mask uint64, iters int, abA, abB *[4]uint64)
+// Runs iters rounds of two independent hashes, A over padA (a in R8:R9,
+// b in X0) and B over padB (a in R10:R11, b in X2), interleaved half-round
+// by half-round. Each round is one serial chain of ~26 cycles that keeps
+// the AES unit and the multiplier busy a few cycles of it; the other
+// hash's chain runs in the gap. The two share scratch registers, which
+// register renaming makes free. abA and abB carry each hash's a and b
+// across calls.
+TEXT ·mainLoop2Asm(SB), NOSPLIT, $0-48
+	MOVQ padA+0(FP), SI
+	MOVQ padB+8(FP), BX
+	MOVQ mask+16(FP), DI
+	MOVQ iters+24(FP), CX
+	MOVQ abA+32(FP), R12
+	MOVQ 0(R12), R8
+	MOVQ 8(R12), R9
+	MOVOU 16(R12), X0
+	MOVQ abB+40(FP), R12
+	MOVQ 0(R12), R10
+	MOVQ 8(R12), R11
+	MOVOU 16(R12), X2
+mainloop2:
+	HALF1(SI, R8, R9, X0, X1, X4, X5)
+	HALF1(BX, R10, R11, X2, X3, X6, X7)
+	HALF2(SI, R8, R9, X0, X1)
+	HALF2(BX, R10, R11, X2, X3)
+	DECQ CX
+	JNZ mainloop2
+	MOVQ abA+32(FP), R12
+	MOVQ R8, 0(R12)
+	MOVQ R9, 8(R12)
+	MOVOU X0, 16(R12)
+	MOVQ abB+40(FP), R12
+	MOVQ R10, 0(R12)
+	MOVQ R11, 8(R12)
+	MOVOU X2, 16(R12)
 	RET

@@ -2,6 +2,7 @@ package cryptonight
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,14 +58,30 @@ func TestSumPathsAgree(t *testing.T) {
 	}
 }
 
+// FuzzSumPathsAgree holds the dispatch path to walkGo on one blob and,
+// with pair set, holds Sum2 of the blob and its reverse to two Sums on
+// both paths.
 func FuzzSumPathsAgree(f *testing.F) {
 	for i, in := range goldenInputs() {
-		f.Add(in, uint8(i))
+		f.Add(in, uint8(i), i%2 == 1)
 	}
-	hs := pathHashers(f)
-	f.Fuzz(func(t *testing.T, blob []byte, profile uint8) {
+	hs, partners := pathHashers(f), pathHashers(f)
+	f.Fuzz(func(t *testing.T, blob []byte, profile uint8, pair bool) {
 		h := hs[int(profile)%len(hs)]
 		got := h.Sum(blob)
+		if pair {
+			o := partners[int(profile)%len(hs)]
+			other := slices.Clone(blob)
+			slices.Reverse(other)
+			want := [2][32]byte{got, o.Sum(other)}
+			if x, y := h.Sum2(o, blob, other); [2][32]byte{x, y} != want {
+				t.Errorf("%s: dispatch Sum2 %x, two Sums %x", h.v.Name, [2][32]byte{x, y}, want)
+			}
+			forceSoftAES(t)
+			if x, y := h.Sum2(o, blob, other); [2][32]byte{x, y} != want {
+				t.Errorf("%s: walkGo Sum2 %x, two Sums %x", h.v.Name, [2][32]byte{x, y}, want)
+			}
+		}
 		forceSoftAES(t) // restored when this input's t ends
 		if want := h.Sum(blob); got != want {
 			t.Errorf("%s: dispatch path %x, walkGo %x", h.v.Name, got, want)
@@ -72,16 +89,68 @@ func FuzzSumPathsAgree(f *testing.F) {
 	})
 }
 
+// TestSum2MatchesSum holds Sum2 to two Sums on every pathVariants profile,
+// through the dispatch and through walkGo: random blobs of unequal
+// lengths, the same blob on both sides, and an empty blob.
+func TestSum2MatchesSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	hs, partners := pathHashers(t), pathHashers(t)
+	type pair struct{ a, b []byte }
+	var pairs []pair
+	for i := 0; i < 4; i++ {
+		a, b := make([]byte, rng.Intn(200)), make([]byte, rng.Intn(200))
+		rng.Read(a)
+		rng.Read(b)
+		pairs = append(pairs, pair{a, b})
+	}
+	same := goldenInputs()[6]
+	pairs = append(pairs, pair{same, same}, pair{nil, same}, pair{same, []byte{}})
+	check := func(path string) {
+		for i, h := range hs {
+			o := partners[i]
+			for _, p := range pairs {
+				want := [2][32]byte{h.Sum(p.a), o.Sum(p.b)}
+				if x, y := h.Sum2(o, p.a, p.b); [2][32]byte{x, y} != want {
+					t.Errorf("%s, %s, %d- and %d-byte blobs: Sum2 %x, two Sums %x", path, h.v.Name, len(p.a), len(p.b), [2][32]byte{x, y}, want)
+				}
+			}
+		}
+	}
+	check("dispatch")
+	forceSoftAES(t)
+	check("walkGo")
+}
+
+// TestSum2RefusesMisuse: a Hasher paired with itself, or with one of
+// another variant, is a programming error.
+func TestSum2RefusesMisuse(t *testing.T) {
+	hs := pathHashers(t)
+	for name, o := range map[string]*Hasher{"itself": hs[0], "another variant": hs[2]} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Sum2 with %s did not panic", name)
+				}
+			}()
+			hs[0].Sum2(o, nil, nil)
+		}()
+	}
+}
+
 // TestSumAllocsBothPaths extends TestSumAllocs' zero-allocation pin to a
-// hash that enters every kernel more than once, and to walkGo.
+// hash that enters every kernel more than once, to walkGo, and to Sum2.
 func TestSumAllocsBothPaths(t *testing.T) {
 	in := goldenInputs()[6]
-	h := pathHashers(t)[4]
-	if n := testing.AllocsPerRun(5, func() { h.Sum(in) }); n != 0 {
-		t.Errorf("sliced Sum allocates %.1f objects/op, want 0", n)
-	}
-	forceSoftAES(t)
-	if n := testing.AllocsPerRun(5, func() { h.Sum(in) }); n != 0 {
-		t.Errorf("walkGo Sum allocates %.1f objects/op, want 0", n)
+	h, o := pathHashers(t)[4], pathHashers(t)[4]
+	for _, path := range []string{"sliced", "walkGo"} {
+		if path == "walkGo" {
+			forceSoftAES(t)
+		}
+		if n := testing.AllocsPerRun(5, func() { h.Sum(in) }); n != 0 {
+			t.Errorf("%s Sum allocates %.1f objects/op, want 0", path, n)
+		}
+		if n := testing.AllocsPerRun(5, func() { h.Sum2(o, in, in) }); n != 0 {
+			t.Errorf("%s Sum2 allocates %.1f objects/op, want 0", path, n)
+		}
 	}
 }

@@ -25,6 +25,14 @@ func (g *guarded) hashUnderLock(blob []byte) [32]byte {
 	return cryptonight.Sum(blob, cryptonight.Test) // want "cryptonight.Sum .* while g.mu is locked"
 }
 
+// pairUnderRead is the same bug with a paired verify: two hashes under
+// a read lock the chain's writers wait on.
+func (g *guarded) pairUnderRead(h, o *cryptonight.Hasher, a, b []byte) {
+	g.rw.RLock()
+	h.Sum2(o, a, b) // want "Hasher.Sum2 while g.rw is locked"
+	g.rw.RUnlock()
+}
+
 // sleepUnderRead parks every writer behind a sleeping reader.
 func (g *guarded) sleepUnderRead() {
 	g.rw.RLock()

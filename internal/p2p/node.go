@@ -432,7 +432,23 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 			if err != nil {
 				return err
 			}
-			n.ingest(p, &e)
+			// A second share frame already whole in the buffer rides along,
+			// so the pair is verified in one paired hash; the reader never
+			// waits for a partner.
+			if !shareBuffered(br) {
+				n.ingest(p, &e)
+				continue
+			}
+			_, body, err = readFrame(br)
+			if err != nil {
+				return err
+			}
+			partner, _, err := decodeEntry(body)
+			if err != nil {
+				n.ingest(p, &e)
+				return err
+			}
+			n.ingest(p, &e, &partner)
 		case frameTip:
 			t, err := decodeTip(body)
 			if err != nil {
@@ -485,17 +501,21 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 	}
 }
 
-// ingest admits one gossiped entry into the chain and relays it to the
-// other peers — relay is what makes non-mesh topologies (lines, stars)
-// converge without every node dialing every other. Every refusal is
-// counted: duplicates here, entries below the horizon by the chain, and
-// the rest — bad PoW, height skew, malformed — as rejected.
-func (n *Node) ingest(from *peer, e *sharechain.Entry) {
-	if n.cfg.Chain.Has(e) {
-		n.duplicate.Inc()
-		return
-	}
-	reorged, err := n.cfg.Chain.Insert(e, false)
+// ingest offers gossiped entries to the chain — one, or a pair the
+// chain's verifier checks in one paired hash — and settles each outcome
+// with admit.
+func (n *Node) ingest(from *peer, batch ...*sharechain.Entry) {
+	n.cfg.Chain.InsertUnverified(batch, func(e *sharechain.Entry, reorged bool, err error) {
+		n.admit(from, e, reorged, err)
+	})
+}
+
+// admit settles one ingested entry. An admitted entry is hooked and
+// relayed to the other peers — relay is what makes non-mesh topologies
+// (lines, stars) converge without every node dialing every other. Every
+// refusal is counted: duplicates here, entries below the horizon by the
+// chain, and the rest — bad PoW, height skew, malformed — as rejected.
+func (n *Node) admit(from *peer, e *sharechain.Entry, reorged bool, err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, sharechain.ErrDuplicate):
@@ -546,7 +566,11 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 // (full batch ⇒ more may follow) or closes it and lets the next tip
 // beat decide whether another round is needed.
 func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entry) {
-	for i := range entries {
+	i := 0
+	for ; i+1 < len(entries); i += 2 {
+		n.ingest(p, &entries[i], &entries[i+1])
+	}
+	if i < len(entries) {
 		n.ingest(p, &entries[i])
 	}
 	more := len(entries) == syncBatch
@@ -559,6 +583,18 @@ func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entr
 	// Full batch ⇒ more may follow: continue from the last height seen
 	// (same-height stragglers re-sent, deduped on arrival).
 	p.sendq.Offer(AppendSyncReqFrame(nil, entries[len(entries)-1].Height, uint32(syncBatch)))
+}
+
+// shareBuffered reports whether br's buffer already holds a whole share
+// frame, so reading it can neither block nor fail. A frame of a bad
+// length is left to the next readFrame to refuse.
+func shareBuffered(br *bufio.Reader) bool {
+	if br.Buffered() <= frameHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeaderLen + 1)
+	ln := binary.LittleEndian.Uint32(hdr)
+	return hdr[frameHeaderLen] == frameShare && ln > 0 && ln <= MaxFrameLen && br.Buffered() >= frameHeaderLen+int(ln)
 }
 
 // readFrame reads one length-prefixed frame and splits off the kind

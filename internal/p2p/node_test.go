@@ -19,7 +19,7 @@ import (
 // acceptAll is the test verifier: structure-only, no PoW. Node tests
 // exercise gossip and convergence; PoW gating has its own tests in
 // sharechain and in the pool's federation suite.
-func acceptAll(*sharechain.Entry) error { return nil }
+func acceptAll([]*sharechain.Entry, []error) {}
 
 // testNode is one in-process federation member: chain + node + listener.
 type testNode struct {
@@ -393,21 +393,11 @@ func TestDuplicateGossipCounted(t *testing.T) {
 
 // TestIngestCountsRefusals: every share frame a node refuses is counted —
 // a duplicate as a duplicate, one below the horizon by the chain, and bad
-// PoW, height skew and a malformed entry as rejected.
+// PoW, height skew and a malformed entry as rejected — whether the frames
+// arrive one at a time or all in one write, so that the reader takes them
+// in pairs: the duplicate then shares a verify with its original, and
+// each refusal shares one with an entry refused for another reason.
 func TestIngestCountsRefusals(t *testing.T) {
-	reg := metrics.NewRegistry()
-	chain := sharechain.New(sharechain.Config{Window: 8, Metrics: reg, Verify: func(e *sharechain.Entry) error {
-		if e.Token == "forged" {
-			return sharechain.ErrBadPoW
-		}
-		return nil
-	}})
-	chain.Adopt(sharechain.Checkpoint{Count: 50, Height: 100}) // a horizon at height 100
-	node, err := NewNode(Config{NodeID: 9, Chain: chain, Registry: reg, TipInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
 	good := testEntry(101, "good", 1, 1)
 	frames := []*sharechain.Entry{
 		good,
@@ -423,23 +413,97 @@ func TestIngestCountsRefusals(t *testing.T) {
 		"p2p.shares_rejected":           3,
 		"pool.sharechain_below_horizon": 1,
 	}
-	runHandshake(t, node, func(c net.Conn) {
-		h := hello{Version: ProtocolVersion, NodeID: 5}
-		c.Write(AppendHelloFrame(nil, &h))
-		for _, e := range frames {
-			c.Write(AppendShareFrame(nil, e))
+	for _, oneWrite := range []bool{false, true} {
+		reg := metrics.NewRegistry()
+		chain := sharechain.New(sharechain.Config{Window: 8, Metrics: reg, Verify: func(batch []*sharechain.Entry, verdicts []error) {
+			for i, e := range batch {
+				if e.Token == "forged" {
+					verdicts[i] = sharechain.ErrBadPoW
+				}
+			}
+		}})
+		chain.Adopt(sharechain.Checkpoint{Count: 50, Height: 100}) // a horizon at height 100
+		node, err := NewNode(Config{NodeID: 9, Chain: chain, Registry: reg, TipInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for name, n := range want {
-			for reg.Counter(name).Load() != n {
+		runHandshake(t, node, func(c net.Conn) {
+			h := hello{Version: ProtocolVersion, NodeID: 5}
+			c.Write(AppendHelloFrame(nil, &h))
+			var all []byte
+			for _, e := range frames {
+				if !oneWrite {
+					c.Write(AppendShareFrame(nil, e))
+				}
+				all = AppendShareFrame(all, e)
+			}
+			if oneWrite {
+				c.Write(all)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for name, n := range want {
+				for reg.Counter(name).Load() != n {
+					if time.Now().After(deadline) {
+						t.Fatalf("one write %v: %s = %d, want %d", oneWrite, name, reg.Counter(name).Load(), n)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			c.Close()
+		})
+		node.Close()
+	}
+}
+
+// TestShareFramesVerifiedInPairs: N share frames that reach a node in one
+// write are verified as ⌊N/2⌋ pairs, plus one alone when N is odd; a
+// lone frame is admitted without waiting for a partner that never comes.
+func TestShareFramesVerifiedInPairs(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 8} {
+		reg := metrics.NewRegistry()
+		var mu sync.Mutex
+		var seen []int
+		chain := sharechain.New(sharechain.Config{Window: 8, Metrics: reg, Verify: func(batch []*sharechain.Entry, _ []error) {
+			mu.Lock()
+			seen = append(seen, len(batch))
+			mu.Unlock()
+		}})
+		node, err := NewNode(Config{NodeID: 9, Chain: chain, Registry: reg, TipInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []byte
+		for i := 0; i < n; i++ {
+			frames = AppendShareFrame(frames, testEntry(uint64(1+i), "tok", 1, byte(i)))
+		}
+		runHandshake(t, node, func(c net.Conn) {
+			h := hello{Version: ProtocolVersion, NodeID: 5}
+			c.Write(AppendHelloFrame(nil, &h))
+			c.Write(frames)
+			deadline := time.Now().Add(5 * time.Second)
+			for reg.Counter("p2p.shares_ingested").Load() != uint64(n) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s = %d, want %d", name, reg.Counter(name).Load(), n)
+					t.Fatalf("%d frames: %d ingested", n, reg.Counter("p2p.shares_ingested").Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
+			c.Close()
+		})
+		node.Close()
+		want := make([]int, n/2, n/2+1)
+		for i := range want {
+			want[i] = 2
 		}
-		c.Close()
-	})
+		if n%2 == 1 {
+			want = append(want, 1)
+		}
+		if !reflect.DeepEqual(seen, want) {
+			t.Errorf("%d frames in one write: verifier saw batches %v, want %v", n, seen, want)
+		}
+		if got := reg.Counter("pool.sharechain_paired_verifies").Load(); got != uint64(n&^1) {
+			t.Errorf("%d frames: pool.sharechain_paired_verifies = %d, want %d", n, got, n&^1)
+		}
+	}
 }
 
 // TestSyncRequestStartsAtHorizon: a node behind a peer asks for entries

@@ -11,8 +11,12 @@
 //
 // The package sees the share-chain as data and the transport as bytes:
 // layering pins it to sharechain + metrics + memconn. PoW validation of
-// ingested shares happens inside sharechain's injected verifier — a
-// hostile frame costs this layer only its decode.
+// ingested shares happens inside sharechain's injected verifier, on the
+// reader goroutine of the link they arrived on — a hostile frame costs
+// this layer only its decode. A share frame with a second one already
+// whole in the read buffer behind it goes to the chain as a pair, which
+// the verifier checks in one paired hash; the reader never waits for a
+// partner.
 package p2p
 
 import (

@@ -66,6 +66,15 @@ func canonical(set []*Entry) []*Entry {
 	return sorted
 }
 
+// has reports whether e is in the chain, under the read lock the
+// admission pre-check takes.
+func (c *Chain) has(e *Entry) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, found := c.searchLocked(e)
+	return found
+}
+
 // horizon shrinks c's finality horizon so a test can fold many times over
 // a few hundred entries. foldChunk must stay a multiple of tipStride.
 func horizon(c *Chain, reorgDepth, foldChunk int) *Chain {
@@ -109,17 +118,49 @@ func lateOrder(set []*Entry, depth int, rng *rand.Rand) []int {
 
 // deliver feeds set to c in order, in batches of 1–40 with re-deliveries
 // mixed in, and after every batch holds c to the model of exactly the
-// entries it accepted: tip, count, credit, window and payouts, plus Has,
+// entries it accepted: tip, count, credit, window and payouts, plus has,
 // ErrDuplicate for a held re-delivery and ErrBelowHorizon for a folded
 // one, every refusal counted, and never more held than the horizon
-// allows. It returns what c accepted and how many first deliveries it
-// refused.
-func deliver(t *testing.T, c *Chain, reg *metrics.Registry, set []*Entry, order []int, rng *rand.Rand) (accepted []*Entry, refused int) {
+// allows. Delivered verified, each entry is its own Insert; unverified,
+// each batch, re-deliveries included, is one InsertUnverified (c's
+// verifier must accept everything). It returns what c accepted and how
+// many first deliveries it refused.
+func deliver(t *testing.T, c *Chain, reg *metrics.Registry, set []*Entry, order []int, verified bool, rng *rand.Rand) (accepted []*Entry, refused int) {
 	t.Helper()
+	// A delivery is a first one of src, or a re-delivery (src nil) that
+	// must be refused with want.
+	type delivery struct {
+		e, src *Entry
+		want   error
+	}
 	var counted uint64
+	check := func(d delivery, err error) {
+		switch {
+		case d.src == nil:
+			if !errors.Is(err, d.want) {
+				t.Fatalf("re-delivery: %v, want %v", err, d.want)
+			}
+		case err == nil:
+			accepted = append(accepted, d.src)
+		case errors.Is(err, ErrBelowHorizon):
+			refused++
+			counted++
+		default:
+			t.Fatalf("insert: %v", err)
+		}
+	}
 	for len(order) > 0 {
 		batch := order[:min(len(order), 1+rng.Intn(40))]
 		order = order[len(batch):]
+		var queued []delivery
+		put := func(d delivery) {
+			if verified {
+				_, err := c.Insert(d.e, true)
+				check(d, err)
+			} else {
+				queued = append(queued, d)
+			}
+		}
 		for _, i := range batch {
 			if rng.Intn(4) == 0 && len(accepted) > 0 { // a re-delivery first
 				dup := *accepted[rng.Intn(len(accepted))]
@@ -130,26 +171,27 @@ func deliver(t *testing.T, c *Chain, reg *metrics.Registry, set []*Entry, order 
 					want = ErrBelowHorizon
 					counted++
 				}
-				if c.Has(&dup) != held {
-					t.Fatalf("Has(re-delivery) = %v, want %v", !held, held)
+				if c.has(&dup) != held {
+					t.Fatalf("has(re-delivery) = %v, want %v", !held, held)
 				}
-				if _, err := c.Insert(&dup, true); !errors.Is(err, want) {
-					t.Fatalf("re-delivery: %v, want %v", err, want)
-				}
+				put(delivery{e: &dup, want: want})
 			}
 			e := *set[i]
-			if c.Has(&e) {
-				t.Fatalf("Has claims an undelivered entry")
+			if c.has(&e) {
+				t.Fatalf("has claims an undelivered entry")
 			}
-			switch _, err := c.Insert(&e, true); {
-			case err == nil:
-				accepted = append(accepted, set[i])
-			case errors.Is(err, ErrBelowHorizon):
-				refused++
-				counted++
-			default:
-				t.Fatalf("insert: %v", err)
+			put(delivery{e: &e, src: set[i]})
+		}
+		if !verified {
+			entries := make([]*Entry, len(queued))
+			for k, d := range queued {
+				entries[k] = d.e
 			}
+			k := 0
+			c.InsertUnverified(entries, func(_ *Entry, _ bool, err error) {
+				check(queued[k], err)
+				k++
+			})
 		}
 		want := fold(accepted, modelWindow, modelFee, modelReward)
 		tip, n := c.Tip()
@@ -174,10 +216,12 @@ func deliver(t *testing.T, c *Chain, reg *metrics.Registry, set []*Entry, order 
 // model of everything delivered. Lateness below reorgDepth into a chain
 // whose horizon is shrunk so it folds several times: still everything
 // accepted, still the model of everything delivered, the finality
-// horizon's canonical claim. Any order into the shrunk chain: entries
-// later than the bound are refused and counted, and the chain is the
-// model of the rest. Early batches land in a chain shorter than the
-// window; later ones fall on both sides of its head.
+// horizon's canonical claim. Any order into the shrunk chain, each batch
+// through the unverified path as one InsertUnverified: entries later than
+// the bound are refused and counted, whether before the verify or after
+// it, and the chain is the model of the rest. Early batches land in a
+// chain shorter than the window; later ones fall on both sides of its
+// head.
 func TestChainMatchesModel(t *testing.T) {
 	const depth, chunk = 32, 64
 	lateRefused := 0
@@ -186,7 +230,7 @@ func TestChainMatchesModel(t *testing.T) {
 		set := modelSet(rng)
 		build := func(shrunk bool) (*Chain, *metrics.Registry) {
 			reg := metrics.NewRegistry()
-			c := New(Config{Window: modelWindow, FeePercent: modelFee, Metrics: reg})
+			c := New(Config{Window: modelWindow, FeePercent: modelFee, Metrics: reg, Verify: func([]*Entry, []error) {}})
 			if shrunk {
 				horizon(c, depth, chunk)
 			}
@@ -194,12 +238,12 @@ func TestChainMatchesModel(t *testing.T) {
 		}
 
 		c, reg := build(false)
-		if acc, refused := deliver(t, c, reg, set, rng.Perm(len(set)), rng); refused != 0 || len(acc) != len(set) || c.base.Count != 0 {
+		if acc, refused := deliver(t, c, reg, set, rng.Perm(len(set)), true, rng); refused != 0 || len(acc) != len(set) || c.base.Count != 0 {
 			t.Fatalf("seed %d, unfolded: %d of %d accepted, %d refused, %d folded", seed, len(acc), len(set), refused, c.base.Count)
 		}
 
 		c, reg = build(true)
-		if acc, refused := deliver(t, c, reg, set, lateOrder(set, depth, rng), rng); refused != 0 || len(acc) != len(set) {
+		if acc, refused := deliver(t, c, reg, set, lateOrder(set, depth, rng), true, rng); refused != 0 || len(acc) != len(set) {
 			t.Fatalf("seed %d, lateness < %d: %d of %d accepted, %d refused", seed, depth, len(acc), len(set), refused)
 		}
 		if folds := c.base.Count / chunk; folds < 3 {
@@ -207,8 +251,11 @@ func TestChainMatchesModel(t *testing.T) {
 		}
 
 		c, reg = build(true)
-		_, refused := deliver(t, c, reg, set, rng.Perm(len(set)), rng)
+		_, refused := deliver(t, c, reg, set, rng.Perm(len(set)), false, rng)
 		lateRefused += refused
+		if got := reg.Counter("pool.sharechain_paired_verifies").Load(); got == 0 {
+			t.Fatalf("seed %d: no batch reached the verifier as a pair", seed)
+		}
 	}
 	if lateRefused == 0 {
 		t.Fatalf("no seed delivered an entry later than the horizon")
@@ -304,16 +351,18 @@ func TestHeapBytesPerEntry(t *testing.T) {
 	}
 }
 
-// TestConcurrentInsertFoldAndRead: writers insert while readers call Has,
-// EntriesFrom, Checkpoint, Tip and WindowWeights, and the shrunk horizon
-// folds under them many times. However the writers interleave, the chain
-// ends as the model of what it accepted. Run it with -race.
+// TestConcurrentInsertFoldAndRead: writers insert — half of them verified
+// entries one at a time, half unverified pairs through InsertUnverified —
+// while readers call has, EntriesFrom, Checkpoint, Tip and WindowWeights,
+// and the shrunk horizon folds under them many times. However the writers
+// interleave, the chain ends as the model of what it accepted. Run it
+// with -race.
 func TestConcurrentInsertFoldAndRead(t *testing.T) {
 	const writers = 4
 	rng := rand.New(rand.NewSource(11))
 	set := modelSet(rng)
 	order := lateOrder(set, 32, rng)
-	c := horizon(New(Config{Window: modelWindow, FeePercent: modelFee}), 32, 64)
+	c := horizon(New(Config{Window: modelWindow, FeePercent: modelFee, Verify: func([]*Entry, []error) {}}), 32, 64)
 
 	var wg, readers sync.WaitGroup
 	done := make(chan struct{})
@@ -330,7 +379,7 @@ func TestConcurrentInsertFoldAndRead(t *testing.T) {
 				}
 				probe := *set[rng.Intn(len(set))]
 				probe.id = [32]byte{}
-				c.Has(&probe)
+				c.has(&probe)
 				c.EntriesFrom(probe.Height, 16)
 				c.Checkpoint()
 				c.Tip()
@@ -344,14 +393,36 @@ func TestConcurrentInsertFoldAndRead(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var mine []*Entry
 			for k := w; k < len(order); k += writers {
-				e := *set[order[k]]
-				switch _, err := c.Insert(&e, true); {
-				case err == nil:
-					accepted[w] = append(accepted[w], set[order[k]])
-				case !errors.Is(err, ErrBelowHorizon):
-					t.Errorf("insert: %v", err)
+				mine = append(mine, set[order[k]])
+			}
+			step := 1 + w%2
+			for i := 0; i < len(mine); i += step {
+				src := mine[i:min(i+step, len(mine))]
+				batch := make([]*Entry, len(src))
+				for j, e := range src {
+					fresh := *e
+					batch[j] = &fresh
 				}
+				admit := func(j int, err error) {
+					switch {
+					case err == nil:
+						accepted[w] = append(accepted[w], src[j])
+					case !errors.Is(err, ErrBelowHorizon):
+						t.Errorf("insert: %v", err)
+					}
+				}
+				if step == 1 {
+					_, err := c.Insert(batch[0], true)
+					admit(0, err)
+					continue
+				}
+				j := 0
+				c.InsertUnverified(batch, func(_ *Entry, _ bool, err error) {
+					admit(j, err)
+					j++
+				})
 			}
 		}()
 	}

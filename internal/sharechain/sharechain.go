@@ -147,18 +147,21 @@ func (e *Entry) before(o *Entry) bool {
 	return bytes.Compare(e.id[:], o.id[:]) < 0
 }
 
-// Verifier checks an entry's proof of work. The pool injects one backed
-// by its pooled CryptoNight hashers; a nil verifier makes Insert of
-// unverified (remote) entries an error, never a silent admission.
-type Verifier func(*Entry) error
+// Verifier checks the proofs of work of a batch of entries, writing entry
+// i's verdict (nil: it verifies) to verdicts[i]. It takes the batch two
+// at a time, so a paired hash can check both entries of each pair; the
+// pool injects one backed by its pooled CryptoNight hashers. A nil
+// verifier makes admission of unverified (remote) entries an error, never
+// a silent admission.
+type Verifier func(batch []*Entry, verdicts []error)
 
 // Config parameterises a Chain.
 type Config struct {
 	// Window is the PPLNS window size in entries (DefaultWindow if 0).
 	Window int
-	// Verify validates the PoW of entries inserted with verified=false
-	// (gossiped-in shares). Locally-accepted shares were already
-	// verified by the pool and skip it.
+	// Verify validates the PoW of unverified entries (gossiped-in
+	// shares). Locally-accepted shares were already verified by the pool
+	// and skip it.
 	Verify Verifier
 	// FeePercent is the pool cut applied by PayoutVector (30 if 0).
 	FeePercent int
@@ -212,6 +215,7 @@ type Chain struct {
 	reorgs       *metrics.Counter
 	belowHorizon *metrics.Counter
 	lateDups     *metrics.Counter
+	paired       *metrics.Counter
 }
 
 // account is one token's all-time credit, and the chain's one copy of the
@@ -244,6 +248,7 @@ func New(cfg Config) *Chain {
 		reorgs:       cfg.Metrics.Counter("pool.sharechain_reorgs"),
 		belowHorizon: cfg.Metrics.Counter("pool.sharechain_below_horizon"),
 		lateDups:     cfg.Metrics.Counter("pool.sharechain_late_duplicates"),
+		paired:       cfg.Metrics.Counter("pool.sharechain_paired_verifies"),
 	}
 }
 
@@ -285,14 +290,6 @@ func (c *Chain) tipHeightLocked() uint64 {
 // NextHeight is the claimed height a locally-minted entry should carry:
 // the current tip height plus one.
 func (c *Chain) NextHeight() uint64 { return c.TipHeight() + 1 }
-
-// Has reports whether e is already in the chain.
-func (c *Chain) Has(e *Entry) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, found := c.searchLocked(e)
-	return found
-}
 
 // searchLocked returns e's canonical position — the first entry not
 // before it — and whether that entry is e itself. The sorted slice is the
@@ -340,10 +337,8 @@ func (c *Chain) validate(e *Entry) error {
 }
 
 // Insert adds an entry to the chain. verified marks entries whose PoW the
-// caller already checked (the local pool's accepted shares); unverified
-// entries (gossip, sync) go through Config.Verify before admission — the
-// CryptoNight walk runs outside the chain lock, so verification of
-// concurrent gossip parallelises like the pool's submit path.
+// caller already checked (the local pool's accepted shares); an
+// unverified entry (gossip, sync) is a batch of one for InsertUnverified.
 //
 // Returns whether the insertion displaced existing order (a reorg): the
 // entry's canonical position preceded existing entries, so the rolling
@@ -351,30 +346,80 @@ func (c *Chain) validate(e *Entry) error {
 // history is refused with ErrBelowHorizon and counted; nothing else
 // changes.
 func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
+	if !verified {
+		c.InsertUnverified([]*Entry{e}, func(_ *Entry, r bool, er error) { reorged, err = r, er })
+		return reorged, err
+	}
 	if err := c.validate(e); err != nil {
 		return false, err
 	}
-	c.mu.RLock()
-	_, err = c.placeLocked(e)
-	c.mu.RUnlock()
-	if err == nil && !verified {
-		err = ErrUnverified
-		if c.cfg.Verify != nil {
-			err = c.cfg.Verify(e)
-		}
-	}
-	if err != nil {
-		if err == ErrBelowHorizon {
-			c.belowHorizon.Inc()
-		}
-		return false, err
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Re-check against the chain as it stands now: the first check ran
-	// against a snapshot. A duplicate found only here raced another reader
-	// and lost after paying for a full verify.
+	return c.insertLocked(e, true)
+}
+
+// InsertUnverified is the one admission path for entries whose PoW is not
+// yet checked. Each entry is checked against the chain under the read
+// lock; the survivors go to Config.Verify in one call, outside any lock,
+// so verification of concurrent gossip parallelises like the pool's
+// submit path, and a batch of two is one paired hash; each verified entry
+// is then inserted under the write lock, re-checked there as Insert
+// checks. done is called once per entry, in batch order, after the whole
+// batch is placed and outside the lock, with what Insert would have
+// returned for it.
+func (c *Chain) InsertUnverified(batch []*Entry, done func(e *Entry, reorged bool, err error)) {
+	errs := make([]error, len(batch))
+	reorged := make([]bool, len(batch))
+	survivors := make([]*Entry, 0, len(batch))
+	c.mu.RLock()
+	for i, e := range batch {
+		if errs[i] = c.validate(e); errs[i] == nil {
+			_, errs[i] = c.placeLocked(e)
+		}
+		switch errs[i] {
+		case nil:
+			survivors = append(survivors, e)
+		case ErrBelowHorizon:
+			c.belowHorizon.Inc()
+		}
+	}
+	c.mu.RUnlock()
+
+	if len(survivors) > 0 {
+		verdicts := make([]error, len(survivors))
+		if c.cfg.Verify == nil {
+			for j := range verdicts {
+				verdicts[j] = ErrUnverified
+			}
+		} else {
+			c.cfg.Verify(survivors, verdicts)
+			c.paired.Add(uint64(len(survivors) &^ 1))
+		}
+		j := 0
+		for i := range batch {
+			if errs[i] == nil {
+				errs[i] = verdicts[j]
+				j++
+			}
+		}
+		c.mu.Lock()
+		for i, e := range batch {
+			if errs[i] == nil {
+				reorged[i], errs[i] = c.insertLocked(e, false)
+			}
+		}
+		c.mu.Unlock()
+	}
+	for i, e := range batch {
+		done(e, reorged[i], errs[i])
+	}
+}
+
+// insertLocked places one entry, structurally valid and (unless verified)
+// already through the verifier, in the chain as it stands now: the check
+// before the verify ran against a snapshot. A duplicate found only here
+// raced another reader and lost after paying for a full verify.
+func (c *Chain) insertLocked(e *Entry, verified bool) (reorged bool, err error) {
 	var pos int
 	switch pos, err = c.placeLocked(e); {
 	case err == ErrBelowHorizon:

@@ -157,33 +157,98 @@ func TestDuplicateAndValidation(t *testing.T) {
 	}
 }
 
+// TestVerifierGatesRemoteEntries: unverified entries reach the chain only
+// through the verifier, a batch at a time. Each case delivers one batch to
+// a fresh chain with a horizon at height 100, and names the verdict each
+// entry must get and the batches the verifier must see: only entries that
+// pass the checks before the verify reach it, its verdict is final per
+// entry, and a duplicate that appears while it runs is counted as late
+// for that entry only.
 func TestVerifierGatesRemoteEntries(t *testing.T) {
 	// No verifier: remote entries are refused outright.
 	c := New(Config{Window: 4})
 	if _, err := c.Insert(mkEntry(1, "a", 1, 1), false); !errors.Is(err, ErrUnverified) {
 		t.Fatalf("nil verifier: %v", err)
 	}
-	// A verifier sees exactly the entry and its verdict is final.
-	calls := 0
-	c2 := New(Config{Window: 4, Verify: func(e *Entry) error {
-		calls++
-		if e.Token == "evil" {
-			return ErrBadPoW
+
+	good, good2 := mkEntry(101, "good", 1, 1), mkEntry(102, "good", 1, 2)
+	evil := mkEntry(101, "evil", 1, 3)
+	late := mkEntry(50, "late", 1, 4)
+	racer := mkEntry(102, "racer", 1, 5) // a local insert admits its twin mid-verify
+	cases := []struct {
+		name     string
+		batch    []*Entry
+		want     []error
+		seen     []int // the sizes of the batches the verifier sees
+		lateDups uint64
+	}{
+		{"bad", []*Entry{evil}, []error{ErrBadPoW}, []int{1}, 0},
+		{"good", []*Entry{good}, []error{nil}, []int{1}, 0},
+		{"good+bad pair", []*Entry{good, evil}, []error{nil, ErrBadPoW}, []int{2}, 0},
+		{"pair, one below the horizon", []*Entry{late, good}, []error{ErrBelowHorizon, nil}, []int{1}, 0},
+		{"pair racing a local insert", []*Entry{good, racer}, []error{nil, ErrDuplicate}, []int{2}, 1},
+		{"pair, both refused before the verify", []*Entry{late, {Height: 101, Token: "zero", Blob: []byte{1}}}, []error{ErrBelowHorizon, ErrBadEntry}, nil, 0},
+		{"good pair", []*Entry{good, good2}, []error{nil, nil}, []int{2}, 0},
+	}
+	for _, tc := range cases {
+		reg := metrics.NewRegistry()
+		var seen []int
+		var c *Chain
+		c = New(Config{Metrics: reg, Verify: func(batch []*Entry, verdicts []error) {
+			seen = append(seen, len(batch))
+			for i, e := range batch {
+				switch e.Token {
+				case "evil":
+					verdicts[i] = ErrBadPoW
+				case "racer":
+					twin := *e
+					twin.id = [32]byte{}
+					if _, err := c.Insert(&twin, true); err != nil {
+						t.Fatalf("%s: local twin: %v", tc.name, err)
+					}
+				}
+			}
+		}})
+		c.Adopt(Checkpoint{Count: 50, Height: 100})
+		batch := make([]*Entry, len(tc.batch))
+		for i, e := range tc.batch {
+			fresh := *e
+			batch[i] = &fresh
 		}
-		return nil
-	}})
-	if _, err := c2.Insert(mkEntry(1, "evil", 1, 2), false); !errors.Is(err, ErrBadPoW) {
-		t.Fatalf("verifier reject: %v", err)
-	}
-	if _, err := c2.Insert(mkEntry(1, "good", 1, 3), false); err != nil {
-		t.Fatalf("verifier accept: %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("verifier calls = %d", calls)
-	}
-	// Local (verified) entries never touch the verifier.
-	if _, err := c2.Insert(mkEntry(2, "evil", 1, 4), true); err != nil || calls != 2 {
-		t.Fatalf("local insert hit the verifier: err=%v calls=%d", err, calls)
+		var got []error
+		c.InsertUnverified(batch, func(e *Entry, _ bool, err error) {
+			if e != batch[len(got)] {
+				t.Fatalf("%s: done called out of batch order", tc.name)
+			}
+			got = append(got, err)
+		})
+		if !reflect.DeepEqual(got, tc.want) || !reflect.DeepEqual(seen, tc.seen) {
+			t.Errorf("%s: verdicts %v, verifier saw batches %v; want %v, %v", tc.name, got, seen, tc.want, tc.seen)
+		}
+		for i, e := range batch {
+			if held := tc.want[i] == nil || tc.want[i] == ErrDuplicate; c.has(e) != held {
+				t.Errorf("%s: entry %d held = %v, want %v", tc.name, i, !held, held)
+			}
+		}
+		// Local (verified) entries never touch the verifier, and a local
+		// duplicate is no late one.
+		seen = nil
+		if _, err := c.Insert(mkEntry(103, "evil", 1, 6), true); err != nil || seen != nil {
+			t.Errorf("%s: local insert: err=%v, verifier saw %v", tc.name, err, seen)
+		}
+		if _, err := c.Insert(mkEntry(103, "evil", 1, 6), true); !errors.Is(err, ErrDuplicate) {
+			t.Errorf("%s: local duplicate: %v", tc.name, err)
+		}
+		var paired uint64
+		for _, n := range tc.seen {
+			paired += uint64(n &^ 1)
+		}
+		if got := reg.Counter("pool.sharechain_late_duplicates").Load(); got != tc.lateDups {
+			t.Errorf("%s: pool.sharechain_late_duplicates = %d, want %d", tc.name, got, tc.lateDups)
+		}
+		if got := reg.Counter("pool.sharechain_paired_verifies").Load(); got != paired {
+			t.Errorf("%s: pool.sharechain_paired_verifies = %d, want %d", tc.name, got, paired)
+		}
 	}
 }
 
@@ -243,7 +308,7 @@ func fill(c *Chain, from, to int) *Chain {
 func TestBelowHorizonRefused(t *testing.T) {
 	reg := metrics.NewRegistry()
 	verifies := 0
-	c := fill(shrunkChain(Config{Metrics: reg, Verify: func(*Entry) error { verifies++; return nil }}), 1, 300)
+	c := fill(shrunkChain(Config{Metrics: reg, Verify: func(batch []*Entry, _ []error) { verifies += len(batch) }}), 1, 300)
 	cp, ok := c.Checkpoint()
 	if !ok || cp.Count != 256 || cp.Height != 256 {
 		t.Fatalf("checkpoint after 300 entries: %+v, %v", cp, ok)
@@ -276,12 +341,11 @@ func TestBelowHorizonRefused(t *testing.T) {
 func TestLateDuplicateCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	var c *Chain
-	c = New(Config{Metrics: reg, Verify: func(e *Entry) error {
+	c = New(Config{Metrics: reg, Verify: func(batch []*Entry, verdicts []error) {
 		// Another reader admits the same entry while this one verifies.
-		twin := *e
+		twin := *batch[0]
 		twin.id = [32]byte{}
-		_, err := c.Insert(&twin, true)
-		return err
+		_, verdicts[0] = c.Insert(&twin, true)
 	}})
 	if _, err := c.Insert(mkEntry(1, "a", 1, 1), false); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("racing insert: %v, want ErrDuplicate", err)
