@@ -43,9 +43,12 @@ lint:
 # benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
 # attributes blocks" check keeps running), the nested benchmark module's
 # own vet + tests (root `./...` skips it, so a product-side rename the
-# benchmark depends on would otherwise break it unnoticed), and the five
-# live-service load gates. Performance itself is measured by
-# `bash benchmark/run.sh` against BENCHMARK.json, not here.
+# benchmark depends on would otherwise break it unnoticed), and the four
+# live-service load gates. Federation convergence (kill, cold replace,
+# zero lost credit) is checked by the coinhive and p2p tests in the
+# -short -race pass and by the benchmark module's share-federated smoke
+# test. Performance itself is measured by `bash benchmark/run.sh`
+# against BENCHMARK.json, not here.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -58,7 +61,6 @@ check:
 	$(MAKE) load-hostile
 	$(MAKE) load-scale
 	$(MAKE) load-api
-	$(MAKE) load-federation
 
 # The live-service gates, one pattern rule: `make load-<gate>` runs
 # `loadd -gate <gate>` against in-process targets and fails unless the
@@ -90,12 +92,6 @@ check:
 #                           baseline, 100ms floor — loose by design: the
 #                           readers are real CPU load, while a blocking
 #                           archive would overshoot by orders of magnitude).
-#   load-federation (≈15s)  one swarm split across three gossip-linked pool
-#                           nodes (memconn mesh), one node killed mid-run
-#                           and cold-replaced with an empty share-chain:
-#                           zero protocol errors, converged tips, zero lost
-#                           credit, no federation-queue drop, a counted sync
-#                           round on the replacement, gossip p99 ≤ 1s.
 load-%:
 	$(GO) run ./cmd/loadd -gate $*
 

@@ -2,14 +2,14 @@
 // coinhive service and prints one row per run: a live service under
 // thousands of protocol-faithful ws+stratum miner sessions, with
 // client-observed accept latency. Its job is correctness under load —
-// the five -gate runs are CI gates; performance is recorded by the
+// the four -gate runs are CI gates; performance is recorded by the
 // benchmark module (benchmark/, BENCHMARK.json), not here.
 //
 // Usage:
 //
 //	loadd -gate smoke         # CI gate: 500 ws + 500 TCP sessions, zero protocol errors
 //	loadd -gate api           # CI gate: api-readers page /api/v1 while the swarm mines
-//	                          # (also: hostile, scale, federation — `make load-<gate>`)
+//	                          # (also: hostile, scale — `make load-<gate>`)
 //	loadd -scenario all       # full catalogue against an in-process service
 //	loadd -scenario tcp-scale -sessions 50000 -deadline 200s   # one big in-memory tier
 //	loadd -target ws://host:8080 -target-tcp host:3333 -scenario tcp-steady -sessions 2000
@@ -105,13 +105,6 @@ var gates = []gate{
 		scenarios: []string{"mixed", "api-readers"},
 		baseline:  "mixed",
 		assert:    assertAPI,
-	},
-	{
-		name:      "federation",
-		doc:       "3 gossip-linked pool nodes, one killed and cold-replaced mid-run; converged tips, zero lost credit and bounded gossip propagation",
-		scenarios: []string{"federation"},
-		sessions:  120,
-		assert:    assertFederation,
 	},
 }
 
@@ -291,8 +284,6 @@ func run(args []string, out io.Writer) error {
 		if *target != "" {
 			why := ""
 			switch {
-			case sc.Federation:
-				why = "the federation scenario boots its own 3-node cluster; drop -target"
 			case sc.Mem:
 				why = "in-memory scale tiers need the in-process target; drop -target"
 			case sc.Transport != loadgen.TransportWS && *targetTCP == "":
@@ -318,57 +309,51 @@ func run(args []string, out io.Writer) error {
 			Deadline:  *deadline,
 			Registry:  metrics.NewRegistry(), // fresh per run: every row is per-scenario
 		}
-		var res loadgen.Result
-		var srvDelta func(string) uint64
-		if sc.Federation {
-			// RunFederation boots its own 3-node cluster.
-			res, err = loadgen.RunFederation(cfg, *shareDiff)
-		} else {
-			var pushCursor metrics.HistCursor
-			var srvBefore map[string]uint64
-			var t *loadgen.InprocTarget
-			if *target == "" {
-				if t, err = targets.get(sc); err != nil {
-					return err
-				}
-				st, reg := t.Stratum, t.Pool.Metrics()
-				cfg.URL, cfg.TCPAddr, cfg.Refresh = t.URL, t.TCPAddr, t.AdvanceTip
-				cfg.Variant = t.Pool.Chain().Params().PowVariant
-				cfg.DialTCP, cfg.HTTPURL = t.DialMem, t.HTTPURL()
-				cfg.ParkedFn = func() int64 { return st.Parked() }
-				// The server-side counters and the job-push histogram are
-				// cumulative; the cursor and the baseline scope them to this
-				// row. Scale rows measure fan-out over the hold window only:
-				// re-scoping both at the all-parked barrier drops ramp-phase
-				// pushes (partial swarm, contended with login/grind work)
-				// from the percentiles, and keeps bytes-per-push and
-				// encodes-per-tip honest for the same window.
-				rescope := func() { pushCursor, srvBefore = st.PushCursor(), counterValues(reg) }
-				rescope()
-				if sc.Mem {
-					cfg.AtBarrier = rescope
-				}
+		var pushCursor metrics.HistCursor
+		var srvBefore map[string]uint64
+		var t *loadgen.InprocTarget
+		if *target == "" {
+			if t, err = targets.get(sc); err != nil {
+				return err
 			}
-			res, err = loadgen.Run(cfg)
-			if err == nil && t != nil {
-				pushes, lat := t.Stratum.PushStatsSince(pushCursor)
-				res.JobPushes = pushes
-				if pushes > 0 {
-					res.PushP99Ns = int64(lat.P99)
-				}
-				after := counterValues(t.Pool.Metrics())
-				srvDelta = func(name string) uint64 { return after[name] - srvBefore[name] }
-				res.PushBytes = srvDelta("server.push_bytes")
-				res.JobEncodes = srvDelta("pool.job_encodes")
-				if sc.Defended {
-					res.SrvBans = srvDelta("server.bans")
-					res.SrvRetargets = srvDelta("server.retargets")
-					res.SrvSharesForged = srvDelta("server.shares_forged")
-					res.SrvStaleFloods = srvDelta("server.stale_flood")
-					res.SrvRateLimited = srvDelta("server.rate_limited")
-					res.SrvLoginsBanned = srvDelta("server.logins_banned")
-					res.PoolDupShares = srvDelta("pool.shares_duplicate")
-				}
+			st, reg := t.Stratum, t.Pool.Metrics()
+			cfg.URL, cfg.TCPAddr, cfg.Refresh = t.URL, t.TCPAddr, t.AdvanceTip
+			cfg.Variant = t.Pool.Chain().Params().PowVariant
+			cfg.DialTCP, cfg.HTTPURL = t.DialMem, t.HTTPURL()
+			cfg.ParkedFn = func() int64 { return st.Parked() }
+			// The server-side counters and the job-push histogram are
+			// cumulative; the cursor and the baseline scope them to this
+			// row. Scale rows measure fan-out over the hold window only:
+			// re-scoping both at the all-parked barrier drops ramp-phase
+			// pushes (partial swarm, contended with login/grind work)
+			// from the percentiles, and keeps bytes-per-push and
+			// encodes-per-tip honest for the same window.
+			rescope := func() { pushCursor, srvBefore = st.PushCursor(), counterValues(reg) }
+			rescope()
+			if sc.Mem {
+				cfg.AtBarrier = rescope
+			}
+		}
+		res, err := loadgen.Run(cfg)
+		var srvDelta func(string) uint64
+		if err == nil && t != nil {
+			pushes, lat := t.Stratum.PushStatsSince(pushCursor)
+			res.JobPushes = pushes
+			if pushes > 0 {
+				res.PushP99Ns = int64(lat.P99)
+			}
+			after := counterValues(t.Pool.Metrics())
+			srvDelta = func(name string) uint64 { return after[name] - srvBefore[name] }
+			res.PushBytes = srvDelta("server.push_bytes")
+			res.JobEncodes = srvDelta("pool.job_encodes")
+			if sc.Defended {
+				res.SrvBans = srvDelta("server.bans")
+				res.SrvRetargets = srvDelta("server.retargets")
+				res.SrvSharesForged = srvDelta("server.shares_forged")
+				res.SrvStaleFloods = srvDelta("server.stale_flood")
+				res.SrvRateLimited = srvDelta("server.rate_limited")
+				res.SrvLoginsBanned = srvDelta("server.logins_banned")
+				res.PoolDupShares = srvDelta("pool.shares_duplicate")
 			}
 		}
 		if err != nil {
@@ -398,14 +383,6 @@ func run(args []string, out io.Writer) error {
 // printRow prints one result row in human form: the common line, then the
 // lines only some scenario shapes have numbers for.
 func printRow(out io.Writer, sc loadgen.Scenario, res loadgen.Result, srvDelta func(string) uint64) {
-	if sc.Federation {
-		fmt.Fprintf(out, "loadd: %-10s [%s] sessions=%d shares_ok=%d proto_errors=%d | federation: nodes=%d entries=%d converged=%v lost_credit=%d drops=%d sync_rounds=%d reorgs=%d gossip p50=%s p99=%s\n",
-			res.Scenario, res.Transport, res.Sessions, res.SharesOK, res.ProtocolErrors,
-			res.FedNodes, res.FedEntries, res.FedConverged, res.FedLostCredit, res.FedDrops,
-			res.FedSyncRounds, res.FedReorgs,
-			time.Duration(res.FedGossipP50Ns), time.Duration(res.FedGossipP99Ns))
-		return
-	}
 	fmt.Fprintf(out, "loadd: %-10s [%s] sessions=%d peak=%d shares_ok=%d shares/s=%.0f accept p50=%s p99=%s max=%s reconnects=%d pushes=%d push_p99=%s proto_errors=%d\n",
 		res.Scenario, res.Transport, res.Sessions, res.PeakConcurrent, res.SharesOK, res.SharesPerSec,
 		time.Duration(res.AcceptP50Ns), time.Duration(res.AcceptP99Ns), time.Duration(res.AcceptMaxNs),
@@ -541,43 +518,6 @@ func assertAPI(rows []loadgen.Result, baselineP99 int64, srvDelta func(string) u
 	}
 	return fmt.Sprintf("api-readers OK — %d queries answered clean, query p99 %s, submit p99 within the stall tripwire",
 		res.APIQueries, time.Duration(res.APIQueryP99Ns)), nil
-}
-
-// assertFederation is the multi-node gate: every session spoke the
-// dialect cleanly against whichever node it landed on, the three
-// share-chains converged to one tip — through a node kill and a cold
-// replacement's catch-up sync — with every accepted share's difficulty
-// present in the replicated books (zero lost credit) and nothing dropped
-// off any node's federation queue. Gossip propagation p99 is bounded at
-// 1s (bucket-ceiled): generous for memconn links on a loaded CI box, yet
-// far below the sync-repair cadence that would indicate broadcast is
-// silently broken and convergence is riding catch-up alone.
-func assertFederation(rows []loadgen.Result, _ int64, _ func(string) uint64) (string, error) {
-	res := rows[len(rows)-1]
-	if res.ProtocolErrors != 0 {
-		return "", fmt.Errorf("federation: %d protocol errors: %v", res.ProtocolErrors, res.ErrorSamples)
-	}
-	if res.SharesOK == 0 {
-		return "", fmt.Errorf("federation: swarm produced no accepted shares")
-	}
-	if !res.FedConverged {
-		return "", fmt.Errorf("federation: nodes did not converge on one tip (%d entries expected)", res.FedEntries)
-	}
-	if res.FedLostCredit != 0 {
-		return "", fmt.Errorf("federation: %d difficulty-credit lost between local acceptance and the replicated books", res.FedLostCredit)
-	}
-	if res.FedDrops != 0 {
-		return "", fmt.Errorf("federation: %d shares dropped off a node's federation queue", res.FedDrops)
-	}
-	if res.FedSyncRounds == 0 {
-		return "", fmt.Errorf("federation: the cold replacement converged without a catch-up sync round")
-	}
-	if bound := histBucketCeil(int64(time.Second)); res.FedGossipP99Ns > bound {
-		return "", fmt.Errorf("federation: gossip propagation p99 %s exceeds the %s bound",
-			time.Duration(res.FedGossipP99Ns), time.Duration(bound))
-	}
-	return fmt.Sprintf("federation OK — 3 nodes converged on %d entries through a kill and cold resync, zero lost credit, gossip p99 %s",
-		res.FedEntries, time.Duration(res.FedGossipP99Ns)), nil
 }
 
 // assertScale is the scaling gate: every tcp-scale tier must have run

@@ -108,7 +108,7 @@ func TestRunSkipsTCPScenariosWithoutTCPTarget(t *testing.T) {
 // catalogue scenarios or scale tiers — with an assertion behind it, and
 // the Makefile's load-% rule has exactly these names to expand to.
 func TestGateTable(t *testing.T) {
-	for _, want := range []string{"smoke", "hostile", "scale", "api", "federation"} {
+	for _, want := range []string{"smoke", "hostile", "scale", "api"} {
 		g, err := gateByName(want)
 		if err != nil {
 			t.Fatal(err)
@@ -125,8 +125,8 @@ func TestGateTable(t *testing.T) {
 			t.Errorf("gate %s: baseline %q must run first and not alone, have %v", want, g.baseline, g.scenarios)
 		}
 	}
-	if len(gates) != 5 {
-		t.Errorf("%d gates in the table, 5 named here", len(gates))
+	if len(gates) != 4 {
+		t.Errorf("%d gates in the table, 4 named here", len(gates))
 	}
 }
 
@@ -135,8 +135,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := run([]string{"-gate", "nope"}, &out); err == nil || !strings.Contains(err.Error(), "unknown gate") {
-		t.Errorf("unknown gate: err = %v", err)
+	// The retired federation gate is an unknown name like any other; the
+	// error lists the four that remain.
+	for _, name := range []string{"nope", "federation"} {
+		err := run([]string{"-gate", name}, &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown gate") ||
+			!strings.Contains(err.Error(), "(have: smoke, hostile, scale, api)") {
+			t.Errorf("-gate %s: err = %v", name, err)
+		}
 	}
 	// Retired flags: the per-gate booleans, and the report file and its
 	// scale tiers (performance is the benchmark module's job).

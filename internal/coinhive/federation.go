@@ -183,8 +183,8 @@ func (f *Federation) AddPeer(name string, dial func() (net.Conn, error)) {
 func (f *Federation) Connect(addr string) { f.node.Connect(addr) }
 
 // OnIngest registers a callback for entries admitted from peers. The
-// pool registers the archive hook here; load harnesses register their
-// propagation probes. Callbacks run on the p2p reader goroutine and must
+// pool registers the archive hook here; the benchmark registers its
+// propagation probe. Callbacks run on the p2p reader goroutine and must
 // not block.
 func (f *Federation) OnIngest(cb func(e *sharechain.Entry, reorged bool)) {
 	f.hookMu.Lock()
@@ -194,7 +194,7 @@ func (f *Federation) OnIngest(cb func(e *sharechain.Entry, reorged bool)) {
 
 // OnMint registers a callback for entries minted from this node's own
 // accepted shares, invoked after local insertion and before broadcast.
-// Load harnesses use it to timestamp gossip origin; paired with OnIngest
+// The benchmark uses it to timestamp gossip origin; paired with OnIngest
 // on the other nodes it yields end-to-end propagation latency.
 func (f *Federation) OnMint(cb func(e *sharechain.Entry)) {
 	f.hookMu.Lock()
@@ -238,7 +238,7 @@ func (f *Federation) mint(s fedShare) error {
 	}
 	if _, err := f.chain.Insert(e, true); err != nil {
 		// Structurally impossible for a pool-accepted share; counted
-		// rather than silently lost so the load gates would catch it.
+		// rather than silently lost so the zero-drop checks catch it.
 		f.drops.Inc()
 		return nil
 	}

@@ -138,9 +138,6 @@ func waitFedConverged(t *testing.T, want int, nodes ...*fedTestNode) {
 // including after one node is killed and a cold replacement resyncs
 // from nothing mid-run.
 func TestFederatedPoolsConverge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grinds real CryptoNight shares")
-	}
 	n0 := newFedNode(t, 1)
 	n1 := newFedNode(t, 2)
 	n2 := newFedNode(t, 3)
@@ -180,8 +177,8 @@ func TestFederatedPoolsConverge(t *testing.T) {
 	waitFedConverged(t, total, n0, n1)
 
 	// Cold replacement: same p2p identity, empty share-chain — the ranged
-	// sync must rebuild the entire history, then live gossip keeps it
-	// current.
+	// sync must rebuild the entire history before any new share arrives
+	// to gossip, then live gossip keeps it current.
 	n2b := newFedNode(t, 3)
 	tcpLn2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -190,6 +187,7 @@ func TestFederatedPoolsConverge(t *testing.T) {
 	defer tcpLn2.Close()
 	go n2b.fed.Serve(tcpLn2)
 	n1.fed.Connect(tcpLn2.Addr().String())
+	waitFedConverged(t, total, n0, n1, n2b)
 
 	nodes = []*fedTestNode{n0, n1, n2b}
 	for k := 0; k < 6; k++ {
@@ -221,9 +219,6 @@ func TestFederatedPoolsConverge(t *testing.T) {
 // the share-chain's PPLNS window, not the local round tallies — and the
 // paid amounts equal the chain's own PayoutVector exactly.
 func TestFederatedSettleUsesWindow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grinds real CryptoNight shares")
-	}
 	n := newFedNode(t, 1)
 	submitLocal(t, n, "alice", 0)
 	submitLocal(t, n, "alice", 1)
@@ -270,9 +265,6 @@ func TestFederatedSettleUsesWindow(t *testing.T) {
 // them, and replayed local attribution stays bit-identical to the live
 // pool despite the new kinds in the stream.
 func TestFederationArchivesGossip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grinds real CryptoNight shares")
-	}
 	store := archive.NewMemStore(1 << 12)
 	rec := archive.NewRecorder(store, nil, 0)
 	a := newFedNode(t, 1, func(c *PoolConfig) { c.Archive = rec })

@@ -56,7 +56,7 @@ type InprocOptions struct {
 	Archive archive.Store
 	// Federation, when set, makes this target one node of a federated
 	// cluster: accepted shares feed its share-chain and gossip to the
-	// peers the caller links (see RunFederation). Close tears the peer
+	// peers the caller links with Fed.AddPeer. Close tears the peer
 	// layer down gracefully after the miner fronts drain.
 	Federation *coinhive.Federation
 }

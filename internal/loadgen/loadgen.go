@@ -198,24 +198,6 @@ type Result struct {
 	APIQueryP50Ns int64  `json:"api_query_p50_ns,omitempty"`
 	APIQueryP99Ns int64  `json:"api_query_p99_ns,omitempty"`
 
-	// Federation-scenario outcomes (RunFederation). FedLostCredit is the
-	// headline invariant: expected total credit (every locally accepted
-	// share × its difficulty, across all nodes and phases, including the
-	// killed node's) minus the converged share-chain's credit sum — any
-	// non-zero value means a share a pool accepted never reached the
-	// replicated books. Gossip percentiles are mint-to-ingest propagation
-	// latency measured across nodes with live links (catch-up sync
-	// deliveries to the cold replacement are excluded by construction).
-	FedNodes       int    `json:"fed_nodes,omitempty"`
-	FedEntries     int    `json:"fed_entries,omitempty"`
-	FedConverged   bool   `json:"fed_converged,omitempty"`
-	FedLostCredit  uint64 `json:"fed_lost_credit,omitempty"`
-	FedDrops       uint64 `json:"fed_drops,omitempty"`
-	FedSyncRounds  uint64 `json:"fed_sync_rounds,omitempty"`
-	FedReorgs      uint64 `json:"fed_reorgs,omitempty"`
-	FedGossipP50Ns int64  `json:"fed_gossip_p50_ns,omitempty"`
-	FedGossipP99Ns int64  `json:"fed_gossip_p99_ns,omitempty"`
-
 	// Server-side defense counters for this scenario (filled in by the
 	// driver from the defended target's registry, like JobPushes).
 	SrvBans         uint64 `json:"srv_bans,omitempty"`

@@ -108,12 +108,6 @@ type Scenario struct {
 	// target; see InprocOptions.Archive).
 	Archived bool
 
-	// Federation marks the multi-node scenario: the driver boots a
-	// 3-node federated cluster and routes through RunFederation instead
-	// of the single-target swarm (the swarm machinery still drives each
-	// node's sessions).
-	Federation bool
-
 	// Attack picks the hostile behaviour (Attack* constants). Non-honest
 	// sessions verify the server's containment replies — an accepted
 	// duplicate, for instance, is a protocol error.
@@ -270,22 +264,12 @@ var scenarios = map[string]Scenario{
 		Turns:       12,
 		Ramp:        500 * time.Millisecond,
 	},
-	"federation": {
-		Name: "federation",
-		Description: "three federated pool nodes gossip one swarm's shares over memconn links; " +
-			"one node is killed and cold-replaced mid-run; asserts converged tips and zero lost credit",
-		Transport:  TransportTCP,
-		Mem:        true,
-		Federation: true,
-		Turns:      2,
-		Ramp:       1 * time.Second,
-	},
 	"mixed-hostile": {
-		Name:         "mixed-hostile",
-		Description:  "~80% honest vardiff-paced miners with all four attacker kinds interleaved, both dialects, tips moving",
-		Transport:    TransportMixed,
-		Defended:     true,
-		Attack:       AttackMix,
+		Name:        "mixed-hostile",
+		Description: "~80% honest vardiff-paced miners with all four attacker kinds interleaved, both dialects, tips moving",
+		Transport:   TransportMixed,
+		Defended:    true,
+		Attack:      AttackMix,
 		// 8 turns: honest sessions spend the first retarget window (4
 		// accepts) at the starting difficulty and park with 4 accepts on
 		// the converged tier — the sample the cadence acceptance bound

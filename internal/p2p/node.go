@@ -49,7 +49,7 @@ type Config struct {
 	TipInterval time.Duration
 	// OnIngest, if set, fires after a gossiped or synced entry is
 	// admitted to the chain. Used by the pool to archive gossip-in
-	// events and by loadgen to measure propagation latency.
+	// events and by the benchmark to measure propagation latency.
 	OnIngest func(e *sharechain.Entry, reorged bool)
 }
 

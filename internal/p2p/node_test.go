@@ -31,13 +31,20 @@ type testNode struct {
 
 func startNode(t *testing.T, id uint64) *testNode {
 	t.Helper()
+	return startNodeTipEvery(t, id, 10*time.Millisecond)
+}
+
+// startNodeTipEvery is startNode with the tip heartbeat — the sync
+// trigger — at the given period.
+func startNodeTipEvery(t *testing.T, id uint64, tipInterval time.Duration) *testNode {
+	t.Helper()
 	reg := metrics.NewRegistry()
 	chain := sharechain.New(sharechain.Config{Window: 64, Verify: acceptAll, Metrics: reg})
 	node, err := NewNode(Config{
 		NodeID:      id,
 		Chain:       chain,
 		Registry:    reg,
-		TipInterval: 10 * time.Millisecond,
+		TipInterval: tipInterval,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +59,26 @@ func startNode(t *testing.T, id uint64) *testNode {
 func link(a, b *testNode) {
 	target := b.ln
 	a.node.AddPeer("test-peer", func() (net.Conn, error) { return target.Dial() })
+}
+
+// waitLinks polls until the nodes' live links, counted from both ends,
+// add up to want.
+func waitLinks(t *testing.T, want int, nodes ...*testNode) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		up := 0
+		for _, n := range nodes {
+			up += n.node.PeerCount()
+		}
+		if up == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d link ends up", up, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // mint creates, locally inserts and publishes one entry on n, as the
@@ -117,16 +144,24 @@ func waitConverged(t *testing.T, want int, nodes ...*testNode) {
 	}
 }
 
+// TestTwoNodeGossip: entries minted on a reach b by gossip alone. The
+// tip heartbeat is out of reach and the link is up before the first
+// mint, so both hellos carry count 0 and nothing can start a sync
+// round: if Publish sent nothing, b would never converge.
 func TestTwoNodeGossip(t *testing.T) {
-	a := startNode(t, 1)
-	b := startNode(t, 2)
+	a := startNodeTipEvery(t, 1, time.Hour)
+	b := startNodeTipEvery(t, 2, time.Hour)
 	link(a, b)
+	waitLinks(t, 2, a, b)
 	for i := 0; i < 20; i++ {
 		mint(t, a, fmt.Sprintf("tok%d", i%3), uint64(1+i%4), uint32(i))
 	}
 	waitConverged(t, 20, a, b)
-	if got := b.reg.Counter("p2p.shares_ingested").Load(); got == 0 {
-		t.Fatalf("b ingested nothing")
+	if got := b.reg.Counter("p2p.sync_rounds").Load(); got != 0 {
+		t.Fatalf("b ran %d sync rounds, want 0: the entries must arrive by gossip", got)
+	}
+	if got := b.reg.Counter("p2p.shares_ingested").Load(); got != 20 {
+		t.Fatalf("b ingested %d, want 20", got)
 	}
 	if got := a.reg.Counter("p2p.shares_gossiped").Load(); got != 20 {
 		t.Fatalf("a gossiped = %d", got)
@@ -161,77 +196,6 @@ func TestDisjointSlicesConverge(t *testing.T) {
 		mint(t, nodes[i%3], fmt.Sprintf("acct%d", i%5), uint64(1+i%7), uint32(i))
 	}
 	waitConverged(t, total, nodes...)
-}
-
-// TestKillAndResync kills one node mid-run, keeps minting on the
-// survivors, then brings a fresh node (empty chain — cold restart) back
-// under the same links and requires full convergence: the ranged sync
-// rebuilds history from zero.
-func TestKillAndResync(t *testing.T) {
-	a := startNode(t, 1)
-	b := startNode(t, 2)
-
-	// c's listener is re-pointable so a's persistent dialer can reach the
-	// restarted instance.
-	var mu sync.Mutex
-	cLn := memconn.Listen()
-	dialC := func() (net.Conn, error) {
-		mu.Lock()
-		ln := cLn
-		mu.Unlock()
-		return ln.Dial()
-	}
-	regC := metrics.NewRegistry()
-	chainC := sharechain.New(sharechain.Config{Window: 64, Verify: acceptAll, Metrics: regC})
-	nodeC, err := NewNode(Config{NodeID: 3, Chain: chainC, Registry: regC, TipInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go nodeC.Serve(cLn)
-
-	link(a, b)
-	a.node.AddPeer("c", dialC)
-
-	c := &testNode{chain: chainC, node: nodeC, ln: cLn, reg: regC}
-	for i := 0; i < 10; i++ {
-		mint(t, a, "early", 2, uint32(i))
-	}
-	waitConverged(t, 10, a, b, c)
-
-	// Kill c entirely: node, listener, chain state all gone.
-	nodeC.Close()
-	cLn.Close()
-
-	for i := 0; i < 10; i++ {
-		mint(t, b, "during-outage", 3, uint32(100+i))
-	}
-	waitConverged(t, 20, a, b)
-
-	// Cold restart: fresh chain, fresh node, same identity and links.
-	regC2 := metrics.NewRegistry()
-	chainC2 := sharechain.New(sharechain.Config{Window: 64, Verify: acceptAll, Metrics: regC2})
-	nodeC2, err := NewNode(Config{NodeID: 3, Chain: chainC2, Registry: regC2, TipInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeC2.Close()
-	mu.Lock()
-	cLn = memconn.Listen()
-	ln2 := cLn
-	mu.Unlock()
-	go nodeC2.Serve(ln2)
-
-	for i := 0; i < 5; i++ {
-		mint(t, a, "late", 1, uint32(200+i))
-	}
-	c2 := &testNode{chain: chainC2, node: nodeC2, ln: ln2, reg: regC2}
-	waitConverged(t, 25, a, b, c2)
-	if got := regC2.Counter("p2p.sync_rounds").Load(); got == 0 {
-		t.Fatalf("restart converged without a sync round?")
-	}
-	if got := a.reg.Counter("p2p.reconnects").Load(); got == 0 {
-		t.Fatalf("a's dialer never counted a reconnect across c's outage")
-	}
 }
 
 // runHandshake drives runConn against a scripted remote end.
@@ -299,13 +263,7 @@ func TestDuplicatePeerRejected(t *testing.T) {
 	a := startNode(t, 1)
 	b := startNode(t, 2)
 	link(a, b)
-	deadline := time.Now().Add(5 * time.Second)
-	for a.node.PeerCount() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first link never came up")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitLinks(t, 1, a)
 	// A second connection claiming b's node ID must be refused.
 	err := runHandshake(t, a.node, func(c net.Conn) {
 		h := hello{Version: ProtocolVersion, NodeID: 2}
@@ -358,20 +316,7 @@ func TestDuplicateGossipCounted(t *testing.T) {
 	// Wait for the full mesh: with every link up, each broadcast reaches
 	// a node both directly and via relay, which is what makes duplicate
 	// deliveries certain rather than timing-dependent.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		up := 0
-		for _, n := range nodes {
-			up += n.node.PeerCount()
-		}
-		if up == 6 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mesh never fully connected (%d/6 links)", up)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitLinks(t, 6, nodes...)
 	for i := 0; i < 30; i++ {
 		mint(t, nodes[0], "solo", 1, uint32(i))
 	}
@@ -600,9 +545,7 @@ func TestCatchUpAfterMissedFold(t *testing.T) {
 	}
 
 	b.node.Close()
-	for a.node.PeerCount() != 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitLinks(t, 0, a)
 	mintConverged(t, []*testNode{a}, []*testNode{a}, first, first+testFoldChunk)
 	sent := a.reg.Counter("p2p.sync_entries_sent").Load()
 	connectB()
@@ -624,10 +567,10 @@ func TestCatchUpAfterMissedFold(t *testing.T) {
 // is killed and replaced with an empty chain. The replacement adopts a
 // checkpoint and converges to the same tip (count and hash), credit,
 // window and payouts after receiving at most window + reorgDepth +
-// foldChunk entries rather than the whole history. The entries are
-// counted where they arrive: a and b may still be syncing with each
-// other after their last batch, so their send counters mix in that
-// traffic.
+// foldChunk entries rather than the whole history, and a's dialer counts
+// the reconnect that found it. The entries are counted where they
+// arrive: a and b may still be syncing with each other after their last
+// batch, so their send counters mix in that traffic.
 func TestColdRestartAfterFolds(t *testing.T) {
 	a := startNode(t, 1)
 	b := startNode(t, 2)
@@ -660,6 +603,7 @@ func TestColdRestartAfterFolds(t *testing.T) {
 		t.Fatalf("folded %d entries, want at least three chunks", cp.Count)
 	}
 
+	reconnects := a.reg.Counter("p2p.reconnects").Load()
 	c.node.Close()
 	c.ln.Close()
 	mintConverged(t, []*testNode{a, b}, []*testNode{a, b}, total, total+100)
@@ -672,6 +616,9 @@ func TestColdRestartAfterFolds(t *testing.T) {
 	requireSameBooks(t, a, b, c2)
 	if got := c2.reg.Counter("p2p.checkpoints_adopted").Load(); got == 0 {
 		t.Fatalf("the replacement converged without adopting a checkpoint")
+	}
+	if a.reg.Counter("p2p.reconnects").Load() == reconnects {
+		t.Fatalf("a's dialer never counted a reconnect across c's outage")
 	}
 	var streamed uint64
 	for _, name := range []string{"p2p.shares_ingested", "p2p.shares_duplicate", "p2p.shares_rejected", "pool.sharechain_below_horizon"} {
