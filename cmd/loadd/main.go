@@ -10,15 +10,16 @@
 //	loadd -gate smoke         # CI gate: 500 ws + 500 TCP sessions, zero protocol errors
 //	loadd -gate api           # CI gate: api-readers page /api/v1 while the swarm mines
 //	                          # (also: hostile, scale — `make load-<gate>`)
-//	loadd -scenario all       # full catalogue against an in-process service
+//	loadd -scenario all       # the whole catalogue (the gates' shapes) against an in-process service
 //	loadd -scenario tcp-scale -sessions 50000 -deadline 200s   # one big in-memory tier
-//	loadd -target ws://host:8080 -target-tcp host:3333 -scenario tcp-steady -sessions 2000
+//	loadd -target ws://host:8080 -target-tcp host:3333 -scenario mixed -sessions 2000
 //
 // Without -target, loadd boots an in-process coinhived on loopback
 // ports — both the ws front and the raw-TCP stratum front — and wires
-// the tip-refresh hook the tcp-*/mixed scenarios use to exercise job
-// push fan-out; the swarm still crosses real TCP and the real protocol
-// stacks.
+// the tip-refresh hook the mixed, api-readers, mixed-hostile and
+// tcp-scale scenarios use to exercise job push fan-out; the swarm still
+// crosses real TCP and the real protocol stacks. A remote target must
+// run the simulation chain's PoW profile, as every coinhived does.
 package main
 
 import (
@@ -33,7 +34,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/cryptonight"
+	"repro/internal/blockchain"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 )
@@ -127,11 +128,15 @@ func gateByName(name string) (*gate, error) {
 // archive + stats API on /api/v1), whose archive directory is scratch —
 // the gate measures durability cost, not the history itself.
 type inprocs struct {
-	out       io.Writer
-	shareDiff uint64
-	byKind    map[string]*loadgen.InprocTarget
-	scratch   []string
+	out     io.Writer
+	byKind  map[string]*loadgen.InprocTarget
+	scratch []string
 }
+
+// inprocShareDiff is the in-process services' share difficulty: low, so
+// the swarm oracle's pre-grind is a handful of hashes per PoW input (the
+// defended target raises it to its own floor).
+const inprocShareDiff = 2
 
 func (ts *inprocs) get(sc loadgen.Scenario) (*loadgen.InprocTarget, error) {
 	kind := "in-process"
@@ -145,11 +150,11 @@ func (ts *inprocs) get(sc loadgen.Scenario) (*loadgen.InprocTarget, error) {
 		return t, nil
 	}
 	reg := metrics.NewRegistry()
-	opts := loadgen.InprocOptions{ShareDifficulty: ts.shareDiff, Registry: reg}
-	blurb := fmt.Sprintf("share difficulty %d", ts.shareDiff)
+	opts := loadgen.InprocOptions{ShareDifficulty: inprocShareDiff, Registry: reg}
+	blurb := fmt.Sprintf("share difficulty %d", inprocShareDiff)
 	switch kind {
 	case "defended":
-		opts = loadgen.DefendedInprocOptions(ts.shareDiff, reg)
+		opts = loadgen.DefendedInprocOptions(inprocShareDiff, reg)
 		blurb = "vardiff + banscore on"
 	case "archived":
 		dir, err := os.MkdirTemp("", "loadd-archive-")
@@ -186,12 +191,9 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadd", flag.ContinueOnError)
 	target := fs.String("target", "", "ws:// base of a live service (empty: boot one in-process)")
 	targetTCP := fs.String("target-tcp", "", "host:port of a live service's raw-TCP stratum listener")
-	scenario := fs.String("scenario", "steady", `scenario name, or "all" for the catalogue`)
+	scenario := fs.String("scenario", "steady",
+		fmt.Sprintf(`scenario name (%s), or "all" for the catalogue`, strings.Join(loadgen.ScenarioNames(), ", ")))
 	sessions := fs.Int("sessions", 1000, "swarm size")
-	workers := fs.Int("workers", 0, "worker goroutines multiplexing the sessions (0: auto-size from the swarm)")
-	endpoints := fs.Int("endpoints", 32, "number of /proxyN endpoints on the target")
-	shareDiff := fs.Uint64("share-diff", 2, "share difficulty of the in-process service")
-	variant := fs.String("variant", "test", "target's cryptonight profile: test, lite, full")
 	deadline := fs.Duration("deadline", 60*time.Second, "per-scenario time budget")
 	var gateDoc strings.Builder
 	for _, g := range gates {
@@ -201,17 +203,6 @@ func run(args []string, out io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run here (pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	v := cryptonight.Test
-	switch *variant {
-	case "test":
-	case "lite":
-		v = cryptonight.Lite
-	case "full":
-		v = cryptonight.Full
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
 	}
 
 	var g *gate
@@ -265,7 +256,7 @@ func run(args []string, out io.Writer) error {
 		// the printed rows claim otherwise.
 		return fmt.Errorf("loadd: -target-tcp requires -target (without -target the run boots its own in-process service)")
 	}
-	targets := &inprocs{out: out, shareDiff: *shareDiff, byKind: map[string]*loadgen.InprocTarget{}}
+	targets := &inprocs{out: out, byKind: map[string]*loadgen.InprocTarget{}}
 	defer targets.close()
 
 	var rows []loadgen.Result
@@ -298,17 +289,7 @@ func run(args []string, out io.Writer) error {
 				continue
 			}
 		}
-		cfg := loadgen.Config{
-			URL:       *target,
-			TCPAddr:   *targetTCP,
-			Endpoints: *endpoints,
-			Sessions:  spec.sessions,
-			Workers:   *workers,
-			Scenario:  sc,
-			Variant:   v,
-			Deadline:  *deadline,
-			Registry:  metrics.NewRegistry(), // fresh per run: every row is per-scenario
-		}
+		cfg := loadgen.Config{URL: *target, TCPAddr: *targetTCP}
 		var pushCursor metrics.HistCursor
 		var srvBefore map[string]uint64
 		var t *loadgen.InprocTarget
@@ -317,9 +298,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			st, reg := t.Stratum, t.Pool.Metrics()
-			cfg.URL, cfg.TCPAddr, cfg.Refresh = t.URL, t.TCPAddr, t.AdvanceTip
-			cfg.Variant = t.Pool.Chain().Params().PowVariant
-			cfg.DialTCP, cfg.HTTPURL = t.DialMem, t.HTTPURL()
+			cfg = t.Config()
 			cfg.ParkedFn = func() int64 { return st.Parked() }
 			// The server-side counters and the job-push histogram are
 			// cumulative; the cursor and the baseline scope them to this
@@ -334,6 +313,9 @@ func run(args []string, out io.Writer) error {
 				cfg.AtBarrier = rescope
 			}
 		}
+		cfg.Sessions, cfg.Scenario, cfg.Deadline = spec.sessions, sc, *deadline
+		cfg.Variant = blockchain.SimParams().PowVariant
+		cfg.Registry = metrics.NewRegistry() // fresh per run: every row is per-scenario
 		res, err := loadgen.Run(cfg)
 		var srvDelta func(string) uint64
 		if err == nil && t != nil {
@@ -529,7 +511,7 @@ func assertAPI(rows []loadgen.Result, baselineP99 int64, srvDelta func(string) u
 // (shards × job slots × vardiff tiers in use — ~36 here), independent of
 // how many sessions each encode fanned out to.
 // scaleAnchorP99 is the 1k-session fan-out p99 the seed recorded before
-// the parking/encode-once work (tcp-steady over real sockets, this
+// the parking/encode-once work (a steady TCP swarm over real sockets, this
 // class of box) — the fixed yardstick the scale gate's "held flat"
 // claim is measured against.
 const scaleAnchorP99 = 16800 * time.Microsecond

@@ -11,7 +11,7 @@ import (
 
 func TestRunSmokeSmall(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-gate", "smoke", "-sessions", "64", "-workers", "32"}, &out); err != nil {
+	if err := run([]string{"-gate", "smoke", "-sessions", "64"}, &out); err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
 	// The gate runs both dialects, each at the full session count.
@@ -21,18 +21,20 @@ func TestRunSmokeSmall(t *testing.T) {
 	}
 }
 
-// TestRunTCPScenarioWithRefresh drives the server-clocked dialect with
-// tip refreshes on: the printed row must show every share accepted with a
-// measured accept tail, job pushes fanned out, and still zero protocol
-// errors (stale submits are re-jobbed, not errored).
+// TestRunTCPScenarioWithRefresh drives the server-clocked dialect (the
+// TCP half of the mixed swarm) with tip refreshes on, against the
+// in-process target wired through InprocTarget.Config: the printed row
+// must show every share accepted with a measured accept tail, job pushes
+// fanned out, and still zero protocol errors (stale submits are
+// re-jobbed, not errored).
 func TestRunTCPScenarioWithRefresh(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-scenario", "tcp-steady", "-sessions", "32", "-workers", "16"}, &out)
+	err := run([]string{"-scenario", "mixed", "-sessions", "32"}, &out)
 	if err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
-	row := rowFields(t, out.String(), "tcp-steady")
-	for key, want := range map[string]string{"": "[tcp]", "sessions": "32", "shares_ok": "96", "proto_errors": "0"} {
+	row := rowFields(t, out.String(), "mixed")
+	for key, want := range map[string]string{"": "[mixed]", "sessions": "32", "shares_ok": "96", "proto_errors": "0"} {
 		if row[key] != want {
 			t.Errorf("%s = %q, want %q (row %v)", key, row[key], want, row)
 		}
@@ -52,7 +54,7 @@ func TestRunTCPScenarioWithRefresh(t *testing.T) {
 // measured accept tail.
 func TestRunWritesReport(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-scenario", "steady", "-sessions", "32", "-workers", "16"}, &out)
+	err := run([]string{"-scenario", "steady", "-sessions", "32"}, &out)
 	if err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
@@ -96,10 +98,10 @@ func rowFields(t *testing.T, out, scenario string) map[string]string {
 func TestRunSkipsTCPScenariosWithoutTCPTarget(t *testing.T) {
 	var out strings.Builder
 	// The target is never dialed: the only requested scenario is skipped.
-	if err := run([]string{"-target", "ws://127.0.0.1:9", "-scenario", "tcp-steady"}, &out); err != nil {
+	if err := run([]string{"-target", "ws://127.0.0.1:9", "-scenario", "mixed"}, &out); err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "skipping tcp-steady") {
+	if !strings.Contains(out.String(), "skipping mixed") {
 		t.Errorf("output = %q", out.String())
 	}
 }
@@ -144,17 +146,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("-gate %s: err = %v", name, err)
 		}
 	}
-	// Retired flags: the per-gate booleans, and the report file and its
-	// scale tiers (performance is the benchmark module's job).
-	for _, retired := range [][]string{{"-smoke"}, {"-out", "x"}, {"-scale"}} {
+	// Retired flags: the per-gate booleans, the report file and its scale
+	// tiers (performance is the benchmark module's job), and the sizing
+	// and target knobs that only ever took one value.
+	for _, retired := range [][]string{
+		{"-smoke"}, {"-out", "x"}, {"-scale"},
+		{"-workers", "8"}, {"-endpoints", "32"}, {"-share-diff", "2"}, {"-variant", "test"},
+	} {
 		if err := run(retired, &out); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("retired flag %v: err = %v", retired, err)
 		}
 	}
-	if err := run([]string{"-scenario", "nope"}, &out); err == nil {
-		t.Error("unknown scenario accepted")
-	}
-	if err := run([]string{"-variant", "nope"}, &out); err == nil {
-		t.Error("unknown variant accepted")
+	// Unknown scenarios, including the retired shapes no gate ran.
+	for _, name := range []string{"nope", "churn", "storm", "malformed", "tcp-steady", "dup-submit"} {
+		if err := run([]string{"-scenario", name}, &out); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
+			t.Errorf("-scenario %s: err = %v", name, err)
+		}
 	}
 }

@@ -236,6 +236,89 @@ func TestStaleShareCountedAndRejobbed(t *testing.T) {
 	}
 }
 
+// TestSessionsReleasedOnDisconnect: every way a miner leaves — a ws close
+// handshake, a ws or TCP connection severed without one — releases its
+// session. The fronts stop tracking the conn and server.sessions returns
+// to zero, so a swarm that reconnects under the same site keys (the second
+// round) is counted afresh instead of on top of its ghosts.
+func TestSessionsReleasedOnDisconnect(t *testing.T) {
+	srv, handler, pool := startService(t, 4)
+	ss, addr := startStratum(t, handler)
+	live := pool.Metrics().Gauge("server.sessions")
+	for round := 0; round < 2; round++ {
+		var sess []*session.Session
+		for i, url := range []string{wsProxyURL(srv, 0), wsProxyURL(srv, 1), "tcp://" + addr} {
+			s, err := session.Dial(url, stratum.Auth{SiteKey: fmt.Sprintf("leave-%d", i), Type: "anonymous"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Timeout = 5 * time.Second
+			if _, _, err := s.Login(); err != nil {
+				t.Fatal(err)
+			}
+			sess = append(sess, s)
+		}
+		if n := live.Load(); n != 3 {
+			t.Fatalf("round %d: server.sessions = %d with 3 miners logged in", round, n)
+		}
+		_ = sess[0].Close() // ws close handshake
+		_ = sess[1].Abort() // ws severed
+		_ = sess[2].Abort() // TCP severed (the dialect has no handshake)
+		if !handler.Drained(2*time.Second) || !ss.Drained(2*time.Second) {
+			t.Fatalf("round %d: a front still tracks a departed conn", round)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for live.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: server.sessions = %d after every miner left", round, live.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestLoginHammerRateLimitedThenBanned drives the reconnect hammer on
+// each dialect: logins on one site key past the bucket's burst are
+// refused by name, and each refusal scores toward the ban that then turns
+// every login away. The frozen test clock never refills the bucket.
+func TestLoginHammerRateLimitedThenBanned(t *testing.T) {
+	srv, handler, _ := startService(t, 4, func(c *coinhive.PoolConfig) {
+		c.Ban = coinhive.BanConfig{
+			BanThreshold:    100,
+			BanDuration:     time.Minute,
+			RateLimitScore:  25,
+			LoginRatePerSec: 1,
+			LoginBurst:      2,
+		}
+	})
+	_, addr := startStratum(t, handler)
+	for _, url := range []string{wsProxyURL(srv, 0), "tcp://" + addr} {
+		login := func() error {
+			s, err := session.Dial(url, stratum.Auth{SiteKey: "hammer-" + url[:3], Type: "anonymous"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Abort()
+			s.Timeout = 5 * time.Second
+			_, _, err = s.Login()
+			return err
+		}
+		// Two logins spend the burst; refusals 1-3 score 25 each and the
+		// fourth reaches the threshold, so it is answered with the ban.
+		for i := 1; i <= 7; i++ {
+			err := login()
+			switch {
+			case i <= 2 && err != nil:
+				t.Fatalf("%s login %d inside the burst: %v", url, i, err)
+			case i > 2 && i <= 5 && (err == nil || !strings.Contains(err.Error(), stratum.RateLimitedMessage)):
+				t.Fatalf("%s login %d: err = %v, want %q", url, i, err, stratum.RateLimitedMessage)
+			case i > 5 && !errors.Is(err, session.ErrBanned):
+				t.Fatalf("%s login %d: err = %v, want ErrBanned", url, i, err)
+			}
+		}
+	}
+}
+
 // TestCaptchaVerifiedMessageType pins the satellite: a solved captcha
 // session receives a dedicated captcha_verified push (not the old
 // link_resolved reuse), carrying a token the backend can redeem.

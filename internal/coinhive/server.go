@@ -340,13 +340,10 @@ func (t *wsTransport) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 		case EvAuthed:
 			msgType, params = stratum.TypeAuthed, ev.Authed
 		case EvJob:
-			if ev.Wire != nil {
-				if err := t.conn.WriteRawFrame(ev.Wire.WSFrame); err != nil {
-					return err
-				}
-				continue
+			if err := t.conn.WriteRawFrame(ev.Wire.WSFrame); err != nil {
+				return err
 			}
-			msgType, params = stratum.TypeJob, ev.Job
+			continue
 		case EvAccepted:
 			t.pbuf = stratum.AppendHashAcceptedEnvelope(t.pbuf[:0], ev.Accepted.Hashes)
 			t.fbuf = ws.AppendServerFrame(t.fbuf[:0], ws.OpText, t.pbuf)

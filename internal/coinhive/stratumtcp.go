@@ -709,9 +709,7 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 		// the ack first, then the new job as a push.
 		for _, ev := range evs[1:] {
 			if ev.Kind == EvJob {
-				if c.wbuf, err = c.appendJobNotify(c.wbuf, ev); err != nil {
-					return err
-				}
+				c.wbuf = append(c.wbuf, ev.Wire.TCPLine...)
 			}
 		}
 		return c.flushLocked()
@@ -765,7 +763,7 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 				// The error response above told the miner its job died (stale),
 				// or a retarget changed its difficulty mid-session; either way
 				// the replacement is pushed without waiting for the next tip.
-				c.wbuf, err = c.appendJobNotify(c.wbuf, ev)
+				c.wbuf = append(c.wbuf, ev.Wire.TCPLine...)
 			}
 		}
 		if err != nil {
@@ -780,15 +778,6 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 		c.pushable.Store(true)
 	}
 	return c.flushLocked()
-}
-
-// appendJobNotify writes one job notification line, preferring the
-// event's pre-encoded wire bytes over re-marshaling the job.
-func (c *stratumConn) appendJobNotify(dst []byte, ev Event) ([]byte, error) {
-	if ev.Wire != nil {
-		return append(dst, ev.Wire.TCPLine...), nil
-	}
-	return stratum.AppendRPCNotify(dst, stratum.TypeJob, ev.Job)
 }
 
 // errCode maps an engine error back to this dialect's RPC code space. An

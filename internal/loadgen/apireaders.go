@@ -31,7 +31,7 @@ func (sw *Swarm) startAPIReaders() *apiReaders {
 		return r
 	}
 	base := strings.TrimSuffix(sw.cfg.HTTPURL, "/")
-	client := &http.Client{Timeout: sw.cfg.Timeout}
+	client := &http.Client{Timeout: readTimeout}
 	r.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go sw.apiReader(r, client, base, i)

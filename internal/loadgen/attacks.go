@@ -22,14 +22,11 @@ import (
 // it; it is never a protocol error.
 var errContained = errors.New("loadgen: identity banned — session contained")
 
-// attackKindFor assigns a session its behaviour under the scenario. A
-// single-attack scenario makes every session hostile; AttackMix keeps
-// 80% honest and rotates the rest across the four attacker kinds.
+// attackKindFor assigns a session its behaviour under the scenario:
+// AttackMix keeps 80% honest and rotates the rest across the four
+// attacker kinds.
 func attackKindFor(sc Scenario, idx int) string {
-	if sc.Attack != AttackMix {
-		return sc.Attack
-	}
-	if idx%5 != 4 {
+	if sc.Attack != AttackMix || idx%5 != 4 {
 		return AttackNone
 	}
 	kinds := [...]string{AttackDup, AttackStale, AttackDiff, AttackHammer}
@@ -53,22 +50,15 @@ func (sw *Swarm) contain(s *minerSession) {
 
 // thinkFor paces one session between turns. Honest sessions under a
 // SimHashrate scenario think for difficulty/hashrate — the cadence signal
-// vardiff steers on; the stale flooder waits out at least one tip refresh
-// so its held job is actually dead; the other attackers push as fast as
-// the scenario allows.
+// vardiff steers on; the stale flooder waits out one tip refresh so its
+// held job is actually dead; the duplicate submitter and the difficulty
+// gamer resubmit every 50ms.
 func (sw *Swarm) thinkFor(s *minerSession) time.Duration {
 	sc := sw.cfg.Scenario
 	switch s.attack {
 	case AttackStale:
-		d := sc.Think
-		if floor := sc.RefreshEvery + 100*time.Millisecond; d < floor {
-			d = floor
-		}
-		return d
+		return sc.RefreshEvery + 100*time.Millisecond
 	case AttackDup, AttackDiff:
-		if sc.Think > 0 {
-			return sc.Think
-		}
 		return 50 * time.Millisecond
 	}
 	if sc.SimHashrate > 0 {
@@ -76,7 +66,7 @@ func (sw *Swarm) thinkFor(s *minerSession) time.Duration {
 			return time.Duration(float64(d) / sc.SimHashrate * float64(time.Second))
 		}
 	}
-	return sc.Think
+	return 0
 }
 
 // jobDiff recovers the share difficulty a job was served at from its
@@ -106,7 +96,7 @@ func (sw *Swarm) noteAccept(s *minerSession, diff uint64) {
 }
 
 // hammerStep is one reconnect-hammer cycle: dial, login, abort, as fast
-// as the scenario allows — all sessions on one shared site key, so the
+// as the server answers — all sessions on one shared site key, so the
 // identity's login bucket drains and its own rate-limit rejections score
 // it into a ban. The hammer never keeps a connection, so it bypasses the
 // generic connect path entirely.
@@ -124,7 +114,7 @@ func (sw *Swarm) hammerStep(s *minerSession) {
 		sw.gate.finish()
 		return
 	}
-	sw.later(s, sw.cfg.Scenario.Think)
+	sw.enqueue(s)
 }
 
 func (sw *Swarm) hammerOnce(s *minerSession) error {
@@ -132,7 +122,7 @@ func (sw *Swarm) hammerOnce(s *minerSession) error {
 	if err != nil {
 		return sw.protoError(s, "hammer dial", err)
 	}
-	sess.Timeout = sw.cfg.Timeout
+	sess.Timeout = readTimeout
 	_, _, err = sess.Login()
 	_ = sess.Abort()
 	switch {

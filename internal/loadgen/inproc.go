@@ -78,7 +78,7 @@ type InprocOptions struct {
 //     equilibrium difficulty of 10 in one full-window retarget;
 //   - one offense class scores 25 against a ban threshold of 100, so
 //     four rejected abuses ban the identity (malformed frames score the
-//     default 5: the conformance scenario's worst case stays well clear);
+//     default 5);
 //   - the stale retry loop is cut after 4 consecutive stales;
 //   - logins refill at 2/s (burst 6) so a reconnect hammer on one shared
 //     key converts its own rejections into a ban within seconds, while

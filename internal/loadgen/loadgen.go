@@ -42,7 +42,7 @@ import (
 // Config sizes a swarm against one service.
 type Config struct {
 	// URL is the service base, e.g. ws://127.0.0.1:8080 — ws sessions
-	// round-robin across its /proxy0…/proxyN-1 endpoints.
+	// round-robin across its /proxy0…/proxy31 endpoints.
 	URL string
 	// TCPAddr is the raw-TCP stratum listener (host:port). Required by
 	// scenarios whose Transport is "tcp" or "mixed".
@@ -74,21 +74,12 @@ type Config struct {
 	// TCP dialect push jobs and both dialects field stale shares. The
 	// in-process target wires AdvanceTip here.
 	Refresh func()
-	// Endpoints is the /proxyN fan (default 32, the paper's topology).
-	Endpoints int
 	// Sessions is the swarm size.
 	Sessions int
-	// Workers is the goroutine pool executing session turns. Zero
-	// auto-sizes from the swarm: max(128, Sessions/32) capped at 512 —
-	// the knob that decouples session count from stack count, scaled so
-	// a 50k swarm's connect phase is not serialised behind 128 stacks.
-	Workers int
 	// Scenario is the load shape.
 	Scenario Scenario
 	// Variant must match the pool chain's PoW profile.
 	Variant cryptonight.Variant
-	// Timeout bounds each socket read (default 10s).
-	Timeout time.Duration
 	// Deadline bounds the whole run (default 60s); exceeding it is an
 	// error, not a hang.
 	Deadline time.Duration
@@ -98,27 +89,17 @@ type Config struct {
 	Registry *metrics.Registry
 }
 
+// wsEndpoints is the /proxyN fan every coinhived serves (the paper's
+// topology of 32 WebSocket endpoints).
+const wsEndpoints = 32
+
+// readTimeout bounds each socket read of a swarm session and each
+// stats-API request.
+const readTimeout = 10 * time.Second
+
 func (c *Config) fillDefaults() {
-	if c.Endpoints == 0 {
-		c.Endpoints = 32
-	}
 	if c.Sessions == 0 {
 		c.Sessions = 64
-	}
-	if c.Workers == 0 {
-		c.Workers = 128
-		if w := c.Sessions / 32; w > c.Workers {
-			c.Workers = w
-		}
-		if c.Workers > 512 {
-			c.Workers = 512
-		}
-	}
-	if c.Workers > c.Sessions {
-		c.Workers = c.Sessions
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 10 * time.Second
 	}
 	if c.Deadline == 0 {
 		c.Deadline = 60 * time.Second
@@ -139,7 +120,6 @@ type Result struct {
 	Connects       uint64  `json:"connects"`
 	Reconnects     uint64  `json:"reconnects"`
 	SharesOK       uint64  `json:"shares_ok"`
-	SharesRejected uint64  `json:"shares_rejected"` // expected rejections (malformed scenario)
 	ProtocolErrors uint64  `json:"protocol_errors"`
 	OracleGrinds   uint64  `json:"oracle_grinds"`
 	DurationNs     int64   `json:"duration_ns"`
@@ -223,8 +203,6 @@ type minerSession struct {
 	sess          *session.Session
 	job           session.Job
 	turnsLeft     int
-	sinceChurn    int
-	malformedSeq  int
 	dialAttempts  int
 	connectedOnce bool
 	dead          bool
@@ -236,7 +214,7 @@ type minerSession struct {
 
 	// seqByJob advances the oracle solution sequence per PoW input, so an
 	// honest session never resubmits a (job, nonce) the pool's duplicate
-	// memo has seen. It survives reconnects — resubmitting after churn is
+	// memo has seen. It survives reconnects — resubmitting after one is
 	// exactly what the account-level memo would catch.
 	seqByJob map[string]int
 
@@ -297,15 +275,19 @@ func (g *phaseGate) finish() {
 type Swarm struct {
 	cfg    Config
 	oracle *Oracle
-	runq   chan *minerSession
-	quit   chan struct{}
-	gate   *phaseGate
+	// workers is the goroutine pool executing session turns, sized from
+	// the swarm: max(128, Sessions/32) capped at 512 and at Sessions —
+	// it decouples session count from stack count, scaled so a 50k
+	// swarm's connect phase is not serialised behind 128 stacks.
+	workers int
+	runq    chan *minerSession
+	quit    chan struct{}
+	gate    *phaseGate
 
 	active     *metrics.Gauge
 	connects   *metrics.Counter
 	reconnects *metrics.Counter
 	sharesOK   *metrics.Counter
-	sharesRej  *metrics.Counter
 	protoErrs  *metrics.Counter
 	refreshes  *metrics.Counter
 	acceptNs   *metrics.Histogram
@@ -367,19 +349,20 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 	if cfg.Scenario.APIReaders > 0 && cfg.HTTPURL == "" {
 		return nil, fmt.Errorf("loadgen: scenario %q pages the stats API and needs Config.HTTPURL", cfg.Scenario.Name)
 	}
+	workers := min(max(128, cfg.Sessions/32), 512, cfg.Sessions)
 	reg := cfg.Registry
 	return &Swarm{
-		cfg:    cfg,
-		oracle: NewOracle(cfg.Variant),
+		cfg:     cfg,
+		oracle:  NewOracle(cfg.Variant),
+		workers: workers,
 		// The queue holds every session plus slack, so enqueues from
 		// workers and timers never block.
-		runq:       make(chan *minerSession, cfg.Sessions+cfg.Workers),
+		runq:       make(chan *minerSession, cfg.Sessions+workers),
 		quit:       make(chan struct{}),
 		active:     reg.Gauge("load.sessions"),
 		connects:   reg.Counter("load.connects"),
 		reconnects: reg.Counter("load.reconnects"),
 		sharesOK:   reg.Counter("load.shares_ok"),
-		sharesRej:  reg.Counter("load.shares_rejected"),
 		protoErrs:  reg.Counter("load.proto_errors"),
 		refreshes:  reg.Counter("load.tip_refreshes"),
 		acceptNs:   reg.Histogram("load.accept_ns"),
@@ -406,15 +389,15 @@ func Run(cfg Config) (Result, error) {
 	return sw.Run()
 }
 
-// Run drives arrivals, waits for the all-parked barrier, optionally
-// runs the reconnect storm, then drains the swarm with proper close
-// handshakes.
+// Run drives arrivals, waits for the all-parked barrier, holds the
+// parked swarm for the scenario's hold window, then drains it with
+// proper close handshakes.
 func (sw *Swarm) Run() (Result, error) {
 	start := time.Now()
 	deadline := time.After(sw.cfg.Deadline)
 	sc := sw.cfg.Scenario
 
-	for w := 0; w < sw.cfg.Workers; w++ {
+	for w := 0; w < sw.workers; w++ {
 		go sw.worker()
 	}
 	defer close(sw.quit)
@@ -468,7 +451,7 @@ func (sw *Swarm) Run() (Result, error) {
 			s.tcp = true
 			s.url = "tcp://" + sw.cfg.TCPAddr
 		} else {
-			s.url = fmt.Sprintf("%s/proxy%d", strings.TrimSuffix(sw.cfg.URL, "/"), wsIdx%sw.cfg.Endpoints)
+			s.url = fmt.Sprintf("%s/proxy%d", strings.TrimSuffix(sw.cfg.URL, "/"), wsIdx%wsEndpoints)
 			wsIdx++
 		}
 		sessions[i] = s
@@ -502,33 +485,6 @@ func (sw *Swarm) Run() (Result, error) {
 		time.Sleep(sc.Hold)
 	}
 
-	if sc.Storm {
-		// Sever every connection without a close handshake — an endpoint
-		// death — then reconnect the whole swarm at once.
-		alive := 0
-		for _, s := range sessions {
-			if s.dead {
-				continue
-			}
-			if s.sess != nil {
-				_ = s.sess.Abort()
-				s.sess = nil
-				sw.active.Dec()
-			}
-			s.turnsLeft = 1
-			alive++
-		}
-		sw.gate = newGate(alive)
-		for _, s := range sessions {
-			if !s.dead {
-				sw.enqueue(s)
-			}
-		}
-		if err := sw.await(deadline, "storm phase"); err != nil {
-			return sw.result(start, sessions), err
-		}
-	}
-
 	// Readers stop before the result snapshot so the query counters and
 	// percentiles are final for this row.
 	readers.stop()
@@ -536,11 +492,7 @@ func (sw *Swarm) Run() (Result, error) {
 
 	// Drain: proper close handshake on every surviving session.
 	for _, s := range sessions {
-		if s.sess != nil {
-			_ = s.sess.Close()
-			s.sess = nil
-			sw.active.Dec()
-		}
+		sw.closeConn(s)
 	}
 	return res, nil
 }
@@ -563,13 +515,12 @@ func (sw *Swarm) result(start time.Time, sessions []*minerSession) Result {
 		Scenario:       sw.cfg.Scenario.Name,
 		Transport:      sw.cfg.Scenario.TransportName(),
 		Sessions:       sw.cfg.Sessions,
-		Workers:        sw.cfg.Workers,
+		Workers:        sw.workers,
 		PeakConcurrent: sw.active.Peak(),
 		EndConcurrent:  sw.active.Load(),
 		Connects:       sw.connects.Load(),
 		Reconnects:     sw.reconnects.Load(),
 		SharesOK:       sw.sharesOK.Load(),
-		SharesRejected: sw.sharesRej.Load(),
 		ProtocolErrors: sw.protoErrs.Load(),
 		OracleGrinds:   sw.oracle.Grinds(),
 		DurationNs:     int64(dur),
@@ -717,14 +668,12 @@ func (sw *Swarm) step(s *minerSession) {
 	}
 
 	var err error
-	switch {
-	case sw.cfg.Scenario.Malformed && s.turnsLeft%2 == 0:
-		err = sw.malformedTurn(s)
-	case s.attack == AttackDup:
+	switch s.attack {
+	case AttackDup:
 		err = sw.dupTurn(s)
-	case s.attack == AttackStale:
+	case AttackStale:
 		err = sw.staleTurn(s)
-	case s.attack == AttackDiff:
+	case AttackDiff:
 		err = sw.diffTurn(s)
 	default:
 		err = sw.validTurn(s)
@@ -748,13 +697,6 @@ func (sw *Swarm) step(s *minerSession) {
 		sw.gate.finish()
 		return
 	}
-	if ce := sw.cfg.Scenario.ChurnEvery; ce > 0 {
-		s.sinceChurn++
-		if s.sinceChurn >= ce {
-			s.sinceChurn = 0
-			sw.closeConn(s)
-		}
-	}
 	sw.later(s, sw.thinkFor(s))
 }
 
@@ -765,7 +707,7 @@ func (sw *Swarm) step(s *minerSession) {
 // only (the replies accumulate in the socket buffer, like any push to a
 // parked session). The chain captures the session object and this
 // phase's gate; once the phase completes, ownership of the miner state
-// returns to Run (storm severs, drain closes) and the chain stops on
+// returns to Run (the drain closes it) and the chain stops on
 // its next tick — at worst one ping races the teardown, which the
 // net.Conn tolerates.
 func (sw *Swarm) parkKeepalive(s *minerSession) {
@@ -812,7 +754,7 @@ func (sw *Swarm) connect(s *minerSession) error {
 	if err != nil {
 		return err
 	}
-	sess.Timeout = sw.cfg.Timeout
+	sess.Timeout = readTimeout
 	_, job, err := sess.Login()
 	if err != nil {
 		_ = sess.Close()
@@ -830,7 +772,7 @@ func (sw *Swarm) connect(s *minerSession) error {
 	return nil
 }
 
-// closeConn performs the proper closing handshake (churn, drain).
+// closeConn performs the proper closing handshake (the drain).
 func (sw *Swarm) closeConn(s *minerSession) {
 	if s.sess == nil {
 		return
@@ -949,18 +891,6 @@ func (sw *Swarm) validTurn(s *minerSession) error {
 // counted against the dialect.
 var errStaleThrash = errors.New("loadgen: job stayed stale across retries")
 
-// expect reads the next envelope and requires the given type.
-func (sw *Swarm) expect(s *minerSession, want string) (stratum.Envelope, error) {
-	env, err := s.sess.ReadEnvelope()
-	if err != nil {
-		return env, sw.protoError(s, "read expecting "+want, err)
-	}
-	if env.Type != want {
-		return env, sw.protoError(s, "expecting "+want, fmt.Errorf("got %q", env.Type))
-	}
-	return env, nil
-}
-
 // adoptJob decodes a job envelope into the session.
 func (sw *Swarm) adoptJob(s *minerSession, env stratum.Envelope) error {
 	var j stratum.Job
@@ -972,105 +902,5 @@ func (sw *Swarm) adoptJob(s *minerSession, env stratum.Envelope) error {
 		return sw.protoError(s, "job decode", err)
 	}
 	s.job = job
-	return nil
-}
-
-// malformedTurn sends one of five protocol violations and verifies the
-// server's exact dialect response. The violations mirror what a hostile
-// or broken web client can actually emit; the expected responses are
-// pinned by the server tests, so a deviation here is a real regression
-// on either side.
-func (sw *Swarm) malformedTurn(s *minerSession) error {
-	// Offset the rotation by session index so a swarm covers all five
-	// kinds even when each session only gets a few malformed turns.
-	kind := (s.idx + s.malformedSeq) % 5
-	s.malformedSeq++
-	goodResult := strings.Repeat("ab", 32)
-	switch kind {
-	case 0: // nonce not hex → error reply, session lives
-		if err := s.sess.Send(stratum.TypeSubmit, stratum.Submit{
-			Version: 7, JobID: s.job.ID, Nonce: "zz!!zz!!", Result: goodResult,
-		}); err != nil {
-			return sw.protoError(s, "malformed submit write", err)
-		}
-		if _, err := sw.expect(s, stratum.TypeError); err != nil {
-			return err
-		}
-		sw.sharesRej.Inc()
-	case 1: // result wrong length → error reply, session lives
-		if err := s.sess.Send(stratum.TypeSubmit, stratum.Submit{
-			Version: 7, JobID: s.job.ID, Nonce: stratum.EncodeNonce(1), Result: "abcd",
-		}); err != nil {
-			return sw.protoError(s, "malformed submit write", err)
-		}
-		if _, err := sw.expect(s, stratum.TypeError); err != nil {
-			return err
-		}
-		sw.sharesRej.Inc()
-	case 2: // unknown job → silent fresh job, no error
-		if err := s.sess.Send(stratum.TypeSubmit, stratum.Submit{
-			Version: 7, JobID: "9999-1-0", Nonce: stratum.EncodeNonce(1), Result: goodResult,
-		}); err != nil {
-			return sw.protoError(s, "malformed submit write", err)
-		}
-		env, err := sw.expect(s, stratum.TypeJob)
-		if err != nil {
-			return err
-		}
-		if err := sw.adoptJob(s, env); err != nil {
-			return err
-		}
-		sw.sharesRej.Inc()
-	case 3: // well-formed but wrong result → error, then fresh job
-		for attempt := 0; ; attempt++ {
-			if err := s.sess.Send(stratum.TypeSubmit, stratum.Submit{
-				Version: 7, JobID: s.job.ID, Nonce: stratum.EncodeNonce(0xdeadbeef), Result: goodResult,
-			}); err != nil {
-				return sw.protoError(s, "malformed submit write", err)
-			}
-			env, err := s.sess.ReadEnvelope()
-			if err != nil {
-				return sw.protoError(s, "read after malformed submit", err)
-			}
-			// A lone job push (no error) means our job ID went stale
-			// before the server could score the result — the same silent
-			// re-issue validTurn handles. Retry against the fresh job.
-			if env.Type == stratum.TypeJob {
-				if err := sw.adoptJob(s, env); err != nil {
-					return err
-				}
-				if attempt >= 2 {
-					return sw.protoError(s, "job stayed stale across retries", nil)
-				}
-				continue
-			}
-			if env.Type != stratum.TypeError {
-				return sw.protoError(s, "expecting error", fmt.Errorf("got %q", env.Type))
-			}
-			env, err = sw.expect(s, stratum.TypeJob)
-			if err != nil {
-				return err
-			}
-			if err := sw.adoptJob(s, env); err != nil {
-				return err
-			}
-			sw.sharesRej.Inc()
-			break
-		}
-	case 4: // garbage envelope → error, then the server hangs up
-		if err := s.sess.SendRaw([]byte("{definitely not json")); err != nil {
-			return sw.protoError(s, "garbage write", err)
-		}
-		if _, err := sw.expect(s, stratum.TypeError); err != nil {
-			return err
-		}
-		if _, err := s.sess.ReadEnvelope(); err == nil {
-			return sw.protoError(s, "server kept a session alive after a garbage envelope", nil)
-		}
-		// The hang-up is the expected outcome; reconnect without
-		// counting an error.
-		sw.closeConn(s)
-		sw.sharesRej.Inc()
-	}
 	return nil
 }

@@ -4,10 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cryptonight"
+	"repro/internal/blockchain"
 	"repro/internal/metrics"
 	"repro/internal/session"
-	"repro/internal/stratum"
 )
 
 // runScenarioAgainst drives a small swarm against the given in-process
@@ -18,17 +17,13 @@ func runScenarioAgainst(t *testing.T, target *InprocTarget, reg *metrics.Registr
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compress the shapes so the full catalogue stays test-sized.
+	// Compress the shapes so the catalogue stays test-sized.
 	sc.Ramp = 200 * time.Millisecond
-	if sc.Think > 0 {
-		sc.Think = 50 * time.Millisecond
-	}
 	if sc.RefreshEvery > 0 {
 		sc.RefreshEvery = 150 * time.Millisecond
 	}
 	cfg := target.Config()
 	cfg.Sessions = sessions
-	cfg.Workers = 16
 	cfg.Scenario = sc
 	cfg.Variant = target.Pool.Chain().Params().PowVariant
 	cfg.Registry = reg
@@ -85,98 +80,6 @@ func TestSteadyScenario(t *testing.T) {
 	}
 }
 
-func TestChurnScenario(t *testing.T) {
-	const n = 24
-	reg := metrics.NewRegistry()
-	target, err := StartInproc(2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer target.Close()
-	res := runScenarioAgainst(t, target, reg, "churn", n)
-	// Every session closes and re-dials after each of its first two
-	// turns (the final turn parks).
-	if want := uint64(n * 2); res.Reconnects != want {
-		t.Errorf("Reconnects = %d, want %d", res.Reconnects, want)
-	}
-	if want := uint64(n * 3); res.SharesOK != want {
-		t.Errorf("SharesOK = %d, want %d", res.SharesOK, want)
-	}
-	if got := target.Pool.StatsSnapshot().SharesStale; got != 0 {
-		t.Errorf("SharesStale = %d before any tip move", got)
-	}
-
-	// Stale-share visibility: churn the tip under one more session and
-	// submit its now-dead job — the server must silently re-job and the
-	// engine must count it where operators can see it.
-	sess, err := session.Dial(target.URL+"/proxy0", stratum.Auth{SiteKey: "churn-stale", Type: "anonymous"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	sess.Timeout = 5 * time.Second
-	_, job, err := sess.Login()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := cryptonight.GetHasher(target.Pool.Chain().Params().PowVariant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, sum, _, found := h.Grind(job.Blob, job.NonceOffset, job.Target, 0, 1<<16)
-	cryptonight.PutHasher(h)
-	if !found {
-		t.Fatal("no share at difficulty 2")
-	}
-	target.AdvanceTip()
-	if err := sess.Submit(job.ID, nonce, sum); err != nil {
-		t.Fatal(err)
-	}
-	env, err := sess.ReadEnvelope()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != stratum.TypeJob {
-		t.Fatalf("stale submit reply = %s, want silent job re-issue", env.Type)
-	}
-	if got := target.Pool.StatsSnapshot().SharesStale; got != 1 {
-		t.Errorf("SharesStale = %d, want 1", got)
-	}
-}
-
-func TestTCPSteadyScenario(t *testing.T) {
-	const n = 32
-	res := runScenario(t, "tcp-steady", n)
-	if res.Transport != "tcp" {
-		t.Fatalf("Transport = %q", res.Transport)
-	}
-	if res.PeakConcurrent != n || res.EndConcurrent != n {
-		t.Errorf("concurrency peak/end = %d/%d, want %d", res.PeakConcurrent, res.EndConcurrent, n)
-	}
-	// Tip refreshes mid-run make some submits stale; the dialect re-jobs
-	// them and every turn still lands its share.
-	if want := uint64(n * 3); res.SharesOK != want {
-		t.Errorf("SharesOK = %d, want %d", res.SharesOK, want)
-	}
-	if res.TipRefreshes == 0 {
-		t.Error("tcp-steady ran without a single tip refresh")
-	}
-}
-
-func TestTCPStormScenario(t *testing.T) {
-	const n = 24
-	res := runScenario(t, "tcp-storm", n)
-	if res.Reconnects != n {
-		t.Errorf("Reconnects = %d, want %d", res.Reconnects, n)
-	}
-	if res.EndConcurrent != n {
-		t.Errorf("EndConcurrent = %d, want %d (swarm must survive the storm)", res.EndConcurrent, n)
-	}
-	if want := uint64(n*2 + n); res.SharesOK != want {
-		t.Errorf("SharesOK = %d, want %d", res.SharesOK, want)
-	}
-}
-
 // TestMixedScenario runs both dialects against one pool in one swarm:
 // the cross-transport story under load, with tip refreshes pushing jobs
 // to the TCP half and silently re-jobbing the ws half.
@@ -204,54 +107,47 @@ func TestMixedScenario(t *testing.T) {
 	}
 }
 
-func TestStormScenario(t *testing.T) {
-	const n = 32
-	res := runScenario(t, "storm", n)
-	// Phase 1 parks all n, the storm severs them, and all n reconnect.
-	if res.Reconnects != n {
-		t.Errorf("Reconnects = %d, want %d", res.Reconnects, n)
-	}
-	if res.EndConcurrent != n {
-		t.Errorf("EndConcurrent = %d, want %d (swarm must survive the storm)", res.EndConcurrent, n)
-	}
-	if want := uint64(n*2 + n); res.SharesOK != want { // 2 turns + 1 post-storm
-		t.Errorf("SharesOK = %d, want %d", res.SharesOK, want)
-	}
-}
-
-func TestSlowScenario(t *testing.T) {
-	const n = 16
-	res := runScenario(t, "slow", n)
-	if res.PeakConcurrent != n {
-		t.Errorf("PeakConcurrent = %d, want %d (server must hold slow clients)", res.PeakConcurrent, n)
-	}
-	if want := uint64(n * 2); res.SharesOK != want {
-		t.Errorf("SharesOK = %d, want %d", res.SharesOK, want)
-	}
-}
-
-func TestMalformedScenario(t *testing.T) {
-	const n = 12
-	res := runScenario(t, "malformed", n)
-	// Six turns: three malformed (turnsLeft even), three valid. The
-	// garbage-envelope kind forces a reconnect per hit; every malformed
-	// exchange must land exactly as the dialect specifies — zero
-	// protocol errors is asserted by runScenario.
-	if want := uint64(n * 3); res.SharesOK != want {
-		t.Errorf("SharesOK = %d, want %d", res.SharesOK, want)
-	}
-	if want := uint64(n * 3); res.SharesRejected != want {
-		t.Errorf("SharesRejected = %d, want %d", res.SharesRejected, want)
-	}
-	if res.Reconnects == 0 {
-		t.Error("malformed scenario should force garbage-envelope reconnects")
-	}
-}
-
+// TestOracleDedupesGrinds pins what makes swarms cheap: the oracle keys
+// solutions by PoW input (wire blob + target), not by job ID, so two job
+// IDs over one input share a grind, and each further sequence slot costs
+// exactly one more.
 func TestOracleDedupesGrinds(t *testing.T) {
-	// Two swarms' worth of sessions share one oracle per swarm; within a
-	// swarm the distinct PoW inputs bound the grinds. This is implicitly
-	// covered above; here pin the unknown-scenario error path too.
+	o := NewOracle(blockchain.SimParams().PowVariant)
+	a := session.Job{
+		ID:          "0-1-0",
+		Blob:        make([]byte, 76),
+		NonceOffset: 39,
+		Target:      1 << 31, // difficulty 2
+		WireBlob:    "blob",
+		WireTarget:  "00000080",
+	}
+	b := a
+	b.ID = "1-1-0" // a re-issue of the same template under another ID
+	n1, s1, err := o.SolveSeq(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, s2, err := o.SolveSeq(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1 != n2 || s1 != s2 {
+		t.Errorf("seq 0 differs across job IDs: nonce %d vs %d", n1, n2)
+	}
+	if g := o.Grinds(); g != 1 {
+		t.Errorf("Grinds = %d after one input at one seq, want 1", g)
+	}
+	n3, _, err := o.SolveSeq(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n3 <= n1 {
+		t.Errorf("seq 1 nonce %d, want past seq 0's %d", n3, n1)
+	}
+	if g := o.Grinds(); g != 2 {
+		t.Errorf("Grinds = %d after the next seq, want 2", g)
+	}
+
 	if _, err := ScenarioByName("definitely-not-a-scenario"); err == nil {
 		t.Error("unknown scenario accepted")
 	}

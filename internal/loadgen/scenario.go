@@ -65,22 +65,6 @@ type Scenario struct {
 	Turns int
 	// Ramp spreads session arrivals uniformly over this window.
 	Ramp time.Duration
-	// Think delays a session between turns (slow clients: the server
-	// must hold the socket while the "visitor" reads the page).
-	Think time.Duration
-	// ChurnEvery, when >0, makes a session close properly and reconnect
-	// after every ChurnEvery turns — the short-session churn of visitors
-	// bouncing through links.
-	ChurnEvery int
-	// Storm, when set, abruptly severs every connection (no close
-	// handshake, as if an endpoint died) once all sessions are parked,
-	// then reconnects the whole swarm at once.
-	Storm bool
-	// Malformed, when set, interleaves protocol-violating submits (bad
-	// hex, wrong lengths, unknown jobs, garbage JSON) with valid ones
-	// and verifies the server answers each exactly as the dialect
-	// specifies.
-	Malformed bool
 
 	// Hold keeps the fully-ramped swarm parked for this long before the
 	// drain, with tip refreshes still firing. This is where the scale
@@ -123,8 +107,8 @@ type Scenario struct {
 	SimHashrate float64
 }
 
-// scenarios is the named catalogue. Sessions/workers are sizing knobs on
-// Config, not part of the shape.
+// scenarios is the named catalogue: the shapes the loadd gates run. The
+// swarm size is a sizing knob on Config, not part of the shape.
 var scenarios = map[string]Scenario{
 	"steady": {
 		Name:        "steady",
@@ -132,55 +116,11 @@ var scenarios = map[string]Scenario{
 		Turns:       3,
 		Ramp:        2 * time.Second,
 	},
-	"churn": {
-		Name:        "churn",
-		Description: "sessions close and reconnect after every share",
-		Turns:       3,
-		Ramp:        2 * time.Second,
-		ChurnEvery:  1,
-	},
-	"storm": {
-		Name:        "storm",
-		Description: "full swarm severed without handshake, then a reconnect storm",
-		Turns:       2,
-		Ramp:        1 * time.Second,
-		Storm:       true,
-	},
-	"slow": {
-		Name:        "slow",
-		Description: "slow clients: long think time between shares, sockets held open",
-		Turns:       2,
-		Ramp:        1 * time.Second,
-		Think:       750 * time.Millisecond,
-	},
-	"malformed": {
-		Name:        "malformed",
-		Description: "hostile clients: malformed shares interleaved with valid ones",
-		Turns:       6,
-		Ramp:        1 * time.Second,
-		Malformed:   true,
-	},
 	"smoke": {
 		Name:        "smoke",
 		Description: "CI gate: fast ramp, two turns, park, assert zero protocol errors",
 		Turns:       2,
 		Ramp:        1500 * time.Millisecond,
-	},
-	"tcp-steady": {
-		Name:         "tcp-steady",
-		Description:  "steady over raw-TCP stratum, with tip refreshes driving job pushes",
-		Transport:    TransportTCP,
-		Turns:        3,
-		Ramp:         2 * time.Second,
-		RefreshEvery: 500 * time.Millisecond,
-	},
-	"tcp-storm": {
-		Name:        "tcp-storm",
-		Description: "full TCP swarm severed without handshake, then a reconnect storm",
-		Transport:   TransportTCP,
-		Turns:       2,
-		Ramp:        1 * time.Second,
-		Storm:       true,
 	},
 	"tcp-scale": {
 		Name: "tcp-scale",
@@ -225,44 +165,6 @@ var scenarios = map[string]Scenario{
 		// paging, so the query percentiles cover both the contended ramp
 		// and the steady state.
 		Hold: 2 * time.Second,
-	},
-	"dup-submit": {
-		Name:        "dup-submit",
-		Description: "attackers replay one credited share; the pool must reject every duplicate and ban the identity",
-		Transport:   TransportMixed,
-		Defended:    true,
-		Attack:      AttackDup,
-		Turns:       8,
-		Ramp:        1 * time.Second,
-	},
-	"stale-flood": {
-		Name:         "stale-flood",
-		Description:  "attackers resubmit tip-outrun jobs forever; the stale retry loop must end in too-many-stale and a ban",
-		Transport:    TransportMixed,
-		Defended:     true,
-		Attack:       AttackStale,
-		Turns:        12,
-		Ramp:         1 * time.Second,
-		RefreshEvery: 300 * time.Millisecond,
-		Think:        350 * time.Millisecond,
-	},
-	"diff-game": {
-		Name:        "diff-game",
-		Description: "attackers forge job IDs at unserved difficulty tiers; the served-tier check must reject and ban",
-		Transport:   TransportMixed,
-		Defended:    true,
-		Attack:      AttackDiff,
-		Turns:       8,
-		Ramp:        1 * time.Second,
-	},
-	"reconnect-hammer": {
-		Name:        "reconnect-hammer",
-		Description: "attackers redial one shared identity as fast as possible; the login bucket must rate-limit into a ban",
-		Transport:   TransportMixed,
-		Defended:    true,
-		Attack:      AttackHammer,
-		Turns:       12,
-		Ramp:        500 * time.Millisecond,
 	},
 	"mixed-hostile": {
 		Name:        "mixed-hostile",

@@ -212,6 +212,10 @@ func TestPingIsAnsweredTransparently(t *testing.T) {
 			return
 		}
 		c.WriteMessage(op, data)
+		// Hold the conn until the client closes: the client answers the
+		// ping only when it next reads, and a pong written into a conn
+		// this side already closed would fail its read of the echo.
+		c.ReadMessage()
 	}))
 	defer s.Close()
 	c, err := Dial(wsURL(s), nil)
