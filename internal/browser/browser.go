@@ -9,8 +9,8 @@ package browser
 import (
 	"sync"
 
+	"repro/internal/crawler"
 	"repro/internal/fingerprint"
-	"repro/internal/htmlx"
 	"repro/internal/nocoin"
 	"repro/internal/parallel"
 	"repro/internal/wasm"
@@ -171,12 +171,7 @@ func classify(s *webgen.Site, db *fingerprint.DB, list *nocoin.List) SiteVerdict
 	v := SiteVerdict{Domain: s.Domain, TimedOut: page.TimedOut}
 
 	// NoCoin over the post-execution HTML.
-	scripts := htmlx.ExtractScripts(page.FinalHTML)
-	refs := make([]nocoin.ScriptRef, len(scripts))
-	for i, sc := range scripts {
-		refs[i] = nocoin.ScriptRef{Src: sc.Src, Inline: sc.Inline}
-	}
-	v.NoCoinHit = len(list.MatchScripts(refs)) > 0
+	v.NoCoinHit = len(crawler.ScanPage(list, page.FinalHTML)) > 0
 
 	// Wasm fingerprinting over every dumped module.
 	for _, bin := range page.Wasm {

@@ -11,11 +11,22 @@
 //
 // The engine matches script URLs and inline script bodies, which is exactly
 // how the paper applied the list to extracted javascript tags.
+//
+// Each regex rule carries a literal that any match must contain, derived at
+// parse time from the longest run of literal runes in its top-level
+// concatenation. The matchers check it with strings.Contains on the
+// lower-cased text they already hold and run the regexp only on a hit, so a
+// script holding none of the literals never reaches a backtracker. The run
+// is cut at non-ASCII runes and at k and s, the only ASCII letters whose
+// case-fold orbit leaves ASCII (U+212A KELVIN SIGN, U+017F LONG S): every
+// other literal rune the case-insensitive regexp matches lower-cases to the
+// literal's own rune, so the check never rejects a text the regexp accepts.
 package nocoin
 
 import (
 	"fmt"
 	"regexp"
+	"regexp/syntax"
 	"strings"
 )
 
@@ -38,6 +49,7 @@ type Rule struct {
 	Needle  string // KindSubstring
 	Re      *regexp.Regexp
 	Options []string
+	lit     string // KindRegex: lower-cased literal every match contains, or ""
 }
 
 // ParseRule parses a single filter line.
@@ -64,12 +76,14 @@ func ParseRule(line string) (Rule, error) {
 			return r, fmt.Errorf("nocoin: empty domain rule %q", line)
 		}
 	case strings.HasPrefix(body, "/") && strings.HasSuffix(body, "/") && len(body) > 2:
-		re, err := regexp.Compile("(?i)" + body[1:len(body)-1])
+		expr := "(?i)" + body[1:len(body)-1]
+		re, err := regexp.Compile(expr)
 		if err != nil {
 			return r, fmt.Errorf("nocoin: bad regex rule %q: %w", line, err)
 		}
 		r.Kind = KindRegex
 		r.Re = re
+		r.lit = requiredLiteral(expr)
 	default:
 		r.Kind = KindSubstring
 		r.Needle = strings.ToLower(body)
@@ -78,6 +92,50 @@ func ParseRule(line string) (Rule, error) {
 		}
 	}
 	return r, nil
+}
+
+// requiredLiteral returns the longest fold-safe run of literal runes in
+// expr's top-level concatenation, lower-cased: text the expression matches
+// contains it once lower-cased. It returns "" when there is no such run.
+func requiredLiteral(expr string) string {
+	re, err := syntax.Parse(expr, syntax.Perl)
+	if err != nil {
+		return ""
+	}
+	re = re.Simplify()
+	subs := []*syntax.Regexp{re}
+	if re.Op == syntax.OpConcat {
+		subs = re.Sub
+	}
+	var best, run []byte
+	cut := func() {
+		if len(run) > len(best) {
+			best = run
+		}
+		run = nil
+	}
+	for _, sub := range subs {
+		if sub.Op != syntax.OpLiteral {
+			cut()
+			continue
+		}
+		for _, c := range sub.Rune {
+			switch {
+			case c >= 0x80, c == 'k', c == 'K', c == 's', c == 'S':
+				cut()
+			default:
+				run = append(run, byte(c))
+			}
+		}
+	}
+	cut()
+	return strings.ToLower(string(best))
+}
+
+// matchRegex runs a regex rule on text, whose lower-cased form is low,
+// once low holds the rule's literal.
+func (r *Rule) matchRegex(text, low string) bool {
+	return (r.lit == "" || strings.Contains(low, r.lit)) && r.Re.MatchString(text)
 }
 
 // List is a parsed filter list.
@@ -103,9 +161,8 @@ func ParseList(text string) (*List, error) {
 	return &l, nil
 }
 
-// hostOf extracts the lower-cased host portion of a URL-ish string.
-func hostOf(u string) string {
-	s := u
+// hostOf extracts the host portion of an already lower-cased URL-ish string.
+func hostOf(s string) string {
 	if i := strings.Index(s, "://"); i >= 0 {
 		s = s[i+3:]
 	} else {
@@ -116,13 +173,13 @@ func hostOf(u string) string {
 			s = s[:i]
 		}
 	}
-	return strings.ToLower(s)
+	return s
 }
 
 // MatchURL checks a script URL against the list.
 func (l *List) MatchURL(url string) (Rule, bool) {
 	low := strings.ToLower(url)
-	host := hostOf(url)
+	host := hostOf(low)
 	for _, r := range l.Rules {
 		switch r.Kind {
 		case KindDomain:
@@ -134,7 +191,7 @@ func (l *List) MatchURL(url string) (Rule, bool) {
 				return r, true
 			}
 		case KindRegex:
-			if r.Re.MatchString(url) {
+			if r.matchRegex(url, low) {
 				return r, true
 			}
 		}
@@ -153,7 +210,7 @@ func (l *List) MatchInline(body string) (Rule, bool) {
 				return r, true
 			}
 		case KindRegex:
-			if r.Re.MatchString(body) {
+			if r.matchRegex(body, low) {
 				return r, true
 			}
 		}

@@ -1,8 +1,13 @@
 package nocoin
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unicode"
+
+	"repro/internal/htmlx"
+	"repro/internal/webgen"
 )
 
 func TestParseRuleKinds(t *testing.T) {
@@ -64,6 +69,21 @@ func TestDomainRuleMatching(t *testing.T) {
 		if r, ok := l.MatchURL(u); ok {
 			t.Errorf("unexpected match for %q (rule %q)", u, r.Raw)
 		}
+	}
+}
+
+func TestMatchURLLowersOnce(t *testing.T) {
+	l := Bundled()
+	for u, want := range map[string]string{
+		"HTTPS://WWW.CoinHive.COM:443/x": "||coinhive.com^",
+		"//Sub.CPMSTAR.com/a.js":         "||cpmstar.com^",
+	} {
+		if r, ok := l.MatchURL(u); !ok || r.Raw != want {
+			t.Errorf("MatchURL(%q) = %q, %v; want %q", u, r.Raw, ok, want)
+		}
+	}
+	if r, ok := l.MatchURL("https://notcoinhive.com/lib.js"); ok {
+		t.Errorf("notcoinhive.com matched %q", r.Raw)
 	}
 }
 
@@ -139,12 +159,141 @@ func TestBundledDoesNotMatchPlainSites(t *testing.T) {
 	}
 }
 
+func TestRequiredLiteral(t *testing.T) {
+	want := map[string]string{
+		`/coin-?hive(\.min)?\.js/`:     "coin",
+		`/wp-monero-miner/`:            "wp-monero-miner",
+		`/CoinHive\.(Anonymous|User)/`: "coinhive.",
+		`/new\s+CryptoLoot/`:           "cryptoloot",
+		`/deepMiner\.Anonymous/`:       "deepminer.anonymou",
+	}
+	for _, r := range Bundled().Rules {
+		if r.Kind != KindRegex {
+			continue
+		}
+		lit, ok := want[r.Raw]
+		if !ok {
+			t.Errorf("bundled regex rule %q has no expected literal", r.Raw)
+		}
+		if r.lit != lit {
+			t.Errorf("%s: lit = %q, want %q", r.Raw, r.lit, lit)
+		}
+		delete(want, r.Raw)
+	}
+	for raw := range want {
+		t.Errorf("bundled list lost regex rule %q", raw)
+	}
+	for raw, lit := range map[string]string{
+		`/cryptoloot|deepminer/`:   "",                // top-level alternation
+		`/miner\s+wallet/`:         "wallet",          // \s+ breaks the run
+		`/abc(def)?ghij/`:          "ghij",            // so does an optional group
+		`/coinhive\.miner\.start/`: "coinhive.miner.", // cut at s
+		`/monerokiller/`:           "monero",          // cut at k
+		`/minería/`:                "miner",           // cut at non-ASCII
+		`/xk/`:                     "x",
+		`/sk/`:                     "",
+	} {
+		r, err := ParseRule(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.lit != lit {
+			t.Errorf("%s: lit = %q, want %q", raw, r.lit, lit)
+		}
+	}
+}
+
+// TestFoldCutIsExactlyKS derives the cut set: the ASCII letters whose
+// simple case-fold orbit leaves ASCII, where strings.ToLower may not map an
+// orbit member onto the letter's own lower case.
+func TestFoldCutIsExactlyKS(t *testing.T) {
+	var leave []rune
+	for c := 'a'; c <= 'z'; c++ {
+		for f := unicode.SimpleFold(c); f != c; f = unicode.SimpleFold(f) {
+			if f >= 0x80 {
+				leave = append(leave, c)
+				break
+			}
+		}
+	}
+	if string(leave) != "ks" {
+		t.Fatalf("letters whose fold orbit leaves ASCII = %q, want \"ks\"", string(leave))
+	}
+}
+
+// ungated returns a copy of l with every regex rule's literal cleared, so
+// each regex rule runs its regexp unconditionally.
+func ungated(l *List) *List {
+	u := &List{Rules: append([]Rule(nil), l.Rules...)}
+	for i := range u.Rules {
+		u.Rules[i].lit = ""
+	}
+	return u
+}
+
+func FuzzGateAgreesWithRegex(f *testing.F) {
+	for _, s := range []string{
+		"deepMiner.Anonymou\u017f",
+		"new\tCryptoLooT",
+		"COIN-HIVE.MIN.JS",
+		"CoinHive.User",
+		"coinh\u0130ve.User \u212a wp-monero-miner",
+		"coin\xffhive.js new \xc0CryptoLoot",
+	} {
+		f.Add(s)
+	}
+	gated := Bundled()
+	plain := ungated(gated)
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, m := range []func(*List, string) (Rule, bool){(*List).MatchInline, (*List).MatchURL} {
+			g, gok := m(gated, s)
+			p, pok := m(plain, s)
+			if g.Raw != p.Raw || gok != pok {
+				t.Fatalf("%q: gated (%q, %v), ungated (%q, %v)", s, g.Raw, gok, p.Raw, pok)
+			}
+		}
+	})
+}
+
+func TestGateAgreesOnCorpus(t *testing.T) {
+	gated := Bundled()
+	plain := ungated(gated)
+	regexHits := 0
+	scan := func(l *List, page string) (hits []string) {
+		scripts := htmlx.ExtractScripts(page)
+		refs := make([]ScriptRef, len(scripts))
+		for i, s := range scripts {
+			refs[i] = ScriptRef{Src: s.Src, Inline: s.Inline}
+		}
+		for _, m := range l.MatchScripts(refs) {
+			if l == gated && m.Rule.Kind == KindRegex {
+				regexHits++
+			}
+			hits = append(hits, m.Rule.Raw+" on "+m.Target)
+		}
+		return hits
+	}
+	c := webgen.Generate(webgen.DefaultConfig(webgen.TLDAlexa, 20_000, 1))
+	for _, s := range c.Sites {
+		for _, page := range []string{webgen.RenderStaticHTML(s), webgen.Execute(s).FinalHTML} {
+			g := scan(gated, page)
+			if p := scan(plain, page); !reflect.DeepEqual(g, p) {
+				t.Fatalf("%s: gated matches %q, ungated %q", s.Domain, g, p)
+			}
+		}
+	}
+	if regexHits == 0 {
+		t.Fatal("no regex rule matched the corpus: the comparison proves nothing")
+	}
+}
+
 func BenchmarkMatchScriptsBundled(b *testing.B) {
 	l := Bundled()
 	scripts := []ScriptRef{
 		{Src: "https://code.jquery.com/jquery.min.js"},
 		{Src: "/assets/main.js"},
 		{Inline: "var x = 42; render(x);"},
+		{Inline: "var coins = 3; bitcoin.render(coins);"}, // holds "coin", matches no rule
 		{Src: "https://coinhive.com/lib/coinhive.min.js"},
 	}
 	b.ReportAllocs()
