@@ -6,14 +6,13 @@ package htmlx
 
 import "strings"
 
-// Script is one extracted <script> element.
+// Script is one extracted <script> element: only what the NoCoin match
+// reads. Other attributes (type, async) are parsed past, never stored.
 type Script struct {
 	// Src is the value of the src attribute ("" for inline scripts).
 	Src string
 	// Inline is the script body for inline scripts.
 	Inline string
-	// Attrs holds all attributes (lower-case keys).
-	Attrs map[string]string
 }
 
 // ExtractScripts scans doc for script tags. It is case-insensitive,
@@ -21,7 +20,7 @@ type Script struct {
 // and treats an unterminated final script as inline content running to the
 // end of the (possibly truncated) document.
 func ExtractScripts(doc string) []Script {
-	var out []Script
+	var out []Script // made at the first tag, with room for a landing page's 2–4
 	pos := 0
 	for {
 		i := indexTag(doc[pos:], "<script")
@@ -42,8 +41,10 @@ func ExtractScripts(doc string) []Script {
 			break
 		}
 		tagEnd := after + gt
-		attrs := parseAttrs(doc[after:tagEnd])
-		s := Script{Attrs: attrs, Src: attrs["src"]}
+		if out == nil {
+			out = make([]Script, 0, 8)
+		}
+		s := Script{Src: srcAttr(doc[after:tagEnd])}
 		// Find the closing tag.
 		close := indexTag(doc[tagEnd+1:], "</script")
 		if close < 0 {
@@ -103,11 +104,14 @@ func hasPrefixFold(s, prefix string) bool {
 	return true
 }
 
-// parseAttrs parses the attribute region of a tag.
-func parseAttrs(s string) map[string]string {
-	attrs := map[string]string{}
-	i := 0
-	n := len(s)
+// srcAttr returns the src attribute's value in the attribute region of a
+// tag: the last occurrence wins, and a bare or truncated src reads "". It
+// scans in place and stores no attribute. Names compare with ASCII
+// folding, which for "src" equals strings.ToLower then ==; EqualFold
+// would not, as Unicode folds ſ (U+017F) to s.
+func srcAttr(s string) string {
+	src := ""
+	i, n := 0, len(s)
 	for i < n {
 		// Skip whitespace and stray slashes.
 		for i < n && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r' || s[i] == '/') {
@@ -121,50 +125,47 @@ func parseAttrs(s string) map[string]string {
 		for i < n && s[i] != '=' && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' && s[i] != '/' {
 			i++
 		}
-		name := strings.ToLower(s[start:i])
-		if name == "" {
+		if i == start {
 			i++
 			continue
 		}
+		isSrc := i-start == len("src") && hasPrefixFold(s[start:i], "src")
 		// Skip whitespace before a possible '='.
 		for i < n && (s[i] == ' ' || s[i] == '\t') {
 			i++
 		}
-		if i >= n || s[i] != '=' {
-			attrs[name] = "" // boolean attribute (async, defer)
-			continue
-		}
-		i++ // consume '='
-		for i < n && (s[i] == ' ' || s[i] == '\t') {
-			i++
-		}
-		if i >= n {
-			attrs[name] = ""
-			break
-		}
-		var val string
-		switch s[i] {
-		case '"', '\'':
-			q := s[i]
-			i++
-			end := strings.IndexByte(s[i:], q)
-			if end < 0 {
-				val = s[i:] // truncated quoted value
-				i = n
-			} else {
-				val = s[i : i+end]
-				i += end + 1
-			}
-		default:
-			start := i
-			for i < n && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
+		val := "" // boolean attribute (async, defer) unless an '=' follows
+		if i < n && s[i] == '=' {
+			i++ // consume '='
+			for i < n && (s[i] == ' ' || s[i] == '\t') {
 				i++
 			}
-			val = s[start:i]
+			switch {
+			case i >= n:
+			case s[i] == '"' || s[i] == '\'':
+				q := s[i]
+				i++
+				end := strings.IndexByte(s[i:], q)
+				if end < 0 {
+					val = s[i:] // truncated quoted value
+					i = n
+				} else {
+					val = s[i : i+end]
+					i += end + 1
+				}
+			default:
+				start := i
+				for i < n && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r' {
+					i++
+				}
+				val = s[start:i]
+			}
 		}
-		attrs[name] = val
+		if isSrc {
+			src = val
+		}
 	}
-	return attrs
+	return src
 }
 
 // ExtractTitle returns the document title, or "".

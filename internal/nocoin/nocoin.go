@@ -183,7 +183,8 @@ func (l *List) MatchURL(url string) (Rule, bool) {
 	for _, r := range l.Rules {
 		switch r.Kind {
 		case KindDomain:
-			if host == r.Domain || strings.HasSuffix(host, "."+r.Domain) {
+			// host == r.Domain or ends in "."+r.Domain, tested in place.
+			if k := len(host) - len(r.Domain); k >= 0 && host[k:] == r.Domain && (k == 0 || host[k-1] == '.') {
 				return r, true
 			}
 		case KindSubstring:

@@ -87,6 +87,31 @@ func TestMatchURLLowersOnce(t *testing.T) {
 	}
 }
 
+func TestDomainRuleTestsTheLabelBoundaryInPlace(t *testing.T) {
+	// The long rule outgrows the 32-byte stack buffer a "."+domain
+	// concatenation may use, so building that string would allocate.
+	l, err := ParseList("||coinhive.com^\n||a-rather-long-mining-pool-domain.example^")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, want := range map[string]bool{
+		"https://coinhive.com/lib.js":          true,
+		"https://www.coinhive.com/lib.js":      true,
+		"https://notcoinhive.com/lib.js":       false,
+		"https://coinhive.com.evil.net/lib.js": false,
+	} {
+		if _, ok := l.MatchURL(u); ok != want {
+			t.Errorf("MatchURL(%q) matched = %v, want %v", u, ok, want)
+		}
+	}
+	bundled := Bundled()
+	for _, u := range []string{"https://www.coinhive.com/lib/coinhive.min.js", "https://code.jquery.com/jquery-3.3.1.min.js"} {
+		if n := testing.AllocsPerRun(100, func() { l.MatchURL(u); bundled.MatchURL(u) }); n != 0 {
+			t.Errorf("MatchURL(%q): %v allocations, want 0", u, n)
+		}
+	}
+}
+
 func TestSubstringAndRegexMatching(t *testing.T) {
 	l, err := ParseList("coinhive.min.js\n/CoinHive\\.(Anonymous|User)/")
 	if err != nil {

@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/fingerprint"
@@ -15,7 +16,8 @@ type loaderSpec struct {
 	versions  int
 }
 
-// familySpec returns the loader shape for a catalog family.
+// familySpec returns the loader shape for a catalog family; pages read it
+// through loaders.
 func familySpec(family string) (loaderSpec, bool) {
 	spec, ok := fingerprint.SpecByName(family)
 	if !ok {
@@ -42,7 +44,7 @@ func familySpec(family string) (loaderSpec, bool) {
 		// Families below the NoCoin radar ship self-hosted loaders with
 		// unremarkable names — the reason block lists miss them even when
 		// the tag is static.
-		ls.scriptURL = fmt.Sprintf("/assets/js/%s-loader.js", shortName(family))
+		ls.scriptURL = "/assets/js/" + shortName(family) + "-loader.js"
 		ls.inline = `window.__wk&&window.__wk.init('%s');`
 	}
 	return ls, true
@@ -61,6 +63,46 @@ func shortName(family string) string {
 	return s
 }
 
+// loader is a family's loader as a page carries it: both <script>
+// tags with the URL already quoted, split where the site token goes.
+type loader struct {
+	family     string
+	head, tail string
+	versions   int
+}
+
+// loaders holds one entry per catalogue family, built once from familySpec
+// and only read after package init.
+var loaders = func() []loader {
+	var out []loader
+	for _, spec := range fingerprint.Catalog() {
+		ls, _ := familySpec(spec.Name)
+		pre, post, _ := strings.Cut(ls.inline, "%s")
+		out = append(out, loader{
+			family:   spec.Name,
+			head:     "<script src=" + strconv.Quote(ls.scriptURL) + "></script>\n<script>" + pre,
+			tail:     post + "</script>\n",
+			versions: ls.versions,
+		})
+	}
+	return out
+}()
+
+func loaderFor(family string) (*loader, bool) {
+	for i := range loaders {
+		if loaders[i].family == family {
+			return &loaders[i], true
+		}
+	}
+	return nil, false
+}
+
+func (l *loader) write(b *strings.Builder, token string) {
+	b.WriteString(l.head)
+	b.WriteString(token)
+	b.WriteString(l.tail)
+}
+
 // pageSizeHint pre-sizes a rendered landing page's buffer: pages come out at
 // 0.6–0.85 kB, and growing a Builder there by doubling allocates and copies
 // twice that.
@@ -68,15 +110,20 @@ const pageSizeHint = 896
 
 // RenderStaticHTML produces the landing page as the HTTP server would send
 // it — what the zgrab-style fetcher downloads and the NoCoin list scans.
+// One allocation, the page: numbers go through a stack array, not fmt.
 func RenderStaticHTML(s *Site) string {
 	var b strings.Builder
+	var num [20]byte
 	b.Grow(pageSizeHint)
 	cat := "site"
 	if len(s.Categories) > 0 {
 		cat = s.Categories[0]
 	}
-	fmt.Fprintf(&b, "<!doctype html>\n<html><head>\n<title>%s — a %s website</title>\n", s.Domain, cat)
-	b.WriteString(`<meta charset="utf-8">` + "\n")
+	b.WriteString("<!doctype html>\n<html><head>\n<title>")
+	b.WriteString(s.Domain)
+	b.WriteString(" — a ")
+	b.WriteString(cat)
+	b.WriteString(" website</title>\n" + `<meta charset="utf-8">` + "\n")
 	// Ordinary supporting scripts every site has.
 	b.WriteString(`<script src="https://code.jquery.com/jquery-3.3.1.min.js"></script>` + "\n")
 	b.WriteString(`<script>window.dataLayer=window.dataLayer||[];function gtag(){dataLayer.push(arguments);}</script>` + "\n")
@@ -84,32 +131,42 @@ func RenderStaticHTML(s *Site) string {
 	if s.DeadMiner != nil {
 		// The stock loader is there for any list to match; nothing will
 		// ever run it.
-		if ls, ok := familySpec(s.DeadMiner.Family); ok {
-			fmt.Fprintf(&b, "<script src=%q></script>\n", ls.scriptURL)
-			fmt.Fprintf(&b, "<script>"+ls.inline+"</script>\n", s.DeadMiner.Token)
+		if l, ok := loaderFor(s.DeadMiner.Family); ok {
+			l.write(&b, s.DeadMiner.Token)
 		}
 	}
 	if s.AdNetwork == "cpmstar" {
 		b.WriteString(`<script src="https://cdn.cpmstar.com/cached/js/cpmstar.js"></script>` + "\n")
 	}
 	if s.Miner != nil && s.Miner.OfficialLoader {
-		if ls, ok := familySpec(s.Miner.Family); ok {
-			fmt.Fprintf(&b, "<script src=%q></script>\n", ls.scriptURL)
-			fmt.Fprintf(&b, "<script>"+ls.inline+"</script>\n", s.Miner.Token)
+		if l, ok := loaderFor(s.Miner.Family); ok {
+			l.write(&b, s.Miner.Token)
 		} else {
-			fmt.Fprintf(&b, "<script src=\"/js/app.%x.js\"></script>\n", s.Rank)
+			b.WriteString(`<script src="/js/app.`)
+			b.Write(strconv.AppendInt(num[:0], int64(s.Rank), 16))
+			b.WriteString(`.js"></script>` + "\n")
 		}
 	}
 	if s.Miner != nil && !s.Miner.OfficialLoader {
 		// Self-hosted deployment: nothing list-matchable in the static
 		// HTML, just an opaque application bundle that drops the renamed
 		// miner at runtime.
-		fmt.Fprintf(&b, "<script src=\"/js/main.%x.bundle.js\"></script>\n", s.Rank)
+		b.WriteString(`<script src="/js/main.`)
+		b.Write(strconv.AppendInt(num[:0], int64(s.Rank), 16))
+		b.WriteString(`.bundle.js"></script>` + "\n")
 	}
-	b.WriteString("</head><body>\n")
-	fmt.Fprintf(&b, "<h1>Welcome to %s</h1>\n", s.Domain)
+	b.WriteString("</head><body>\n<h1>Welcome to ")
+	b.WriteString(s.Domain)
+	b.WriteString("</h1>\n")
+	rank10 := strconv.AppendInt(num[:0], int64(s.Rank), 10)
 	for i := 0; i < 5; i++ {
-		fmt.Fprintf(&b, "<p>Lorem ipsum %s content block %d for rank %d.</p>\n", cat, i, s.Rank)
+		b.WriteString("<p>Lorem ipsum ")
+		b.WriteString(cat)
+		b.WriteString(" content block ")
+		b.WriteByte(byte('0' + i))
+		b.WriteString(" for rank ")
+		b.Write(rank10)
+		b.WriteString(".</p>\n")
 	}
 	b.WriteString("</body></html>\n")
 	return b.String()
@@ -135,8 +192,8 @@ func Execute(s *Site) ExecutedArtifacts {
 			// Runtime injection of the *renamed, self-hosted* miner: the
 			// final HTML gains a script tag, but one that matches no block
 			// list rule. Only the Wasm dump betrays it.
-			inject := fmt.Sprintf("<script src=\"/js/wk.%x.js\"></script><script>window.__wk&&window.__wk.init('%s');</script>",
-				s.Rank, s.Miner.Token)
+			inject := `<script src="/js/wk.` + strconv.FormatInt(int64(s.Rank), 16) +
+				`.js"></script><script>window.__wk&&window.__wk.init('` + s.Miner.Token + `');</script>`
 			html = strings.Replace(html, "</body>", inject+"</body>", 1)
 		}
 		art.Wasm = append(art.Wasm, minerBinary(s))

@@ -240,8 +240,8 @@ func versionsOf(family string) int {
 	if family == "UnknownWSS" {
 		return 8
 	}
-	if spec, ok := familySpec(family); ok {
-		return spec.versions
+	if l, ok := loaderFor(family); ok {
+		return l.versions
 	}
 	return 1
 }
