@@ -8,6 +8,7 @@ package browser
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/crawler"
 	"repro/internal/fingerprint"
@@ -63,19 +64,27 @@ func LoadCompletion(p webgen.LoadProfile) (int, bool) {
 
 // Visit executes a synthetic site.
 func Visit(s *webgen.Site) Page {
+	html, p := appendVisit(nil, s)
+	p.FinalHTML = unsafe.String(unsafe.SliceData(html), len(html))
+	return p
+}
+
+// appendVisit is Visit in append form: it appends the final HTML, capped at
+// FinalHTMLCap, to dst and returns it with the rest of the Page, whose
+// FinalHTML it leaves "".
+func appendVisit(dst []byte, s *webgen.Site) ([]byte, Page) {
 	loadMs, timedOut := LoadCompletion(s.Load)
-	art := webgen.Execute(s)
-	html := art.FinalHTML
-	if len(html) > FinalHTMLCap {
-		html = html[:FinalHTMLCap]
+	n := len(dst)
+	dst, art := webgen.AppendExecuted(dst, s)
+	if len(dst)-n > FinalHTMLCap {
+		dst = dst[:n+FinalHTMLCap]
 	}
-	return Page{
-		Domain:    s.Domain,
-		FinalHTML: html,
-		Wasm:      art.Wasm,
-		WSHosts:   art.WSHosts,
-		LoadMs:    loadMs,
-		TimedOut:  timedOut,
+	return dst, Page{
+		Domain:   s.Domain,
+		Wasm:     art.Wasm,
+		WSHosts:  art.WSHosts,
+		LoadMs:   loadMs,
+		TimedOut: timedOut,
 	}
 }
 
@@ -126,16 +135,20 @@ func (r Report) MissRate() float64 {
 
 // Crawl visits every site of a corpus with the given parallelism,
 // classifying Wasm against db and re-applying the NoCoin list to the final
-// HTML.
+// HTML. Each worker reuses one page buffer and one crawler.PageScanner from
+// site to site.
 func Crawl(c *webgen.Corpus, db *fingerprint.DB, list *nocoin.List, workers int) Report {
 	if workers <= 0 {
 		workers = 8
 	}
 	rep := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
+	scratches := make([]scratch, workers)
+	for w := range scratches {
+		scratches[w].scan = crawler.NewPageScanner(list)
+	}
 	var mu sync.Mutex
-	parallel.ForEach(len(c.Sites), workers, func(i int) {
-		s := c.Sites[i]
-		v := classify(s, db, list)
+	parallel.ForEach(len(c.Sites), workers, func(w, i int) {
+		v := scratches[w].classify(c.Sites[i], db)
 		mu.Lock()
 		defer mu.Unlock()
 		if v.TimedOut {
@@ -166,12 +179,20 @@ func Crawl(c *webgen.Corpus, db *fingerprint.DB, list *nocoin.List, workers int)
 	return rep
 }
 
-func classify(s *webgen.Site, db *fingerprint.DB, list *nocoin.List) SiteVerdict {
-	page := Visit(s)
+// scratch is what one Crawl worker reuses from site to site.
+type scratch struct {
+	page []byte
+	scan *crawler.PageScanner
+}
+
+func (sc *scratch) classify(s *webgen.Site, db *fingerprint.DB) SiteVerdict {
+	var page Page
+	sc.page, page = appendVisit(sc.page[:0], s)
 	v := SiteVerdict{Domain: s.Domain, TimedOut: page.TimedOut}
 
-	// NoCoin over the post-execution HTML.
-	v.NoCoinHit = len(crawler.ScanPage(list, page.FinalHTML)) > 0
+	// NoCoin over the post-execution HTML, a view of the buffer the next
+	// site overwrites; the verdict keeps only whether anything matched.
+	v.NoCoinHit = len(sc.scan.Scan(unsafe.String(unsafe.SliceData(sc.page), len(sc.page)))) > 0
 
 	// Wasm fingerprinting over every dumped module.
 	for _, bin := range page.Wasm {

@@ -1,10 +1,14 @@
 package browser
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/crawler"
 	"repro/internal/fingerprint"
 	"repro/internal/nocoin"
+	"repro/internal/wasm"
 	"repro/internal/webgen"
 )
 
@@ -107,5 +111,103 @@ func TestCrawlTimeoutsAccounted(t *testing.T) {
 	frac := float64(rep.TimedOut) / float64(rep.Total)
 	if frac < 0.18 || frac > 0.32 {
 		t.Errorf("timeout fraction = %.3f, want ~0.25", frac)
+	}
+}
+
+// refClassify is the per-site path Crawl's reused buffers replace: a Visit
+// with its own page, and ScanPage over that page's final HTML.
+func refClassify(s *webgen.Site, db *fingerprint.DB, list *nocoin.List) SiteVerdict {
+	page := Visit(s)
+	v := SiteVerdict{Domain: s.Domain, TimedOut: page.TimedOut}
+	v.NoCoinHit = len(crawler.ScanPage(list, page.FinalHTML)) > 0
+	for _, bin := range page.Wasm {
+		m, err := wasm.Decode(bin)
+		if err != nil {
+			continue
+		}
+		v.HasWasm = true
+		if verdict := db.Classify(m, page.WSHosts); verdict.Miner {
+			v.MinerWasm, v.Family, v.KnownSig = true, verdict.Family, verdict.Known
+		}
+	}
+	return v
+}
+
+// TestCrawlMatchesPerSiteReference holds Crawl, whose two workers reuse
+// their page and scan buffers across thousands of sites, to refClassify
+// aggregated site by site.
+func TestCrawlMatchesPerSiteReference(t *testing.T) {
+	cfg := webgen.DefaultConfig(webgen.TLDAlexa, 4000, 23)
+	cfg.MinerWasmRate = 0.3
+	cfg.OfficialLoaderFrac = 0.5
+	cfg.DeadMinerRate = 0.2
+	cfg.AdNetworkRate = 0.1
+	c := webgen.Generate(cfg)
+	db, list := fingerprint.ReferenceDB(), nocoin.Bundled()
+	got := Crawl(c, db, list, 2)
+
+	want := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
+	for _, s := range c.Sites {
+		v := refClassify(s, db, list)
+		if v.TimedOut {
+			want.TimedOut++
+		}
+		if v.HasWasm {
+			want.WasmSites++
+		}
+		if v.MinerWasm {
+			want.MinerSites++
+			want.FamilyCounts[v.Family]++
+			if v.NoCoinHit {
+				want.MinersBlockedByNoCoin++
+			} else {
+				want.MinersMissedByNoCoin++
+			}
+		}
+		if v.NoCoinHit {
+			want.NoCoinHits++
+			if v.MinerWasm {
+				want.NoCoinHitsWithMinerWasm++
+			}
+		}
+		if v.MinerWasm || v.NoCoinHit || v.HasWasm {
+			want.Verdicts = append(want.Verdicts, v)
+		}
+	}
+	if want.NoCoinHits < 500 || want.MinersMissedByNoCoin == 0 {
+		t.Fatalf("reference has %d NoCoin hits, %d missed miners: the corpus exercises too little", want.NoCoinHits, want.MinersMissedByNoCoin)
+	}
+	sort.Slice(got.Verdicts, func(i, j int) bool { return got.Verdicts[i].Domain < got.Verdicts[j].Domain })
+	sort.Slice(want.Verdicts, func(i, j int) bool { return want.Verdicts[i].Domain < want.Verdicts[j].Domain })
+	if !reflect.DeepEqual(got, want) {
+		gv, wv := got.Verdicts, want.Verdicts
+		got.Verdicts, want.Verdicts = nil, nil
+		t.Errorf("Crawl report (verdicts aside):\n%+v\nwant:\n%+v", got, want)
+		for i := 0; i < len(gv) && i < len(wv); i++ {
+			if !reflect.DeepEqual(gv[i], wv[i]) {
+				t.Fatalf("verdict %d = %+v, want %+v", i, gv[i], wv[i])
+			}
+		}
+		t.Fatalf("%d verdicts, want %d", len(gv), len(wv))
+	}
+}
+
+func TestCrawlAllocationsDoNotGrowWithTheShard(t *testing.T) {
+	cfg := webgen.DefaultConfig(webgen.TLDAlexa, 5000, 29)
+	cfg.MinerWasmRate, cfg.DeadMinerRate, cfg.AdNetworkRate, cfg.BenignWasmRate = 0, 0, 0, 0
+	c := webgen.Generate(cfg)
+	db, list := fingerprint.ReferenceDB(), nocoin.Bundled()
+	if n := testing.AllocsPerRun(3, func() { Crawl(c, db, list, 2) }); n >= 100 {
+		t.Errorf("Crawl of a %d-site miner-free shard: %v allocations, want < 100", len(c.Sites), n)
+	}
+}
+
+func BenchmarkCrawlShard(b *testing.B) {
+	c := webgen.Generate(webgen.DefaultConfig(webgen.TLDAlexa, 5000, 1))
+	db, list := fingerprint.ReferenceDB(), nocoin.Bundled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Crawl(c, db, list, 2)
 	}
 }

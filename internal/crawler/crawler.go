@@ -2,13 +2,23 @@
 // every domain's landing page www.-prefixed over TLS, keep only the first
 // 256 kB, extract the script tags, and match them against the NoCoin
 // filter list.
+//
+// Scan gives each worker a PageScanner and a page buffer that it reuses
+// from domain to domain, so a shard allocates a fixed number of times
+// rather than several times per domain. The page is read as a string
+// through unsafe.String, and only inside the worker call that fetched it:
+// every string that enters a Report is a copy (strings.Clone), never a
+// view of a buffer the next page overwrites.
 package crawler
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/htmlx"
 	"repro/internal/nocoin"
@@ -21,17 +31,18 @@ import (
 // do not stop sending data."
 const MaxBody = 256 << 10
 
-// FetchResult is one landing-page download.
-type FetchResult struct {
-	Domain string
-	Body   string
-	OK     bool
-	Err    string
-}
+// The errors a CorpusFetcher reports, made once so a fetch that fails
+// allocates nothing either.
+var (
+	errNXDomain = errors.New("NXDOMAIN")
+	errTLS      = errors.New("tls: handshake failure")
+)
 
-// Fetcher retrieves a landing page for a domain.
+// Fetcher retrieves a landing page for a domain. Fetch appends the page's
+// first MaxBody bytes to dst and returns the extended buffer; on error it
+// returns dst with no page appended, so a caller can keep reusing it.
 type Fetcher interface {
-	Fetch(domain string) FetchResult
+	Fetch(dst []byte, domain string) ([]byte, error)
 }
 
 // CorpusFetcher serves pages straight from a synthetic corpus, honouring
@@ -50,20 +61,21 @@ func NewCorpusFetcher(c *webgen.Corpus) *CorpusFetcher {
 	return f
 }
 
-// Fetch renders the site's static HTML, truncated to MaxBody.
-func (f *CorpusFetcher) Fetch(domain string) FetchResult {
+// Fetch appends the site's static HTML, truncated to MaxBody.
+func (f *CorpusFetcher) Fetch(dst []byte, domain string) ([]byte, error) {
 	s, ok := f.byDomain[domain]
 	if !ok {
-		return FetchResult{Domain: domain, Err: "NXDOMAIN"}
+		return dst, errNXDomain
 	}
 	if s.Load.TLSBroken {
-		return FetchResult{Domain: domain, Err: "tls: handshake failure"}
+		return dst, errTLS
 	}
-	body := webgen.RenderStaticHTML(s)
-	if len(body) > MaxBody {
-		body = body[:MaxBody]
+	n := len(dst)
+	dst = webgen.AppendStaticHTML(dst, s)
+	if len(dst)-n > MaxBody {
+		dst = dst[:n+MaxBody]
 	}
-	return FetchResult{Domain: domain, Body: body, OK: true}
+	return dst, nil
 }
 
 // HTTPFetcher downloads real pages over the network (tests point it at
@@ -75,8 +87,8 @@ type HTTPFetcher struct {
 	BaseURL string
 }
 
-// Fetch downloads the first MaxBody bytes of a landing page.
-func (f *HTTPFetcher) Fetch(domain string) FetchResult {
+// Fetch appends the first MaxBody bytes of a landing page.
+func (f *HTTPFetcher) Fetch(dst []byte, domain string) ([]byte, error) {
 	client := f.Client
 	if client == nil {
 		client = http.DefaultClient
@@ -87,14 +99,14 @@ func (f *HTTPFetcher) Fetch(domain string) FetchResult {
 	}
 	resp, err := client.Get(url)
 	if err != nil {
-		return FetchResult{Domain: domain, Err: err.Error()}
+		return dst, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBody))
-	if err != nil {
-		return FetchResult{Domain: domain, Err: err.Error()}
+	buf := bytes.NewBuffer(dst)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBody)); err != nil {
+		return dst, err
 	}
-	return FetchResult{Domain: domain, Body: string(body), OK: true}
+	return buf.Bytes(), nil
 }
 
 // Hit is one NoCoin-flagged domain.
@@ -124,12 +136,38 @@ func (r Report) HitRate() float64 {
 
 // ScanPage applies the list to one page body.
 func ScanPage(list *nocoin.List, body string) []nocoin.Match {
-	scripts := htmlx.ExtractScripts(body)
-	refs := make([]nocoin.ScriptRef, len(scripts))
-	for i, s := range scripts {
-		refs[i] = nocoin.ScriptRef{Src: s.Src, Inline: s.Inline}
+	return NewPageScanner(list).Scan(body)
+}
+
+// PageScanner is ScanPage with buffers it reuses from page to page: the
+// extracted scripts, their refs, the matches and the matcher's lower-case
+// text. It is for one goroutine at a time.
+type PageScanner struct {
+	matcher nocoin.Matcher
+	scripts []htmlx.Script
+	refs    []nocoin.ScriptRef
+	matches []nocoin.Match
+}
+
+// NewPageScanner returns a PageScanner applying list.
+func NewPageScanner(list *nocoin.List) *PageScanner {
+	return &PageScanner{matcher: nocoin.Matcher{List: list}}
+}
+
+// Scan applies the list to page. The matches are the scanner's buffer and
+// their Targets substrings of page: both are good until the next Scan,
+// and a caller keeping them past that copies them.
+func (p *PageScanner) Scan(page string) []nocoin.Match {
+	p.scripts = htmlx.AppendScripts(p.scripts[:0], page)
+	if cap(p.refs) < len(p.scripts) {
+		p.refs = make([]nocoin.ScriptRef, 0, cap(p.scripts))
 	}
-	return list.MatchScripts(refs)
+	p.refs = p.refs[:0]
+	for _, s := range p.scripts {
+		p.refs = append(p.refs, nocoin.ScriptRef{Src: s.Src, Inline: s.Inline})
+	}
+	p.matches = p.matcher.AppendMatches(p.matches[:0], p.refs)
+	return p.matches
 }
 
 // FamilyOfMatch maps a matched rule to the script-family label used in
@@ -161,26 +199,36 @@ func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
 		workers = 8
 	}
 	rep := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
+	scratches := make([]scratch, workers)
+	for w := range scratches {
+		scratches[w].scan = NewPageScanner(list)
+	}
 	var mu sync.Mutex
-	parallel.ForEach(len(c.Sites), workers, func(i int) {
+	parallel.ForEach(len(c.Sites), workers, func(w, i int) {
+		sc := &scratches[w]
 		s := c.Sites[i]
-		res := f.Fetch(s.Domain)
-		if !res.OK {
+		var err error
+		if sc.page, err = f.Fetch(sc.page[:0], s.Domain); err != nil {
 			return
 		}
-		matches := ScanPage(list, res.Body)
+		// A view of the buffer the next page overwrites: what leaves this
+		// call is cloned by ownedMatches.
+		matches := sc.scan.Scan(unsafe.String(unsafe.SliceData(sc.page), len(sc.page)))
+		var h Hit
+		if len(matches) > 0 {
+			h = Hit{Domain: s.Domain, Matches: ownedMatches(matches), Family: FamilyOfMatch(matches[0])}
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		rep.Fetched++
 		if len(matches) == 0 {
 			return
 		}
-		h := Hit{Domain: s.Domain, Matches: matches, Family: FamilyOfMatch(matches[0])}
 		rep.Hits = append(rep.Hits, h)
 		// A site can carry several matching scripts; Fig. 2 counts each
 		// matched family once per site.
 		seen := map[string]bool{}
-		for _, m := range matches {
+		for _, m := range h.Matches {
 			fam := FamilyOfMatch(m)
 			if !seen[fam] {
 				seen[fam] = true
@@ -189,4 +237,20 @@ func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
 		}
 	})
 	return rep
+}
+
+// scratch is what one Scan worker reuses from domain to domain.
+type scratch struct {
+	page []byte
+	scan *PageScanner
+}
+
+// ownedMatches copies matches, and each Target, out of a scanner's
+// buffers and the page they were found on.
+func ownedMatches(matches []nocoin.Match) []nocoin.Match {
+	out := make([]nocoin.Match, len(matches))
+	for i, m := range matches {
+		out[i] = nocoin.Match{Rule: m.Rule, Target: strings.Clone(m.Target)}
+	}
+	return out
 }

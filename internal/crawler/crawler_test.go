@@ -1,9 +1,12 @@
 package crawler
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,14 +20,14 @@ func TestCorpusFetcherHonoursTLSBreakage(t *testing.T) {
 	c.Sites[0].Load.TLSBroken = true
 	c.Sites[1].Load.TLSBroken = false
 	f := NewCorpusFetcher(c)
-	if res := f.Fetch(c.Sites[0].Domain); res.OK {
-		t.Error("TLS-broken site fetched")
+	if body, err := f.Fetch(nil, c.Sites[0].Domain); !errors.Is(err, errTLS) || len(body) != 0 {
+		t.Errorf("TLS-broken site fetch = %d bytes, %v", len(body), err)
 	}
-	if res := f.Fetch(c.Sites[1].Domain); !res.OK || len(res.Body) == 0 {
-		t.Errorf("healthy site fetch = %+v", res)
+	if body, err := f.Fetch(nil, c.Sites[1].Domain); err != nil || len(body) == 0 {
+		t.Errorf("healthy site fetch = %d bytes, %v", len(body), err)
 	}
-	if res := f.Fetch("nxdomain.example"); res.OK || res.Err != "NXDOMAIN" {
-		t.Errorf("nxdomain fetch = %+v", res)
+	if body, err := f.Fetch(nil, "nxdomain.example"); !errors.Is(err, errNXDomain) || err.Error() != "NXDOMAIN" || len(body) != 0 {
+		t.Errorf("nxdomain fetch = %d bytes, %v", len(body), err)
 	}
 }
 
@@ -106,18 +109,137 @@ func TestHTTPFetcherTruncatesAtCap(t *testing.T) {
 	}))
 	defer srv.Close()
 	f := &HTTPFetcher{BaseURL: srv.URL}
-	res := f.Fetch("whatever.org")
-	if !res.OK {
-		t.Fatalf("fetch failed: %s", res.Err)
+	body, err := f.Fetch(nil, "whatever.org")
+	if err != nil {
+		t.Fatalf("fetch failed: %v", err)
 	}
-	if len(res.Body) != MaxBody {
-		t.Errorf("body len = %d, want %d", len(res.Body), MaxBody)
+	if len(body) != MaxBody {
+		t.Errorf("body len = %d, want %d", len(body), MaxBody)
 	}
 }
 
 func TestHTTPFetcherReportsErrors(t *testing.T) {
 	f := &HTTPFetcher{BaseURL: "http://127.0.0.1:1"}
-	if res := f.Fetch("x.org"); res.OK {
+	if _, err := f.Fetch(nil, "x.org"); err == nil {
 		t.Error("fetch against a closed port succeeded")
+	}
+}
+
+// raisedCorpus is a corpus with miner, dead-miner and cpmstar rates raised
+// until thousands of its pages carry NoCoin hits.
+func raisedCorpus(n int) *webgen.Corpus {
+	cfg := webgen.DefaultConfig(webgen.TLDAlexa, n, 23)
+	cfg.MinerWasmRate = 0.3
+	cfg.OfficialLoaderFrac = 0.5
+	cfg.DeadMinerRate = 0.2
+	cfg.AdNetworkRate = 0.1
+	return webgen.Generate(cfg)
+}
+
+// describeHit renders what a Report holds of one hit: its domain, family
+// and each match's rule and target.
+func describeHit(domain, family string, matches []nocoin.Match) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s", domain, family)
+	for _, m := range matches {
+		fmt.Fprintf(&b, " | %s on %q", m.Rule.Raw, m.Target)
+	}
+	return b.String()
+}
+
+// TestScanMatchesPerSiteReference holds Scan, whose two workers reuse
+// their page and match buffers across thousands of pages, to ScanPage on
+// a freshly rendered page per site. A Target left viewing a reused buffer
+// reads as a later page's bytes and fails the comparison.
+func TestScanMatchesPerSiteReference(t *testing.T) {
+	c := raisedCorpus(4000)
+	list := nocoin.Bundled()
+	rep := Scan(c, NewCorpusFetcher(c), list, 2)
+
+	var want []string
+	wantFams := map[string]int{}
+	fetched := 0
+	for _, s := range c.Sites {
+		if s.Load.TLSBroken {
+			continue
+		}
+		fetched++
+		matches := ScanPage(list, webgen.RenderStaticHTML(s))
+		if len(matches) == 0 {
+			continue
+		}
+		want = append(want, describeHit(s.Domain, FamilyOfMatch(matches[0]), matches))
+		seen := map[string]bool{}
+		for _, m := range matches {
+			if fam := FamilyOfMatch(m); !seen[fam] {
+				seen[fam] = true
+				wantFams[fam]++
+			}
+		}
+	}
+	var got []string
+	for _, h := range rep.Hits {
+		got = append(got, describeHit(h.Domain, h.Family, h.Matches))
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if len(want) < 500 {
+		t.Fatalf("only %d reference hits: the corpus does not reuse buffers across enough hit pages", len(want))
+	}
+	if rep.Total != len(c.Sites) || rep.Fetched != fetched {
+		t.Errorf("Total, Fetched = %d, %d; want %d, %d", rep.Total, rep.Fetched, len(c.Sites), fetched)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if i >= len(want) || got[i] != want[i] {
+				t.Fatalf("%d hits, want %d; first difference:\ngot  %s\nwant %s", len(got), len(want), got[i], want[min(i, len(want)-1)])
+			}
+		}
+		t.Fatalf("%d hits, want %d", len(got), len(want))
+	}
+	if !reflect.DeepEqual(rep.FamilyCounts, wantFams) {
+		t.Errorf("FamilyCounts = %v, want %v", rep.FamilyCounts, wantFams)
+	}
+}
+
+// minerFreeShard is a zone-scan shard with no miner, dead miner, ad
+// network or Wasm: no page has a hit, so nothing a Report keeps allocates.
+func minerFreeShard() *webgen.Corpus {
+	cfg := webgen.DefaultConfig(webgen.TLDAlexa, 5000, 29)
+	cfg.MinerWasmRate, cfg.DeadMinerRate, cfg.AdNetworkRate, cfg.BenignWasmRate = 0, 0, 0, 0
+	return webgen.Generate(cfg)
+}
+
+func TestScanAllocationsDoNotGrowWithTheShard(t *testing.T) {
+	c := minerFreeShard()
+	f, list := NewCorpusFetcher(c), nocoin.Bundled()
+	if n := testing.AllocsPerRun(3, func() { Scan(c, f, list, 2) }); n >= 100 {
+		t.Errorf("Scan of a %d-site miner-free shard: %v allocations, want < 100", len(c.Sites), n)
+	}
+}
+
+func TestFetchersAppendToDst(t *testing.T) {
+	c := webgen.Generate(webgen.DefaultConfig(webgen.TLDOrg, 1, 5))
+	c.Sites[0].Load.TLSBroken = false
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, webgen.RenderStaticHTML(c.Sites[0]))
+	}))
+	defer srv.Close()
+	want := "previous page|" + webgen.RenderStaticHTML(c.Sites[0])
+	for _, f := range []Fetcher{NewCorpusFetcher(c), &HTTPFetcher{BaseURL: srv.URL}} {
+		got, err := f.Fetch([]byte("previous page|"), c.Sites[0].Domain)
+		if err != nil || string(got) != want {
+			t.Errorf("%T: Fetch onto a used buffer = %q, %v; want %q", f, got, err, want)
+		}
+	}
+}
+
+func BenchmarkScanShard(b *testing.B) {
+	c := webgen.Generate(webgen.DefaultConfig(webgen.TLDAlexa, 5000, 1))
+	f, list := NewCorpusFetcher(c), nocoin.Bundled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Scan(c, f, list, 2)
 	}
 }

@@ -88,7 +88,7 @@ func RunFig5(seed int64, tick time.Duration) (Fig5Result, error) {
 func RunFig5Ensemble(seeds []int64, tick time.Duration, workers int) ([]Fig5Result, error) {
 	results := make([]Fig5Result, len(seeds))
 	errs := make([]error, len(seeds))
-	parallel.ForEach(len(seeds), workers, func(i int) {
+	parallel.ForEach(len(seeds), workers, func(_, i int) {
 		results[i], errs[i] = RunFig5(seeds[i], tick)
 	})
 	for _, err := range errs {

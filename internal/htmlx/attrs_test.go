@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode"
@@ -106,5 +107,18 @@ func TestExtractingAFourScriptPageAllocatesOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { ExtractScripts(doc) }); n > 1 {
 		t.Errorf("%v allocations extracting four scripts, want at most 1", n)
+	}
+}
+
+func TestAppendScriptsReusesItsBuffer(t *testing.T) {
+	doc := `<script src="/a.js"></script><script>go()</script><SCRIPT src='/b.js' async></SCRIPT>`
+	want := ExtractScripts(doc)
+	got := AppendScripts([]Script{{Src: "kept"}}, doc)
+	if len(got) != 1+len(want) || got[0].Src != "kept" || !reflect.DeepEqual(got[1:], want) {
+		t.Fatalf("AppendScripts onto one script = %+v, want kept + %+v", got, want)
+	}
+	buf := AppendScripts(nil, doc)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendScripts(buf[:0], doc) }); n != 0 {
+		t.Errorf("%v allocations extracting into a reused buffer, want 0", n)
 	}
 }

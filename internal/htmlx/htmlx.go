@@ -20,7 +20,16 @@ type Script struct {
 // and treats an unterminated final script as inline content running to the
 // end of the (possibly truncated) document.
 func ExtractScripts(doc string) []Script {
-	var out []Script // made at the first tag, with room for a landing page's 2–4
+	return AppendScripts(nil, doc)
+}
+
+// AppendScripts appends doc's script tags, as ExtractScripts finds them, to
+// dst and returns the extended slice. The strings it stores are substrings
+// of doc. A nil dst is made at the first tag, with room for a landing
+// page's 2–4; a worker that passes its last result back as dst[:0] scans
+// page after page without allocating.
+func AppendScripts(dst []Script, doc string) []Script {
+	out := dst
 	pos := 0
 	for {
 		i := indexTag(doc[pos:], "<script")

@@ -24,10 +24,12 @@
 package nocoin
 
 import (
+	"encoding/binary"
 	"fmt"
 	"regexp"
 	"regexp/syntax"
 	"strings"
+	"unsafe"
 )
 
 // RuleKind discriminates the supported syntaxes.
@@ -178,22 +180,27 @@ func hostOf(s string) string {
 
 // MatchURL checks a script URL against the list.
 func (l *List) MatchURL(url string) (Rule, bool) {
-	low := strings.ToLower(url)
+	return l.matchURL(url, strings.ToLower(url))
+}
+
+// matchURL is MatchURL given low, url lower-cased.
+func (l *List) matchURL(url, low string) (Rule, bool) {
 	host := hostOf(low)
-	for _, r := range l.Rules {
+	for i := range l.Rules {
+		r := &l.Rules[i] // a Rule is 13 words: ranging by value copies each
 		switch r.Kind {
 		case KindDomain:
 			// host == r.Domain or ends in "."+r.Domain, tested in place.
 			if k := len(host) - len(r.Domain); k >= 0 && host[k:] == r.Domain && (k == 0 || host[k-1] == '.') {
-				return r, true
+				return *r, true
 			}
 		case KindSubstring:
 			if strings.Contains(low, r.Needle) {
-				return r, true
+				return *r, true
 			}
 		case KindRegex:
 			if r.matchRegex(url, low) {
-				return r, true
+				return *r, true
 			}
 		}
 	}
@@ -203,16 +210,21 @@ func (l *List) MatchURL(url string) (Rule, bool) {
 // MatchInline checks inline script text against the list's regex and
 // substring rules (domain rules are URL-only by construction).
 func (l *List) MatchInline(body string) (Rule, bool) {
-	low := strings.ToLower(body)
-	for _, r := range l.Rules {
+	return l.matchInline(body, strings.ToLower(body))
+}
+
+// matchInline is MatchInline given low, body lower-cased.
+func (l *List) matchInline(body, low string) (Rule, bool) {
+	for i := range l.Rules {
+		r := &l.Rules[i]
 		switch r.Kind {
 		case KindSubstring:
 			if strings.Contains(low, r.Needle) {
-				return r, true
+				return *r, true
 			}
 		case KindRegex:
 			if r.matchRegex(body, low) {
-				return r, true
+				return *r, true
 			}
 		}
 	}
@@ -234,23 +246,101 @@ type Match struct {
 
 // MatchScripts applies the list to all scripts of a page.
 func (l *List) MatchScripts(scripts []ScriptRef) []Match {
-	var out []Match
+	m := Matcher{List: l}
+	return m.AppendMatches(nil, scripts)
+}
+
+// Matcher applies a List script after script, lowering each text into a
+// buffer it reuses where MatchURL and MatchInline make a strings.ToLower
+// copy. The lowered text is exactly strings.ToLower's, so the literal gate
+// decides as it does there. A Matcher is for one goroutine at a time.
+type Matcher struct {
+	List *List
+	low  []byte
+}
+
+// AppendMatches appends the list's matches on scripts to dst, as
+// MatchScripts finds them, and returns the extended slice. Each Target is a
+// substring of a script's Src or Inline.
+func (m *Matcher) AppendMatches(dst []Match, scripts []ScriptRef) []Match {
 	for _, s := range scripts {
 		if s.Src != "" {
-			if r, ok := l.MatchURL(s.Src); ok {
-				out = append(out, Match{Rule: r, Target: s.Src})
+			if r, ok := m.List.matchURL(s.Src, lowerASCII(&m.low, s.Src)); ok {
+				dst = append(dst, Match{Rule: r, Target: s.Src})
 			}
 			continue
 		}
-		if r, ok := l.MatchInline(s.Inline); ok {
+		if r, ok := m.List.matchInline(s.Inline, lowerASCII(&m.low, s.Inline)); ok {
 			snippet := s.Inline
 			if len(snippet) > 64 {
 				snippet = snippet[:64]
 			}
-			out = append(out, Match{Rule: r, Target: snippet})
+			dst = append(dst, Match{Rule: r, Target: snippet})
 		}
 	}
-	return out
+	return dst
+}
+
+// lowerASCII returns strings.ToLower(s). It returns s itself when s is
+// ASCII with no upper-case letter, and otherwise lowers ASCII s into *buf,
+// grown as needed, returning a view of it that the next call with the same
+// buf overwrites. Text with any non-ASCII byte goes to strings.ToLower,
+// whose Unicode mapping (and U+FFFD for invalid bytes) it does not repeat.
+// It reads and lowers eight bytes at a time, without a branch on the
+// bytes: whether a byte is a capital letter follows no pattern a branch
+// predictor could learn.
+func lowerASCII(buf *[]byte, s string) string {
+	var high, upper uint64
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := word(s, i)
+		high |= w
+		upper |= upperBits(w)
+	}
+	for ; i < len(s); i++ {
+		high |= uint64(s[i])
+		upper |= upperBits(uint64(s[i]))
+	}
+	switch {
+	case high&msbs != 0:
+		return strings.ToLower(s)
+	case upper == 0:
+		return s
+	}
+	b := append((*buf)[:0], s...)
+	i = 0
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		binary.LittleEndian.PutUint64(b[i:], w|upperBits(w)>>2)
+	}
+	for ; i < len(b); i++ {
+		b[i] |= byte(upperBits(uint64(b[i])) >> 2)
+	}
+	*buf = b
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Eight copies of a byte's low and high bit.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// word reads s[i:i+8] little-endian, one load once the compiler has
+// combined the byte loads.
+func word(s string, i int) uint64 {
+	_ = s[i+7]
+	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+}
+
+// upperBits sets bit 7 of each byte of w that is 'A' through 'Z', when no
+// byte of w has bit 7 set itself (otherwise a carry may cross bytes, and
+// the caller never reads the result). Adding 0x3f to such a byte sets its
+// bit 7 from 'A' (0x41) up; adding 0x25, from 'Z'+1 (0x5b) up. Bit 7 moved
+// down two is the 0x20 that lowers a capital.
+func upperBits(w uint64) uint64 {
+	return (w + 0x3f*lsbs) &^ (w + 0x25*lsbs) & msbs
 }
 
 // BundledText is our equivalent of the 2018 NoCoin snapshot: it covers the

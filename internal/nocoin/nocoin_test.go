@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+	"unsafe"
 
 	"repro/internal/htmlx"
 	"repro/internal/webgen"
@@ -283,33 +284,72 @@ func FuzzGateAgreesWithRegex(f *testing.F) {
 func TestGateAgreesOnCorpus(t *testing.T) {
 	gated := Bundled()
 	plain := ungated(gated)
+	// One Matcher across the whole corpus, so its lower-case buffer is
+	// reused from script to script and page to page.
+	reused := &Matcher{List: gated}
+	var buf []Match
+	matchers := []func([]ScriptRef) []Match{
+		gated.MatchScripts,
+		plain.MatchScripts,
+		func(refs []ScriptRef) []Match { buf = reused.AppendMatches(buf[:0], refs); return buf },
+	}
 	regexHits := 0
-	scan := func(l *List, page string) (hits []string) {
+	scan := func(match func([]ScriptRef) []Match, page string) (hits []string, regex int) {
 		scripts := htmlx.ExtractScripts(page)
 		refs := make([]ScriptRef, len(scripts))
 		for i, s := range scripts {
 			refs[i] = ScriptRef{Src: s.Src, Inline: s.Inline}
 		}
-		for _, m := range l.MatchScripts(refs) {
-			if l == gated && m.Rule.Kind == KindRegex {
-				regexHits++
+		for _, m := range match(refs) {
+			if m.Rule.Kind == KindRegex {
+				regex++
 			}
 			hits = append(hits, m.Rule.Raw+" on "+m.Target)
 		}
-		return hits
+		return hits, regex
 	}
 	c := webgen.Generate(webgen.DefaultConfig(webgen.TLDAlexa, 20_000, 1))
 	for _, s := range c.Sites {
 		for _, page := range []string{webgen.RenderStaticHTML(s), webgen.Execute(s).FinalHTML} {
-			g := scan(gated, page)
-			if p := scan(plain, page); !reflect.DeepEqual(g, p) {
-				t.Fatalf("%s: gated matches %q, ungated %q", s.Domain, g, p)
+			g, regex := scan(matchers[0], page)
+			regexHits += regex
+			for _, m := range matchers[1:] {
+				if p, _ := scan(m, page); !reflect.DeepEqual(g, p) {
+					t.Fatalf("%s: gated matches %q, other matcher %q", s.Domain, g, p)
+				}
 			}
 		}
 	}
 	if regexHits == 0 {
 		t.Fatal("no regex rule matched the corpus: the comparison proves nothing")
 	}
+}
+
+func FuzzLowerAgreesWithToLower(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"already lower",
+		"Window.DataLayer",
+		"CoinHive.Anonymous('TOK')",
+		"K\u212aelvin \u017f",
+		"caf\u00c9",
+		"bad \xff byte",
+		"@AZ[`az{ ABCDEFGHIJKLMNOPQRSTUVWXYZ 0123456789\x7f",
+		"eight by\u00c9tes, then more",
+	} {
+		f.Add(s)
+	}
+	var buf []byte
+	f.Fuzz(func(t *testing.T, s string) {
+		want := strings.ToLower(s)
+		got := lowerASCII(&buf, s)
+		if got != want {
+			t.Fatalf("lowerASCII(%q) = %q, strings.ToLower %q", s, got, want)
+		}
+		if want == s && len(s) > 0 && unsafe.StringData(got) != unsafe.StringData(s) {
+			t.Fatalf("lowerASCII(%q) copied a text with nothing to lower", s)
+		}
+	})
 }
 
 func BenchmarkMatchScriptsBundled(b *testing.B) {

@@ -1,9 +1,12 @@
 package webgen
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/fingerprint"
 	"repro/internal/wasm"
@@ -97,79 +100,95 @@ func loaderFor(family string) (*loader, bool) {
 	return nil, false
 }
 
-func (l *loader) write(b *strings.Builder, token string) {
-	b.WriteString(l.head)
-	b.WriteString(token)
-	b.WriteString(l.tail)
+func (l *loader) appendTo(dst []byte, token string) []byte {
+	dst = append(dst, l.head...)
+	dst = append(dst, token...)
+	return append(dst, l.tail...)
 }
 
 // pageSizeHint pre-sizes a rendered landing page's buffer: pages come out at
-// 0.6–0.85 kB, and growing a Builder there by doubling allocates and copies
+// 0.6–0.85 kB, and growing a buffer there by doubling allocates and copies
 // twice that.
 const pageSizeHint = 896
 
 // RenderStaticHTML produces the landing page as the HTTP server would send
 // it — what the zgrab-style fetcher downloads and the NoCoin list scans.
-// One allocation, the page: numbers go through a stack array, not fmt.
+// One allocation, the page, viewed as a string the way strings.Builder
+// does: nothing writes the buffer after AppendStaticHTML returns it.
 func RenderStaticHTML(s *Site) string {
-	var b strings.Builder
+	b := AppendStaticHTML(nil, s)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendStaticHTML appends the page RenderStaticHTML returns to dst and
+// returns the extended buffer. Numbers go through a stack array, not fmt.
+// A dst with less than pageSizeHint bytes of room is replaced once, here,
+// by one with that room, so a reused buffer stops allocating after its
+// first page and a nil one allocates exactly once — on the heap, as this
+// function is too large to inline into a caller that could keep the
+// buffer on its stack.
+func AppendStaticHTML(dst []byte, s *Site) []byte {
 	var num [20]byte
-	b.Grow(pageSizeHint)
 	cat := "site"
 	if len(s.Categories) > 0 {
 		cat = s.Categories[0]
 	}
-	b.WriteString("<!doctype html>\n<html><head>\n<title>")
-	b.WriteString(s.Domain)
-	b.WriteString(" — a ")
-	b.WriteString(cat)
-	b.WriteString(" website</title>\n" + `<meta charset="utf-8">` + "\n")
+	b := dst
+	if cap(b)-len(b) < pageSizeHint {
+		// Not slices.Grow: built with -race, its append of a make
+		// allocates twice, and make check counts allocations under -race.
+		b = append(make([]byte, 0, len(dst)+pageSizeHint), dst...)
+	}
+	b = append(b, "<!doctype html>\n<html><head>\n<title>"...)
+	b = append(b, s.Domain...)
+	b = append(b, " — a "...)
+	b = append(b, cat...)
+	b = append(b, " website</title>\n"+`<meta charset="utf-8">`+"\n"...)
 	// Ordinary supporting scripts every site has.
-	b.WriteString(`<script src="https://code.jquery.com/jquery-3.3.1.min.js"></script>` + "\n")
-	b.WriteString(`<script>window.dataLayer=window.dataLayer||[];function gtag(){dataLayer.push(arguments);}</script>` + "\n")
+	b = append(b, `<script src="https://code.jquery.com/jquery-3.3.1.min.js"></script>`+"\n"...)
+	b = append(b, `<script>window.dataLayer=window.dataLayer||[];function gtag(){dataLayer.push(arguments);}</script>`+"\n"...)
 
 	if s.DeadMiner != nil {
 		// The stock loader is there for any list to match; nothing will
 		// ever run it.
 		if l, ok := loaderFor(s.DeadMiner.Family); ok {
-			l.write(&b, s.DeadMiner.Token)
+			b = l.appendTo(b, s.DeadMiner.Token)
 		}
 	}
 	if s.AdNetwork == "cpmstar" {
-		b.WriteString(`<script src="https://cdn.cpmstar.com/cached/js/cpmstar.js"></script>` + "\n")
+		b = append(b, `<script src="https://cdn.cpmstar.com/cached/js/cpmstar.js"></script>`+"\n"...)
 	}
 	if s.Miner != nil && s.Miner.OfficialLoader {
 		if l, ok := loaderFor(s.Miner.Family); ok {
-			l.write(&b, s.Miner.Token)
+			b = l.appendTo(b, s.Miner.Token)
 		} else {
-			b.WriteString(`<script src="/js/app.`)
-			b.Write(strconv.AppendInt(num[:0], int64(s.Rank), 16))
-			b.WriteString(`.js"></script>` + "\n")
+			b = append(b, `<script src="/js/app.`...)
+			b = strconv.AppendInt(b, int64(s.Rank), 16)
+			b = append(b, `.js"></script>`+"\n"...)
 		}
 	}
 	if s.Miner != nil && !s.Miner.OfficialLoader {
 		// Self-hosted deployment: nothing list-matchable in the static
 		// HTML, just an opaque application bundle that drops the renamed
 		// miner at runtime.
-		b.WriteString(`<script src="/js/main.`)
-		b.Write(strconv.AppendInt(num[:0], int64(s.Rank), 16))
-		b.WriteString(`.bundle.js"></script>` + "\n")
+		b = append(b, `<script src="/js/main.`...)
+		b = strconv.AppendInt(b, int64(s.Rank), 16)
+		b = append(b, `.bundle.js"></script>`+"\n"...)
 	}
-	b.WriteString("</head><body>\n<h1>Welcome to ")
-	b.WriteString(s.Domain)
-	b.WriteString("</h1>\n")
+	b = append(b, "</head><body>\n<h1>Welcome to "...)
+	b = append(b, s.Domain...)
+	b = append(b, "</h1>\n"...)
 	rank10 := strconv.AppendInt(num[:0], int64(s.Rank), 10)
 	for i := 0; i < 5; i++ {
-		b.WriteString("<p>Lorem ipsum ")
-		b.WriteString(cat)
-		b.WriteString(" content block ")
-		b.WriteByte(byte('0' + i))
-		b.WriteString(" for rank ")
-		b.Write(rank10)
-		b.WriteString(".</p>\n")
+		b = append(b, "<p>Lorem ipsum "...)
+		b = append(b, cat...)
+		b = append(b, " content block "...)
+		b = append(b, byte('0'+i))
+		b = append(b, " for rank "...)
+		b = append(b, rank10...)
+		b = append(b, ".</p>\n"...)
 	}
-	b.WriteString("</body></html>\n")
-	return b.String()
+	return append(b, "</body></html>\n"...)
 }
 
 // ExecutedArtifacts is what running the page in a browser additionally
@@ -183,18 +202,49 @@ type ExecutedArtifacts struct {
 
 // Execute simulates script execution for a site: dynamic loaders inject
 // their miner tags into the DOM, miners instantiate their Wasm payload and
-// dial their pool backend.
+// dial their pool backend. The final HTML is viewed as RenderStaticHTML's
+// page is.
 func Execute(s *Site) ExecutedArtifacts {
-	html := RenderStaticHTML(s)
+	b, art := AppendExecuted(nil, s)
+	art.FinalHTML = unsafe.String(unsafe.SliceData(b), len(b))
+	return art
+}
+
+// The self-hosted miner's runtime injection, around the site's rank in hex
+// and its token.
+const (
+	wkHead = `<script src="/js/wk.`
+	wkMid  = `.js"></script><script>window.__wk&&window.__wk.init('`
+	wkTail = `');</script>`
+)
+
+// AppendExecuted is Execute in append form: it appends the final HTML to
+// dst and returns the extended buffer with the other artifacts, whose
+// FinalHTML it leaves "". A self-hosted miner's injection goes in front of
+// the first </body> of the appended page, moved there in place.
+func AppendExecuted(dst []byte, s *Site) ([]byte, ExecutedArtifacts) {
+	start := len(dst)
+	b := AppendStaticHTML(dst, s)
 	var art ExecutedArtifacts
 	if s.Miner != nil {
 		if !s.Miner.OfficialLoader {
 			// Runtime injection of the *renamed, self-hosted* miner: the
 			// final HTML gains a script tag, but one that matches no block
 			// list rule. Only the Wasm dump betrays it.
-			inject := `<script src="/js/wk.` + strconv.FormatInt(int64(s.Rank), 16) +
-				`.js"></script><script>window.__wk&&window.__wk.init('` + s.Miner.Token + `');</script>`
-			html = strings.Replace(html, "</body>", inject+"</body>", 1)
+			if at := bytes.Index(b[start:], []byte("</body>")); at >= 0 {
+				at += start
+				n := len(b)
+				b = append(b, wkHead...)
+				b = strconv.AppendInt(b, int64(s.Rank), 16)
+				b = append(b, wkMid...)
+				b = append(b, s.Miner.Token...)
+				b = append(b, wkTail...)
+				// b[at:n] is "</body>" and what follows it, b[n:] the
+				// injection: three reversals swap the two in place.
+				slices.Reverse(b[at:n])
+				slices.Reverse(b[n:])
+				slices.Reverse(b[at:])
+			}
 		}
 		art.Wasm = append(art.Wasm, minerBinary(s))
 		art.WSHosts = append(art.WSHosts, backendHost(s))
@@ -204,8 +254,7 @@ func Execute(s *Site) ExecutedArtifacts {
 			art.Wasm = append(art.Wasm, cachedBinary(spec, s.BenignWasm.Version%spec.Versions))
 		}
 	}
-	art.FinalHTML = html
-	return art
+	return b, art
 }
 
 // minerBinary returns the Wasm payload a site's miner instantiates.

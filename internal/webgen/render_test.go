@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,19 @@ func refExecutedHTML(s *Site) string {
 	return html
 }
 
+// refExecuteReplace is Execute's final HTML as the strings.Replace form
+// built it, before the injection was spliced in place: the static page
+// with the first </body> replaced by the injection and </body>.
+func refExecuteReplace(s *Site) string {
+	html := RenderStaticHTML(s)
+	if s.Miner != nil && !s.Miner.OfficialLoader {
+		inject := `<script src="/js/wk.` + strconv.FormatInt(int64(s.Rank), 16) +
+			`.js"></script><script>window.__wk&&window.__wk.init('` + s.Miner.Token + `');</script>`
+		html = strings.Replace(html, "</body>", inject+"</body>", 1)
+	}
+	return html
+}
+
 // branchCorpus is a corpus of one TLD profile with miner, dead-miner and
 // ad rates raised until every branch of the renderer runs.
 func branchCorpus(tld TLD, n int) *Corpus {
@@ -104,6 +118,38 @@ func TestRenderMatchesFmtReference(t *testing.T) {
 		if branches[b] == 0 {
 			t.Errorf("no page took the %q branch: %v", b, branches)
 		}
+	}
+}
+
+func TestExecuteMatchesReplaceReference(t *testing.T) {
+	n := 4000
+	if testing.Short() {
+		n = 1000
+	}
+	// A reused buffer arrives holding the last page, </body> included; the
+	// splice must look only at the page it appended.
+	prev := []byte("<p>previous page</p></body></html>\n")
+	spliced := 0
+	for _, tld := range []TLD{TLDAlexa, TLDCom, TLDNet, TLDOrg} {
+		for _, s := range branchCorpus(tld, n).Sites {
+			want := refExecuteReplace(s)
+			if got := Execute(s).FinalHTML; got != want {
+				t.Fatalf("%s: Execute HTML differs from the strings.Replace reference\ngot:\n%s\nwant:\n%s", s.Domain, got, want)
+			}
+			b, art := AppendExecuted(append([]byte(nil), prev...), s)
+			if got := string(b[len(prev):]); string(b[:len(prev)]) != string(prev) || got != want {
+				t.Fatalf("%s: AppendExecuted after a previous page\ngot:\n%s\nwant:\n%s", s.Domain, b, string(prev)+want)
+			}
+			if art.FinalHTML != "" || len(art.Wasm) != len(Execute(s).Wasm) {
+				t.Fatalf("%s: AppendExecuted artifacts %d Wasm, FinalHTML %q", s.Domain, len(art.Wasm), art.FinalHTML)
+			}
+			if want != RenderStaticHTML(s) {
+				spliced++
+			}
+		}
+	}
+	if spliced == 0 {
+		t.Fatal("no page took the self-hosted injection branch: the comparison proves nothing")
 	}
 }
 

@@ -40,7 +40,7 @@ type Fleet struct {
 // Run mines every task and returns the outcomes in task order.
 func (f *Fleet) Run(tasks []Task) []TaskResult {
 	results := make([]TaskResult, len(tasks))
-	parallel.ForEach(len(tasks), f.Workers, func(i int) {
+	parallel.ForEach(len(tasks), f.Workers, func(_, i int) {
 		t := tasks[i]
 		c := &Client{
 			URL:             t.URL,
