@@ -43,12 +43,18 @@ lint:
 # benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
 # attributes blocks" check keeps running), the nested benchmark module's
 # own vet + tests (root `./...` skips it, so a product-side rename the
-# benchmark depends on would otherwise break it unnoticed), and the four
-# live-service load gates. Federation convergence (kill, cold replace,
-# zero lost credit) is checked by the coinhive and p2p tests in the
-# -short -race pass and by the benchmark module's share-federated smoke
-# test. Performance itself is measured by `bash benchmark/run.sh`
-# against BENCHMARK.json, not here.
+# benchmark depends on would otherwise break it unnoticed), and the two
+# live-service load gates: load-hostile guards abuse containment and the
+# honest miners' cadence and latency under attack, load-api the stats
+# API and the archive hook under a mining swarm. Federation convergence
+# (kill, cold replace, zero lost credit) is checked by the coinhive and
+# p2p tests in the -short -race pass and by the benchmark module's
+# share-federated smoke test; full concurrency and exact share counts on
+# both dialects by the loadgen tests in that pass; parked-session fan-out
+# by the benchmark module's tip-fanout smoke test, and parking thousands
+# of sessions on few goroutines by the coinhive and netpark park tests
+# (DESIGN.md "The last gates and their twins"). Performance itself is measured by
+# `bash benchmark/run.sh` against BENCHMARK.json, not here.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -57,33 +63,23 @@ check:
 	$(GO) test -short -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments ./internal/nocoin ./internal/htmlx ./internal/webgen ./internal/crawler ./internal/browser
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(MAKE) load-smoke
 	$(MAKE) load-hostile
-	$(MAKE) load-scale
 	$(MAKE) load-api
 
 # The live-service gates, one pattern rule: `make load-<gate>` runs
 # `loadd -gate <gate>` against in-process targets and fails unless the
 # gate's invariants hold (`loadd -h` lists them; DESIGN.md has the
-# reasoning behind each bound).
+# reasoning behind each bound). Wall times are one run each of a
+# prebuilt loadd on a 2-CPU box.
 #
-#   load-smoke (≈10s)       500 concurrent ws sessions, then 500 raw-TCP
-#                           stratum sessions: full concurrency, every
-#                           expected share accepted, zero protocol errors.
-#   load-hostile (≈15s)     a steady baseline fixes honest accept p99, then
+#   load-hostile (≈32s)     a steady baseline fixes honest accept p99, then
 #                           mixed-hostile (80% honest vardiff-paced miners +
 #                           duplicate submitters, stale flooders, difficulty
 #                           gamers and a reconnect hammer) runs against a
 #                           defended target: attackers banned with zero
 #                           duplicate credit, honest cadence within ±25% of
 #                           the vardiff goal, honest p99 within 2× baseline.
-#   load-scale (≈30s)       tcp-scale at 1k then 10k sessions over in-memory
-#                           conns (zero fds — the box's fd cap stops real
-#                           sockets near 9k): zero protocol errors, 10k
-#                           parked sessions on far fewer than one goroutine
-#                           each, job encodes O(tiers) per tip, hold-window
-#                           fan-out p99 at 10k within 2× the 1k baseline.
-#   load-api (≈15s)         a "mixed" run fixes the no-archive submit p99,
+#   load-api (≈7s)          a "mixed" run fixes the no-archive submit p99,
 #                           then api-readers — the same swarm plus 8 HTTP
 #                           clients paging /api/v1 — runs against a
 #                           file-backed archived target: no failed query, a

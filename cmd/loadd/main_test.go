@@ -9,18 +9,6 @@ import (
 	"repro/internal/loadgen"
 )
 
-func TestRunSmokeSmall(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-gate", "smoke", "-sessions", "64"}, &out); err != nil {
-		t.Fatalf("%v\noutput: %s", err, out.String())
-	}
-	// The gate runs both dialects, each at the full session count.
-	if !strings.Contains(out.String(), "smoke OK — 64 concurrent ws sessions") ||
-		!strings.Contains(out.String(), "tcp-smoke OK — 64 concurrent tcp sessions") {
-		t.Errorf("output = %q", out.String())
-	}
-}
-
 // TestRunTCPScenarioWithRefresh drives the server-clocked dialect (the
 // TCP half of the mixed swarm) with tip refreshes on, against the
 // in-process target wired through InprocTarget.Config: the printed row
@@ -106,16 +94,16 @@ func TestRunSkipsTCPScenariosWithoutTCPTarget(t *testing.T) {
 	}
 }
 
-// TestGateTable: every gate resolves by name to a runnable row list —
-// catalogue scenarios or scale tiers — with an assertion behind it, and
-// the Makefile's load-% rule has exactly these names to expand to.
+// TestGateTable: every gate resolves by name to a runnable list of
+// catalogue scenarios with an assertion behind it, and the Makefile's
+// load-% rule has exactly these names to expand to.
 func TestGateTable(t *testing.T) {
-	for _, want := range []string{"smoke", "hostile", "scale", "api"} {
+	for _, want := range []string{"hostile", "api"} {
 		g, err := gateByName(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.name != want || g.assert == nil || len(g.scenarios)+len(g.tiers) == 0 {
+		if g.name != want || g.assert == nil || len(g.scenarios) == 0 {
 			t.Errorf("gate %s = %+v", want, g)
 		}
 		for _, name := range g.scenarios {
@@ -127,8 +115,8 @@ func TestGateTable(t *testing.T) {
 			t.Errorf("gate %s: baseline %q must run first and not alone, have %v", want, g.baseline, g.scenarios)
 		}
 	}
-	if len(gates) != 4 {
-		t.Errorf("%d gates in the table, 4 named here", len(gates))
+	if len(gates) != 2 {
+		t.Errorf("%d gates in the table, 2 named here", len(gates))
 	}
 }
 
@@ -137,12 +125,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}
-	// The retired federation gate is an unknown name like any other; the
-	// error lists the four that remain.
-	for _, name := range []string{"nope", "federation"} {
+	// The retired federation, smoke and scale gates are unknown names
+	// like any other; the error lists the two that remain.
+	for _, name := range []string{"nope", "federation", "smoke", "scale"} {
 		err := run([]string{"-gate", name}, &out)
 		if err == nil || !strings.Contains(err.Error(), "unknown gate") ||
-			!strings.Contains(err.Error(), "(have: smoke, hostile, scale, api)") {
+			!strings.Contains(err.Error(), "(have: hostile, api)") {
 			t.Errorf("-gate %s: err = %v", name, err)
 		}
 	}
@@ -157,8 +145,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("retired flag %v: err = %v", retired, err)
 		}
 	}
-	// Unknown scenarios, including the retired shapes no gate ran.
-	for _, name := range []string{"nope", "churn", "storm", "malformed", "tcp-steady", "dup-submit"} {
+	// Unknown scenarios, including the retired shapes no gate runs.
+	for _, name := range []string{"nope", "churn", "storm", "malformed", "tcp-steady", "dup-submit", "smoke", "tcp-smoke", "tcp-scale"} {
 		if err := run([]string{"-scenario", name}, &out); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 			t.Errorf("-scenario %s: err = %v", name, err)
 		}

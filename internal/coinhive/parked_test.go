@@ -1,12 +1,14 @@
 package coinhive_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/coinhive"
+	"repro/internal/memconn"
 	"repro/internal/session"
 	"repro/internal/simclock"
 	"repro/internal/stratum"
@@ -199,6 +201,52 @@ func TestStratumParkedGoroutineDiet(t *testing.T) {
 	waitParked(t, ss, n)
 	grew := runtime.NumGoroutine() - before
 	if grew > n/4 {
+		t.Errorf("%d parked sessions grew goroutines by %d, want <= %d", n, grew, n/4)
+	}
+}
+
+// TestStratumParksThousandsOfMemSessions holds the front to the
+// benchmark's tip-fanout population: 4,096 fd-less sessions log in over
+// one memconn listener, every one is answered and parked, and together
+// they cost far fewer than one goroutine each. A front that turns peers
+// away past a fixed live count, or a park path that keeps a goroutine
+// per memconn session, fails here rather than only in a full benchmark
+// run.
+func TestStratumParksThousandsOfMemSessions(t *testing.T) {
+	_, handler, _ := startService(t, 4)
+	ss := coinhive.NewStratumServer(handler.Engine())
+	ln := memconn.Listen()
+	go ss.Serve(ln)
+	t.Cleanup(func() {
+		ss.Shutdown()
+		ln.Close()
+	})
+
+	before := runtime.NumGoroutine()
+	const n = 4096
+	reply := make([]byte, 1024)
+	for i := 0; i < n; i++ {
+		nc, err := ln.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		fmt.Fprintf(nc, `{"id":1,"jsonrpc":"2.0","method":"login","params":{"login":"mem-park-%d"}}`+"\n", i)
+		got := 0
+		for bytes.IndexByte(reply[:got], '\n') < 0 {
+			_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			m, err := nc.Read(reply[got:])
+			if err != nil {
+				t.Fatalf("session %d: login reply: %v", i, err)
+			}
+			got += m
+		}
+		if !bytes.Contains(reply[:got], []byte(`"status":"OK"`)) {
+			t.Fatalf("session %d: login reply %s", i, reply[:got])
+		}
+	}
+	waitParked(t, ss, n)
+	if grew := runtime.NumGoroutine() - before; grew > n/4 {
 		t.Errorf("%d parked sessions grew goroutines by %d, want <= %d", n, grew, n/4)
 	}
 }

@@ -1,6 +1,9 @@
 package coinhive
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestPoolDuplicateShareRejected pins the pool-layer dedupe beneath the
 // engine's session memo: the same (job, nonce) can never credit the same
@@ -26,9 +29,14 @@ func TestPoolDuplicateShareRejected(t *testing.T) {
 	}
 
 	// The memo is per-account, mirroring the subject service's (absent)
-	// cross-account defense: another account may submit the same share.
-	if _, err := pool.SubmitShare("other-site", j.JobID, nonce, sum, ""); err != nil {
-		t.Errorf("cross-account share rejected: %v", err)
+	// cross-account defense: another account may submit the same share,
+	// including one that shares dup-site's lock stripe.
+	other := "other-site"
+	for i := 0; pool.stripeFor(other) != pool.stripeFor("dup-site"); i++ {
+		other = fmt.Sprintf("other-site-%d", i)
+	}
+	if _, err := pool.SubmitShare(other, j.JobID, nonce, sum, ""); err != nil {
+		t.Errorf("cross-account share on the same stripe rejected: %v", err)
 	}
 
 	// A distinct nonce on the same job still credits the first account.

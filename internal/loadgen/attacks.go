@@ -129,10 +129,8 @@ func (sw *Swarm) hammerOnce(s *minerSession) error {
 	case err == nil:
 		if s.connectedOnce {
 			sw.reconnects.Inc()
-		} else {
-			sw.connects.Inc()
-			s.connectedOnce = true
 		}
+		s.connectedOnce = true
 		return nil
 	case errors.Is(err, session.ErrBanned):
 		return errContained

@@ -17,9 +17,10 @@ import (
 )
 
 // InprocTarget is a full coinhive service on ephemeral loopback ports —
-// the self-contained target for `loadd -inproc` and the load-smoke CI
-// gate. The swarm still crosses real TCP sockets and the real protocol
-// stacks; "in-process" only means nobody has to start a daemon first.
+// the self-contained target of loadd's runs and gates and of the
+// benchmark workloads. The swarm still crosses real TCP sockets and the
+// real protocol stacks; "in-process" only means nobody has to start a
+// daemon first.
 // Both fronts — the ws endpoints and the raw-TCP stratum listener —
 // drive one session engine, so accounting spans the dialects.
 type InprocTarget struct {
@@ -37,9 +38,8 @@ type InprocTarget struct {
 }
 
 // DialMem connects a stratum session over an in-memory conn — the same
-// engine and codec stack as TCPAddr, zero file descriptors. It is the
-// Config.DialTCP hook the Mem scenarios (the 10k/25k/50k scale tiers on
-// a 20k-fd box) require.
+// engine and codec stack as TCPAddr, zero file descriptors, so a caller
+// can park thousands of sessions without touching the fd table.
 func (t *InprocTarget) DialMem() (net.Conn, error) { return t.mem.Dial() }
 
 // InprocOptions extends StartInproc for targets that need the vardiff /
@@ -210,13 +210,12 @@ func (t *InprocTarget) AdvanceTip() {
 }
 
 // Config returns a swarm config pre-wired to this target: both dialect
-// addresses, the in-memory dial hook and the tip-refresh hook.
+// addresses and the tip-refresh hook.
 func (t *InprocTarget) Config() Config {
 	return Config{
 		URL:     t.URL,
 		TCPAddr: t.TCPAddr,
 		HTTPURL: t.HTTPURL(),
-		DialTCP: t.DialMem,
 		Refresh: t.AdvanceTip,
 	}
 }

@@ -25,8 +25,6 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"net"
-	"runtime"
 	"strings"
 	"time"
 
@@ -45,30 +43,11 @@ type Config struct {
 	// round-robin across its /proxy0…/proxy31 endpoints.
 	URL string
 	// TCPAddr is the raw-TCP stratum listener (host:port). Required by
-	// scenarios whose Transport is "tcp" or "mixed".
+	// scenarios whose Transport is "mixed".
 	TCPAddr string
 	// HTTPURL is the service's plain-HTTP base (http://host:port), where
 	// /api/v1 lives. Required by scenarios with APIReaders.
 	HTTPURL string
-	// DialTCP, when set, replaces the address dial for TCP-dialect
-	// sessions: the swarm runs each stratum session over the returned
-	// conn instead of opening a socket to TCPAddr. The in-process
-	// target wires its memconn listener here, which is what lets the
-	// scale tiers exceed the box's file-descriptor budget. Only Mem
-	// scenarios use it.
-	DialTCP func() (net.Conn, error)
-	// ParkedFn, when set, is sampled at the all-parked barrier and
-	// reported as Result.ServerParked — drivers wire the stratum
-	// front's Parked gauge so each row records how many sessions the
-	// server was holding without a goroutine.
-	ParkedFn func() int64
-	// AtBarrier, when set, fires once at the all-parked barrier, before
-	// the hold window opens. Drivers use it to re-scope server-side
-	// measurement cursors so scale-row push percentiles cover only
-	// full-swarm fan-outs — ramp-phase pushes land on a partial swarm
-	// that is simultaneously burning CPU on login and share grinding,
-	// which says nothing about steady-state fan-out cost.
-	AtBarrier func()
 	// Refresh, when set, is invoked on the scenario's RefreshEvery cadence
 	// to move the target's chain tip mid-run — the event that makes the
 	// TCP dialect push jobs and both dialects field stale shares. The
@@ -114,42 +93,22 @@ type Result struct {
 	Scenario       string  `json:"scenario"`
 	Transport      string  `json:"transport,omitempty"`
 	Sessions       int     `json:"sessions"`
-	Workers        int     `json:"workers"`
 	PeakConcurrent int64   `json:"peak_concurrent"`
 	EndConcurrent  int64   `json:"end_concurrent"` // live sessions at the all-parked barrier
-	Connects       uint64  `json:"connects"`
 	Reconnects     uint64  `json:"reconnects"`
 	SharesOK       uint64  `json:"shares_ok"`
 	ProtocolErrors uint64  `json:"protocol_errors"`
 	OracleGrinds   uint64  `json:"oracle_grinds"`
-	DurationNs     int64   `json:"duration_ns"`
 	SharesPerSec   float64 `json:"shares_per_sec"`
 	AcceptP50Ns    int64   `json:"accept_p50_ns"`
 	AcceptP99Ns    int64   `json:"accept_p99_ns"`
 	AcceptMaxNs    int64   `json:"accept_max_ns"`
-	ConnectP99Ns   int64   `json:"connect_p99_ns"`
 
-	// TipRefreshes counts the mid-run chain-tip moves this scenario
-	// forced; JobPushes/PushP99Ns are the server-side job-push fan-out
-	// numbers for this scenario alone (filled in by the driver, which
-	// owns the target's registry and cursors its push histogram).
-	// PushBytes and JobEncodes (also driver-filled, registry deltas)
-	// make the encode-once claim checkable per row: bytes-on-the-wire
-	// per push and distinct encodes per tip event. ServerParked is the
-	// stratum front's parked-session count at the all-parked barrier.
-	TipRefreshes uint64 `json:"tip_refreshes,omitempty"`
-	JobPushes    uint64 `json:"job_pushes,omitempty"`
-	PushP99Ns    int64  `json:"push_p99_ns,omitempty"`
-	PushBytes    uint64 `json:"push_bytes,omitempty"`
-	JobEncodes   uint64 `json:"job_encodes,omitempty"`
-	ServerParked int64  `json:"server_parked,omitempty"`
-
-	// GoroutinesAtPark samples runtime.NumGoroutine at the all-parked
-	// barrier — the minimum of a few spaced samples, so an in-flight
-	// push fan-out's transient drain goroutines don't inflate it. With
-	// an in-process target it covers client and server together; the
-	// scale gate's goroutines-per-parked-session bound is pinned on it.
-	GoroutinesAtPark int `json:"goroutines_at_park,omitempty"`
+	// JobPushes/PushP99Ns are the server-side job-push fan-out numbers
+	// for this scenario alone (filled in by the driver, which owns the
+	// target's registry and cursors its push histogram).
+	JobPushes uint64 `json:"job_pushes,omitempty"`
+	PushP99Ns int64  `json:"push_p99_ns,omitempty"`
 
 	// Hostile-scenario outcomes, as observed on the client side of the
 	// wire. DuplicateCredited is the zero-duplicate-credit invariant: any
@@ -180,13 +139,8 @@ type Result struct {
 
 	// Server-side defense counters for this scenario (filled in by the
 	// driver from the defended target's registry, like JobPushes).
-	SrvBans         uint64 `json:"srv_bans,omitempty"`
-	SrvRetargets    uint64 `json:"srv_retargets,omitempty"`
-	SrvSharesForged uint64 `json:"srv_shares_forged,omitempty"`
-	SrvStaleFloods  uint64 `json:"srv_stale_floods,omitempty"`
-	SrvRateLimited  uint64 `json:"srv_rate_limited,omitempty"`
-	SrvLoginsBanned uint64 `json:"srv_logins_banned,omitempty"`
-	PoolDupShares   uint64 `json:"pool_shares_duplicate,omitempty"`
+	SrvBans      uint64 `json:"srv_bans,omitempty"`
+	SrvRetargets uint64 `json:"srv_retargets,omitempty"`
 
 	// ErrorSamples holds the first few protocol-error descriptions, for
 	// diagnosis when the zero-error assertion fails.
@@ -285,13 +239,10 @@ type Swarm struct {
 	gate    *phaseGate
 
 	active     *metrics.Gauge
-	connects   *metrics.Counter
 	reconnects *metrics.Counter
 	sharesOK   *metrics.Counter
 	protoErrs  *metrics.Counter
-	refreshes  *metrics.Counter
 	acceptNs   *metrics.Histogram
-	connectNs  *metrics.Histogram
 
 	// Hostile-scenario instruments: containment outcomes as observed from
 	// the client side of the wire.
@@ -308,27 +259,6 @@ type Swarm struct {
 
 	errMu      sync.Mutex
 	errSamples []string
-
-	// goroutinesAtPark and serverParked are sampled once, at the ramp
-	// phase's all-parked barrier (see sampleGoroutines / Config.ParkedFn).
-	goroutinesAtPark int
-	serverParked     int64
-}
-
-// sampleGoroutines records the process goroutine count at the all-parked
-// barrier. A tip refresh may be fanning out at that instant — its drain
-// goroutines are transient per-write workers, not session costs — so the
-// recorded value is the minimum over a short window, long enough to fall
-// between two 1Hz refreshes.
-func (sw *Swarm) sampleGoroutines() {
-	minG := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		time.Sleep(60 * time.Millisecond)
-		if g := runtime.NumGoroutine(); g < minG {
-			minG = g
-		}
-	}
-	sw.goroutinesAtPark = minG
 }
 
 // NewSwarm validates the config and wires the instruments.
@@ -340,11 +270,8 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 	if cfg.Scenario.Name == "" {
 		return nil, fmt.Errorf("loadgen: Config.Scenario is required")
 	}
-	if t := cfg.Scenario.Transport; (t == TransportTCP || t == TransportMixed) && cfg.TCPAddr == "" && cfg.DialTCP == nil {
-		return nil, fmt.Errorf("loadgen: scenario %q needs Config.TCPAddr (or Config.DialTCP)", cfg.Scenario.Name)
-	}
-	if cfg.Scenario.Mem && cfg.DialTCP == nil {
-		return nil, fmt.Errorf("loadgen: scenario %q runs over in-memory conns and needs Config.DialTCP", cfg.Scenario.Name)
+	if cfg.Scenario.Transport == TransportMixed && cfg.TCPAddr == "" {
+		return nil, fmt.Errorf("loadgen: scenario %q needs Config.TCPAddr", cfg.Scenario.Name)
 	}
 	if cfg.Scenario.APIReaders > 0 && cfg.HTTPURL == "" {
 		return nil, fmt.Errorf("loadgen: scenario %q pages the stats API and needs Config.HTTPURL", cfg.Scenario.Name)
@@ -360,13 +287,10 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 		runq:       make(chan *minerSession, cfg.Sessions+workers),
 		quit:       make(chan struct{}),
 		active:     reg.Gauge("load.sessions"),
-		connects:   reg.Counter("load.connects"),
 		reconnects: reg.Counter("load.reconnects"),
 		sharesOK:   reg.Counter("load.shares_ok"),
 		protoErrs:  reg.Counter("load.proto_errors"),
-		refreshes:  reg.Counter("load.tip_refreshes"),
 		acceptNs:   reg.Histogram("load.accept_ns"),
-		connectNs:  reg.Histogram("load.connect_ns"),
 
 		banned:         reg.Counter("load.sessions_banned"),
 		dupRejected:    reg.Counter("load.rejected_duplicate"),
@@ -417,7 +341,6 @@ func (sw *Swarm) Run() (Result, error) {
 				select {
 				case <-tick.C:
 					sw.cfg.Refresh()
-					sw.refreshes.Inc()
 				case <-sw.quit:
 					return
 				}
@@ -447,7 +370,7 @@ func (sw *Swarm) Run() (Result, error) {
 		}
 		// mixed alternates dialects session by session, so both hit one
 		// pool (and one accounting plane) in the same run.
-		if sc.Transport == TransportTCP || (sc.Transport == TransportMixed && i%2 == 1) {
+		if sc.Transport == TransportMixed && i%2 == 1 {
 			s.tcp = true
 			s.url = "tcp://" + sw.cfg.TCPAddr
 		} else {
@@ -458,9 +381,9 @@ func (sw *Swarm) Run() (Result, error) {
 	}
 
 	// Phase 1: open-loop ramp-in. The catalogue's Ramp values are sized
-	// for ~1k-session swarms; scale tiers stretch the window linearly so
-	// the arrival RATE — the thing the service actually absorbs — stays
-	// the catalogue's, however big the swarm.
+	// for ~1k-session swarms; bigger swarms stretch the window linearly
+	// so the arrival RATE — the thing the service actually absorbs —
+	// stays the catalogue's, however big the swarm.
 	ramp := sc.Ramp
 	if sw.cfg.Sessions > 1000 {
 		ramp = sc.Ramp * time.Duration(sw.cfg.Sessions) / 1000
@@ -471,13 +394,6 @@ func (sw *Swarm) Run() (Result, error) {
 	}
 	if err := sw.await(deadline, "ramp phase"); err != nil {
 		return sw.result(start, sessions), err
-	}
-	sw.sampleGoroutines()
-	if sw.cfg.ParkedFn != nil {
-		sw.serverParked = sw.cfg.ParkedFn()
-	}
-	if sw.cfg.AtBarrier != nil {
-		sw.cfg.AtBarrier()
 	}
 	if sc.Hold > 0 {
 		// Measurement window: the whole swarm is parked, tip refreshes
@@ -509,29 +425,20 @@ func (sw *Swarm) await(deadline <-chan time.Time, phase string) error {
 
 func (sw *Swarm) result(start time.Time, sessions []*minerSession) Result {
 	acc := sw.acceptNs.Snapshot()
-	conn := sw.connectNs.Snapshot()
 	dur := time.Since(start)
 	r := Result{
 		Scenario:       sw.cfg.Scenario.Name,
 		Transport:      sw.cfg.Scenario.TransportName(),
 		Sessions:       sw.cfg.Sessions,
-		Workers:        sw.workers,
 		PeakConcurrent: sw.active.Peak(),
 		EndConcurrent:  sw.active.Load(),
-		Connects:       sw.connects.Load(),
 		Reconnects:     sw.reconnects.Load(),
 		SharesOK:       sw.sharesOK.Load(),
 		ProtocolErrors: sw.protoErrs.Load(),
 		OracleGrinds:   sw.oracle.Grinds(),
-		DurationNs:     int64(dur),
 		AcceptP50Ns:    int64(acc.P50),
 		AcceptP99Ns:    int64(acc.P99),
 		AcceptMaxNs:    int64(acc.Max),
-		ConnectP99Ns:   int64(conn.P99),
-		TipRefreshes:   sw.refreshes.Load(),
-
-		GoroutinesAtPark: sw.goroutinesAtPark,
-		ServerParked:     sw.serverParked,
 	}
 	if dur > 0 {
 		r.SharesPerSec = float64(r.SharesOK) / dur.Seconds()
@@ -732,25 +639,9 @@ func (sw *Swarm) parkKeepalive(s *minerSession) {
 	time.AfterFunc(session.KeepaliveInterval, ping)
 }
 
-// connect dials, authenticates and receives the first job. A Mem
-// scenario's TCP sessions go through Config.DialTCP (the fd-less
-// in-memory transport of the scale tiers); everything else dials by URL
-// over real sockets.
+// connect dials, authenticates and receives the first job.
 func (sw *Swarm) connect(s *minerSession) error {
-	t0 := time.Now()
-	auth := stratum.Auth{SiteKey: s.siteKey, Type: "anonymous"}
-	var (
-		sess *session.Session
-		err  error
-	)
-	if s.tcp && sw.cfg.Scenario.Mem {
-		var nc net.Conn
-		if nc, err = sw.cfg.DialTCP(); err == nil {
-			sess, err = session.DialConn(nc, auth)
-		}
-	} else {
-		sess, err = session.Dial(s.url, auth)
-	}
+	sess, err := session.Dial(s.url, stratum.Auth{SiteKey: s.siteKey, Type: "anonymous"})
 	if err != nil {
 		return err
 	}
@@ -760,15 +651,12 @@ func (sw *Swarm) connect(s *minerSession) error {
 		_ = sess.Close()
 		return err
 	}
-	sw.connectNs.Observe(time.Since(t0))
 	s.sess, s.job = sess, job
 	sw.active.Inc()
 	if s.connectedOnce {
 		sw.reconnects.Inc()
-	} else {
-		sw.connects.Inc()
-		s.connectedOnce = true
 	}
+	s.connectedOnce = true
 	return nil
 }
 

@@ -11,11 +11,9 @@ const (
 	// TransportWS is the browser dialect: stratum envelopes over ws
 	// frames, strictly client-clocked. The zero value.
 	TransportWS = ""
-	// TransportTCP is the raw-TCP JSON-RPC stratum dialect native miners
-	// use — server-clocked job pushes.
-	TransportTCP = "tcp"
-	// TransportMixed alternates the two dialects session by session
-	// against one pool.
+	// TransportMixed alternates the browser dialect with the raw-TCP
+	// JSON-RPC stratum dialect native miners use (server-clocked job
+	// pushes), session by session against one pool.
 	TransportMixed = "mixed"
 )
 
@@ -52,8 +50,7 @@ type Scenario struct {
 	Name        string
 	Description string
 
-	// Transport picks the dialect(s): TransportWS, TransportTCP or
-	// TransportMixed.
+	// Transport picks the dialect(s): TransportWS or TransportMixed.
 	Transport string
 	// RefreshEvery, when >0, asks the driver to move the target's chain
 	// tip on this cadence mid-run (via Config.Refresh) — the event that
@@ -67,19 +64,9 @@ type Scenario struct {
 	Ramp time.Duration
 
 	// Hold keeps the fully-ramped swarm parked for this long before the
-	// drain, with tip refreshes still firing. This is where the scale
-	// tiers actually measure fan-out: every refresh pushes one job to
-	// the ENTIRE parked swarm, so the push p99 reflects the full tier,
-	// not whatever fraction had connected when a refresh happened to
-	// fire mid-ramp.
+	// drain, with tip refreshes still firing: every refresh then pushes
+	// one job to the entire parked swarm.
 	Hold time.Duration
-
-	// Mem routes the scenario's TCP sessions over in-memory conns
-	// (Config.DialTCP, wired to the in-process target's memconn
-	// listener) instead of loopback sockets. Same bytes, same codec
-	// stack, zero file descriptors — the only way a 20k-fd box can
-	// carry the 10k/25k/50k scale tiers.
-	Mem bool
 
 	// APIReaders, when >0, runs this many HTTP clients paging the
 	// archived-history stats API (/api/v1) for the whole run — readers
@@ -115,33 +102,6 @@ var scenarios = map[string]Scenario{
 		Description: "uniform ramp-in, every session mines then parks",
 		Turns:       3,
 		Ramp:        2 * time.Second,
-	},
-	"smoke": {
-		Name:        "smoke",
-		Description: "CI gate: fast ramp, two turns, park, assert zero protocol errors",
-		Turns:       2,
-		Ramp:        1500 * time.Millisecond,
-	},
-	"tcp-scale": {
-		Name: "tcp-scale",
-		Description: "scaling-curve tier: tens of thousands of stratum sessions over in-memory conns, " +
-			"one share each, then parked under 1Hz tip-refresh job pushes",
-		Transport: TransportTCP,
-		Mem:       true,
-		Turns:     1,
-		// Ramp is per-1000-sessions: Run stretches it linearly with the
-		// swarm size, so arrival rate (not ramp length) is what stays
-		// fixed across the 10k/25k/50k tiers.
-		Ramp:         500 * time.Millisecond,
-		RefreshEvery: time.Second,
-		Hold:         3 * time.Second,
-	},
-	"tcp-smoke": {
-		Name:        "tcp-smoke",
-		Description: "CI gate over raw-TCP stratum: fast ramp, two turns, park",
-		Transport:   TransportTCP,
-		Turns:       2,
-		Ramp:        1500 * time.Millisecond,
 	},
 	"mixed": {
 		Name:         "mixed",
@@ -191,9 +151,6 @@ var scenarios = map[string]Scenario{
 func (s Scenario) TransportName() string {
 	if s.Transport == TransportWS {
 		return "ws"
-	}
-	if s.Mem {
-		return s.Transport + "+mem"
 	}
 	return s.Transport
 }

@@ -4,12 +4,11 @@
 // the peer stops draining, exactly the stall a kernel socket buffer
 // gives a slow TCP receiver).
 //
-// It exists for one reason: the 10k/25k/50k load tiers. A real socket
-// pair costs two file descriptors, and the measurement box caps the
-// process at 20k fds — so scale rows beyond ~9k sessions are impossible
-// over loopback TCP no matter how cheap the server's sessions are.
-// memconn carries the same bytes through the same codec stack with zero
-// fds, so the scaling curve measures the serving stack, not the fd table.
+// It exists for one reason: parking thousands of sessions in one
+// process. A real socket pair costs two file descriptors against the
+// process's fd limit; memconn carries the same bytes through the same
+// codec stack with zero fds, so the benchmark's tip-fanout workload
+// (4,096 parked sessions) measures the serving stack, not the fd table.
 //
 // Conns also implement ArmReadWaker, the readiness hook netpark uses to
 // park idle sessions without a blocked reader goroutine (real TCP conns
