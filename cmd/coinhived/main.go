@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	linkDiff := fs.Uint64("link-diff", 16, "short-link share difficulty")
 	minDiff := fs.Uint64("min-difficulty", 1<<22, "network difficulty floor")
 	vardiff := fs.Uint64("vardiff", 0, "vardiff goal in accepted shares/min per session (0 disables retargeting)")
-	vardiffMin := fs.Uint64("vardiff-min", 0, "vardiff difficulty floor (default: share-diff/16, min 1)")
+	vardiffMin := fs.Uint64("vardiff-min", 0, "vardiff difficulty floor (default: 1)")
 	vardiffMax := fs.Uint64("vardiff-max", 0, "vardiff difficulty ceiling (default: share-diff*4096)")
 	banThreshold := fs.Uint64("ban-threshold", 0, "banscore that bans an identity (0 disables banning)")
 	banDuration := fs.Duration("ban-duration", 10*time.Minute, "how long a ban lasts")

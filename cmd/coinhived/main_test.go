@@ -26,6 +26,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsVardiffFloorAboveCeiling covers both ways the flags can
+// put the vardiff floor above its ceiling: set explicitly, or a floor
+// above the default ceiling of share-diff × 4096.
+func TestRunRejectsVardiffFloorAboveCeiling(t *testing.T) {
+	for _, args := range [][]string{
+		{"-smoke", "-vardiff", "240", "-vardiff-min", "64", "-vardiff-max", "16"},
+		{"-smoke", "-share-diff", "4", "-vardiff", "240", "-vardiff-min", "16385"},
+	} {
+		var out strings.Builder
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "vardiff floor") {
+			t.Errorf("run(%q) = %v, want the vardiff floor refused", args, err)
+		}
+	}
+}
+
 // TestGracefulShutdown drives the real serve path: boot on an ephemeral
 // port, cancel the context (what SIGINT/SIGTERM do via NotifyContext),
 // and require a clean exit that flushed the final stats.

@@ -152,9 +152,9 @@ func TestCrossTransportArchiveIdentical(t *testing.T) {
 				MaxDifficulty:      4096,
 			}
 			c.Ban = coinhive.BanConfig{
-				BanThreshold:   100,
-				DuplicateScore: 25,
-				BanDuration:    time.Minute,
+				BanThreshold: 100,
+				OffenseScore: 25,
+				BanDuration:  time.Minute,
 			}
 			c.Archive = rec
 		})

@@ -20,23 +20,19 @@ import (
 // on the hot path (the lockscope analyzer enforces the first two).
 
 // BanConfig tunes the defense layer. The zero value disables it
-// (BanThreshold == 0).
+// (BanThreshold == 0). The score decays at the fixed banDecayPerSec, and
+// malformed frames score the fixed banMalformedScore.
 type BanConfig struct {
 	// BanThreshold is the banscore at which an identity is banned.
 	// 0 disables the entire defense layer.
 	BanThreshold float64
-	// DecayPerSec is the banscore's linear decay (points/second,
-	// default 1): an identity that stops offending is forgiven at this
-	// rate, so sparse honest mistakes never accumulate to a ban.
-	DecayPerSec float64
 	// BanDuration is how long a ban lasts (default 10m).
 	BanDuration time.Duration
 
-	// Per-offense scores (defaults in parentheses).
-	DuplicateScore  float64 // resubmitted (job, nonce) (10)
-	StaleFloodScore float64 // consecutive stales past StaleFloodAfter (10)
-	ForgedDiffScore float64 // job ID at a difficulty never served (10)
-	RateLimitScore  float64 // login or submit bucket exhausted (10)
+	// OffenseScore is what each rejected abuse scores (default 10): a
+	// resubmitted (job, nonce), a stale past StaleFloodAfter, a job ID at
+	// a difficulty never served, or an exhausted login or submit bucket.
+	OffenseScore float64
 
 	// StaleFloodAfter is the consecutive-stale bound: after this many
 	// stale shares with no accept between them the session stops getting
@@ -65,23 +61,11 @@ func (c *BanConfig) fillDefaults() {
 	if !c.Enabled() {
 		return
 	}
-	if c.DecayPerSec == 0 {
-		c.DecayPerSec = 1
-	}
 	if c.BanDuration == 0 {
 		c.BanDuration = 10 * time.Minute
 	}
-	if c.DuplicateScore == 0 {
-		c.DuplicateScore = 10
-	}
-	if c.StaleFloodScore == 0 {
-		c.StaleFloodScore = 10
-	}
-	if c.ForgedDiffScore == 0 {
-		c.ForgedDiffScore = 10
-	}
-	if c.RateLimitScore == 0 {
-		c.RateLimitScore = 10
+	if c.OffenseScore == 0 {
+		c.OffenseScore = 10
 	}
 	if c.StaleFloodAfter == 0 {
 		c.StaleFloodAfter = 8
@@ -98,6 +82,10 @@ func (c *BanConfig) fillDefaults() {
 }
 
 const (
+	// banDecayPerSec is the banscore's linear decay in points/second: an
+	// identity that stops offending is forgiven at this rate, so sparse
+	// honest mistakes never accumulate to a ban.
+	banDecayPerSec = 1
 	// banMalformedScore scores a garbage frame, bad params or an unknown
 	// message type.
 	banMalformedScore = 5
@@ -132,9 +120,6 @@ type abuseEntry struct {
 type abuseShard struct {
 	mu sync.Mutex
 	m  map[string]*abuseEntry
-	// decayPerSec mirrors BanConfig.DecayPerSec so the eviction pass can
-	// decay scores without reaching back to the table's config.
-	decayPerSec float64
 }
 
 // abuseTable is the striped identity table.
@@ -147,7 +132,6 @@ func newAbuseTable(cfg BanConfig) *abuseTable {
 	t := &abuseTable{cfg: cfg}
 	for i := range t.shards {
 		t.shards[i].m = map[string]*abuseEntry{}
-		t.shards[i].decayPerSec = cfg.DecayPerSec
 	}
 	return t
 }
@@ -190,7 +174,7 @@ func (sh *abuseShard) evictLocked(nowNs int64) {
 		if e.bannedUntilNs > nowNs || nowNs-e.touchedNs <= idleNs {
 			continue
 		}
-		e.decayLocked(nowNs, sh.decayPerSec)
+		e.decayLocked(nowNs)
 		if e.score <= 0 {
 			delete(sh.m, k)
 		}
@@ -198,10 +182,10 @@ func (sh *abuseShard) evictLocked(nowNs int64) {
 }
 
 // decayLocked applies the linear score decay up to nowNs.
-func (e *abuseEntry) decayLocked(nowNs int64, perSec float64) {
+func (e *abuseEntry) decayLocked(nowNs int64) {
 	dt := float64(nowNs-e.scoreAtNs) / float64(time.Second)
 	if dt > 0 {
-		e.score -= dt * perSec
+		e.score -= dt * banDecayPerSec
 		if e.score < 0 {
 			e.score = 0
 		}
@@ -239,7 +223,7 @@ func (t *abuseTable) bump(key string, pts float64, nowNs int64) (banned, newly b
 	if e.bannedUntilNs > nowNs {
 		return true, false
 	}
-	e.decayLocked(nowNs, t.cfg.DecayPerSec)
+	e.decayLocked(nowNs)
 	e.score += pts
 	if e.score >= t.cfg.BanThreshold {
 		e.bannedUntilNs = nowNs + int64(t.cfg.BanDuration)
@@ -296,6 +280,6 @@ func (t *abuseTable) state(key string, nowNs int64) (score float64, bannedUntilN
 	if !ok {
 		return 0, 0
 	}
-	e.decayLocked(nowNs, t.cfg.DecayPerSec)
+	e.decayLocked(nowNs)
 	return e.score, e.bannedUntilNs
 }

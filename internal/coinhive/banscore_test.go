@@ -8,7 +8,6 @@ import (
 func testBanTable() *abuseTable {
 	cfg := BanConfig{
 		BanThreshold:    100,
-		DecayPerSec:     1,
 		BanDuration:     time.Minute,
 		LoginRatePerSec: 2,
 		LoginBurst:      6,

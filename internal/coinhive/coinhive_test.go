@@ -40,10 +40,6 @@ func newTestPool(t *testing.T, shareDiff uint64, mut ...func(*PoolConfig)) *Pool
 	return pool
 }
 
-// noDupMemo disables the per-account duplicate memo, for tests that
-// deliberately replay one premined share through the credit path.
-func noDupMemo(c *PoolConfig) { c.ShareMemoSize = -1 }
-
 func TestIDCodecRoundTrip(t *testing.T) {
 	// The ID sequence is bijective base-36: after "z" comes "00" (all
 	// two-character IDs), after "zz" comes "000", and so on — every string

@@ -462,7 +462,7 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 			e.rateLimited.Inc()
 			// The trip itself is an offense: a reconnect hammer burning
 			// login tokens converts its own rejections into a ban.
-			if ms.offend(e.ban.RateLimitScore, nowNs) {
+			if ms.offend(e.ban.OffenseScore, nowNs) {
 				return ms.evs
 			}
 			ms.emit(Event{
@@ -494,7 +494,7 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 	// retargeting them would change goal semantics mid-visit.
 	if e.vardiff.Enabled() && !ms.lowDiff {
 		ms.curDiff.Store(e.vardiff.clampDiff(p.ShareDifficulty(false)))
-		ms.vdWin.init(e.vardiff.WindowShares)
+		ms.vdWin.init(vardiffWindowShares)
 		ms.lastAcceptNs = e.clock.Now().UnixNano()
 	}
 	acct := p.Authorize(auth.SiteKey)
@@ -521,7 +521,7 @@ func (ms *MinerSession) submit(cmd Command) {
 		nowNs := e.clock.Now().UnixNano()
 		if !e.abuse.allowSubmit(ms.siteKey, nowNs) {
 			e.rateLimited.Inc()
-			if ms.offend(e.ban.RateLimitScore, nowNs) {
+			if ms.offend(e.ban.OffenseScore, nowNs) {
 				return
 			}
 			ms.emit(Event{
@@ -539,7 +539,7 @@ func (ms *MinerSession) submit(cmd Command) {
 	if d := ms.curDiff.Load(); d != 0 {
 		if refOK && ref.diff != d && (ref.diff == 0 || ref.diff != ms.prevDiff) {
 			e.forgedDiffs.Inc()
-			if ms.offend(e.ban.ForgedDiffScore, ms.abuseNowNs()) {
+			if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
 				return
 			}
 			ms.emitJob(true)
@@ -594,7 +594,7 @@ func (ms *MinerSession) submit(cmd Command) {
 		ms.staleRun++
 		if e.ban.Enabled() && ms.staleRun > e.ban.StaleFloodAfter {
 			e.staleFloods.Inc()
-			if ms.offend(e.ban.StaleFloodScore, ms.abuseNowNs()) {
+			if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
 				return
 			}
 			ms.emit(Event{
@@ -608,7 +608,7 @@ func (ms *MinerSession) submit(cmd Command) {
 		// A replay of a share the account was already paid for — on this
 		// session or, across a reconnect, an earlier one. Named and scored;
 		// no fresh work for replays.
-		if ms.offend(e.ban.DuplicateScore, ms.abuseNowNs()) {
+		if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
 			return
 		}
 		ms.emitError(stratum.DuplicateShareMessage, false)

@@ -286,7 +286,7 @@ func TestLoginHammerRateLimitedThenBanned(t *testing.T) {
 		c.Ban = coinhive.BanConfig{
 			BanThreshold:    100,
 			BanDuration:     time.Minute,
-			RateLimitScore:  25,
+			OffenseScore:    25,
 			LoginRatePerSec: 1,
 			LoginBurst:      2,
 		}
@@ -375,8 +375,8 @@ func TestCaptchaVerifiedMessageType(t *testing.T) {
 // defended pools must retarget, credit, reject and ban identically.
 //
 // The frozen test clock makes the vardiff window read an infinite
-// cadence, so the retarget path is deterministic: after MinWindowShares
-// (4) accepts the difficulty steps by the full ×8 cap, 4 → 32.
+// cadence, so the retarget path is deterministic: after the 4-accept
+// warm-up the difficulty steps by the full ×8 cap, 4 → 32.
 func TestCrossTransportDefenseIdentical(t *testing.T) {
 	const siteKey = "xdefense-key"
 	defended := func(c *coinhive.PoolConfig) {
@@ -386,9 +386,9 @@ func TestCrossTransportDefenseIdentical(t *testing.T) {
 			MaxDifficulty:      4096,
 		}
 		c.Ban = coinhive.BanConfig{
-			BanThreshold:   100,
-			DuplicateScore: 25,
-			BanDuration:    time.Minute,
+			BanThreshold: 100,
+			OffenseScore: 25,
+			BanDuration:  time.Minute,
 		}
 	}
 

@@ -45,9 +45,6 @@ type FederationConfig struct {
 	// Window is the PPLNS window size in entries (sharechain.DefaultWindow
 	// if 0). Every node in a federation must agree on it.
 	Window int
-	// FeePercent is the pool cut applied to windowed payouts (30 if 0);
-	// configure it to match the pool's FeePercent.
-	FeePercent int
 	// NodeID identifies this node in p2p handshakes (0 draws random).
 	NodeID uint64
 	// AdvertiseAddr is the p2p listen address sent to peers ("" none).
@@ -105,9 +102,8 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	variant := cfg.Variant
 	f := &Federation{drops: cfg.Registry.Counter("pool.federation_drops")}
 	f.chain = sharechain.New(sharechain.Config{
-		Window:     cfg.Window,
-		FeePercent: cfg.FeePercent,
-		Metrics:    cfg.Registry,
+		Window:  cfg.Window,
+		Metrics: cfg.Registry,
 		// The verifier makes every entry self-certifying on every node:
 		// the blob carries its nonce, so admission needs nothing but the
 		// entry and a scratchpad.

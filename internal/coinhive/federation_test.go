@@ -260,6 +260,46 @@ func TestFederatedSettleUsesWindow(t *testing.T) {
 	}
 }
 
+// TestFederatedAndStandaloneKeepOneFee: both settle paths — a standalone
+// pool's round split and a federated pool's PPLNS window — apply the one
+// pool fee, so one account crediting one share before one found block
+// leaves both pools the same KeptAtomic: the reward less the users' 70%.
+func TestFederatedAndStandaloneKeepOneFee(t *testing.T) {
+	fed := newFedNode(t, 1)
+	solo := newTestPool(t, 16)
+	submitLocal(t, fed, "alice", 0)
+	j := solo.Job(0, 0, false)
+	nonce, sum := mineShare(t, solo, j)
+	if _, err := solo.SubmitShare("alice", j.JobID, nonce, sum, ""); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for fed.fed.Chain().Len() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("share-chain len = %d, want 1", fed.fed.Chain().Len())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	fb, err := fed.pool.ProduceWinningBlock(1_525_000_300, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := solo.ProduceWinningBlock(1_525_000_300, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.Coinbase.Amount != sb.Coinbase.Amount {
+		t.Fatalf("rewards differ: federated %d, standalone %d", fb.Coinbase.Amount, sb.Coinbase.Amount)
+	}
+	reward := sb.Coinbase.Amount
+	want := reward - reward*70/100
+	fedKept, soloKept := fed.pool.StatsSnapshot().KeptAtomic, solo.StatsSnapshot().KeptAtomic
+	if fedKept != want || soloKept != want {
+		t.Errorf("kept: federated %d, standalone %d, want both %d (reward %d less 70%%)", fedKept, soloKept, want, reward)
+	}
+}
+
 // TestFederationArchivesGossip: gossiped-in entries land in the archive
 // as KindShareGossipIn (plus KindReorg on displacement), replay counts
 // them, and replayed local attribution stays bit-identical to the live

@@ -117,8 +117,6 @@ func TestStratumParkedVardiffIdleDownstep(t *testing.T) {
 			TargetSharesPerMin: 240,
 			MinDifficulty:      1,
 			MaxDifficulty:      1 << 16,
-			WindowShares:       2,
-			MinWindowShares:    2,
 		}
 	})
 	ss, addr := startStratum(t, handler)
@@ -127,11 +125,12 @@ func TestStratumParkedVardiffIdleDownstep(t *testing.T) {
 	res := c.login("park-vardiff-key")
 	token, job := res.ID, res.Job
 
-	// Two instant accepts (frozen sim clock = infinite cadence) force an
-	// upward retarget, which arrives as a job push behind the second ack.
+	// Four instant accepts (frozen sim clock = infinite cadence) fill the
+	// warm-up and force an upward retarget, which arrives as a job push
+	// behind the fourth ack.
 	decoded := mustDecodeJob(t, job)
 	var start uint32
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		nonce, sum := grindShare(t, pool, decoded, start)
 		start = nonce + 1
 		c.sendLine(fmt.Sprintf(`{"id":%d,"jsonrpc":"2.0","method":"submit","params":{"id":%q,"job_id":%q,"nonce":%q,"result":%q}}`,

@@ -44,7 +44,8 @@ const (
 // hashed onto stripes, so submitters for different site keys rarely contend.
 const accountStripeCount = 64
 
-// PoolConfig configures a Pool.
+// PoolConfig configures a Pool. The pool's 30% fee (sharechain.Split) and
+// the duplicate memo's depth (shareMemoSize) are fixed, not configured.
 type PoolConfig struct {
 	Chain  *blockchain.Chain
 	Wallet blockchain.Address
@@ -53,8 +54,6 @@ type PoolConfig struct {
 	// LinkShareDifficulty the (lower) one for short-link visitors.
 	ShareDifficulty     uint64
 	LinkShareDifficulty uint64
-	// FeePercent is the pool's cut (Coinhive: 30).
-	FeePercent int
 	// Metrics receives the pool's instruments (pool.* names). Nil gets a
 	// private registry, so instrumentation is always wired; the Server
 	// shares this registry for its server.* instruments and /metrics.
@@ -68,12 +67,6 @@ type PoolConfig struct {
 	// the zero value disables it. Enforced by the engine, configured here
 	// so one config describes the whole service.
 	Ban BanConfig
-	// ShareMemoSize is the per-account duplicate-share memo depth: the
-	// last N accepted (job, nonce) pairs per account are remembered and
-	// resubmissions rejected with ErrDuplicateShare. 0 means the default
-	// (128); negative disables the memo (benchmarks and tests that replay
-	// premined shares by design).
-	ShareMemoSize int
 	// Archive, when non-nil, receives an archive.Event for every
 	// observable pool action: share outcomes, retargets, bans, chain
 	// appends, found blocks and payouts. The hook is non-blocking by
@@ -97,17 +90,11 @@ func (c *PoolConfig) fillDefaults() {
 	if c.LinkShareDifficulty == 0 {
 		c.LinkShareDifficulty = 16
 	}
-	if c.FeePercent == 0 {
-		c.FeePercent = 30
-	}
 	if c.Clock == nil {
 		c.Clock = simclock.Real()
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
-	}
-	if c.ShareMemoSize == 0 {
-		c.ShareMemoSize = 128
 	}
 	c.Vardiff.fillDefaults(c.ShareDifficulty)
 	c.Ban.fillDefaults()
@@ -184,13 +171,18 @@ type accountStripe struct {
 	memo  map[string]*shareMemo
 }
 
-// shareMemo remembers the last N accepted share keys for one account.
-// Lookup is a linear scan of at most ShareMemoSize uint64s under a lock
-// already held for the credit; no hashing happens inside it.
+// shareMemoSize is the per-account duplicate-share memo depth: the last
+// 128 accepted (job, nonce) pairs per account are remembered and
+// resubmissions rejected with ErrDuplicateShare.
+const shareMemoSize = 128
+
+// shareMemo remembers the last shareMemoSize accepted share keys for one
+// account. Lookup is a linear scan of at most shareMemoSize uint64s under
+// a lock already held for the credit; no hashing happens inside it.
 type shareMemo struct {
-	keys []uint64 // ring storage; len(keys) is the capacity
-	n    int      // live entries
-	head int      // overwrite cursor once full
+	keys [shareMemoSize]uint64 // ring storage
+	n    int                   // live entries
+	head int                   // overwrite cursor once full
 }
 
 func (m *shareMemo) has(k uint64) bool {
@@ -307,6 +299,11 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg.fillDefaults()
 	if cfg.Chain == nil {
 		return nil, errors.New("coinhive: PoolConfig.Chain is required")
+	}
+	// A floor above the ceiling would clamp every session to a tier
+	// resolve refuses, so every honest share would earn a re-job forever.
+	if vd := cfg.Vardiff; vd.Enabled() && vd.MinDifficulty > vd.MaxDifficulty {
+		return nil, fmt.Errorf("coinhive: vardiff floor %d above its ceiling %d", vd.MinDifficulty, vd.MaxDifficulty)
 	}
 	variant := cfg.Chain.Params().PowVariant
 	// Validate the variant and warm cryptonight's shared per-variant pool
@@ -742,14 +739,12 @@ func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32
 	// flood is after. The authoritative check-and-insert runs again at
 	// credit time under the same stripe lock, closing the race of two
 	// concurrent submissions of one share.
-	if p.cfg.ShareMemoSize > 0 {
-		st := p.stripeFor(token)
-		st.mu.Lock()
-		dup := st.memo[token].has(ref.memoKey(nonce)) // nil memo: has is false
-		st.mu.Unlock()
-		if dup {
-			return nil, nil, tip, ErrDuplicateShare
-		}
+	st := p.stripeFor(token)
+	st.mu.Lock()
+	dup := st.memo[token].has(ref.memoKey(nonce)) // nil memo: has is false
+	st.mu.Unlock()
+	if dup {
+		return nil, nil, tip, ErrDuplicateShare
 	}
 	sh := p.backends[ref.backend]
 	tip = p.cfg.Chain.TipID()
@@ -819,15 +814,13 @@ func (p *Pool) credit(token string, memoKey, diff uint64) (total uint64, err err
 	st := p.stripeFor(token)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if p.cfg.ShareMemoSize > 0 {
-		m := st.memo[token]
-		if m == nil {
-			m = &shareMemo{keys: make([]uint64, p.cfg.ShareMemoSize)}
-			st.memo[token] = m
-		}
-		if !m.insert(memoKey) {
-			return 0, ErrDuplicateShare
-		}
+	m := st.memo[token]
+	if m == nil {
+		m = &shareMemo{}
+		st.memo[token] = m
+	}
+	if !m.insert(memoKey) {
+		return 0, ErrDuplicateShare
 	}
 	acct := st.accountLocked(token)
 	acct.TotalHashes += diff
@@ -864,10 +857,10 @@ func (p *Pool) ProduceWinningBlock(ts uint64, backend int, nonce uint32) (*block
 	return won, nil
 }
 
-// settleLocked distributes a found block's reward: FeePercent stays with
-// the pool, the rest goes to accounts — split over this round's hashes on
-// a standalone pool, over the share-chain's PPLNS window on a federated
-// one. The window is a pure function of the (converged) entry set, so
+// settleLocked distributes a found block's reward: the pool fee stays
+// with the pool, the rest goes to accounts — split over this round's
+// hashes on a standalone pool, over the share-chain's PPLNS window on a
+// federated one. The window is a pure function of the (converged) entry set, so
 // every node in a federation computes the same payout vector for the same
 // block, which is what lets N nodes settle without reconciling. The
 // caller holds settleMu; stripe locks are taken one at a time, so shares
@@ -937,7 +930,7 @@ func (p *Pool) roundPayouts(reward uint64, round map[string]uint64) []sharechain
 		weights = append(weights, sharechain.TokenWeight{Token: token, Weight: h})
 	}
 	sort.Slice(weights, func(i, j int) bool { return weights[i].Token < weights[j].Token })
-	return sharechain.Split(reward, p.cfg.FeePercent, weights)
+	return sharechain.Split(reward, weights)
 }
 
 // Federation exposes the federation bundle, nil for standalone pools.

@@ -84,17 +84,17 @@ func TestPoolDuplicateAcrossTiersRejected(t *testing.T) {
 }
 
 // TestPoolShareMemoRingEviction pins the memo's bounded-memory contract:
-// it remembers only the most recent ShareMemoSize shares per account, so
+// it remembers only the most recent shareMemoSize shares per account, so
 // an ancient share replays successfully (the window is an abuse bound,
 // not a ledger) while anything inside the window stays rejected.
 func TestPoolShareMemoRingEviction(t *testing.T) {
-	pool := newTestPool(t, 16, func(c *PoolConfig) { c.ShareMemoSize = 4 })
+	pool := newTestPool(t, 16)
 	j := pool.Job(0, 0, false)
 
 	shares := make([]struct {
 		nonce uint32
 		sum   [32]byte
-	}, 6)
+	}, shareMemoSize+1)
 	next := uint32(0)
 	for i := range shares {
 		shares[i].nonce, shares[i].sum = mineShare(t, pool, j, next)
@@ -103,8 +103,8 @@ func TestPoolShareMemoRingEviction(t *testing.T) {
 			t.Fatalf("share %d: %v", i, err)
 		}
 	}
-	// Shares 2..5 occupy the 4-slot ring; share 0 has been evicted.
-	if _, err := pool.SubmitShare("ring-site", j.JobID, shares[5].nonce, shares[5].sum, ""); err != ErrDuplicateShare {
+	// Shares 1..128 occupy the 128-slot ring; share 0 has been evicted.
+	if _, err := pool.SubmitShare("ring-site", j.JobID, shares[shareMemoSize].nonce, shares[shareMemoSize].sum, ""); err != ErrDuplicateShare {
 		t.Errorf("in-window replay: err = %v, want ErrDuplicateShare", err)
 	}
 	if _, err := pool.SubmitShare("ring-site", j.JobID, shares[0].nonce, shares[0].sum, ""); err != nil {

@@ -8,21 +8,26 @@ import (
 	"repro/internal/stratum"
 )
 
-// preminedShare is a solved job ready for (re)submission. Jobs stay live
-// until the tip moves, so resubmitting one exercises the full verify+credit
-// path every time — exactly what the race tests below need.
+// preminedShare is a solved job ready for submission. Jobs stay live
+// until the tip moves, so submitting one exercises the full verify+credit
+// path — exactly what the race tests below need.
 type preminedShare struct {
 	jobID string
 	nonce uint32
 	sum   [32]byte
 }
 
+// premineShares solves n distinct shares: jobs cycle through endpoints
+// and slots, and a job met again is solved past its last nonce, so the
+// duplicate memo never sees one share twice.
 func premineShares(t *testing.T, pool *Pool, n int) []preminedShare {
 	t.Helper()
 	shares := make([]preminedShare, n)
+	next := map[string]uint32{}
 	for i := range shares {
 		j := pool.Job(i%pool.NumEndpoints(), i, false)
-		nonce, sum := mineShare(t, pool, j)
+		nonce, sum := mineShare(t, pool, j, next[j.JobID])
+		next[j.JobID] = nonce + 1
 		shares[i] = preminedShare{jobID: j.JobID, nonce: nonce, sum: sum}
 	}
 	return shares
@@ -34,16 +39,17 @@ func premineShares(t *testing.T, pool *Pool, n int) []preminedShare {
 // data-race freedom; the counter assertions prove no share is lost or
 // double-counted under contention.
 func TestPoolConcurrentSubmitJobStats(t *testing.T) {
-	// The duplicate memo is off: this test's whole point is replaying the
-	// same premined shares through the verify+credit path under -race.
-	pool := newTestPool(t, 8, noDupMemo)
-	shares := premineShares(t, pool, 16)
-
+	pool := newTestPool(t, 8)
 	const (
 		submitters = 4
 		forgers    = 2
 		rounds     = 40
 	)
+	// Every valid submission is a share of its own, and the forgers forge
+	// from 16 shares no submitter credits, so each forgery fails at the
+	// verify rather than at the duplicate memo.
+	shares := premineShares(t, pool, submitters*rounds+16)
+	forgeable := shares[submitters*rounds:]
 	var accepted, rejected atomic.Uint64
 	var wg sync.WaitGroup
 
@@ -52,7 +58,7 @@ func TestPoolConcurrentSubmitJobStats(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				s := shares[(g*rounds+i)%len(shares)]
+				s := shares[g*rounds+i]
 				if _, err := pool.SubmitShare("conc-site", s.jobID, s.nonce, s.sum, ""); err != nil {
 					t.Errorf("valid share rejected: %v", err)
 					return
@@ -66,7 +72,7 @@ func TestPoolConcurrentSubmitJobStats(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				s := shares[(g*rounds+i)%len(shares)]
+				s := forgeable[(g*rounds+i)%len(forgeable)]
 				bad := s.sum
 				bad[0] ^= 0xFF
 				if _, err := pool.SubmitShare("conc-site", s.jobID, s.nonce, bad, ""); err != ErrBadShare {
@@ -140,8 +146,8 @@ func TestPoolConcurrentSubmitJobStats(t *testing.T) {
 // may be rejected, but the revenue conservation invariant must hold
 // exactly: every found block's reward splits into paid + kept.
 func TestPoolConcurrentSettlement(t *testing.T) {
-	pool := newTestPool(t, 8, noDupMemo)
-	shares := premineShares(t, pool, 12)
+	pool := newTestPool(t, 8)
+	shares := premineShares(t, pool, 8*25)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -149,7 +155,7 @@ func TestPoolConcurrentSettlement(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				s := shares[(g*25+i)%len(shares)]
+				s := shares[g*25+i]
 				_, err := pool.SubmitShare("settle-site", s.jobID, s.nonce, s.sum, "")
 				if err != nil && err != ErrStaleJob {
 					t.Errorf("submit: %v", err)

@@ -301,7 +301,7 @@ func TestStratumTCPStaleFloodBoundedAndBanned(t *testing.T) {
 		c.Ban = coinhive.BanConfig{
 			BanThreshold:    100,
 			StaleFloodAfter: 2,
-			StaleFloodScore: 25,
+			OffenseScore:    25,
 			BanDuration:     time.Minute,
 		}
 	}
@@ -385,7 +385,7 @@ func TestStratumTCPBogusJobFloodBoundedAndBanned(t *testing.T) {
 		c.Ban = coinhive.BanConfig{
 			BanThreshold:    100,
 			StaleFloodAfter: 2,
-			StaleFloodScore: 25,
+			OffenseScore:    25,
 			BanDuration:     time.Minute,
 		}
 	}

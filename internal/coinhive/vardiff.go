@@ -33,25 +33,28 @@ import (
 
 // VardiffConfig tunes per-session difficulty retargeting. The zero value
 // disables it (TargetSharesPerMin == 0), preserving the static-difficulty
-// behaviour.
+// behaviour. The cadence window is fixed (vardiffWindowShares and
+// vardiffMinWindowShares); only the goal and the clamp are settable.
 type VardiffConfig struct {
 	// TargetSharesPerMin is the accepted-share cadence the retargeter
 	// steers every ordinary session toward. 0 disables vardiff.
 	TargetSharesPerMin float64
 	// MinDifficulty / MaxDifficulty clamp every retarget. Defaults: 1 and
-	// ShareDifficulty << 12.
+	// ShareDifficulty << 12. NewPool refuses a floor above the ceiling.
 	MinDifficulty uint64
 	MaxDifficulty uint64
-	// WindowShares is the size of the per-session accept-timestamp ring
-	// cadence is measured over (default 8).
-	WindowShares int
-	// MinWindowShares is the warm-up: no retarget until the window holds
-	// this many accepts since the last retarget (default 4). Short-lived
-	// sessions below it never retarget.
-	MinWindowShares int
 }
 
 const (
+	// vardiffWindowShares is the size of the per-session accept-timestamp
+	// ring cadence is measured over.
+	vardiffWindowShares = 8
+	// vardiffMinWindowShares is the warm-up: no retarget until the window
+	// holds this many accepts since the last retarget. Short-lived
+	// sessions below it never retarget. perMin measures the
+	// oldest→newest span, so it must be at least 2: a one-sample window
+	// has zero span and reads as +Inf cadence.
+	vardiffMinWindowShares = 4
 	// vardiffHysteresisPct is the dead band: observed cadence within ±this
 	// percent of the goal is jitter, not signal.
 	vardiffHysteresisPct = 30
@@ -81,24 +84,6 @@ func (c *VardiffConfig) fillDefaults(shareDiff uint64) {
 		if c.MaxDifficulty < shareDiff { // shift overflow
 			c.MaxDifficulty = math.MaxUint64
 		}
-	}
-	if c.WindowShares == 0 {
-		c.WindowShares = 8
-	}
-	if c.MinWindowShares == 0 {
-		c.MinWindowShares = 4
-	}
-	// perMin measures the oldest→newest span, so it needs ≥2 samples: a
-	// one-sample window has zero span, reads as +Inf cadence and would
-	// drive a maximum upward retarget on every accepted share.
-	if c.WindowShares < 2 {
-		c.WindowShares = 2
-	}
-	if c.MinWindowShares < 2 {
-		c.MinWindowShares = 2
-	}
-	if c.MinWindowShares > c.WindowShares {
-		c.MinWindowShares = c.WindowShares
 	}
 }
 
@@ -201,7 +186,7 @@ func (ms *MinerSession) vardiffAccept(nowNs int64) (uint64, bool) {
 	vd := &ms.eng.vardiff
 	ms.lastAcceptNs = nowNs
 	ms.vdWin.add(nowNs)
-	if ms.vdWin.n < vd.MinWindowShares {
+	if ms.vdWin.n < vardiffMinWindowShares {
 		return 0, false
 	}
 	next, ok := vd.retarget(ms.curDiff.Load(), ms.vdWin.perMin())

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/blockchain"
 )
 
 // testVardiff is the canonical tuning the retarget tables run against:
@@ -80,7 +82,7 @@ func TestVardiffWindowCadence(t *testing.T) {
 		t.Errorf("perMin = %v, want 60", got)
 	}
 
-	// The ring keeps only the newest WindowShares samples: two more
+	// The ring keeps only the newest len(times) samples: two more
 	// accepts evict the two oldest, and the cadence is measured over the
 	// surviving span (2s..5s: 3 intervals over 3s).
 	w.add(base + 4*sec)
@@ -118,9 +120,6 @@ func TestVardiffDefaults(t *testing.T) {
 	if c.MinDifficulty != 1 || c.MaxDifficulty != 256<<12 {
 		t.Errorf("clamp defaults = [%d, %d], want [1, %d]", c.MinDifficulty, c.MaxDifficulty, 256<<12)
 	}
-	if c.WindowShares != 8 || c.MinWindowShares != 4 {
-		t.Errorf("window defaults = %+v", c)
-	}
 
 	// A huge ShareDifficulty must not overflow the MaxDifficulty shift.
 	big := VardiffConfig{TargetSharesPerMin: 240}
@@ -128,13 +127,27 @@ func TestVardiffDefaults(t *testing.T) {
 	if big.MaxDifficulty < 1<<60 {
 		t.Errorf("MaxDifficulty overflowed to %d", big.MaxDifficulty)
 	}
+}
 
-	// Explicit one-sample windows are clamped to 2: perMin measures the
-	// oldest→newest span, and a single-sample window has zero span — +Inf
-	// cadence, a maximum upward retarget on every accepted share.
-	tiny := VardiffConfig{TargetSharesPerMin: 240, WindowShares: 1, MinWindowShares: 1}
-	tiny.fillDefaults(256)
-	if tiny.WindowShares != 2 || tiny.MinWindowShares != 2 {
-		t.Errorf("one-sample clamp = (%d, %d), want (2, 2)", tiny.WindowShares, tiny.MinWindowShares)
+// TestNewPoolRejectsVardiffFloorAboveCeiling: a floor above the ceiling
+// clamps every session to a tier resolve refuses, so each honest share
+// would earn a re-job and no credit, forever. NewPool must refuse it,
+// whether the ceiling was set or defaulted to ShareDifficulty << 12.
+func TestNewPoolRejectsVardiffFloorAboveCeiling(t *testing.T) {
+	chain, err := blockchain.NewChain(blockchain.SimParams(), 1_525_000_000, blockchain.AddressFromString("genesis"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vd := range []VardiffConfig{
+		{TargetSharesPerMin: 240, MinDifficulty: 64, MaxDifficulty: 16},
+		{TargetSharesPerMin: 240, MinDifficulty: 4<<12 + 1},
+	} {
+		if _, err := NewPool(PoolConfig{Chain: chain, ShareDifficulty: 4, Vardiff: vd}); err == nil {
+			t.Errorf("NewPool accepted vardiff clamp [%d, %d] at share difficulty 4", vd.MinDifficulty, vd.MaxDifficulty)
+		}
+	}
+	oneTier := VardiffConfig{TargetSharesPerMin: 240, MinDifficulty: 16, MaxDifficulty: 16}
+	if _, err := NewPool(PoolConfig{Chain: chain, ShareDifficulty: 4, Vardiff: oneTier}); err != nil {
+		t.Errorf("a one-tier clamp is valid: %v", err)
 	}
 }

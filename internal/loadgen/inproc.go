@@ -76,9 +76,9 @@ type InprocOptions struct {
 //     session (SimHashrate 2) opens at 24/min — exactly 2× the goal,
 //     outside the ±30% hysteresis band — and converges to the
 //     equilibrium difficulty of 10 in one full-window retarget;
-//   - one offense class scores 25 against a ban threshold of 100, so
-//     four rejected abuses ban the identity (malformed frames score the
-//     default 5);
+//   - every offense scores 25 against a ban threshold of 100, so four
+//     rejected abuses ban the identity (malformed frames score the
+//     fixed 5);
 //   - the stale retry loop is cut after 4 consecutive stales;
 //   - logins refill at 2/s (burst 6) so a reconnect hammer on one shared
 //     key converts its own rejections into a ban within seconds, while
@@ -102,10 +102,7 @@ func DefendedInprocOptions(shareDiff uint64, reg *metrics.Registry) InprocOption
 		Ban: coinhive.BanConfig{
 			BanThreshold:    100,
 			BanDuration:     time.Minute,
-			DuplicateScore:  25,
-			StaleFloodScore: 25,
-			ForgedDiffScore: 25,
-			RateLimitScore:  25,
+			OffenseScore:    25,
 			StaleFloodAfter: 4,
 			LoginRatePerSec: 2,
 			LoginBurst:      6,

@@ -1,9 +1,11 @@
 package loadgen
 
 import (
+	"net/http"
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/blockchain"
 	"repro/internal/metrics"
 	"repro/internal/session"
@@ -48,6 +50,30 @@ func runScenario(t *testing.T, name string, sessions int) Result {
 	}
 	defer target.Close()
 	return runScenarioAgainst(t, target, reg, name, sessions)
+}
+
+// TestArchivedTargetMountsAPI: a target started with an archive serves
+// the stats API on /api/v1, as the api scenarios and the loadd api gate
+// assume; without this check a lost mount shows only as that gate's
+// failed queries.
+func TestArchivedTargetMountsAPI(t *testing.T) {
+	target, err := StartInprocOpts(InprocOptions{
+		ShareDifficulty: 2,
+		Registry:        metrics.NewRegistry(),
+		Archive:         archive.NewMemStore(1 << 10),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer target.Close()
+	resp, err := http.Get(target.HTTPURL() + "/api/v1/top")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/v1/top = %d, want 200", resp.StatusCode)
+	}
 }
 
 func TestSteadyScenario(t *testing.T) {

@@ -45,10 +45,11 @@ type Config struct {
 	// SlotsPerEndpoint is how many rotating inputs each endpoint reveals
 	// per block interval (paper: "we never obtain more than 8").
 	SlotsPerEndpoint int
-	// MaxPendingClusters bounds memory for prev-pointers awaiting a
-	// successor block.
-	MaxPendingClusters int
 }
+
+// maxPendingClusters bounds memory for prev-pointers awaiting a successor
+// block: past it, the oldest cluster is dropped unswept.
+const maxPendingClusters = 64
 
 // Watcher accumulates PoW inputs and attributes mined blocks.
 type Watcher struct {
@@ -75,9 +76,6 @@ func New(cfg Config) *Watcher {
 	}
 	if cfg.SlotsPerEndpoint == 0 {
 		cfg.SlotsPerEndpoint = 8
-	}
-	if cfg.MaxPendingClusters == 0 {
-		cfg.MaxPendingClusters = 64
 	}
 	return &Watcher{cfg: cfg, clusters: map[[32]byte]*cluster{}}
 }
@@ -137,7 +135,7 @@ func (w *Watcher) recordLocked(job stratum.Job) {
 }
 
 func (w *Watcher) pruneLocked() {
-	for len(w.order) > w.cfg.MaxPendingClusters {
+	for len(w.order) > maxPendingClusters {
 		old := w.order[0]
 		w.order = w.order[1:]
 		delete(w.clusters, old)

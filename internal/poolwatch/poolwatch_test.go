@@ -219,16 +219,22 @@ func TestEventDrivenRunMatchesTickLoopBitIdentical(t *testing.T) {
 
 func TestPruneBoundsMemory(t *testing.T) {
 	sim, chain, _, net := newWorld(t, 50e6, 500e6, nil, 17)
-	w := New(Config{Source: net, Chain: chain, MaxPendingClusters: 4})
+	w := New(Config{Source: net, Chain: chain})
+	start := chain.Height()
 	net.Start()
 	// Poll but never sweep: clusters would grow unboundedly without pruning.
 	stop := sim.Every(10*time.Second, func() { w.PollAllEndpoints() })
 	sim.RunFor(6 * time.Hour)
 	stop()
+	// Every block moves the prev pointer the 10 s polls cluster on, so
+	// more blocks than the bound means more clusters than it were opened.
+	if blocks := chain.Height() - start; blocks <= maxPendingClusters {
+		t.Fatalf("only %d blocks in the run; the bound of %d was never reached", blocks, maxPendingClusters)
+	}
 	w.mu.Lock()
 	n := len(w.clusters)
 	w.mu.Unlock()
-	if n > 4 {
-		t.Errorf("%d clusters retained, want ≤ 4", n)
+	if n > maxPendingClusters {
+		t.Errorf("%d clusters retained, want ≤ %d", n, maxPendingClusters)
 	}
 }

@@ -230,7 +230,7 @@ func TestChainMatchesModel(t *testing.T) {
 		set := modelSet(rng)
 		build := func(shrunk bool) (*Chain, *metrics.Registry) {
 			reg := metrics.NewRegistry()
-			c := New(Config{Window: modelWindow, FeePercent: modelFee, Metrics: reg, Verify: func([]*Entry, []error) {}})
+			c := New(Config{Window: modelWindow, Metrics: reg, Verify: func([]*Entry, []error) {}})
 			if shrunk {
 				horizon(c, depth, chunk)
 			}
@@ -302,7 +302,7 @@ func TestPayoutsAtVardiffScaleWeights(t *testing.T) {
 	const reward = 35_184_372_088_832
 	const userPart = reward * 70 / 100
 	for shift := 20; shift <= 40; shift += 4 {
-		c := New(Config{Window: 16, FeePercent: 30})
+		c := New(Config{Window: 16})
 		for i := 0; i < 6; i++ {
 			if _, err := c.Insert(mkEntry(uint64(1+i), fmt.Sprintf("miner%d", i%3), uint64(1+i%2)<<shift, byte(i)), true); err != nil {
 				t.Fatal(err)
@@ -362,7 +362,7 @@ func TestConcurrentInsertFoldAndRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	set := modelSet(rng)
 	order := lateOrder(set, 32, rng)
-	c := horizon(New(Config{Window: modelWindow, FeePercent: modelFee, Verify: func([]*Entry, []error) {}}), 32, 64)
+	c := horizon(New(Config{Window: modelWindow, Verify: func([]*Entry, []error) {}}), 32, 64)
 
 	var wg, readers sync.WaitGroup
 	done := make(chan struct{})

@@ -163,8 +163,6 @@ type Config struct {
 	// shares). Locally-accepted shares were already verified by the pool
 	// and skip it.
 	Verify Verifier
-	// FeePercent is the pool cut applied by PayoutVector (30 if 0).
-	FeePercent int
 	// Metrics receives pool.sharechain_* instruments (nil: private).
 	Metrics *metrics.Registry
 }
@@ -231,9 +229,6 @@ type account struct {
 func New(cfg Config) *Chain {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.FeePercent == 0 {
-		cfg.FeePercent = 30
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -636,21 +631,26 @@ func (c *Chain) WindowWeights() ([]TokenWeight, uint64) {
 	return weights, total
 }
 
-// PayoutVector splits a block reward across the current PPLNS window:
-// each account receives floor(reward × (100−fee)% × weight ⁄ total), in
+// PayoutVector splits a block reward across the current PPLNS window by
+// Split: each account receives its weight's share of the user part, in
 // sorted-token order; rounding dust stays with the pool. It is a pure
 // function of the window, so converged nodes produce identical vectors.
 func (c *Chain) PayoutVector(reward uint64) []Payout {
 	weights, _ := c.WindowWeights()
-	return Split(reward, c.cfg.FeePercent, weights)
+	return Split(reward, weights)
 }
 
+// poolFeePercent is the pool's cut of every found block (Coinhive's 30%).
+// It lives here, in the one payout rule, so a standalone pool and every
+// node of a federation cannot disagree on it.
+const poolFeePercent = 30
+
 // Split is the payout rule itself, shared with the standalone pool's
-// per-round settle: floor(reward × (100−feePercent)% × weight ⁄ Σ weights)
+// per-round settle: floor(reward × (100−poolFeePercent)% × weight ⁄ Σ weights)
 // to each weight in the order given, nothing when they sum to zero. The
 // product is taken in 128 bits — an atomic-unit block reward times a
 // vardiff-scale weight does not fit in 64.
-func Split(reward uint64, feePercent int, weights []TokenWeight) []Payout {
+func Split(reward uint64, weights []TokenWeight) []Payout {
 	var total uint64
 	for _, w := range weights {
 		total += w.Weight
@@ -658,7 +658,7 @@ func Split(reward uint64, feePercent int, weights []TokenWeight) []Payout {
 	if total == 0 {
 		return nil
 	}
-	userPart := reward * uint64(100-feePercent) / 100
+	userPart := reward * (100 - poolFeePercent) / 100
 	out := make([]Payout, 0, len(weights))
 	for _, w := range weights {
 		hi, lo := bits.Mul64(userPart, w.Weight)

@@ -103,7 +103,7 @@ func TestAppendVsReorgAccounting(t *testing.T) {
 }
 
 func TestWindowSlidesAndPayout(t *testing.T) {
-	c := New(Config{Window: 3, FeePercent: 30})
+	c := New(Config{Window: 3})
 	c.Insert(mkEntry(1, "old", 100, 1), true)
 	c.Insert(mkEntry(2, "a", 10, 2), true)
 	c.Insert(mkEntry(3, "b", 20, 3), true)
