@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race lint check bench-paper bench-submit loc
+.PHONY: all build vet fmt test test-short test-race lint check bench-paper bench-submit loc
 
 all: build vet test-short
 
@@ -28,6 +28,12 @@ test-race:
 	$(GO) test -race ./internal/coinhive/... ./internal/webminer/... ./internal/loadgen/... ./internal/session/... ./internal/stratum/... ./internal/ws/... ./cmd/loadd/... \
 		./internal/sharechain/... ./internal/p2p/... ./internal/handoff/... ./internal/archive/...
 
+# Formatting gate: fails listing every Go file gofmt would rewrite. Lint
+# fixtures under testdata/ are exempt (they hold deliberately odd code).
+fmt:
+	@out=$$(gofmt -l $$(find . -name '*.go' ! -path '*/testdata/*')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
 # Project-specific static analysis (internal/lint via cmd/repolint):
 # lockscope, hotpath, atomicfield, metricname and layering over every
 # package. Zero findings or the target fails; waivers need a reasoned
@@ -41,7 +47,7 @@ lint:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
-# CI gate: static checks (including building the tools, and
+# CI gate: static checks (gofmt, building the tools, and
 # cross-building for arm64 so the files behind `!amd64` — the CryptoNight
 # path the CI box never runs — keep compiling and vetting; the amd64
 # kernels' frame layouts are held to their Go stubs by vet's asmdecl), the
@@ -64,6 +70,7 @@ loc:
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmt
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/cryptonight/
 	$(MAKE) lint
 	$(GO) test -short -race ./...

@@ -121,70 +121,6 @@ func (b *Block) PowHash(h *cryptonight.Hasher) [32]byte {
 	return h.Sum(b.HashingBlob())
 }
 
-// Serialize appends the full wire encoding of the block.
-func (b *Block) Serialize(dst []byte) []byte {
-	dst = b.Header.appendHeader(dst)
-	dst = b.Coinbase.Serialize(dst)
-	dst = varint.Append(dst, uint64(len(b.TxHashes)))
-	for _, h := range b.TxHashes {
-		dst = append(dst, h[:]...)
-	}
-	return dst
-}
-
-// DeserializeBlock parses a block from buf, returning leftover bytes.
-func DeserializeBlock(buf []byte) (*Block, []byte, error) {
-	var b Block
-	var err error
-	rd := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		v, n, e := varint.Decode(buf)
-		if e != nil {
-			err = e
-			return 0
-		}
-		buf = buf[n:]
-		return v
-	}
-	b.MajorVersion = rd()
-	b.MinorVersion = rd()
-	b.Timestamp = rd()
-	if err == nil {
-		if len(buf) < 36 {
-			err = varint.ErrTruncated
-		} else {
-			copy(b.PrevHash[:], buf[:32])
-			b.Nonce = binary.LittleEndian.Uint32(buf[32:36])
-			buf = buf[36:]
-		}
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("blockchain: bad block header: %w", err)
-	}
-	cb, rest, err := DeserializeTransaction(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.Coinbase = cb
-	buf = rest
-	n, used, err := varint.Decode(buf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("blockchain: bad tx count: %w", err)
-	}
-	buf = buf[used:]
-	if uint64(len(buf)) < n*32 {
-		return nil, nil, fmt.Errorf("blockchain: truncated tx hashes: %w", varint.ErrTruncated)
-	}
-	b.TxHashes = make([][32]byte, n)
-	for i := range b.TxHashes {
-		copy(b.TxHashes[i][:], buf[:32])
-		buf = buf[32:]
-	}
-	return &b, buf, nil
-}
-
 // ParseHashingBlob splits a raw PoW input into header, Merkle root, and
 // transaction count. The paper's §4.2 watcher applies this to the jobs a
 // pool hands out, extracting the embedded Merkle root for attribution.

@@ -73,29 +73,6 @@ func TestQuickTransactionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockRoundTrip(t *testing.T) {
-	b := &Block{
-		Header: Header{MajorVersion: 7, MinorVersion: 7, Timestamp: 1525000000,
-			PrevHash: AddressFromString("prev"), Nonce: 0xdeadbeef},
-		Coinbase: NewCoinbase(1000, AddressFromString("pool"), 60, []byte{1, 2, 3}),
-		TxHashes: [][32]byte{AddressFromString("tx1"), AddressFromString("tx2")},
-	}
-	buf := b.Serialize(nil)
-	got, rest, err := DeserializeBlock(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Errorf("leftover %d bytes", len(rest))
-	}
-	if got.ID() != b.ID() {
-		t.Error("round-tripped block has different ID")
-	}
-	if got.MerkleRoot() != b.MerkleRoot() {
-		t.Error("round-tripped block has different Merkle root")
-	}
-}
-
 func TestHashingBlobParse(t *testing.T) {
 	b := &Block{
 		Header: Header{MajorVersion: 7, MinorVersion: 7, Timestamp: 1525000000,

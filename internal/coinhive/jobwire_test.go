@@ -89,7 +89,7 @@ func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestServePushPathAllocFree pins the steady-state TCP serve path at
-// zero allocations per operation: the JobWire cache hit, the batched
+// zero allocations per operation: the JobWire cache hit, the one-line
 // push write, and the Deliver fast paths for keepalive acks and
 // accepted-share replies. These are the per-session per-event costs that
 // multiply by 50k; everything else (login, errors, tip refresh) is cold.
@@ -105,12 +105,12 @@ func TestServePushPathAllocFree(t *testing.T) {
 	}
 
 	c := &stratumConn{srv: s, nc: discardConn{}}
-	batch := []pushItem{{line: w.TCPLine, tipNs: time.Now().UnixNano()}}
-	if err := c.writeBatch(batch); err != nil { // warm the iovec scratch
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(500, func() { _ = c.writeBatch(batch) }); allocs != 0 {
-		t.Errorf("writeBatch: %v allocs/op, want 0", allocs)
+	tipNs := time.Now().UnixNano()
+	c.wmu.Lock()
+	allocs := testing.AllocsPerRun(500, func() { _ = c.writePushLocked(w.TCPLine, tipNs) })
+	c.wmu.Unlock()
+	if allocs != 0 {
+		t.Errorf("writePushLocked: %v allocs/op, want 0", allocs)
 	}
 
 	keepalive := Command{Kind: CmdKeepalive, Tag: json.RawMessage("7")}

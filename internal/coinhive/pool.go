@@ -615,14 +615,6 @@ func (p *Pool) Job(endpoint, slot int, forLink bool) stratum.Job {
 	return p.jobWire(endpoint, slot, 0, forLink).Job
 }
 
-// JobAt hands out the current PoW input at an explicit vardiff difficulty
-// — the engine's retargeted-session job path. The tier is per-session
-// state, not shard state, but its wire form is cached per (slot, diff)
-// like every other handout (see jobwire.go).
-func (p *Pool) JobAt(endpoint, slot int, diff uint64) stratum.Job {
-	return p.jobWire(endpoint, slot, diff, false).Job
-}
-
 // ShareOutcome reports what an accepted share achieved.
 type ShareOutcome struct {
 	// Credited is the account's total hash credit after this share — what

@@ -45,10 +45,12 @@ import (
 // life, so idle connections are *parked* (netpark) — no reader goroutine,
 // no bufio buffer — and resumed when bytes arrive or the keepalive window
 // lapses. Job pushes never touch the parked read side: the fan-out
-// enqueues the tier's pre-encoded wire line (JobWire, minted once per
-// tip × tier) on a per-connection outbound queue, drained in batches by
-// an on-demand writer goroutine. Goroutines therefore scale with
-// *active* sessions plus in-flight pushes, not with live sessions.
+// stores the tier's pre-encoded wire line (JobWire, minted once per
+// tip × tier) in a per-connection one-line slot, written by an on-demand
+// drainer. A miner only ever mines the newest job, so a push that finds
+// the slot still full replaces the stale line instead of queueing
+// behind it. Goroutines therefore scale with *active* sessions plus
+// in-flight pushes, not with live sessions.
 type StratumServer struct {
 	eng *Engine
 
@@ -86,7 +88,7 @@ type StratumServer struct {
 	stop         chan struct{}
 	pendingTipNs atomic.Int64
 
-	// drainq feeds connections whose push queue just went non-empty to a
+	// drainq feeds connections whose push slot just filled to a
 	// small fixed pool of drain workers. A goroutine per draining conn
 	// would mean one spawn per session per tip event — at 50k sessions
 	// that is 50k goroutine creations per fan-out, and the spawn cost
@@ -98,14 +100,8 @@ type StratumServer struct {
 	pushes     *metrics.Counter   // job notifications delivered on tip events
 	pushNs     *metrics.Histogram // tip-to-socket delivery latency per notification
 	pushBytes  *metrics.Counter   // wire bytes written by the push path
-	queueDepth *metrics.Gauge     // outstanding queued pushes (Peak = worst backlog)
+	queueDepth *metrics.Gauge     // connections with an unwritten push (Peak = widest backlog)
 }
-
-// Number of pushes one connection may have outstanding before it is
-// declared stalled and torn down. At one push per tip event, a healthy
-// peer's queue never exceeds a handful; 64 means the peer stopped
-// reading for dozens of chain ticks.
-const pushQueueCap = 64
 
 // parkGrace bounds the read wait after a park wake: the wake promised
 // bytes, so if none show up quickly the session re-parks instead of
@@ -115,7 +111,7 @@ const parkGrace = 2 * time.Second
 // drainWorkers is the fixed drain pool size. Writes are buffered-socket
 // fast in the common case, so a handful of workers sustains full-swarm
 // fan-out; a stalled peer can pin a worker for at most one write
-// deadline (writeBatch's 2s) before it is torn down.
+// deadline (writeDeadlineHorizon) before it is torn down.
 const drainWorkers = 8
 
 // drainQueueCap sizes drainq past the largest supported swarm: one tip
@@ -273,23 +269,19 @@ func (s *StratumServer) Drained(timeout time.Duration) bool {
 // Parked reports how many sessions currently hold no goroutine.
 func (s *StratumServer) Parked() int64 { return s.parker.Parked() }
 
-// PushStats exposes the fan-out instruments: how many job notifications
-// tip events have pushed and the per-session delivery latency histogram.
-func (s *StratumServer) PushStats() (pushes uint64, latency metrics.HistSnapshot) {
-	return s.pushes.Load(), s.pushNs.Snapshot()
-}
-
 // PushCursor marks the current fan-out state; pair with PushStatsSince
 // for per-phase numbers (one load scenario out of a longer run).
 func (s *StratumServer) PushCursor() metrics.HistCursor { return s.pushNs.Cursor() }
 
-// PushStatsSince reports the fan-out activity recorded after the cursor.
+// PushStatsSince reports the fan-out activity recorded after the cursor
+// (the zero cursor: since the server started): how many job
+// notifications tip events pushed and their delivery latency.
 func (s *StratumServer) PushStatsSince(c metrics.HistCursor) (pushes uint64, latency metrics.HistSnapshot) {
 	lat := s.pushNs.SnapshotSince(c)
 	return lat.Count, lat
 }
 
-// fanOut queues the current job for every authenticated session — the
+// fanOut pushes the current job to every authenticated session — the
 // server-clocked half of the dialect. The wire bytes are minted at most
 // once per (tip × vardiff tier) by the JobWire cache; every session on
 // the same tier shares the same line. Latency is observed per session at
@@ -368,7 +360,7 @@ func (s *StratumServer) serveConn(nc net.Conn, endpoint int) {
 }
 
 // stratumConn is the JSON-RPC dialect codec plus per-connection push
-// queue for one miner. Three kinds of goroutine touch it: the session
+// slot for one miner. Three kinds of goroutine touch it: the session
 // goroutine (accept or park-resume; at most one at a time — the park
 // protocol hands off ownership), the push drainer, and whoever calls
 // teardown first.
@@ -384,26 +376,22 @@ type stratumConn struct {
 	br           *bufio.Reader
 	parkDeadline time.Time
 
-	wmu   sync.Mutex // serialises all socket writers (replies and push batches)
+	wmu   sync.Mutex // serialises all socket writers (replies and pushes)
 	wbuf  []byte
-	iovec net.Buffers // writev scratch for push batches
-	wdlNs int64       // armed write deadline (ns since epoch), guarded by wmu
+	wdlNs int64 // armed write deadline (ns since epoch), guarded by wmu
 
+	// The push slot, guarded by outMu (taken after wmu when both are
+	// held): the newest unwritten job line (nil = none, never mutated —
+	// it is the shared per-tier wire) and the tip time of the oldest push
+	// it stands for. draining is true while the conn is in the drain pool
+	// or a drainer runs for it.
 	outMu    sync.Mutex
-	outq     []pushItem
-	outSpare []pushItem // double-buffer: last drained batch, recycled on swap
+	pending  []byte
+	tipNs    int64
 	draining bool
 
 	pushable atomic.Bool
 	dead     atomic.Bool
-}
-
-// pushItem is one queued job push: a pointer into the shared per-tier
-// wire line (never mutated) plus the tip timestamp latency is measured
-// from.
-type pushItem struct {
-	line  []byte
-	tipNs int64
 }
 
 // teardown kills the connection exactly once, from whichever goroutine
@@ -501,23 +489,22 @@ func (c *stratumConn) park(deadline time.Time) bool {
 // worker would let one slow line-read starve every other resume.)
 func (c *stratumConn) onWake() { go c.runSteps(true) }
 
-// enqueuePush queues one pre-encoded push line and, on the
-// empty→non-empty edge, hands the conn to the drain pool. A full queue
-// means the peer stopped reading for dozens of chain ticks — it is torn
-// down rather than allowed to pin job lines forever.
+// enqueuePush stores one pre-encoded push line in the conn's slot and,
+// when no drainer is pending, hands the conn to the drain pool. A line
+// still unwritten is stale once a newer tip's job arrives, so it is
+// replaced; the slot keeps the older tip time, so push latency is still
+// measured from the moment the miner's work went stale.
 func (c *stratumConn) enqueuePush(line []byte, tipNs int64) {
 	c.outMu.Lock()
-	if len(c.outq) >= pushQueueCap {
-		c.outMu.Unlock()
-		c.teardown()
-		return
+	if c.pending == nil {
+		c.tipNs = tipNs
 	}
-	c.outq = append(c.outq, pushItem{line: line, tipNs: tipNs})
+	c.pending = line
 	spawn := !c.draining
 	c.draining = true
 	c.outMu.Unlock()
-	c.srv.queueDepth.Inc()
 	if spawn {
+		c.srv.queueDepth.Inc()
 		select {
 		case c.srv.drainq <- c:
 		default:
@@ -529,34 +516,33 @@ func (c *stratumConn) enqueuePush(line []byte, tipNs int64) {
 	}
 }
 
-// drainPushes writes queued pushes in batches until the queue stays
-// empty, then exits — the drainer only exists while there is work, so
-// push goroutines scale with in-flight fan-outs, not live sessions.
+// drainPushes writes the slot's line until the slot stays empty, then
+// exits — the drainer only exists while there is work, so push
+// goroutines scale with in-flight fan-outs, not live sessions. The slot
+// is emptied under wmu, so a push that lands while a reply (or the
+// previous push) is on the wire replaces its predecessor instead of
+// following it.
 func (c *stratumConn) drainPushes() {
+	var err error
+	c.wmu.Lock()
 	for {
 		c.outMu.Lock()
-		if len(c.outq) == 0 {
+		line, tipNs := c.pending, c.tipNs
+		c.pending = nil
+		if line == nil || err != nil {
 			c.draining = false
 			c.outMu.Unlock()
-			return
+			break
 		}
-		batch := c.outq
-		c.outq = c.outSpare[:0]
-		c.outSpare = batch
 		c.outMu.Unlock()
-		if err := c.writeBatch(batch); err != nil {
-			// A failed (or timed-out, possibly partial) push leaves the
-			// peer's line stream unusable — tear the transport down and
-			// drop whatever is still queued.
-			c.srv.queueDepth.Add(-int64(len(batch)))
-			c.teardown()
-			c.outMu.Lock()
-			c.srv.queueDepth.Add(-int64(len(c.outq)))
-			c.outq = c.outq[:0]
-			c.draining = false
-			c.outMu.Unlock()
-			return
-		}
+		err = c.writePushLocked(line, tipNs)
+	}
+	c.wmu.Unlock()
+	c.srv.queueDepth.Dec()
+	if err != nil {
+		// A failed (or timed-out, possibly partial) push leaves the
+		// peer's line stream unusable: tear the transport down.
+		c.teardown()
 	}
 }
 
@@ -589,38 +575,23 @@ func (c *stratumConn) armWriteDeadlineLocked(nowNs int64) error {
 	return nil
 }
 
-// writeBatch flushes one batch of push lines with a single writev,
-// serialised against reply writes. The write deadline bounds how long a
-// stalled peer can hold the drainer. Instruments tick only after bytes
-// actually reach the socket, so push latency includes queueing.
+// writePushLocked (wmu held) writes one push line. The write deadline
+// bounds how long a stalled peer can hold the drainer. Instruments tick
+// only after the bytes reach the socket, so push latency includes the
+// wait in the slot.
 //
 //lint:hotpath
-func (c *stratumConn) writeBatch(batch []pushItem) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.iovec = c.iovec[:0]
-	var total uint64
-	for _, it := range batch {
-		c.iovec = append(c.iovec, it.line)
-		total += uint64(len(it.line))
-	}
+func (c *stratumConn) writePushLocked(line []byte, tipNs int64) error {
 	if err := c.armWriteDeadlineLocked(time.Now().UnixNano()); err != nil {
 		return err
 	}
-	iov := c.iovec // WriteTo consumes its receiver; keep the header to recycle the array
 	//lint:ignore lockscope wmu exists to serialise writers on this socket; the write deadline above bounds the hold
-	_, err := c.iovec.WriteTo(c.nc)
-	c.iovec = iov[:0]
-	if err != nil {
+	if _, err := c.nc.Write(line); err != nil {
 		return err
 	}
-	now := time.Now().UnixNano()
-	for _, it := range batch {
-		c.srv.pushNs.Observe(time.Duration(now - it.tipNs))
-	}
-	c.srv.pushes.Add(uint64(len(batch)))
-	c.srv.pushBytes.Add(total)
-	c.srv.queueDepth.Add(-int64(len(batch)))
+	c.srv.pushNs.Observe(time.Duration(time.Now().UnixNano() - tipNs))
+	c.srv.pushes.Inc()
+	c.srv.pushBytes.Add(uint64(len(line)))
 	return nil
 }
 
@@ -772,8 +743,8 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 	}
 	// A successful login makes the session part of the push fan-out — from
 	// before its reply is flushed, or a tip that moves while the reply is
-	// on the wire would never reach it. Push batches take wmu like this
-	// reply does, so the reply still goes out first.
+	// on the wire would never reach it. Pushes take wmu like this reply
+	// does, so the reply still goes out first.
 	if cmd.Kind == CmdOpen && ms.Authed() {
 		c.pushable.Store(true)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/coinhive"
+	"repro/internal/metrics"
 	"repro/internal/session"
 	"repro/internal/stratum"
 )
@@ -245,7 +246,7 @@ func TestStratumTCPJobPushOnTipChange(t *testing.T) {
 		t.Fatalf("submit result = %+v (%v)", sr, err)
 	}
 
-	pushes, lat := ss.PushStats()
+	pushes, lat := ss.PushStatsSince(metrics.HistCursor{})
 	if pushes == 0 || lat.Count == 0 {
 		t.Errorf("push instruments empty: pushes=%d latency count=%d", pushes, lat.Count)
 	}

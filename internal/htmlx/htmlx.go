@@ -176,21 +176,3 @@ func srcAttr(s string) string {
 	}
 	return src
 }
-
-// ExtractTitle returns the document title, or "".
-func ExtractTitle(doc string) string {
-	i := indexTag(doc, "<title")
-	if i < 0 {
-		return ""
-	}
-	gt := strings.IndexByte(doc[i:], '>')
-	if gt < 0 {
-		return ""
-	}
-	start := i + gt + 1
-	end := indexTag(doc[start:], "</title")
-	if end < 0 {
-		return strings.TrimSpace(doc[start:])
-	}
-	return strings.TrimSpace(doc[start : start+end])
-}

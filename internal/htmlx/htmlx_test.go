@@ -83,22 +83,9 @@ func TestManyScriptsAndBodiesDoNotBleed(t *testing.T) {
 	}
 }
 
-func TestExtractTitle(t *testing.T) {
-	if got := ExtractTitle(`<html><head><title>My Site</title></head>`); got != "My Site" {
-		t.Errorf("title = %q", got)
-	}
-	if got := ExtractTitle(`<TITLE lang="en"> padded `); got != "padded" {
-		t.Errorf("truncated title = %q", got)
-	}
-	if got := ExtractTitle(`<html><body>no title`); got != "" {
-		t.Errorf("missing title = %q", got)
-	}
-}
-
 func TestQuickNeverPanicsOnArbitraryInput(t *testing.T) {
 	f := func(doc string) bool {
 		ExtractScripts(doc)
-		ExtractTitle(doc)
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -144,9 +131,6 @@ func TestExtractScriptsSurvivesLengthChangingCaseFolds(t *testing.T) {
 		if len(scripts) != 1 || scripts[0].Src != "planted.js" {
 			t.Errorf("noise %q: scripts = %+v, want one with src planted.js", noise, scripts)
 		}
-		if got := ExtractTitle(doc); got != "T" {
-			t.Errorf("noise %q: title = %q, want T", noise, got)
-		}
 	}
 }
 
@@ -189,7 +173,6 @@ func TestScanningAPageWithoutScriptsAllocatesNothing(t *testing.T) {
 	doc := strings.Repeat(`<DIV class="x">Text <span>more</span></DIV>`, 200) + `<TITLE>t</TITLE>`
 	if n := testing.AllocsPerRun(100, func() {
 		ExtractScripts(doc)
-		ExtractTitle(doc)
 	}); n != 0 {
 		t.Errorf("%v allocations scanning a page with no script tag, want 0", n)
 	}

@@ -33,7 +33,7 @@ var DefaultLayerRules = []LayerRule{
 		Reason: "ws is a generic RFC6455 codec with no knowledge of the pool",
 	},
 	{
-		Pkg: "repro/internal/session",
+		Pkg:    "repro/internal/session",
 		Allow:  []string{"repro/internal/stratum", "repro/internal/ws"},
 		Deny:   []string{"repro/internal/coinhive"},
 		Reason: "the client dial/login/decode layer speaks dialects, never the engine",

@@ -58,9 +58,9 @@ type Loader struct {
 	moduleDir  string
 	modulePath string
 
-	full map[string]*Package        // repo packages: parsed with comments + Info
-	deps map[string]*types.Package  // dependency packages: API only
-	busy map[string]bool            // import-cycle guard
+	full map[string]*Package       // repo packages: parsed with comments + Info
+	deps map[string]*types.Package // dependency packages: API only
+	busy map[string]bool           // import-cycle guard
 }
 
 // NewLoader builds a loader for the module rooted at moduleDir (the

@@ -204,11 +204,7 @@ func (a *API) ingestLocked() error {
 func (a *API) apply(ev *archive.Event) {
 	switch ev.Kind {
 	case archive.KindShareAccepted:
-		acct := a.accounts[ev.Actor]
-		if acct == nil {
-			acct = &acctAgg{}
-			a.accounts[ev.Actor] = acct
-		}
+		acct := a.account(ev.Actor)
 		acct.credit += ev.Amount
 		acct.shares++
 		b := acct.series.at(ev.TimeNs, a.opts.BucketNs)
@@ -233,10 +229,21 @@ func (a *API) apply(ev *archive.Event) {
 	case archive.KindBan:
 		a.bans.push(banEntry{TimeNs: ev.TimeNs, Identity: ev.Actor})
 	case archive.KindPayout:
-		if acct := a.accounts[ev.Actor]; acct != nil {
-			acct.paid += ev.Amount
-		}
+		// A federated node's settlement pays the share-chain's PPLNS
+		// window, which holds miners who only ever submitted to a peer:
+		// their first local event can be a payout.
+		a.account(ev.Actor).paid += ev.Amount
 	}
+}
+
+// account returns token's aggregate, creating it on first sight.
+func (a *API) account(token string) *acctAgg {
+	acct := a.accounts[token]
+	if acct == nil {
+		acct = &acctAgg{}
+		a.accounts[token] = acct
+	}
+	return acct
 }
 
 // ServeHTTP routes /api/v1/... requests.

@@ -155,6 +155,48 @@ func TestTopBlocksBansAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestTopListsPayoutsWithoutLocalShares: a federated node pays the whole
+// PPLNS window, including miners who only submitted to a peer, so a
+// payout can be an account's first event. /top must list it, and its
+// paid column must sum to what archive.Replay keeps.
+func TestTopListsPayoutsWithoutLocalShares(t *testing.T) {
+	a, store, _ := newTestAPI(t)
+	store.Append(&archive.Event{Kind: archive.KindShareAccepted, Actor: "local", Amount: 500})
+	store.Append(&archive.Event{Kind: archive.KindPayout, Actor: "local", Amount: 30})
+	store.Append(&archive.Event{Kind: archive.KindPayout, Actor: "remote", Amount: 40})
+
+	var top struct {
+		Top []struct {
+			Token  string `json:"token"`
+			Hashes uint64 `json:"hashes"`
+			Paid   uint64 `json:"paid"`
+		} `json:"top"`
+	}
+	get(t, a, "/api/v1/top", &top)
+	var paid uint64
+	remote := false
+	for _, e := range top.Top {
+		paid += e.Paid
+		if e.Token == "remote" {
+			remote = e.Paid == 40 && e.Hashes == 0
+		}
+	}
+	if !remote {
+		t.Errorf("top %+v does not list remote with paid 40 and no hashes", top.Top)
+	}
+	rep, err := archive.Replay(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed uint64
+	for _, v := range rep.Paid {
+		replayed += v
+	}
+	if paid != replayed {
+		t.Errorf("top pays %d in total, archive.Replay %d", paid, replayed)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	a, _, _ := newTestAPI(t)
 	for url, want := range map[string]int{

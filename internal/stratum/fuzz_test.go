@@ -21,13 +21,13 @@ func FuzzUnmarshal(f *testing.F) {
 		`{"type":"hash_accepted","params":{"hashes":256}}`,
 		`{"type":"link_resolved","params":{"id":"ab3","url":"https://example.com"}}`,
 		`{"type":"error","params":{"error":"bad nonce"}}`,
-		`{"type":"submit","params":{"nonce":"zzzz"}}`,   // bad hex
-		`{"type":"submit","params":"not-an-object"}`,    // params type mismatch
-		`{"type":"auth"}`,                               // missing params
-		`{"type":123}`,                                  // type not a string
-		`{`,                                             // truncated JSON
-		"\x00\x01\x02",                                  // binary garbage
-		`{"type":"job","params":{"blob":"0"}}`,          // odd-length hex
+		`{"type":"submit","params":{"nonce":"zzzz"}}`, // bad hex
+		`{"type":"submit","params":"not-an-object"}`,  // params type mismatch
+		`{"type":"auth"}`,                      // missing params
+		`{"type":123}`,                         // type not a string
+		`{`,                                    // truncated JSON
+		"\x00\x01\x02",                         // binary garbage
+		`{"type":"job","params":{"blob":"0"}}`, // odd-length hex
 		`{"type":"submit","params":{"nonce":"00ff00"}}`, // short nonce
 	}
 	for _, s := range seeds {

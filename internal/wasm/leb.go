@@ -40,22 +40,6 @@ func readU32(b []byte) (uint32, int, error) {
 	return 0, 0, fmt.Errorf("%w: u32 too long", errLEB)
 }
 
-// readU64 decodes an unsigned LEB128 as uint64.
-func readU64(b []byte) (uint64, int, error) {
-	var v uint64
-	for i := 0; i < 10; i++ {
-		if i >= len(b) {
-			return 0, 0, errLEB
-		}
-		c := b[i]
-		v |= uint64(c&0x7f) << (7 * uint(i))
-		if c&0x80 == 0 {
-			return v, i + 1, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("%w: u64 too long", errLEB)
-}
-
 // readS64 decodes a signed LEB128 of at most 64 bits.
 func readS64(b []byte) (int64, int, error) {
 	var v int64
@@ -79,15 +63,6 @@ func readS64(b []byte) (int64, int, error) {
 
 // appendU32 encodes v as minimal unsigned LEB128.
 func appendU32(dst []byte, v uint32) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-// appendU64 encodes v as minimal unsigned LEB128.
-func appendU64(dst []byte, v uint64) []byte {
 	for v >= 0x80 {
 		dst = append(dst, byte(v)|0x80)
 		v >>= 7
