@@ -51,7 +51,8 @@ loc:
 # cross-building for arm64 so the files behind `!amd64` — the CryptoNight
 # path the CI box never runs — keep compiling and vetting; the amd64
 # kernels' frame layouts are held to their Go stubs by vet's asmdecl), the
-# fast suite under the race detector, one pass of every package micro-
+# fast suite under the race detector, ten seconds of fuzzing the p2p
+# frame decoders (the federation's one untrusted wire), one pass of every package micro-
 # benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
 # attributes blocks" check keeps running), the nested benchmark module's
 # own vet + tests (root `./...` skips it, so a product-side rename the
@@ -74,6 +75,7 @@ check:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/cryptonight/
 	$(MAKE) lint
 	$(GO) test -short -race ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzP2PDecode$$' -fuzztime 10s ./internal/p2p
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments ./internal/nocoin ./internal/htmlx ./internal/webgen ./internal/crawler ./internal/browser
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) load-hostile

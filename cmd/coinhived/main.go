@@ -163,10 +163,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var fed *coinhive.Federation
 	if *p2pAddr != "" || len(peers) > 0 {
 		fed, err = coinhive.NewFederation(coinhive.FederationConfig{
-			Variant:       params.PowVariant,
-			Window:        *pplnsWindow,
-			AdvertiseAddr: *p2pAddr,
-			Registry:      reg,
+			Variant:  params.PowVariant,
+			Window:   *pplnsWindow,
+			Registry: reg,
 		})
 		if err != nil {
 			return err

@@ -1,7 +1,6 @@
 package blockchain
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/keccak"
@@ -68,78 +67,10 @@ func (t Transaction) Serialize(dst []byte) []byte {
 	return dst
 }
 
-// DeserializeTransaction parses a transaction from buf, returning the
-// remaining bytes.
-func DeserializeTransaction(buf []byte) (Transaction, []byte, error) {
-	var t Transaction
-	var err error
-	rd := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		v, n, e := varint.Decode(buf)
-		if e != nil {
-			err = e
-			return 0
-		}
-		buf = buf[n:]
-		return v
-	}
-	t.Version = rd()
-	t.UnlockTime = rd()
-	if err == nil {
-		if len(buf) < 1 {
-			err = varint.ErrTruncated
-		} else {
-			t.Coinbase = buf[0] == 1
-			buf = buf[1:]
-		}
-	}
-	t.Amount = rd()
-	if err == nil {
-		if len(buf) < 32 {
-			err = varint.ErrTruncated
-		} else {
-			copy(t.To[:], buf[:32])
-			buf = buf[32:]
-		}
-	}
-	t.Fee = rd()
-	ne := rd()
-	if err == nil {
-		if uint64(len(buf)) < ne {
-			err = varint.ErrTruncated
-		} else {
-			t.Extra = append([]byte(nil), buf[:ne]...)
-			buf = buf[ne:]
-		}
-	}
-	np := rd()
-	if err == nil {
-		if uint64(len(buf)) < np {
-			err = varint.ErrTruncated
-		} else {
-			t.Payload = append([]byte(nil), buf[:np]...)
-			buf = buf[np:]
-		}
-	}
-	if err != nil {
-		return Transaction{}, nil, fmt.Errorf("blockchain: bad transaction: %w", err)
-	}
-	return t, buf, nil
-}
-
 // Hash returns the transaction identifier (Keccak-256 of the wire form).
 // Typical transactions (coinbases with a short tx_extra) serialise into a
 // stack buffer, keeping the template and block-ID hot paths allocation-free.
 func (t Transaction) Hash() [32]byte {
 	var buf [128]byte
 	return keccak.Sum256(t.Serialize(buf[:0]))
-}
-
-// Equal reports deep equality.
-func (t Transaction) Equal(o Transaction) bool {
-	return t.Version == o.Version && t.UnlockTime == o.UnlockTime &&
-		t.Coinbase == o.Coinbase && t.Amount == o.Amount && t.To == o.To &&
-		t.Fee == o.Fee && bytes.Equal(t.Extra, o.Extra) && bytes.Equal(t.Payload, o.Payload)
 }

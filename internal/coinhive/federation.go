@@ -47,8 +47,6 @@ type FederationConfig struct {
 	Window int
 	// NodeID identifies this node in p2p handshakes (0 draws random).
 	NodeID uint64
-	// AdvertiseAddr is the p2p listen address sent to peers ("" none).
-	AdvertiseAddr string
 	// Registry receives the p2p.* and pool.sharechain_* instruments;
 	// pass the pool's registry so they surface in /metrics.
 	Registry *metrics.Registry
@@ -110,12 +108,11 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		Verify: func(batch []*sharechain.Entry, verdicts []error) { verifyBatch(variant, batch, verdicts) },
 	})
 	f.node, err = p2p.NewNode(p2p.Config{
-		NodeID:        cfg.NodeID,
-		Chain:         f.chain,
-		Registry:      cfg.Registry,
-		AdvertiseAddr: cfg.AdvertiseAddr,
-		TipInterval:   cfg.TipInterval,
-		OnIngest:      f.dispatchIngest,
+		NodeID:      cfg.NodeID,
+		Chain:       f.chain,
+		Registry:    cfg.Registry,
+		TipInterval: cfg.TipInterval,
+		OnIngest:    f.dispatchIngest,
 	})
 	if err != nil {
 		return nil, err

@@ -8,13 +8,12 @@
 // than a truncated digest.
 //
 // Sum256, Sum512 and State1600 are one-shot and allocation-free: the sponge
-// lives on the stack and the digest is returned by value. The streaming
-// hash.Hash wrappers (New256/New512) remain for incremental callers.
+// lives on the stack and the digest is returned by value. Every caller
+// hashes a whole buffer, so there is no streaming hash.Hash.
 package keccak
 
 import (
 	"encoding/binary"
-	"hash"
 	"math/bits"
 )
 
@@ -212,75 +211,4 @@ func State1600(data []byte) (out [StateSize]byte) {
 		binary.LittleEndian.PutUint64(out[i*8:], a[i])
 	}
 	return out
-}
-
-// digest implements hash.Hash for legacy-padded Keccak.
-type digest struct {
-	a       [25]uint64 // sponge state
-	buf     [StateSize]byte
-	n       int // buffered bytes
-	rate    int // sponge rate in bytes
-	size    int // digest size in bytes
-	squeeze bool
-}
-
-// New256 returns a hash.Hash computing legacy Keccak-256 (rate 136, 0x01 pad).
-func New256() hash.Hash { return &digest{rate: 136, size: 32} }
-
-// New512 returns a hash.Hash computing legacy Keccak-512 (rate 72, 0x01 pad).
-func New512() hash.Hash { return &digest{rate: 72, size: 64} }
-
-func (d *digest) Size() int      { return d.size }
-func (d *digest) BlockSize() int { return d.rate }
-
-func (d *digest) Reset() {
-	d.a = [25]uint64{}
-	d.n = 0
-	d.squeeze = false
-}
-
-func (d *digest) Write(p []byte) (int, error) {
-	if d.squeeze {
-		panic("keccak: Write after Sum")
-	}
-	n := len(p)
-	for len(p) > 0 {
-		c := copy(d.buf[d.n:d.rate], p)
-		d.n += c
-		p = p[c:]
-		if d.n == d.rate {
-			d.absorbBuf()
-		}
-	}
-	return n, nil
-}
-
-func (d *digest) absorbBuf() {
-	for i := 0; i < d.rate/8; i++ {
-		d.a[i] ^= binary.LittleEndian.Uint64(d.buf[i*8:])
-	}
-	Permute(&d.a)
-	d.n = 0
-}
-
-// Sum appends the digest to b. The receiver state is copied so further
-// writes remain possible, matching hash.Hash semantics.
-func (d *digest) Sum(b []byte) []byte {
-	dd := *d
-	dd.pad()
-	var out [64]byte
-	for i := 0; i < dd.size/8; i++ {
-		binary.LittleEndian.PutUint64(out[i*8:], dd.a[i])
-	}
-	return append(b, out[:dd.size]...)
-}
-
-func (d *digest) pad() {
-	for i := d.n; i < d.rate; i++ {
-		d.buf[i] = 0
-	}
-	d.buf[d.n] = 0x01 // legacy Keccak domain bits
-	d.buf[d.rate-1] |= 0x80
-	d.absorbBuf()
-	d.squeeze = true
 }

@@ -41,9 +41,6 @@ type Config struct {
 	Chain *sharechain.Chain
 	// Registry receives the p2p.* instruments (nil: private registry).
 	Registry *metrics.Registry
-	// AdvertiseAddr is the listen address sent in handshakes for the
-	// peer-list exchange ("" advertises nothing).
-	AdvertiseAddr string
 	// TipInterval is the tip-announce period — the convergence repair
 	// heartbeat.
 	TipInterval time.Duration
@@ -75,7 +72,6 @@ type Node struct {
 	mu        sync.Mutex
 	peers     map[uint64]*peer
 	listeners []net.Listener
-	addrs     map[string]bool // advertised peer addresses learned from handshakes
 	closed    bool
 
 	stop chan struct{}
@@ -116,7 +112,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:         cfg,
 		peers:       map[uint64]*peer{},
-		addrs:       map[string]bool{},
 		stop:        make(chan struct{}),
 		peersGauge:  cfg.Registry.Gauge("p2p.peers"),
 		gossiped:    cfg.Registry.Counter("p2p.shares_gossiped"),
@@ -143,19 +138,6 @@ func (n *Node) PeerCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.peers)
-}
-
-// KnownAddrs returns advertised peer addresses learned from handshakes —
-// the peer-list exchange an operator can use to grow a mesh from one
-// seed address.
-func (n *Node) KnownAddrs() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.addrs))
-	for a := range n.addrs {
-		out = append(out, a)
-	}
-	return out
 }
 
 // Serve accepts inbound peer connections from ln until the listener or
@@ -336,10 +318,6 @@ func (n *Node) runConn(conn net.Conn) error {
 		Count:   uint64(count),
 		Tip:     tip,
 	}
-	if n.cfg.AdvertiseAddr != "" {
-		h.Peers = append(h.Peers, n.cfg.AdvertiseAddr)
-	}
-	h.Peers = append(h.Peers, n.KnownAddrs()...)
 	if _, err := conn.Write(AppendHelloFrame(nil, &h)); err != nil {
 		return err
 	}
@@ -354,9 +332,6 @@ func (n *Node) runConn(conn net.Conn) error {
 	rh, err := decodeHello(body)
 	if err != nil {
 		return err
-	}
-	if rh.Version != ProtocolVersion {
-		return ErrBadVersion
 	}
 	if rh.NodeID == n.cfg.NodeID {
 		return ErrSelfConnect
@@ -374,11 +349,6 @@ func (n *Node) runConn(conn net.Conn) error {
 	p := &peer{conn: conn}
 	p.sendq = handoff.New(sendQueueDepth, n.sendDrops, func(frame []byte) error { return n.writeFrame(p, frame) }, nil)
 	n.peers[rh.NodeID] = p
-	for _, a := range rh.Peers {
-		if a != "" && a != n.cfg.AdvertiseAddr {
-			n.addrs[a] = true
-		}
-	}
 	n.mu.Unlock()
 	n.peersGauge.Inc()
 	defer func() {
@@ -469,7 +439,7 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 			if cp, ok := n.cfg.Chain.Checkpoint(); ok && r.From <= cp.Height {
 				p.sendq.Offer(AppendCheckpointFrame(nil, &cp))
 			}
-			entries := n.cfg.Chain.EntriesFrom(r.From, maxN)
+			entries := n.cfg.Chain.EntriesFrom(r.From, r.After, maxN)
 			n.syncSent.Add(uint64(len(entries)))
 			tip, count := n.cfg.Chain.Tip()
 			p.sendq.Offer(AppendSyncRespFrame(nil, uint64(count), tip, entries))
@@ -559,7 +529,7 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	if cp, ok := n.cfg.Chain.Checkpoint(); ok {
 		from = cp.Height
 	}
-	p.sendq.Offer(AppendSyncReqFrame(nil, from, uint32(syncBatch)))
+	p.sendq.Offer(AppendSyncReqFrame(nil, from, [32]byte{}, uint32(syncBatch)))
 }
 
 // finishSyncRound ingests a sync batch and either continues the round
@@ -580,9 +550,10 @@ func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entr
 		p.mu.Unlock()
 		return
 	}
-	// Full batch ⇒ more may follow: continue from the last height seen
-	// (same-height stragglers re-sent, deduped on arrival).
-	p.sendq.Offer(AppendSyncReqFrame(nil, entries[len(entries)-1].Height, uint32(syncBatch)))
+	// Full batch ⇒ more may follow: resume strictly after the last entry,
+	// so a batch that sits wholly at one height still makes progress.
+	last := &entries[len(entries)-1]
+	p.sendq.Offer(AppendSyncReqFrame(nil, last.Height, last.ID(), uint32(syncBatch)))
 }
 
 // shareBuffered reports whether br's buffer already holds a whole share

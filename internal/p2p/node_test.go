@@ -277,32 +277,31 @@ func TestDuplicatePeerRejected(t *testing.T) {
 	}
 }
 
-// TestPeerListExchange: the handshake advertises listen addresses, and
-// the remote records them for mesh bootstrap.
-func TestPeerListExchange(t *testing.T) {
-	reg := metrics.NewRegistry()
-	chain := sharechain.New(sharechain.Config{Window: 8, Verify: acceptAll, Metrics: reg})
-	a, err := NewNode(Config{NodeID: 1, Chain: chain, Registry: reg,
-		AdvertiseAddr: "10.0.0.1:7777", TipInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+// TestV2HelloRefused: a peer still speaking protocol 2 — its hello
+// carrying the peer list version 3 dropped — is refused at the handshake:
+// it gets this node's hello, then its link drops, and it never counts as
+// a peer.
+func TestV2HelloRefused(t *testing.T) {
+	n := startNode(t, 77)
+	err := runHandshake(t, n.node, func(c net.Conn) {
+		c.Write(v2Hello(5, "10.0.0.1:7777", "10.0.0.2:7777"))
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		br := bufio.NewReader(c)
+		if kind, _, err := readFrame(br); err != nil || kind != frameHello {
+			t.Errorf("first frame: kind=%d err=%v, want the node's hello", kind, err)
+		}
+		if kind, _, err := readFrame(br); err == nil {
+			t.Errorf("link still up after a v2 hello: read frame kind %d", kind)
+		}
+		if got := n.node.PeerCount(); got != 0 {
+			t.Errorf("v2 peer admitted: PeerCount = %d", got)
+		}
+	})
+	if !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v2 hello: %v, want ErrBadVersion", err)
 	}
-	defer a.Close()
-	b := startNode(t, 2)
-	ln := memconn.Listen()
-	go a.Serve(ln)
-	target := ln
-	b.node.AddPeer("a", func() (net.Conn, error) { return target.Dial() })
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		addrs := b.node.KnownAddrs()
-		if len(addrs) == 1 && addrs[0] == "10.0.0.1:7777" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer list never arrived: %v", addrs)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if got := n.node.PeerCount(); got != 0 {
+		t.Fatalf("PeerCount after refusal = %d", got)
 	}
 }
 
@@ -483,6 +482,28 @@ func TestSyncRequestStartsAtHorizon(t *testing.T) {
 			c.Close()
 		})
 		node.Close()
+	}
+}
+
+// TestSyncManyEntriesAtOneHeight: a sync round whose batches sit wholly
+// at one claimed height still ends. b catches up on 300 entries that a
+// holds at height 1, more than one batch, and a sends each of them about
+// once rather than the first batch over and over.
+func TestSyncManyEntriesAtOneHeight(t *testing.T) {
+	a := startNode(t, 1)
+	const total = syncBatch + 44
+	for i := 0; i < total; i++ {
+		e := testEntry(1, fmt.Sprintf("acct%d", i%5), 1, byte(i))
+		e.Nonce = uint32(i)
+		if _, err := a.chain.Insert(e, true); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	b := startNode(t, 2)
+	link(b, a)
+	waitConverged(t, total, a, b)
+	if sent := a.reg.Counter("p2p.sync_entries_sent").Load(); sent > 2*total {
+		t.Fatalf("a sent %d sync entries for a %d-entry chain, want ≤ %d", sent, total, 2*total)
 	}
 }
 

@@ -3,7 +3,7 @@
 // real TCP in production, memconn in tests, so N-node convergence suites
 // need no ports. The protocol is six frame kinds over the repo's
 // length-prefixed framing idiom: a version-checked handshake carrying
-// chain tip and peer list, share broadcast with dedupe-by-hash and
+// the chain tip, share broadcast with dedupe-by-hash and
 // relay, ranged catch-up sync for tip-ahead peers — led by the share-chain's
 // checkpoint when the requester is behind the responder's finality
 // horizon — and a periodic tip announce that turns any silent divergence
@@ -27,8 +27,10 @@ import (
 )
 
 // ProtocolVersion is checked in the handshake; mismatched peers are
-// rejected before any share crosses. Version 2 added the checkpoint frame.
-const ProtocolVersion = 2
+// rejected before any share crosses. Version 2 added the checkpoint frame;
+// version 3 dropped the hello's peer list and resumes a sync round after
+// the last entry's ID.
+const ProtocolVersion = 3
 
 // Frame kinds. Values are wire format: never renumber, only append.
 const (
@@ -51,9 +53,6 @@ const (
 	MaxFrameLen = 1 << 20
 )
 
-// maxHelloPeers bounds the peer-list exchange in a handshake.
-const maxHelloPeers = 32
-
 // Decode errors. ErrFrameTooLarge and ErrTruncated drop the peer;
 // they mark frames no honest implementation produces.
 var (
@@ -66,16 +65,17 @@ var (
 )
 
 // hello is the handshake payload: protocol version, the sender's node
-// identity, its share-chain tip, and the listen addresses it knows —
-// the peer-list exchange that lets operators bootstrap a mesh from one
-// seed address.
+// identity and its share-chain tip. Nodes keep no address book: every
+// link is one an operator configured.
 type hello struct {
 	Version uint16
 	NodeID  uint64
 	Count   uint64 // share-chain entry count
 	Tip     [32]byte
-	Peers   []string
 }
+
+// helloLen is the exact hello body length.
+const helloLen = 2 + 8 + 8 + 32
 
 // tipAnnounce carries the sender's current chain tip; the receiver
 // compares and starts a catch-up sync when it is behind.
@@ -84,10 +84,13 @@ type tipAnnounce struct {
 	Tip   [32]byte
 }
 
-// syncReq asks for entries with claimed height ≥ From, at most Max.
+// syncReq asks for at most Max entries with claimed height ≥ From; a
+// non-zero After narrows that to the entries sorting strictly after
+// (From, After), which is how a round resumes past its last batch.
 type syncReq struct {
-	From uint64
-	Max  uint32
+	From  uint64
+	After [32]byte
+	Max   uint32
 }
 
 // beginFrame reserves the length prefix and writes the kind byte;
@@ -170,47 +173,25 @@ func AppendHelloFrame(dst []byte, h *hello) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, h.NodeID)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Count)
 	dst = append(dst, h.Tip[:]...)
-	n := len(h.Peers)
-	if n > maxHelloPeers {
-		n = maxHelloPeers
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
-	for _, p := range h.Peers[:n] {
-		if len(p) > 255 {
-			p = p[:255]
-		}
-		dst = append(dst, byte(len(p)))
-		dst = append(dst, p...)
-	}
 	return endFrame(dst, start)
 }
 
+// decodeHello checks the version before the length, so a peer speaking
+// another protocol version is refused as such whatever its hello holds.
 func decodeHello(b []byte) (hello, error) {
 	var h hello
-	if len(b) < 2+8+8+32+2 {
+	if len(b) < 2 {
 		return h, ErrTruncated
 	}
-	h.Version = binary.LittleEndian.Uint16(b)
+	if h.Version = binary.LittleEndian.Uint16(b); h.Version != ProtocolVersion {
+		return h, ErrBadVersion
+	}
+	if len(b) != helloLen {
+		return h, ErrTruncated
+	}
 	h.NodeID = binary.LittleEndian.Uint64(b[2:])
 	h.Count = binary.LittleEndian.Uint64(b[10:])
-	copy(h.Tip[:], b[18:50])
-	n := int(binary.LittleEndian.Uint16(b[50:]))
-	if n > maxHelloPeers {
-		return h, ErrTruncated
-	}
-	rest := b[52:]
-	for i := 0; i < n; i++ {
-		if len(rest) < 1 {
-			return h, ErrTruncated
-		}
-		l := int(rest[0])
-		rest = rest[1:]
-		if len(rest) < l {
-			return h, ErrTruncated
-		}
-		h.Peers = append(h.Peers, string(rest[:l]))
-		rest = rest[l:]
-	}
+	copy(h.Tip[:], b[18:])
 	return h, nil
 }
 
@@ -238,21 +219,23 @@ func decodeTip(b []byte) (tipAnnounce, error) {
 // AppendSyncReqFrame appends a ranged catch-up request.
 //
 //lint:hotpath
-func AppendSyncReqFrame(dst []byte, from uint64, max uint32) []byte {
+func AppendSyncReqFrame(dst []byte, from uint64, after [32]byte, max uint32) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameSyncReq)
 	dst = binary.LittleEndian.AppendUint64(dst, from)
+	dst = append(dst, after[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, max)
 	return endFrame(dst, start)
 }
 
 func decodeSyncReq(b []byte) (syncReq, error) {
 	var r syncReq
-	if len(b) != 8+4 {
+	if len(b) != 8+32+4 {
 		return r, ErrTruncated
 	}
 	r.From = binary.LittleEndian.Uint64(b)
-	r.Max = binary.LittleEndian.Uint32(b[8:])
+	copy(r.After[:], b[8:40])
+	r.Max = binary.LittleEndian.Uint32(b[40:])
 	return r, nil
 }
 

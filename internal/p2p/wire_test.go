@@ -56,28 +56,59 @@ func TestShareFrameRoundtrip(t *testing.T) {
 }
 
 func TestHelloFrameRoundtrip(t *testing.T) {
-	h := hello{Version: ProtocolVersion, NodeID: 0xDEADBEEF, Count: 17, Peers: []string{"a:1", "b:2"}}
+	h := hello{Version: ProtocolVersion, NodeID: 0xDEADBEEF, Count: 17}
 	h.Tip[0] = 0xAB
 	kind, body, err := DecodeFrame(stripHeader(t, AppendHelloFrame(nil, &h)))
 	if err != nil || kind != frameHello {
 		t.Fatalf("decode: kind=%d err=%v", kind, err)
 	}
+	if len(body) != helloLen {
+		t.Fatalf("hello body is %d bytes, want %d", len(body), helloLen)
+	}
 	got, err := decodeHello(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, h) {
+	if got != h {
 		t.Fatalf("roundtrip: %+v vs %+v", got, h)
+	}
+	// A byte more or less is refused, and so is a protocol-2 hello.
+	if _, err := decodeHello(append(body[:len(body):len(body)], 0)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("long hello: %v", err)
+	}
+	if _, err := decodeHello(body[:len(body)-1]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short hello: %v", err)
+	}
+	if _, err := decodeHello(v2Hello(5, "a:1")[frameHeaderLen+1:]); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v2 hello: %v", err)
 	}
 }
 
+// v2Hello is a protocol-2 handshake frame: the fields a hello still
+// carries, then the u16-counted peer list of [u8 length][address] that
+// version 3 dropped.
+func v2Hello(nodeID uint64, peers ...string) []byte {
+	b := beginFrame(nil, frameHello)
+	b = binary.LittleEndian.AppendUint16(b, 2)
+	b = binary.LittleEndian.AppendUint64(b, nodeID)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = append(b, make([]byte, 32)...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(peers)))
+	for _, p := range peers {
+		b = append(b, byte(len(p)))
+		b = append(b, p...)
+	}
+	return endFrame(b, 0)
+}
+
 func TestSyncFramesRoundtrip(t *testing.T) {
-	kind, body, err := DecodeFrame(stripHeader(t, AppendSyncReqFrame(nil, 99, 512)))
+	after := [32]byte{0: 0x11, 31: 0x22}
+	kind, body, err := DecodeFrame(stripHeader(t, AppendSyncReqFrame(nil, 99, after, 512)))
 	if err != nil || kind != frameSyncReq {
 		t.Fatalf("syncreq decode: %v", err)
 	}
 	r, err := decodeSyncReq(body)
-	if err != nil || r.From != 99 || r.Max != 512 {
+	if err != nil || r != (syncReq{From: 99, After: after, Max: 512}) {
 		t.Fatalf("syncreq: %+v err=%v", r, err)
 	}
 
@@ -172,7 +203,7 @@ func TestEncodeAllocs(t *testing.T) {
 		t.Fatalf("AppendTipFrame allocs = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendSyncReqFrame(buf[:0], 1, 64)
+		buf = AppendSyncReqFrame(buf[:0], 1, [32]byte{7}, 64)
 	}); n != 0 {
 		t.Fatalf("AppendSyncReqFrame allocs = %v, want 0", n)
 	}
@@ -202,9 +233,9 @@ func TestEncodeAllocs(t *testing.T) {
 func FuzzP2PDecode(f *testing.F) {
 	e := testEntry(5, "fuzz-token", 3, 0x55)
 	f.Add(AppendShareFrame(nil, e)[frameHeaderLen:])
-	h := hello{Version: ProtocolVersion, NodeID: 123, Count: 9, Peers: []string{"x:1"}}
+	h := hello{Version: ProtocolVersion, NodeID: 123, Count: 9}
 	f.Add(AppendHelloFrame(nil, &h)[frameHeaderLen:])
-	f.Add(AppendSyncReqFrame(nil, 10, 100)[frameHeaderLen:])
+	f.Add(AppendSyncReqFrame(nil, 10, [32]byte{}, 100)[frameHeaderLen:])
 	f.Add(AppendSyncRespFrame(nil, 1, [32]byte{1}, []*sharechain.Entry{e})[frameHeaderLen:])
 	f.Add(AppendTipFrame(nil, 4, [32]byte{2})[frameHeaderLen:])
 	f.Add([]byte{})
@@ -213,6 +244,8 @@ func FuzzP2PDecode(f *testing.F) {
 	f.Add(AppendCheckpointFrame(nil, &cp)[frameHeaderLen:])
 	f.Add(hostileCheckpoint(1 << 31))
 	f.Add(hostileCheckpoint(1)[:checkpointFixedLen+1+minCreditLen])
+	f.Add(v2Hello(123, "x:1", "y:2")[frameHeaderLen:])
+	f.Add(AppendSyncReqFrame(nil, 10, [32]byte{0xff, 3}, 100)[frameHeaderLen:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, body, err := DecodeFrame(data)
 		if err != nil {
@@ -220,8 +253,12 @@ func FuzzP2PDecode(f *testing.F) {
 		}
 		switch kind {
 		case frameHello:
-			if h, err := decodeHello(body); err == nil && len(h.Peers) > maxHelloPeers {
-				t.Fatalf("hello decoded with %d peers", len(h.Peers))
+			// A hello has no slack either: what decodes is exactly helloLen
+			// bytes of the current version.
+			if h, err := decodeHello(body); err == nil {
+				if again := AppendHelloFrame(nil, &h)[frameHeaderLen:]; !bytes.Equal(again, data) {
+					t.Fatalf("hello re-encodes differently")
+				}
 			}
 		case frameShare:
 			if e, used, err := decodeEntry(body); err == nil {
@@ -233,7 +270,11 @@ func FuzzP2PDecode(f *testing.F) {
 				}
 			}
 		case frameSyncReq:
-			decodeSyncReq(body)
+			if r, err := decodeSyncReq(body); err == nil {
+				if again := AppendSyncReqFrame(nil, r.From, r.After, r.Max)[frameHeaderLen:]; !bytes.Equal(again, data) {
+					t.Fatalf("sync request re-encodes differently")
+				}
+			}
 		case frameSyncResp:
 			if _, entries, err := decodeSyncResp(body); err == nil {
 				for i := range entries {

@@ -380,7 +380,7 @@ func TestConcurrentInsertFoldAndRead(t *testing.T) {
 				probe := *set[rng.Intn(len(set))]
 				probe.id = [32]byte{}
 				c.has(&probe)
-				c.EntriesFrom(probe.Height, 16)
+				c.EntriesFrom(probe.Height, [32]byte{}, 16)
 				c.Checkpoint()
 				c.Tip()
 				c.WindowWeights()

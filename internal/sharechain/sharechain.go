@@ -669,15 +669,19 @@ func Split(reward uint64, weights []TokenWeight) []Payout {
 }
 
 // EntriesFrom returns up to max held entries whose claimed height is ≥
-// from, in canonical order — the ranged catch-up sync primitive. Folded
-// entries are gone; a peer behind the horizon needs Checkpoint first. The
-// returned entries are the chain's own (immutable by convention).
-func (c *Chain) EntriesFrom(from uint64, max int) []*Entry {
+// from, in canonical order — the ranged catch-up sync primitive. A
+// non-zero after narrows that to the entries sorting strictly after the
+// one at (from, after), so a sync round resumes past its last batch even
+// when the whole batch sits at one height. Folded entries are gone; a
+// peer behind the horizon needs Checkpoint first. The returned entries
+// are the chain's own (immutable by convention).
+func (c *Chain) EntriesFrom(from uint64, after [32]byte, max int) []*Entry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	pos := sort.Search(len(c.entries), func(i int) bool {
-		return c.entries[i].Height >= from
-	})
+	// No entry's ID is zero, so a zero after sorts before every entry
+	// at height from.
+	last := Entry{Height: from, id: after}
+	pos := sort.Search(len(c.entries), func(i int) bool { return last.before(c.entries[i]) })
 	n := len(c.entries) - pos
 	if n > max {
 		n = max

@@ -257,15 +257,40 @@ func TestEntriesFromRanged(t *testing.T) {
 	for h := uint64(1); h <= 10; h++ {
 		c.Insert(mkEntry(h, "a", 1, byte(h)), true)
 	}
-	got := c.EntriesFrom(4, 3)
+	got := c.EntriesFrom(4, [32]byte{}, 3)
 	if len(got) != 3 || got[0].Height != 4 || got[2].Height != 6 {
 		t.Fatalf("EntriesFrom(4,3): %v", got)
 	}
-	if got := c.EntriesFrom(11, 10); got != nil {
+	if got := c.EntriesFrom(11, [32]byte{}, 10); got != nil {
 		t.Fatalf("past-end range returned entries")
 	}
-	if got := c.EntriesFrom(0, 1000); len(got) != 10 {
+	if got := c.EntriesFrom(0, [32]byte{}, 1000); len(got) != 10 {
 		t.Fatalf("full range = %d entries", len(got))
+	}
+
+	// A non-zero after resumes strictly past the named entry, so paging
+	// through more entries at one height than a page holds visits each
+	// exactly once.
+	for salt := 20; salt < 30; salt++ {
+		c.Insert(mkEntry(5, "b", 1, byte(salt)), true)
+	}
+	seen := map[[32]byte]bool{}
+	for from, after := uint64(0), ([32]byte{}); ; {
+		page := c.EntriesFrom(from, after, 3)
+		if len(page) == 0 {
+			break
+		}
+		for _, e := range page {
+			if seen[e.ID()] {
+				t.Fatalf("entry at height %d paged twice", e.Height)
+			}
+			seen[e.ID()] = true
+		}
+		last := page[len(page)-1]
+		from, after = last.Height, last.ID()
+	}
+	if len(seen) != 20 {
+		t.Fatalf("paged %d entries, want 20", len(seen))
 	}
 }
 
@@ -377,7 +402,7 @@ func TestAdoptCheckpoint(t *testing.T) {
 		if c.TipHeight() < cp.Height || c.Len() < int(cp.Count) {
 			t.Fatalf("%s: after adopting, tip height %d, len %d", name, c.TipHeight(), c.Len())
 		}
-		for _, e := range src.EntriesFrom(0, 1<<20) {
+		for _, e := range src.EntriesFrom(0, [32]byte{}, 1<<20) {
 			twin := *e
 			twin.id = [32]byte{}
 			if _, err := c.Insert(&twin, true); err != nil && !errors.Is(err, ErrDuplicate) {

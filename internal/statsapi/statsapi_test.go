@@ -2,6 +2,8 @@ package statsapi
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -194,6 +196,105 @@ func TestTopListsPayoutsWithoutLocalShares(t *testing.T) {
 	}
 	if paid != replayed {
 		t.Errorf("top pays %d in total, archive.Replay %d", paid, replayed)
+	}
+}
+
+// TestAPIMatchesReplay is a reference-model check: over a seeded random
+// stream of accepts, payouts (half of them to tokens with no local
+// share), found blocks and bans, read mid-stream and at the end, /top
+// paged to its end holds each token's hashes and paid exactly as
+// archive.Replay derives them, and /blocks pages out the last maxRecent
+// of Replay's blocks.
+func TestAPIMatchesReplay(t *testing.T) {
+	a, store, _ := newTestAPI(t)
+	rng := rand.New(rand.NewSource(35))
+	const events = 3000 // inside the store's ring: Replay sees every event
+	for i := 0; i < events; i++ {
+		ev := archive.Event{TimeNs: int64(i) * int64(time.Second)}
+		switch r := rng.Intn(10); {
+		case r < 4:
+			ev.Kind, ev.Actor, ev.Amount = archive.KindShareAccepted, fmt.Sprintf("local%d", rng.Intn(20)), uint64(1+rng.Intn(1000))
+		case r < 6:
+			owner := "local"
+			if rng.Intn(2) == 0 {
+				owner = "remote"
+			}
+			ev.Kind, ev.Actor, ev.Amount = archive.KindPayout, fmt.Sprintf("%s%d", owner, rng.Intn(20)), 1+rng.Uint64()>>20
+		case r < 8:
+			ev.Kind, ev.Height, ev.Amount = archive.KindBlockFound, uint64(i), rng.Uint64()>>16
+			ev.Aux, ev.Aux2 = uint64(1_525_000_000+i), uint64(rng.Intn(128))
+		default:
+			ev.Kind, ev.Actor = archive.KindBan, fmt.Sprintf("local%d|10.0.0.%d", rng.Intn(20), rng.Intn(256))
+		}
+		store.Append(&ev)
+		if i%1000 == 999 {
+			requireMatchesReplay(t, a, store)
+		}
+	}
+}
+
+// requireMatchesReplay pages /top and /blocks to their ends and checks
+// them against archive.Replay of the same store.
+func requireMatchesReplay(t *testing.T, a *API, store archive.Store) {
+	t.Helper()
+	rep, err := archive.Replay(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top []topEntry
+	var blocks []blockEntry
+	for cursor := ""; ; {
+		var page struct {
+			Top        []topEntry `json:"top"`
+			NextCursor string     `json:"next_cursor"`
+		}
+		get(t, a, "/api/v1/top?limit=7&cursor="+cursor, &page)
+		top = append(top, page.Top...)
+		if cursor = page.NextCursor; cursor == "" {
+			break
+		}
+	}
+	for cursor := ""; ; {
+		var page struct {
+			Blocks     []blockEntry `json:"blocks"`
+			NextCursor string       `json:"next_cursor"`
+		}
+		get(t, a, "/api/v1/blocks?cursor="+cursor, &page)
+		blocks = append(blocks, page.Blocks...)
+		if cursor = page.NextCursor; cursor == "" {
+			break
+		}
+	}
+
+	listed := map[string]bool{}
+	for i, e := range top {
+		if listed[e.Token] {
+			t.Fatalf("/top lists %s twice", e.Token)
+		}
+		listed[e.Token] = true
+		if i > 0 && e.Hashes > top[i-1].Hashes {
+			t.Fatalf("/top out of order at %d: %d hashes after %d", i, e.Hashes, top[i-1].Hashes)
+		}
+		if e.Hashes != rep.Credit[e.Token] || e.Paid != rep.Paid[e.Token] {
+			t.Fatalf("/top %s: hashes %d paid %d, Replay %d and %d", e.Token, e.Hashes, e.Paid, rep.Credit[e.Token], rep.Paid[e.Token])
+		}
+	}
+	for _, m := range []map[string]uint64{rep.Credit, rep.Paid} {
+		for token := range m {
+			if !listed[token] {
+				t.Fatalf("/top omits %s", token)
+			}
+		}
+	}
+
+	want := rep.Blocks[max(0, len(rep.Blocks)-maxRecent):]
+	if len(blocks) != len(want) {
+		t.Fatalf("/blocks pages out %d blocks, want the last %d of Replay's %d", len(blocks), len(want), len(rep.Blocks))
+	}
+	for i, b := range want {
+		if blocks[i] != blockEntry(b) {
+			t.Fatalf("/blocks[%d] = %+v, Replay %+v", i, blocks[i], b)
+		}
 	}
 }
 
