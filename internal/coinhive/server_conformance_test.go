@@ -18,20 +18,20 @@ import (
 // time out after one second, so a server that keeps a session it should
 // have hung up on fails fast instead of passing on a client timeout.
 func TestWSConformance(t *testing.T) {
-	srv, _, _ := startService(t, 4)
+	srv, _, pool := startService(t, 4)
 	good := strings.Repeat("ab", 32)
-	submit := func(jobID, nonce, result string) func(*session.Session, string) error {
-		return func(s *session.Session, loginJob string) error {
+	submit := func(jobID, nonce, result string) func(*testing.T, *session.Session, session.Job) error {
+		return func(_ *testing.T, s *session.Session, loginJob session.Job) error {
 			id := jobID
 			if id == "" {
-				id = loginJob
+				id = loginJob.ID
 			}
 			return s.Send(stratum.TypeSubmit, stratum.Submit{Version: 7, JobID: id, Nonce: nonce, Result: result})
 		}
 	}
 	cases := []struct {
 		name  string
-		send  func(s *session.Session, loginJob string) error
+		send  func(t *testing.T, s *session.Session, loginJob session.Job) error
 		want  []string // reply types, in order
 		msg   string   // the error reply's text
 		fatal bool     // the server hangs up after the replies
@@ -41,8 +41,16 @@ func TestWSConformance(t *testing.T) {
 		{"unknown job", submit("9999-1-0", stratum.EncodeNonce(1), good), []string{stratum.TypeJob}, "", false},
 		{"wrong result", submit("", stratum.EncodeNonce(0xdeadbeef), good),
 			[]string{stratum.TypeError, stratum.TypeJob}, coinhive.ErrBadShare.Error(), false},
-		{"garbage json", func(s *session.Session, _ string) error { return s.SendRaw([]byte("{definitely not json")) },
+		{"garbage json", func(_ *testing.T, s *session.Session, _ session.Job) error {
+			return s.SendRaw([]byte("{definitely not json"))
+		},
 			[]string{stratum.TypeError}, "bad message", true},
+		// The one well-formed case: exactly one hash_accepted, then the
+		// next job.
+		{"valid share", func(t *testing.T, s *session.Session, job session.Job) error {
+			nonce, sum := grindShare(t, pool, job)
+			return s.Submit(job.ID, nonce, sum)
+		}, []string{stratum.TypeHashAccepted, stratum.TypeJob}, "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,7 +64,7 @@ func TestWSConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.send(sess, job.ID); err != nil {
+			if err := tc.send(t, sess, job); err != nil {
 				t.Fatal(err)
 			}
 			for _, want := range tc.want {
@@ -82,7 +90,7 @@ func TestWSConformance(t *testing.T) {
 				return
 			}
 			// The session survives: an unknown job still earns a fresh one.
-			if err := submit("9999-1-0", stratum.EncodeNonce(2), good)(sess, job.ID); err != nil {
+			if err := submit("9999-1-0", stratum.EncodeNonce(2), good)(t, sess, job); err != nil {
 				t.Fatal(err)
 			}
 			if env, err := sess.ReadEnvelope(); err != nil || env.Type != stratum.TypeJob {

@@ -62,7 +62,7 @@ var DefaultLayerRules = []LayerRule{
 	{
 		Pkg:    "repro/internal/coinhive",
 		Deny:   []string{"repro/internal/session", "repro/internal/loadgen", "repro/internal/webminer"},
-		Reason: "the service core must not depend on its own clients or load harness",
+		Reason: "the service core must not depend on its own clients or the in-process target built on it",
 	},
 	{
 		Pkg:    "repro/internal/handoff",

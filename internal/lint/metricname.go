@@ -26,7 +26,7 @@ func Metricname() *Analyzer {
 }
 
 // metricNameRE matches "pool.shares_ok", "server.submit_ns", etc.
-var metricNameRE = regexp.MustCompile(`^(pool|server|stratum|load|p2p)(\.[a-z0-9_]+)+$`)
+var metricNameRE = regexp.MustCompile(`^(pool|server|stratum|p2p)(\.[a-z0-9_]+)+$`)
 
 var registryMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
@@ -55,7 +55,7 @@ func runMetricname(prog *Program) []Finding {
 				name := constant.StringVal(tv.Value)
 				if !metricNameRE.MatchString(name) {
 					out = append(out, finding("metricname", prog.Fset.Position(call.Args[0].Pos()),
-						"metric name %q does not match <namespace>.<lower_snake> with namespace in {pool, server, stratum, load, p2p}",
+						"metric name %q does not match <namespace>.<lower_snake> with namespace in {pool, server, stratum, p2p}",
 						name))
 					return true
 				}

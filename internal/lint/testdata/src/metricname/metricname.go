@@ -14,6 +14,6 @@ func wire(reg *metrics.Registry, user string) *plumbing {
 	reg.Counter("sessions_total")  // want "does not match"
 	reg.Gauge("pool." + user)      // want "dynamic metric name"
 	reg.Counter("pool.fixture_ok") // want "also registered at"
-	reg.Histogram("load.fixture_latency_ns")
+	reg.Histogram("stratum.fixture_latency_ns")
 	return p
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/handoff"
@@ -23,6 +24,10 @@ const (
 	sendQueueDepth = 256
 	// syncBatch caps entries per sync response.
 	syncBatch = 256
+	// syncDeadlineBeats is how many of this node's tip beats a sync round
+	// may wait for its next response before it is abandoned, so a request
+	// or response lost on either side cannot end sync with a peer.
+	syncDeadlineBeats = 16
 	// defaultTipInterval is Config.TipInterval's zero-value default.
 	defaultTipInterval = 250 * time.Millisecond
 	// reconnectMin/Max bound the dial backoff for peers added with
@@ -57,9 +62,11 @@ type peer struct {
 	// repaired by the tip-announce/sync cycle.
 	sendq *handoff.Queue[[]byte]
 
-	// syncing guards one in-flight sync conversation per peer.
-	mu      sync.Mutex
-	syncing bool
+	// syncing guards one in-flight sync conversation per peer; syncBeat
+	// is the tip beat its last request went out on.
+	mu       sync.Mutex
+	syncing  bool
+	syncBeat uint64
 }
 
 // Node is the peer layer: it serves inbound connections, maintains
@@ -76,6 +83,8 @@ type Node struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+	// beats counts tipLoop ticks: the clock sync deadlines are kept in.
+	beats atomic.Uint64
 
 	peersGauge  *metrics.Gauge
 	gossiped    *metrics.Counter
@@ -84,6 +93,7 @@ type Node struct {
 	rejected    *metrics.Counter
 	syncRounds  *metrics.Counter
 	syncSent    *metrics.Counter
+	abandoned   *metrics.Counter
 	adopted     *metrics.Counter
 	reconnects  *metrics.Counter
 	sendDrops   *metrics.Counter
@@ -120,6 +130,7 @@ func NewNode(cfg Config) (*Node, error) {
 		rejected:    cfg.Registry.Counter("p2p.shares_rejected"),
 		syncRounds:  cfg.Registry.Counter("p2p.sync_rounds"),
 		syncSent:    cfg.Registry.Counter("p2p.sync_entries_sent"),
+		abandoned:   cfg.Registry.Counter("p2p.sync_abandoned"),
 		adopted:     cfg.Registry.Counter("p2p.checkpoints_adopted"),
 		reconnects:  cfg.Registry.Counter("p2p.reconnects"),
 		sendDrops:   cfg.Registry.Counter("p2p.send_drops"),
@@ -300,8 +311,9 @@ func (n *Node) tipLoop() {
 			return
 		case <-t.C:
 		}
+		n.beats.Add(1)
 		tip, count := n.cfg.Chain.Tip()
-		n.broadcast(AppendTipFrame(nil, uint64(count), tip), nil)
+		n.broadcast(appendTipFrame(nil, uint64(count), tip), nil)
 	}
 }
 
@@ -318,7 +330,7 @@ func (n *Node) runConn(conn net.Conn) error {
 		Count:   uint64(count),
 		Tip:     tip,
 	}
-	if _, err := conn.Write(AppendHelloFrame(nil, &h)); err != nil {
+	if _, err := conn.Write(appendHelloFrame(nil, &h)); err != nil {
 		return err
 	}
 	br := bufio.NewReaderSize(conn, 32<<10)
@@ -437,12 +449,12 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 			// A requester starting below our horizon needs the folded
 			// history first: the held range alone does not reach back to it.
 			if cp, ok := n.cfg.Chain.Checkpoint(); ok && r.From <= cp.Height {
-				p.sendq.Offer(AppendCheckpointFrame(nil, &cp))
+				p.sendq.Offer(appendCheckpointFrame(nil, &cp))
 			}
 			entries := n.cfg.Chain.EntriesFrom(r.From, r.After, maxN)
 			n.syncSent.Add(uint64(len(entries)))
 			tip, count := n.cfg.Chain.Tip()
-			p.sendq.Offer(AppendSyncRespFrame(nil, uint64(count), tip, entries))
+			p.sendq.Offer(appendSyncRespFrame(nil, uint64(count), tip, entries))
 		case frameSyncResp:
 			t, entries, err := decodeSyncResp(body)
 			if err != nil {
@@ -507,9 +519,11 @@ func (n *Node) admit(from *peer, e *sharechain.Entry, reorged bool, err error) {
 // maybeSync starts a catch-up round with a peer whose announced tip
 // shows it holds entries we lack: a larger count, or an equal count
 // with a different tip (divergent sets of the same size). One round is
-// in flight per peer at a time. The round starts at our own horizon —
-// everything below it is folded and settled — or at 0 while nothing has
-// folded; a peer whose horizon is higher leads with its checkpoint.
+// in flight per peer at a time; a round whose response has not come
+// within syncDeadlineBeats is abandoned and a fresh one starts. The round
+// starts at our own horizon — everything below it is folded and settled
+// — or at 0 while nothing has folded; a peer whose horizon is higher
+// leads with its checkpoint.
 func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	tip, count := n.cfg.Chain.Tip()
 	behind := remoteCount > uint64(count) ||
@@ -519,8 +533,11 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	}
 	p.mu.Lock()
 	if p.syncing {
-		p.mu.Unlock()
-		return
+		if n.beats.Load()-p.syncBeat < syncDeadlineBeats {
+			p.mu.Unlock()
+			return
+		}
+		n.abandoned.Inc()
 	}
 	p.syncing = true
 	p.mu.Unlock()
@@ -529,7 +546,7 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 	if cp, ok := n.cfg.Chain.Checkpoint(); ok {
 		from = cp.Height
 	}
-	p.sendq.Offer(AppendSyncReqFrame(nil, from, [32]byte{}, uint32(syncBatch)))
+	n.requestSync(p, from, [32]byte{})
 }
 
 // finishSyncRound ingests a sync batch and either continues the round
@@ -553,7 +570,24 @@ func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entr
 	// Full batch ⇒ more may follow: resume strictly after the last entry,
 	// so a batch that sits wholly at one height still makes progress.
 	last := &entries[len(entries)-1]
-	p.sendq.Offer(AppendSyncReqFrame(nil, last.Height, last.ID(), uint32(syncBatch)))
+	n.requestSync(p, last.Height, last.ID())
+}
+
+// requestSync offers a sync request to the peer and restarts the
+// round's deadline. A full send queue refuses it, and then the round is
+// abandoned at once, so the next tip announce starts a fresh one instead
+// of waiting on a request that was never sent.
+func (n *Node) requestSync(p *peer, from uint64, after [32]byte) {
+	p.mu.Lock()
+	p.syncBeat = n.beats.Load()
+	p.mu.Unlock()
+	if p.sendq.Offer(appendSyncReqFrame(nil, from, after, uint32(syncBatch))) {
+		return
+	}
+	p.mu.Lock()
+	p.syncing = false
+	p.mu.Unlock()
+	n.abandoned.Inc()
 }
 
 // shareBuffered reports whether br's buffer already holds a whole share

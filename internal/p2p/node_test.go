@@ -221,7 +221,7 @@ func TestHandshakeRejections(t *testing.T) {
 	// Bad protocol version.
 	err := runHandshake(t, n.node, func(c net.Conn) {
 		h := hello{Version: ProtocolVersion + 1, NodeID: 5}
-		c.Write(AppendHelloFrame(nil, &h))
+		c.Write(appendHelloFrame(nil, &h))
 	})
 	if !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
@@ -230,7 +230,7 @@ func TestHandshakeRejections(t *testing.T) {
 	// Loop-to-self: remote node ID equals our own.
 	err = runHandshake(t, n.node, func(c net.Conn) {
 		h := hello{Version: ProtocolVersion, NodeID: 77}
-		c.Write(AppendHelloFrame(nil, &h))
+		c.Write(appendHelloFrame(nil, &h))
 	})
 	if !errors.Is(err, ErrSelfConnect) {
 		t.Fatalf("self connect: %v", err)
@@ -267,7 +267,7 @@ func TestDuplicatePeerRejected(t *testing.T) {
 	// A second connection claiming b's node ID must be refused.
 	err := runHandshake(t, a.node, func(c net.Conn) {
 		h := hello{Version: ProtocolVersion, NodeID: 2}
-		c.Write(AppendHelloFrame(nil, &h))
+		c.Write(appendHelloFrame(nil, &h))
 	})
 	if !errors.Is(err, ErrDupPeer) {
 		t.Fatalf("dup peer: %v", err)
@@ -373,7 +373,7 @@ func TestIngestCountsRefusals(t *testing.T) {
 		}
 		runHandshake(t, node, func(c net.Conn) {
 			h := hello{Version: ProtocolVersion, NodeID: 5}
-			c.Write(AppendHelloFrame(nil, &h))
+			c.Write(appendHelloFrame(nil, &h))
 			var all []byte
 			for _, e := range frames {
 				if !oneWrite {
@@ -422,7 +422,7 @@ func TestShareFramesVerifiedInPairs(t *testing.T) {
 		}
 		runHandshake(t, node, func(c net.Conn) {
 			h := hello{Version: ProtocolVersion, NodeID: 5}
-			c.Write(AppendHelloFrame(nil, &h))
+			c.Write(appendHelloFrame(nil, &h))
 			c.Write(frames)
 			deadline := time.Now().Add(5 * time.Second)
 			for reg.Counter("p2p.shares_ingested").Load() != uint64(n) {
@@ -465,7 +465,7 @@ func TestSyncRequestStartsAtHorizon(t *testing.T) {
 		}
 		runHandshake(t, node, func(c net.Conn) {
 			h := hello{Version: ProtocolVersion, NodeID: 5, Count: 1000, Tip: [32]byte{1}}
-			c.Write(AppendHelloFrame(nil, &h))
+			c.Write(appendHelloFrame(nil, &h))
 			br := bufio.NewReader(c)
 			for {
 				kind, body, err := readFrame(br)
@@ -504,6 +504,120 @@ func TestSyncManyEntriesAtOneHeight(t *testing.T) {
 	waitConverged(t, total, a, b)
 	if sent := a.reg.Counter("p2p.sync_entries_sent").Load(); sent > 2*total {
 		t.Fatalf("a sent %d sync entries for a %d-entry chain, want ≤ %d", sent, total, 2*total)
+	}
+}
+
+// frameKinds reads frames off c until it fails and hands each kind on.
+func frameKinds(c net.Conn) <-chan byte {
+	kinds := make(chan byte, 64)
+	go func() {
+		defer close(kinds)
+		br := bufio.NewReader(c)
+		for {
+			kind, _, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			kinds <- kind
+		}
+	}()
+	return kinds
+}
+
+// announceUntilSyncReq plays a peer whose tip is count entries: it
+// announces that tip every 10ms and reports whether a sync request
+// arrives on kinds within the given time.
+func announceUntilSyncReq(c net.Conn, kinds <-chan byte, count uint64, within time.Duration) bool {
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(within)
+	for {
+		select {
+		case kind, ok := <-kinds:
+			if !ok {
+				return false
+			}
+			if kind == frameSyncReq {
+				return true
+			}
+		case <-tick.C:
+			c.Write(appendTipFrame(nil, count, [32]byte{1}))
+		case <-deadline:
+			return false
+		}
+	}
+}
+
+// waitCounter polls a counter until it reaches want.
+func waitCounter(t *testing.T, c *metrics.Counter, name string, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want >= %d", name, c.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSyncSurvivesDroppedRequest: a sync request refused by a full send
+// queue abandons its round, so once the peer reads again its next tip
+// announce starts a new one. Before, the round stayed open for the life
+// of the link and no sync request was ever sent to that peer again.
+func TestSyncSurvivesDroppedRequest(t *testing.T) {
+	n := startNode(t, 9)
+	drops := n.reg.Counter("p2p.send_drops")
+	rounds := n.reg.Counter("p2p.sync_rounds")
+	runHandshake(t, n.node, func(c net.Conn) {
+		h := hello{Version: ProtocolVersion, NodeID: 5}
+		c.Write(appendHelloFrame(nil, &h))
+		for n.node.PeerCount() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		// Never read, and publish a queue's worth at a time until, after
+		// the writer has had 20ms to drain, the queue still refuses a
+		// frame: the pipe's 256 KB are full and the writer blocked, so the
+		// queue stays full.
+		for full := false; !full; {
+			for i := 0; i < sendQueueDepth; i++ {
+				n.node.Publish(testEntry(1, "flood", 1, byte(i)))
+			}
+			time.Sleep(20 * time.Millisecond)
+			d := drops.Load()
+			n.node.Publish(testEntry(1, "flood", 1, 0))
+			full = drops.Load() > d
+		}
+		c.Write(appendTipFrame(nil, 1_000_000, [32]byte{1}))
+		waitCounter(t, rounds, "p2p.sync_rounds", 1)
+		if !announceUntilSyncReq(c, frameKinds(c), 1_000_000, 2*time.Second) {
+			t.Errorf("no sync request within 2s of draining the link (p2p.sync_rounds = %d)", rounds.Load())
+		}
+		c.Close()
+	})
+	if got := n.reg.Counter("p2p.sync_abandoned").Load(); got == 0 {
+		t.Errorf("p2p.sync_abandoned = 0, want the dropped request's round counted")
+	}
+}
+
+// TestSyncRoundDeadline: a round whose response never comes — lost on
+// the far side — is abandoned after syncDeadlineBeats tip beats, and the
+// next announce starts a new one.
+func TestSyncRoundDeadline(t *testing.T) {
+	n := startNode(t, 9)
+	runHandshake(t, n.node, func(c net.Conn) {
+		h := hello{Version: ProtocolVersion, NodeID: 5, Count: 1000, Tip: [32]byte{1}}
+		c.Write(appendHelloFrame(nil, &h))
+		kinds := frameKinds(c)
+		for i := 1; i <= 2; i++ {
+			if !announceUntilSyncReq(c, kinds, 1000, 2*time.Second) {
+				t.Errorf("sync request %d never came (p2p.sync_rounds = %d)", i, n.reg.Counter("p2p.sync_rounds").Load())
+				break
+			}
+		}
+		c.Close()
+	})
+	if got := n.reg.Counter("p2p.sync_abandoned").Load(); got != 1 {
+		t.Errorf("p2p.sync_abandoned = %d, want 1", got)
 	}
 }
 

@@ -165,8 +165,8 @@ func decodeEntry(b []byte) (sharechain.Entry, int, error) {
 	return e, entryWireOverhead + tokLen + blobLen, nil
 }
 
-// AppendHelloFrame appends the handshake frame.
-func AppendHelloFrame(dst []byte, h *hello) []byte {
+// appendHelloFrame appends the handshake frame.
+func appendHelloFrame(dst []byte, h *hello) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameHello)
 	dst = binary.LittleEndian.AppendUint16(dst, h.Version)
@@ -195,10 +195,10 @@ func decodeHello(b []byte) (hello, error) {
 	return h, nil
 }
 
-// AppendTipFrame appends a tip announce.
+// appendTipFrame appends a tip announce.
 //
 //lint:hotpath
-func AppendTipFrame(dst []byte, count uint64, tip [32]byte) []byte {
+func appendTipFrame(dst []byte, count uint64, tip [32]byte) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameTip)
 	dst = binary.LittleEndian.AppendUint64(dst, count)
@@ -216,10 +216,10 @@ func decodeTip(b []byte) (tipAnnounce, error) {
 	return t, nil
 }
 
-// AppendSyncReqFrame appends a ranged catch-up request.
+// appendSyncReqFrame appends a ranged catch-up request.
 //
 //lint:hotpath
-func AppendSyncReqFrame(dst []byte, from uint64, after [32]byte, max uint32) []byte {
+func appendSyncReqFrame(dst []byte, from uint64, after [32]byte, max uint32) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameSyncReq)
 	dst = binary.LittleEndian.AppendUint64(dst, from)
@@ -239,10 +239,10 @@ func decodeSyncReq(b []byte) (syncReq, error) {
 	return r, nil
 }
 
-// AppendSyncRespFrame appends a catch-up batch plus the responder's own
+// appendSyncRespFrame appends a catch-up batch plus the responder's own
 // tip, so one round both delivers entries and tells the requester
 // whether another round is needed.
-func AppendSyncRespFrame(dst []byte, count uint64, tip [32]byte, entries []*sharechain.Entry) []byte {
+func appendSyncRespFrame(dst []byte, count uint64, tip [32]byte, entries []*sharechain.Entry) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameSyncResp)
 	dst = binary.LittleEndian.AppendUint64(dst, count)
@@ -277,11 +277,11 @@ func decodeSyncResp(b []byte) (tipAnnounce, []sharechain.Entry, error) {
 	return t, entries, nil
 }
 
-// AppendCheckpointFrame appends a share-chain checkpoint: the responder's
+// appendCheckpointFrame appends a share-chain checkpoint: the responder's
 // folded history, sent ahead of the held range to a requester behind its
 // horizon. Layout: count, height, last ID, tip, then a u32-counted credit
 // list of [u16 token length][token][u64 credit].
-func AppendCheckpointFrame(dst []byte, cp *sharechain.Checkpoint) []byte {
+func appendCheckpointFrame(dst []byte, cp *sharechain.Checkpoint) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameCheckpoint)
 	dst = binary.LittleEndian.AppendUint64(dst, cp.Count)

@@ -58,7 +58,7 @@ func TestShareFrameRoundtrip(t *testing.T) {
 func TestHelloFrameRoundtrip(t *testing.T) {
 	h := hello{Version: ProtocolVersion, NodeID: 0xDEADBEEF, Count: 17}
 	h.Tip[0] = 0xAB
-	kind, body, err := DecodeFrame(stripHeader(t, AppendHelloFrame(nil, &h)))
+	kind, body, err := DecodeFrame(stripHeader(t, appendHelloFrame(nil, &h)))
 	if err != nil || kind != frameHello {
 		t.Fatalf("decode: kind=%d err=%v", kind, err)
 	}
@@ -103,7 +103,7 @@ func v2Hello(nodeID uint64, peers ...string) []byte {
 
 func TestSyncFramesRoundtrip(t *testing.T) {
 	after := [32]byte{0: 0x11, 31: 0x22}
-	kind, body, err := DecodeFrame(stripHeader(t, AppendSyncReqFrame(nil, 99, after, 512)))
+	kind, body, err := DecodeFrame(stripHeader(t, appendSyncReqFrame(nil, 99, after, 512)))
 	if err != nil || kind != frameSyncReq {
 		t.Fatalf("syncreq decode: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestSyncFramesRoundtrip(t *testing.T) {
 	entries := []*sharechain.Entry{testEntry(1, "a", 2, 1), testEntry(2, "b", 3, 2)}
 	var tip [32]byte
 	tip[5] = 0x44
-	kind, body, err = DecodeFrame(stripHeader(t, AppendSyncRespFrame(nil, 2, tip, entries)))
+	kind, body, err = DecodeFrame(stripHeader(t, appendSyncRespFrame(nil, 2, tip, entries)))
 	if err != nil || kind != frameSyncResp {
 		t.Fatalf("syncresp decode: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestSyncFramesRoundtrip(t *testing.T) {
 		}
 	}
 
-	kind, body, err = DecodeFrame(stripHeader(t, AppendTipFrame(nil, 7, tip)))
+	kind, body, err = DecodeFrame(stripHeader(t, appendTipFrame(nil, 7, tip)))
 	if err != nil || kind != frameTip {
 		t.Fatalf("tip decode: %v", err)
 	}
@@ -198,14 +198,14 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 	var tip [32]byte
 	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendTipFrame(buf[:0], 12, tip)
+		buf = appendTipFrame(buf[:0], 12, tip)
 	}); n != 0 {
-		t.Fatalf("AppendTipFrame allocs = %v, want 0", n)
+		t.Fatalf("appendTipFrame allocs = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendSyncReqFrame(buf[:0], 1, [32]byte{7}, 64)
+		buf = appendSyncReqFrame(buf[:0], 1, [32]byte{7}, 64)
 	}); n != 0 {
-		t.Fatalf("AppendSyncReqFrame allocs = %v, want 0", n)
+		t.Fatalf("appendSyncReqFrame allocs = %v, want 0", n)
 	}
 	frame := AppendShareFrame(nil, e)[frameHeaderLen:]
 	if n := testing.AllocsPerRun(200, func() {
@@ -215,9 +215,9 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 	cp := testCheckpoint(rand.New(rand.NewSource(5)), 16)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendCheckpointFrame(buf[:0], &cp)
+		buf = appendCheckpointFrame(buf[:0], &cp)
 	}); n != 0 {
-		t.Fatalf("AppendCheckpointFrame allocs = %v, want 0", n)
+		t.Fatalf("appendCheckpointFrame allocs = %v, want 0", n)
 	}
 	body := append([]byte(nil), buf[frameHeaderLen+1:]...)
 	if n := testing.AllocsPerRun(200, func() {
@@ -234,18 +234,18 @@ func FuzzP2PDecode(f *testing.F) {
 	e := testEntry(5, "fuzz-token", 3, 0x55)
 	f.Add(AppendShareFrame(nil, e)[frameHeaderLen:])
 	h := hello{Version: ProtocolVersion, NodeID: 123, Count: 9}
-	f.Add(AppendHelloFrame(nil, &h)[frameHeaderLen:])
-	f.Add(AppendSyncReqFrame(nil, 10, [32]byte{}, 100)[frameHeaderLen:])
-	f.Add(AppendSyncRespFrame(nil, 1, [32]byte{1}, []*sharechain.Entry{e})[frameHeaderLen:])
-	f.Add(AppendTipFrame(nil, 4, [32]byte{2})[frameHeaderLen:])
+	f.Add(appendHelloFrame(nil, &h)[frameHeaderLen:])
+	f.Add(appendSyncReqFrame(nil, 10, [32]byte{}, 100)[frameHeaderLen:])
+	f.Add(appendSyncRespFrame(nil, 1, [32]byte{1}, []*sharechain.Entry{e})[frameHeaderLen:])
+	f.Add(appendTipFrame(nil, 4, [32]byte{2})[frameHeaderLen:])
 	f.Add([]byte{})
 	f.Add([]byte{frameShare})
 	cp := testCheckpoint(rand.New(rand.NewSource(1)), 3)
-	f.Add(AppendCheckpointFrame(nil, &cp)[frameHeaderLen:])
+	f.Add(appendCheckpointFrame(nil, &cp)[frameHeaderLen:])
 	f.Add(hostileCheckpoint(1 << 31))
 	f.Add(hostileCheckpoint(1)[:checkpointFixedLen+1+minCreditLen])
 	f.Add(v2Hello(123, "x:1", "y:2")[frameHeaderLen:])
-	f.Add(AppendSyncReqFrame(nil, 10, [32]byte{0xff, 3}, 100)[frameHeaderLen:])
+	f.Add(appendSyncReqFrame(nil, 10, [32]byte{0xff, 3}, 100)[frameHeaderLen:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, body, err := DecodeFrame(data)
 		if err != nil {
@@ -256,7 +256,7 @@ func FuzzP2PDecode(f *testing.F) {
 			// A hello has no slack either: what decodes is exactly helloLen
 			// bytes of the current version.
 			if h, err := decodeHello(body); err == nil {
-				if again := AppendHelloFrame(nil, &h)[frameHeaderLen:]; !bytes.Equal(again, data) {
+				if again := appendHelloFrame(nil, &h)[frameHeaderLen:]; !bytes.Equal(again, data) {
 					t.Fatalf("hello re-encodes differently")
 				}
 			}
@@ -271,7 +271,7 @@ func FuzzP2PDecode(f *testing.F) {
 			}
 		case frameSyncReq:
 			if r, err := decodeSyncReq(body); err == nil {
-				if again := AppendSyncReqFrame(nil, r.From, r.After, r.Max)[frameHeaderLen:]; !bytes.Equal(again, data) {
+				if again := appendSyncReqFrame(nil, r.From, r.After, r.Max)[frameHeaderLen:]; !bytes.Equal(again, data) {
 					t.Fatalf("sync request re-encodes differently")
 				}
 			}
@@ -289,7 +289,7 @@ func FuzzP2PDecode(f *testing.F) {
 			// The encoding has no slack, so whatever decodes re-encodes
 			// to the same bytes.
 			if cp, err := decodeCheckpoint(body); err == nil {
-				if again := AppendCheckpointFrame(nil, &cp)[frameHeaderLen:]; !bytes.Equal(again, data) {
+				if again := appendCheckpointFrame(nil, &cp)[frameHeaderLen:]; !bytes.Equal(again, data) {
 					t.Fatalf("checkpoint re-encodes differently")
 				}
 				for _, w := range cp.Credit {
@@ -320,7 +320,7 @@ func testCheckpoint(rng *rand.Rand, n int) sharechain.Checkpoint {
 // count credit records and carries one.
 func hostileCheckpoint(count uint32) []byte {
 	cp := sharechain.Checkpoint{Count: 1, Height: 1, Credit: []sharechain.TokenWeight{{Token: "a", Weight: 1}}}
-	b := AppendCheckpointFrame(nil, &cp)[frameHeaderLen:]
+	b := appendCheckpointFrame(nil, &cp)[frameHeaderLen:]
 	binary.LittleEndian.PutUint32(b[1+checkpointFixedLen-4:], count)
 	return b
 }
@@ -331,7 +331,7 @@ func TestCheckpointFrameRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		cp := testCheckpoint(rng, rng.Intn(40))
-		kind, body, err := DecodeFrame(stripHeader(t, AppendCheckpointFrame(nil, &cp)))
+		kind, body, err := DecodeFrame(stripHeader(t, appendCheckpointFrame(nil, &cp)))
 		if err != nil || kind != frameCheckpoint {
 			t.Fatalf("decode: kind=%d err=%v", kind, err)
 		}
@@ -347,7 +347,7 @@ func TestCheckpointFrameRoundtrip(t *testing.T) {
 // count the frame could not hold — that one before a single allocation.
 func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
 	cp := testCheckpoint(rand.New(rand.NewSource(3)), 4)
-	full := AppendCheckpointFrame(nil, &cp)[frameHeaderLen+1:]
+	full := appendCheckpointFrame(nil, &cp)[frameHeaderLen+1:]
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := decodeCheckpoint(full[:cut]); err == nil {
 			t.Fatalf("prefix %d/%d decoded", cut, len(full))

@@ -2,9 +2,9 @@
 // dial + auth handshake and the job decode (hex, de-obfuscation, nonce
 // offset recovery) every miner-side component repeats before it can do
 // anything useful. It is shared by the webminer (which then grinds real
-// nonces) and the loadgen swarm (which replays pre-ground ones); keeping
-// the protocol plumbing in one place is what guarantees the two speak
-// the identical dialects the server is tested against.
+// nonces) and the benchmark's clients (which replay pre-ground ones);
+// keeping the protocol plumbing in one place is what guarantees they
+// speak the identical dialects the server is tested against.
 //
 // Two dialects are supported behind one Session API, chosen by URL
 // scheme: the ws+coinhive browser dialect (ws:// and wss://) and the
@@ -28,7 +28,7 @@ import (
 // Job is a decoded, de-obfuscated PoW input ready for nonce search.
 // WireBlob and WireTarget keep the exact strings the pool sent: together
 // they identify the PoW input independent of the (refresh-scoped) job ID,
-// which is what the loadgen share oracle keys its cache on.
+// which is what the benchmark's share decks are keyed on.
 type Job struct {
 	ID          string
 	Blob        []byte
@@ -106,8 +106,8 @@ type Transport interface {
 	// Send encodes one client message. msgType is a stratum.Type*
 	// constant; params its payload struct.
 	Send(msgType string, params interface{}, deadline time.Time) error
-	// SendRaw injects bytes as one dialect frame verbatim — the loadgen
-	// malformed scenario's protocol-violation hook.
+	// SendRaw injects bytes as one dialect frame verbatim — the
+	// conformance tests' protocol-violation hook.
 	SendRaw(data []byte, deadline time.Time) error
 	// ReadEnvelope returns the next server message in canonical form.
 	ReadEnvelope(deadline time.Time) (stratum.Envelope, error)

@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -311,5 +315,111 @@ func TestBadRequests(t *testing.T) {
 		if rr := get(t, a, url, nil); rr.Code != want {
 			t.Errorf("GET %s: status %d, want %d", url, rr.Code, want)
 		}
+	}
+}
+
+// TestQueryLatencyUnderReaders holds the API's responsiveness bound: 8
+// dashboard-like readers, each polling the five endpoints every 10ms and
+// following every cursor to its end, while a writer streams accepts,
+// payouts, blocks and bans into the store. The p99 of all queries must
+// stay within 100ms. Every query takes the aggregate lock, so work that
+// stalls inside it queues every reader behind it: a 20ms stall there reads
+// ~160ms here.
+func TestQueryLatencyUnderReaders(t *testing.T) {
+	a, store, _ := newTestAPI(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the writer: the pool's archive drain
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(36))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ev := archive.Event{TimeNs: int64(i) * int64(time.Second), Kind: archive.KindShareAccepted,
+				Actor: fmt.Sprintf("reader%d", rng.Intn(8)), Amount: uint64(1 + rng.Intn(1000))}
+			switch i % 50 {
+			case 10:
+				ev.Kind, ev.Actor = archive.KindPayout, fmt.Sprintf("remote%d", rng.Intn(64))
+			case 20:
+				ev.Kind, ev.Height, ev.Aux = archive.KindBlockFound, uint64(i), uint64(1_525_000_000+i)
+			case 30:
+				ev.Kind, ev.Actor = archive.KindBan, fmt.Sprintf("reader%d|10.0.0.%d", rng.Intn(8), rng.Intn(256))
+			}
+			store.Append(&ev)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	const readers, polls = 8, 25
+	lat := make([][]time.Duration, readers)
+	errs := make(chan string, readers)
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			paths := []string{
+				"/api/v1/pool/series?limit=64",
+				"/api/v1/top",
+				"/api/v1/blocks",
+				"/api/v1/bans",
+				fmt.Sprintf("/api/v1/accounts/reader%d/series?limit=64", r),
+			}
+			for i := 0; i < polls; i++ {
+				path := paths[i%len(paths)]
+				for cursor, page := "", 0; ; page++ {
+					u := path
+					if cursor != "" {
+						sep := "?"
+						if strings.Contains(path, "?") {
+							sep = "&"
+						}
+						u += sep + "cursor=" + url.QueryEscape(cursor)
+					}
+					rr := httptest.NewRecorder()
+					t0 := time.Now()
+					a.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, u, nil))
+					lat[r] = append(lat[r], time.Since(t0))
+					var next struct {
+						NextCursor string `json:"next_cursor"`
+					}
+					if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &next) != nil {
+						errs <- fmt.Sprintf("GET %s: status %d: %s", u, rr.Code, rr.Body.Bytes())
+						return
+					}
+					if next.NextCursor == "" {
+						break
+					}
+					if page == 64 {
+						errs <- fmt.Sprintf("GET %s: cursor chain did not end within 64 pages", path)
+						return
+					}
+					cursor = next.NextCursor
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}(r)
+	}
+	rwg.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	var all []time.Duration
+	for _, l := range lat {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	p99 := all[(len(all)*99+99)/100-1]
+	t.Logf("%d queries, p99 %v", len(all), p99)
+	if p99 > 100*time.Millisecond {
+		t.Errorf("query p99 %v over %d queries exceeds the 100ms responsiveness bound", p99, len(all))
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // FuzzUnmarshal feeds arbitrary bytes through the full server-side
 // decode path: envelope, every params type, and the hex field decoders.
-// The loadgen swarm's malformed-share scenario throws garbage at a live
-// server; this is the same guarantee without a socket — no input may
-// panic, only return errors.
+// The conformance tests throw malformed frames at a live server; this is
+// the same guarantee without a socket — no input may panic, only return
+// errors.
 func FuzzUnmarshal(f *testing.F) {
 	seeds := []string{
 		`{"type":"auth","params":{"site_key":"k","type":"anonymous"}}`,

@@ -60,7 +60,7 @@ type Result struct {
 // Mine connects, authenticates and keeps submitting shares until
 // wantShares have been accepted or (when LinkID is set) the link resolves.
 // The dial/login/job-decode plumbing lives in internal/session, shared
-// with the loadgen swarm; the URL scheme picks the dialect (ws:// for
+// with the benchmark's clients; the URL scheme picks the dialect (ws:// for
 // the browser dialect, tcp:// for raw JSON-RPC stratum), and the mining
 // loop adapts to the dialect's clocking: ws hands a job back after every
 // submit, TCP stratum pushes jobs only when the chain tip moves, so a

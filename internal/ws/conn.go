@@ -181,8 +181,8 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 			// control frame, reserved bits, non-minimal length) must be
 			// answered with a close handshake, not just a dropped TCP
 			// connection — RFC 6455 §7.1.7 "Fail the WebSocket Connection".
-			// A spec-correct peer (the loadgen swarm's malformed-client
-			// scenario) distinguishes a 1002/1009 close from a raw reset.
+			// A spec-correct peer (TestOversizeFrameGets1009Close plays one)
+			// distinguishes a 1002/1009 close from a raw reset.
 			switch {
 			case errors.Is(err, ErrFrameTooBig):
 				c.failConnection(CloseTooBig, "frame exceeds read limit")
