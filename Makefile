@@ -35,9 +35,9 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Project-specific static analysis (internal/lint via cmd/repolint):
-# lockscope, hotpath, atomicfield, metricname and layering over every
-# package. Zero findings or the target fails; waivers need a reasoned
-# //lint:ignore. `repolint -json` emits machine-readable findings.
+# lockscope, hotpath, atomicfield, metricname, layering and exportuse
+# over every package. Zero findings or the target fails; waivers need a
+# reasoned //lint:ignore. `repolint -json` emits machine-readable findings.
 lint:
 	$(GO) run ./cmd/repolint
 
@@ -51,8 +51,9 @@ loc:
 # cross-building for arm64 so the files behind `!amd64` — the CryptoNight
 # path the CI box never runs — keep compiling and vetting; the amd64
 # kernels' frame layouts are held to their Go stubs by vet's asmdecl), the
-# fast suite under the race detector, ten seconds of fuzzing the p2p
-# frame decoders (the federation's one untrusted wire), one pass of every package micro-
+# fast suite under the race detector, ten seconds each of fuzzing the p2p
+# frame decoders (the federation's one untrusted wire) and the ws frame
+# decoder (the miners' untrusted wire), one pass of every package micro-
 # benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
 # attributes blocks" check keeps running), the nested benchmark module's
 # own vet + tests (root `./...` skips it, so a product-side rename the
@@ -76,6 +77,7 @@ check:
 	$(MAKE) lint
 	$(GO) test -short -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzP2PDecode$$' -fuzztime 10s ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameInto$$' -fuzztime 10s ./internal/ws
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments ./internal/nocoin ./internal/htmlx ./internal/webgen ./internal/crawler ./internal/browser
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 

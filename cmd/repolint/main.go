@@ -2,7 +2,8 @@
 // suite (internal/lint) over every package in the module: the lockscope,
 // hotpath, atomicfield, metricname and layering analyzers that
 // machine-check the invariants DESIGN.md's "Enforced invariants" section
-// documents. `make lint` runs it; `make check` gates on a clean run.
+// documents, and exportuse, which flags an exported name no other package
+// uses. `make lint` runs it; `make check` gates on a clean run.
 //
 // Usage:
 //

@@ -12,8 +12,8 @@ import (
 
 // CDFPoint is one (x, P[X ≤ x]) step of an empirical CDF.
 type CDFPoint struct {
-	X float64
-	P float64
+	x float64
+	p float64
 }
 
 // CDF computes the empirical distribution of values (input untouched).
@@ -30,7 +30,7 @@ func CDF(values []float64) []CDFPoint {
 		for j < len(v) && v[j] == v[i] {
 			j++
 		}
-		out = append(out, CDFPoint{X: v[i], P: float64(j) / n})
+		out = append(out, CDFPoint{x: v[i], p: float64(j) / n})
 		i = j
 	}
 	return out
@@ -40,10 +40,10 @@ func CDF(values []float64) []CDFPoint {
 func PAt(cdf []CDFPoint, x float64) float64 {
 	p := 0.0
 	for _, pt := range cdf {
-		if pt.X > x {
+		if pt.x > x {
 			break
 		}
-		p = pt.P
+		p = pt.p
 	}
 	return p
 }
@@ -87,7 +87,7 @@ func Mean(values []float64) float64 {
 
 // LogBin is one bin of a base-2 logarithmic histogram.
 type LogBin struct {
-	Lo, Hi uint64 // [Lo, Hi)
+	Lo, hi uint64 // [Lo, hi)
 	Count  int
 }
 
@@ -105,7 +105,7 @@ func LogHistogram(values []uint64) []LogBin {
 	var bins []LogBin
 	for lo := uint64(1); ; lo <<= 1 {
 		hi := lo << 1
-		bins = append(bins, LogBin{Lo: lo, Hi: hi})
+		bins = append(bins, LogBin{Lo: lo, hi: hi})
 		if hi > maxV || hi == 0 {
 			break
 		}

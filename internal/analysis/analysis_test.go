@@ -13,13 +13,13 @@ func TestCDFBasics(t *testing.T) {
 	if len(cdf) != 3 {
 		t.Fatalf("steps = %d", len(cdf))
 	}
-	if cdf[0].X != 1 || math.Abs(cdf[0].P-0.25) > 1e-9 {
+	if cdf[0].x != 1 || math.Abs(cdf[0].p-0.25) > 1e-9 {
 		t.Errorf("first step = %+v", cdf[0])
 	}
-	if cdf[1].X != 2 || math.Abs(cdf[1].P-0.75) > 1e-9 {
+	if cdf[1].x != 2 || math.Abs(cdf[1].p-0.75) > 1e-9 {
 		t.Errorf("second step = %+v", cdf[1])
 	}
-	if cdf[2].P != 1 {
+	if cdf[2].p != 1 {
 		t.Errorf("last step = %+v", cdf[2])
 	}
 	if got := PAt(cdf, 2.5); math.Abs(got-0.75) > 1e-9 {
@@ -41,10 +41,10 @@ func TestQuickCDFMonotone(t *testing.T) {
 		cdf := CDF(clean)
 		last := 0.0
 		for _, pt := range cdf {
-			if pt.P < last {
+			if pt.p < last {
 				return false
 			}
-			last = pt.P
+			last = pt.p
 		}
 		return len(cdf) == 0 || math.Abs(last-1) < 1e-9
 	}

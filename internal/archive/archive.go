@@ -108,12 +108,12 @@ type Event struct {
 }
 
 // Cursor addresses a position in a Store: a segment and a byte offset
-// into it (MemStore uses Segment 0 and an event sequence number). The
+// into it (MemStore uses segment 0 and an event sequence number). The
 // zero Cursor means "from the start of retained history". Cursors stay
 // valid across appends; retention may advance one past dropped data.
 type Cursor struct {
-	Segment uint32
-	Offset  int64
+	segment uint32
+	offset  int64
 }
 
 // Store is an append-only event log with batched durability and
@@ -143,14 +143,9 @@ const (
 	maxRecordBytes = 1 << 16              // corruption guard: no sane record is larger
 )
 
-// ErrCorruptRecord marks a record that fails structural validation
+// errCorruptRecord marks a record that fails structural validation
 // beyond a clean torn tail (e.g. an absurd length mid-log).
-var ErrCorruptRecord = errors.New("archive: corrupt record")
-
-// EncodedLen returns the framed size of ev, for pre-sizing buffers.
-func EncodedLen(ev *Event) int {
-	return frameOverhead + fixedPayload + len(ev.Actor) + len(ev.Ref)
-}
+var errCorruptRecord = errors.New("archive: corrupt record")
 
 // AppendRecord appends ev's framed binary record to dst and returns
 // the extended slice. It allocates only when dst's capacity is
@@ -179,14 +174,14 @@ func AppendRecord(dst []byte, ev *Event) []byte {
 // decodeRecord parses one framed record from the front of b.
 // Returns the event and the framed length consumed. A record that is
 // merely cut short (torn tail) yields errShortRecord; a structurally
-// impossible one yields ErrCorruptRecord.
+// impossible one yields errCorruptRecord.
 func decodeRecord(b []byte, ev *Event) (int, error) {
 	if len(b) < 4 {
 		return 0, errShortRecord
 	}
 	payload := int(binary.LittleEndian.Uint32(b))
 	if payload < fixedPayload || payload > maxRecordBytes {
-		return 0, ErrCorruptRecord
+		return 0, errCorruptRecord
 	}
 	total := frameOverhead + payload
 	if len(b) < total {
@@ -207,13 +202,13 @@ func decodeRecord(b []byte, ev *Event) (int, error) {
 	actorLen := int(binary.LittleEndian.Uint16(body[73:]))
 	rest := body[75:]
 	if actorLen+2 > len(rest) {
-		return 0, ErrCorruptRecord
+		return 0, errCorruptRecord
 	}
 	ev.Actor = string(rest[:actorLen])
 	rest = rest[actorLen:]
 	refLen := int(binary.LittleEndian.Uint16(rest))
 	if refLen != len(rest)-2 {
-		return 0, ErrCorruptRecord
+		return 0, errCorruptRecord
 	}
 	ev.Ref = string(rest[2:])
 	return total, nil

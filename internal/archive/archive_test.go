@@ -52,8 +52,8 @@ func drain(t *testing.T, s Store) []Event {
 func TestRecordRoundTrip(t *testing.T) {
 	for _, ev := range testEvents(12) {
 		buf := AppendRecord(nil, &ev)
-		if len(buf) != EncodedLen(&ev) {
-			t.Fatalf("encoded %d bytes, EncodedLen says %d", len(buf), EncodedLen(&ev))
+		if want := frameOverhead + fixedPayload + len(ev.Actor) + len(ev.Ref); len(buf) != want {
+			t.Fatalf("encoded %d bytes, want %d", len(buf), want)
 		}
 		var got Event
 		n, err := decodeRecord(buf, &got)
@@ -81,11 +81,11 @@ func TestMemStoreRingAndCursorClamp(t *testing.T) {
 	// A cursor into evicted history clamps forward; one past the end
 	// reads nothing.
 	var buf [10]Event
-	n, _, _ := s.Next(Cursor{Offset: 2}, buf[:])
+	n, _, _ := s.Next(Cursor{offset: 2}, buf[:])
 	if n != 4 {
 		t.Fatalf("clamped read got %d events, want 4", n)
 	}
-	n, _, _ = s.Next(Cursor{Offset: 10}, buf[:])
+	n, _, _ = s.Next(Cursor{offset: 10}, buf[:])
 	if n != 0 {
 		t.Fatalf("read past end got %d events, want 0", n)
 	}
@@ -125,7 +125,7 @@ func TestFileStoreRoundTripAndReopen(t *testing.T) {
 func TestFileStoreRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record rotates.
-	s, err := OpenFileStore(dir, FileStoreOptions{SegmentBytes: 1, MaxSegments: 3})
+	s, err := OpenFileStore(dir, FileStoreOptions{segmentBytes: 1, MaxSegments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFileStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := &evs[len(evs)-1]
-	clean := len(data) - EncodedLen(last) // last boundary before the final record
+	clean := len(data) - len(AppendRecord(nil, last)) // last boundary before the final record
 
 	for cut := clean; cut <= len(data); cut++ {
 		dir := filepath.Join(base, fmt.Sprintf("cut-%04d", cut))
@@ -396,7 +396,7 @@ func TestReplayAggregates(t *testing.T) {
 	if len(res.Blocks) != 1 || res.Blocks[0] != wantBlock {
 		t.Fatalf("blocks wrong: %v", res.Blocks)
 	}
-	if len(res.Bans) != 1 || res.Bans[0] != (ReplayBan{TimeNs: 99, Identity: "b"}) {
+	if len(res.Bans) != 1 || res.Bans[0] != (ReplayBan{timeNs: 99, identity: "b"}) {
 		t.Fatalf("bans wrong: %v", res.Bans)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // FileStore is the durable Store: a directory of numbered segment
 // files (`archive-00000000.seg`, …), each a run of framed records.
-// Appends go to the newest segment; when it exceeds SegmentBytes the
+// Appends go to the newest segment; when it exceeds segmentBytes the
 // store rotates to a fresh one and, if MaxSegments is set, unlinks the
 // oldest. Durability is batched: Append only writes, Sync fsyncs.
 //
@@ -39,9 +39,9 @@ type FileStore struct {
 
 // FileStoreOptions tune segment rotation and retention.
 type FileStoreOptions struct {
-	// SegmentBytes rotates to a new segment once the current one
+	// segmentBytes rotates to a new segment once the current one
 	// reaches this size (default 4 MiB).
-	SegmentBytes int64
+	segmentBytes int64
 	// MaxSegments caps how many segments are kept; rotation unlinks
 	// the oldest beyond the cap. 0 keeps everything.
 	MaxSegments int
@@ -60,8 +60,8 @@ func segName(n uint32) string {
 // OpenFileStore opens (creating if needed) the archive directory and
 // recovers the newest segment's torn tail, if any.
 func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentSize
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentSize
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -152,7 +152,7 @@ func (s *FileStore) Append(ev *Event) error {
 	n, err := s.f.Write(s.buf)
 	s.size += int64(n)
 	s.dirty = true
-	if err == nil && s.size >= s.opts.SegmentBytes {
+	if err == nil && s.size >= s.opts.segmentBytes {
 		err = s.rotateLocked()
 	}
 	s.mu.Unlock()
@@ -210,16 +210,16 @@ func (s *FileStore) Sync() error {
 func (s *FileStore) Next(c Cursor, out []Event) (int, Cursor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.Segment < s.firstSeg {
-		c = Cursor{Segment: s.firstSeg}
+	if c.segment < s.firstSeg {
+		c = Cursor{segment: s.firstSeg}
 	}
 	n := 0
-	for n < len(out) && c.Segment <= s.lastSeg {
+	for n < len(out) && c.segment <= s.lastSeg {
 		segSize := s.size
-		if c.Segment != s.lastSeg {
-			st, err := os.Stat(filepath.Join(s.dir, segName(c.Segment)))
+		if c.segment != s.lastSeg {
+			st, err := os.Stat(filepath.Join(s.dir, segName(c.segment)))
 			if os.IsNotExist(err) { // raced retention
-				c = Cursor{Segment: c.Segment + 1}
+				c = Cursor{segment: c.segment + 1}
 				continue
 			}
 			if err != nil {
@@ -227,16 +227,16 @@ func (s *FileStore) Next(c Cursor, out []Event) (int, Cursor, error) {
 			}
 			segSize = st.Size()
 		}
-		if c.Offset >= segSize {
-			if c.Segment == s.lastSeg {
+		if c.offset >= segSize {
+			if c.segment == s.lastSeg {
 				break
 			}
-			c = Cursor{Segment: c.Segment + 1}
+			c = Cursor{segment: c.segment + 1}
 			continue
 		}
 		read, consumed, err := s.readSegment(c, segSize, out[n:])
 		n += read
-		c.Offset += consumed
+		c.offset += consumed
 		if err != nil {
 			return n, c, err
 		}
@@ -247,17 +247,17 @@ func (s *FileStore) Next(c Cursor, out []Event) (int, Cursor, error) {
 	return n, c, nil
 }
 
-// readSegment decodes records from one segment starting at c.Offset,
+// readSegment decodes records from one segment starting at c.offset,
 // stopping at segSize, len(out) events, or a torn tail (which is only
 // legal transiently, while Append is mid-write on the newest segment).
 func (s *FileStore) readSegment(c Cursor, segSize int64, out []Event) (int, int64, error) {
-	f, err := os.Open(filepath.Join(s.dir, segName(c.Segment)))
+	f, err := os.Open(filepath.Join(s.dir, segName(c.segment)))
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	data := make([]byte, segSize-c.Offset)
-	if _, err := io.ReadFull(io.NewSectionReader(f, c.Offset, int64(len(data))), data); err != nil {
+	data := make([]byte, segSize-c.offset)
+	if _, err := io.ReadFull(io.NewSectionReader(f, c.offset, int64(len(data))), data); err != nil {
 		return 0, 0, err
 	}
 	n := 0

@@ -7,7 +7,7 @@ import "sync"
 // the ring fills, the oldest events are evicted; cursors into evicted
 // history are clamped forward to the oldest retained event.
 //
-// Cursor mapping: Segment is always 0, Offset is the event's absolute
+// Cursor mapping: segment is always 0, offset is the event's absolute
 // sequence number (0 for the first event ever appended), so cursors
 // stay stable across eviction.
 type MemStore struct {
@@ -54,7 +54,7 @@ func (s *MemStore) Sync() error { return nil }
 func (s *MemStore) Next(c Cursor, out []Event) (int, Cursor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := c.Offset
+	seq := c.offset
 	if seq < s.base {
 		seq = s.base // evicted history: clamp to oldest retained
 	}
@@ -65,15 +65,8 @@ func (s *MemStore) Next(c Cursor, out []Event) (int, Cursor, error) {
 		n++
 		seq++
 	}
-	return n, Cursor{Offset: seq}, nil
+	return n, Cursor{offset: seq}, nil
 }
 
 // Close is a no-op.
 func (s *MemStore) Close() error { return nil }
-
-// Len reports how many events are currently retained.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}

@@ -25,17 +25,17 @@ type Recorder struct {
 	errors  *metrics.Counter
 }
 
-// DefaultQueueDepth bounds the Record queue: deep enough to absorb a
+// defaultQueueDepth bounds the Record queue: deep enough to absorb a
 // settle burst (one payout event per account), shallow enough that a
 // wedged disk cannot pin unbounded memory.
-const DefaultQueueDepth = 4096
+const defaultQueueDepth = 4096
 
 // NewRecorder wires a Store behind a bounded queue and starts the
 // drain goroutine. reg receives the pool.archive_* instruments (nil
-// for a private registry); depth <= 0 selects DefaultQueueDepth.
+// for a private registry); depth <= 0 selects defaultQueueDepth.
 func NewRecorder(store Store, reg *metrics.Registry, depth int) *Recorder {
 	if depth <= 0 {
-		depth = DefaultQueueDepth
+		depth = defaultQueueDepth
 	}
 	if reg == nil {
 		reg = metrics.NewRegistry()

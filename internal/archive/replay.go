@@ -17,8 +17,8 @@ type ReplayBlock struct {
 
 // ReplayBan is one archived ban, for operator display.
 type ReplayBan struct {
-	TimeNs   int64
-	Identity string
+	timeNs   int64
+	identity string
 }
 
 // ReplayResult aggregates an archive into attribution state.
@@ -89,7 +89,7 @@ func (r *ReplayResult) apply(ev *Event) {
 	case KindRetarget:
 		r.Retargets++
 	case KindBan:
-		r.Bans = append(r.Bans, ReplayBan{TimeNs: ev.TimeNs, Identity: ev.Actor})
+		r.Bans = append(r.Bans, ReplayBan{timeNs: ev.TimeNs, identity: ev.Actor})
 	case KindBlockAppend:
 		if ev.Height > r.ChainHeight {
 			r.ChainHeight = ev.Height

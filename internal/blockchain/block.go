@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/cryptonight"
 	"repro/internal/keccak"
 	"repro/internal/merkle"
 	"repro/internal/varint"
@@ -13,8 +12,8 @@ import (
 // Header is the Monero-style block header (Figure 1 of the paper):
 // versions, timestamp, pointer to the previous block, and the PoW nonce.
 type Header struct {
-	MajorVersion uint64
-	MinorVersion uint64
+	majorVersion uint64
+	minorVersion uint64
 	Timestamp    uint64 // UNIX seconds
 	PrevHash     [32]byte
 	Nonce        uint32
@@ -25,13 +24,13 @@ type Header struct {
 // offset when splicing client nonces back into templates, and Coinhive's
 // obfuscation XORs the blob a few bytes further in (see internal/stratum).
 func (h Header) NonceOffset() int {
-	return varint.Len(h.MajorVersion) + varint.Len(h.MinorVersion) + varint.Len(h.Timestamp) + 32
+	return varint.Len(h.majorVersion) + varint.Len(h.minorVersion) + varint.Len(h.Timestamp) + 32
 }
 
 // appendHeader serialises the header fields in wire order.
 func (h Header) appendHeader(dst []byte) []byte {
-	dst = varint.Append(dst, h.MajorVersion)
-	dst = varint.Append(dst, h.MinorVersion)
+	dst = varint.Append(dst, h.majorVersion)
+	dst = varint.Append(dst, h.minorVersion)
 	dst = varint.Append(dst, h.Timestamp)
 	dst = append(dst, h.PrevHash[:]...)
 	var n [4]byte
@@ -49,20 +48,20 @@ type Block struct {
 	TxHashes [][32]byte
 }
 
-// NumTransactions counts all transactions including the coinbase.
-func (b *Block) NumTransactions() int { return 1 + len(b.TxHashes) }
+// numTransactions counts all transactions including the coinbase.
+func (b *Block) numTransactions() int { return 1 + len(b.TxHashes) }
 
-// MerkleRoot computes the CryptoNote tree hash over the coinbase hash
+// merkleRoot computes the CryptoNote tree hash over the coinbase hash
 // followed by the included transaction hashes. The common simulation case —
 // a coinbase-only block — reduces to the coinbase hash with no allocation;
 // small transaction sets gather their leaves on the stack.
-func (b *Block) MerkleRoot() [32]byte {
+func (b *Block) merkleRoot() [32]byte {
 	if len(b.TxHashes) == 0 {
 		return b.Coinbase.Hash()
 	}
 	var stack [8]merkle.Hash
 	var leaves []merkle.Hash
-	if n := b.NumTransactions(); n <= len(stack) {
+	if n := b.numTransactions(); n <= len(stack) {
 		leaves = stack[:0]
 	} else {
 		leaves = make([]merkle.Hash, 0, n)
@@ -72,10 +71,10 @@ func (b *Block) MerkleRoot() [32]byte {
 	return merkle.TreeHash(leaves)
 }
 
-// HashingBlob returns the PoW input: header bytes, Merkle root, and the
+// hashingBlob returns the PoW input: header bytes, Merkle root, and the
 // transaction count. This is exactly the "PoW Input" of the paper's
 // Figure 1 and the blob that pools push to web miners as jobs.
-func (b *Block) HashingBlob() []byte {
+func (b *Block) hashingBlob() []byte {
 	return b.AppendHashingBlob(make([]byte, 0, 128))
 }
 
@@ -83,7 +82,7 @@ func (b *Block) HashingBlob() []byte {
 // pool's template refresh and the chain's append path pass scratch buffers
 // so the hot path allocates nothing.
 func (b *Block) AppendHashingBlob(dst []byte) []byte {
-	return b.appendBlobWithRoot(dst, b.MerkleRoot())
+	return b.appendBlobWithRoot(dst, b.merkleRoot())
 }
 
 // appendBlobWithRoot serialises the PoW input given an already-computed
@@ -91,7 +90,7 @@ func (b *Block) AppendHashingBlob(dst []byte) []byte {
 func (b *Block) appendBlobWithRoot(dst []byte, root [32]byte) []byte {
 	dst = b.Header.appendHeader(dst)
 	dst = append(dst, root[:]...)
-	return varint.Append(dst, uint64(b.NumTransactions()))
+	return varint.Append(dst, uint64(b.numTransactions()))
 }
 
 // maxBlobSize bounds a serialised hashing blob: three max-width varints,
@@ -104,21 +103,16 @@ const maxBlobSize = 10 + 10 + 10 + 32 + 4 + 32 + 10
 // built in a stack buffer, so computing an ID allocates nothing.
 func (b *Block) ID() [32]byte {
 	var buf [maxBlobSize]byte
-	return IDFromBlob(b.AppendHashingBlob(buf[:0]))
+	return idFromBlob(b.AppendHashingBlob(buf[:0]))
 }
 
-// IDFromBlob hashes a prepared hashing blob into its block identifier.
+// idFromBlob hashes a prepared hashing blob into its block identifier.
 // Callers that already hold the blob (the chain's append path, the §4.2
 // watcher) skip re-serialising the block.
-func IDFromBlob(blob []byte) [32]byte {
+func idFromBlob(blob []byte) [32]byte {
 	var buf [maxBlobSize + 2]byte
 	pre := varint.Append(buf[:0], uint64(len(blob)))
 	return keccak.Sum256(append(pre, blob...))
-}
-
-// PowHash evaluates the CryptoNight hash of the hashing blob.
-func (b *Block) PowHash(h *cryptonight.Hasher) [32]byte {
-	return h.Sum(b.HashingBlob())
 }
 
 // ParseHashingBlob splits a raw PoW input into header, Merkle root, and
@@ -140,8 +134,8 @@ func ParseHashingBlob(blob []byte) (Header, [32]byte, uint64, error) {
 		blob = blob[n:]
 		return v
 	}
-	h.MajorVersion = rd()
-	h.MinorVersion = rd()
+	h.majorVersion = rd()
+	h.minorVersion = rd()
 	h.Timestamp = rd()
 	if err == nil {
 		if len(blob) < 36+32 {

@@ -3,6 +3,7 @@ package blockchain
 import (
 	"bytes"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func mineOnto(t *testing.T, c *Chain, ts uint64, to Address, extra []byte) *Bloc
 	diff := c.NextDifficulty()
 	for n := uint32(0); ; n++ {
 		b.Nonce = n
-		if cryptonight.CheckDifficulty(b.PowHash(h), diff) {
+		if cryptonight.CheckDifficulty(h.Sum(b.hashingBlob()), diff) {
 			break
 		}
 		if n > 1_000_000 {
@@ -43,20 +44,20 @@ func mineOnto(t *testing.T, c *Chain, ts uint64, to Address, extra []byte) *Bloc
 // 32-byte payee, varint fee, then the length-prefixed extra and payload.
 func TestTransactionKnownAnswer(t *testing.T) {
 	tx := Transaction{
-		Version:    2,
-		UnlockTime: 77,
-		Coinbase:   true,
+		version:    2,
+		unlockTime: 77,
+		coinbase:   true,
 		Amount:     123456789,
 		To:         AddressFromString("coinhive-wallet"),
-		Fee:        42,
-		Extra:      []byte{0xde, 0xad, 0xbe, 0xef},
-		Payload:    []byte("outputs"),
+		fee:        42,
+		extra:      []byte{0xde, 0xad, 0xbe, 0xef},
+		payload:    []byte("outputs"),
 	}
 	const (
 		wantWire = "024d01959aef3a30dcd86e96768a1b76ded988de06e7d757f02aa0a13cc71444f79157d65816192a04deadbeef076f757470757473"
 		wantHash = "c464fd8578479932a55f934a9906310065580875243ed74c8911ab313040bb21"
 	)
-	if got := hex.EncodeToString(tx.Serialize(nil)); got != wantWire {
+	if got := hex.EncodeToString(tx.serialize(nil)); got != wantWire {
 		t.Errorf("Serialize = %s, want %s", got, wantWire)
 	}
 	if got := tx.Hash(); hex.EncodeToString(got[:]) != wantHash {
@@ -66,12 +67,12 @@ func TestTransactionKnownAnswer(t *testing.T) {
 
 func TestHashingBlobParse(t *testing.T) {
 	b := &Block{
-		Header: Header{MajorVersion: 7, MinorVersion: 7, Timestamp: 1525000000,
+		Header: Header{majorVersion: 7, minorVersion: 7, Timestamp: 1525000000,
 			PrevHash: AddressFromString("prev"), Nonce: 42},
-		Coinbase: NewCoinbase(1000, AddressFromString("pool"), 60, nil),
+		Coinbase: newCoinbase(1000, AddressFromString("pool"), 60, nil),
 		TxHashes: [][32]byte{AddressFromString("t1"), AddressFromString("t2"), AddressFromString("t3")},
 	}
-	blob := b.HashingBlob()
+	blob := b.hashingBlob()
 	h, root, numTx, err := ParseHashingBlob(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestHashingBlobParse(t *testing.T) {
 	if h != b.Header {
 		t.Errorf("header mismatch: %+v vs %+v", h, b.Header)
 	}
-	if root != b.MerkleRoot() {
+	if root != b.merkleRoot() {
 		t.Error("parsed Merkle root differs")
 	}
 	if numTx != 4 {
@@ -89,13 +90,13 @@ func TestHashingBlobParse(t *testing.T) {
 
 func TestNonceSplice(t *testing.T) {
 	b := &Block{
-		Header:   Header{MajorVersion: 7, MinorVersion: 7, Timestamp: 1525000000, Nonce: 0},
-		Coinbase: NewCoinbase(10, AddressFromString("x"), 0, nil),
+		Header:   Header{majorVersion: 7, minorVersion: 7, Timestamp: 1525000000, Nonce: 0},
+		Coinbase: newCoinbase(10, AddressFromString("x"), 0, nil),
 	}
-	blob := b.HashingBlob()
+	blob := b.hashingBlob()
 	SpliceNonce(blob, b.NonceOffset(), 0xA1B2C3D4)
 	b.Nonce = 0xA1B2C3D4
-	if !bytes.Equal(blob, b.HashingBlob()) {
+	if !bytes.Equal(blob, b.hashingBlob()) {
 		t.Error("SpliceNonce result differs from re-serialisation")
 	}
 }
@@ -105,10 +106,10 @@ func TestMerkleRootCommitsToCoinbaseExtra(t *testing.T) {
 	// is what makes the paper's 128-distinct-PoW-inputs observation work.
 	mk := func(extra []byte) [32]byte {
 		b := &Block{
-			Header:   Header{MajorVersion: 7, MinorVersion: 7, Timestamp: 1},
-			Coinbase: NewCoinbase(10, AddressFromString("pool"), 0, extra),
+			Header:   Header{majorVersion: 7, minorVersion: 7, Timestamp: 1},
+			Coinbase: newCoinbase(10, AddressFromString("pool"), 0, extra),
 		}
-		return b.MerkleRoot()
+		return b.merkleRoot()
 	}
 	if mk([]byte{0}) == mk([]byte{1}) {
 		t.Error("coinbase extra does not alter Merkle root")
@@ -116,28 +117,28 @@ func TestMerkleRootCommitsToCoinbaseExtra(t *testing.T) {
 }
 
 func TestEmissionCurve(t *testing.T) {
-	p := MainnetLike(cryptonight.Test)
-	r0 := p.BaseReward(0)
-	r1 := p.BaseReward(r0)
+	p := mainnetLike(cryptonight.Test)
+	r0 := p.baseReward(0)
+	r1 := p.baseReward(r0)
 	if r1 >= r0 {
 		t.Errorf("reward must decrease: r0=%d r1=%d", r0, r1)
 	}
 	// Tail emission floor.
-	if got := p.BaseReward(p.MoneySupply - 1); got != p.TailEmission {
-		t.Errorf("near-exhausted supply reward = %d, want tail %d", got, p.TailEmission)
+	if got := p.baseReward(p.moneySupply - 1); got != p.tailEmission {
+		t.Errorf("near-exhausted supply reward = %d, want tail %d", got, p.tailEmission)
 	}
-	if got := p.BaseReward(p.MoneySupply); got != p.TailEmission {
-		t.Errorf("exhausted supply reward = %d, want tail %d", got, p.TailEmission)
+	if got := p.baseReward(p.moneySupply); got != p.tailEmission {
+		t.Errorf("exhausted supply reward = %d, want tail %d", got, p.tailEmission)
 	}
 }
 
 func TestQuickEmissionMonotoneNonIncreasing(t *testing.T) {
-	p := MainnetLike(cryptonight.Test)
+	p := mainnetLike(cryptonight.Test)
 	f := func(a, b uint64) bool {
 		if a > b {
 			a, b = b, a
 		}
-		return p.BaseReward(a) >= p.BaseReward(b)
+		return p.baseReward(a) >= p.baseReward(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -156,12 +157,12 @@ func TestChainGenesisAndAppend(t *testing.T) {
 	if c.Height() != 1 {
 		t.Fatalf("height after one block = %d", c.Height())
 	}
-	if c.Tip().ID() != b1.ID() {
+	if c.TipID() != b1.ID() {
 		t.Error("tip is not the appended block")
 	}
 	// Lookup path: the §4.2 successor of genesis is block 1.
-	succ, ok := c.SuccessorInfoOf(c.BlockByHeight(0).ID())
-	if !ok || succ.Height != 1 || succ.ID != b1.ID() {
+	succ, ok := c.SuccessorInfoOf(c.blocks[0].ID())
+	if !ok || succ.Height != 1 || succ.id != b1.ID() {
 		t.Errorf("SuccessorInfoOf(genesis) = %+v, %v; want block 1", succ, ok)
 	}
 	if _, ok := c.SuccessorInfoOf(b1.ID()); ok {
@@ -181,20 +182,20 @@ func TestChainRejectsBadBlocks(t *testing.T) {
 	}
 	// Wrong version.
 	bad = c.NewTemplate(1_525_000_240, AddressFromString("m"), nil, nil)
-	bad.MajorVersion = 6
-	if err := c.Append(bad); err != ErrBadVersion {
+	bad.majorVersion = 6
+	if err := c.Append(bad); err != errBadVersion {
 		t.Errorf("wrong version: err = %v, want ErrBadVersion", err)
 	}
 	// Wrong reward.
 	bad = c.NewTemplate(1_525_000_240, AddressFromString("m"), nil, nil)
 	bad.Coinbase.Amount++
-	if err := c.Append(bad); !errorsIs(err, ErrBadCoinbase) {
+	if err := c.Append(bad); !errorsIs(err, errBadCoinbase) {
 		t.Errorf("wrong reward: err = %v, want ErrBadCoinbase", err)
 	}
 	// Not a coinbase.
 	bad = c.NewTemplate(1_525_000_240, AddressFromString("m"), nil, nil)
-	bad.Coinbase.Coinbase = false
-	if err := c.Append(bad); !errorsIs(err, ErrBadCoinbase) {
+	bad.Coinbase.coinbase = false
+	if err := c.Append(bad); !errorsIs(err, errBadCoinbase) {
 		t.Errorf("non-coinbase: err = %v, want ErrBadCoinbase", err)
 	}
 }
@@ -218,7 +219,7 @@ func TestChainRejectsUnworkedBlock(t *testing.T) {
 	p.MinDifficulty = 1 << 28 // effectively unmineable in a test
 	c, _ := NewChain(p, 1_525_000_000, AddressFromString("g"))
 	b := c.NewTemplate(1_525_000_120, AddressFromString("m"), nil, nil)
-	if err := c.Append(b); !errorsIs(err, ErrBadPoW) {
+	if err := c.Append(b); !errorsIs(err, errBadPoW) {
 		t.Errorf("unworked block: err = %v, want ErrBadPoW", err)
 	}
 }
@@ -236,11 +237,11 @@ func TestTimestampMedianRule(t *testing.T) {
 	diff := c.NextDifficulty()
 	for n := uint32(0); ; n++ {
 		b.Nonce = n
-		if cryptonight.CheckDifficulty(b.PowHash(h), diff) {
+		if cryptonight.CheckDifficulty(h.Sum(b.hashingBlob()), diff) {
 			break
 		}
 	}
-	if err := c.Append(b); err != ErrBadTimestamp {
+	if err := c.Append(b); err != errBadTimestamp {
 		t.Errorf("stale timestamp: err = %v, want ErrBadTimestamp", err)
 	}
 }
@@ -259,7 +260,7 @@ func TestNextDifficultyRisesWithFasterBlocks(t *testing.T) {
 				cum = append(cum, cum[i-1]+d)
 			}
 		}
-		return NextDifficulty(ts, cum, 120, 720, 60, 1)
+		return nextDifficulty(ts, cum, 120, 720, 60, 1)
 	}
 	fast, slow, on := mk(60), mk(240), mk(120)
 	if !(fast > on && on > slow) {
@@ -274,8 +275,8 @@ func TestNextDifficultyWindowing(t *testing.T) {
 		ts = append(ts, i*120)
 		cum = append(cum, (i+1)*1000)
 	}
-	full := NextDifficulty(ts, cum, 120, 50, 5, 1)
-	tail := NextDifficulty(ts[150:], cum[150:], 120, 50, 5, 1)
+	full := nextDifficulty(slices.Clone(ts), cum, 120, 50, 5, 1)
+	tail := nextDifficulty(ts[150:], cum[150:], 120, 50, 5, 1)
 	if full != tail {
 		t.Errorf("windowed difficulty %d != tail-only %d", full, tail)
 	}
@@ -283,10 +284,10 @@ func TestNextDifficultyWindowing(t *testing.T) {
 
 func TestChainEmissionAccounting(t *testing.T) {
 	c, _ := NewChain(testParams(), 1_525_000_000, AddressFromString("g"))
-	before := c.Generated()
-	want := c.BaseReward()
+	before := c.generated
+	want := c.params.baseReward(c.generated)
 	mineOnto(t, c, 1_525_000_120, AddressFromString("m"), nil)
-	if got := c.Generated() - before; got != want {
+	if got := c.generated - before; got != want {
 		t.Errorf("emission delta = %d, want %d", got, want)
 	}
 }
@@ -302,7 +303,7 @@ func TestBlocksRange(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("Blocks(1,3) returned %d blocks", len(got))
 	}
-	if got[0].ID() != c.BlockByHeight(1).ID() {
+	if got[0].ID() != c.blocks[1].ID() {
 		t.Error("range does not start at requested height")
 	}
 	if c.Blocks(3, 2) != nil {
@@ -315,12 +316,12 @@ func TestBlocksRange(t *testing.T) {
 
 func BenchmarkHashingBlob(b *testing.B) {
 	blk := &Block{
-		Header:   Header{MajorVersion: 7, MinorVersion: 7, Timestamp: 1525000000},
-		Coinbase: NewCoinbase(1000, AddressFromString("pool"), 60, []byte{1, 2}),
+		Header:   Header{majorVersion: 7, minorVersion: 7, Timestamp: 1525000000},
+		Coinbase: newCoinbase(1000, AddressFromString("pool"), 60, []byte{1, 2}),
 		TxHashes: make([][32]byte, 16),
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk.HashingBlob()
+		blk.hashingBlob()
 	}
 }

@@ -9,18 +9,18 @@ import (
 	"repro/internal/cryptonight"
 )
 
-// TimestampMedianWindow is the number of trailing blocks whose median
+// timestampMedianWindow is the number of trailing blocks whose median
 // timestamp a new block must exceed (Monero: 60).
-const TimestampMedianWindow = 60
+const timestampMedianWindow = 60
 
 // Verification errors.
 var (
 	ErrBadPrev      = errors.New("blockchain: previous hash does not match tip")
-	ErrBadVersion   = errors.New("blockchain: header version mismatch")
-	ErrBadTimestamp = errors.New("blockchain: timestamp not above trailing median")
-	ErrBadPoW       = errors.New("blockchain: proof of work below difficulty")
-	ErrBadCoinbase  = errors.New("blockchain: invalid coinbase transaction")
-	ErrKnownBlock   = errors.New("blockchain: block already in chain")
+	errBadVersion   = errors.New("blockchain: header version mismatch")
+	errBadTimestamp = errors.New("blockchain: timestamp not above trailing median")
+	errBadPoW       = errors.New("blockchain: proof of work below difficulty")
+	errBadCoinbase  = errors.New("blockchain: invalid coinbase transaction")
+	errKnownBlock   = errors.New("blockchain: block already in chain")
 )
 
 // Chain is a verifying, append-only block store. Each block's identifier
@@ -108,13 +108,13 @@ func NewChain(p Params, genesisTimestamp uint64, to Address) (*Chain, error) {
 	c := &Chain{params: p, index: make(map[[32]byte]uint64)}
 	g := &Block{
 		Header: Header{
-			MajorVersion: p.MajorVersion,
-			MinorVersion: p.MinorVersion,
+			majorVersion: p.majorVersion,
+			minorVersion: p.minorVersion,
 			Timestamp:    genesisTimestamp,
 		},
-		Coinbase: NewCoinbase(p.BaseReward(0), to, 0, []byte("genesis")),
+		Coinbase: newCoinbase(p.baseReward(0), to, 0, []byte("genesis")),
 	}
-	root := g.MerkleRoot()
+	root := g.merkleRoot()
 	c.blocks = append(c.blocks, g)
 	c.tipID = g.ID()
 	c.index[c.tipID] = 0
@@ -149,36 +149,12 @@ func (c *Chain) Height() uint64 {
 	return uint64(len(c.blocks) - 1)
 }
 
-// Tip returns the most recent block.
-func (c *Chain) Tip() *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.blocks[len(c.blocks)-1]
-}
-
 // TipID returns the most recent block's identifier (cached: callers poll
 // it at high frequency to detect tip changes).
 func (c *Chain) TipID() [32]byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.tipID
-}
-
-// Generated returns the total atomic units emitted so far.
-func (c *Chain) Generated() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.generated
-}
-
-// BlockByHeight returns the block at height h, or nil.
-func (c *Chain) BlockByHeight(h uint64) *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if h >= uint64(len(c.blocks)) {
-		return nil
-	}
-	return c.blocks[h]
 }
 
 // SuccessorInfo is the append-time-cached summary of the block mined on top
@@ -188,7 +164,7 @@ type SuccessorInfo struct {
 	Height    uint64
 	Timestamp uint64
 	Reward    uint64
-	ID        [32]byte
+	id        [32]byte
 	Root      [32]byte
 }
 
@@ -209,7 +185,7 @@ func (c *Chain) SuccessorInfoOf(id [32]byte) (SuccessorInfo, bool) {
 		Height:    h + 1,
 		Timestamp: succ.Timestamp,
 		Reward:    succ.Coinbase.Amount,
-		ID:        c.ids[h+1],
+		id:        c.ids[h+1],
 		Root:      c.roots[h+1],
 	}, true
 }
@@ -240,7 +216,7 @@ func (c *Chain) recomputeDifficultyLocked() uint64 {
 		ts[i-start] = c.blocks[i].Timestamp
 	}
 	return nextDifficulty(ts, c.cumDiff[start:], uint64(c.params.TargetBlockTime.Seconds()),
-		c.params.DifficultyWindow, c.params.DifficultyCut, c.params.MinDifficulty)
+		c.params.DifficultyWindow, c.params.difficultyCut, c.params.MinDifficulty)
 }
 
 // timestampScratchLocked returns an n-length reusable uint64 buffer.
@@ -249,13 +225,6 @@ func (c *Chain) timestampScratchLocked(n int) []uint64 {
 		c.tsScratch = make([]uint64, 0, n+n/2)
 	}
 	return c.tsScratch[:n]
-}
-
-// BaseReward returns the reward the next block's coinbase must claim.
-func (c *Chain) BaseReward() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.params.BaseReward(c.generated)
 }
 
 // NewTemplate assembles an unmined block on top of the current tip. The
@@ -267,21 +236,21 @@ func (c *Chain) NewTemplate(timestamp uint64, to Address, extra []byte, txHashes
 	height := uint64(len(c.blocks))
 	return &Block{
 		Header: Header{
-			MajorVersion: c.params.MajorVersion,
-			MinorVersion: c.params.MinorVersion,
+			majorVersion: c.params.majorVersion,
+			minorVersion: c.params.minorVersion,
 			Timestamp:    timestamp,
 			PrevHash:     c.tipID, // cached — recomputing tip.ID() costs three Keccaks per template
 		},
-		Coinbase: NewCoinbase(c.params.BaseReward(c.generated), to, height+60, extra),
+		Coinbase: newCoinbase(c.params.baseReward(c.generated), to, height+60, extra),
 		TxHashes: append([][32]byte(nil), txHashes...),
 	}
 }
 
 // medianTimestampLocked returns the median of the trailing
-// TimestampMedianWindow block timestamps. The caller holds the write lock.
+// timestampMedianWindow block timestamps. The caller holds the write lock.
 func (c *Chain) medianTimestampLocked() uint64 {
 	n := len(c.blocks)
-	w := TimestampMedianWindow
+	w := timestampMedianWindow
 	if n < w {
 		w = n
 	}
@@ -333,8 +302,8 @@ var blobScratch = sync.Pool{New: func() interface{} {
 // chain-state checks (prev, dup, timestamp median, reward, difficulty)
 // run against the then-current tip under the write lock.
 func (c *Chain) append(b *Block, verifyPoW bool) (tip [32]byte, height uint64, err error) {
-	if verifyPoW && (b.MajorVersion != c.params.MajorVersion || b.MinorVersion != c.params.MinorVersion) {
-		return tip, 0, ErrBadVersion
+	if verifyPoW && (b.majorVersion != c.params.majorVersion || b.minorVersion != c.params.minorVersion) {
+		return tip, 0, errBadVersion
 	}
 	// Fail fast on a stale parent before paying for serialisation and
 	// hashing; the authoritative check re-runs under the write lock.
@@ -345,10 +314,10 @@ func (c *Chain) append(b *Block, verifyPoW bool) (tip [32]byte, height uint64, e
 		return tip, 0, ErrBadPrev
 	}
 
-	root := b.MerkleRoot()
+	root := b.merkleRoot()
 	bufp := blobScratch.Get().(*[]byte)
 	blob := b.appendBlobWithRoot((*bufp)[:0], root)
-	id := IDFromBlob(blob)
+	id := idFromBlob(blob)
 	var pow [32]byte
 	if verifyPoW {
 		pow = cryptonight.Sum(blob, c.params.PowVariant)
@@ -362,26 +331,26 @@ func (c *Chain) append(b *Block, verifyPoW bool) (tip [32]byte, height uint64, e
 		return tip, 0, ErrBadPrev
 	}
 	if _, dup := c.index[id]; dup {
-		return tip, 0, ErrKnownBlock
+		return tip, 0, errKnownBlock
 	}
 	if verifyPoW {
 		if len(c.blocks) > 1 && b.Timestamp <= c.medianTimestampLocked() {
-			return tip, 0, ErrBadTimestamp
+			return tip, 0, errBadTimestamp
 		}
-		if !b.Coinbase.Coinbase {
-			return tip, 0, fmt.Errorf("%w: first transaction not a coinbase", ErrBadCoinbase)
+		if !b.Coinbase.coinbase {
+			return tip, 0, fmt.Errorf("%w: first transaction not a coinbase", errBadCoinbase)
 		}
 		// Simulated mempool transactions are fee-less, so the coinbase must
 		// claim exactly the emission-curve reward (the paper likewise sums
 		// block rewards when computing Coinhive's XMR turnover).
-		if want := c.params.BaseReward(c.generated); b.Coinbase.Amount != want {
-			return tip, 0, fmt.Errorf("%w: claims %d, want %d", ErrBadCoinbase, b.Coinbase.Amount, want)
+		if want := c.params.baseReward(c.generated); b.Coinbase.Amount != want {
+			return tip, 0, fmt.Errorf("%w: claims %d, want %d", errBadCoinbase, b.Coinbase.Amount, want)
 		}
 	}
 	diff := c.nextDiff
 	if verifyPoW {
 		if !cryptonight.CheckDifficulty(pow, diff) {
-			return tip, 0, fmt.Errorf("%w (difficulty %d)", ErrBadPoW, diff)
+			return tip, 0, fmt.Errorf("%w (difficulty %d)", errBadPoW, diff)
 		}
 	}
 

@@ -5,21 +5,15 @@ import (
 	"slices"
 )
 
-// NextDifficulty implements the Monero-style windowed retarget: take the
-// last window timestamps and cumulative difficulties, sort the timestamps,
-// trim cut outliers from each end, and scale total work over the trimmed
-// span to the target block time.
+// nextDifficulty implements the Monero-style windowed retarget: take the
+// last window timestamps and cumulative difficulties, sort the timestamps
+// (in place: the chain's append path passes a reusable scratch buffer, so
+// a retarget allocates nothing), trim cut outliers from each end, and
+// scale total work over the trimmed span to the target block time.
 //
 // timestamps[i] and cumulative[i] must describe the same block; cumulative
 // difficulty is the sum of all block difficulties up to and including that
 // block. target is the desired seconds per block.
-func NextDifficulty(timestamps []uint64, cumulative []uint64, target uint64, window, cut int, minDiff uint64) uint64 {
-	return nextDifficulty(append([]uint64(nil), timestamps...), cumulative, target, window, cut, minDiff)
-}
-
-// nextDifficulty is NextDifficulty for callers that own the timestamp slice
-// and allow it to be sorted in place; the chain's append path passes a
-// reusable scratch buffer here so a retarget allocates nothing.
 func nextDifficulty(timestamps []uint64, cumulative []uint64, target uint64, window, cut int, minDiff uint64) uint64 {
 	n := len(timestamps)
 	if n != len(cumulative) {

@@ -27,61 +27,61 @@ type Params struct {
 	// DifficultyWindow is the number of trailing blocks examined by the
 	// retarget (Monero: 720).
 	DifficultyWindow int
-	// DifficultyCut is the number of outlier blocks trimmed from *each* end
+	// difficultyCut is the number of outlier blocks trimmed from *each* end
 	// of the sorted timestamp window (Monero: 60).
-	DifficultyCut int
+	difficultyCut int
 	// MinDifficulty floors the retarget output.
 	MinDifficulty uint64
-	// MoneySupply is the emission ceiling M in atomic units; the base block
-	// reward is (M − alreadyGenerated) >> EmissionSpeedFactor.
-	MoneySupply uint64
-	// EmissionSpeedFactor is Monero's emission shift (20 pre-v2; the
+	// moneySupply is the emission ceiling M in atomic units; the base block
+	// reward is (M − alreadyGenerated) >> emissionSpeedFactor.
+	moneySupply uint64
+	// emissionSpeedFactor is Monero's emission shift (20 pre-v2; the
 	// 2018-era chain used 19 after the v2 fork block-time change).
-	EmissionSpeedFactor uint
-	// TailEmission is the perpetual minimum block reward.
-	TailEmission uint64
+	emissionSpeedFactor uint
+	// tailEmission is the perpetual minimum block reward.
+	tailEmission uint64
 	// PowVariant selects the CryptoNight profile used for verification.
 	PowVariant cryptonight.Variant
-	// MajorVersion/MinorVersion are the header versions (the paper's
+	// majorVersion/minorVersion are the header versions (the paper's
 	// Figure 1 shows maj 7, min 7 — the 2018-era Monero v7 fork).
-	MajorVersion, MinorVersion uint64
+	majorVersion, minorVersion uint64
 }
 
-// MainnetLike returns parameters matching the 2018-era Monero mainnet
+// mainnetLike returns parameters matching the 2018-era Monero mainnet
 // except for the PoW profile, which callers pick per workload.
-func MainnetLike(v cryptonight.Variant) Params {
+func mainnetLike(v cryptonight.Variant) Params {
 	return Params{
 		TargetBlockTime:     120 * time.Second,
 		DifficultyWindow:    720,
-		DifficultyCut:       60,
+		difficultyCut:       60,
 		MinDifficulty:       1,
-		MoneySupply:         ^uint64(0), // effectively uncapped, as Monero's 2^64-1
-		EmissionSpeedFactor: 19,
-		TailEmission:        600_000_000_000, // 0.6 XMR tail emission
+		moneySupply:         ^uint64(0), // effectively uncapped, as Monero's 2^64-1
+		emissionSpeedFactor: 19,
+		tailEmission:        600_000_000_000, // 0.6 XMR tail emission
 		PowVariant:          v,
-		MajorVersion:        7,
-		MinorVersion:        7,
+		majorVersion:        7,
+		minorVersion:        7,
 	}
 }
 
 // SimParams returns parameters tuned for fast simulation: same structure,
 // reduced difficulty window so retargets react within short simulations.
 func SimParams() Params {
-	p := MainnetLike(cryptonight.Test)
+	p := mainnetLike(cryptonight.Test)
 	p.DifficultyWindow = 60
-	p.DifficultyCut = 5
+	p.difficultyCut = 5
 	return p
 }
 
-// BaseReward computes the block reward for a chain that has already emitted
+// baseReward computes the block reward for a chain that has already emitted
 // alreadyGenerated atomic units.
-func (p Params) BaseReward(alreadyGenerated uint64) uint64 {
-	if alreadyGenerated >= p.MoneySupply {
-		return p.TailEmission
+func (p Params) baseReward(alreadyGenerated uint64) uint64 {
+	if alreadyGenerated >= p.moneySupply {
+		return p.tailEmission
 	}
-	r := (p.MoneySupply - alreadyGenerated) >> p.EmissionSpeedFactor
-	if r < p.TailEmission {
-		return p.TailEmission
+	r := (p.moneySupply - alreadyGenerated) >> p.emissionSpeedFactor
+	if r < p.tailEmission {
+		return p.tailEmission
 	}
 	return r
 }

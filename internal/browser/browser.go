@@ -22,42 +22,42 @@ import (
 // event and set a 2 s timer on every DOM change but wait no longer than
 // additional 5 s ... In case of no load event, we wait no longer than 15 s".
 const (
-	DOMQuietMs    = 2000
-	ExtraCapMs    = 5000
-	HardTimeoutMs = 15000
-	// FinalHTMLCap is the 65 kB of post-execution HTML the paper saved.
-	FinalHTMLCap = 65 << 10
+	domQuietMs    = 2000
+	extraCapMs    = 5000
+	hardTimeoutMs = 15000
+	// finalHTMLCap is the 65 kB of post-execution HTML the paper saved.
+	finalHTMLCap = 65 << 10
 )
 
 // Page is the instrumented result of one visit.
 type Page struct {
-	Domain    string
-	FinalHTML string
+	domain    string
+	finalHTML string
 	Wasm      [][]byte
 	WSHosts   []string
-	LoadMs    int
-	TimedOut  bool
+	loadMs    int
+	timedOut  bool
 }
 
-// LoadCompletion evaluates the paper's heuristic for a load profile,
+// loadCompletion evaluates the paper's heuristic for a load profile,
 // returning the completion time in ms and whether the visit timed out.
-func LoadCompletion(p webgen.LoadProfile) (int, bool) {
+func loadCompletion(p webgen.LoadProfile) (int, bool) {
 	if !p.HasLoadEvent {
-		return HardTimeoutMs, true
+		return hardTimeoutMs, true
 	}
-	complete := p.LoadEventMs + DOMQuietMs
-	cap := p.LoadEventMs + ExtraCapMs
+	complete := p.LoadEventMs + domQuietMs
+	cap := p.LoadEventMs + extraCapMs
 	for _, d := range p.DOMChangeMs {
 		at := p.LoadEventMs + d
-		if at+DOMQuietMs > complete {
-			complete = at + DOMQuietMs
+		if at+domQuietMs > complete {
+			complete = at + domQuietMs
 		}
 	}
 	if complete > cap {
 		complete = cap
 	}
-	if complete > HardTimeoutMs {
-		return HardTimeoutMs, true
+	if complete > hardTimeoutMs {
+		return hardTimeoutMs, true
 	}
 	return complete, false
 }
@@ -65,45 +65,44 @@ func LoadCompletion(p webgen.LoadProfile) (int, bool) {
 // Visit executes a synthetic site.
 func Visit(s *webgen.Site) Page {
 	html, p := appendVisit(nil, s)
-	p.FinalHTML = unsafe.String(unsafe.SliceData(html), len(html))
+	p.finalHTML = unsafe.String(unsafe.SliceData(html), len(html))
 	return p
 }
 
 // appendVisit is Visit in append form: it appends the final HTML, capped at
-// FinalHTMLCap, to dst and returns it with the rest of the Page, whose
-// FinalHTML it leaves "".
+// finalHTMLCap, to dst and returns it with the rest of the Page, whose
+// finalHTML it leaves "".
 func appendVisit(dst []byte, s *webgen.Site) ([]byte, Page) {
-	loadMs, timedOut := LoadCompletion(s.Load)
+	loadMs, timedOut := loadCompletion(s.Load)
 	n := len(dst)
 	dst, art := webgen.AppendExecuted(dst, s)
-	if len(dst)-n > FinalHTMLCap {
-		dst = dst[:n+FinalHTMLCap]
+	if len(dst)-n > finalHTMLCap {
+		dst = dst[:n+finalHTMLCap]
 	}
 	return dst, Page{
-		Domain:   s.Domain,
+		domain:   s.Domain,
 		Wasm:     art.Wasm,
 		WSHosts:  art.WSHosts,
-		LoadMs:   loadMs,
-		TimedOut: timedOut,
+		loadMs:   loadMs,
+		timedOut: timedOut,
 	}
 }
 
 // SiteVerdict is the per-site outcome of the instrumented crawl.
 type SiteVerdict struct {
-	Domain     string
-	HasWasm    bool
-	MinerWasm  bool
-	Family     string
-	KnownSig   bool
-	NoCoinHit  bool
-	TimedOut   bool
-	Categories []string // filled by the experiment layer
+	Domain    string
+	hasWasm   bool
+	MinerWasm bool
+	family    string
+	knownSig  bool
+	NoCoinHit bool
+	timedOut  bool
 }
 
 // Report aggregates an instrumented crawl — the numbers behind Tables 1
 // and 2.
 type Report struct {
-	TLD      webgen.TLD
+	tld      webgen.TLD
 	Total    int
 	TimedOut int
 	// WasmSites counts sites that instantiated any Wasm ("Total
@@ -141,7 +140,7 @@ func Crawl(c *webgen.Corpus, db *fingerprint.DB, list *nocoin.List, workers int)
 	if workers <= 0 {
 		workers = 8
 	}
-	rep := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
+	rep := Report{tld: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
 		scratches[w].scan = crawler.NewPageScanner(list)
@@ -151,15 +150,15 @@ func Crawl(c *webgen.Corpus, db *fingerprint.DB, list *nocoin.List, workers int)
 		v := scratches[w].classify(c.Sites[i], db)
 		mu.Lock()
 		defer mu.Unlock()
-		if v.TimedOut {
+		if v.timedOut {
 			rep.TimedOut++
 		}
-		if v.HasWasm {
+		if v.hasWasm {
 			rep.WasmSites++
 		}
 		if v.MinerWasm {
 			rep.MinerSites++
-			rep.FamilyCounts[v.Family]++
+			rep.FamilyCounts[v.family]++
 			if v.NoCoinHit {
 				rep.MinersBlockedByNoCoin++
 			} else {
@@ -172,7 +171,7 @@ func Crawl(c *webgen.Corpus, db *fingerprint.DB, list *nocoin.List, workers int)
 				rep.NoCoinHitsWithMinerWasm++
 			}
 		}
-		if v.MinerWasm || v.NoCoinHit || v.HasWasm {
+		if v.MinerWasm || v.NoCoinHit || v.hasWasm {
 			rep.Verdicts = append(rep.Verdicts, v)
 		}
 	})
@@ -188,7 +187,7 @@ type scratch struct {
 func (sc *scratch) classify(s *webgen.Site, db *fingerprint.DB) SiteVerdict {
 	var page Page
 	sc.page, page = appendVisit(sc.page[:0], s)
-	v := SiteVerdict{Domain: s.Domain, TimedOut: page.TimedOut}
+	v := SiteVerdict{Domain: s.Domain, timedOut: page.timedOut}
 
 	// NoCoin over the post-execution HTML, a view of the buffer the next
 	// site overwrites; the verdict keeps only whether anything matched.
@@ -200,12 +199,12 @@ func (sc *scratch) classify(s *webgen.Site, db *fingerprint.DB) SiteVerdict {
 		if err != nil {
 			continue
 		}
-		v.HasWasm = true
+		v.hasWasm = true
 		verdict := db.Classify(m, page.WSHosts)
 		if verdict.Miner {
 			v.MinerWasm = true
-			v.Family = verdict.Family
-			v.KnownSig = verdict.Known
+			v.family = verdict.Family
+			v.knownSig = verdict.Known
 		}
 	}
 	return v

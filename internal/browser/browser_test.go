@@ -20,7 +20,7 @@ func TestLoadCompletionHeuristic(t *testing.T) {
 		wantTOut bool
 	}{
 		{"no load event times out at 15s",
-			webgen.LoadProfile{HasLoadEvent: false}, HardTimeoutMs, true},
+			webgen.LoadProfile{HasLoadEvent: false}, hardTimeoutMs, true},
 		{"quiet page: load + 2s",
 			webgen.LoadProfile{HasLoadEvent: true, LoadEventMs: 1000}, 3000, false},
 		{"dom change restarts the 2s timer",
@@ -28,10 +28,10 @@ func TestLoadCompletionHeuristic(t *testing.T) {
 		{"busy dom capped at load + 5s",
 			webgen.LoadProfile{HasLoadEvent: true, LoadEventMs: 1000, DOMChangeMs: []int{1000, 2000, 3000, 4000, 4900}}, 6000, false},
 		{"late load event capped by hard timeout",
-			webgen.LoadProfile{HasLoadEvent: true, LoadEventMs: 14_500}, HardTimeoutMs, true},
+			webgen.LoadProfile{HasLoadEvent: true, LoadEventMs: 14_500}, hardTimeoutMs, true},
 	}
 	for _, c := range cases {
-		got, tout := LoadCompletion(c.p)
+		got, tout := loadCompletion(c.p)
 		if got != c.wantMs || tout != c.wantTOut {
 			t.Errorf("%s: (%d, %v), want (%d, %v)", c.name, got, tout, c.wantMs, c.wantTOut)
 		}
@@ -52,11 +52,11 @@ func TestVisitCapturesArtifacts(t *testing.T) {
 	if len(page.Wasm) != 1 || len(page.WSHosts) != 1 {
 		t.Fatalf("wasm=%d ws=%d", len(page.Wasm), len(page.WSHosts))
 	}
-	if page.TimedOut {
+	if page.timedOut {
 		t.Error("unexpected timeout")
 	}
-	if len(page.FinalHTML) == 0 || len(page.FinalHTML) > FinalHTMLCap {
-		t.Errorf("final HTML len = %d", len(page.FinalHTML))
+	if len(page.finalHTML) == 0 || len(page.finalHTML) > finalHTMLCap {
+		t.Errorf("final HTML len = %d", len(page.finalHTML))
 	}
 }
 
@@ -118,16 +118,16 @@ func TestCrawlTimeoutsAccounted(t *testing.T) {
 // with its own page, and ScanPage over that page's final HTML.
 func refClassify(s *webgen.Site, db *fingerprint.DB, list *nocoin.List) SiteVerdict {
 	page := Visit(s)
-	v := SiteVerdict{Domain: s.Domain, TimedOut: page.TimedOut}
-	v.NoCoinHit = len(crawler.ScanPage(list, page.FinalHTML)) > 0
+	v := SiteVerdict{Domain: s.Domain, timedOut: page.timedOut}
+	v.NoCoinHit = len(crawler.ScanPage(list, page.finalHTML)) > 0
 	for _, bin := range page.Wasm {
 		m, err := wasm.Decode(bin)
 		if err != nil {
 			continue
 		}
-		v.HasWasm = true
+		v.hasWasm = true
 		if verdict := db.Classify(m, page.WSHosts); verdict.Miner {
-			v.MinerWasm, v.Family, v.KnownSig = true, verdict.Family, verdict.Known
+			v.MinerWasm, v.family, v.knownSig = true, verdict.Family, verdict.Known
 		}
 	}
 	return v
@@ -146,18 +146,18 @@ func TestCrawlMatchesPerSiteReference(t *testing.T) {
 	db, list := fingerprint.ReferenceDB(), nocoin.Bundled()
 	got := Crawl(c, db, list, 2)
 
-	want := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
+	want := Report{tld: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
 	for _, s := range c.Sites {
 		v := refClassify(s, db, list)
-		if v.TimedOut {
+		if v.timedOut {
 			want.TimedOut++
 		}
-		if v.HasWasm {
+		if v.hasWasm {
 			want.WasmSites++
 		}
 		if v.MinerWasm {
 			want.MinerSites++
-			want.FamilyCounts[v.Family]++
+			want.FamilyCounts[v.family]++
 			if v.NoCoinHit {
 				want.MinersBlockedByNoCoin++
 			} else {
@@ -170,7 +170,7 @@ func TestCrawlMatchesPerSiteReference(t *testing.T) {
 				want.NoCoinHitsWithMinerWasm++
 			}
 		}
-		if v.MinerWasm || v.NoCoinHit || v.HasWasm {
+		if v.MinerWasm || v.NoCoinHit || v.hasWasm {
 			want.Verdicts = append(want.Verdicts, v)
 		}
 	}

@@ -54,11 +54,11 @@ type BanConfig struct {
 	BanByRemoteHost bool
 }
 
-// Enabled reports whether the defense layer is configured on.
-func (c BanConfig) Enabled() bool { return c.BanThreshold > 0 }
+// enabled reports whether the defense layer is configured on.
+func (c BanConfig) enabled() bool { return c.BanThreshold > 0 }
 
 func (c *BanConfig) fillDefaults() {
-	if !c.Enabled() {
+	if !c.enabled() {
 		return
 	}
 	if c.BanDuration == 0 {
@@ -268,18 +268,4 @@ func (t *abuseTable) allowSubmit(key string, nowNs int64) bool {
 	}
 	e.submitTokens--
 	return true
-}
-
-// state snapshots one identity's decayed score and ban deadline — the
-// cross-transport tests compare these across dialects.
-func (t *abuseTable) state(key string, nowNs int64) (score float64, bannedUntilNs int64) {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
-	if !ok {
-		return 0, 0
-	}
-	e.decayLocked(nowNs)
-	return e.score, e.bannedUntilNs
 }

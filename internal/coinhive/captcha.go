@@ -19,24 +19,24 @@ import (
 // Captcha is one pending or solved challenge.
 type Captcha struct {
 	ID       string
-	SiteKey  string
-	Required uint64
-	Done     uint64
-	// Token is the one-time proof issued on completion ("" until solved).
-	Token string
-	// Redeemed marks a token already consumed by a verify call.
-	Redeemed bool
+	siteKey  string
+	required uint64
+	done     uint64
+	// token is the one-time proof issued on completion ("" until solved).
+	token string
+	// redeemed marks a token already consumed by a verify call.
+	redeemed bool
 }
 
-// Solved reports whether the hash goal has been met.
-func (c Captcha) Solved() bool { return c.Done >= c.Required }
+// solved reports whether the hash goal has been met.
+func (c Captcha) solved() bool { return c.done >= c.required }
 
 // Captcha errors.
 var (
-	ErrNoSuchCaptcha  = errors.New("coinhive: no such captcha")
-	ErrCaptchaPending = errors.New("coinhive: captcha not yet solved")
-	ErrTokenRedeemed  = errors.New("coinhive: captcha token already redeemed")
-	ErrTokenInvalid   = errors.New("coinhive: captcha token invalid")
+	errNoSuchCaptcha  = errors.New("coinhive: no such captcha")
+	errCaptchaPending = errors.New("coinhive: captcha not yet solved")
+	errTokenRedeemed  = errors.New("coinhive: captcha token already redeemed")
+	errTokenInvalid   = errors.New("coinhive: captcha token invalid")
 )
 
 // CaptchaService issues and verifies proof-of-work captchas. Tokens are
@@ -49,8 +49,8 @@ type CaptchaService struct {
 	byID   map[string]*Captcha
 }
 
-// NewCaptchaService creates a service with the given HMAC secret.
-func NewCaptchaService(secret []byte) *CaptchaService {
+// newCaptchaService creates a service with the given HMAC secret.
+func newCaptchaService(secret []byte) *CaptchaService {
 	return &CaptchaService{
 		secret: append([]byte(nil), secret...),
 		byID:   map[string]*Captcha{},
@@ -67,42 +67,28 @@ func (s *CaptchaService) Create(siteKey string, requiredHashes uint64) Captcha {
 	s.seq++
 	c := &Captcha{
 		ID:       fmt.Sprintf("cap-%d", s.seq),
-		SiteKey:  siteKey,
-		Required: requiredHashes,
+		siteKey:  siteKey,
+		required: requiredHashes,
 	}
 	s.byID[c.ID] = c
 	return *c
 }
 
-// Credit adds accepted hashes toward a challenge; on completion it mints
+// credit adds accepted hashes toward a challenge; on completion it mints
 // the one-time token. The pool calls this from its share path, exactly as
 // it credits short links.
-func (s *CaptchaService) Credit(id string, hashes uint64) (Captcha, error) {
+func (s *CaptchaService) credit(id string, hashes uint64) (Captcha, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.byID[id]
 	if !ok {
-		return Captcha{}, ErrNoSuchCaptcha
+		return Captcha{}, errNoSuchCaptcha
 	}
-	c.Done += hashes
-	if c.Solved() && c.Token == "" {
-		c.Token = s.mint(c.ID, c.SiteKey)
+	c.done += hashes
+	if c.solved() && c.token == "" {
+		c.token = s.mint(c.ID, c.siteKey)
 	}
 	return *c, nil
-}
-
-// Token returns the proof for a solved challenge.
-func (s *CaptchaService) Token(id string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.byID[id]
-	if !ok {
-		return "", ErrNoSuchCaptcha
-	}
-	if !c.Solved() {
-		return "", ErrCaptchaPending
-	}
-	return c.Token, nil
 }
 
 // Verify checks a (captcha ID, token) pair exactly once — the
@@ -113,18 +99,18 @@ func (s *CaptchaService) Verify(id, token string) error {
 	defer s.mu.Unlock()
 	c, ok := s.byID[id]
 	if !ok {
-		return ErrNoSuchCaptcha
+		return errNoSuchCaptcha
 	}
-	if !c.Solved() {
-		return ErrCaptchaPending
+	if !c.solved() {
+		return errCaptchaPending
 	}
-	if !hmac.Equal([]byte(token), []byte(s.mint(c.ID, c.SiteKey))) {
-		return ErrTokenInvalid
+	if !hmac.Equal([]byte(token), []byte(s.mint(c.ID, c.siteKey))) {
+		return errTokenInvalid
 	}
-	if c.Redeemed {
-		return ErrTokenRedeemed
+	if c.redeemed {
+		return errTokenRedeemed
 	}
-	c.Redeemed = true
+	c.redeemed = true
 	return nil
 }
 

@@ -51,7 +51,7 @@ func TestIDCodecRoundTrip(t *testing.T) {
 		36 + 36*36: "000",
 	}
 	for idx, want := range cases {
-		if got := IDForIndex(idx); got != want {
+		if got := idForIndex(idx); got != want {
 			t.Errorf("IDForIndex(%d) = %q, want %q", idx, got, want)
 		}
 	}
@@ -61,11 +61,11 @@ func TestIDCodecRoundTrip(t *testing.T) {
 // creation indices never share an ID, so enumeration visits each link once.
 func TestQuickIDCodec(t *testing.T) {
 	f := func(i, j uint32) bool {
-		id := IDForIndex(uint64(i))
+		id := idForIndex(uint64(i))
 		if len(id) == 0 || len(id) > 8 {
 			return false
 		}
-		return i == j || id != IDForIndex(uint64(j))
+		return i == j || id != idForIndex(uint64(j))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -79,35 +79,35 @@ func TestIDSpaceMatchesPaperCount(t *testing.T) {
 	if space != 1_727_604 {
 		t.Fatalf("4-char ID space = %d", space)
 	}
-	if got := IDForIndex(space - 1); len(got) != 4 {
+	if got := idForIndex(space - 1); len(got) != 4 {
 		t.Errorf("last 4-char ID = %q", got)
 	}
-	if got := IDForIndex(space); len(got) != 5 {
+	if got := idForIndex(space); len(got) != 5 {
 		t.Errorf("first 5-char ID = %q", got)
 	}
 }
 
 func TestLinkStoreLifecycle(t *testing.T) {
-	s := NewLinkStore()
+	s := newLinkStore()
 	id := s.Create("tokenA", "https://youtu.be/x", 100)
 	if id != "0" {
 		t.Errorf("first id = %q", id)
 	}
-	if _, err := s.Destination(id); err == nil {
+	if _, err := s.destination(id); err == nil {
 		t.Error("unresolved link revealed its destination")
 	}
-	if _, err := s.Credit(id, 60); err != nil {
+	if _, err := s.credit(id, 60); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Destination(id); err == nil {
+	if _, err := s.destination(id); err == nil {
 		t.Error("partially resolved link revealed its destination")
 	}
-	s.Credit(id, 60)
-	url, err := s.Destination(id)
+	s.credit(id, 60)
+	url, err := s.destination(id)
 	if err != nil || url != "https://youtu.be/x" {
 		t.Errorf("Destination = (%q, %v)", url, err)
 	}
-	if _, err := s.Get("zz"); err != ErrNoSuchLink {
+	if _, err := s.get("zz"); err != errNoSuchLink {
 		t.Errorf("missing link: err = %v", err)
 	}
 }
@@ -249,7 +249,7 @@ func mineShare(t *testing.T, pool *Pool, j stratum.Job, start ...uint32) (uint32
 
 func TestSubmitShareCreditsAccount(t *testing.T) {
 	pool := newTestPool(t, 16)
-	pool.Authorize("site-xyz")
+	pool.authorize("site-xyz")
 	j := pool.Job(0, 0, false)
 	nonce, sum := mineShare(t, pool, j)
 	if _, err := pool.SubmitShare("site-xyz", j.JobID, nonce, sum, ""); err != nil {
@@ -276,16 +276,16 @@ func TestSubmitShareRejectsForgeries(t *testing.T) {
 		t.Errorf("forged result: err = %v", err)
 	}
 	// Unknown job.
-	if _, err := pool.SubmitShare("t", "99999", nonce, sum, ""); err != ErrUnknownJob {
+	if _, err := pool.SubmitShare("t", "99999", nonce, sum, ""); err != errUnknownJob {
 		t.Errorf("unknown job: err = %v", err)
 	}
 	// Self-elected link tier: the difficulty class is pinned when the pool
 	// mints the job, so suffixing "-L" onto a normal ID must not resolve.
-	if _, err := pool.SubmitShare("t", j.JobID+"-L", nonce, sum, ""); err != ErrUnknownJob {
+	if _, err := pool.SubmitShare("t", j.JobID+"-L", nonce, sum, ""); err != errUnknownJob {
 		t.Errorf("forged link suffix: err = %v", err)
 	}
 	// Well-formed but never-minted ID (wrong generation for the slot).
-	if _, err := pool.SubmitShare("t", "0-999999-0", nonce, sum, ""); err != ErrUnknownJob {
+	if _, err := pool.SubmitShare("t", "0-999999-0", nonce, sum, ""); err != errUnknownJob {
 		t.Errorf("fabricated generation: err = %v", err)
 	}
 	// Replay after tip change: force a new tip via ProduceWinningBlock.
@@ -294,14 +294,14 @@ func TestSubmitShareRejectsForgeries(t *testing.T) {
 	if _, err := pool.ProduceWinningBlock(1_525_000_300, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.SubmitShare("t", j.JobID, nonce, sum, ""); err != ErrStaleJob {
+	if _, err := pool.SubmitShare("t", j.JobID, nonce, sum, ""); err != errStaleJob {
 		t.Errorf("stale job: err = %v", err)
 	}
 }
 
 func TestProduceWinningBlockSettlesRevenue(t *testing.T) {
 	pool := newTestPool(t, 16)
-	pool.Authorize("heavy-user")
+	pool.authorize("heavy-user")
 	// Credit some round hashes so the 70% goes somewhere.
 	j := pool.Job(0, 0, false)
 	nonce, sum := mineShare(t, pool, j)
@@ -389,7 +389,7 @@ func TestShareCreditsLinkGoal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	url, err := pool.Links().Destination(id)
+	url, err := pool.Links().destination(id)
 	if err != nil || url != "https://example.org/file" {
 		t.Errorf("Destination = (%q, %v)", url, err)
 	}
@@ -397,7 +397,7 @@ func TestShareCreditsLinkGoal(t *testing.T) {
 
 func TestMinerScriptCarriesBlocklistMarkers(t *testing.T) {
 	for _, marker := range []string{"coinhive.min.js", "CoinHive.Anonymous", "cryptonight.wasm"} {
-		if !strings.Contains(MinerScript, marker) {
+		if !strings.Contains(minerScript, marker) {
 			t.Errorf("miner script lacks marker %q", marker)
 		}
 	}

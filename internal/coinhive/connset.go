@@ -11,16 +11,16 @@ import (
 // turns new arrivals away, and Drained waits for the set to empty. Only
 // what shutdown *does* to a connection differs per front (ws completes a
 // 1001 close handshake; TCP simply tears down), so that stays with the
-// caller, applied to the snapshot Drain returns.
+// caller, applied to the snapshot drain returns.
 type connSet[T comparable] struct {
 	mu       sync.Mutex
 	conns    map[T]struct{}
 	draining bool
 }
 
-// Track registers a live connection; it reports false when the front is
+// track registers a live connection; it reports false when the front is
 // draining, in which case the caller must turn the peer away.
-func (cs *connSet[T]) Track(c T) bool {
+func (cs *connSet[T]) track(c T) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.draining {
@@ -33,22 +33,22 @@ func (cs *connSet[T]) Track(c T) bool {
 	return true
 }
 
-// Untrack removes a connection (its serve goroutine is exiting).
-func (cs *connSet[T]) Untrack(c T) {
+// untrack removes a connection (its serve goroutine is exiting).
+func (cs *connSet[T]) untrack(c T) {
 	cs.mu.Lock()
 	delete(cs.conns, c)
 	cs.mu.Unlock()
 }
 
-// Draining reports whether Drain has run.
-func (cs *connSet[T]) Draining() bool {
+// isDraining reports whether drain has run.
+func (cs *connSet[T]) isDraining() bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return cs.draining
 }
 
-// Snapshot returns the current live connections.
-func (cs *connSet[T]) Snapshot() []T {
+// snapshot returns the current live connections.
+func (cs *connSet[T]) snapshot() []T {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	open := make([]T, 0, len(cs.conns))
@@ -58,10 +58,10 @@ func (cs *connSet[T]) Snapshot() []T {
 	return open
 }
 
-// Drain flips the set into draining mode and returns the connections to
+// drain flips the set into draining mode and returns the connections to
 // shut down, plus whether this call was the one that started the drain
-// (false: a concurrent or earlier Drain already owns teardown).
-func (cs *connSet[T]) Drain() (open []T, first bool) {
+// (false: a concurrent or earlier drain already owns teardown).
+func (cs *connSet[T]) drain() (open []T, first bool) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.draining {
@@ -75,9 +75,9 @@ func (cs *connSet[T]) Drain() (open []T, first bool) {
 	return open, true
 }
 
-// Drained reports whether every connection has unregistered, waiting up
+// drained reports whether every connection has unregistered, waiting up
 // to timeout.
-func (cs *connSet[T]) Drained(timeout time.Duration) bool {
+func (cs *connSet[T]) drained(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		cs.mu.Lock()

@@ -27,16 +27,16 @@ const (
 	CmdOpen CmdKind = iota
 	// CmdSubmit is a fully decoded share submission.
 	CmdSubmit
-	// CmdKeepalive is a liveness ping (TCP dialect only).
-	CmdKeepalive
-	// CmdGarbage is a frame the codec could not parse at all.
-	CmdGarbage
-	// CmdBadParams is a recognised message with undecodable or malformed
-	// parameters; Reply carries the dialect error text.
-	CmdBadParams
-	// CmdUnknown is a well-formed message of a type/method the dialect
-	// does not define; Name carries it.
-	CmdUnknown
+	// cmdKeepalive is a liveness ping (TCP dialect only).
+	cmdKeepalive
+	// cmdGarbage is a frame the codec could not parse at all.
+	cmdGarbage
+	// cmdBadParams is a recognised message with undecodable or malformed
+	// parameters; reply carries the dialect error text.
+	cmdBadParams
+	// cmdUnknown is a well-formed message of a type/method the dialect
+	// does not define; name carries it.
+	cmdUnknown
 )
 
 // Command is one decoded client message handed to the engine.
@@ -46,72 +46,72 @@ type Command struct {
 	JobID  string       // CmdSubmit
 	Nonce  uint32       // CmdSubmit
 	Result [32]byte     // CmdSubmit
-	Reply  string       // CmdBadParams: dialect error text
-	Name   string       // CmdUnknown: offending type/method
+	reply  string       // cmdBadParams: dialect error text
+	name   string       // cmdUnknown: offending type/method
 
-	// Tag is transport correlation state (the JSON-RPC id) threaded
-	// through to Deliver untouched; the ws dialect leaves it nil.
-	Tag interface{}
+	// tag is transport correlation state (the JSON-RPC id) threaded
+	// through to deliver untouched; the ws dialect leaves it nil.
+	tag interface{}
 }
 
 // EventKind classifies an engine reply.
 type EventKind uint8
 
 const (
-	// EvAuthed acknowledges authentication.
-	EvAuthed EventKind = iota
+	// evAuthed acknowledges authentication.
+	evAuthed EventKind = iota
 	// EvJob hands out a PoW input.
 	EvJob
 	// EvAccepted credits an accepted share.
 	EvAccepted
-	// EvLinkResolved reveals a short link's destination.
-	EvLinkResolved
-	// EvCaptchaVerified hands a solved captcha its one-time token.
-	EvCaptchaVerified
-	// EvKeepalive acknowledges a CmdKeepalive.
-	EvKeepalive
-	// EvError reports a protocol error; Fatal means the session must end
+	// evLinkResolved reveals a short link's destination.
+	evLinkResolved
+	// evCaptchaVerified hands a solved captcha its one-time token.
+	evCaptchaVerified
+	// evKeepalive acknowledges a cmdKeepalive.
+	evKeepalive
+	// evError reports a protocol error; fatal means the session must end
 	// after the event is delivered.
-	EvError
+	evError
 )
 
 // Event is one engine-produced reply the transport must deliver, in order.
 type Event struct {
 	Kind     EventKind
-	Authed   stratum.Authed          // EvAuthed
+	authed   stratum.Authed          // evAuthed
 	Job      stratum.Job             // EvJob
-	Wire     *JobWire                // EvJob: pre-encoded wire forms of Job (never nil for EvJob)
-	Stale    bool                    // EvJob: re-issued because the submitted job went stale
-	Retarget bool                    // EvJob: difficulty retarget — server-clocked dialects must push it
-	Accepted stratum.HashAccepted    // EvAccepted
-	Link     stratum.LinkResolved    // EvLinkResolved
-	Captcha  stratum.CaptchaVerified // EvCaptchaVerified
-	Err      string                  // EvError
-	Fatal    bool                    // EvError: drop the session after delivering
-	// Code is the dialect-independent rejection code (a stratum.RPC*
-	// constant) for EvError; 0 means the transport derives one from the
+	wire     *jobWire                // EvJob: pre-encoded wire forms of Job (never nil for EvJob)
+	stale    bool                    // EvJob: re-issued because the submitted job went stale
+	retarget bool                    // EvJob: difficulty retarget — server-clocked dialects must push it
+	accepted stratum.HashAccepted    // EvAccepted
+	link     stratum.LinkResolved    // evLinkResolved
+	captcha  stratum.CaptchaVerified // evCaptchaVerified
+	err      string                  // evError
+	fatal    bool                    // evError: drop the session after delivering
+	// code is the dialect-independent rejection code (a stratum.RPC*
+	// constant) for evError; 0 means the transport derives one from the
 	// command kind as before.
-	Code int
-	// Banned marks an EvError caused by the peer's identity being banned;
+	code int
+	// banned marks an evError caused by the peer's identity being banned;
 	// the ws dialect renders it as its own "banned" message type.
-	Banned bool
+	banned bool
 }
 
-// SessionTransport is the server side of one dialect connection: a codec
+// sessionTransport is the server side of one dialect connection: a codec
 // that parses the peer's frames into Commands and renders Events back.
-// ReadCommand returns an error only for transport-level death (EOF, close
+// readCommand returns an error only for transport-level death (EOF, close
 // handshake, read timeout); parse failures are themselves Commands so the
-// engine applies one set of rules to them. Deliver receives the session
+// engine applies one set of rules to them. deliver receives the session
 // (for dialect state such as push registration) and the command the
-// events answer (for correlation). ServerClocked reports whether the
+// events answer (for correlation). serverClocked reports whether the
 // dialect delivers fresh work by unsolicited push — for such dialects
 // the engine omits the routine job that follows every submit in the
 // client-clocked protocol (a stale re-job is still emitted: the client's
 // current job just died).
-type SessionTransport interface {
-	ReadCommand() (Command, error)
-	Deliver(ms *MinerSession, cmd Command, evs []Event) error
-	ServerClocked() bool
+type sessionTransport interface {
+	readCommand() (Command, error)
+	deliver(ms *MinerSession, cmd Command, evs []Event) error
+	serverClocked() bool
 }
 
 // Engine owns the dialect-independent half of the session protocol and
@@ -152,9 +152,9 @@ func NewEngine(p *Pool) *Engine {
 	reg := p.Metrics()
 	e := &Engine{
 		pool:          p,
-		clock:         p.Clock(),
-		vardiff:       p.Vardiff(),
-		ban:           p.Ban(),
+		clock:         p.clock(),
+		vardiff:       p.vardiff(),
+		ban:           p.ban(),
 		sessions:      reg.Gauge("server.sessions"),
 		sessionsTotal: reg.Counter("server.sessions_total"),
 		authReject:    reg.Counter("server.auth_reject"),
@@ -167,28 +167,11 @@ func NewEngine(p *Pool) *Engine {
 		staleFloods:   reg.Counter("server.stale_flood"),
 		forgedDiffs:   reg.Counter("server.shares_forged"),
 	}
-	if e.ban.Enabled() {
+	if e.ban.enabled() {
 		e.abuse = newAbuseTable(e.ban)
 	}
 	return e
 }
-
-// AbuseState snapshots an identity's decayed banscore and ban deadline
-// (zeroes when the defense layer is off or the identity is unknown). The
-// cross-transport tests assert dialect-independence with it.
-func (e *Engine) AbuseState(key string) (score float64, bannedUntil time.Time) {
-	if e.abuse == nil {
-		return 0, time.Time{}
-	}
-	s, untilNs := e.abuse.state(key, e.clock.Now().UnixNano())
-	if untilNs != 0 {
-		bannedUntil = time.Unix(0, untilNs)
-	}
-	return s, bannedUntil
-}
-
-// Pool exposes the pool the engine fronts.
-func (e *Engine) Pool() *Pool { return e.pool }
 
 // NewSession opens one miner session on the given endpoint. The rotation
 // slot comes from a cross-transport sequence, so TCP and ws sessions
@@ -203,13 +186,13 @@ func (e *Engine) NewSession(endpoint int) *MinerSession {
 	}
 }
 
-// BindSession opens a session bound to a transport: NewSession plus the
+// bindSession opens a session bound to a transport: NewSession plus the
 // transport-derived state (clocking, peer host). Transports that park
-// connections between commands use it with StepDeliver to run the same
+// connections between commands use it with stepDeliver to run the same
 // protocol without a dedicated loop goroutine.
-func (e *Engine) BindSession(endpoint int, t SessionTransport) *MinerSession {
+func (e *Engine) bindSession(endpoint int, t sessionTransport) *MinerSession {
 	ms := e.NewSession(endpoint)
-	ms.serverClocked = t.ServerClocked()
+	ms.serverClocked = t.serverClocked()
 	// Transports that know their peer's address expose it for per-host
 	// banning; the interface is optional so codec fakes stay three methods.
 	if rh, ok := t.(interface{ RemoteHost() string }); ok {
@@ -218,34 +201,34 @@ func (e *Engine) BindSession(endpoint int, t SessionTransport) *MinerSession {
 	return ms
 }
 
-// StepDeliver advances a session by one decoded command and delivers the
+// stepDeliver advances a session by one decoded command and delivers the
 // replies. It reports whether the session is over (delivery failed, or a
 // fatal error event was produced); the caller then owns closing ms.
-func (e *Engine) StepDeliver(ms *MinerSession, t SessionTransport, cmd Command) (done bool) {
+func (e *Engine) stepDeliver(ms *MinerSession, t sessionTransport, cmd Command) (done bool) {
 	evs := ms.Step(cmd)
-	if t.Deliver(ms, cmd, evs) != nil {
+	if t.deliver(ms, cmd, evs) != nil {
 		return true
 	}
 	for i := range evs {
-		if evs[i].Kind == EvError && evs[i].Fatal {
+		if evs[i].Kind == evError && evs[i].fatal {
 			return true
 		}
 	}
 	return false
 }
 
-// ServeSession runs one session to completion: decode, step, deliver,
+// serveSession runs one session to completion: decode, step, deliver,
 // until the transport dies or the engine declares the session over. This
 // loop is the whole serve path of every goroutine-per-conn dialect.
-func (e *Engine) ServeSession(endpoint int, t SessionTransport) {
-	ms := e.BindSession(endpoint, t)
+func (e *Engine) serveSession(endpoint int, t sessionTransport) {
+	ms := e.bindSession(endpoint, t)
 	defer ms.Close()
 	for {
-		cmd, err := t.ReadCommand()
+		cmd, err := t.readCommand()
 		if err != nil {
 			return
 		}
-		if e.StepDeliver(ms, t, cmd) {
+		if e.stepDeliver(ms, t, cmd) {
 			return
 		}
 	}
@@ -253,7 +236,7 @@ func (e *Engine) ServeSession(endpoint int, t SessionTransport) {
 
 // MinerSession is one miner's protocol state, independent of transport.
 // Step is called from a single goroutine (the transport's reader);
-// Authed/mintWire may be called concurrently (the TCP push fan-out).
+// authed/mintWire may be called concurrently (the TCP push fan-out).
 type MinerSession struct {
 	eng      *Engine
 	endpoint int
@@ -288,10 +271,6 @@ type MinerSession struct {
 	evs []Event // reused reply buffer; valid until the next Step
 }
 
-// Authed reports whether the session has completed authentication. Safe
-// for concurrent use — the TCP fan-out uses it to skip pre-login conns.
-func (ms *MinerSession) Authed() bool { return ms.authed.Load() }
-
 // Close releases the session's slot in the live-session gauge. Idempotent.
 func (ms *MinerSession) Close() {
 	if ms.closed {
@@ -307,7 +286,7 @@ func (ms *MinerSession) Close() {
 // same tier without re-marshaling. Safe for concurrent use with Step once
 // the session is authed (curDiff is the one retarget-mutated field it
 // reads, and it is atomic).
-func (ms *MinerSession) mintWire() *JobWire {
+func (ms *MinerSession) mintWire() *jobWire {
 	if d := ms.curDiff.Load(); d != 0 {
 		return ms.eng.pool.jobWire(ms.endpoint, ms.slot, d, false)
 	}
@@ -327,15 +306,15 @@ func (ms *MinerSession) emitJobRetarget(stale, retarget bool) {
 	w := ms.mintWire()
 	ms.emit(Event{
 		Kind:     EvJob,
-		Job:      w.Job,
-		Wire:     w,
-		Stale:    stale,
-		Retarget: retarget,
+		Job:      w.job,
+		wire:     w,
+		stale:    stale,
+		retarget: retarget,
 	})
 }
 
 func (ms *MinerSession) emitError(msg string, fatal bool) {
-	ms.emit(Event{Kind: EvError, Err: msg, Fatal: fatal})
+	ms.emit(Event{Kind: evError, err: msg, fatal: fatal})
 }
 
 // offend scores one abuse point total against the session's identity (and,
@@ -365,8 +344,8 @@ func (ms *MinerSession) offend(pts float64, nowNs int64) bool {
 		})
 	}
 	ms.emit(Event{
-		Kind: EvError, Err: stratum.BannedMessage,
-		Fatal: true, Banned: true, Code: stratum.RPCBanned,
+		Kind: evError, err: stratum.BannedMessage,
+		fatal: true, banned: true, code: stratum.RPCBanned,
 	})
 	return true
 }
@@ -392,8 +371,8 @@ func (ms *MinerSession) Step(cmd Command) []Event {
 		ms.emitError("unexpected "+stratum.TypeAuth, false)
 	case CmdSubmit:
 		ms.submit(cmd)
-	case CmdKeepalive:
-		ms.emit(Event{Kind: EvKeepalive})
+	case cmdKeepalive:
+		ms.emit(Event{Kind: evKeepalive})
 		// The keepalive is the one clock a server-clocked dialect gives a
 		// silent session: evaluate the idle downstep on it, so a session
 		// whose difficulty outgrew its hashrate (or a sandbagger gone
@@ -403,23 +382,23 @@ func (ms *MinerSession) Step(cmd Command) []Event {
 				ms.emitJobRetarget(false, true)
 			}
 		}
-	case CmdGarbage:
-		// Fatal either way; scoring it means a reconnect-and-garbage loop
+	case cmdGarbage:
+		// fatal either way; scoring it means a reconnect-and-garbage loop
 		// still accumulates toward a ban.
 		if ms.offend(banMalformedScore, ms.abuseNowNs()) {
 			return ms.evs
 		}
 		ms.emitError("bad message", true)
-	case CmdBadParams:
+	case cmdBadParams:
 		if ms.offend(banMalformedScore, ms.abuseNowNs()) {
 			return ms.evs
 		}
-		ms.emitError(cmd.Reply, false)
-	case CmdUnknown:
+		ms.emitError(cmd.reply, false)
+	case cmdUnknown:
 		if ms.offend(banMalformedScore, ms.abuseNowNs()) {
 			return ms.evs
 		}
-		ms.emitError("unexpected "+cmd.Name, false)
+		ms.emitError("unexpected "+cmd.name, false)
 	}
 	return ms.evs
 }
@@ -452,8 +431,8 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 			e.authReject.Inc()
 			e.loginsBanned.Inc()
 			ms.emit(Event{
-				Kind: EvError, Err: stratum.BannedMessage,
-				Fatal: true, Banned: true, Code: stratum.RPCBanned,
+				Kind: evError, err: stratum.BannedMessage,
+				fatal: true, banned: true, code: stratum.RPCBanned,
 			})
 			return ms.evs
 		}
@@ -466,8 +445,8 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 				return ms.evs
 			}
 			ms.emit(Event{
-				Kind: EvError, Err: stratum.RateLimitedMessage,
-				Fatal: true, Code: stratum.RPCRateLimited,
+				Kind: evError, err: stratum.RateLimitedMessage,
+				fatal: true, code: stratum.RPCRateLimited,
 			})
 			return ms.evs
 		}
@@ -475,14 +454,14 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 	switch {
 	case strings.HasPrefix(auth.User, "link:"):
 		ms.linkID = strings.TrimPrefix(auth.User, "link:")
-		if _, err := p.Links().Get(ms.linkID); err != nil {
+		if _, err := p.Links().get(ms.linkID); err != nil {
 			ms.eng.authReject.Inc()
 			ms.emitError("unknown link", true)
 			return ms.evs
 		}
 	case strings.HasPrefix(auth.User, "captcha:"):
 		ms.captchaID = strings.TrimPrefix(auth.User, "captcha:")
-		if _, err := p.Captchas().Credit(ms.captchaID, 0); err != nil {
+		if _, err := p.Captchas().credit(ms.captchaID, 0); err != nil {
 			ms.eng.authReject.Inc()
 			ms.emitError("unknown captcha", true)
 			return ms.evs
@@ -492,14 +471,14 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 	// Vardiff applies to ordinary sessions only: link/captcha sessions
 	// mine toward fixed hash goals at the dedicated low tier, so
 	// retargeting them would change goal semantics mid-visit.
-	if e.vardiff.Enabled() && !ms.lowDiff {
-		ms.curDiff.Store(e.vardiff.clampDiff(p.ShareDifficulty(false)))
+	if e.vardiff.enabled() && !ms.lowDiff {
+		ms.curDiff.Store(e.vardiff.clampDiff(p.shareDifficulty(false)))
 		ms.vdWin.init(vardiffWindowShares)
 		ms.lastAcceptNs = e.clock.Now().UnixNano()
 	}
-	acct := p.Authorize(auth.SiteKey)
-	ms.emit(Event{Kind: EvAuthed, Authed: stratum.Authed{
-		Token: acct.Token, Hashes: int64(acct.TotalHashes),
+	acct := p.authorize(auth.SiteKey)
+	ms.emit(Event{Kind: evAuthed, authed: stratum.Authed{
+		Token: acct.token, Hashes: int64(acct.TotalHashes),
 	}})
 	ms.emitJob(false)
 	ms.authed.Store(true)
@@ -525,8 +504,8 @@ func (ms *MinerSession) submit(cmd Command) {
 				return
 			}
 			ms.emit(Event{
-				Kind: EvError, Err: stratum.RateLimitedMessage,
-				Code: stratum.RPCRateLimited,
+				Kind: evError, err: stratum.RateLimitedMessage,
+				code: stratum.RPCRateLimited,
 			})
 			return
 		}
@@ -554,17 +533,17 @@ func (ms *MinerSession) submit(cmd Command) {
 	switch err {
 	case nil:
 		ms.staleRun = 0
-		ms.emit(Event{Kind: EvAccepted, Accepted: stratum.HashAccepted{Hashes: int64(out.Credited)}})
+		ms.emit(Event{Kind: EvAccepted, accepted: stratum.HashAccepted{Hashes: int64(out.credited)}})
 		if ms.linkID != "" {
-			if url, derr := p.Links().Destination(ms.linkID); derr == nil {
-				ms.emit(Event{Kind: EvLinkResolved, Link: stratum.LinkResolved{ID: ms.linkID, URL: url}})
+			if url, derr := p.Links().destination(ms.linkID); derr == nil {
+				ms.emit(Event{Kind: evLinkResolved, link: stratum.LinkResolved{ID: ms.linkID, URL: url}})
 			}
 		}
 		if ms.captchaID != "" {
-			cap, cerr := p.Captchas().Credit(ms.captchaID, out.Diff)
-			if cerr == nil && cap.Solved() {
-				ms.emit(Event{Kind: EvCaptchaVerified, Captcha: stratum.CaptchaVerified{
-					ID: ms.captchaID, Token: cap.Token,
+			cap, cerr := p.Captchas().credit(ms.captchaID, out.diff)
+			if cerr == nil && cap.solved() {
+				ms.emit(Event{Kind: evCaptchaVerified, captcha: stratum.CaptchaVerified{
+					ID: ms.captchaID, Token: cap.token,
 				}})
 			}
 		}
@@ -578,9 +557,9 @@ func (ms *MinerSession) submit(cmd Command) {
 			}
 			_, retargeted = ms.vardiffAccept(e.clock.Now().UnixNano())
 		}
-	case ErrStaleJob, ErrUnknownJob:
-		// ErrStaleJob is honest work against a job the chain has outrun;
-		// ErrUnknownJob a never-issued identifier. Both are answered with a
+	case errStaleJob, errUnknownJob:
+		// errStaleJob is honest work against a job the chain has outrun;
+		// errUnknownJob a never-issued identifier. Both are answered with a
 		// re-job (the transport decides whether its dialect names the
 		// condition (TCP) or stays silent (ws)), but only genuine tip churn
 		// counts toward pool.shares_stale. Both count toward the same
@@ -588,23 +567,23 @@ func (ms *MinerSession) submit(cmd Command) {
 		// bogus identifiers stops earning re-jobs and gets the named flood
 		// error instead — neither tip churn nor an ID-forging flood can be
 		// ridden into unbounded free re-jobs.
-		if err == ErrStaleJob {
+		if err == errStaleJob {
 			p.sharesStale.Inc()
 		}
 		ms.staleRun++
-		if e.ban.Enabled() && ms.staleRun > e.ban.StaleFloodAfter {
+		if e.ban.enabled() && ms.staleRun > e.ban.StaleFloodAfter {
 			e.staleFloods.Inc()
 			if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
 				return
 			}
 			ms.emit(Event{
-				Kind: EvError, Err: stratum.TooManyStaleMessage,
-				Code: stratum.RPCTooManyStale,
+				Kind: evError, err: stratum.TooManyStaleMessage,
+				code: stratum.RPCTooManyStale,
 			})
 			return
 		}
 		stale = true
-	case ErrDuplicateShare:
+	case errDuplicateShare:
 		// A replay of a share the account was already paid for — on this
 		// session or, across a reconnect, an earlier one. Named and scored;
 		// no fresh work for replays.
@@ -634,11 +613,11 @@ func (ms *MinerSession) submit(cmd Command) {
 func submitCommand(jobID, nonceHex, resultHex string) Command {
 	nonce, err := stratum.DecodeNonce(nonceHex)
 	if err != nil {
-		return Command{Kind: CmdBadParams, Reply: "bad nonce"}
+		return Command{Kind: cmdBadParams, reply: "bad nonce"}
 	}
 	resBytes, err := stratum.DecodeBlob(resultHex)
 	if err != nil || len(resBytes) != 32 {
-		return Command{Kind: CmdBadParams, Reply: "bad result"}
+		return Command{Kind: cmdBadParams, reply: "bad result"}
 	}
 	cmd := Command{Kind: CmdSubmit, JobID: jobID, Nonce: nonce}
 	copy(cmd.Result[:], resBytes)

@@ -50,8 +50,8 @@ type FederationConfig struct {
 	// Registry receives the p2p.* and pool.sharechain_* instruments;
 	// pass the pool's registry so they surface in /metrics.
 	Registry *metrics.Registry
-	// TipInterval overrides the p2p tip-announce period (0: p2p default).
-	TipInterval time.Duration
+	// tipInterval overrides the p2p tip-announce period (0: p2p default).
+	tipInterval time.Duration
 }
 
 // fedShare is one accepted share queued for the share-chain. The blob is
@@ -111,7 +111,7 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		NodeID:      cfg.NodeID,
 		Chain:       f.chain,
 		Registry:    cfg.Registry,
-		TipInterval: cfg.TipInterval,
+		TipInterval: cfg.tipInterval,
 		OnIngest:    f.dispatchIngest,
 	})
 	if err != nil {

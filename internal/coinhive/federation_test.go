@@ -39,7 +39,7 @@ func newFedNode(t *testing.T, id uint64, mut ...func(*PoolConfig)) *fedTestNode 
 		Window:      64,
 		NodeID:      id,
 		Registry:    reg,
-		TipInterval: 10 * time.Millisecond,
+		tipInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func submitLocal(t *testing.T, n *fedTestNode, token string, slot int) uint64 {
 	if err != nil {
 		t.Fatalf("SubmitShare(%s): %v", token, err)
 	}
-	return out.Diff
+	return out.diff
 }
 
 // waitFedConverged polls every node's share-chain for one common tip at

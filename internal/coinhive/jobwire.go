@@ -6,29 +6,29 @@ import (
 	"repro/internal/ws"
 )
 
-// JobWire is one job notification encoded once for every transport: the
+// jobWire is one job notification encoded once for every transport: the
 // decoded Job (for correlation and tests), the TCP dialect's complete
 // notify line, and the ws dialect's complete pre-built text frame (the
 // header is included — payload length is fixed per tier, so nothing about
-// the frame is per-session). A JobWire is immutable after construction
+// the frame is per-session). A jobWire is immutable after construction
 // and shared by reference: a tip event encodes each (backend, slot, tier)
 // combination exactly once, however many thousand sessions the fan-out
 // then hands the same bytes to.
-type JobWire struct {
-	Job     stratum.Job
-	TCPLine []byte // JSON-RPC job notification, trailing newline included
-	WSFrame []byte // complete unmasked ws text frame
+type jobWire struct {
+	job     stratum.Job
+	tcpLine []byte // JSON-RPC job notification, trailing newline included
+	wsFrame []byte // complete unmasked ws text frame
 }
 
 // newJobWire encodes both wire forms of one job. Every call is a cache
 // miss somewhere — pool.job_encodes against server.jobs_sent is the
 // bytes-marshaled-per-push telemetry proving the fan-out encodes once.
-func (p *Pool) newJobWire(j stratum.Job) *JobWire {
+func (p *Pool) newJobWire(j stratum.Job) *jobWire {
 	p.jobEncodes.Inc()
-	w := &JobWire{Job: j}
-	w.TCPLine = stratum.AppendJobNotifyLine(make([]byte, 0, len(j.Blob)+len(j.JobID)+96), j)
+	w := &jobWire{job: j}
+	w.tcpLine = stratum.AppendJobNotifyLine(make([]byte, 0, len(j.Blob)+len(j.JobID)+96), j)
 	payload := stratum.AppendJobEnvelope(make([]byte, 0, len(j.Blob)+len(j.JobID)+64), j)
-	w.WSFrame = ws.AppendServerFrame(make([]byte, 0, len(payload)+4), ws.OpText, payload)
+	w.wsFrame = ws.AppendServerFrame(make([]byte, 0, len(payload)+4), ws.OpText, payload)
 	return w
 }
 
@@ -37,8 +37,8 @@ func (p *Pool) newJobWire(j stratum.Job) *JobWire {
 // minted lazily under the shard lock and cached until the next refresh;
 // refreshes replace the cache slices wholesale, so a wire handed to an
 // in-flight event stays valid (and merely stale) after the tip moves.
-func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *JobWire {
-	b := p.BackendOfEndpoint(endpoint)
+func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *jobWire {
+	b := p.backendOfEndpoint(endpoint)
 	sh := p.backends[b]
 	s := ((slot % templatesPerBackend) + templatesPerBackend) % templatesPerBackend
 	sh.mu.Lock()
@@ -61,9 +61,9 @@ func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *JobWire {
 		tier := sh.wireDiff[diff]
 		if tier == nil {
 			if sh.wireDiff == nil {
-				sh.wireDiff = map[uint64][]*JobWire{}
+				sh.wireDiff = map[uint64][]*jobWire{}
 			}
-			tier = make([]*JobWire, templatesPerBackend)
+			tier = make([]*jobWire, templatesPerBackend)
 			sh.wireDiff[diff] = tier
 		}
 		if tier[s] == nil {

@@ -35,17 +35,17 @@ func TestJobWireBitIdenticalAcrossTiers(t *testing.T) {
 	for _, tier := range tiers {
 		for slot := 0; slot < 3; slot++ {
 			w := pool.jobWire(0, slot, tier.diff, tier.forLink)
-			if w == nil || w.Job.JobID == "" {
+			if w == nil || w.job.JobID == "" {
 				t.Fatalf("%s slot %d: empty wire", tier.name, slot)
 			}
-			wantTCP, err := stratum.AppendRPCNotify(nil, stratum.TypeJob, w.Job)
+			wantTCP, err := stratum.AppendRPCNotify(nil, stratum.TypeJob, w.job)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(w.TCPLine, wantTCP) {
-				t.Errorf("%s slot %d TCP line:\n got %s\nwant %s", tier.name, slot, w.TCPLine, wantTCP)
+			if !bytes.Equal(w.tcpLine, wantTCP) {
+				t.Errorf("%s slot %d TCP line:\n got %s\nwant %s", tier.name, slot, w.tcpLine, wantTCP)
 			}
-			payload, err := stratum.Marshal(stratum.TypeJob, w.Job)
+			payload, err := stratum.Marshal(stratum.TypeJob, w.job)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,8 +53,8 @@ func TestJobWireBitIdenticalAcrossTiers(t *testing.T) {
 			if err := ws.WriteFrame(&frame, &ws.Frame{Fin: true, Opcode: ws.OpText, Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(w.WSFrame, frame.Bytes()) {
-				t.Errorf("%s slot %d ws frame:\n got %x\nwant %x", tier.name, slot, w.WSFrame, frame.Bytes())
+			if !bytes.Equal(w.wsFrame, frame.Bytes()) {
+				t.Errorf("%s slot %d ws frame:\n got %x\nwant %x", tier.name, slot, w.wsFrame, frame.Bytes())
 			}
 		}
 	}
@@ -89,8 +89,8 @@ func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestServePushPathAllocFree pins the steady-state TCP serve path at
-// zero allocations per operation: the JobWire cache hit, the one-line
-// push write, and the Deliver fast paths for keepalive acks and
+// zero allocations per operation: the jobWire cache hit, the one-line
+// push write, and the deliver fast paths for keepalive acks and
 // accepted-share replies. These are the per-session per-event costs that
 // multiply by 50k; everything else (login, errors, tip refresh) is cold.
 func TestServePushPathAllocFree(t *testing.T) {
@@ -107,27 +107,27 @@ func TestServePushPathAllocFree(t *testing.T) {
 	c := &stratumConn{srv: s, nc: discardConn{}}
 	tipNs := time.Now().UnixNano()
 	c.wmu.Lock()
-	allocs := testing.AllocsPerRun(500, func() { _ = c.writePushLocked(w.TCPLine, tipNs) })
+	allocs := testing.AllocsPerRun(500, func() { _ = c.writePushLocked(w.tcpLine, tipNs) })
 	c.wmu.Unlock()
 	if allocs != 0 {
 		t.Errorf("writePushLocked: %v allocs/op, want 0", allocs)
 	}
 
-	keepalive := Command{Kind: CmdKeepalive, Tag: json.RawMessage("7")}
-	kaEvs := []Event{{Kind: EvKeepalive}}
-	if err := c.Deliver(nil, keepalive, kaEvs); err != nil { // warm wbuf
+	keepalive := Command{Kind: cmdKeepalive, tag: json.RawMessage("7")}
+	kaEvs := []Event{{Kind: evKeepalive}}
+	if err := c.deliver(nil, keepalive, kaEvs); err != nil { // warm wbuf
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(500, func() { _ = c.Deliver(nil, keepalive, kaEvs) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(500, func() { _ = c.deliver(nil, keepalive, kaEvs) }); allocs != 0 {
 		t.Errorf("Deliver keepalive ack: %v allocs/op, want 0", allocs)
 	}
 
-	submit := Command{Kind: CmdSubmit, Tag: json.RawMessage("8")}
-	okEvs := []Event{{Kind: EvAccepted, Accepted: stratum.HashAccepted{Hashes: 4096}}}
-	if err := c.Deliver(nil, submit, okEvs); err != nil {
+	submit := Command{Kind: CmdSubmit, tag: json.RawMessage("8")}
+	okEvs := []Event{{Kind: EvAccepted, accepted: stratum.HashAccepted{Hashes: 4096}}}
+	if err := c.deliver(nil, submit, okEvs); err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(500, func() { _ = c.Deliver(nil, submit, okEvs) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(500, func() { _ = c.deliver(nil, submit, okEvs) }); allocs != 0 {
 		t.Errorf("Deliver submit OK: %v allocs/op, want 0", allocs)
 	}
 }

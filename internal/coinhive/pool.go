@@ -103,10 +103,9 @@ func (c *PoolConfig) fillDefaults() {
 // Account tracks one site key (the paper treats tokens and users as
 // synonymous).
 type Account struct {
-	Token         string
+	token         string
 	TotalHashes   uint64 // credited hash count over all time
 	BalanceAtomic uint64
-	PaidAtomic    uint64
 }
 
 // FoundBlock records a block the pool mined.
@@ -117,22 +116,22 @@ type FoundBlock struct {
 	Reward    uint64
 }
 
-// Errors returned by SubmitShare. ErrStaleJob marks honest work the
+// Errors returned by SubmitShare. errStaleJob marks honest work the
 // chain outran — a job this pool really minted, submitted after a tip
-// move or template refresh; ErrUnknownJob marks identifiers the pool
+// move or template refresh; errUnknownJob marks identifiers the pool
 // never issued (malformed, forged, or self-upgraded to the link tier).
 // The session engine re-jobs both the same way, but only stale ones
 // count toward pool.shares_stale.
 var (
-	ErrUnknownJob = errors.New("coinhive: unknown job")
-	ErrStaleJob   = errors.New("coinhive: job from a previous chain tip")
+	errUnknownJob = errors.New("coinhive: unknown job")
+	errStaleJob   = errors.New("coinhive: job from a previous chain tip")
 	ErrBadShare   = errors.New("coinhive: share hash does not verify")
-	ErrLowShare   = errors.New("coinhive: share above target")
-	// ErrDuplicateShare rejects a (job, nonce) pair the account was
+	errLowShare   = errors.New("coinhive: share above target")
+	// errDuplicateShare rejects a (job, nonce) pair the account was
 	// already credited for. The per-account memo is the pool's only
 	// duplicate check, so sessions, transports and direct-API callers
 	// all meet the same one.
-	ErrDuplicateShare = errors.New("coinhive: duplicate share")
+	errDuplicateShare = errors.New("coinhive: duplicate share")
 )
 
 // backendShard is one backend system's template and job state. Each shard
@@ -157,9 +156,9 @@ type backendShard struct {
 	// behind the job-push fan-out (see jobwire.go). The slices are
 	// replaced, not cleared, on refresh: in-flight events keep valid
 	// pointers to the old generation's wires.
-	wireStatic []*JobWire
-	wireLink   []*JobWire
-	wireDiff   map[uint64][]*JobWire
+	wireStatic []*jobWire
+	wireLink   []*jobWire
+	wireDiff   map[uint64][]*jobWire
 }
 
 // accountStripe holds the accounts (and this round's hash credit) for the
@@ -173,7 +172,7 @@ type accountStripe struct {
 
 // shareMemoSize is the per-account duplicate-share memo depth: the last
 // 128 accepted (job, nonce) pairs per account are remembered and
-// resubmissions rejected with ErrDuplicateShare.
+// resubmissions rejected with errDuplicateShare.
 const shareMemoSize = 128
 
 // shareMemo remembers the last shareMemoSize accepted share keys for one
@@ -281,7 +280,7 @@ type Pool struct {
 	sharesStale  *metrics.Counter
 	blocksFound  *metrics.Counter
 	shardRefresh *metrics.Counter
-	// jobEncodes counts JobWire constructions — against server.jobs_sent
+	// jobEncodes counts jobWire constructions — against server.jobs_sent
 	// it is the bytes-marshaled-per-push telemetry: a healthy fan-out
 	// encodes once per (backend, slot, tier) per refresh, not per session.
 	jobEncodes *metrics.Counter
@@ -302,7 +301,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	// A floor above the ceiling would clamp every session to a tier
 	// resolve refuses, so every honest share would earn a re-job forever.
-	if vd := cfg.Vardiff; vd.Enabled() && vd.MinDifficulty > vd.MaxDifficulty {
+	if vd := cfg.Vardiff; vd.enabled() && vd.MinDifficulty > vd.MaxDifficulty {
 		return nil, fmt.Errorf("coinhive: vardiff floor %d above its ceiling %d", vd.MinDifficulty, vd.MaxDifficulty)
 	}
 	variant := cfg.Chain.Params().PowVariant
@@ -316,8 +315,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	p := &Pool{
 		cfg:          cfg,
 		variant:      variant,
-		links:        NewLinkStore(),
-		captchas:     NewCaptchaService(cfg.Wallet[:16]),
+		links:        newLinkStore(),
+		captchas:     newCaptchaService(cfg.Wallet[:16]),
 		sharesOK:     cfg.Metrics.Counter("pool.shares_ok"),
 		sharesBad:    cfg.Metrics.Counter("pool.shares_bad"),
 		sharesDup:    cfg.Metrics.Counter("pool.shares_duplicate"),
@@ -426,9 +425,9 @@ func (p *Pool) Links() *LinkStore { return p.links }
 // Captchas exposes the proof-of-work captcha service.
 func (p *Pool) Captchas() *CaptchaService { return p.captchas }
 
-// ShareDifficulty reports the hash credit per accepted share for the given
+// shareDifficulty reports the hash credit per accepted share for the given
 // session kind; the network front uses it to credit captchas.
-func (p *Pool) ShareDifficulty(lowDiff bool) uint64 {
+func (p *Pool) shareDifficulty(lowDiff bool) uint64 {
 	if lowDiff {
 		return p.cfg.LinkShareDifficulty
 	}
@@ -438,15 +437,15 @@ func (p *Pool) ShareDifficulty(lowDiff bool) uint64 {
 // Chain exposes the underlying chain.
 func (p *Pool) Chain() *blockchain.Chain { return p.cfg.Chain }
 
-// Clock exposes the pool's clock; the engine's vardiff and banscore
+// clock exposes the pool's clock; the engine's vardiff and banscore
 // timestamps come from it so simulated services stay deterministic.
-func (p *Pool) Clock() simclock.Clock { return p.cfg.Clock }
+func (p *Pool) clock() simclock.Clock { return p.cfg.Clock }
 
-// Vardiff exposes the (defaults-filled) vardiff configuration.
-func (p *Pool) Vardiff() VardiffConfig { return p.cfg.Vardiff }
+// vardiff exposes the (defaults-filled) vardiff configuration.
+func (p *Pool) vardiff() VardiffConfig { return p.cfg.Vardiff }
 
-// Ban exposes the (defaults-filled) defense-layer configuration.
-func (p *Pool) Ban() BanConfig { return p.cfg.Ban }
+// ban exposes the (defaults-filled) defense-layer configuration.
+func (p *Pool) ban() BanConfig { return p.cfg.Ban }
 
 // Metrics exposes the registry the pool's instruments live in.
 func (p *Pool) Metrics() *metrics.Registry { return p.cfg.Metrics }
@@ -454,10 +453,10 @@ func (p *Pool) Metrics() *metrics.Registry { return p.cfg.Metrics }
 // NumEndpoints returns the number of public WebSocket endpoints.
 func (p *Pool) NumEndpoints() int { return DefaultNumBackends * endpointsPerBackend }
 
-// BackendOfEndpoint maps a public endpoint index to its backend system:
+// backendOfEndpoint maps a public endpoint index to its backend system:
 // two endpoints share one backend, as the paper infers ("this suggests
 // that there are two endpoints per backend system").
-func (p *Pool) BackendOfEndpoint(endpoint int) int {
+func (p *Pool) backendOfEndpoint(endpoint int) int {
 	return endpoint % DefaultNumBackends
 }
 
@@ -556,8 +555,8 @@ func (p *Pool) refreshShardLocked(sh *backendShard, backend int, tip [32]byte) {
 		sh.jobIDs[s] = makeJobID(backend, sh.refreshSeq, s, false, 0)
 		sh.linkJobIDs[s] = "" // minted on the first link job of this refresh
 	}
-	sh.wireStatic = make([]*JobWire, len(sh.templates))
-	sh.wireLink = make([]*JobWire, len(sh.templates))
+	sh.wireStatic = make([]*jobWire, len(sh.templates))
+	sh.wireLink = make([]*jobWire, len(sh.templates))
 	clear(sh.wireDiff)
 }
 
@@ -565,7 +564,7 @@ func (p *Pool) refreshShardLocked(sh *backendShard, backend int, tip [32]byte) {
 // simulation after background miners extend the chain). Shards also refresh
 // lazily on their next Job, so this is an optimisation, not a correctness
 // requirement; submits against a stale shard are rejected with
-// ErrUnknownJob until that shard hands out fresh work.
+// errUnknownJob until that shard hands out fresh work.
 func (p *Pool) RefreshIfStale() {
 	tip := p.cfg.Chain.TipID()
 	for b, sh := range p.backends {
@@ -587,11 +586,11 @@ func (p *Pool) stripeFor(token string) *accountStripe {
 	return &p.stripes[h%accountStripeCount]
 }
 
-// Authorize registers (or fetches) the account for a site key. It returns
+// authorize registers (or fetches) the account for a site key. It returns
 // a snapshot, not the live record: handing out the pointer would let
 // callers read fields that concurrent SubmitShare calls mutate under the
 // stripe lock.
-func (p *Pool) Authorize(token string) Account {
+func (p *Pool) authorize(token string) Account {
 	st := p.stripeFor(token)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -601,7 +600,7 @@ func (p *Pool) Authorize(token string) Account {
 func (st *accountStripe) accountLocked(token string) *Account {
 	a, ok := st.accts[token]
 	if !ok {
-		a = &Account{Token: token}
+		a = &Account{token: token}
 		st.accts[token] = a
 	}
 	return a
@@ -612,19 +611,19 @@ func (st *accountStripe) accountLocked(token string) *Account {
 // backend's rotating templates, so polling one endpoint reveals at most
 // templatesPerBackend distinct inputs per block (the paper measured 8).
 func (p *Pool) Job(endpoint, slot int, forLink bool) stratum.Job {
-	return p.jobWire(endpoint, slot, 0, forLink).Job
+	return p.jobWire(endpoint, slot, 0, forLink).job
 }
 
 // ShareOutcome reports what an accepted share achieved.
 type ShareOutcome struct {
-	// Credited is the account's total hash credit after this share — what
+	// credited is the account's total hash credit after this share — what
 	// the wire protocol's hash_accepted message carries.
-	Credited uint64
-	// Diff is the hash credit this share earned.
-	Diff uint64
-	// Block is non-nil when the share also met the network difficulty and
+	credited uint64
+	// diff is the hash credit this share earned.
+	diff uint64
+	// block is non-nil when the share also met the network difficulty and
 	// was appended to the chain (already settled and paid out).
-	Block *blockchain.Block
+	block *blockchain.Block
 }
 
 // SubmitShare verifies a miner's share. linkID, when non-empty, credits a
@@ -647,25 +646,25 @@ func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce ui
 	tmpl, blob, tip, err := p.resolve(token, jobID, ref, refOK, nonce, bbuf[:0])
 	var out ShareOutcome
 	if err == nil {
-		out.Diff, err = p.verify(ref, tmpl, blob, nonce, result)
+		out.diff, err = p.verify(ref, tmpl, blob, nonce, result)
 	}
 	if err == nil {
-		out.Credited, err = p.credit(token, ref.memoKey(nonce), out.Diff)
+		out.credited, err = p.credit(token, ref.memoKey(nonce), out.diff)
 	}
 	if err != nil {
-		return p.reject(err, token, jobID, nonce, out.Diff)
+		return p.reject(err, token, jobID, nonce, out.diff)
 	}
 	p.sharesOK.Add(1)
-	p.archiveShare(archive.KindShareAccepted, token, jobID, nonce, out.Diff, out.Credited)
+	p.archiveShare(archive.KindShareAccepted, token, jobID, nonce, out.diff, out.credited)
 	if fed := p.cfg.Federation; fed != nil {
 		// The blob already has the winning nonce spliced, so the entry is
 		// self-certifying on every peer. emitShare copies the stack buffer
 		// and never blocks — federation rides the submit path at the cost
 		// of one queue offer.
-		fed.emitShare(token, out.Diff, nonce, blob, result)
+		fed.emitShare(token, out.diff, nonce, blob, result)
 	}
 	if linkID != "" {
-		p.links.Credit(linkID, out.Diff)
+		p.links.credit(linkID, out.diff)
 	}
 
 	// Did the share also satisfy the network difficulty?
@@ -688,7 +687,7 @@ func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce ui
 		return out, fmt.Errorf("coinhive: chain rejected our block: %w", err)
 	}
 	p.settleLocked(won, ref.backend)
-	out.Block = won
+	out.block = won
 	return out, nil
 }
 
@@ -700,9 +699,9 @@ func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce ui
 func (p *Pool) reject(err error, token, jobID string, nonce uint32, diff uint64) (ShareOutcome, error) {
 	kind := archive.KindShareRejected
 	switch err {
-	case ErrStaleJob:
+	case errStaleJob:
 		kind = archive.KindShareStale
-	case ErrDuplicateShare:
+	case errDuplicateShare:
 		kind = archive.KindShareDuplicate
 		p.sharesDup.Inc()
 		diff = 0
@@ -714,17 +713,17 @@ func (p *Pool) reject(err error, token, jobID string, nonce uint32, diff uint64)
 
 // resolve maps a submission to the template it was mined against. It
 // returns the template, a private copy of its hashing blob appended to
-// buf, and the chain tip the job was current on; or ErrUnknownJob for an
-// identifier the pool never issued, ErrStaleJob for one the chain has
-// outrun, ErrDuplicateShare for a share the account was already paid for.
+// buf, and the chain tip the job was current on; or errUnknownJob for an
+// identifier the pool never issued, errStaleJob for one the chain has
+// outrun, errDuplicateShare for a share the account was already paid for.
 func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32, buf []byte) (tmpl *blockchain.Block, blob []byte, tip [32]byte, err error) {
 	if !refOK || ref.backend >= len(p.backends) || ref.slot >= templatesPerBackend {
-		return nil, nil, tip, ErrUnknownJob
+		return nil, nil, tip, errUnknownJob
 	}
 	// A vardiff-tier ID is only meaningful when vardiff is on and its
 	// difficulty inside the configured clamp; anything else was forged.
-	if vd := p.cfg.Vardiff; ref.diff != 0 && (!vd.Enabled() || ref.diff < vd.MinDifficulty || ref.diff > vd.MaxDifficulty) {
-		return nil, nil, tip, ErrUnknownJob
+	if vd := p.cfg.Vardiff; ref.diff != 0 && (!vd.enabled() || ref.diff < vd.MinDifficulty || ref.diff > vd.MaxDifficulty) {
+		return nil, nil, tip, errUnknownJob
 	}
 	// Duplicate pre-check before the CryptoNight verify: a duplicate
 	// flood's cost must stay the memo scan, not the very CPU burn the
@@ -736,7 +735,7 @@ func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32
 	dup := st.memo[token].has(ref.memoKey(nonce)) // nil memo: has is false
 	st.mu.Unlock()
 	if dup {
-		return nil, nil, tip, ErrDuplicateShare
+		return nil, nil, tip, errDuplicateShare
 	}
 	sh := p.backends[ref.backend]
 	tip = p.cfg.Chain.TipID()
@@ -774,27 +773,27 @@ func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32
 	// generation, or a current-generation string the shard never
 	// issued (e.g. an un-minted link tier) — was forged.
 	if minted == jobID || ref.seq < curSeq || (ref.diff != 0 && ref.seq == curSeq) {
-		return nil, nil, tip, ErrStaleJob
+		return nil, nil, tip, errStaleJob
 	}
-	return nil, nil, tip, ErrUnknownJob
+	return nil, nil, tip, errUnknownJob
 }
 
 // verify splices the nonce into blob, checks the claimed hash and holds it
 // to the tier the ID itself carries — the tier that is then credited,
 // which keeps TotalHashes an unbiased hashrate estimate across retargets
 // (credit scales with the difficulty actually served). The difficulty is
-// returned with ErrLowShare as well as with success.
+// returned with errLowShare as well as with success.
 func (p *Pool) verify(ref jobRef, tmpl *blockchain.Block, blob []byte, nonce uint32, result [32]byte) (diff uint64, err error) {
 	blockchain.SpliceNonce(blob, tmpl.NonceOffset(), nonce)
 	if cryptonight.Sum(blob, p.variant) != result {
 		return 0, ErrBadShare
 	}
-	diff = p.ShareDifficulty(ref.link)
+	diff = p.shareDifficulty(ref.link)
 	if ref.diff != 0 {
 		diff = ref.diff
 	}
 	if !cryptonight.CheckCompactTarget(result, cryptonight.DifficultyForTarget(diff)) {
-		return diff, ErrLowShare
+		return diff, errLowShare
 	}
 	return diff, nil
 }
@@ -812,7 +811,7 @@ func (p *Pool) credit(token string, memoKey, diff uint64) (total uint64, err err
 		st.memo[token] = m
 	}
 	if !m.insert(memoKey) {
-		return 0, ErrDuplicateShare
+		return 0, errDuplicateShare
 	}
 	acct := st.accountLocked(token)
 	acct.TotalHashes += diff
@@ -925,23 +924,21 @@ func (p *Pool) roundPayouts(reward uint64, round map[string]uint64) []sharechain
 	return sharechain.Split(reward, weights)
 }
 
-// Federation exposes the federation bundle, nil for standalone pools.
-func (p *Pool) Federation() *Federation { return p.cfg.Federation }
-
-// Stats is a snapshot of pool economics.
+// Stats is a snapshot of pool economics. /api/stats serves it as JSON,
+// so its field names are wire format.
 type Stats struct {
-	BlocksFound int
-	SharesOK    uint64
-	SharesBad   uint64
+	BlocksFound int    `json:"BlocksFound"`
+	SharesOK    uint64 `json:"SharesOK"`
+	SharesBad   uint64 `json:"SharesBad"`
 	// SharesStale is the subset of SharesBad rejected only because the
 	// chain tip outran the job — sessions that hit it were re-jobbed, not
 	// errored. SharesDuplicate is the subset rejected by the per-account
 	// duplicate memo.
-	SharesStale     uint64
-	SharesDuplicate uint64
-	PaidAtomic      uint64
-	KeptAtomic      uint64
-	TotalAccounts   int
+	SharesStale     uint64 `json:"SharesStale"`
+	SharesDuplicate uint64 `json:"SharesDuplicate"`
+	PaidAtomic      uint64 `json:"PaidAtomic"`
+	KeptAtomic      uint64 `json:"KeptAtomic"`
+	TotalAccounts   int    `json:"TotalAccounts"`
 }
 
 // StatsSnapshot returns current counters.

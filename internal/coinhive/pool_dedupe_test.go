@@ -17,7 +17,7 @@ func TestPoolDuplicateShareRejected(t *testing.T) {
 		t.Fatalf("first submit: %v", err)
 	}
 	// The replay is rejected by name and credits nothing.
-	if _, err := pool.SubmitShare("dup-site", j.JobID, nonce, sum, ""); err != ErrDuplicateShare {
+	if _, err := pool.SubmitShare("dup-site", j.JobID, nonce, sum, ""); err != errDuplicateShare {
 		t.Fatalf("replay: err = %v, want ErrDuplicateShare", err)
 	}
 	st := pool.StatsSnapshot()
@@ -59,20 +59,20 @@ func TestPoolDuplicateAcrossTiersRejected(t *testing.T) {
 	pool := newTestPool(t, 16, func(c *PoolConfig) {
 		c.Vardiff = VardiffConfig{TargetSharesPerMin: 240, MinDifficulty: 1, MaxDifficulty: 4096}
 	})
-	jLow := pool.jobWire(0, 0, 4, false).Job
-	jHigh := pool.jobWire(0, 0, 32, false).Job
+	jLow := pool.jobWire(0, 0, 4, false).job
+	jHigh := pool.jobWire(0, 0, 32, false).job
 	jStatic := pool.Job(0, 0, false)
 	// One hash ground against the hardest tier meets every lower target.
 	nonce, sum := mineShare(t, pool, jHigh)
 
-	if out, err := pool.SubmitShare("tier-site", jLow.JobID, nonce, sum, ""); err != nil || out.Diff != 4 {
-		t.Fatalf("low-tier submit: diff=%d err=%v, want 4,nil", out.Diff, err)
+	if out, err := pool.SubmitShare("tier-site", jLow.JobID, nonce, sum, ""); err != nil || out.diff != 4 {
+		t.Fatalf("low-tier submit: diff=%d err=%v, want 4,nil", out.diff, err)
 	}
 	// The same nonce under any sibling tier's ID is the same work.
-	if _, err := pool.SubmitShare("tier-site", jHigh.JobID, nonce, sum, ""); err != ErrDuplicateShare {
+	if _, err := pool.SubmitShare("tier-site", jHigh.JobID, nonce, sum, ""); err != errDuplicateShare {
 		t.Errorf("high-tier replay: err = %v, want ErrDuplicateShare", err)
 	}
-	if _, err := pool.SubmitShare("tier-site", jStatic.JobID, nonce, sum, ""); err != ErrDuplicateShare {
+	if _, err := pool.SubmitShare("tier-site", jStatic.JobID, nonce, sum, ""); err != errDuplicateShare {
 		t.Errorf("static-tier replay: err = %v, want ErrDuplicateShare", err)
 	}
 	if a, _ := pool.AccountSnapshot("tier-site"); a.TotalHashes != 4 {
@@ -104,7 +104,7 @@ func TestPoolShareMemoRingEviction(t *testing.T) {
 		}
 	}
 	// Shares 1..128 occupy the 128-slot ring; share 0 has been evicted.
-	if _, err := pool.SubmitShare("ring-site", j.JobID, shares[shareMemoSize].nonce, shares[shareMemoSize].sum, ""); err != ErrDuplicateShare {
+	if _, err := pool.SubmitShare("ring-site", j.JobID, shares[shareMemoSize].nonce, shares[shareMemoSize].sum, ""); err != errDuplicateShare {
 		t.Errorf("in-window replay: err = %v, want ErrDuplicateShare", err)
 	}
 	if _, err := pool.SubmitShare("ring-site", j.JobID, shares[0].nonce, shares[0].sum, ""); err != nil {

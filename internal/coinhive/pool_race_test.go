@@ -103,7 +103,7 @@ func TestPoolConcurrentSubmitJobStats(t *testing.T) {
 				t.Errorf("job blob corrupt under contention: %v", err)
 				return
 			}
-			if _, err := pool.SubmitShare("conc-site", "not-a-job", 0, bq, ""); err != ErrUnknownJob {
+			if _, err := pool.SubmitShare("conc-site", "not-a-job", 0, bq, ""); err != errUnknownJob {
 				t.Errorf("unknown job: err = %v", err)
 				return
 			}
@@ -157,7 +157,7 @@ func TestPoolConcurrentSettlement(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				s := shares[g*25+i]
 				_, err := pool.SubmitShare("settle-site", s.jobID, s.nonce, s.sum, "")
-				if err != nil && err != ErrStaleJob {
+				if err != nil && err != errStaleJob {
 					t.Errorf("submit: %v", err)
 					return
 				}

@@ -114,30 +114,30 @@ func TestSubmitShareRejectReasons(t *testing.T) {
 		// other is the rejection under test.
 		twice bool
 	}{
-		{name: "malformed ID", prepare: withID("not-a-job"), wantErr: ErrUnknownJob, wantKind: archive.KindShareRejected},
-		{name: "backend out of range", prepare: withID("99-1-0"), wantErr: ErrUnknownJob, wantKind: archive.KindShareRejected},
-		{name: "slot out of range", prepare: withID("0-1-99"), wantErr: ErrUnknownJob, wantKind: archive.KindShareRejected},
-		{name: "forged vardiff tier", prepare: withID("0-1-0-d8192"), wantErr: ErrUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "malformed ID", prepare: withID("not-a-job"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "backend out of range", prepare: withID("99-1-0"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "slot out of range", prepare: withID("0-1-99"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "forged vardiff tier", prepare: withID("0-1-0-d8192"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
 		{name: "pre-verify duplicate", prepare: func(t *testing.T, pool *Pool) share {
 			s := mined(t, pool)
 			if _, err := pool.SubmitShare("site", s.jobID, s.nonce, s.sum, ""); err != nil {
 				t.Fatal(err)
 			}
 			return s
-		}, wantErr: ErrDuplicateShare, wantKind: archive.KindShareDuplicate, wantDup: true},
+		}, wantErr: errDuplicateShare, wantKind: archive.KindShareDuplicate, wantDup: true},
 		{name: "stale", prepare: func(t *testing.T, pool *Pool) share {
 			s := mined(t, pool)
 			if _, err := pool.ProduceWinningBlock(1_525_000_300, 0, 7); err != nil {
 				t.Fatal(err)
 			}
 			return s
-		}, wantErr: ErrStaleJob, wantKind: archive.KindShareStale},
-		{name: "never issued", prepare: withID("0-999999-0"), wantErr: ErrUnknownJob, wantKind: archive.KindShareRejected},
+		}, wantErr: errStaleJob, wantKind: archive.KindShareStale},
+		{name: "never issued", prepare: withID("0-999999-0"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
 		{name: "never issued link tier", prepare: func(t *testing.T, pool *Pool) share {
 			s := mined(t, pool)
 			s.jobID += "-L"
 			return s
-		}, wantErr: ErrUnknownJob, wantKind: archive.KindShareRejected},
+		}, wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
 		{name: "bad hash", prepare: func(t *testing.T, pool *Pool) share {
 			s := mined(t, pool)
 			s.sum[0] ^= 1
@@ -147,9 +147,9 @@ func TestSubmitShareRejectReasons(t *testing.T) {
 			j := pool.Job(0, 0, false)
 			nonce, sum := lowShare(t, pool, j)
 			return share{j.JobID, nonce, sum}
-		}, wantErr: ErrLowShare, wantKind: archive.KindShareRejected},
+		}, wantErr: errLowShare, wantKind: archive.KindShareRejected},
 		{name: "credit-time duplicate", prepare: mined, twice: true,
-			wantErr: ErrDuplicateShare, wantKind: archive.KindShareDuplicate, wantDup: true},
+			wantErr: errDuplicateShare, wantKind: archive.KindShareDuplicate, wantDup: true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -158,7 +158,7 @@ func TestSubmitShareRejectReasons(t *testing.T) {
 			s := tc.prepare(t, pool)
 			rec.Flush()
 			before := pool.StatsSnapshot()
-			_, cursor, _ := store.Next(archive.Cursor{}, make([]archive.Event, store.Len()))
+			_, cursor, _ := store.Next(archive.Cursor{}, make([]archive.Event, 1<<10)) // the whole ring
 
 			var errs []error
 			if tc.twice {

@@ -14,11 +14,11 @@ import (
 	"repro/internal/ws"
 )
 
-// MinerScript is the JavaScript loader customers embed. It carries the
+// minerScript is the JavaScript loader customers embed. It carries the
 // markers (file name, global symbol) that the NoCoin filter list keys on —
 // matching the real deployment, where the script URL alone was enough for
 // block lists while the Wasm payload was not.
-const MinerScript = `/* coinhive.min.js — Monetize Your Business With Your Users' CPU Power */
+const minerScript = `/* coinhive.min.js — Monetize Your Business With Your Users' CPU Power */
 /* usage: var miner = new CoinHive.Anonymous('SITE_KEY'); miner.start(); */
 var CoinHive=(function(){
   var W="/lib/cryptonight.wasm";
@@ -36,7 +36,7 @@ var CoinHive=(function(){
 // /metrics exposition. All session-protocol semantics live in the Engine;
 // this type only speaks the ws+coinhive dialect and routes HTTP.
 type Server struct {
-	Pool *Pool
+	pool *Pool
 	eng  *Engine
 
 	// Live ws sessions, tracked so Shutdown can complete a proper close
@@ -50,16 +50,16 @@ type Server struct {
 	api http.Handler
 }
 
-// NewServer wraps a pool in a fresh engine. Use NewServerWithEngine to
+// NewServer wraps a pool in a fresh engine. Use newServerWithEngine to
 // share one engine (and its session accounting) with other transports.
 func NewServer(p *Pool) *Server {
-	return NewServerWithEngine(NewEngine(p))
+	return newServerWithEngine(NewEngine(p))
 }
 
-// NewServerWithEngine builds the HTTP/ws front over an existing engine.
-func NewServerWithEngine(e *Engine) *Server {
+// newServerWithEngine builds the HTTP/ws front over an existing engine.
+func newServerWithEngine(e *Engine) *Server {
 	return &Server{
-		Pool: e.Pool(),
+		pool: e.pool,
 		eng:  e,
 	}
 }
@@ -80,7 +80,7 @@ func (s *Server) Engine() *Engine { return s.eng }
 // handshake into a TCP reset. The read deadline bounds the drain when a
 // peer never replies.
 func (s *Server) Shutdown() {
-	open, _ := s.conns.Drain()
+	open, _ := s.conns.drain()
 	for _, c := range open {
 		c.InitiateClose(ws.CloseGoingAway, "server shutting down")
 		_ = c.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -92,7 +92,7 @@ func (s *Server) Shutdown() {
 // Shutdown should wait here first, or the OS teardown races the
 // handshakes Shutdown queued.
 func (s *Server) Drained(timeout time.Duration) bool {
-	return s.conns.Drained(timeout)
+	return s.conns.drained(timeout)
 }
 
 // ServeHTTP routes all service endpoints.
@@ -101,14 +101,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case strings.HasPrefix(path, "/proxy"):
 		n, err := strconv.Atoi(strings.TrimPrefix(path, "/proxy"))
-		if err != nil || n < 0 || n >= s.Pool.NumEndpoints() {
+		if err != nil || n < 0 || n >= s.pool.NumEndpoints() {
 			http.NotFound(w, r)
 			return
 		}
 		s.serveWS(w, r, n)
 	case path == "/lib/coinhive.min.js":
 		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprint(w, MinerScript)
+		fmt.Fprint(w, minerScript)
 	case path == "/lib/cryptonight.wasm":
 		spec, _ := fingerprint.SpecByName(fingerprint.FamilyCoinhive)
 		w.Header().Set("Content-Type", "application/wasm")
@@ -144,7 +144,7 @@ func (s *Server) AttachAPI(h http.Handler) { s.api = h }
 // the creator token and required hash count as data attributes — exactly
 // the two fields the paper's scraper collected from each cnhv.co page.
 func (s *Server) serveLinkPage(w http.ResponseWriter, r *http.Request, id string) {
-	link, err := s.Pool.Links().Get(id)
+	link, err := s.pool.Links().get(id)
 	if err != nil {
 		http.NotFound(w, r)
 		return
@@ -160,8 +160,8 @@ func (s *Server) serveLinkPage(w http.ResponseWriter, r *http.Request, id string
 </div>
 <script>var miner=new CoinHive.User("%s","link:%s",{goal:%d});miner.start();</script>
 </body></html>`,
-		link.ID, link.Token, link.Required, link.ID, link.Required,
-		link.Token, link.ID, link.Required)
+		link.id, link.token, link.required, link.id, link.required,
+		link.token, link.id, link.required)
 }
 
 func (s *Server) serveLinkCreate(w http.ResponseWriter, r *http.Request) {
@@ -177,7 +177,7 @@ func (s *Server) serveLinkCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Hashes == 0 {
 		req.Hashes = 1024
 	}
-	id := s.Pool.Links().Create(req.Token, req.URL, req.Hashes)
+	id := s.pool.Links().Create(req.Token, req.URL, req.Hashes)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]string{"id": id})
 }
@@ -191,9 +191,9 @@ func (s *Server) serveCaptchaCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request", http.StatusBadRequest)
 		return
 	}
-	c := s.Pool.Captchas().Create(req.SiteKey, req.Hashes)
+	c := s.pool.Captchas().Create(req.SiteKey, req.Hashes)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]interface{}{"id": c.ID, "hashes": c.Required})
+	json.NewEncoder(w).Encode(map[string]interface{}{"id": c.ID, "hashes": c.required})
 }
 
 // serveCaptchaVerify is the server-to-server check a customer backend makes.
@@ -206,7 +206,7 @@ func (s *Server) serveCaptchaVerify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request", http.StatusBadRequest)
 		return
 	}
-	err := s.Pool.Captchas().Verify(req.ID, req.Token)
+	err := s.pool.Captchas().Verify(req.ID, req.Token)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]interface{}{
 		"success": err == nil,
@@ -222,7 +222,7 @@ func errString(err error) string {
 }
 
 func (s *Server) serveStats(w http.ResponseWriter) {
-	st := s.Pool.StatsSnapshot()
+	st := s.pool.StatsSnapshot()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }
@@ -230,7 +230,7 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 // serveMetrics exposes the registry: text by default, the machine-read
 // form with ?format=json.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.Pool.Metrics()
+	reg := s.pool.Metrics()
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		reg.WriteJSON(w)
@@ -248,16 +248,12 @@ func (s *Server) serveWS(w http.ResponseWriter, r *http.Request, endpoint int) {
 		return
 	}
 	defer conn.Close()
-	// The codec fully decodes each frame before the next read, so the
-	// read buffer can be recycled across messages instead of reallocated
-	// per frame.
-	conn.EnableReadBufferReuse()
-	if !s.conns.Track(conn) {
+	if !s.conns.track(conn) {
 		_ = conn.CloseWithCode(ws.CloseGoingAway, "server shutting down")
 		return
 	}
-	defer s.conns.Untrack(conn)
-	s.eng.ServeSession(endpoint, &wsTransport{conn: conn, remote: remoteHost(conn.RemoteAddr())})
+	defer s.conns.untrack(conn)
+	s.eng.serveSession(endpoint, &wsTransport{conn: conn, remote: remoteHost(conn.RemoteAddr())})
 }
 
 // remoteHost strips the port from a transport address, for per-host
@@ -289,17 +285,17 @@ type wsTransport struct {
 // abuse keying.
 func (t *wsTransport) RemoteHost() string { return t.remote }
 
-// ReadCommand parses the next text frame. Wire-level decode failures
+// readCommand parses the next text frame. Wire-level decode failures
 // (garbage envelope, bad hex) become Commands carrying this dialect's
 // error text; only transport death is an error.
-func (t *wsTransport) ReadCommand() (Command, error) {
+func (t *wsTransport) readCommand() (Command, error) {
 	_, data, err := t.conn.ReadMessage()
 	if err != nil {
 		return Command{}, err
 	}
 	env, err := stratum.Unmarshal(data)
 	if err != nil {
-		return Command{Kind: CmdGarbage}, nil
+		return Command{Kind: cmdGarbage}, nil
 	}
 	switch env.Type {
 	case stratum.TypeAuth:
@@ -311,60 +307,60 @@ func (t *wsTransport) ReadCommand() (Command, error) {
 	case stratum.TypeSubmit:
 		var sub stratum.Submit
 		if err := env.Decode(&sub); err != nil {
-			return Command{Kind: CmdBadParams, Reply: "bad submit"}, nil
+			return Command{Kind: cmdBadParams, reply: "bad submit"}, nil
 		}
 		return submitCommand(sub.JobID, sub.Nonce, sub.Result), nil
 	default:
-		return Command{Kind: CmdUnknown, Name: env.Type}, nil
+		return Command{Kind: cmdUnknown, name: env.Type}, nil
 	}
 }
 
-// ServerClocked reports the ws dialect's clocking: the pool only ever
+// serverClocked reports the ws dialect's clocking: the pool only ever
 // answers, so every submit reply carries the next job.
-func (t *wsTransport) ServerClocked() bool { return false }
+func (t *wsTransport) serverClocked() bool { return false }
 
-// Deliver renders each event as one envelope frame, in order. The two
+// deliver renders each event as one envelope frame, in order. The two
 // steady-state events take encode-once paths: a job's frame bytes were
-// already minted by the JobWire cache (shared by every session on the
+// already minted by the jobWire cache (shared by every session on the
 // same vardiff tier), and an accepted-share ack is assembled by the
 // alloc-free appenders into the transport's scratch buffer. Everything
 // else — auth, errors, link and captcha notifications — is cold and
 // keeps the reflective marshal.
-func (t *wsTransport) Deliver(ms *MinerSession, cmd Command, evs []Event) error {
+func (t *wsTransport) deliver(ms *MinerSession, cmd Command, evs []Event) error {
 	for _, ev := range evs {
 		var (
 			msgType string
 			params  interface{}
 		)
 		switch ev.Kind {
-		case EvAuthed:
-			msgType, params = stratum.TypeAuthed, ev.Authed
+		case evAuthed:
+			msgType, params = stratum.TypeAuthed, ev.authed
 		case EvJob:
-			if err := t.conn.WriteRawFrame(ev.Wire.WSFrame); err != nil {
+			if err := t.conn.WriteRawFrame(ev.wire.wsFrame); err != nil {
 				return err
 			}
 			continue
 		case EvAccepted:
-			t.pbuf = stratum.AppendHashAcceptedEnvelope(t.pbuf[:0], ev.Accepted.Hashes)
+			t.pbuf = stratum.AppendHashAcceptedEnvelope(t.pbuf[:0], ev.accepted.Hashes)
 			t.fbuf = ws.AppendServerFrame(t.fbuf[:0], ws.OpText, t.pbuf)
 			if err := t.conn.WriteRawFrame(t.fbuf); err != nil {
 				return err
 			}
 			continue
-		case EvLinkResolved:
-			msgType, params = stratum.TypeLinkResolved, ev.Link
-		case EvCaptchaVerified:
-			msgType, params = stratum.TypeCaptchaVerified, ev.Captcha
-		case EvError:
-			msgType, params = stratum.TypeError, stratum.Error{Error: ev.Err}
-			if ev.Banned {
+		case evLinkResolved:
+			msgType, params = stratum.TypeLinkResolved, ev.link
+		case evCaptchaVerified:
+			msgType, params = stratum.TypeCaptchaVerified, ev.captcha
+		case evError:
+			msgType, params = stratum.TypeError, stratum.Error{Error: ev.err}
+			if ev.banned {
 				// A ban gets its own message type in this dialect, so the
 				// miner script can stop reconnecting instead of retrying a
 				// generic error.
 				msgType = stratum.TypeBanned
 			}
 		default:
-			continue // EvKeepalive: not part of this dialect
+			continue // evKeepalive: not part of this dialect
 		}
 		data, err := stratum.Marshal(msgType, params)
 		if err != nil {

@@ -14,8 +14,8 @@ import (
 
 const base36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
-// IDForIndex converts a zero-based creation index to its short-link ID.
-func IDForIndex(i uint64) string {
+// idForIndex converts a zero-based creation index to its short-link ID.
+func idForIndex(i uint64) string {
 	n := i
 	var buf [8]byte
 	pos := len(buf)
@@ -31,96 +31,78 @@ func IDForIndex(i uint64) string {
 	return string(buf[pos:])
 }
 
-// Link is one short link.
-type Link struct {
-	ID       string
-	Token    string // creator's site key; mined hashes are credited to it
-	URL      string // withheld destination
-	Required uint64 // hashes the visitor must compute
-	Done     uint64 // hashes credited so far
+// link is one short link.
+type link struct {
+	id       string
+	token    string // creator's site key; mined hashes are credited to it
+	url      string // withheld destination
+	required uint64 // hashes the visitor must compute
+	done     uint64 // hashes credited so far
 }
 
-// Resolved reports whether the hash goal has been met.
-func (l Link) Resolved() bool { return l.Done >= l.Required }
+// resolved reports whether the hash goal has been met.
+func (l link) resolved() bool { return l.done >= l.required }
 
-// ErrNoSuchLink is returned for IDs outside the created space.
-var ErrNoSuchLink = errors.New("coinhive: no such short link")
+// errNoSuchLink is returned for IDs outside the created space.
+var errNoSuchLink = errors.New("coinhive: no such short link")
 
 // LinkStore holds the short-link address space.
 type LinkStore struct {
 	mu    sync.RWMutex
-	links []*Link // index == creation order; ID == IDForIndex(index)
-	byID  map[string]*Link
+	links []*link // index == creation order; ID == idForIndex(index)
+	byID  map[string]*link
 }
 
-// NewLinkStore returns an empty store.
-func NewLinkStore() *LinkStore {
-	return &LinkStore{byID: map[string]*Link{}}
+// newLinkStore returns an empty store.
+func newLinkStore() *LinkStore {
+	return &LinkStore{byID: map[string]*link{}}
 }
 
 // Create registers a new link and returns its ID.
 func (s *LinkStore) Create(token, url string, requiredHashes uint64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := IDForIndex(uint64(len(s.links)))
-	l := &Link{ID: id, Token: token, URL: url, Required: requiredHashes}
+	id := idForIndex(uint64(len(s.links)))
+	l := &link{id: id, token: token, url: url, required: requiredHashes}
 	s.links = append(s.links, l)
 	s.byID[id] = l
 	return id
 }
 
-// Get returns a snapshot of the link with the given ID.
-func (s *LinkStore) Get(id string) (Link, error) {
+// get returns a snapshot of the link with the given ID.
+func (s *LinkStore) get(id string) (link, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	l, ok := s.byID[id]
 	if !ok {
-		return Link{}, ErrNoSuchLink
+		return link{}, errNoSuchLink
 	}
 	return *l, nil
 }
 
-// Credit adds hashes toward a link's goal, returning the updated snapshot.
-func (s *LinkStore) Credit(id string, hashes uint64) (Link, error) {
+// credit adds hashes toward a link's goal, returning the updated snapshot.
+func (s *LinkStore) credit(id string, hashes uint64) (link, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l, ok := s.byID[id]
 	if !ok {
-		return Link{}, ErrNoSuchLink
+		return link{}, errNoSuchLink
 	}
-	l.Done += hashes
+	l.done += hashes
 	return *l, nil
 }
 
-// Destination reveals the URL only once the goal is met — before that the
+// destination reveals the URL only once the goal is met — before that the
 // visitor sees nothing but the progress bar.
-func (s *LinkStore) Destination(id string) (string, error) {
+func (s *LinkStore) destination(id string) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	l, ok := s.byID[id]
 	if !ok {
-		return "", ErrNoSuchLink
+		return "", errNoSuchLink
 	}
-	if !l.Resolved() {
-		return "", fmt.Errorf("coinhive: link %s not yet resolved (%d/%d hashes)", id, l.Done, l.Required)
+	if !l.resolved() {
+		return "", fmt.Errorf("coinhive: link %s not yet resolved (%d/%d hashes)", id, l.done, l.required)
 	}
-	return l.URL, nil
-}
-
-// Len returns the number of created links.
-func (s *LinkStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.links)
-}
-
-// Snapshot returns copies of all links in creation order.
-func (s *LinkStore) Snapshot() []Link {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Link, len(s.links))
-	for i, l := range s.links {
-		out[i] = *l
-	}
-	return out
+	return l.url, nil
 }

@@ -45,7 +45,7 @@ import (
 // life, so idle connections are *parked* (netpark) — no reader goroutine,
 // no bufio buffer — and resumed when bytes arrive or the keepalive window
 // lapses. Job pushes never touch the parked read side: the fan-out
-// stores the tier's pre-encoded wire line (JobWire, minted once per
+// stores the tier's pre-encoded wire line (jobWire, minted once per
 // tip × tier) in a per-connection one-line slot, written by an on-demand
 // drainer. A miner only ever mines the newest job, so a push that finds
 // the slot still full replaces the stale line instead of queueing
@@ -124,7 +124,7 @@ const drainQueueCap = 1 << 16
 // with the ws Server so session accounting spans both transports) and
 // subscribes to the pool chain's tip events for job push fan-out.
 func NewStratumServer(e *Engine) *StratumServer {
-	reg := e.Pool().Metrics()
+	reg := e.pool.Metrics()
 	s := &StratumServer{
 		eng:        e,
 		parker:     netpark.New(0),
@@ -140,7 +140,7 @@ func NewStratumServer(e *Engine) *StratumServer {
 	for i := 0; i < drainWorkers; i++ {
 		go s.drainLoop()
 	}
-	s.unsubscribe = e.Pool().Chain().Subscribe(func(tip [32]byte, height uint64) {
+	s.unsubscribe = e.pool.Chain().Subscribe(func(tip [32]byte, height uint64) {
 		// Keep the EARLIEST unserved tip's timestamp: a coalesced fan-out
 		// serves every tip since the last one, and its latency is how
 		// long the oldest of them has been waiting.
@@ -190,7 +190,7 @@ func (s *StratumServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	if s.conns.Draining() {
+	if s.conns.isDraining() {
 		// Shutdown already ran (it can race a `go Serve(ln)`): it either
 		// missed the listener registered above or closed it already;
 		// closing here covers the former, and keeps the port from staying
@@ -205,7 +205,7 @@ func (s *StratumServer) Serve(ln net.Listener) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			if s.conns.Draining() || errors.Is(err, net.ErrClosed) {
+			if s.conns.isDraining() || errors.Is(err, net.ErrClosed) {
 				return err
 			}
 			if delay == 0 {
@@ -218,18 +218,8 @@ func (s *StratumServer) Serve(ln net.Listener) error {
 		}
 		delay = 0
 		seq++
-		go s.serveConn(nc, seq%s.eng.Pool().NumEndpoints())
+		go s.serveConn(nc, seq%s.eng.pool.NumEndpoints())
 	}
-}
-
-// Addr returns the listen address once Serve has been called.
-func (s *StratumServer) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Shutdown stops accepting sessions, unsubscribes from tip events and
@@ -238,7 +228,7 @@ func (s *StratumServer) Addr() net.Addr {
 // simply tearing the transports down; the parker is closed last so
 // parked entries cannot fire mid-teardown.
 func (s *StratumServer) Shutdown() {
-	open, first := s.conns.Drain()
+	open, first := s.conns.drain()
 	if !first {
 		return
 	}
@@ -263,7 +253,7 @@ func (s *StratumServer) Shutdown() {
 // Drained reports whether every session has been torn down, waiting up
 // to timeout.
 func (s *StratumServer) Drained(timeout time.Duration) bool {
-	return s.conns.Drained(timeout)
+	return s.conns.drained(timeout)
 }
 
 // Parked reports how many sessions currently hold no goroutine.
@@ -283,7 +273,7 @@ func (s *StratumServer) PushStatsSince(c metrics.HistCursor) (pushes uint64, lat
 
 // fanOut pushes the current job to every authenticated session — the
 // server-clocked half of the dialect. The wire bytes are minted at most
-// once per (tip × vardiff tier) by the JobWire cache; every session on
+// once per (tip × vardiff tier) by the jobWire cache; every session on
 // the same tier shares the same line. Latency is observed per session at
 // the moment its bytes hit the socket, measured since the (earliest
 // coalesced) tip event, so the histogram's p99 is the fan-out tail: how
@@ -304,9 +294,9 @@ func (s *StratumServer) fanOut() {
 		diff           uint64
 		low            bool
 	}
-	wires := make(map[wireKey]*JobWire, 64)
+	wires := make(map[wireKey]*jobWire, 64)
 	var sent uint64
-	for _, c := range s.conns.Snapshot() {
+	for _, c := range s.conns.snapshot() {
 		if !c.pushable.Load() || c.dead.Load() {
 			continue
 		}
@@ -318,7 +308,7 @@ func (s *StratumServer) fanOut() {
 			wires[k] = w
 		}
 		sent++
-		c.enqueuePush(w.TCPLine, t0)
+		c.enqueuePush(w.tcpLine, t0)
 	}
 	s.eng.jobsSent.Add(sent)
 }
@@ -351,8 +341,8 @@ func (s *StratumServer) putReader(br *bufio.Reader) {
 // then drive it until it parks or dies.
 func (s *StratumServer) serveConn(nc net.Conn, endpoint int) {
 	c := &stratumConn{srv: s, nc: nc}
-	c.ms = s.eng.BindSession(endpoint, c)
-	if !s.conns.Track(c) {
+	c.ms = s.eng.bindSession(endpoint, c)
+	if !s.conns.track(c) {
 		c.teardown()
 		return
 	}
@@ -403,7 +393,7 @@ func (c *stratumConn) teardown() {
 		return
 	}
 	_ = c.nc.Close()
-	c.srv.conns.Untrack(c)
+	c.srv.conns.untrack(c)
 	c.ms.Close()
 }
 
@@ -430,7 +420,7 @@ func (c *stratumConn) runSteps(resumed bool) {
 			// The wake promised bytes (or a dead peer). Peek without
 			// consuming: a spurious wake re-parks for the remainder of the
 			// keepalive window, and a mid-line stall later still kills the
-			// connection because ReadCommand's own deadline bounds the full
+			// connection because readCommand's own deadline bounds the full
 			// line.
 			if err := c.nc.SetReadDeadline(time.Now().Add(parkGrace)); err != nil {
 				c.die()
@@ -447,12 +437,12 @@ func (c *stratumConn) runSteps(resumed bool) {
 				// No parking available: fall through to a blocking read.
 			}
 		}
-		cmd, err := c.ReadCommand()
+		cmd, err := c.readCommand()
 		if err != nil {
 			c.die()
 			return
 		}
-		if c.srv.eng.StepDeliver(c.ms, c, cmd) {
+		if c.srv.eng.stepDeliver(c.ms, c, cmd) {
 			c.die()
 			return
 		}
@@ -595,11 +585,11 @@ func (c *stratumConn) writePushLocked(line []byte, tipNs int64) error {
 	return nil
 }
 
-// ReadCommand reads one request line. Codec failures (oversize line, bad
+// readCommand reads one request line. Codec failures (oversize line, bad
 // JSON, unknown method, undecodable params) become Commands so the engine
 // rules on them; only transport death (EOF, keepalive timeout) is an
 // error.
-func (c *stratumConn) ReadCommand() (Command, error) {
+func (c *stratumConn) readCommand() (Command, error) {
 	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.keepaliveWindow())); err != nil {
 		return Command{}, err
 	}
@@ -607,14 +597,14 @@ func (c *stratumConn) ReadCommand() (Command, error) {
 	if err == stratum.ErrRPCLineTooLong {
 		// One parse-error response, then the engine's fatal path drops the
 		// connection — an oversize line means the framing itself is gone.
-		return Command{Kind: CmdGarbage}, nil
+		return Command{Kind: cmdGarbage}, nil
 	}
 	if err != nil {
 		return Command{}, err
 	}
 	env, err := stratum.UnmarshalRPC(line)
 	if err != nil || env.Method == "" {
-		return Command{Kind: CmdGarbage, Tag: env.ID}, nil
+		return Command{Kind: cmdGarbage, tag: env.ID}, nil
 	}
 	switch env.Method {
 	case stratum.MethodLogin:
@@ -623,51 +613,51 @@ func (c *stratumConn) ReadCommand() (Command, error) {
 		return Command{
 			Kind: CmdOpen,
 			Auth: stratum.Auth{SiteKey: lp.Login, Type: "anonymous", User: lp.Pass},
-			Tag:  env.ID,
+			tag:  env.ID,
 		}, nil
 	case stratum.MethodSubmit:
 		var sp stratum.SubmitParams
 		if err := env.DecodeParams(&sp); err != nil {
-			return Command{Kind: CmdBadParams, Reply: "bad submit", Tag: env.ID}, nil
+			return Command{Kind: cmdBadParams, reply: "bad submit", tag: env.ID}, nil
 		}
 		cmd := submitCommand(sp.JobID, sp.Nonce, sp.Result)
-		cmd.Tag = env.ID
+		cmd.tag = env.ID
 		return cmd, nil
 	case stratum.MethodKeepalive:
-		return Command{Kind: CmdKeepalive, Tag: env.ID}, nil
+		return Command{Kind: cmdKeepalive, tag: env.ID}, nil
 	default:
-		return Command{Kind: CmdUnknown, Name: env.Method, Tag: env.ID}, nil
+		return Command{Kind: cmdUnknown, name: env.Method, tag: env.ID}, nil
 	}
 }
 
-// ServerClocked reports this dialect's clocking: fresh work arrives by
+// serverClocked reports this dialect's clocking: fresh work arrives by
 // push, so the engine omits the routine post-submit job.
-func (c *stratumConn) ServerClocked() bool { return true }
+func (c *stratumConn) serverClocked() bool { return true }
 
 // RemoteHost exposes the peer host for the engine's optional per-host
 // abuse keying.
 func (c *stratumConn) RemoteHost() string { return remoteHost(c.nc.RemoteAddr()) }
 
-// Deliver correlates the engine's events back into one response for the
+// deliver correlates the engine's events back into one response for the
 // request plus any notifications. The engine knows this dialect is
-// server-clocked (ServerClocked), so the only job event that can follow
+// server-clocked (serverClocked), so the only job event that can follow
 // a submit is a stale re-job — delivered as a notification behind the
 // error response, because the client's current job just died.
 //
 // The steady-state replies (keepalive ack, submit OK, job notification)
 // take alloc-free appender fast paths; anything unusual — an RPC id the
 // appenders cannot echo verbatim, a login, an error — falls back to the
-// reflective marshal path. Job notifications reuse the event's JobWire
-// bytes, so Deliver never re-encodes a job the fan-out already minted.
-func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error {
-	rawID, _ := cmd.Tag.(json.RawMessage)
+// reflective marshal path. Job notifications reuse the event's jobWire
+// bytes, so deliver never re-encodes a job the fan-out already minted.
+func (c *stratumConn) deliver(ms *MinerSession, cmd Command, evs []Event) error {
+	rawID, _ := cmd.tag.(json.RawMessage)
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = c.wbuf[:0]
 	var err error
 
-	if cmd.Kind == CmdKeepalive && len(evs) >= 1 && evs[0].Kind == EvKeepalive {
+	if cmd.Kind == cmdKeepalive && len(evs) >= 1 && evs[0].Kind == evKeepalive {
 		if stratum.RPCIDVerbatim(rawID) {
 			c.wbuf = stratum.AppendKeepaliveOKLine(c.wbuf, rawID)
 		} else {
@@ -680,7 +670,7 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 		// the ack first, then the new job as a push.
 		for _, ev := range evs[1:] {
 			if ev.Kind == EvJob {
-				c.wbuf = append(c.wbuf, ev.Wire.TCPLine...)
+				c.wbuf = append(c.wbuf, ev.wire.tcpLine...)
 			}
 		}
 		return c.flushLocked()
@@ -689,25 +679,25 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 	// First pass: build the correlated response.
 	responded := false
 	switch {
-	case cmd.Kind == CmdOpen && len(evs) >= 2 && evs[0].Kind == EvAuthed && evs[1].Kind == EvJob:
+	case cmd.Kind == CmdOpen && len(evs) >= 2 && evs[0].Kind == evAuthed && evs[1].Kind == EvJob:
 		c.wbuf, err = stratum.AppendRPCResult(c.wbuf, rawID, stratum.LoginResult{
-			ID:     evs[0].Authed.Token,
+			ID:     evs[0].authed.Token,
 			Job:    evs[1].Job,
 			Status: stratum.StatusOK,
-			Hashes: evs[0].Authed.Hashes,
+			Hashes: evs[0].authed.Hashes,
 		})
 		responded = true
 	case cmd.Kind == CmdSubmit && len(evs) > 0 && evs[0].Kind == EvAccepted:
 		if stratum.RPCIDVerbatim(rawID) {
-			c.wbuf = stratum.AppendSubmitOKLine(c.wbuf, rawID, evs[0].Accepted.Hashes)
+			c.wbuf = stratum.AppendSubmitOKLine(c.wbuf, rawID, evs[0].accepted.Hashes)
 		} else {
 			c.wbuf, err = stratum.AppendRPCResult(c.wbuf, rawID, stratum.SubmitResult{
 				Status: stratum.StatusOK,
-				Hashes: evs[0].Accepted.Hashes,
+				Hashes: evs[0].accepted.Hashes,
 			})
 		}
 		responded = true
-	case cmd.Kind == CmdSubmit && len(evs) == 1 && evs[0].Kind == EvJob && evs[0].Stale:
+	case cmd.Kind == CmdSubmit && len(evs) == 1 && evs[0].Kind == EvJob && evs[0].stale:
 		c.wbuf, err = stratum.AppendRPCError(c.wbuf, rawID, stratum.RPCStaleJob, stratum.StaleJobMessage)
 		responded = true
 	}
@@ -719,22 +709,22 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 	// out-of-band notifications.
 	for _, ev := range evs {
 		switch ev.Kind {
-		case EvError:
+		case evError:
 			if responded {
 				continue
 			}
-			c.wbuf, err = stratum.AppendRPCError(c.wbuf, rawID, c.errCode(cmd, ev), ev.Err)
+			c.wbuf, err = stratum.AppendRPCError(c.wbuf, rawID, c.errCode(cmd, ev), ev.err)
 			responded = true
-		case EvLinkResolved:
-			c.wbuf, err = stratum.AppendRPCNotify(c.wbuf, stratum.TypeLinkResolved, ev.Link)
-		case EvCaptchaVerified:
-			c.wbuf, err = stratum.AppendRPCNotify(c.wbuf, stratum.TypeCaptchaVerified, ev.Captcha)
+		case evLinkResolved:
+			c.wbuf, err = stratum.AppendRPCNotify(c.wbuf, stratum.TypeLinkResolved, ev.link)
+		case evCaptchaVerified:
+			c.wbuf, err = stratum.AppendRPCNotify(c.wbuf, stratum.TypeCaptchaVerified, ev.captcha)
 		case EvJob:
-			if ev.Stale || ev.Retarget {
+			if ev.stale || ev.retarget {
 				// The error response above told the miner its job died (stale),
 				// or a retarget changed its difficulty mid-session; either way
 				// the replacement is pushed without waiting for the next tip.
-				c.wbuf = append(c.wbuf, ev.Wire.TCPLine...)
+				c.wbuf = append(c.wbuf, ev.wire.tcpLine...)
 			}
 		}
 		if err != nil {
@@ -745,7 +735,7 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 	// before its reply is flushed, or a tip that moves while the reply is
 	// on the wire would never reach it. Pushes take wmu like this reply
 	// does, so the reply still goes out first.
-	if cmd.Kind == CmdOpen && ms.Authed() {
+	if cmd.Kind == CmdOpen && ms.authed.Load() {
 		c.pushable.Store(true)
 	}
 	return c.flushLocked()
@@ -756,15 +746,15 @@ func (c *stratumConn) Deliver(ms *MinerSession, cmd Command, evs []Event) error 
 // wins over the command-kind derivation.
 func (c *stratumConn) errCode(cmd Command, ev Event) int {
 	switch {
-	case ev.Code != 0:
-		return ev.Code
-	case cmd.Kind == CmdGarbage:
+	case ev.code != 0:
+		return ev.code
+	case cmd.Kind == cmdGarbage:
 		return stratum.RPCParseError
-	case cmd.Kind == CmdUnknown:
+	case cmd.Kind == cmdUnknown:
 		return stratum.RPCUnknownMethod
-	case cmd.Kind == CmdBadParams:
+	case cmd.Kind == cmdBadParams:
 		return stratum.RPCInvalidParams
-	case ev.Fatal || cmd.Kind == CmdOpen:
+	case ev.fatal || cmd.Kind == CmdOpen:
 		return stratum.RPCUnauthorized
 	default:
 		return stratum.RPCRejected

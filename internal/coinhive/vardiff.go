@@ -67,13 +67,13 @@ const (
 	vardiffIdleGrace = 4
 )
 
-// Enabled reports whether vardiff is configured on.
-func (c VardiffConfig) Enabled() bool { return c.TargetSharesPerMin > 0 }
+// enabled reports whether vardiff is configured on.
+func (c VardiffConfig) enabled() bool { return c.TargetSharesPerMin > 0 }
 
 // fillDefaults completes an enabled config. shareDiff is the pool's
 // static ShareDifficulty — the starting point every session retargets from.
 func (c *VardiffConfig) fillDefaults(shareDiff uint64) {
-	if !c.Enabled() {
+	if !c.enabled() {
 		return
 	}
 	if c.MinDifficulty == 0 {

@@ -112,7 +112,7 @@ func TestVardiffWindowCadence(t *testing.T) {
 
 func TestVardiffDefaults(t *testing.T) {
 	var c VardiffConfig
-	if c.Enabled() {
+	if c.enabled() {
 		t.Fatal("zero config must be disabled")
 	}
 	c.TargetSharesPerMin = 240

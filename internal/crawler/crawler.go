@@ -12,10 +12,7 @@
 package crawler
 
 import (
-	"bytes"
 	"errors"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"unsafe"
@@ -26,10 +23,10 @@ import (
 	"repro/internal/webgen"
 )
 
-// MaxBody is the 256 kB download cap: "a good tradeoff between capturing
+// maxBody is the 256 kB download cap: "a good tradeoff between capturing
 // most content ... and having a point where to stop downloading when pages
 // do not stop sending data."
-const MaxBody = 256 << 10
+const maxBody = 256 << 10
 
 // The errors a CorpusFetcher reports, made once so a fetch that fails
 // allocates nothing either.
@@ -37,13 +34,6 @@ var (
 	errNXDomain = errors.New("NXDOMAIN")
 	errTLS      = errors.New("tls: handshake failure")
 )
-
-// Fetcher retrieves a landing page for a domain. Fetch appends the page's
-// first MaxBody bytes to dst and returns the extended buffer; on error it
-// returns dst with no page appended, so a caller can keep reusing it.
-type Fetcher interface {
-	Fetch(dst []byte, domain string) ([]byte, error)
-}
 
 // CorpusFetcher serves pages straight from a synthetic corpus, honouring
 // the TLS-broken population (sites the zgrab pass cannot reach but the
@@ -61,8 +51,10 @@ func NewCorpusFetcher(c *webgen.Corpus) *CorpusFetcher {
 	return f
 }
 
-// Fetch appends the site's static HTML, truncated to MaxBody.
-func (f *CorpusFetcher) Fetch(dst []byte, domain string) ([]byte, error) {
+// fetch appends the site's static HTML, truncated to maxBody, to dst and
+// returns the extended buffer; on error it returns dst with no page
+// appended, so a caller can keep reusing it.
+func (f *CorpusFetcher) fetch(dst []byte, domain string) ([]byte, error) {
 	s, ok := f.byDomain[domain]
 	if !ok {
 		return dst, errNXDomain
@@ -72,53 +64,22 @@ func (f *CorpusFetcher) Fetch(dst []byte, domain string) ([]byte, error) {
 	}
 	n := len(dst)
 	dst = webgen.AppendStaticHTML(dst, s)
-	if len(dst)-n > MaxBody {
-		dst = dst[:n+MaxBody]
+	if len(dst)-n > maxBody {
+		dst = dst[:n+maxBody]
 	}
 	return dst, nil
 }
 
-// HTTPFetcher downloads real pages over the network (tests point it at
-// httptest servers; a production deployment would point it at the web).
-type HTTPFetcher struct {
-	Client *http.Client
-	// BaseURL overrides scheme+host resolution; the domain is appended as
-	// a path ("" means https://www.<domain>/ semantics).
-	BaseURL string
-}
-
-// Fetch appends the first MaxBody bytes of a landing page.
-func (f *HTTPFetcher) Fetch(dst []byte, domain string) ([]byte, error) {
-	client := f.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	url := f.BaseURL + "/" + domain
-	if f.BaseURL == "" {
-		url = "https://www." + domain + "/"
-	}
-	resp, err := client.Get(url)
-	if err != nil {
-		return dst, err
-	}
-	defer resp.Body.Close()
-	buf := bytes.NewBuffer(dst)
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBody)); err != nil {
-		return dst, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Hit is one NoCoin-flagged domain.
 type Hit struct {
-	Domain  string
-	Family  string // family label inferred from the matched rule
-	Matches []nocoin.Match
+	domain  string
+	family  string // family label inferred from the matched rule
+	matches []nocoin.Match
 }
 
 // Report aggregates a static scan.
 type Report struct {
-	TLD     webgen.TLD
+	tld     webgen.TLD
 	Total   int
 	Fetched int
 	Hits    []Hit
@@ -170,9 +131,9 @@ func (p *PageScanner) Scan(page string) []nocoin.Match {
 	return p.matches
 }
 
-// FamilyOfMatch maps a matched rule to the script-family label used in
+// familyOfMatch maps a matched rule to the script-family label used in
 // Figure 2's legend.
-func FamilyOfMatch(m nocoin.Match) string {
+func familyOfMatch(m nocoin.Match) string {
 	probe := strings.ToLower(m.Rule.Raw + " " + m.Target)
 	switch {
 	case strings.Contains(probe, "authedmine"):
@@ -194,11 +155,11 @@ func FamilyOfMatch(m nocoin.Match) string {
 
 // Scan fetches and scans every domain of a corpus with the given worker
 // parallelism, aggregating a Report.
-func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
+func Scan(c *webgen.Corpus, f *CorpusFetcher, list *nocoin.List, workers int) Report {
 	if workers <= 0 {
 		workers = 8
 	}
-	rep := Report{TLD: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
+	rep := Report{tld: c.Cfg.TLD, Total: len(c.Sites), FamilyCounts: map[string]int{}}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
 		scratches[w].scan = NewPageScanner(list)
@@ -208,7 +169,7 @@ func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
 		sc := &scratches[w]
 		s := c.Sites[i]
 		var err error
-		if sc.page, err = f.Fetch(sc.page[:0], s.Domain); err != nil {
+		if sc.page, err = f.fetch(sc.page[:0], s.Domain); err != nil {
 			return
 		}
 		// A view of the buffer the next page overwrites: what leaves this
@@ -216,7 +177,7 @@ func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
 		matches := sc.scan.Scan(unsafe.String(unsafe.SliceData(sc.page), len(sc.page)))
 		var h Hit
 		if len(matches) > 0 {
-			h = Hit{Domain: s.Domain, Matches: ownedMatches(matches), Family: FamilyOfMatch(matches[0])}
+			h = Hit{domain: s.Domain, matches: ownedMatches(matches), family: familyOfMatch(matches[0])}
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -228,8 +189,8 @@ func Scan(c *webgen.Corpus, f Fetcher, list *nocoin.List, workers int) Report {
 		// A site can carry several matching scripts; Fig. 2 counts each
 		// matched family once per site.
 		seen := map[string]bool{}
-		for _, m := range h.Matches {
-			fam := FamilyOfMatch(m)
+		for _, m := range h.matches {
+			fam := familyOfMatch(m)
 			if !seen[fam] {
 				seen[fam] = true
 				rep.FamilyCounts[fam]++

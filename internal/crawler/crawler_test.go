@@ -3,8 +3,6 @@ package crawler
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
@@ -20,13 +18,13 @@ func TestCorpusFetcherHonoursTLSBreakage(t *testing.T) {
 	c.Sites[0].Load.TLSBroken = true
 	c.Sites[1].Load.TLSBroken = false
 	f := NewCorpusFetcher(c)
-	if body, err := f.Fetch(nil, c.Sites[0].Domain); !errors.Is(err, errTLS) || len(body) != 0 {
+	if body, err := f.fetch(nil, c.Sites[0].Domain); !errors.Is(err, errTLS) || len(body) != 0 {
 		t.Errorf("TLS-broken site fetch = %d bytes, %v", len(body), err)
 	}
-	if body, err := f.Fetch(nil, c.Sites[1].Domain); err != nil || len(body) == 0 {
+	if body, err := f.fetch(nil, c.Sites[1].Domain); err != nil || len(body) == 0 {
 		t.Errorf("healthy site fetch = %d bytes, %v", len(body), err)
 	}
-	if body, err := f.Fetch(nil, "nxdomain.example"); !errors.Is(err, errNXDomain) || err.Error() != "NXDOMAIN" || len(body) != 0 {
+	if body, err := f.fetch(nil, "nxdomain.example"); !errors.Is(err, errNXDomain) || err.Error() != "NXDOMAIN" || len(body) != 0 {
 		t.Errorf("nxdomain fetch = %d bytes, %v", len(body), err)
 	}
 }
@@ -43,7 +41,7 @@ func TestScanPageFindsMinerLoader(t *testing.T) {
 	if len(matches) == 0 {
 		t.Fatal("static coinhive loader not matched")
 	}
-	if fam := FamilyOfMatch(matches[0]); fam != "coinhive" {
+	if fam := familyOfMatch(matches[0]); fam != "coinhive" {
 		t.Errorf("family = %q", fam)
 	}
 }
@@ -59,12 +57,12 @@ func TestFamilyOfMatchLabels(t *testing.T) {
 		"https://deepminer.net/lib/deepminer.min.js":   "other",
 	}
 	for url, want := range cases {
-		m, ok := list.MatchURL(url)
-		if !ok {
+		m := (&nocoin.Matcher{List: list}).AppendMatches(nil, []nocoin.ScriptRef{{Src: url}})
+		if len(m) == 0 {
 			t.Errorf("no rule for %s", url)
 			continue
 		}
-		if got := FamilyOfMatch(nocoin.Match{Rule: m, Target: url}); got != want {
+		if got := familyOfMatch(m[0]); got != want {
 			t.Errorf("FamilyOfMatch(%s) = %q, want %q", url, got, want)
 		}
 	}
@@ -96,32 +94,6 @@ func TestScanCorpusEndToEnd(t *testing.T) {
 	}
 	if rep.FamilyCounts["cpmstar"] == 0 {
 		t.Error("no cpmstar false positives")
-	}
-}
-
-func TestHTTPFetcherTruncatesAtCap(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// A page that never wants to stop.
-		chunk := strings.Repeat("x", 64<<10)
-		for i := 0; i < 10; i++ {
-			fmt.Fprint(w, chunk)
-		}
-	}))
-	defer srv.Close()
-	f := &HTTPFetcher{BaseURL: srv.URL}
-	body, err := f.Fetch(nil, "whatever.org")
-	if err != nil {
-		t.Fatalf("fetch failed: %v", err)
-	}
-	if len(body) != MaxBody {
-		t.Errorf("body len = %d, want %d", len(body), MaxBody)
-	}
-}
-
-func TestHTTPFetcherReportsErrors(t *testing.T) {
-	f := &HTTPFetcher{BaseURL: "http://127.0.0.1:1"}
-	if _, err := f.Fetch(nil, "x.org"); err == nil {
-		t.Error("fetch against a closed port succeeded")
 	}
 }
 
@@ -168,10 +140,10 @@ func TestScanMatchesPerSiteReference(t *testing.T) {
 		if len(matches) == 0 {
 			continue
 		}
-		want = append(want, describeHit(s.Domain, FamilyOfMatch(matches[0]), matches))
+		want = append(want, describeHit(s.Domain, familyOfMatch(matches[0]), matches))
 		seen := map[string]bool{}
 		for _, m := range matches {
-			if fam := FamilyOfMatch(m); !seen[fam] {
+			if fam := familyOfMatch(m); !seen[fam] {
 				seen[fam] = true
 				wantFams[fam]++
 			}
@@ -179,7 +151,7 @@ func TestScanMatchesPerSiteReference(t *testing.T) {
 	}
 	var got []string
 	for _, h := range rep.Hits {
-		got = append(got, describeHit(h.Domain, h.Family, h.Matches))
+		got = append(got, describeHit(h.domain, h.family, h.matches))
 	}
 	sort.Strings(got)
 	sort.Strings(want)
@@ -221,16 +193,10 @@ func TestScanAllocationsDoNotGrowWithTheShard(t *testing.T) {
 func TestFetchersAppendToDst(t *testing.T) {
 	c := webgen.Generate(webgen.DefaultConfig(webgen.TLDOrg, 1, 5))
 	c.Sites[0].Load.TLSBroken = false
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, webgen.RenderStaticHTML(c.Sites[0]))
-	}))
-	defer srv.Close()
 	want := "previous page|" + webgen.RenderStaticHTML(c.Sites[0])
-	for _, f := range []Fetcher{NewCorpusFetcher(c), &HTTPFetcher{BaseURL: srv.URL}} {
-		got, err := f.Fetch([]byte("previous page|"), c.Sites[0].Domain)
-		if err != nil || string(got) != want {
-			t.Errorf("%T: Fetch onto a used buffer = %q, %v; want %q", f, got, err, want)
-		}
+	got, err := NewCorpusFetcher(c).fetch([]byte("previous page|"), c.Sites[0].Domain)
+	if err != nil || string(got) != want {
+		t.Errorf("fetch onto a used buffer = %q, %v; want %q", got, err, want)
 	}
 }
 

@@ -107,9 +107,6 @@ func NewHasher(v Variant) (*Hasher, error) {
 	return &Hasher{v: v, pad: make([]uint64, v.ScratchpadSize/8)}, nil
 }
 
-// Variant returns the profile this Hasher was built with.
-func (h *Hasher) Variant() Variant { return h.v }
-
 // Sum computes the CryptoNight hash of data.
 //
 //lint:hotpath

@@ -55,8 +55,8 @@ var zoneSizes = map[webgen.TLD]float64{
 	webgen.TLDOrg:   9_000_000,
 }
 
-// ExtrapolationFactor converts a scaled-corpus count to a zone-level count.
-func (s Scale) ExtrapolationFactor(tld webgen.TLD) float64 {
+// extrapolationFactor converts a scaled-corpus count to a zone-level count.
+func (s Scale) extrapolationFactor(tld webgen.TLD) float64 {
 	return zoneSizes[tld] / float64(s.corpusSizes()[tld])
 }
 
@@ -65,7 +65,7 @@ func (s Scale) ExtrapolationFactor(tld webgen.TLD) float64 {
 type World struct {
 	Sim   *simclock.Sim
 	Chain *blockchain.Chain
-	Pool  *coinhive.Pool
+	pool  *coinhive.Pool
 	Net   *simnet.Network
 }
 
@@ -74,9 +74,9 @@ type World struct {
 const (
 	NetworkHashRate = 462e6
 	PoolHashRate    = 5.5e6
-	// EmissionPreload fixes the block reward in the ~4.7 XMR regime of
+	// emissionPreload fixes the block reward in the ~4.7 XMR regime of
 	// mid-2018 (Table 6's 1215–1293 XMR/month at 9-10 blocks/day).
-	EmissionPreload = 15_980_000 * blockchain.AtomicPerXMR
+	emissionPreload = 15_980_000 * blockchain.AtomicPerXMR
 )
 
 // NewWorld builds a bootstrapped simulation starting at start.
@@ -88,7 +88,7 @@ func NewWorld(start time.Time, poolRate, netRate float64, activity func(time.Tim
 	if err != nil {
 		return nil, err
 	}
-	chain.PreloadEmission(EmissionPreload)
+	chain.PreloadEmission(emissionPreload)
 	pool, err := coinhive.NewPool(coinhive.PoolConfig{
 		Chain:  chain,
 		Wallet: blockchain.AddressFromString("coinhive-wallet"),
@@ -108,7 +108,7 @@ func NewWorld(start time.Time, poolRate, netRate float64, activity func(time.Tim
 	if err != nil {
 		return nil, err
 	}
-	return &World{Sim: sim, Chain: chain, Pool: pool, Net: net}, nil
+	return &World{Sim: sim, Chain: chain, pool: pool, Net: net}, nil
 }
 
 // CoinhiveActivity reproduces the temporal structure of Figure 5: a flat

@@ -17,12 +17,12 @@ import (
 
 // Fig5Result is the hour-of-day × day block matrix plus daily statistics.
 type Fig5Result struct {
-	Days          []string
-	Matrix        [][24]int
-	DailyTotals   []int
+	days          []string
+	matrix        [][24]int
+	dailyTotals   []int
 	MedianPerDay  float64
 	AveragePerDay float64
-	OutageDays    []string
+	outageDays    []string
 	Attributed    int
 	PoolTruth     int // pool-side ground truth (not observable in the paper)
 }
@@ -51,12 +51,12 @@ func RunFig5(seed int64, tick time.Duration) (Fig5Result, error) {
 
 	attributed := watcher.Attributed()
 	res.Attributed = len(attributed)
-	res.PoolTruth = len(w.Pool.FoundBlocks())
-	res.Days = make([]string, days)
-	res.Matrix = make([][24]int, days)
-	res.DailyTotals = make([]int, days)
+	res.PoolTruth = len(w.pool.FoundBlocks())
+	res.days = make([]string, days)
+	res.matrix = make([][24]int, days)
+	res.dailyTotals = make([]int, days)
 	for d := 0; d < days; d++ {
-		res.Days[d] = start.AddDate(0, 0, d).Format("02.01.06")
+		res.days[d] = start.AddDate(0, 0, d).Format("02.01.06")
 	}
 	for _, ab := range attributed {
 		t := time.Unix(int64(ab.Timestamp), 0).UTC()
@@ -64,14 +64,14 @@ func RunFig5(seed int64, tick time.Duration) (Fig5Result, error) {
 		if d < 0 || d >= days {
 			continue
 		}
-		res.Matrix[d][t.Hour()]++
-		res.DailyTotals[d]++
+		res.matrix[d][t.Hour()]++
+		res.dailyTotals[d]++
 	}
 	var daily []float64
-	for d, n := range res.DailyTotals {
+	for d, n := range res.dailyTotals {
 		daily = append(daily, float64(n))
 		if n == 0 {
-			res.OutageDays = append(res.OutageDays, res.Days[d])
+			res.outageDays = append(res.outageDays, res.days[d])
 		}
 	}
 	res.MedianPerDay = analysis.Median(daily)
@@ -103,13 +103,13 @@ func RunFig5Ensemble(seeds []int64, tick time.Duration, workers int) ([]Fig5Resu
 func (r Fig5Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 5 — blocks mined by the pool, hour-of-day × day\n")
-	b.WriteString(analysis.Heatmap(r.Days, r.Matrix))
+	b.WriteString(analysis.Heatmap(r.days, r.matrix))
 	fmt.Fprintf(&b, "median %.1f blocks/day, average %.1f (paper: 8.5 / 9.0)\n",
 		r.MedianPerDay, r.AveragePerDay)
 	fmt.Fprintf(&b, "attributed %d of %d pool blocks (lower bound, as in the paper)\n",
 		r.Attributed, r.PoolTruth)
-	if len(r.OutageDays) > 0 {
-		fmt.Fprintf(&b, "zero-block days (service disruption): %s\n", strings.Join(r.OutageDays, ", "))
+	if len(r.outageDays) > 0 {
+		fmt.Fprintf(&b, "zero-block days (service disruption): %s\n", strings.Join(r.outageDays, ", "))
 	}
 	return b.String()
 }
@@ -120,12 +120,12 @@ func (r Fig5Result) Render() string {
 
 // MonthStats is one Table 6 row.
 type MonthStats struct {
-	Month        string
-	MedianPerDay float64
-	AvgPerDay    float64
+	month        string
+	medianPerDay float64
+	avgPerDay    float64
 	HashRateMHs  float64
 	XMR          float64
-	ShareOfChain float64
+	shareOfChain float64
 }
 
 // Table6Result is the three-month summary.
@@ -201,12 +201,12 @@ func RunTable6(seed int64, tick time.Duration) (Table6Result, error) {
 			share = blocks / a.chainBlocks
 		}
 		res.Months = append(res.Months, MonthStats{
-			Month:        m,
-			MedianPerDay: analysis.Median(daily),
-			AvgPerDay:    analysis.Mean(daily),
+			month:        m,
+			medianPerDay: analysis.Median(daily),
+			avgPerDay:    analysis.Mean(daily),
 			HashRateMHs:  share * networkRate / 1e6,
 			XMR:          float64(a.rewards) / blockchain.AtomicPerXMR,
-			ShareOfChain: share,
+			shareOfChain: share,
 		})
 	}
 	return res, nil
@@ -217,12 +217,12 @@ func (r Table6Result) Render() string {
 	rows := [][]string{}
 	for _, m := range r.Months {
 		rows = append(rows, []string{
-			m.Month,
-			fmt.Sprintf("%.1f", m.MedianPerDay),
-			fmt.Sprintf("%.1f", m.AvgPerDay),
+			m.month,
+			fmt.Sprintf("%.1f", m.medianPerDay),
+			fmt.Sprintf("%.1f", m.avgPerDay),
 			fmt.Sprintf("%.1f", m.HashRateMHs),
 			fmt.Sprintf("%.0f", m.XMR),
-			fmt.Sprintf("%.2f%%", m.ShareOfChain*100),
+			fmt.Sprintf("%.2f%%", m.shareOfChain*100),
 		})
 	}
 	return "Table 6 — monthly mining statistics\n" +
@@ -235,13 +235,13 @@ func (r Table6Result) Render() string {
 
 // NetworkSizeResult covers the in-text §4.2 numbers.
 type NetworkSizeResult struct {
-	Endpoints        int
-	InputsPerPoll    int // distinct PoW inputs seen on one endpoint
+	endpoints        int
+	inputsPerPoll    int // distinct PoW inputs seen on one endpoint
 	InputsPerBlock   int // distinct PoW inputs across all endpoints
-	ImpliedPoolMHs   float64
-	UsersAt20Hs      float64
-	UsersAt100Hs     float64
-	DifficultyMedian float64
+	impliedPoolMHs   float64
+	usersAt20Hs      float64
+	usersAt100Hs     float64
+	difficultyMedian float64
 }
 
 // RunNetworkSize measures the endpoint topology and derives the
@@ -262,15 +262,15 @@ func RunNetworkSize(seed int64) (NetworkSizeResult, error) {
 	stopA()
 	stopB()
 
-	res.Endpoints = w.Pool.NumEndpoints()
+	res.endpoints = w.pool.NumEndpoints()
 	res.InputsPerBlock = full.StatsSnapshot().MaxInputsPerPrev
-	res.InputsPerPoll = one.StatsSnapshot().MaxInputsPerPrev
-	res.DifficultyMedian = float64(w.Chain.NextDifficulty())
-	networkRate := res.DifficultyMedian / 120
+	res.inputsPerPoll = one.StatsSnapshot().MaxInputsPerPrev
+	res.difficultyMedian = float64(w.Chain.NextDifficulty())
+	networkRate := res.difficultyMedian / 120
 	share := PoolHashRate / NetworkHashRate
-	res.ImpliedPoolMHs = share * networkRate / 1e6
-	res.UsersAt20Hs = res.ImpliedPoolMHs * 1e6 / 20
-	res.UsersAt100Hs = res.ImpliedPoolMHs * 1e6 / 100
+	res.impliedPoolMHs = share * networkRate / 1e6
+	res.usersAt20Hs = res.impliedPoolMHs * 1e6 / 20
+	res.usersAt100Hs = res.impliedPoolMHs * 1e6 / 100
 	return res, nil
 }
 
@@ -278,12 +278,12 @@ func RunNetworkSize(seed int64) (NetworkSizeResult, error) {
 func (r NetworkSizeResult) Render() string {
 	var b strings.Builder
 	b.WriteString("§4.2 — network size estimation\n")
-	fmt.Fprintf(&b, "pool endpoints: %d (paper: 32)\n", r.Endpoints)
-	fmt.Fprintf(&b, "distinct PoW inputs, single endpoint: %d (paper: ≤8)\n", r.InputsPerPoll)
+	fmt.Fprintf(&b, "pool endpoints: %d (paper: 32)\n", r.endpoints)
+	fmt.Fprintf(&b, "distinct PoW inputs, single endpoint: %d (paper: ≤8)\n", r.inputsPerPoll)
 	fmt.Fprintf(&b, "distinct PoW inputs, all endpoints:   %d (paper: ≤128)\n", r.InputsPerBlock)
-	fmt.Fprintf(&b, "median difficulty: %.3g (paper: 55.4G)\n", r.DifficultyMedian)
-	fmt.Fprintf(&b, "implied pool rate: %.1f MH/s (paper: 5.5)\n", r.ImpliedPoolMHs)
+	fmt.Fprintf(&b, "median difficulty: %.3g (paper: 55.4G)\n", r.difficultyMedian)
+	fmt.Fprintf(&b, "implied pool rate: %.1f MH/s (paper: 5.5)\n", r.impliedPoolMHs)
 	fmt.Fprintf(&b, "constantly mining users: %.0fK @20 H/s … %.0fK @100 H/s (paper: 292K…58K)\n",
-		r.UsersAt20Hs/1000, r.UsersAt100Hs/1000)
+		r.usersAt20Hs/1000, r.usersAt100Hs/1000)
 	return b.String()
 }

@@ -19,12 +19,12 @@ import (
 
 // Fig2Scan is one (population, scan date) bar of Figure 2.
 type Fig2Scan struct {
-	TLD          webgen.TLD
-	ScanLabel    string
+	tld          webgen.TLD
+	scanLabel    string
 	Probed       int
 	Hits         int
-	ZoneHits     float64 // extrapolated to real zone size
-	FamilyShares map[string]float64
+	zoneHits     float64 // extrapolated to real zone size
+	familyShares map[string]float64
 }
 
 // Fig2Result aggregates all bars.
@@ -47,12 +47,12 @@ func RunFig2(scale Scale, workers int) Fig2Result {
 				shares[fam] = float64(n) / float64(len(rep.Hits))
 			}
 			res.Scans = append(res.Scans, Fig2Scan{
-				TLD:          tld,
-				ScanLabel:    fmt.Sprintf("scan-%d", scan+1),
+				tld:          tld,
+				scanLabel:    fmt.Sprintf("scan-%d", scan+1),
 				Probed:       rep.Total,
 				Hits:         len(rep.Hits),
-				ZoneHits:     float64(len(rep.Hits)) * scale.ExtrapolationFactor(tld),
-				FamilyShares: shares,
+				zoneHits:     float64(len(rep.Hits)) * scale.extrapolationFactor(tld),
+				familyShares: shares,
 			})
 		}
 	}
@@ -63,19 +63,19 @@ func RunFig2(scale Scale, workers int) Fig2Result {
 func (r Fig2Result) Render() string {
 	rows := make([][]string, 0, len(r.Scans))
 	for _, s := range r.Scans {
-		order := analysis.RankDescending(toCounts(s.FamilyShares))
+		order := analysis.RankDescending(toCounts(s.familyShares))
 		var fams []string
 		for i, e := range order {
 			if i >= 5 {
 				break
 			}
-			fams = append(fams, fmt.Sprintf("%s %.0f%%", e.Key, s.FamilyShares[e.Key]*100))
+			fams = append(fams, fmt.Sprintf("%s %.0f%%", e.Key, s.familyShares[e.Key]*100))
 		}
 		rows = append(rows, []string{
-			string(s.TLD), s.ScanLabel,
+			string(s.tld), s.scanLabel,
 			fmt.Sprintf("%d", s.Probed),
 			fmt.Sprintf("%d", s.Hits),
-			fmt.Sprintf("%.0f", s.ZoneHits),
+			fmt.Sprintf("%.0f", s.zoneHits),
 			fmt.Sprintf("%.4f%%", 100*float64(s.Hits)/float64(s.Probed)),
 			strings.Join(fams, ", "),
 		})
@@ -99,10 +99,10 @@ func toCounts(shares map[string]float64) map[string]int {
 // CrawlOutcome bundles the Chrome-style crawl of one population along with
 // the category engine set up for it.
 type CrawlOutcome struct {
-	TLD    webgen.TLD
-	Report browser.Report
-	Corpus *webgen.Corpus
-	Engine *rulespace.Engine
+	tld    webgen.TLD
+	report browser.Report
+	corpus *webgen.Corpus
+	engine *rulespace.Engine
 }
 
 // RunBrowserCrawls executes the §3.2 measurement for Alexa and .org.
@@ -120,7 +120,7 @@ func RunBrowserCrawls(scale Scale, workers int) []CrawlOutcome {
 		engine.SetCoverage(string(webgen.TLDAlexa), 0.77)
 		engine.SetCoverage(string(webgen.TLDOrg), 0.48)
 		rep := browser.Crawl(corpus, db, list, workers)
-		out = append(out, CrawlOutcome{TLD: tld, Report: rep, Corpus: corpus, Engine: engine})
+		out = append(out, CrawlOutcome{tld: tld, report: rep, corpus: corpus, engine: engine})
 	}
 	return out
 }
@@ -132,26 +132,26 @@ type Table1Result struct {
 
 // Table1Column is one population's ranking.
 type Table1Column struct {
-	TLD       webgen.TLD
-	Top       []analysis.RankEntry
+	tld       webgen.TLD
+	top       []analysis.RankEntry
 	TotalWasm int
-	MinerWasm int
-	MinerFrac float64
+	minerWasm int
+	minerFrac float64
 }
 
 // Table1From reduces crawl outcomes to Table 1.
 func Table1From(crawls []CrawlOutcome) Table1Result {
 	var res Table1Result
 	for _, c := range crawls {
-		ranked := analysis.RankDescending(c.Report.FamilyCounts)
+		ranked := analysis.RankDescending(c.report.FamilyCounts)
 		col := Table1Column{
-			TLD:       c.TLD,
-			Top:       ranked,
-			TotalWasm: c.Report.WasmSites,
-			MinerWasm: c.Report.MinerSites,
+			tld:       c.tld,
+			top:       ranked,
+			TotalWasm: c.report.WasmSites,
+			minerWasm: c.report.MinerSites,
 		}
-		if c.Report.WasmSites > 0 {
-			col.MinerFrac = float64(c.Report.MinerSites) / float64(c.Report.WasmSites)
+		if c.report.WasmSites > 0 {
+			col.minerFrac = float64(c.report.MinerSites) / float64(c.report.WasmSites)
 		}
 		res.Columns = append(res.Columns, col)
 	}
@@ -164,15 +164,15 @@ func (r Table1Result) Render() string {
 	b.WriteString("Table 1 — Top WebAssembly signatures\n")
 	for _, col := range r.Columns {
 		rows := [][]string{}
-		for i, e := range col.Top {
+		for i, e := range col.top {
 			if i >= 5 {
 				break
 			}
 			rows = append(rows, []string{fmt.Sprintf("%d", i+1), e.Key, fmt.Sprintf("%d", e.Count)})
 		}
 		rows = append(rows, []string{"", "Total WebAssembly", fmt.Sprintf("%d", col.TotalWasm)})
-		rows = append(rows, []string{"", "miner fraction", fmt.Sprintf("%.0f%%", col.MinerFrac*100)})
-		fmt.Fprintf(&b, "\n[%s]\n%s", col.TLD,
+		rows = append(rows, []string{"", "miner fraction", fmt.Sprintf("%.0f%%", col.minerFrac*100)})
+		fmt.Fprintf(&b, "\n[%s]\n%s", col.tld,
 			analysis.Table([]string{"#", "classification", "count"}, rows))
 	}
 	return b.String()
@@ -185,12 +185,12 @@ type Table2Result struct {
 
 // Table2Row is one population's comparison.
 type Table2Row struct {
-	TLD        webgen.TLD
-	NoCoinHits int
-	HavingWasm int
-	WasmHits   int
-	Blocked    int
-	Missed     int
+	tld        webgen.TLD
+	noCoinHits int
+	havingWasm int
+	wasmHits   int
+	blocked    int
+	missed     int
 	MissedFrac float64
 }
 
@@ -198,14 +198,14 @@ type Table2Row struct {
 func Table2From(crawls []CrawlOutcome) Table2Result {
 	var res Table2Result
 	for _, c := range crawls {
-		r := c.Report
+		r := c.report
 		res.Rows = append(res.Rows, Table2Row{
-			TLD:        c.TLD,
-			NoCoinHits: r.NoCoinHits,
-			HavingWasm: r.NoCoinHitsWithMinerWasm,
-			WasmHits:   r.MinerSites,
-			Blocked:    r.MinersBlockedByNoCoin,
-			Missed:     r.MinersMissedByNoCoin,
+			tld:        c.tld,
+			noCoinHits: r.NoCoinHits,
+			havingWasm: r.NoCoinHitsWithMinerWasm,
+			wasmHits:   r.MinerSites,
+			blocked:    r.MinersBlockedByNoCoin,
+			missed:     r.MinersMissedByNoCoin,
 			MissedFrac: r.MissRate(),
 		})
 	}
@@ -217,12 +217,12 @@ func (r Table2Result) Render() string {
 	rows := [][]string{}
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
-			string(row.TLD),
-			fmt.Sprintf("%d", row.NoCoinHits),
-			fmt.Sprintf("%d", row.HavingWasm),
-			fmt.Sprintf("%d", row.WasmHits),
-			fmt.Sprintf("%d", row.Blocked),
-			fmt.Sprintf("%d (%.0f%%)", row.Missed, row.MissedFrac*100),
+			string(row.tld),
+			fmt.Sprintf("%d", row.noCoinHits),
+			fmt.Sprintf("%d", row.havingWasm),
+			fmt.Sprintf("%d", row.wasmHits),
+			fmt.Sprintf("%d", row.blocked),
+			fmt.Sprintf("%d (%.0f%%)", row.missed, row.MissedFrac*100),
 		})
 	}
 	return "Table 2 — NoCoin vs Wasm-signature detection (post-execution HTML)\n" +
@@ -236,9 +236,9 @@ type Table3Result struct {
 
 // Table3Block is one (population, detector) category ranking.
 type Table3Block struct {
-	TLD         webgen.TLD
-	Detector    string // "NoCoin" or "Signature"
-	Top         []analysis.RankEntry
+	tld         webgen.TLD
+	detector    string // "NoCoin" or "Signature"
+	top         []analysis.RankEntry
 	Categorized float64 // fraction of sites RuleSpace could classify
 }
 
@@ -249,7 +249,7 @@ func Table3From(crawls []CrawlOutcome) Table3Result {
 		for _, detector := range []string{"NoCoin", "Signature"} {
 			counts := map[string]int{}
 			total, classified := 0, 0
-			for _, v := range c.Report.Verdicts {
+			for _, v := range c.report.Verdicts {
 				if detector == "NoCoin" && !v.NoCoinHit {
 					continue
 				}
@@ -257,7 +257,7 @@ func Table3From(crawls []CrawlOutcome) Table3Result {
 					continue
 				}
 				total++
-				cats, ok := c.Engine.Classify(v.Domain)
+				cats, ok := c.engine.Classify(v.Domain)
 				if !ok {
 					continue
 				}
@@ -266,7 +266,7 @@ func Table3From(crawls []CrawlOutcome) Table3Result {
 					counts[cat]++
 				}
 			}
-			blk := Table3Block{TLD: c.TLD, Detector: detector, Top: analysis.RankDescending(counts)}
+			blk := Table3Block{tld: c.tld, detector: detector, top: analysis.RankDescending(counts)}
 			if total > 0 {
 				blk.Categorized = float64(classified) / float64(total)
 			}
@@ -283,10 +283,10 @@ func (r Table3Result) Render() string {
 	for _, blk := range r.Blocks {
 		rows := [][]string{}
 		shareTotal := 0
-		for _, e := range blk.Top {
+		for _, e := range blk.top {
 			shareTotal += e.Count
 		}
-		for i, e := range blk.Top {
+		for i, e := range blk.top {
 			if i >= 5 {
 				break
 			}
@@ -296,7 +296,7 @@ func (r Table3Result) Render() string {
 			})
 		}
 		rows = append(rows, []string{"", "Categorized", fmt.Sprintf("%.0f%%", blk.Categorized*100)})
-		fmt.Fprintf(&b, "\n[%s / %s]\n%s", blk.TLD, blk.Detector,
+		fmt.Fprintf(&b, "\n[%s / %s]\n%s", blk.tld, blk.detector,
 			analysis.Table([]string{"#", "category", "share"}, rows))
 	}
 	return b.String()

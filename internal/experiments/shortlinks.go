@@ -31,10 +31,10 @@ func (s Scale) linkCorpusSize() int {
 
 // Fig3Result captures the links-per-token distribution.
 type Fig3Result struct {
-	TotalLinks  int
-	TotalTokens int
-	Ranked      []analysis.RankEntry // token -> link count, descending
-	Top1Share   float64
+	totalLinks  int
+	totalTokens int
+	ranked      []analysis.RankEntry // token -> link count, descending
+	top1Share   float64
 	Top10Share  float64
 }
 
@@ -50,10 +50,10 @@ func RunFig3Links(n int) Fig3Result {
 	}
 	ranked := analysis.RankDescending(counts)
 	return Fig3Result{
-		TotalLinks:  len(specs),
-		TotalTokens: len(ranked),
-		Ranked:      ranked,
-		Top1Share:   analysis.TopShare(ranked, 1),
+		totalLinks:  len(specs),
+		totalTokens: len(ranked),
+		ranked:      ranked,
+		top1Share:   analysis.TopShare(ranked, 1),
 		Top10Share:  analysis.TopShare(ranked, 10),
 	}
 }
@@ -62,11 +62,11 @@ func RunFig3Links(n int) Fig3Result {
 func (r Fig3Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3 — links per token\n")
-	fmt.Fprintf(&b, "total links %d across %d tokens\n", r.TotalLinks, r.TotalTokens)
-	fmt.Fprintf(&b, "top-1 user owns %.1f%% of links (paper: ~33%%)\n", r.Top1Share*100)
+	fmt.Fprintf(&b, "total links %d across %d tokens\n", r.totalLinks, r.totalTokens)
+	fmt.Fprintf(&b, "top-1 user owns %.1f%% of links (paper: ~33%%)\n", r.top1Share*100)
 	fmt.Fprintf(&b, "top-10 users own %.1f%% of links (paper: ~85%%)\n", r.Top10Share*100)
 	rows := [][]string{}
-	for i, e := range r.Ranked {
+	for i, e := range r.ranked {
 		if i >= 10 {
 			break
 		}
@@ -82,12 +82,12 @@ func (r Fig3Result) Render() string {
 
 // Fig4Result captures both CDFs of Figure 4.
 type Fig4Result struct {
-	Histogram      []analysis.LogBin
-	AllCDF         []analysis.CDFPoint
-	UnbiasedCDF    []analysis.CDFPoint
-	PAll1024       float64
+	histogram      []analysis.LogBin
+	allCDF         []analysis.CDFPoint
+	unbiasedCDF    []analysis.CDFPoint
+	pAll1024       float64
 	PUnbiased1024  float64
-	InfeasibleLnks int
+	infeasibleLnks int
 }
 
 // RunFig4 computes the hash-price distribution, biased and user-bias-free.
@@ -121,12 +121,12 @@ func RunFig4Links(n int) Fig4Result {
 	allCDF := analysis.CDF(all)
 	unbCDF := analysis.CDF(unbiased)
 	return Fig4Result{
-		Histogram:      analysis.LogHistogram(allU64),
-		AllCDF:         allCDF,
-		UnbiasedCDF:    unbCDF,
-		PAll1024:       analysis.PAt(allCDF, 1024),
+		histogram:      analysis.LogHistogram(allU64),
+		allCDF:         allCDF,
+		unbiasedCDF:    unbCDF,
+		pAll1024:       analysis.PAt(allCDF, 1024),
 		PUnbiased1024:  analysis.PAt(unbCDF, 1024),
-		InfeasibleLnks: infeasible,
+		infeasibleLnks: infeasible,
 	}
 }
 
@@ -135,7 +135,7 @@ func (r Fig4Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 4 — required hashes per link (duration @20 H/s)\n")
 	rows := [][]string{}
-	for _, bin := range r.Histogram {
+	for _, bin := range r.histogram {
 		if bin.Count == 0 {
 			continue
 		}
@@ -146,9 +146,9 @@ func (r Fig4Result) Render() string {
 		})
 	}
 	b.WriteString(analysis.Table([]string{"hashes", "@20H/s", "links"}, rows))
-	fmt.Fprintf(&b, "P[hashes ≤ 1024] all links:       %.2f (paper: majority <51s)\n", r.PAll1024)
+	fmt.Fprintf(&b, "P[hashes ≤ 1024] all links:       %.2f (paper: majority <51s)\n", r.pAll1024)
 	fmt.Fprintf(&b, "P[hashes ≤ 1024] user-bias freed: %.2f (paper: >2/3)\n", r.PUnbiased1024)
-	fmt.Fprintf(&b, "links priced at 10^19 hashes (never resolvable): %d\n", r.InfeasibleLnks)
+	fmt.Fprintf(&b, "links priced at 10^19 hashes (never resolvable): %d\n", r.infeasibleLnks)
 	return b.String()
 }
 
@@ -167,12 +167,12 @@ func log2(v uint64) int {
 
 // ResolveResult covers both destination tables.
 type ResolveResult struct {
-	SampledTop     int
+	sampledTop     int
 	ResolvedTop    int
-	TopDomains     []analysis.RankEntry // Table 4
-	SampledTail    int
+	topDomains     []analysis.RankEntry // Table 4
+	sampledTail    int
 	ResolvedTail   int
-	TailCategories []analysis.RankEntry // Table 5
+	tailCategories []analysis.RankEntry // Table 5
 	Uncategorized  float64
 	HashesComputed int64
 }
@@ -250,7 +250,7 @@ func RunResolve(scale Scale, perUserSample, tailSample int) (ResolveResult, erro
 	for _, u := range users {
 		idxs := perUser[u]
 		for k := 0; k < perUserSample && k < len(idxs); k++ {
-			res.SampledTop++
+			res.sampledTop++
 			samples = append(samples, sample{idx: idxs[k*len(idxs)/perUserSample], kind: kindTop})
 		}
 	}
@@ -275,7 +275,7 @@ func RunResolve(scale Scale, perUserSample, tailSample int) (ResolveResult, erro
 		}
 		m[s.Hashes] = true
 		taken++
-		res.SampledTail++
+		res.sampledTail++
 		samples = append(samples, sample{idx: i, kind: kindTail})
 	}
 
@@ -321,8 +321,8 @@ func RunResolve(scale Scale, perUserSample, tailSample int) (ResolveResult, erro
 			}
 		}
 	}
-	res.TopDomains = analysis.RankDescending(domainCounts)
-	res.TailCategories = analysis.RankDescending(catCounts)
+	res.topDomains = analysis.RankDescending(domainCounts)
+	res.tailCategories = analysis.RankDescending(catCounts)
 	if res.ResolvedTail > 0 {
 		res.Uncategorized = 1 - float64(classified)/float64(res.ResolvedTail)
 	}
@@ -342,9 +342,9 @@ func hostOf(u string) string {
 func (r ResolveResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tables 4 & 5 — link destinations (resolved by mining; %d hashes computed)\n", r.HashesComputed)
-	fmt.Fprintf(&b, "\n[Table 4] top-10 users: %d/%d links resolved\n", r.ResolvedTop, r.SampledTop)
+	fmt.Fprintf(&b, "\n[Table 4] top-10 users: %d/%d links resolved\n", r.ResolvedTop, r.sampledTop)
 	rows := [][]string{}
-	for i, e := range r.TopDomains {
+	for i, e := range r.topDomains {
 		if i >= 10 {
 			break
 		}
@@ -352,9 +352,9 @@ func (r ResolveResult) Render() string {
 	}
 	b.WriteString(analysis.Table([]string{"domain", "freq"}, rows))
 	fmt.Fprintf(&b, "\n[Table 5] unbiased tail: %d/%d resolved, %.0f%% uncategorized\n",
-		r.ResolvedTail, r.SampledTail, r.Uncategorized*100)
+		r.ResolvedTail, r.sampledTail, r.Uncategorized*100)
 	rows = rows[:0]
-	for i, e := range r.TailCategories {
+	for i, e := range r.tailCategories {
 		if i >= 10 {
 			break
 		}

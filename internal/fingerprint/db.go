@@ -32,12 +32,12 @@ func SignatureOf(m *wasm.Module) Signature {
 	return sig
 }
 
-// Entry is one assembly in the signature database.
-type Entry struct {
-	Sig     Signature
-	Family  string
-	Version int
-	Miner   bool
+// entry is one assembly in the signature database.
+type entry struct {
+	sig     Signature
+	family  string
+	version int
+	miner   bool
 }
 
 // Verdict is the classification result for one captured module.
@@ -45,14 +45,14 @@ type Verdict struct {
 	Miner    bool
 	Family   string
 	Known    bool // exact signature hit
-	Features wasm.Features
+	features wasm.Features
 }
 
 // DB is the signature database plus the heuristics used when no signature
 // matches. It is safe for concurrent lookups.
 type DB struct {
 	mu      sync.RWMutex
-	entries map[Signature]Entry
+	entries map[Signature]entry
 	// backends maps a pool endpoint domain suffix to a family name, used to
 	// attribute unknown miners by their Websocket backend.
 	backends map[string]string
@@ -71,34 +71,34 @@ type hintEntry struct {
 	family string
 }
 
-// NewDB returns an empty database.
-func NewDB() *DB {
+// newDB returns an empty database.
+func newDB() *DB {
 	return &DB{
-		entries:  map[Signature]Entry{},
+		entries:  map[Signature]entry{},
 		backends: map[string]string{},
 		hints:    map[string]string{},
 	}
 }
 
-// Register adds an assembly to the database.
-func (db *DB) Register(e Entry) {
+// register adds an assembly to the database.
+func (db *DB) register(e entry) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.entries[e.Sig] = e
+	db.entries[e.sig] = e
 }
 
-// RegisterBackend associates a Websocket backend domain with a family.
-func (db *DB) RegisterBackend(domain, family string) {
+// registerBackend associates a Websocket backend domain with a family.
+func (db *DB) registerBackend(domain, family string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.backends[strings.ToLower(domain)] = family
 }
 
-// RegisterHint associates a function-name fragment with a family. The
+// registerHint associates a function-name fragment with a family. The
 // first registration for a fragment wins; catalog order thus encodes
 // attribution priority for shared symbols (Coinhive and its consent-asking
 // Authedmine variant ship the same hash kernel symbol).
-func (db *DB) RegisterHint(fragment, family string) {
+func (db *DB) registerHint(fragment, family string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	frag := strings.ToLower(fragment)
@@ -119,15 +119,8 @@ func (db *DB) RegisterHint(fragment, family string) {
 	db.hintList[i] = hintEntry{frag: frag, family: family}
 }
 
-// Len reports the number of registered assemblies.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
-
-// Lookup returns the entry for an exact signature match.
-func (db *DB) Lookup(sig Signature) (Entry, bool) {
+// lookup returns the entry for an exact signature match.
+func (db *DB) lookup(sig Signature) (entry, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	e, ok := db.entries[sig]
@@ -152,16 +145,16 @@ const (
 func (db *DB) Classify(m *wasm.Module, wsHosts []string) Verdict {
 	feats, err := wasm.ExtractFeatures(m)
 	if err != nil {
-		return Verdict{Family: FamilyBenign}
+		return Verdict{Family: familyBenign}
 	}
-	v := Verdict{Features: feats}
+	v := Verdict{features: feats}
 
-	if e, ok := db.Lookup(SignatureOf(m)); ok {
+	if e, ok := db.lookup(SignatureOf(m)); ok {
 		v.Known = true
-		v.Miner = e.Miner
-		v.Family = e.Family
-		if !e.Miner {
-			v.Family = FamilyBenign
+		v.Miner = e.miner
+		v.Family = e.family
+		if !e.miner {
+			v.Family = familyBenign
 		}
 		return v
 	}
@@ -173,7 +166,7 @@ func (db *DB) Classify(m *wasm.Module, wsHosts []string) Verdict {
 		feats.Ops >= minerMinOps &&
 		feats.Pages >= minerMinPage
 	if !looksMiner {
-		v.Family = FamilyBenign
+		v.Family = familyBenign
 		return v
 	}
 	v.Miner = true
@@ -227,21 +220,21 @@ func (db *DB) Classify(m *wasm.Module, wsHosts []string) Verdict {
 // including backend and name-hint tables. The Fig. 2/Table 1 experiments
 // use this as "our Miner Wasm signature database".
 func ReferenceDB() *DB {
-	db := NewDB()
+	db := newDB()
 	for _, spec := range Catalog() {
 		for v := 0; v < spec.Versions; v++ {
-			db.Register(Entry{
-				Sig:     SignatureOf(ModuleFor(spec, v)),
-				Family:  spec.Name,
-				Version: v,
-				Miner:   spec.Miner,
+			db.register(entry{
+				sig:     SignatureOf(moduleFor(spec, v)),
+				family:  spec.Name,
+				version: v,
+				miner:   spec.miner,
 			})
 		}
 		if spec.Backend != "" {
-			db.RegisterBackend(spec.Backend, spec.Name)
+			db.registerBackend(spec.Backend, spec.Name)
 		}
-		if spec.NameHint != "" && spec.Miner {
-			db.RegisterHint(spec.NameHint, spec.Name)
+		if spec.nameHint != "" && spec.miner {
+			db.registerHint(spec.nameHint, spec.Name)
 		}
 	}
 	return db
@@ -251,24 +244,24 @@ func ReferenceDB() *DB {
 // each family. The Table 2-style ablation uses it to measure how much the
 // heuristic layer recovers when the signature corpus is incomplete.
 func PartialDB(skipEvery int) *DB {
-	db := NewDB()
+	db := newDB()
 	for _, spec := range Catalog() {
 		for v := 0; v < spec.Versions; v++ {
 			if skipEvery > 1 && v%skipEvery != 0 {
 				continue
 			}
-			db.Register(Entry{
-				Sig:     SignatureOf(ModuleFor(spec, v)),
-				Family:  spec.Name,
-				Version: v,
-				Miner:   spec.Miner,
+			db.register(entry{
+				sig:     SignatureOf(moduleFor(spec, v)),
+				family:  spec.Name,
+				version: v,
+				miner:   spec.miner,
 			})
 		}
 		if spec.Backend != "" {
-			db.RegisterBackend(spec.Backend, spec.Name)
+			db.registerBackend(spec.Backend, spec.Name)
 		}
-		if spec.NameHint != "" && spec.Miner {
-			db.RegisterHint(spec.NameHint, spec.Name)
+		if spec.nameHint != "" && spec.miner {
+			db.registerHint(spec.nameHint, spec.Name)
 		}
 	}
 	return db

@@ -24,12 +24,12 @@ const (
 	FamilyFreecontent = "freecontent.date"
 	FamilyWpMonero    = "wp-monero-miner"
 	FamilyDeepMiner   = "deepminer"
-	FamilyJSMiner     = "jsminer"
+	familyJSMiner     = "jsminer"
 	FamilyCoinImp     = "coinimp"
 	FamilyMonerise    = "monerise"
-	FamilyWebmine     = "webmine.cz"
+	familyWebmine     = "webmine.cz"
 	FamilyUnknownWSS  = "UnknownWSS"
-	FamilyBenign      = "benign"
+	familyBenign      = "benign"
 )
 
 // FamilySpec describes how a miner (or benign) family's assemblies are
@@ -37,12 +37,12 @@ const (
 // and the Websocket backend the embedding script dials.
 type FamilySpec struct {
 	Name     string
-	Miner    bool
+	miner    bool
 	Versions int    // distinct assemblies observed for this family
 	Backend  string // characteristic pool endpoint domain ("" if none)
-	// NameHint is a function name present in some versions' name sections
+	// nameHint is a function name present in some versions' name sections
 	// ("function name hinting at the hash function itself", §3.2).
-	NameHint  string
+	nameHint  string
 	baseSeed  uint64
 	xorWeight float64
 	memWeight float64
@@ -57,37 +57,37 @@ type FamilySpec struct {
 // math kernels) that a naive "all Wasm is mining" rule would misclassify.
 func Catalog() []FamilySpec {
 	return []FamilySpec{
-		{Name: FamilyCoinhive, Miner: true, Versions: 34, Backend: "coinhive.com",
-			NameHint: "cryptonight_hash", baseSeed: 0xC01, xorWeight: 0.44, memWeight: 0.28, pages: 36, funcs: 12, bodyOps: 600},
-		{Name: FamilyAuthedmine, Miner: true, Versions: 8, Backend: "authedmine.com",
-			NameHint: "cryptonight_hash", baseSeed: 0xA07, xorWeight: 0.44, memWeight: 0.28, pages: 36, funcs: 12, bodyOps: 600},
-		{Name: FamilyCryptoloot, Miner: true, Versions: 22, Backend: "crypto-loot.com",
-			NameHint: "cn_slow_hash", baseSeed: 0xC10, xorWeight: 0.41, memWeight: 0.30, pages: 34, funcs: 10, bodyOps: 550},
-		{Name: FamilySkencituer, Miner: true, Versions: 9, Backend: "skencituer.com",
-			NameHint: "", baseSeed: 0x5CE, xorWeight: 0.39, memWeight: 0.33, pages: 33, funcs: 9, bodyOps: 500},
-		{Name: FamilyNotgiven688, Miner: true, Versions: 9, Backend: "notgiven688.host",
-			NameHint: "", baseSeed: 0x688, xorWeight: 0.37, memWeight: 0.31, pages: 33, funcs: 8, bodyOps: 450},
-		{Name: FamilyWebStatiBid, Miner: true, Versions: 11, Backend: "web.stati.bid",
-			NameHint: "cn_hash", baseSeed: 0xB1D, xorWeight: 0.42, memWeight: 0.27, pages: 34, funcs: 11, bodyOps: 520},
-		{Name: FamilyFreecontent, Miner: true, Versions: 11, Backend: "freecontent.date",
-			NameHint: "", baseSeed: 0xFCD, xorWeight: 0.40, memWeight: 0.29, pages: 34, funcs: 10, bodyOps: 520},
-		{Name: FamilyWpMonero, Miner: true, Versions: 8, Backend: "wp-monero-miner.com",
-			NameHint: "cryptonight", baseSeed: 0x3B0, xorWeight: 0.43, memWeight: 0.26, pages: 36, funcs: 12, bodyOps: 580},
-		{Name: FamilyDeepMiner, Miner: true, Versions: 7, Backend: "deepminer.net",
-			NameHint: "cryptonight", baseSeed: 0xDEE, xorWeight: 0.42, memWeight: 0.28, pages: 35, funcs: 10, bodyOps: 540},
-		{Name: FamilyJSMiner, Miner: true, Versions: 4, Backend: "jsminer.example",
-			NameHint: "sha256_block", baseSeed: 0x751, xorWeight: 0.48, memWeight: 0.12, pages: 4, funcs: 6, bodyOps: 400},
-		{Name: FamilyCoinImp, Miner: true, Versions: 8, Backend: "coinimp.com",
-			NameHint: "cn_slow_hash", baseSeed: 0xC1A, xorWeight: 0.41, memWeight: 0.29, pages: 34, funcs: 10, bodyOps: 520},
-		{Name: FamilyMonerise, Miner: true, Versions: 6, Backend: "monerise.com",
-			NameHint: "", baseSeed: 0x40E, xorWeight: 0.40, memWeight: 0.30, pages: 34, funcs: 9, bodyOps: 500},
-		{Name: FamilyWebmine, Miner: true, Versions: 6, Backend: "webmine.cz",
-			NameHint: "cryptonight", baseSeed: 0x3BC, xorWeight: 0.41, memWeight: 0.28, pages: 34, funcs: 9, bodyOps: 500},
+		{Name: FamilyCoinhive, miner: true, Versions: 34, Backend: "coinhive.com",
+			nameHint: "cryptonight_hash", baseSeed: 0xC01, xorWeight: 0.44, memWeight: 0.28, pages: 36, funcs: 12, bodyOps: 600},
+		{Name: FamilyAuthedmine, miner: true, Versions: 8, Backend: "authedmine.com",
+			nameHint: "cryptonight_hash", baseSeed: 0xA07, xorWeight: 0.44, memWeight: 0.28, pages: 36, funcs: 12, bodyOps: 600},
+		{Name: FamilyCryptoloot, miner: true, Versions: 22, Backend: "crypto-loot.com",
+			nameHint: "cn_slow_hash", baseSeed: 0xC10, xorWeight: 0.41, memWeight: 0.30, pages: 34, funcs: 10, bodyOps: 550},
+		{Name: FamilySkencituer, miner: true, Versions: 9, Backend: "skencituer.com",
+			nameHint: "", baseSeed: 0x5CE, xorWeight: 0.39, memWeight: 0.33, pages: 33, funcs: 9, bodyOps: 500},
+		{Name: FamilyNotgiven688, miner: true, Versions: 9, Backend: "notgiven688.host",
+			nameHint: "", baseSeed: 0x688, xorWeight: 0.37, memWeight: 0.31, pages: 33, funcs: 8, bodyOps: 450},
+		{Name: FamilyWebStatiBid, miner: true, Versions: 11, Backend: "web.stati.bid",
+			nameHint: "cn_hash", baseSeed: 0xB1D, xorWeight: 0.42, memWeight: 0.27, pages: 34, funcs: 11, bodyOps: 520},
+		{Name: FamilyFreecontent, miner: true, Versions: 11, Backend: "freecontent.date",
+			nameHint: "", baseSeed: 0xFCD, xorWeight: 0.40, memWeight: 0.29, pages: 34, funcs: 10, bodyOps: 520},
+		{Name: FamilyWpMonero, miner: true, Versions: 8, Backend: "wp-monero-miner.com",
+			nameHint: "cryptonight", baseSeed: 0x3B0, xorWeight: 0.43, memWeight: 0.26, pages: 36, funcs: 12, bodyOps: 580},
+		{Name: FamilyDeepMiner, miner: true, Versions: 7, Backend: "deepminer.net",
+			nameHint: "cryptonight", baseSeed: 0xDEE, xorWeight: 0.42, memWeight: 0.28, pages: 35, funcs: 10, bodyOps: 540},
+		{Name: familyJSMiner, miner: true, Versions: 4, Backend: "jsminer.example",
+			nameHint: "sha256_block", baseSeed: 0x751, xorWeight: 0.48, memWeight: 0.12, pages: 4, funcs: 6, bodyOps: 400},
+		{Name: FamilyCoinImp, miner: true, Versions: 8, Backend: "coinimp.com",
+			nameHint: "cn_slow_hash", baseSeed: 0xC1A, xorWeight: 0.41, memWeight: 0.29, pages: 34, funcs: 10, bodyOps: 520},
+		{Name: FamilyMonerise, miner: true, Versions: 6, Backend: "monerise.com",
+			nameHint: "", baseSeed: 0x40E, xorWeight: 0.40, memWeight: 0.30, pages: 34, funcs: 9, bodyOps: 500},
+		{Name: familyWebmine, miner: true, Versions: 6, Backend: "webmine.cz",
+			nameHint: "cryptonight", baseSeed: 0x3BC, xorWeight: 0.41, memWeight: 0.28, pages: 34, funcs: 9, bodyOps: 500},
 		// Benign Wasm: the ~4% of captured assemblies that are not miners.
-		{Name: "game-engine", Miner: false, Versions: 6, baseSeed: 0x6A5, xorWeight: 0.03, memWeight: 0.22, pages: 16, funcs: 14, bodyOps: 700},
-		{Name: "image-codec", Miner: false, Versions: 5, baseSeed: 0x1C0, xorWeight: 0.06, memWeight: 0.35, pages: 8, funcs: 10, bodyOps: 600},
-		{Name: "math-kernel", Miner: false, Versions: 4, baseSeed: 0x3A7, xorWeight: 0.02, memWeight: 0.12, pages: 2, funcs: 8, bodyOps: 500},
-		{Name: "crypto-lib", Miner: false, Versions: 4, baseSeed: 0xC4B, xorWeight: 0.30, memWeight: 0.08, pages: 2, funcs: 6, bodyOps: 450},
+		{Name: "game-engine", miner: false, Versions: 6, baseSeed: 0x6A5, xorWeight: 0.03, memWeight: 0.22, pages: 16, funcs: 14, bodyOps: 700},
+		{Name: "image-codec", miner: false, Versions: 5, baseSeed: 0x1C0, xorWeight: 0.06, memWeight: 0.35, pages: 8, funcs: 10, bodyOps: 600},
+		{Name: "math-kernel", miner: false, Versions: 4, baseSeed: 0x3A7, xorWeight: 0.02, memWeight: 0.12, pages: 2, funcs: 8, bodyOps: 500},
+		{Name: "crypto-lib", miner: false, Versions: 4, baseSeed: 0xC4B, xorWeight: 0.30, memWeight: 0.08, pages: 2, funcs: 6, bodyOps: 450},
 	}
 }
 
@@ -101,20 +101,20 @@ func SpecByName(name string) (FamilySpec, bool) {
 	return FamilySpec{}, false
 }
 
-// ModuleFor synthesises version v of the given family. The same
+// moduleFor synthesises version v of the given family. The same
 // (family, version) pair always yields byte-identical binaries, which is
 // what lets a signature database built from one crawl recognise the same
 // assembly on thousands of other sites.
-func ModuleFor(spec FamilySpec, version int) *wasm.Module {
+func moduleFor(spec FamilySpec, version int) *wasm.Module {
 	if version < 0 || version >= spec.Versions {
 		panic(fmt.Sprintf("fingerprint: family %s has no version %d", spec.Name, version))
 	}
 	names := map[uint32]string{}
-	if spec.NameHint != "" && version%2 == 0 { // only some versions keep names
-		names[1] = spec.NameHint
+	if spec.nameHint != "" && version%2 == 0 { // only some versions keep names
+		names[1] = spec.nameHint
 	}
 	var imports []wasm.Import
-	if spec.Miner {
+	if spec.miner {
 		imports = append(imports,
 			wasm.Import{Module: "env", Name: "_emscripten_memcpy_big", Kind: wasm.ExtFunc, Type: 0})
 	}
@@ -133,16 +133,16 @@ func ModuleFor(spec FamilySpec, version int) *wasm.Module {
 }
 
 func exportName(spec FamilySpec) string {
-	if spec.NameHint != "" {
-		return spec.NameHint
+	if spec.nameHint != "" {
+		return spec.nameHint
 	}
-	if spec.Miner {
+	if spec.miner {
 		return "hash"
 	}
 	return "run"
 }
 
-// BinaryFor is ModuleFor followed by encoding.
+// BinaryFor is moduleFor followed by encoding.
 func BinaryFor(spec FamilySpec, version int) []byte {
-	return wasm.Encode(ModuleFor(spec, version))
+	return wasm.Encode(moduleFor(spec, version))
 }

@@ -9,8 +9,8 @@ import (
 
 func TestSignatureStableAcrossCosmeticChanges(t *testing.T) {
 	spec, _ := SpecByName(FamilyCoinhive)
-	m1 := ModuleFor(spec, 0)
-	m2 := ModuleFor(spec, 0)
+	m1 := moduleFor(spec, 0)
+	m2 := moduleFor(spec, 0)
 	if SignatureOf(m1) != SignatureOf(m2) {
 		t.Fatal("same assembly, different signature")
 	}
@@ -25,15 +25,15 @@ func TestSignatureStableAcrossCosmeticChanges(t *testing.T) {
 
 func TestSignatureSensitiveToBodies(t *testing.T) {
 	spec, _ := SpecByName(FamilyCoinhive)
-	m1 := ModuleFor(spec, 0)
-	m2 := ModuleFor(spec, 0)
+	m1 := moduleFor(spec, 0)
+	m2 := moduleFor(spec, 0)
 	// Flip one instruction byte in one body.
 	m2.Codes[2].Body[10] ^= 0x01
 	if SignatureOf(m1) == SignatureOf(m2) {
 		t.Error("body mutation kept the signature")
 	}
 	// Reordering functions must change the signature (strict order).
-	m3 := ModuleFor(spec, 0)
+	m3 := moduleFor(spec, 0)
 	m3.Codes[0], m3.Codes[1] = m3.Codes[1], m3.Codes[0]
 	if SignatureOf(m1) == SignatureOf(m3) {
 		t.Error("function reorder kept the signature")
@@ -55,7 +55,7 @@ func TestCatalogSize(t *testing.T) {
 	miners := 0
 	for _, f := range Catalog() {
 		total += f.Versions
-		if f.Miner {
+		if f.miner {
 			miners += f.Versions
 		}
 	}
@@ -74,17 +74,17 @@ func TestReferenceDBCoversCatalog(t *testing.T) {
 	for _, f := range Catalog() {
 		want += f.Versions
 	}
-	if db.Len() != want {
-		t.Errorf("db has %d entries, want %d", db.Len(), want)
+	if len(db.entries) != want {
+		t.Errorf("db has %d entries, want %d", len(db.entries), want)
 	}
 	// Every catalog module must hit exactly, with the right family.
 	for _, spec := range Catalog() {
 		for v := 0; v < spec.Versions; v++ {
-			e, ok := db.Lookup(SignatureOf(ModuleFor(spec, v)))
+			e, ok := db.lookup(SignatureOf(moduleFor(spec, v)))
 			if !ok {
 				t.Fatalf("%s v%d not found", spec.Name, v)
 			}
-			if e.Family != spec.Name || e.Miner != spec.Miner {
+			if e.family != spec.Name || e.miner != spec.miner {
 				t.Errorf("%s v%d: entry %+v", spec.Name, v, e)
 			}
 		}
@@ -94,7 +94,7 @@ func TestReferenceDBCoversCatalog(t *testing.T) {
 func TestClassifyExactHit(t *testing.T) {
 	db := ReferenceDB()
 	spec, _ := SpecByName(FamilyCryptoloot)
-	v := db.Classify(ModuleFor(spec, 3), nil)
+	v := db.Classify(moduleFor(spec, 3), nil)
 	if !v.Known || !v.Miner || v.Family != FamilyCryptoloot {
 		t.Errorf("verdict = %+v", v)
 	}
@@ -103,8 +103,8 @@ func TestClassifyExactHit(t *testing.T) {
 func TestClassifyBenignExactHit(t *testing.T) {
 	db := ReferenceDB()
 	spec, _ := SpecByName("image-codec")
-	v := db.Classify(ModuleFor(spec, 0), nil)
-	if v.Miner || v.Family != FamilyBenign {
+	v := db.Classify(moduleFor(spec, 0), nil)
+	if v.Miner || v.Family != familyBenign {
 		t.Errorf("verdict = %+v", v)
 	}
 }
@@ -112,7 +112,7 @@ func TestClassifyBenignExactHit(t *testing.T) {
 func TestClassifyUnknownMinerByNameHint(t *testing.T) {
 	db := ReferenceDB()
 	spec, _ := SpecByName(FamilyCoinhive)
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	m.Codes[0].Body[5] ^= 0xFF // break the signature
 	m.Names = map[uint32]string{1: "__Z16cryptonight_hashPKc"}
 	v := db.Classify(m, nil)
@@ -127,7 +127,7 @@ func TestClassifyUnknownMinerByNameHint(t *testing.T) {
 func TestClassifyUnknownMinerByBackend(t *testing.T) {
 	db := ReferenceDB()
 	spec, _ := SpecByName(FamilySkencituer) // no name hint
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	m.Codes[0].Body[5] ^= 0xFF
 	m.Names = nil
 	v := db.Classify(m, []string{"ws005.skencituer.com"})
@@ -139,7 +139,7 @@ func TestClassifyUnknownMinerByBackend(t *testing.T) {
 func TestClassifyUnknownMinerFallsBackToUnknownWSS(t *testing.T) {
 	db := ReferenceDB()
 	spec, _ := SpecByName(FamilySkencituer)
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	m.Codes[0].Body[5] ^= 0xFF
 	m.Names = nil
 	v := db.Classify(m, []string{"ws.never-seen-pool.io"})
@@ -151,15 +151,15 @@ func TestClassifyUnknownMinerFallsBackToUnknownWSS(t *testing.T) {
 func TestHeuristicSeparation(t *testing.T) {
 	// With an *empty* signature DB, the pure heuristic must still separate
 	// every miner family from every benign family in the catalog.
-	db := NewDB()
+	db := newDB()
 	for _, spec := range Catalog() {
 		for v := 0; v < spec.Versions; v++ {
-			verdict := db.Classify(ModuleFor(spec, v), nil)
-			if verdict.Miner != spec.Miner {
+			verdict := db.Classify(moduleFor(spec, v), nil)
+			if verdict.Miner != spec.miner {
 				t.Errorf("%s v%d: heuristic says miner=%v, want %v (mix=%.3f mem=%.3f ops=%d pages=%d)",
-					spec.Name, v, verdict.Miner, spec.Miner,
-					verdict.Features.MixRatio(), verdict.Features.MemoryRatio(),
-					verdict.Features.Ops, verdict.Features.Pages)
+					spec.Name, v, verdict.Miner, spec.miner,
+					verdict.features.MixRatio(), verdict.features.MemoryRatio(),
+					verdict.features.Ops, verdict.features.Pages)
 			}
 		}
 	}
@@ -170,7 +170,7 @@ func TestPartialDBStillClassifiesViaHeuristics(t *testing.T) {
 	spec, _ := SpecByName(FamilyCoinhive)
 	known, heuristic := 0, 0
 	for v := 0; v < spec.Versions; v++ {
-		verdict := db.Classify(ModuleFor(spec, v), []string{"ws1.coinhive.com"})
+		verdict := db.Classify(moduleFor(spec, v), []string{"ws1.coinhive.com"})
 		if !verdict.Miner {
 			t.Fatalf("v%d not detected at all", v)
 		}
@@ -190,7 +190,7 @@ func TestPartialDBStillClassifiesViaHeuristics(t *testing.T) {
 
 func BenchmarkSignatureOf(b *testing.B) {
 	spec, _ := SpecByName(FamilyCoinhive)
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SignatureOf(m)
@@ -200,7 +200,7 @@ func BenchmarkSignatureOf(b *testing.B) {
 func BenchmarkClassifyExact(b *testing.B) {
 	db := ReferenceDB()
 	spec, _ := SpecByName(FamilyCoinhive)
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		db.Classify(m, nil)
@@ -208,11 +208,11 @@ func BenchmarkClassifyExact(b *testing.B) {
 }
 
 func TestHintScanLongestFragmentWins(t *testing.T) {
-	db := NewDB()
-	db.RegisterHint("cn_hash", "short-family")
-	db.RegisterHint("cryptonight_hash", "long-family")
+	db := newDB()
+	db.registerHint("cn_hash", "short-family")
+	db.registerHint("cryptonight_hash", "long-family")
 	spec, _ := SpecByName(FamilyCoinhive)
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	m.Codes[0].Body[5] ^= 0xFF // break the signature: force the heuristic path
 	// The name contains both fragments; the longer one must win.
 	m.Names = map[uint32]string{1: "__Z16cryptonight_hashPKc"}
@@ -226,11 +226,11 @@ func TestHintScanEqualLengthTieIsDeterministic(t *testing.T) {
 	// resolve the same way on every run (the map-iteration scan they
 	// replace picked a random winner).
 	for trial := 0; trial < 8; trial++ {
-		db := NewDB()
-		db.RegisterHint("zzhash", "family-z")
-		db.RegisterHint("aahash", "family-a")
+		db := newDB()
+		db.registerHint("zzhash", "family-z")
+		db.registerHint("aahash", "family-a")
 		spec, _ := SpecByName(FamilyCoinhive)
-		m := ModuleFor(spec, 0)
+		m := moduleFor(spec, 0)
 		m.Codes[0].Body[5] ^= 0xFF
 		m.Names = map[uint32]string{1: "mix_zzhash_aahash"}
 		if v := db.Classify(m, nil); v.Family != "family-a" {
@@ -246,10 +246,10 @@ func TestHintScanEqualLengthTieIsDeterministic(t *testing.T) {
 func BenchmarkClassifyHintAttribution(b *testing.B) {
 	db := ReferenceDB()
 	for i := 0; i < 200; i++ {
-		db.RegisterHint(fmt.Sprintf("sfrag%03d", i), "synthetic")
+		db.registerHint(fmt.Sprintf("sfrag%03d", i), "synthetic")
 	}
 	spec, _ := SpecByName(FamilyCoinhive)
-	m := ModuleFor(spec, 0)
+	m := moduleFor(spec, 0)
 	m.Codes[0].Body[5] ^= 0xFF
 	m.Names = map[uint32]string{
 		1: "__Z16cryptonight_hashPKc",

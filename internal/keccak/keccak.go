@@ -7,7 +7,7 @@
 // by CryptoNight, which absorbs the input and returns the full state rather
 // than a truncated digest.
 //
-// Sum256, Sum512 and State1600 are one-shot and allocation-free: the sponge
+// Sum256 and State1600 are one-shot and allocation-free: the sponge
 // lives on the stack and the digest is returned by value. Every caller
 // hashes a whole buffer, so there is no streaming hash.Hash.
 package keccak
@@ -17,8 +17,8 @@ import (
 	"math/bits"
 )
 
-// StateSize is the size of the Keccak-f[1600] state in bytes.
-const StateSize = 200
+// stateSize is the size of the Keccak-f[1600] state in bytes.
+const stateSize = 200
 
 // roundConstants are the 24 iota round constants of Keccak-f[1600].
 var roundConstants = [24]uint64{
@@ -188,23 +188,11 @@ func Sum256(data []byte) (out [32]byte) {
 	return out
 }
 
-// Sum512 computes the legacy Keccak-512 digest of data, allocation-free.
-//
-//lint:hotpath
-func Sum512(data []byte) (out [64]byte) {
-	var a [25]uint64
-	absorb(&a, data, 72)
-	for i := 0; i < 8; i++ {
-		binary.LittleEndian.PutUint64(out[i*8:], a[i])
-	}
-	return out
-}
-
 // State1600 absorbs data with the Keccak-512 rate (72 bytes) and returns the
 // entire 200-byte sponge state. CryptoNight uses this as its initial state.
 //
 //lint:hotpath
-func State1600(data []byte) (out [StateSize]byte) {
+func State1600(data []byte) (out [stateSize]byte) {
 	var a [25]uint64
 	absorb(&a, data, 72)
 	for i := 0; i < 25; i++ {

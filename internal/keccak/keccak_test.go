@@ -51,11 +51,14 @@ func TestSum256Vectors(t *testing.T) {
 	}
 }
 
+// TestSum512Vectors checks the Keccak-512 known answers. The digest is the
+// first 64 bytes of State1600's state (same rate, same padding, one squeeze),
+// so no separate Keccak-512 function exists.
 func TestSum512Vectors(t *testing.T) {
 	for _, v := range vectors512 {
-		got := Sum512([]byte(v.in))
-		if hex.EncodeToString(got[:]) != v.out {
-			t.Errorf("Sum512(%q) = %x, want %s", v.in, got, v.out)
+		st := State1600([]byte(v.in))
+		if hex.EncodeToString(st[:64]) != v.out {
+			t.Errorf("State1600(%q)[:64] = %x, want keccak512 %s", v.in, st[:64], v.out)
 		}
 	}
 }
@@ -127,10 +130,23 @@ func TestState1600MultiBlock(t *testing.T) {
 
 func TestState1600PrefixOfKeccak512(t *testing.T) {
 	// For a single-block input, the first 64 bytes of the raw state equal the
-	// Keccak-512 digest of the same input (same rate, same padding).
+	// Keccak-512 digest of the same input (same rate, same padding), here
+	// absorbed by hand on Permute.
 	in := []byte("cryptonight-init")
+	var block [72]byte
+	copy(block[:], in)
+	block[len(in)] ^= 0x01
+	block[71] ^= 0x80
+	var a [25]uint64
+	for i := 0; i < 9; i++ {
+		a[i] ^= binary.LittleEndian.Uint64(block[i*8:])
+	}
+	Permute(&a)
+	var d [64]byte
+	for i := 0; i < 8; i++ {
+		binary.LittleEndian.PutUint64(d[i*8:], a[i])
+	}
 	st := State1600(in)
-	d := Sum512(in)
 	if !bytes.Equal(st[:64], d[:]) {
 		t.Errorf("state prefix %x != keccak512 %x", st[:64], d)
 	}
@@ -156,9 +172,6 @@ func TestOneShotHashesAllocateNothing(t *testing.T) {
 	data := make([]byte, 300) // multi-block: exercises the partial-tail path too
 	if avg := testing.AllocsPerRun(200, func() { Sum256(data) }); avg != 0 {
 		t.Errorf("Sum256: %.1f allocs/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() { Sum512(data) }); avg != 0 {
-		t.Errorf("Sum512: %.1f allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() { State1600(data) }); avg != 0 {
 		t.Errorf("State1600: %.1f allocs/op, want 0", avg)

@@ -29,20 +29,20 @@ type Spec struct {
 
 // Config controls corpus generation.
 type Config struct {
-	TotalLinks int
-	Seed       uint64
-	TailUsers  int // users beyond the top 10 (default 5000)
+	totalLinks int
+	seed       uint64
+	tailUsers  int // users beyond the top 10 (default 5000)
 	// HashScale divides every (feasible) hash price, letting resolution
 	// experiments run on reduced budgets while preserving the distribution
 	// shape. 1 means paper-scale.
 	HashScale uint64
-	// InfeasibleRate is the fraction of links priced at InfeasibleHashes.
-	InfeasibleRate float64
+	// infeasibleRate is the fraction of links priced at InfeasibleHashes.
+	infeasibleRate float64
 }
 
 // Default returns the paper-shaped configuration at n links.
 func Default(n int) Config {
-	return Config{TotalLinks: n, Seed: 0x11A2, TailUsers: 5000, HashScale: 1, InfeasibleRate: 0.0005}
+	return Config{totalLinks: n, seed: 0x11A2, tailUsers: 5000, HashScale: 1, infeasibleRate: 0.0005}
 }
 
 // user is an internal generation profile.
@@ -111,7 +111,7 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 func buildUsers(cfg Config) []user {
-	users := make([]user, 0, 10+cfg.TailUsers)
+	users := make([]user, 0, 10+cfg.tailUsers)
 	// Top 10: the heavy hitters. User 0 owns 1/3 of the space; users 1-9
 	// split the rest of the 85%. Their hash prices are habitual — notably
 	// user 1's flat 512, the spike in Fig. 4's biased CDF.
@@ -145,14 +145,14 @@ func buildUsers(cfg Config) []user {
 		})
 	}
 
-	// The tail: Zipf-ish weights over TailUsers, diverse destinations.
+	// The tail: Zipf-ish weights over tailUsers, diverse destinations.
 	remaining := 0.15
 	norm := 0.0
-	for i := 0; i < cfg.TailUsers; i++ {
+	for i := 0; i < cfg.tailUsers; i++ {
 		norm += 1 / float64(i+2)
 	}
-	for i := 0; i < cfg.TailUsers; i++ {
-		r := rng{s: cfg.Seed*2654435761 + uint64(i) + 1}
+	for i := 0; i < cfg.tailUsers; i++ {
+		r := rng{s: cfg.seed*2654435761 + uint64(i) + 1}
 		prices := []uint64{1 << tailExponent(&r)}
 		if r.float() < 0.3 {
 			prices = append(prices, 1<<tailExponent(&r))
@@ -219,8 +219,8 @@ func Generate(cfg Config) []Spec {
 	if cfg.HashScale == 0 {
 		cfg.HashScale = 1
 	}
-	if cfg.TailUsers == 0 {
-		cfg.TailUsers = 5000
+	if cfg.tailUsers == 0 {
+		cfg.tailUsers = 5000
 	}
 	users := buildUsers(cfg)
 	// Cumulative weights for fast selection.
@@ -230,9 +230,9 @@ func Generate(cfg Config) []Spec {
 		total += u.weight
 		cum[i] = total
 	}
-	specs := make([]Spec, 0, cfg.TotalLinks)
-	for i := 0; i < cfg.TotalLinks; i++ {
-		h := keccak.Sum256([]byte(fmt.Sprintf("link:%d:%d", cfg.Seed, i)))
+	specs := make([]Spec, 0, cfg.totalLinks)
+	for i := 0; i < cfg.totalLinks; i++ {
+		h := keccak.Sum256([]byte(fmt.Sprintf("link:%d:%d", cfg.seed, i)))
 		r := &rng{s: uint64(h[0]) | uint64(h[1])<<8 | uint64(h[2])<<16 | uint64(h[3])<<24 |
 			uint64(h[4])<<32 | uint64(h[5])<<40 | uint64(h[6])<<48 | uint64(h[7])<<56}
 		x := r.float() * total
@@ -249,7 +249,7 @@ func Generate(cfg Config) []Spec {
 		if len(u.hashes) > 1 && r.float() < 0.35 {
 			hashes = u.hashes[1+r.intn(len(u.hashes)-1)]
 		}
-		if r.float() < cfg.InfeasibleRate {
+		if r.float() < cfg.infeasibleRate {
 			// Misconfiguration or no desire to ever resolve (§4.1): the
 			// 10^19 links scattered across many users.
 			hashes = InfeasibleHashes

@@ -5,18 +5,18 @@ import (
 	"go/types"
 )
 
-// Atomicfield enforces the all-or-nothing rule for sync/atomic: once any
+// atomicfield enforces the all-or-nothing rule for sync/atomic: once any
 // code accesses a struct field through the sync/atomic functions
 // (atomic.AddUint64(&s.f, …)), every other access anywhere in the repo
 // must also go through sync/atomic — a plain read races with the atomic
 // writers, and the race detector only catches it on the schedules the
 // tests happen to exercise. (Fields of type atomic.Uint64 etc. are safe
 // by construction and outside this analyzer's scope.)
-func Atomicfield() *Analyzer {
+func atomicfield() *Analyzer {
 	return &Analyzer{
 		Name: "atomicfield",
 		Doc:  "a field accessed via sync/atomic may never be plainly read or written",
-		Run:  runAtomicfield,
+		run:  runAtomicfield,
 	}
 }
 
@@ -28,8 +28,8 @@ func runAtomicfield(prog *Program) []Finding {
 	atomicFields := map[*types.Var]ast.Node{} // field -> first atomic site
 	exempt := map[ast.Expr]bool{}
 	for _, pkg := range prog.Packages {
-		info := pkg.Info
-		for _, file := range pkg.Files {
+		info := pkg.info
+		for _, file := range pkg.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok || !isSyncAtomicCall(info, call) || len(call.Args) == 0 {
@@ -56,8 +56,8 @@ func runAtomicfield(prog *Program) []Finding {
 	// Pass 2: any other access to those fields is a plain (racy) access.
 	var out []Finding
 	for _, pkg := range prog.Packages {
-		info := pkg.Info
-		for _, file := range pkg.Files {
+		info := pkg.info
+		for _, file := range pkg.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok || exempt[sel] {
@@ -68,9 +68,9 @@ func runAtomicfield(prog *Program) []Finding {
 					return true
 				}
 				if site, isAtomic := atomicFields[fld]; isAtomic {
-					out = append(out, finding("atomicfield", prog.Fset.Position(sel.Pos()),
+					out = append(out, finding("atomicfield", prog.fset.Position(sel.Pos()),
 						"plain access to %s.%s, which is accessed atomically at %s — use sync/atomic here too",
-						fld.Pkg().Name(), fld.Name(), prog.Fset.Position(site.Pos())))
+						fld.Pkg().Name(), fld.Name(), prog.fset.Position(site.Pos())))
 				}
 				return true
 			})

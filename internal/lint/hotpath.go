@@ -6,32 +6,32 @@ import (
 	"go/types"
 )
 
-// HotpathDirective marks a function whose body must stay free of obvious
+// hotpathDirective marks a function whose body must stay free of obvious
 // allocation sites. PRs 2–3 pinned the keccak/cryptonight/metrics paths
 // at 0 allocs with AllocsPerRun tests; the marks make the *reason* those
 // tests pass machine-checked at the source level, so a stray fmt.Sprintf
 // or closure fails `make lint` before it fails a benchmark.
-const HotpathDirective = "//lint:hotpath"
+const hotpathDirective = "//lint:hotpath"
 
-// Hotpath flags, inside functions whose doc comment carries
+// hotpath flags, inside functions whose doc comment carries
 // //lint:hotpath: fmt.* calls, string concatenation, closures, map and
 // slice composite literals, &composite literals, new/make, and
 // string<->[]byte conversions.
-func Hotpath() *Analyzer {
+func hotpath() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",
 		Doc:  "//lint:hotpath functions must not contain obvious allocation sites",
-		Run:  runHotpath,
+		run:  runHotpath,
 	}
 }
 
 func runHotpath(prog *Program) []Finding {
 	var out []Finding
 	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
+		for _, file := range pkg.files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !docHasDirective(fn.Doc, HotpathDirective) {
+				if !ok || fn.Body == nil || !docHasDirective(fn.Doc, hotpathDirective) {
 					continue
 				}
 				out = append(out, checkHotBody(prog, pkg, fn)...)
@@ -44,10 +44,10 @@ func runHotpath(prog *Program) []Finding {
 func checkHotBody(prog *Program, pkg *Package, fn *ast.FuncDecl) []Finding {
 	var out []Finding
 	report := func(pos token.Pos, format string, args ...interface{}) {
-		out = append(out, finding("hotpath", prog.Fset.Position(pos),
+		out = append(out, finding("hotpath", prog.fset.Position(pos),
 			"hot function %s: "+format, append([]interface{}{fn.Name.Name}, args...)...))
 	}
-	info := pkg.Info
+	info := pkg.info
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:

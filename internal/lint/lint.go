@@ -1,10 +1,13 @@
 // Package lint is the repo's project-specific static-analysis suite: a
 // small framework (stdlib only — go/parser, go/ast, go/types with a
-// source importer) plus the analyzers that machine-check the invariants
-// the concurrent pool core's correctness rests on. The rules were each
-// motivated by a real PR and are documented in DESIGN.md ("Enforced
-// invariants"); `make lint` (cmd/repolint) runs them over every package
-// and `make check` gates on a clean run.
+// source importer) plus six analyzers. lockscope, hotpath, atomicfield,
+// metricname and layering machine-check the invariants the concurrent
+// pool core's correctness rests on; exportuse keeps the exported surface
+// down to what other packages (their tests and benchmark/ included) use.
+// The rules were each motivated by a real PR and are documented in
+// DESIGN.md ("Enforced invariants", "The exported surface"); `make lint`
+// (cmd/repolint) runs them over every package and `make check` gates on
+// a clean run.
 //
 // Findings are suppressable only with an explicit, reasoned waiver:
 //
@@ -42,17 +45,18 @@ func (f Finding) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(prog *Program) []Finding
+	run  func(prog *Program) []Finding
 }
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Lockscope(),
-		Hotpath(),
-		Atomicfield(),
-		Metricname(),
-		Layering(),
+		lockscope(),
+		hotpath(),
+		atomicfield(),
+		metricname(),
+		layering(),
+		exportuse(),
 	}
 }
 
@@ -70,7 +74,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	out = append(out, bad...)
 	for _, a := range analyzers {
-		for _, f := range a.Run(prog) {
+		for _, f := range a.run(prog) {
 			if !ignores.covers(a.Name, f.Pos) {
 				out = append(out, f)
 			}
@@ -118,14 +122,14 @@ func collectIgnores(prog *Program, known map[string]bool) (ignoreSet, []Finding)
 	set := ignoreSet{}
 	var bad []Finding
 	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
+		for _, file := range pkg.files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
 					if !strings.HasPrefix(c.Text, ignorePrefix) {
 						continue
 					}
 					rest := strings.TrimPrefix(c.Text, ignorePrefix)
-					pos := prog.Fset.Position(c.Pos())
+					pos := prog.fset.Position(c.Pos())
 					if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 						continue // some other //lint:ignoreX token
 					}

@@ -29,13 +29,20 @@ func TestAtomicfieldFixture(t *testing.T) { runFixture(t, []string{"atomicfield"
 func TestMetricnameFixture(t *testing.T)  { runFixture(t, []string{"metricname"}, All()) }
 func TestDirectiveFixture(t *testing.T)   { runFixture(t, []string{"directive"}, All()) }
 
+// TestExportuseFixture pins the exportuse rule over four packages: a
+// declares the names, and b, c's test file, a's external test package and
+// bench (the stand-in for benchmark/, a main package) use some of them.
+func TestExportuseFixture(t *testing.T) {
+	runFixture(t, []string{"exportuse/a", "exportuse/b", "exportuse/c", "exportuse/bench"}, All())
+}
+
 func TestLayeringFixture(t *testing.T) {
-	rules := []LayerRule{
-		{Pkg: "fix/b", Allow: []string{}, Reason: "b is a leaf by decree"},
-		{Pkg: "fix/c", Allow: []string{"fix/b"}, Deny: []string{"fix/a"}, Reason: "c must not reach a"},
+	rules := []layerRule{
+		{pkg: "fix/b", allow: []string{}, reason: "b is a leaf by decree"},
+		{pkg: "fix/c", allow: []string{"fix/b"}, deny: []string{"fix/a"}, reason: "c must not reach a"},
 	}
 	runFixture(t, []string{"layering/a", "layering/b", "layering/c"},
-		[]*Analyzer{LayeringWith(rules)})
+		[]*Analyzer{layeringWith(rules)})
 }
 
 // TestRepoIsClean is `make lint` as a unit test: the whole module must
@@ -74,13 +81,14 @@ func runFixture(t *testing.T, dirs []string, analyzers []*Analyzer) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	prog := &Program{Fset: loader.Fset, loader: loader}
+	prog := &Program{fset: loader.fset, loader: loader}
 	for _, d := range dirs {
-		sub, err := loader.LoadDir(filepath.Join("testdata", "src", d), "fix/"+filepath.Base(d))
+		sub, err := loadDir(loader, filepath.Join("testdata", "src", d), "fix/"+filepath.Base(d))
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", d, err)
 		}
 		prog.Packages = append(prog.Packages, sub.Packages...)
+		prog.tests = append(prog.tests, sub.tests...)
 	}
 
 	wants := map[string][]*wantExpect{} // "file.go:line" -> expectations
@@ -133,4 +141,18 @@ func runFixture(t *testing.T, dirs []string, analyzers []*Analyzer) {
 			}
 		}
 	}
+}
+
+// loadDir loads one fixture directory, its test files included, as the
+// package asPath: a fake path ("fix/lockscope") for files under testdata.
+func loadDir(l *Loader, dir, asPath string) (*Program, error) {
+	bp, err := l.ctx.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %s: %v", dir, err)
+	}
+	prog := &Program{fset: l.fset, loader: l}
+	if err := l.loadInto(prog, asPath, dir, bp); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }

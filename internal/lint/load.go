@@ -16,27 +16,31 @@ import (
 
 // Package is one type-checked package under analysis.
 type Package struct {
-	Path  string // import path ("repro/internal/coinhive")
-	Dir   string
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	path  string // import path ("repro/internal/coinhive")
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 // Program is the analysis unit: every repo package, fully type-checked,
 // over one shared FileSet (so types.Object identities are comparable
 // across packages).
 type Program struct {
-	Fset     *token.FileSet
+	fset     *token.FileSet
 	Packages []*Package
+	// tests holds each package's test files, type-checked only for what
+	// they refer to: the in-package tests together with the package's
+	// sources (a second copy of it, path unchanged), and the external
+	// _test package on its own. Only exportuse reads them.
+	tests []*Package
 
 	loader *Loader
 }
 
-// DepPackage resolves a dependency package (stdlib or repo) by import
+// depPackage resolves a dependency package (stdlib or repo) by import
 // path, for analyzers that need foreign types — e.g. net.Conn. Returns
 // nil if the path was never loaded and cannot be.
-func (p *Program) DepPackage(path string) *types.Package {
+func (p *Program) depPackage(path string) *types.Package {
 	tp, err := p.loader.importPath(path)
 	if err != nil {
 		return nil
@@ -52,7 +56,7 @@ func (p *Program) DepPackage(path string) *types.Package {
 // type-checked without function bodies (API only); packages under
 // analysis get full bodies plus a populated types.Info.
 type Loader struct {
-	Fset *token.FileSet
+	fset *token.FileSet
 
 	ctx        build.Context
 	moduleDir  string
@@ -74,7 +78,7 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	ctx.CgoEnabled = false
 	ctx.Dir = moduleDir
 	return &Loader{
-		Fset:       token.NewFileSet(),
+		fset:       token.NewFileSet(),
 		ctx:        ctx,
 		moduleDir:  moduleDir,
 		modulePath: modPath,
@@ -101,7 +105,7 @@ func modulePathOf(gomod string) (string, error) {
 
 // LoadModule discovers every buildable package under the module root
 // (skipping testdata, vendor and dot-directories), loads each fully and
-// returns the Program. Test files are not part of the analysis unit.
+// returns the Program. Test files are loaded into Program.tests only.
 func (l *Loader) LoadModule() (*Program, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.moduleDir, func(path string, d os.DirEntry, err error) error {
@@ -123,7 +127,7 @@ func (l *Loader) LoadModule() (*Program, error) {
 	}
 	sort.Strings(dirs)
 
-	prog := &Program{Fset: l.Fset, loader: l}
+	prog := &Program{fset: l.fset, loader: l}
 	for _, dir := range dirs {
 		bp, err := l.ctx.ImportDir(dir, 0)
 		if err != nil {
@@ -131,9 +135,6 @@ func (l *Loader) LoadModule() (*Program, error) {
 				continue
 			}
 			return nil, fmt.Errorf("lint: %s: %v", dir, err)
-		}
-		if len(bp.GoFiles) == 0 {
-			continue
 		}
 		rel, err := filepath.Rel(l.moduleDir, dir)
 		if err != nil {
@@ -143,28 +144,48 @@ func (l *Loader) LoadModule() (*Program, error) {
 		if rel != "." {
 			ipath = l.modulePath + "/" + filepath.ToSlash(rel)
 		}
-		pkg, err := l.loadFull(ipath, dir, bp.GoFiles)
-		if err != nil {
+		if err := l.loadInto(prog, ipath, dir, bp); err != nil {
 			return nil, err
 		}
-		prog.Packages = append(prog.Packages, pkg)
 	}
 	return prog, nil
 }
 
-// LoadDir loads one directory as a full package under the given import
-// path — the fixture-loading entry point for analyzer self-tests, where
-// the path is fake ("fix/lockscope") and the files live under testdata.
-func (l *Loader) LoadDir(dir, asPath string) (*Program, error) {
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %v", dir, err)
+// loadInto adds one directory's package to prog.Packages and its test
+// files, if any, to prog.tests. The external _test package imports the
+// in-package test copy, as `go test` builds it, so it sees what an
+// export_test.go file declares.
+func (l *Loader) loadInto(prog *Program, ipath, dir string, bp *build.Package) error {
+	var files []*ast.File
+	if len(bp.GoFiles) > 0 {
+		pkg, err := l.loadFull(ipath, dir, bp.GoFiles)
+		if err != nil {
+			return err
+		}
+		prog.Packages = append(prog.Packages, pkg)
+		files = pkg.files
 	}
-	pkg, err := l.loadFull(asPath, dir, bp.GoFiles)
-	if err != nil {
-		return nil, err
+	var self *types.Package
+	for _, t := range []struct {
+		path  string
+		files []*ast.File
+		names []string
+	}{{ipath, files, bp.TestGoFiles}, {ipath + "_test", nil, bp.XTestGoFiles}} {
+		if len(t.names) == 0 {
+			continue
+		}
+		tf, err := l.parseFiles(dir, t.names)
+		if err != nil {
+			return err
+		}
+		pkg, err := l.check(t.path, append(t.files[:len(t.files):len(t.files)], tf...), self)
+		if err != nil {
+			return err
+		}
+		prog.tests = append(prog.tests, pkg)
+		self = pkg.types
 	}
-	return &Program{Fset: l.Fset, Packages: []*Package{pkg}, loader: l}, nil
+	return nil
 }
 
 // loadFull parses (with comments) and fully type-checks one package,
@@ -174,15 +195,35 @@ func (l *Loader) loadFull(ipath, dir string, goFiles []string) (*Package, error)
 	if pkg, ok := l.full[ipath]; ok {
 		return pkg, nil
 	}
-	files := make([]*ast.File, 0, len(goFiles))
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil,
+	files, err := l.parseFiles(dir, goFiles)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.check(ipath, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	l.full[ipath] = pkg
+	return pkg, nil
+}
+
+func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// check fully type-checks files as the package ipath. Imports of module
+// packages resolve to the shared, non-test copies, except that self, when
+// not nil, stands in for its own path.
+func (l *Loader) check(ipath string, files []*ast.File, self *types.Package) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -192,16 +233,19 @@ func (l *Loader) loadFull(ipath, dir string, goFiles []string) (*Package, error)
 	}
 	var tcErrs []error
 	cfg := types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) { return l.importPath(path) }),
-		Error:    func(err error) { tcErrs = append(tcErrs, err) },
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if self != nil && path == self.Path() {
+				return self, nil
+			}
+			return l.importPath(path)
+		}),
+		Error: func(err error) { tcErrs = append(tcErrs, err) },
 	}
-	tpkg, _ := cfg.Check(ipath, l.Fset, files, info)
+	tpkg, _ := cfg.Check(ipath, l.fset, files, info)
 	if len(tcErrs) > 0 {
 		return nil, fmt.Errorf("lint: type errors in %s: %v", ipath, tcErrs[0])
 	}
-	pkg := &Package{Path: ipath, Dir: dir, Files: files, Types: tpkg, Info: info}
-	l.full[ipath] = pkg
-	return pkg, nil
+	return &Package{path: ipath, files: files, types: tpkg, info: info}, nil
 }
 
 // importPath resolves one import: repo paths load fully (shared with the
@@ -213,11 +257,11 @@ func (l *Loader) importPath(path string) (*types.Package, error) {
 	// Anything already loaded fully wins — this is how fixture packages
 	// (loaded under fake paths) resolve imports of one another.
 	if pkg, ok := l.full[path]; ok {
-		return pkg.Types, nil
+		return pkg.types, nil
 	}
 	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
 		if pkg, ok := l.full[path]; ok {
-			return pkg.Types, nil
+			return pkg.types, nil
 		}
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
 		dir := filepath.Join(l.moduleDir, filepath.FromSlash(rel))
@@ -229,7 +273,7 @@ func (l *Loader) importPath(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
+		return pkg.types, nil
 	}
 	return l.importDep(path)
 }
@@ -261,7 +305,7 @@ func (l *Loader) importDep(path string) (*types.Package, error) {
 	}
 	files := make([]*ast.File, 0, len(bp.GoFiles))
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +317,7 @@ func (l *Loader) importDep(path string) (*types.Package, error) {
 		Importer:         importerFunc(func(p string) (*types.Package, error) { return l.importPath(p) }),
 		Error:            func(err error) { tcErrs = append(tcErrs, err) },
 	}
-	tpkg, _ := cfg.Check(path, l.Fset, files, nil)
+	tpkg, _ := cfg.Check(path, l.fset, files, nil)
 	if len(tcErrs) > 0 {
 		return nil, fmt.Errorf("lint: type errors importing %s: %v", path, tcErrs[0])
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Lockscope enforces the discipline PR 1 built the sharded pool around:
+// lockscope enforces the discipline PR 1 built the sharded pool around:
 // CryptoNight work (hashing, grinding, hasher checkout) and blocking
 // operations (channel sends/receives, time.Sleep, network reads/writes)
 // must never run while a sync.Mutex or sync.RWMutex is held, and every
@@ -18,11 +18,11 @@ import (
 // expression text; a lock handed across a function boundary (the
 // *Locked-suffix helper convention) is the caller's responsibility and
 // stays visible at the caller's call site.
-func Lockscope() *Analyzer {
+func lockscope() *Analyzer {
 	return &Analyzer{
 		Name: "lockscope",
 		Doc:  "no CryptoNight or blocking ops under a mutex; every Lock has an Unlock on all return paths",
-		Run:  runLockscope,
+		run:  runLockscope,
 	}
 }
 
@@ -45,7 +45,7 @@ type lockScanner struct {
 
 func runLockscope(prog *Program) []Finding {
 	sc := &lockScanner{prog: prog, reported: map[token.Pos]bool{}}
-	if netPkg := prog.DepPackage("net"); netPkg != nil {
+	if netPkg := prog.depPackage("net"); netPkg != nil {
 		if obj := netPkg.Scope().Lookup("Conn"); obj != nil {
 			if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
 				sc.netConn = iface
@@ -54,7 +54,7 @@ func runLockscope(prog *Program) []Finding {
 	}
 	for _, pkg := range prog.Packages {
 		sc.pkg = pkg
-		for _, file := range pkg.Files {
+		for _, file := range pkg.files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
@@ -78,7 +78,7 @@ func (sc *lockScanner) report(pos token.Pos, format string, args ...interface{})
 		return
 	}
 	sc.reported[pos] = true
-	sc.findings = append(sc.findings, finding("lockscope", sc.prog.Fset.Position(pos), format, args...))
+	sc.findings = append(sc.findings, finding("lockscope", sc.prog.fset.Position(pos), format, args...))
 }
 
 // scanBlock walks one statement list in source order, threading the set
@@ -156,7 +156,7 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, held []lockInfo) ([]lockInfo, boo
 		for _, l := range held {
 			if !l.deferred {
 				sc.report(s.Pos(), "return while %s is locked (taken at %s) with no deferred unlock",
-					l.key, sc.prog.Fset.Position(l.pos))
+					l.key, sc.prog.fset.Position(l.pos))
 			}
 		}
 		return held, true
@@ -338,7 +338,7 @@ func (sc *lockScanner) lockOp(call *ast.CallExpr) (key, op string, ok bool) {
 	default:
 		return "", "", false
 	}
-	selection, found := sc.pkg.Info.Selections[sel]
+	selection, found := sc.pkg.info.Selections[sel]
 	if !found {
 		return "", "", false
 	}
@@ -401,7 +401,7 @@ func (sc *lockScanner) bannedCall(call *ast.CallExpr) string {
 	}
 	// Package-qualified function: cryptonight.* / time.Sleep.
 	if ident, isIdent := sel.X.(*ast.Ident); isIdent {
-		if pn, isPkg := sc.pkg.Info.Uses[ident].(*types.PkgName); isPkg {
+		if pn, isPkg := sc.pkg.info.Uses[ident].(*types.PkgName); isPkg {
 			path := pn.Imported().Path()
 			switch {
 			case strings.HasSuffix(path, "internal/cryptonight") && cryptonightHeavyFuncs[sel.Sel.Name]:
@@ -413,7 +413,7 @@ func (sc *lockScanner) bannedCall(call *ast.CallExpr) string {
 		}
 	}
 	// Method call: Hasher heavy methods, or blocking conn I/O.
-	selection, found := sc.pkg.Info.Selections[sel]
+	selection, found := sc.pkg.info.Selections[sel]
 	if !found {
 		return ""
 	}

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Metricname polices the metrics registry PR 4 introduced. Instrument
+// metricname polices the metrics registry PR 4 introduced. Instrument
 // names must be compile-time constants — a name computed at runtime (per
 // session, per job, per token…) explodes registry cardinality, which is
 // exactly the failure mode that makes "zero-cost telemetry" stop being
@@ -17,11 +17,11 @@ import (
 // one call site: two sites sharing a name silently merge two meanings
 // into one time series (sharing an instrument across components is done
 // by passing the instrument, not by name collision).
-func Metricname() *Analyzer {
+func metricname() *Analyzer {
 	return &Analyzer{
 		Name: "metricname",
 		Doc:  "metric names are literal, namespaced, lower_snake, and registered at one site",
-		Run:  runMetricname,
+		run:  runMetricname,
 	}
 }
 
@@ -34,8 +34,8 @@ func runMetricname(prog *Program) []Finding {
 	var out []Finding
 	firstSite := map[string]ast.Node{}
 	for _, pkg := range prog.Packages {
-		info := pkg.Info
-		for _, file := range pkg.Files {
+		info := pkg.info
+		for _, file := range pkg.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok || len(call.Args) == 0 {
@@ -47,22 +47,22 @@ func runMetricname(prog *Program) []Finding {
 				}
 				tv := info.Types[call.Args[0]]
 				if tv.Value == nil || tv.Value.Kind() != constant.String {
-					out = append(out, finding("metricname", prog.Fset.Position(call.Args[0].Pos()),
+					out = append(out, finding("metricname", prog.fset.Position(call.Args[0].Pos()),
 						"dynamic metric name in Registry.%s — names must be compile-time string constants (cardinality is fixed at build time)",
 						method))
 					return true
 				}
 				name := constant.StringVal(tv.Value)
 				if !metricNameRE.MatchString(name) {
-					out = append(out, finding("metricname", prog.Fset.Position(call.Args[0].Pos()),
+					out = append(out, finding("metricname", prog.fset.Position(call.Args[0].Pos()),
 						"metric name %q does not match <namespace>.<lower_snake> with namespace in {pool, server, stratum, p2p}",
 						name))
 					return true
 				}
 				if prev, dup := firstSite[name]; dup {
-					out = append(out, finding("metricname", prog.Fset.Position(call.Args[0].Pos()),
+					out = append(out, finding("metricname", prog.fset.Position(call.Args[0].Pos()),
 						"metric %q is also registered at %s — register at one site and share the instrument",
-						name, prog.Fset.Position(prev.Pos())))
+						name, prog.fset.Position(prev.Pos())))
 				} else {
 					firstSite[name] = call
 				}

@@ -44,10 +44,10 @@ type Gauge struct {
 	peak atomic.Int64
 }
 
-// Add moves the gauge by delta and updates the peak.
+// add moves the gauge by delta and updates the peak.
 //
 //lint:hotpath
-func (g *Gauge) Add(delta int64) int64 {
+func (g *Gauge) add(delta int64) int64 {
 	now := g.v.Add(delta)
 	for {
 		p := g.peak.Load()
@@ -58,10 +58,10 @@ func (g *Gauge) Add(delta int64) int64 {
 }
 
 // Inc moves the gauge up by one.
-func (g *Gauge) Inc() { g.Add(1) }
+func (g *Gauge) Inc() { g.add(1) }
 
 // Dec moves the gauge down by one.
-func (g *Gauge) Dec() { g.Add(-1) }
+func (g *Gauge) Dec() { g.add(-1) }
 
 // Set forces the gauge to v (peak still tracks).
 //
@@ -78,9 +78,6 @@ func (g *Gauge) Set(v int64) {
 
 // Load returns the current level.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Peak returns the highest level the gauge has reached.
-func (g *Gauge) Peak() int64 { return g.peak.Load() }
 
 // histBuckets is the number of log2 duration buckets: bucket i holds
 // observations whose nanosecond count has bit-length i, covering the
@@ -127,23 +124,23 @@ func (h *Histogram) Observe(d time.Duration) {
 type HistSnapshot struct {
 	Count uint64
 	Sum   time.Duration
-	Max   time.Duration
+	max   time.Duration
 	P50   time.Duration
 	P99   time.Duration
 }
 
-// Mean returns the arithmetic mean of the recorded durations.
-func (s HistSnapshot) Mean() time.Duration {
+// mean returns the arithmetic mean of the recorded durations.
+func (s HistSnapshot) mean() time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Snapshot computes count/sum/max and the quantiles from the buckets.
+// snapshot computes count/sum/max and the quantiles from the buckets.
 // Quantile values are the upper bound of the containing bucket (2^i ns),
 // so reported percentiles are conservative: the true value is ≤ reported.
-func (h *Histogram) Snapshot() HistSnapshot {
+func (h *Histogram) snapshot() HistSnapshot {
 	var counts [histBuckets]uint64
 	var total uint64
 	for i := range counts {
@@ -153,15 +150,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Count: h.count.Load(),
 		Sum:   time.Duration(h.sum.Load()),
-		Max:   time.Duration(h.max.Load()),
+		max:   time.Duration(h.max.Load()),
 	}
 	if total == 0 {
 		return s
 	}
 	s.P50 = bucketQuantile(&counts, total, 50)
 	s.P99 = bucketQuantile(&counts, total, 99)
-	if s.P99 > s.Max && s.Max > 0 {
-		s.P99 = s.Max // upper-bound estimate cannot exceed the observed max
+	if s.P99 > s.max && s.max > 0 {
+		s.P99 = s.max // upper-bound estimate cannot exceed the observed max
 	}
 	if s.P50 > s.P99 {
 		s.P50 = s.P99
@@ -190,8 +187,8 @@ func (h *Histogram) Cursor() HistCursor {
 }
 
 // SnapshotSince computes a snapshot of the observations recorded after
-// the cursor was captured from this same histogram. Max is not tracked
-// per-interval, so the returned Max is zero; quantiles are the usual
+// the cursor was captured from this same histogram. max is not tracked
+// per-interval, so the returned max is zero; quantiles are the usual
 // conservative bucket upper bounds.
 func (h *Histogram) SnapshotSince(prev HistCursor) HistSnapshot {
 	var counts [histBuckets]uint64

@@ -20,18 +20,18 @@ func TestCounter(t *testing.T) {
 
 func TestGaugePeak(t *testing.T) {
 	var g Gauge
-	g.Add(3)
-	g.Add(4)
-	g.Add(-5)
+	g.add(3)
+	g.add(4)
+	g.add(-5)
 	if got := g.Load(); got != 2 {
 		t.Fatalf("Load = %d, want 2", got)
 	}
-	if got := g.Peak(); got != 7 {
+	if got := g.peak.Load(); got != 7 {
 		t.Fatalf("Peak = %d, want 7", got)
 	}
 	g.Set(100)
 	g.Set(1)
-	if got, peak := g.Load(), g.Peak(); got != 1 || peak != 100 {
+	if got, peak := g.Load(), g.peak.Load(); got != 1 || peak != 100 {
 		t.Fatalf("after Set: Load=%d Peak=%d, want 1/100", got, peak)
 	}
 }
@@ -43,12 +43,12 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(100 * time.Microsecond)
 	}
 	h.Observe(50 * time.Millisecond)
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != 100 {
 		t.Fatalf("Count = %d, want 100", s.Count)
 	}
-	if s.Max != 50*time.Millisecond {
-		t.Fatalf("Max = %s, want 50ms", s.Max)
+	if s.max != 50*time.Millisecond {
+		t.Fatalf("Max = %s, want 50ms", s.max)
 	}
 	// Log2 buckets: the reported quantile is the bucket upper bound, so it
 	// must bracket the true value within a factor of 2.
@@ -58,7 +58,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s.P99 < 100*time.Microsecond || s.P99 > 200*time.Microsecond {
 		t.Fatalf("P99 = %s, want within [100µs, 200µs] (99th of 100 is still fast)", s.P99)
 	}
-	if mean := s.Mean(); mean < 500*time.Microsecond || mean > 700*time.Microsecond {
+	if mean := s.mean(); mean < 500*time.Microsecond || mean > 700*time.Microsecond {
 		t.Fatalf("Mean = %s, want ≈599µs", mean)
 	}
 }
@@ -71,12 +71,12 @@ func TestHistogramOutlierDominatesP99(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.Observe(8 * time.Millisecond)
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.P99 < 8*time.Millisecond {
 		t.Fatalf("P99 = %s, want ≥ 8ms", s.P99)
 	}
-	if s.P99 > s.Max {
-		t.Fatalf("P99 = %s exceeds Max = %s", s.P99, s.Max)
+	if s.P99 > s.max {
+		t.Fatalf("P99 = %s exceeds Max = %s", s.P99, s.max)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
 	h.Observe(-time.Second)
-	s := h.Snapshot()
-	if s.Count != 2 || s.Sum != 0 || s.Max != 0 || s.P99 != 0 {
+	s := h.snapshot()
+	if s.Count != 2 || s.Sum != 0 || s.max != 0 || s.P99 != 0 {
 		t.Fatalf("zero/negative snapshot = %+v", s)
 	}
 }
@@ -98,11 +98,11 @@ func TestRecordPathAllocs(t *testing.T) {
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h")
-	if n := testing.AllocsPerRun(100, func() { c.Add(1) }); n != 0 {
-		t.Errorf("Counter.Add allocates %v/op", n)
+	if n := testing.AllocsPerRun(100, func() { c.Add(1); c.Inc() }); n != 0 {
+		t.Errorf("Counter.Add/Inc allocates %v/op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { g.Add(1); g.Add(-1) }); n != 0 {
-		t.Errorf("Gauge.Add allocates %v/op", n)
+	if n := testing.AllocsPerRun(100, func() { g.add(1); g.add(-1); g.Set(3) }); n != 0 {
+		t.Errorf("Gauge.add/Set allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(123 * time.Microsecond) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op", n)
@@ -127,7 +127,7 @@ func TestRegistryIdempotentAndKindSafe(t *testing.T) {
 func TestExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pool.shares_ok").Add(7)
-	r.Gauge("server.sessions").Add(3)
+	r.Gauge("server.sessions").add(3)
 	r.Histogram("server.submit_ns").Observe(time.Millisecond)
 
 	var text bytes.Buffer
@@ -189,7 +189,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := g.Load(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if s := h.Snapshot(); s.Count != workers*per {
+	if s := h.snapshot(); s.Count != workers*per {
 		t.Fatalf("histogram count = %d, want %d", s.Count, workers*per)
 	}
 }

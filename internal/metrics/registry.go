@@ -119,15 +119,15 @@ func (r *Registry) Snapshots() []Snapshot {
 			s.Value = e.c.Load()
 		case e.g != nil:
 			s.Level = e.g.Load()
-			s.Peak = e.g.Peak()
+			s.Peak = e.g.peak.Load()
 		case e.h != nil:
-			hs := e.h.Snapshot()
+			hs := e.h.snapshot()
 			s.Count = hs.Count
 			s.SumNs = int64(hs.Sum)
-			s.MeanNs = int64(hs.Mean())
+			s.MeanNs = int64(hs.mean())
 			s.P50Ns = int64(hs.P50)
 			s.P99Ns = int64(hs.P99)
-			s.MaxNs = int64(hs.Max)
+			s.MaxNs = int64(hs.max)
 		}
 		out = append(out, s)
 	}

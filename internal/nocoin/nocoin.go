@@ -32,34 +32,34 @@ import (
 	"unsafe"
 )
 
-// RuleKind discriminates the supported syntaxes.
-type RuleKind int
+// ruleKind discriminates the supported syntaxes.
+type ruleKind int
 
 // Rule kinds.
 const (
-	KindComment RuleKind = iota
-	KindDomain
-	KindSubstring
-	KindRegex
+	kindComment ruleKind = iota
+	kindDomain
+	kindSubstring
+	kindRegex
 )
 
 // Rule is one parsed filter rule.
 type Rule struct {
 	Raw     string
-	Kind    RuleKind
-	Domain  string // KindDomain
-	Needle  string // KindSubstring
-	Re      *regexp.Regexp
-	Options []string
-	lit     string // KindRegex: lower-cased literal every match contains, or ""
+	kind    ruleKind
+	domain  string // kindDomain
+	needle  string // kindSubstring
+	re      *regexp.Regexp
+	options []string
+	lit     string // kindRegex: lower-cased literal every match contains, or ""
 }
 
-// ParseRule parses a single filter line.
-func ParseRule(line string) (Rule, error) {
+// parseRule parses a single filter line.
+func parseRule(line string) (Rule, error) {
 	r := Rule{Raw: line}
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "!") || strings.HasPrefix(line, "[") {
-		r.Kind = KindComment
+		r.kind = kindComment
 		return r, nil
 	}
 	// Split $options (not inside a regex).
@@ -67,14 +67,14 @@ func ParseRule(line string) (Rule, error) {
 	if !strings.HasPrefix(line, "/") {
 		if i := strings.LastIndexByte(line, '$'); i >= 0 {
 			body = line[:i]
-			r.Options = strings.Split(line[i+1:], ",")
+			r.options = strings.Split(line[i+1:], ",")
 		}
 	}
 	switch {
 	case strings.HasPrefix(body, "||"):
-		r.Kind = KindDomain
-		r.Domain = strings.ToLower(strings.TrimSuffix(strings.TrimPrefix(body, "||"), "^"))
-		if r.Domain == "" {
+		r.kind = kindDomain
+		r.domain = strings.ToLower(strings.TrimSuffix(strings.TrimPrefix(body, "||"), "^"))
+		if r.domain == "" {
 			return r, fmt.Errorf("nocoin: empty domain rule %q", line)
 		}
 	case strings.HasPrefix(body, "/") && strings.HasSuffix(body, "/") && len(body) > 2:
@@ -83,13 +83,13 @@ func ParseRule(line string) (Rule, error) {
 		if err != nil {
 			return r, fmt.Errorf("nocoin: bad regex rule %q: %w", line, err)
 		}
-		r.Kind = KindRegex
-		r.Re = re
+		r.kind = kindRegex
+		r.re = re
 		r.lit = requiredLiteral(expr)
 	default:
-		r.Kind = KindSubstring
-		r.Needle = strings.ToLower(body)
-		if r.Needle == "" {
+		r.kind = kindSubstring
+		r.needle = strings.ToLower(body)
+		if r.needle == "" {
 			return r, fmt.Errorf("nocoin: empty rule")
 		}
 	}
@@ -137,28 +137,28 @@ func requiredLiteral(expr string) string {
 // matchRegex runs a regex rule on text, whose lower-cased form is low,
 // once low holds the rule's literal.
 func (r *Rule) matchRegex(text, low string) bool {
-	return (r.lit == "" || strings.Contains(low, r.lit)) && r.Re.MatchString(text)
+	return (r.lit == "" || strings.Contains(low, r.lit)) && r.re.MatchString(text)
 }
 
 // List is a parsed filter list.
 type List struct {
-	Rules []Rule
+	rules []Rule
 }
 
-// ParseList parses a complete filter-list document, skipping comments.
+// parseList parses a complete filter-list document, skipping comments.
 // Malformed lines abort with an error (a corrupted block list silently
 // matching nothing is worse than failing loudly).
-func ParseList(text string) (*List, error) {
+func parseList(text string) (*List, error) {
 	var l List
 	for ln, line := range strings.Split(text, "\n") {
-		r, err := ParseRule(line)
+		r, err := parseRule(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", ln+1, err)
 		}
-		if r.Kind == KindComment {
+		if r.kind == kindComment {
 			continue
 		}
-		l.Rules = append(l.Rules, r)
+		l.rules = append(l.rules, r)
 	}
 	return &l, nil
 }
@@ -178,27 +178,23 @@ func hostOf(s string) string {
 	return s
 }
 
-// MatchURL checks a script URL against the list.
-func (l *List) MatchURL(url string) (Rule, bool) {
-	return l.matchURL(url, strings.ToLower(url))
-}
-
-// matchURL is MatchURL given low, url lower-cased.
+// matchURL checks a script URL against the list, given low, url
+// lower-cased.
 func (l *List) matchURL(url, low string) (Rule, bool) {
 	host := hostOf(low)
-	for i := range l.Rules {
-		r := &l.Rules[i] // a Rule is 13 words: ranging by value copies each
-		switch r.Kind {
-		case KindDomain:
-			// host == r.Domain or ends in "."+r.Domain, tested in place.
-			if k := len(host) - len(r.Domain); k >= 0 && host[k:] == r.Domain && (k == 0 || host[k-1] == '.') {
+	for i := range l.rules {
+		r := &l.rules[i] // a Rule is 13 words: ranging by value copies each
+		switch r.kind {
+		case kindDomain:
+			// host == r.domain or ends in "."+r.domain, tested in place.
+			if k := len(host) - len(r.domain); k >= 0 && host[k:] == r.domain && (k == 0 || host[k-1] == '.') {
 				return *r, true
 			}
-		case KindSubstring:
-			if strings.Contains(low, r.Needle) {
+		case kindSubstring:
+			if strings.Contains(low, r.needle) {
 				return *r, true
 			}
-		case KindRegex:
+		case kindRegex:
 			if r.matchRegex(url, low) {
 				return *r, true
 			}
@@ -207,22 +203,18 @@ func (l *List) matchURL(url, low string) (Rule, bool) {
 	return Rule{}, false
 }
 
-// MatchInline checks inline script text against the list's regex and
-// substring rules (domain rules are URL-only by construction).
-func (l *List) MatchInline(body string) (Rule, bool) {
-	return l.matchInline(body, strings.ToLower(body))
-}
-
-// matchInline is MatchInline given low, body lower-cased.
+// matchInline checks inline script text against the list's regex and
+// substring rules (domain rules are URL-only by construction), given low,
+// body lower-cased.
 func (l *List) matchInline(body, low string) (Rule, bool) {
-	for i := range l.Rules {
-		r := &l.Rules[i]
-		switch r.Kind {
-		case KindSubstring:
-			if strings.Contains(low, r.Needle) {
+	for i := range l.rules {
+		r := &l.rules[i]
+		switch r.kind {
+		case kindSubstring:
+			if strings.Contains(low, r.needle) {
 				return *r, true
 			}
-		case KindRegex:
+		case kindRegex:
 			if r.matchRegex(body, low) {
 				return *r, true
 			}
@@ -244,23 +236,17 @@ type Match struct {
 	Target string // the matched URL or a snippet of inline text
 }
 
-// MatchScripts applies the list to all scripts of a page.
-func (l *List) MatchScripts(scripts []ScriptRef) []Match {
-	m := Matcher{List: l}
-	return m.AppendMatches(nil, scripts)
-}
-
 // Matcher applies a List script after script, lowering each text into a
-// buffer it reuses where MatchURL and MatchInline make a strings.ToLower
-// copy. The lowered text is exactly strings.ToLower's, so the literal gate
-// decides as it does there. A Matcher is for one goroutine at a time.
+// buffer it reuses instead of making a strings.ToLower copy. The lowered
+// text is exactly strings.ToLower's, so the literal gate decides as it
+// does there. A Matcher is for one goroutine at a time.
 type Matcher struct {
 	List *List
 	low  []byte
 }
 
-// AppendMatches appends the list's matches on scripts to dst, as
-// MatchScripts finds them, and returns the extended slice. Each Target is a
+// AppendMatches appends the list's matches on scripts to dst, at most one
+// per script, and returns the extended slice. Each Target is a
 // substring of a script's Src or Inline.
 func (m *Matcher) AppendMatches(dst []Match, scripts []ScriptRef) []Match {
 	for _, s := range scripts {
@@ -343,12 +329,12 @@ func upperBits(w uint64) uint64 {
 	return (w + 0x3f*lsbs) &^ (w + 0x25*lsbs) & msbs
 }
 
-// BundledText is our equivalent of the 2018 NoCoin snapshot: it covers the
+// bundledText is our equivalent of the 2018 NoCoin snapshot: it covers the
 // big mining services by script URL and backend domain, carries a few
 // generic keyword rules — and, like the original, contains an overly broad
 // entry (the cpmstar gaming ad network) that produces the false positives
 // the paper documents.
-const BundledText = `! NoCoin-equivalent filter list (2018-05 snapshot shape)
+const bundledText = `! NoCoin-equivalent filter list (2018-05 snapshot shape)
 ! --- mining services, by serving domain ---
 ||coinhive.com^
 ||authedmine.com^
@@ -374,10 +360,10 @@ jsminer.js
 cpmstar.js
 `
 
-// Bundled parses BundledText; it panics on error because the constant is
+// Bundled parses bundledText; it panics on error because the constant is
 // compiled in and covered by tests.
 func Bundled() *List {
-	l, err := ParseList(BundledText)
+	l, err := parseList(bundledText)
 	if err != nil {
 		panic(err)
 	}

@@ -11,42 +11,55 @@ import (
 	"repro/internal/webgen"
 )
 
+// urlRule, inlineRule and scriptMatches are the one-script matches, each
+// lowering its text with strings.ToLower as a caller without a Matcher
+// would.
+func (l *List) urlRule(url string) (Rule, bool) { return l.matchURL(url, strings.ToLower(url)) }
+
+func (l *List) inlineRule(body string) (Rule, bool) {
+	return l.matchInline(body, strings.ToLower(body))
+}
+
+func (l *List) scriptMatches(scripts []ScriptRef) []Match {
+	return (&Matcher{List: l}).AppendMatches(nil, scripts)
+}
+
 func TestParseRuleKinds(t *testing.T) {
 	cases := []struct {
 		line string
-		kind RuleKind
+		kind ruleKind
 	}{
-		{"! a comment", KindComment},
-		{"", KindComment},
-		{"[Adblock Plus 2.0]", KindComment},
-		{"||coinhive.com^", KindDomain},
-		{"coinhive.min.js", KindSubstring},
-		{`/CoinHive\.Anonymous/`, KindRegex},
-		{"||cpmstar.com^$script,third-party", KindDomain},
+		{"! a comment", kindComment},
+		{"", kindComment},
+		{"[Adblock Plus 2.0]", kindComment},
+		{"||coinhive.com^", kindDomain},
+		{"coinhive.min.js", kindSubstring},
+		{`/CoinHive\.Anonymous/`, kindRegex},
+		{"||cpmstar.com^$script,third-party", kindDomain},
 	}
 	for _, c := range cases {
-		r, err := ParseRule(c.line)
+		r, err := parseRule(c.line)
 		if err != nil {
 			t.Errorf("ParseRule(%q): %v", c.line, err)
 			continue
 		}
-		if r.Kind != c.kind {
-			t.Errorf("ParseRule(%q).Kind = %v, want %v", c.line, r.Kind, c.kind)
+		if r.kind != c.kind {
+			t.Errorf("ParseRule(%q).Kind = %v, want %v", c.line, r.kind, c.kind)
 		}
 	}
 }
 
 func TestParseRuleErrors(t *testing.T) {
-	if _, err := ParseRule(`/bad[regex/`); err == nil {
+	if _, err := parseRule(`/bad[regex/`); err == nil {
 		t.Error("invalid regex accepted")
 	}
-	if _, err := ParseRule(`||^`); err == nil {
+	if _, err := parseRule(`||^`); err == nil {
 		t.Error("empty domain accepted")
 	}
 }
 
 func TestDomainRuleMatching(t *testing.T) {
-	l, err := ParseList("||coinhive.com^")
+	l, err := parseList("||coinhive.com^")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +70,7 @@ func TestDomainRuleMatching(t *testing.T) {
 		"https://COINHIVE.com/lib.js",
 	}
 	for _, u := range hits {
-		if _, ok := l.MatchURL(u); !ok {
+		if _, ok := l.urlRule(u); !ok {
 			t.Errorf("no match for %q", u)
 		}
 	}
@@ -67,7 +80,7 @@ func TestDomainRuleMatching(t *testing.T) {
 		"https://example.org/coinhive.html", // domain rules do not match paths
 	}
 	for _, u := range misses {
-		if r, ok := l.MatchURL(u); ok {
+		if r, ok := l.urlRule(u); ok {
 			t.Errorf("unexpected match for %q (rule %q)", u, r.Raw)
 		}
 	}
@@ -79,11 +92,11 @@ func TestMatchURLLowersOnce(t *testing.T) {
 		"HTTPS://WWW.CoinHive.COM:443/x": "||coinhive.com^",
 		"//Sub.CPMSTAR.com/a.js":         "||cpmstar.com^",
 	} {
-		if r, ok := l.MatchURL(u); !ok || r.Raw != want {
-			t.Errorf("MatchURL(%q) = %q, %v; want %q", u, r.Raw, ok, want)
+		if r, ok := l.urlRule(u); !ok || r.Raw != want {
+			t.Errorf("urlRule(%q) = %q, %v; want %q", u, r.Raw, ok, want)
 		}
 	}
-	if r, ok := l.MatchURL("https://notcoinhive.com/lib.js"); ok {
+	if r, ok := l.urlRule("https://notcoinhive.com/lib.js"); ok {
 		t.Errorf("notcoinhive.com matched %q", r.Raw)
 	}
 }
@@ -91,7 +104,7 @@ func TestMatchURLLowersOnce(t *testing.T) {
 func TestDomainRuleTestsTheLabelBoundaryInPlace(t *testing.T) {
 	// The long rule outgrows the 32-byte stack buffer a "."+domain
 	// concatenation may use, so building that string would allocate.
-	l, err := ParseList("||coinhive.com^\n||a-rather-long-mining-pool-domain.example^")
+	l, err := parseList("||coinhive.com^\n||a-rather-long-mining-pool-domain.example^")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,37 +114,37 @@ func TestDomainRuleTestsTheLabelBoundaryInPlace(t *testing.T) {
 		"https://notcoinhive.com/lib.js":       false,
 		"https://coinhive.com.evil.net/lib.js": false,
 	} {
-		if _, ok := l.MatchURL(u); ok != want {
-			t.Errorf("MatchURL(%q) matched = %v, want %v", u, ok, want)
+		if _, ok := l.urlRule(u); ok != want {
+			t.Errorf("urlRule(%q) matched = %v, want %v", u, ok, want)
 		}
 	}
 	bundled := Bundled()
 	for _, u := range []string{"https://www.coinhive.com/lib/coinhive.min.js", "https://code.jquery.com/jquery-3.3.1.min.js"} {
-		if n := testing.AllocsPerRun(100, func() { l.MatchURL(u); bundled.MatchURL(u) }); n != 0 {
-			t.Errorf("MatchURL(%q): %v allocations, want 0", u, n)
+		if n := testing.AllocsPerRun(100, func() { l.urlRule(u); bundled.urlRule(u) }); n != 0 {
+			t.Errorf("urlRule(%q): %v allocations, want 0", u, n)
 		}
 	}
 }
 
 func TestSubstringAndRegexMatching(t *testing.T) {
-	l, err := ParseList("coinhive.min.js\n/CoinHive\\.(Anonymous|User)/")
+	l, err := parseList("coinhive.min.js\n/CoinHive\\.(Anonymous|User)/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.MatchURL("https://cdn.example.com/vendor/CoinHive.MIN.js"); !ok {
+	if _, ok := l.urlRule("https://cdn.example.com/vendor/CoinHive.MIN.js"); !ok {
 		t.Error("substring match should be case-insensitive")
 	}
-	if _, ok := l.MatchInline("var m = new CoinHive.Anonymous('k');"); !ok {
+	if _, ok := l.inlineRule("var m = new CoinHive.Anonymous('k');"); !ok {
 		t.Error("regex inline match failed")
 	}
-	if _, ok := l.MatchInline("console.log('nothing to see')"); ok {
+	if _, ok := l.inlineRule("console.log('nothing to see')"); ok {
 		t.Error("benign inline matched")
 	}
 }
 
 func TestMatchScriptsMixed(t *testing.T) {
 	l := Bundled()
-	matches := l.MatchScripts([]ScriptRef{
+	matches := l.scriptMatches([]ScriptRef{
 		{Src: "https://coinhive.com/lib/coinhive.min.js"},
 		{Inline: "var miner=new CoinHive.Anonymous('SITEKEY');miner.start();"},
 		{Src: "https://code.jquery.com/jquery-3.3.1.min.js"},
@@ -144,8 +157,8 @@ func TestMatchScriptsMixed(t *testing.T) {
 
 func TestBundledListParsesAndCoversFamilies(t *testing.T) {
 	l := Bundled()
-	if len(l.Rules) < 10 {
-		t.Fatalf("bundled list has only %d rules", len(l.Rules))
+	if len(l.rules) < 10 {
+		t.Fatalf("bundled list has only %d rules", len(l.rules))
 	}
 	mustMatch := []string{
 		"https://coinhive.com/lib/coinhive.min.js",
@@ -154,7 +167,7 @@ func TestBundledListParsesAndCoversFamilies(t *testing.T) {
 		"https://www.wp-monero-miner.com/js/miner.js",
 	}
 	for _, u := range mustMatch {
-		if _, ok := l.MatchURL(u); !ok {
+		if _, ok := l.urlRule(u); !ok {
 			t.Errorf("bundled list misses %q", u)
 		}
 	}
@@ -164,7 +177,7 @@ func TestBundledListHasTheCpmstarFalsePositive(t *testing.T) {
 	// The paper: "we find false positives, e.g., cpmstar is a gaming
 	// ad-network that we could not verify to contain mining code."
 	l := Bundled()
-	r, ok := l.MatchURL("https://cdn.cpmstar.com/cached/js/ad.js")
+	r, ok := l.urlRule("https://cdn.cpmstar.com/cached/js/ad.js")
 	if !ok {
 		t.Fatal("cpmstar rule missing — the false-positive reproduction depends on it")
 	}
@@ -180,7 +193,7 @@ func TestBundledDoesNotMatchPlainSites(t *testing.T) {
 		{Src: "/assets/app.bundle.js"},
 		{Inline: "window.dataLayer=window.dataLayer||[];"},
 	}
-	if m := l.MatchScripts(benign); len(m) != 0 {
+	if m := l.scriptMatches(benign); len(m) != 0 {
 		t.Errorf("benign page matched: %+v", m)
 	}
 }
@@ -193,8 +206,8 @@ func TestRequiredLiteral(t *testing.T) {
 		`/new\s+CryptoLoot/`:           "cryptoloot",
 		`/deepMiner\.Anonymous/`:       "deepminer.anonymou",
 	}
-	for _, r := range Bundled().Rules {
-		if r.Kind != KindRegex {
+	for _, r := range Bundled().rules {
+		if r.kind != kindRegex {
 			continue
 		}
 		lit, ok := want[r.Raw]
@@ -219,7 +232,7 @@ func TestRequiredLiteral(t *testing.T) {
 		`/xk/`:                     "x",
 		`/sk/`:                     "",
 	} {
-		r, err := ParseRule(raw)
+		r, err := parseRule(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,9 +263,9 @@ func TestFoldCutIsExactlyKS(t *testing.T) {
 // ungated returns a copy of l with every regex rule's literal cleared, so
 // each regex rule runs its regexp unconditionally.
 func ungated(l *List) *List {
-	u := &List{Rules: append([]Rule(nil), l.Rules...)}
-	for i := range u.Rules {
-		u.Rules[i].lit = ""
+	u := &List{rules: append([]Rule(nil), l.rules...)}
+	for i := range u.rules {
+		u.rules[i].lit = ""
 	}
 	return u
 }
@@ -271,7 +284,7 @@ func FuzzGateAgreesWithRegex(f *testing.F) {
 	gated := Bundled()
 	plain := ungated(gated)
 	f.Fuzz(func(t *testing.T, s string) {
-		for _, m := range []func(*List, string) (Rule, bool){(*List).MatchInline, (*List).MatchURL} {
+		for _, m := range []func(*List, string) (Rule, bool){(*List).inlineRule, (*List).urlRule} {
 			g, gok := m(gated, s)
 			p, pok := m(plain, s)
 			if g.Raw != p.Raw || gok != pok {
@@ -289,8 +302,8 @@ func TestGateAgreesOnCorpus(t *testing.T) {
 	reused := &Matcher{List: gated}
 	var buf []Match
 	matchers := []func([]ScriptRef) []Match{
-		gated.MatchScripts,
-		plain.MatchScripts,
+		gated.scriptMatches,
+		plain.scriptMatches,
 		func(refs []ScriptRef) []Match { buf = reused.AppendMatches(buf[:0], refs); return buf },
 	}
 	regexHits := 0
@@ -301,7 +314,7 @@ func TestGateAgreesOnCorpus(t *testing.T) {
 			refs[i] = ScriptRef{Src: s.Src, Inline: s.Inline}
 		}
 		for _, m := range match(refs) {
-			if m.Rule.Kind == KindRegex {
+			if m.Rule.kind == kindRegex {
 				regex++
 			}
 			hits = append(hits, m.Rule.Raw+" on "+m.Target)
@@ -363,6 +376,6 @@ func BenchmarkMatchScriptsBundled(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.MatchScripts(scripts)
+		l.scriptMatches(scripts)
 	}
 }

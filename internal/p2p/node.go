@@ -141,9 +141,6 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// NodeID returns this node's handshake identity.
-func (n *Node) NodeID() uint64 { return n.cfg.NodeID }
-
 // PeerCount returns the number of live (handshaken) peers.
 func (n *Node) PeerCount() int {
 	n.mu.Lock()
@@ -211,7 +208,7 @@ func (n *Node) AddPeer(name string, dial func() (net.Conn, error)) {
 			}
 			err = n.runConn(conn)
 			switch {
-			case errors.Is(err, ErrSelfConnect):
+			case errors.Is(err, errSelfConnect):
 				return // the address is our own: drop the link for good
 			case err == nil, errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 				backoff = reconnectMin // clean session: reset backoff
@@ -325,10 +322,10 @@ func (n *Node) runConn(conn net.Conn) error {
 	defer conn.Close()
 	tip, count := n.cfg.Chain.Tip()
 	h := hello{
-		Version: ProtocolVersion,
-		NodeID:  n.cfg.NodeID,
-		Count:   uint64(count),
-		Tip:     tip,
+		version: protocolVersion,
+		nodeID:  n.cfg.NodeID,
+		count:   uint64(count),
+		tip:     tip,
 	}
 	if _, err := conn.Write(appendHelloFrame(nil, &h)); err != nil {
 		return err
@@ -339,14 +336,14 @@ func (n *Node) runConn(conn net.Conn) error {
 		return err
 	}
 	if kind != frameHello {
-		return ErrUnknownFrame
+		return errUnknownFrame
 	}
 	rh, err := decodeHello(body)
 	if err != nil {
 		return err
 	}
-	if rh.NodeID == n.cfg.NodeID {
-		return ErrSelfConnect
+	if rh.nodeID == n.cfg.NodeID {
+		return errSelfConnect
 	}
 
 	n.mu.Lock()
@@ -354,19 +351,19 @@ func (n *Node) runConn(conn net.Conn) error {
 		n.mu.Unlock()
 		return net.ErrClosed
 	}
-	if _, dup := n.peers[rh.NodeID]; dup {
+	if _, dup := n.peers[rh.nodeID]; dup {
 		n.mu.Unlock()
-		return ErrDupPeer
+		return errDupPeer
 	}
 	p := &peer{conn: conn}
 	p.sendq = handoff.New(sendQueueDepth, n.sendDrops, func(frame []byte) error { return n.writeFrame(p, frame) }, nil)
-	n.peers[rh.NodeID] = p
+	n.peers[rh.nodeID] = p
 	n.mu.Unlock()
 	n.peersGauge.Inc()
 	defer func() {
 		n.mu.Lock()
-		if n.peers[rh.NodeID] == p {
-			delete(n.peers, rh.NodeID)
+		if n.peers[rh.nodeID] == p {
+			delete(n.peers, rh.nodeID)
 		}
 		n.mu.Unlock()
 		n.peersGauge.Dec()
@@ -377,7 +374,7 @@ func (n *Node) runConn(conn net.Conn) error {
 	}()
 
 	// The remote hello doubles as its first tip announce.
-	n.maybeSync(p, rh.Count, rh.Tip)
+	n.maybeSync(p, rh.count, rh.tip)
 	return n.readLoop(p, br)
 }
 
@@ -436,22 +433,22 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 			if err != nil {
 				return err
 			}
-			n.maybeSync(p, t.Count, t.Tip)
+			n.maybeSync(p, t.count, t.tip)
 		case frameSyncReq:
 			r, err := decodeSyncReq(body)
 			if err != nil {
 				return err
 			}
-			maxN := int(r.Max)
+			maxN := int(r.max)
 			if maxN <= 0 || maxN > syncBatch {
 				maxN = syncBatch
 			}
 			// A requester starting below our horizon needs the folded
 			// history first: the held range alone does not reach back to it.
-			if cp, ok := n.cfg.Chain.Checkpoint(); ok && r.From <= cp.Height {
+			if cp, ok := n.cfg.Chain.Checkpoint(); ok && r.from <= cp.Height {
 				p.sendq.Offer(appendCheckpointFrame(nil, &cp))
 			}
-			entries := n.cfg.Chain.EntriesFrom(r.From, r.After, maxN)
+			entries := n.cfg.Chain.EntriesFrom(r.from, r.after, maxN)
 			n.syncSent.Add(uint64(len(entries)))
 			tip, count := n.cfg.Chain.Tip()
 			p.sendq.Offer(appendSyncRespFrame(nil, uint64(count), tip, entries))
@@ -476,9 +473,9 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 			}
 		case frameHello:
 			// A second hello on a live link is a protocol violation.
-			return ErrUnknownFrame
+			return errUnknownFrame
 		default:
-			return ErrUnknownFrame
+			return errUnknownFrame
 		}
 	}
 }
@@ -599,7 +596,7 @@ func shareBuffered(br *bufio.Reader) bool {
 	}
 	hdr, _ := br.Peek(frameHeaderLen + 1)
 	ln := binary.LittleEndian.Uint32(hdr)
-	return hdr[frameHeaderLen] == frameShare && ln > 0 && ln <= MaxFrameLen && br.Buffered() >= frameHeaderLen+int(ln)
+	return hdr[frameHeaderLen] == frameShare && ln > 0 && ln <= maxFrameLen && br.Buffered() >= frameHeaderLen+int(ln)
 }
 
 // readFrame reads one length-prefixed frame and splits off the kind
@@ -612,10 +609,10 @@ func readFrame(br *bufio.Reader) (byte, []byte, error) {
 	}
 	ln := binary.LittleEndian.Uint32(hdr[:])
 	if ln == 0 {
-		return 0, nil, ErrTruncated
+		return 0, nil, errTruncated
 	}
-	if ln > MaxFrameLen {
-		return 0, nil, ErrFrameTooLarge
+	if ln > maxFrameLen {
+		return 0, nil, errFrameTooLarge
 	}
 	body := make([]byte, ln)
 	if _, err := io.ReadFull(br, body); err != nil {

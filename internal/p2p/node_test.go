@@ -220,29 +220,29 @@ func TestHandshakeRejections(t *testing.T) {
 
 	// Bad protocol version.
 	err := runHandshake(t, n.node, func(c net.Conn) {
-		h := hello{Version: ProtocolVersion + 1, NodeID: 5}
+		h := hello{version: protocolVersion + 1, nodeID: 5}
 		c.Write(appendHelloFrame(nil, &h))
 	})
-	if !errors.Is(err, ErrBadVersion) {
+	if !errors.Is(err, errBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
 
 	// Loop-to-self: remote node ID equals our own.
 	err = runHandshake(t, n.node, func(c net.Conn) {
-		h := hello{Version: ProtocolVersion, NodeID: 77}
+		h := hello{version: protocolVersion, nodeID: 77}
 		c.Write(appendHelloFrame(nil, &h))
 	})
-	if !errors.Is(err, ErrSelfConnect) {
+	if !errors.Is(err, errSelfConnect) {
 		t.Fatalf("self connect: %v", err)
 	}
 
 	// Oversize frame in place of the hello.
 	err = runHandshake(t, n.node, func(c net.Conn) {
 		var hdr [frameHeaderLen]byte
-		binary.LittleEndian.PutUint32(hdr[:], MaxFrameLen+1)
+		binary.LittleEndian.PutUint32(hdr[:], maxFrameLen+1)
 		c.Write(hdr[:])
 	})
-	if !errors.Is(err, ErrFrameTooLarge) {
+	if !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("oversize: %v", err)
 	}
 
@@ -250,7 +250,7 @@ func TestHandshakeRejections(t *testing.T) {
 	err = runHandshake(t, n.node, func(c net.Conn) {
 		c.Write(AppendShareFrame(nil, testEntry(1, "a", 1, 1)))
 	})
-	if !errors.Is(err, ErrUnknownFrame) {
+	if !errors.Is(err, errUnknownFrame) {
 		t.Fatalf("share-before-hello: %v", err)
 	}
 
@@ -266,10 +266,10 @@ func TestDuplicatePeerRejected(t *testing.T) {
 	waitLinks(t, 1, a)
 	// A second connection claiming b's node ID must be refused.
 	err := runHandshake(t, a.node, func(c net.Conn) {
-		h := hello{Version: ProtocolVersion, NodeID: 2}
+		h := hello{version: protocolVersion, nodeID: 2}
 		c.Write(appendHelloFrame(nil, &h))
 	})
-	if !errors.Is(err, ErrDupPeer) {
+	if !errors.Is(err, errDupPeer) {
 		t.Fatalf("dup peer: %v", err)
 	}
 	if got := a.node.PeerCount(); got != 1 {
@@ -297,7 +297,7 @@ func TestV2HelloRefused(t *testing.T) {
 			t.Errorf("v2 peer admitted: PeerCount = %d", got)
 		}
 	})
-	if !errors.Is(err, ErrBadVersion) {
+	if !errors.Is(err, errBadVersion) {
 		t.Fatalf("v2 hello: %v, want ErrBadVersion", err)
 	}
 	if got := n.node.PeerCount(); got != 0 {
@@ -372,7 +372,7 @@ func TestIngestCountsRefusals(t *testing.T) {
 			t.Fatal(err)
 		}
 		runHandshake(t, node, func(c net.Conn) {
-			h := hello{Version: ProtocolVersion, NodeID: 5}
+			h := hello{version: protocolVersion, nodeID: 5}
 			c.Write(appendHelloFrame(nil, &h))
 			var all []byte
 			for _, e := range frames {
@@ -421,7 +421,7 @@ func TestShareFramesVerifiedInPairs(t *testing.T) {
 			frames = AppendShareFrame(frames, testEntry(uint64(1+i), "tok", 1, byte(i)))
 		}
 		runHandshake(t, node, func(c net.Conn) {
-			h := hello{Version: ProtocolVersion, NodeID: 5}
+			h := hello{version: protocolVersion, nodeID: 5}
 			c.Write(appendHelloFrame(nil, &h))
 			c.Write(frames)
 			deadline := time.Now().Add(5 * time.Second)
@@ -464,7 +464,7 @@ func TestSyncRequestStartsAtHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 		runHandshake(t, node, func(c net.Conn) {
-			h := hello{Version: ProtocolVersion, NodeID: 5, Count: 1000, Tip: [32]byte{1}}
+			h := hello{version: protocolVersion, nodeID: 5, count: 1000, tip: [32]byte{1}}
 			c.Write(appendHelloFrame(nil, &h))
 			br := bufio.NewReader(c)
 			for {
@@ -473,8 +473,8 @@ func TestSyncRequestStartsAtHorizon(t *testing.T) {
 					t.Fatalf("base %d: no sync request: %v", base, err)
 				}
 				if kind == frameSyncReq {
-					if r, err := decodeSyncReq(body); err != nil || r.From != base {
-						t.Fatalf("base %d: sync request from %d (%v), want %d", base, r.From, err, base)
+					if r, err := decodeSyncReq(body); err != nil || r.from != base {
+						t.Fatalf("base %d: sync request from %d (%v), want %d", base, r.from, err, base)
 					}
 					break
 				}
@@ -569,7 +569,7 @@ func TestSyncSurvivesDroppedRequest(t *testing.T) {
 	drops := n.reg.Counter("p2p.send_drops")
 	rounds := n.reg.Counter("p2p.sync_rounds")
 	runHandshake(t, n.node, func(c net.Conn) {
-		h := hello{Version: ProtocolVersion, NodeID: 5}
+		h := hello{version: protocolVersion, nodeID: 5}
 		c.Write(appendHelloFrame(nil, &h))
 		for n.node.PeerCount() == 0 {
 			time.Sleep(time.Millisecond)
@@ -605,7 +605,7 @@ func TestSyncSurvivesDroppedRequest(t *testing.T) {
 func TestSyncRoundDeadline(t *testing.T) {
 	n := startNode(t, 9)
 	runHandshake(t, n.node, func(c net.Conn) {
-		h := hello{Version: ProtocolVersion, NodeID: 5, Count: 1000, Tip: [32]byte{1}}
+		h := hello{version: protocolVersion, nodeID: 5, count: 1000, tip: [32]byte{1}}
 		c.Write(appendHelloFrame(nil, &h))
 		kinds := frameKinds(c)
 		for i := 1; i <= 2; i++ {

@@ -26,11 +26,11 @@ import (
 	"repro/internal/sharechain"
 )
 
-// ProtocolVersion is checked in the handshake; mismatched peers are
+// protocolVersion is checked in the handshake; mismatched peers are
 // rejected before any share crosses. Version 2 added the checkpoint frame;
 // version 3 dropped the hello's peer list and resumes a sync round after
 // the last entry's ID.
-const ProtocolVersion = 3
+const protocolVersion = 3
 
 // Frame kinds. Values are wire format: never renumber, only append.
 const (
@@ -42,36 +42,36 @@ const (
 	frameCheckpoint byte = 6
 )
 
-// Framing: [u32 length][kind byte][body], little-endian. MaxFrameLen
+// Framing: [u32 length][kind byte][body], little-endian. maxFrameLen
 // bounds the body+kind; anything larger is hostile and drops the conn
 // before a single byte of it is buffered.
 const (
 	frameHeaderLen = 4
-	// MaxFrameLen bounds one frame's payload (kind byte included). A
+	// maxFrameLen bounds one frame's payload (kind byte included). A
 	// sync batch of syncBatch entries at maximal blob/token sizes fits
 	// with slack.
-	MaxFrameLen = 1 << 20
+	maxFrameLen = 1 << 20
 )
 
-// Decode errors. ErrFrameTooLarge and ErrTruncated drop the peer;
+// Decode errors. errFrameTooLarge and errTruncated drop the peer;
 // they mark frames no honest implementation produces.
 var (
-	ErrFrameTooLarge = errors.New("p2p: frame exceeds MaxFrameLen")
-	ErrTruncated     = errors.New("p2p: truncated frame")
-	ErrUnknownFrame  = errors.New("p2p: unknown frame kind")
-	ErrBadVersion    = errors.New("p2p: protocol version mismatch")
-	ErrSelfConnect   = errors.New("p2p: connection loops back to self")
-	ErrDupPeer       = errors.New("p2p: peer with this node ID already connected")
+	errFrameTooLarge = errors.New("p2p: frame exceeds MaxFrameLen")
+	errTruncated     = errors.New("p2p: truncated frame")
+	errUnknownFrame  = errors.New("p2p: unknown frame kind")
+	errBadVersion    = errors.New("p2p: protocol version mismatch")
+	errSelfConnect   = errors.New("p2p: connection loops back to self")
+	errDupPeer       = errors.New("p2p: peer with this node ID already connected")
 )
 
 // hello is the handshake payload: protocol version, the sender's node
 // identity and its share-chain tip. Nodes keep no address book: every
 // link is one an operator configured.
 type hello struct {
-	Version uint16
-	NodeID  uint64
-	Count   uint64 // share-chain entry count
-	Tip     [32]byte
+	version uint16
+	nodeID  uint64
+	count   uint64 // share-chain entry count
+	tip     [32]byte
 }
 
 // helloLen is the exact hello body length.
@@ -80,17 +80,17 @@ const helloLen = 2 + 8 + 8 + 32
 // tipAnnounce carries the sender's current chain tip; the receiver
 // compares and starts a catch-up sync when it is behind.
 type tipAnnounce struct {
-	Count uint64
-	Tip   [32]byte
+	count uint64
+	tip   [32]byte
 }
 
-// syncReq asks for at most Max entries with claimed height ≥ From; a
-// non-zero After narrows that to the entries sorting strictly after
-// (From, After), which is how a round resumes past its last batch.
+// syncReq asks for at most max entries with claimed height ≥ from; a
+// non-zero after narrows that to the entries sorting strictly after
+// (from, after), which is how a round resumes past its last batch.
 type syncReq struct {
-	From  uint64
-	After [32]byte
-	Max   uint32
+	from  uint64
+	after [32]byte
+	max   uint32
 }
 
 // beginFrame reserves the length prefix and writes the kind byte;
@@ -143,7 +143,7 @@ const entryWireOverhead = 8 + 8 + 4 + 2 + 2 + 32
 func decodeEntry(b []byte) (sharechain.Entry, int, error) {
 	var e sharechain.Entry
 	if len(b) < entryWireOverhead {
-		return e, 0, ErrTruncated
+		return e, 0, errTruncated
 	}
 	e.Height = binary.LittleEndian.Uint64(b)
 	e.Diff = binary.LittleEndian.Uint64(b[8:])
@@ -151,14 +151,14 @@ func decodeEntry(b []byte) (sharechain.Entry, int, error) {
 	tokLen := int(binary.LittleEndian.Uint16(b[20:]))
 	rest := b[22:]
 	if tokLen > sharechain.MaxTokenLen || len(rest) < tokLen+2 {
-		return e, 0, ErrTruncated
+		return e, 0, errTruncated
 	}
 	e.Token = string(rest[:tokLen])
 	rest = rest[tokLen:]
 	blobLen := int(binary.LittleEndian.Uint16(rest))
 	rest = rest[2:]
 	if blobLen > sharechain.DefaultMaxBlobBytes || len(rest) < blobLen+32 {
-		return e, 0, ErrTruncated
+		return e, 0, errTruncated
 	}
 	e.Blob = append([]byte(nil), rest[:blobLen]...)
 	copy(e.Result[:], rest[blobLen:blobLen+32])
@@ -169,10 +169,10 @@ func decodeEntry(b []byte) (sharechain.Entry, int, error) {
 func appendHelloFrame(dst []byte, h *hello) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameHello)
-	dst = binary.LittleEndian.AppendUint16(dst, h.Version)
-	dst = binary.LittleEndian.AppendUint64(dst, h.NodeID)
-	dst = binary.LittleEndian.AppendUint64(dst, h.Count)
-	dst = append(dst, h.Tip[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, h.version)
+	dst = binary.LittleEndian.AppendUint64(dst, h.nodeID)
+	dst = binary.LittleEndian.AppendUint64(dst, h.count)
+	dst = append(dst, h.tip[:]...)
 	return endFrame(dst, start)
 }
 
@@ -181,17 +181,17 @@ func appendHelloFrame(dst []byte, h *hello) []byte {
 func decodeHello(b []byte) (hello, error) {
 	var h hello
 	if len(b) < 2 {
-		return h, ErrTruncated
+		return h, errTruncated
 	}
-	if h.Version = binary.LittleEndian.Uint16(b); h.Version != ProtocolVersion {
-		return h, ErrBadVersion
+	if h.version = binary.LittleEndian.Uint16(b); h.version != protocolVersion {
+		return h, errBadVersion
 	}
 	if len(b) != helloLen {
-		return h, ErrTruncated
+		return h, errTruncated
 	}
-	h.NodeID = binary.LittleEndian.Uint64(b[2:])
-	h.Count = binary.LittleEndian.Uint64(b[10:])
-	copy(h.Tip[:], b[18:])
+	h.nodeID = binary.LittleEndian.Uint64(b[2:])
+	h.count = binary.LittleEndian.Uint64(b[10:])
+	copy(h.tip[:], b[18:])
 	return h, nil
 }
 
@@ -209,10 +209,10 @@ func appendTipFrame(dst []byte, count uint64, tip [32]byte) []byte {
 func decodeTip(b []byte) (tipAnnounce, error) {
 	var t tipAnnounce
 	if len(b) != 8+32 {
-		return t, ErrTruncated
+		return t, errTruncated
 	}
-	t.Count = binary.LittleEndian.Uint64(b)
-	copy(t.Tip[:], b[8:])
+	t.count = binary.LittleEndian.Uint64(b)
+	copy(t.tip[:], b[8:])
 	return t, nil
 }
 
@@ -231,11 +231,11 @@ func appendSyncReqFrame(dst []byte, from uint64, after [32]byte, max uint32) []b
 func decodeSyncReq(b []byte) (syncReq, error) {
 	var r syncReq
 	if len(b) != 8+32+4 {
-		return r, ErrTruncated
+		return r, errTruncated
 	}
-	r.From = binary.LittleEndian.Uint64(b)
-	copy(r.After[:], b[8:40])
-	r.Max = binary.LittleEndian.Uint32(b[40:])
+	r.from = binary.LittleEndian.Uint64(b)
+	copy(r.after[:], b[8:40])
+	r.max = binary.LittleEndian.Uint32(b[40:])
 	return r, nil
 }
 
@@ -256,10 +256,10 @@ func appendSyncRespFrame(dst []byte, count uint64, tip [32]byte, entries []*shar
 
 func decodeSyncResp(b []byte) (tipAnnounce, []sharechain.Entry, error) {
 	if len(b) < 8+32+2 {
-		return tipAnnounce{}, nil, ErrTruncated
+		return tipAnnounce{}, nil, errTruncated
 	}
-	t := tipAnnounce{Count: binary.LittleEndian.Uint64(b)}
-	copy(t.Tip[:], b[8:40])
+	t := tipAnnounce{count: binary.LittleEndian.Uint64(b)}
+	copy(t.tip[:], b[8:40])
 	n := int(binary.LittleEndian.Uint16(b[40:]))
 	rest := b[42:]
 	entries := make([]sharechain.Entry, 0, n)
@@ -272,7 +272,7 @@ func decodeSyncResp(b []byte) (tipAnnounce, []sharechain.Entry, error) {
 		rest = rest[used:]
 	}
 	if len(rest) != 0 {
-		return t, nil, ErrTruncated
+		return t, nil, errTruncated
 	}
 	return t, entries, nil
 }
@@ -311,7 +311,7 @@ const (
 func decodeCheckpoint(b []byte) (sharechain.Checkpoint, error) {
 	var cp sharechain.Checkpoint
 	if len(b) < checkpointFixedLen {
-		return cp, ErrTruncated
+		return cp, errTruncated
 	}
 	cp.Count = binary.LittleEndian.Uint64(b)
 	cp.Height = binary.LittleEndian.Uint64(b[8:])
@@ -322,16 +322,16 @@ func decodeCheckpoint(b []byte) (sharechain.Checkpoint, error) {
 	rest := list
 	for i := 0; i < n; i++ {
 		if len(rest) < minCreditLen {
-			return cp, ErrTruncated
+			return cp, errTruncated
 		}
 		l := int(binary.LittleEndian.Uint16(rest))
 		if l == 0 || l > sharechain.MaxTokenLen || len(rest) < 2+l+8 {
-			return cp, ErrTruncated
+			return cp, errTruncated
 		}
 		rest = rest[2+l+8:]
 	}
 	if len(rest) != 0 {
-		return cp, ErrTruncated
+		return cp, errTruncated
 	}
 	if n > 0 {
 		cp.Credit = make([]sharechain.TokenWeight, n)
@@ -350,7 +350,7 @@ func decodeCheckpoint(b []byte) (sharechain.Checkpoint, error) {
 //lint:hotpath
 func DecodeFrame(b []byte) (byte, []byte, error) {
 	if len(b) < 1 {
-		return 0, nil, ErrTruncated
+		return 0, nil, errTruncated
 	}
 	return b[0], b[1:], nil
 }

@@ -56,8 +56,8 @@ func TestShareFrameRoundtrip(t *testing.T) {
 }
 
 func TestHelloFrameRoundtrip(t *testing.T) {
-	h := hello{Version: ProtocolVersion, NodeID: 0xDEADBEEF, Count: 17}
-	h.Tip[0] = 0xAB
+	h := hello{version: protocolVersion, nodeID: 0xDEADBEEF, count: 17}
+	h.tip[0] = 0xAB
 	kind, body, err := DecodeFrame(stripHeader(t, appendHelloFrame(nil, &h)))
 	if err != nil || kind != frameHello {
 		t.Fatalf("decode: kind=%d err=%v", kind, err)
@@ -73,13 +73,13 @@ func TestHelloFrameRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip: %+v vs %+v", got, h)
 	}
 	// A byte more or less is refused, and so is a protocol-2 hello.
-	if _, err := decodeHello(append(body[:len(body):len(body)], 0)); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeHello(append(body[:len(body):len(body)], 0)); !errors.Is(err, errTruncated) {
 		t.Fatalf("long hello: %v", err)
 	}
-	if _, err := decodeHello(body[:len(body)-1]); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeHello(body[:len(body)-1]); !errors.Is(err, errTruncated) {
 		t.Fatalf("short hello: %v", err)
 	}
-	if _, err := decodeHello(v2Hello(5, "a:1")[frameHeaderLen+1:]); !errors.Is(err, ErrBadVersion) {
+	if _, err := decodeHello(v2Hello(5, "a:1")[frameHeaderLen+1:]); !errors.Is(err, errBadVersion) {
 		t.Fatalf("v2 hello: %v", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestSyncFramesRoundtrip(t *testing.T) {
 		t.Fatalf("syncreq decode: %v", err)
 	}
 	r, err := decodeSyncReq(body)
-	if err != nil || r != (syncReq{From: 99, After: after, Max: 512}) {
+	if err != nil || r != (syncReq{from: 99, after: after, max: 512}) {
 		t.Fatalf("syncreq: %+v err=%v", r, err)
 	}
 
@@ -120,7 +120,7 @@ func TestSyncFramesRoundtrip(t *testing.T) {
 		t.Fatalf("syncresp decode: %v", err)
 	}
 	ta, got, err := decodeSyncResp(body)
-	if err != nil || ta.Count != 2 || ta.Tip != tip || len(got) != 2 {
+	if err != nil || ta.count != 2 || ta.tip != tip || len(got) != 2 {
 		t.Fatalf("syncresp: %+v n=%d err=%v", ta, len(got), err)
 	}
 	for i := range got {
@@ -134,7 +134,7 @@ func TestSyncFramesRoundtrip(t *testing.T) {
 		t.Fatalf("tip decode: %v", err)
 	}
 	tp, err := decodeTip(body)
-	if err != nil || tp.Count != 7 || tp.Tip != tip {
+	if err != nil || tp.count != 7 || tp.tip != tip {
 		t.Fatalf("tip: %+v err=%v", tp, err)
 	}
 }
@@ -145,12 +145,12 @@ func TestSyncFramesRoundtrip(t *testing.T) {
 // garbage.
 func TestReadFrameRejectsHostileSizes(t *testing.T) {
 	var over [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(over[:], MaxFrameLen+1)
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(over[:]))); !errors.Is(err, ErrFrameTooLarge) {
+	binary.LittleEndian.PutUint32(over[:], maxFrameLen+1)
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(over[:]))); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("oversize: %v", err)
 	}
 	var zero [frameHeaderLen]byte
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(zero[:]))); !errors.Is(err, ErrTruncated) {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(zero[:]))); !errors.Is(err, errTruncated) {
 		t.Fatalf("zero-length: %v", err)
 	}
 	frame := AppendShareFrame(nil, testEntry(1, "a", 1, 1))
@@ -233,7 +233,7 @@ func TestEncodeAllocs(t *testing.T) {
 func FuzzP2PDecode(f *testing.F) {
 	e := testEntry(5, "fuzz-token", 3, 0x55)
 	f.Add(AppendShareFrame(nil, e)[frameHeaderLen:])
-	h := hello{Version: ProtocolVersion, NodeID: 123, Count: 9}
+	h := hello{version: protocolVersion, nodeID: 123, count: 9}
 	f.Add(appendHelloFrame(nil, &h)[frameHeaderLen:])
 	f.Add(appendSyncReqFrame(nil, 10, [32]byte{}, 100)[frameHeaderLen:])
 	f.Add(appendSyncRespFrame(nil, 1, [32]byte{1}, []*sharechain.Entry{e})[frameHeaderLen:])
@@ -271,7 +271,7 @@ func FuzzP2PDecode(f *testing.F) {
 			}
 		case frameSyncReq:
 			if r, err := decodeSyncReq(body); err == nil {
-				if again := appendSyncReqFrame(nil, r.From, r.After, r.Max)[frameHeaderLen:]; !bytes.Equal(again, data) {
+				if again := appendSyncReqFrame(nil, r.from, r.after, r.max)[frameHeaderLen:]; !bytes.Equal(again, data) {
 					t.Fatalf("sync request re-encodes differently")
 				}
 			}
@@ -353,7 +353,7 @@ func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
 			t.Fatalf("prefix %d/%d decoded", cut, len(full))
 		}
 	}
-	if _, err := decodeCheckpoint(append(full[:len(full):len(full)], 0)); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeCheckpoint(append(full[:len(full):len(full)], 0)); !errors.Is(err, errTruncated) {
 		t.Fatalf("trailing byte: %v", err)
 	}
 	one := hostileCheckpoint(1)[1:]
@@ -361,13 +361,13 @@ func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
 		bad := append([]byte(nil), one...)
 		binary.LittleEndian.PutUint16(bad[checkpointFixedLen:], tokLen)
 		bad = append(bad, make([]byte, int(tokLen))...)
-		if _, err := decodeCheckpoint(bad); !errors.Is(err, ErrTruncated) {
+		if _, err := decodeCheckpoint(bad); !errors.Is(err, errTruncated) {
 			t.Fatalf("token length %d: %v", tokLen, err)
 		}
 	}
 	huge := hostileCheckpoint(1<<32 - 1)[1:]
 	var err error
-	if n := testing.AllocsPerRun(100, func() { _, err = decodeCheckpoint(huge) }); n != 0 || !errors.Is(err, ErrTruncated) {
+	if n := testing.AllocsPerRun(100, func() { _, err = decodeCheckpoint(huge) }); n != 0 || !errors.Is(err, errTruncated) {
 		t.Fatalf("credit count 2^32-1 in a %d-byte body: err=%v after %v allocs, want ErrTruncated after 0", len(huge), err, n)
 	}
 }

@@ -31,7 +31,7 @@ type JobSource interface {
 
 // AttributedBlock is a chain block proven to originate from the pool.
 type AttributedBlock struct {
-	Height    uint64
+	height    uint64
 	Timestamp uint64
 	Reward    uint64
 }
@@ -80,9 +80,9 @@ func New(cfg Config) *Watcher {
 	return &Watcher{cfg: cfg, clusters: map[[32]byte]*cluster{}}
 }
 
-// PollOnce requests a single PoW input (the 500 ms unit of the paper's
+// pollOnce requests a single PoW input (the 500 ms unit of the paper's
 // loop) and records it.
-func (w *Watcher) PollOnce(endpoint, slot int) {
+func (w *Watcher) pollOnce(endpoint, slot int) {
 	job, ok := w.cfg.Source.PollJob(endpoint, slot)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -99,7 +99,7 @@ func (w *Watcher) PollOnce(endpoint, slot int) {
 func (w *Watcher) PollAllEndpoints() {
 	for ep := 0; ep < w.cfg.Endpoints; ep++ {
 		for s := 0; s < w.cfg.SlotsPerEndpoint; s++ {
-			w.PollOnce(ep, s)
+			w.pollOnce(ep, s)
 		}
 	}
 }
@@ -160,7 +160,7 @@ func (w *Watcher) Sweep() {
 		c := w.clusters[prev]
 		if c.roots[succ.Root] {
 			w.attributed = append(w.attributed, AttributedBlock{
-				Height:    succ.Height,
+				height:    succ.Height,
 				Timestamp: succ.Timestamp,
 				Reward:    succ.Reward,
 			})

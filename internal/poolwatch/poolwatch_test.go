@@ -66,8 +66,8 @@ func TestWatcherAttributesExactlyThePoolBlocks(t *testing.T) {
 		found[fb.Height] = true
 	}
 	for _, ab := range attributed {
-		if !found[ab.Height] {
-			t.Fatalf("attributed height %d is not a pool block — false positive", ab.Height)
+		if !found[ab.height] {
+			t.Fatalf("attributed height %d is not a pool block — false positive", ab.height)
 		}
 	}
 	if recall := float64(len(attributed)) / float64(len(poolFound)); recall < 0.95 {
@@ -86,9 +86,9 @@ func TestWatcherNeverAttributesForeignBlocks(t *testing.T) {
 
 	wallet := blockchain.AddressFromString("coinhive")
 	for _, ab := range w.Attributed() {
-		b := chain.BlockByHeight(ab.Height)
-		if b == nil || b.Coinbase.To != wallet {
-			t.Fatalf("attributed block %d does not pay the pool wallet — false positive", ab.Height)
+		b := chain.Blocks(ab.height, ab.height+1)
+		if len(b) == 0 || b[0].Coinbase.To != wallet {
+			t.Fatalf("attributed block %d does not pay the pool wallet — false positive", ab.height)
 		}
 	}
 	_ = pool
@@ -181,7 +181,7 @@ func TestEventDrivenRunMatchesTickLoopBitIdentical(t *testing.T) {
 	wA := New(Config{Source: netA, Chain: chainA})
 	netA.Start()
 	var lastTip [32]byte
-	stopA := simA.Every(tick, func() {
+	stopA := every(simA, tick, func() {
 		tip := chainA.TipID()
 		if tip != lastTip {
 			lastTip = tip
@@ -223,7 +223,7 @@ func TestPruneBoundsMemory(t *testing.T) {
 	start := chain.Height()
 	net.Start()
 	// Poll but never sweep: clusters would grow unboundedly without pruning.
-	stop := sim.Every(10*time.Second, func() { w.PollAllEndpoints() })
+	stop := every(sim, 10*time.Second, func() { w.PollAllEndpoints() })
 	sim.RunFor(6 * time.Hour)
 	stop()
 	// Every block moves the prev pointer the 10 s polls cluster on, so
@@ -237,4 +237,19 @@ func TestPruneBoundsMemory(t *testing.T) {
 	if n > maxPendingClusters {
 		t.Errorf("%d clusters retained, want ≤ %d", n, maxPendingClusters)
 	}
+}
+
+// every runs fn at the fixed interval d from d after now until stop is
+// called: the fixed-tick poll loop the event-driven Run replaced.
+func every(s *simclock.Sim, d time.Duration, fn func()) (stop func()) {
+	stopped := false
+	var tick func()
+	tick = func() {
+		if !stopped {
+			fn()
+			s.ScheduleAfter(d, tick)
+		}
+	}
+	s.ScheduleAfter(d, tick)
+	return func() { stopped = true }
 }

@@ -28,12 +28,12 @@ const (
 	CatFinance     = "Finance and Investing"
 	CatDynamic     = "Dynamic Site"
 	CatHosting     = "Hosting"
-	CatMsgBoard    = "Msg. Board"
-	CatAutomotive  = "Automotive"
+	catMsgBoard    = "Msg. Board"
+	catAutomotive  = "Automotive"
 	CatNews        = "News"
 	CatSports      = "Sports"
 	CatTravel      = "Travel"
-	CatStreaming   = "Streaming Media"
+	catStreaming   = "Streaming Media"
 	CatBlog        = "Blog"
 )
 
@@ -104,13 +104,6 @@ func (e *Engine) Classify(domainOrURL string) ([]string, bool) {
 	return append([]string(nil), ent.cats...), true
 }
 
-// Len reports the number of registered domains.
-func (e *Engine) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.db)
-}
-
 func hostOf(u string) string {
 	s := strings.ToLower(u)
 	if i := strings.Index(s, "://"); i >= 0 {
@@ -130,19 +123,19 @@ func hostOf(u string) string {
 // paper's Table 4 link destinations point at.
 func WellKnownDestinations(e *Engine) {
 	for domain, cats := range map[string][]string{
-		"youtu.be":            {CatEntMusic, CatStreaming},
-		"youtube.com":         {CatEntMusic, CatStreaming},
+		"youtu.be":            {CatEntMusic, catStreaming},
+		"youtube.com":         {CatEntMusic, catStreaming},
 		"zippyshare.com":      {CatFilesharing},
 		"icerbox.com":         {CatFilesharing},
 		"hq-mirror.de":        {CatEntMusic},
-		"andyspeedracing.com": {CatAutomotive},
-		"ftbucket.info":       {CatMsgBoard},
+		"andyspeedracing.com": {catAutomotive},
+		"ftbucket.info":       {catMsgBoard},
 		"getcoinfree.com":     {CatFinance},
 		"ul.to":               {CatFilesharing},
 		"share-online.biz":    {CatFilesharing},
 		"oboom.com":           {CatFilesharing},
 		"mega.nz":             {CatFilesharing},
-		"dailymotion.com":     {CatEntMusic, CatStreaming},
+		"dailymotion.com":     {CatEntMusic, catStreaming},
 	} {
 		e.Register(domain, "external", cats)
 	}

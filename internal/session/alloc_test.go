@@ -33,7 +33,7 @@ func TestDecodeJobAllocsBounded(t *testing.T) {
 func TestNonceOffsetZeroAlloc(t *testing.T) {
 	blob := buildBlob([]byte{0x80, 0x80, 0x01})
 	avg := testing.AllocsPerRun(500, func() {
-		if _, err := NonceOffset(blob); err != nil {
+		if _, err := nonceOffset(blob); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -42,7 +42,7 @@ func TestNonceOffsetZeroAlloc(t *testing.T) {
 	}
 	// Rejection is a static error: no allocation on malformed blobs either.
 	avg = testing.AllocsPerRun(500, func() {
-		if _, err := NonceOffset(blob[:4]); err == nil {
+		if _, err := nonceOffset(blob[:4]); err == nil {
 			t.Fatal("accepted truncated blob")
 		}
 	})

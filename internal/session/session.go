@@ -26,7 +26,7 @@ import (
 )
 
 // Job is a decoded, de-obfuscated PoW input ready for nonce search.
-// WireBlob and WireTarget keep the exact strings the pool sent: together
+// WireBlob and wireTarget keep the exact strings the pool sent: together
 // they identify the PoW input independent of the (refresh-scoped) job ID,
 // which is what the benchmark's share decks are keyed on.
 type Job struct {
@@ -35,7 +35,7 @@ type Job struct {
 	Target      uint32
 	NonceOffset int
 	WireBlob    string
-	WireTarget  string
+	wireTarget  string
 }
 
 // errTruncatedBlob is static so job decoding stays allocation-free on
@@ -62,22 +62,22 @@ func DecodeJob(j stratum.Job) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	off, err := NonceOffset(blob)
+	off, err := nonceOffset(blob)
 	if err != nil {
 		return Job{}, err
 	}
 	return Job{
 		ID: j.JobID, Blob: blob, Target: target, NonceOffset: off,
-		WireBlob: j.Blob, WireTarget: j.Target,
+		WireBlob: j.Blob, wireTarget: j.Target,
 	}, nil
 }
 
-// NonceOffset returns the nonce position in a (de-obfuscated) hashing
+// nonceOffset returns the nonce position in a (de-obfuscated) hashing
 // blob by skipping the three leading varints (major, minor, timestamp)
 // and the 32-byte prev hash.
 //
 //lint:hotpath
-func NonceOffset(blob []byte) (int, error) {
+func nonceOffset(blob []byte) (int, error) {
 	off := 0
 	for i := 0; i < 3; i++ {
 		for {
@@ -98,39 +98,36 @@ func NonceOffset(blob []byte) (int, error) {
 	return off, nil
 }
 
-// Transport is one dialect connection. Implementations translate between
+// transport is one dialect connection. Implementations translate between
 // the dialect's wire form and the canonical stratum envelope vocabulary;
 // they hold codec state only — session semantics live with the caller.
 // The zero deadline means block forever.
-type Transport interface {
-	// Send encodes one client message. msgType is a stratum.Type*
+type transport interface {
+	// send encodes one client message. msgType is a stratum.Type*
 	// constant; params its payload struct.
-	Send(msgType string, params interface{}, deadline time.Time) error
-	// SendRaw injects bytes as one dialect frame verbatim — the
-	// conformance tests' protocol-violation hook.
-	SendRaw(data []byte, deadline time.Time) error
-	// ReadEnvelope returns the next server message in canonical form.
-	ReadEnvelope(deadline time.Time) (stratum.Envelope, error)
-	// Buffered reports whether a ReadEnvelope would return without
+	send(msgType string, params interface{}, deadline time.Time) error
+	// readEnvelope returns the next server message in canonical form.
+	readEnvelope(deadline time.Time) (stratum.Envelope, error)
+	// buffered reports whether a ReadEnvelope would return without
 	// touching the network — frames the server flushed together with
 	// one already consumed (e.g. a resolution notification riding a
 	// submit result) are drainable without risking a block.
-	Buffered() bool
-	// ServerClocked reports whether the dialect pushes work unsolicited
+	buffered() bool
+	// serverClocked reports whether the dialect pushes work unsolicited
 	// (TCP stratum) or only ever answers (ws).
-	ServerClocked() bool
-	// Close ends the session with whatever goodbye the dialect defines.
-	Close() error
-	// Abort tears the transport down abruptly, no handshake — how a
+	serverClocked() bool
+	// close ends the session with whatever goodbye the dialect defines.
+	close() error
+	// abort tears the transport down abruptly, no handshake — how a
 	// dying browser tab or severed endpoint looks from the server.
-	Abort() error
+	abort() error
 }
 
 // Session is one authenticated miner connection over either dialect.
 type Session struct {
-	// Transport is the dialect codec underneath; most callers never
+	// transport is the dialect codec underneath; most callers never
 	// touch it directly.
-	Transport Transport
+	transport transport
 	// Timeout bounds each read and write; zero means block forever. A
 	// load generator sets it so a stalled server surfaces as a counted
 	// error instead of a stuck worker.
@@ -143,7 +140,7 @@ type Session struct {
 // Login (or directly via ReadEnvelope) so callers can overlap dials.
 func Dial(url string, auth stratum.Auth) (*Session, error) {
 	var (
-		t   Transport
+		t   transport
 		err error
 	)
 	if strings.HasPrefix(url, "tcp://") {
@@ -154,9 +151,9 @@ func Dial(url string, auth stratum.Auth) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Transport: t}
-	if err := s.Send(stratum.TypeAuth, auth); err != nil {
-		_ = t.Abort()
+	s := &Session{transport: t}
+	if err := s.send(stratum.TypeAuth, auth); err != nil {
+		_ = t.abort()
 		return nil, err
 	}
 	return s, nil
@@ -169,9 +166,9 @@ func Dial(url string, auth stratum.Auth) (*Session, error) {
 // 20k-fd box cannot reach over real sockets.
 func DialConn(nc net.Conn, auth stratum.Auth) (*Session, error) {
 	t := newTCPTransport(nc)
-	s := &Session{Transport: t}
-	if err := s.Send(stratum.TypeAuth, auth); err != nil {
-		_ = t.Abort()
+	s := &Session{transport: t}
+	if err := s.send(stratum.TypeAuth, auth); err != nil {
+		_ = t.abort()
 		return nil, err
 	}
 	return s, nil
@@ -187,17 +184,12 @@ func (s *Session) deadline() time.Time {
 // ServerClocked reports whether the dialect pushes jobs unsolicited —
 // clients of such a dialect keep mining their current job after an
 // accepted share instead of waiting for a reply job.
-func (s *Session) ServerClocked() bool { return s.Transport.ServerClocked() }
+func (s *Session) ServerClocked() bool { return s.transport.serverClocked() }
 
-// Send marshals params into one dialect frame, applying the session
+// send marshals params into one dialect frame, applying the session
 // timeout to the write when one is set.
-func (s *Session) Send(msgType string, params interface{}) error {
-	return s.Transport.Send(msgType, params, s.deadline())
-}
-
-// SendRaw writes data as one dialect frame verbatim.
-func (s *Session) SendRaw(data []byte) error {
-	return s.Transport.SendRaw(data, s.deadline())
+func (s *Session) send(msgType string, params interface{}) error {
+	return s.transport.send(msgType, params, s.deadline())
 }
 
 // KeepaliveInterval is the cadence at which clients of a server-clocked
@@ -212,15 +204,15 @@ const KeepaliveInterval = 30 * time.Second
 // traffic. Safe to call from a ticker goroutine concurrent with the
 // session's own sends.
 func (s *Session) Keepalive() error {
-	if !s.Transport.ServerClocked() {
+	if !s.transport.serverClocked() {
 		return nil
 	}
-	return s.Send(stratum.MethodKeepalive, nil)
+	return s.send(stratum.MethodKeepalive, nil)
 }
 
 // Submit reports a found (or replayed) share for the given job.
 func (s *Session) Submit(jobID string, nonce uint32, result [32]byte) error {
-	return s.Send(stratum.TypeSubmit, stratum.Submit{
+	return s.send(stratum.TypeSubmit, stratum.Submit{
 		Version: 7, JobID: jobID,
 		Nonce:  stratum.EncodeNonce(nonce),
 		Result: stratum.EncodeBlob(result[:]),
@@ -230,12 +222,12 @@ func (s *Session) Submit(jobID string, nonce uint32, result [32]byte) error {
 // ReadEnvelope reads the next message in canonical envelope form,
 // applying the session timeout when one is set.
 func (s *Session) ReadEnvelope() (stratum.Envelope, error) {
-	return s.Transport.ReadEnvelope(s.deadline())
+	return s.transport.readEnvelope(s.deadline())
 }
 
 // Buffered reports whether a ReadEnvelope would return without blocking
 // on the network.
-func (s *Session) Buffered() bool { return s.Transport.Buffered() }
+func (s *Session) Buffered() bool { return s.transport.buffered() }
 
 // Login completes the handshake after Dial: it expects authed followed
 // by the first job (exactly what both dialects deliver) and returns
@@ -278,10 +270,10 @@ func (s *Session) Login() (stratum.Authed, Job, error) {
 }
 
 // Close performs the dialect's closing handshake.
-func (s *Session) Close() error { return s.Transport.Close() }
+func (s *Session) Close() error { return s.transport.close() }
 
 // Abort tears the connection down abruptly, no handshake.
-func (s *Session) Abort() error { return s.Transport.Abort() }
+func (s *Session) Abort() error { return s.transport.abort() }
 
 // wsTransport is the browser dialect: stratum envelopes in ws text
 // frames, client-clocked. The canonical vocabulary IS this dialect's
@@ -298,22 +290,18 @@ func dialWS(url string) (*wsTransport, error) {
 	return &wsTransport{conn: conn}, nil
 }
 
-func (t *wsTransport) Send(msgType string, params interface{}, deadline time.Time) error {
+func (t *wsTransport) send(msgType string, params interface{}, deadline time.Time) error {
 	data, err := stratum.Marshal(msgType, params)
 	if err != nil {
 		return err
 	}
-	return t.SendRaw(data, deadline)
-}
-
-func (t *wsTransport) SendRaw(data []byte, deadline time.Time) error {
 	if err := t.conn.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
 	return t.conn.WriteMessage(ws.OpText, data)
 }
 
-func (t *wsTransport) ReadEnvelope(deadline time.Time) (stratum.Envelope, error) {
+func (t *wsTransport) readEnvelope(deadline time.Time) (stratum.Envelope, error) {
 	if err := t.conn.SetReadDeadline(deadline); err != nil {
 		return stratum.Envelope{}, err
 	}
@@ -324,12 +312,12 @@ func (t *wsTransport) ReadEnvelope(deadline time.Time) (stratum.Envelope, error)
 	return stratum.Unmarshal(data)
 }
 
-// Buffered is always false for ws: the dialect is client-clocked, so a
+// buffered is always false for ws: the dialect is client-clocked, so a
 // caller never needs to opportunistically drain it.
-func (t *wsTransport) Buffered() bool { return false }
+func (t *wsTransport) buffered() bool { return false }
 
-func (t *wsTransport) ServerClocked() bool { return false }
+func (t *wsTransport) serverClocked() bool { return false }
 
-func (t *wsTransport) Close() error { return t.conn.Close() }
+func (t *wsTransport) close() error { return t.conn.Close() }
 
-func (t *wsTransport) Abort() error { return t.conn.NetConn().Close() }
+func (t *wsTransport) abort() error { return t.conn.NetConn().Close() }

@@ -20,17 +20,17 @@ func buildBlob(tsVarint []byte) []byte {
 
 func TestNonceOffset(t *testing.T) {
 	// Single-byte timestamp varint: offset = 3 varints + 32.
-	if off, err := NonceOffset(buildBlob([]byte{0x42})); err != nil || off != 35 {
+	if off, err := nonceOffset(buildBlob([]byte{0x42})); err != nil || off != 35 {
 		t.Fatalf("NonceOffset = %d, %v; want 35", off, err)
 	}
 	// Multi-byte timestamp varint shifts the offset.
-	if off, err := NonceOffset(buildBlob([]byte{0x80, 0x80, 0x01})); err != nil || off != 37 {
+	if off, err := nonceOffset(buildBlob([]byte{0x80, 0x80, 0x01})); err != nil || off != 37 {
 		t.Fatalf("NonceOffset = %d, %v; want 37", off, err)
 	}
-	if _, err := NonceOffset([]byte{0x80, 0x80}); err == nil {
+	if _, err := nonceOffset([]byte{0x80, 0x80}); err == nil {
 		t.Fatal("NonceOffset accepted a truncated blob")
 	}
-	if _, err := NonceOffset(buildBlob([]byte{0x42})[:40]); err == nil {
+	if _, err := nonceOffset(buildBlob([]byte{0x42})[:40]); err == nil {
 		t.Fatal("NonceOffset accepted a blob too short for nonce+root")
 	}
 }
@@ -54,7 +54,7 @@ func TestDecodeJobRevertsObfuscation(t *testing.T) {
 	if job.Target != 0x00ffffff || job.NonceOffset != 35 || job.ID != "3-1-5" {
 		t.Errorf("job = %+v", job)
 	}
-	if job.WireBlob != j.Blob || job.WireTarget != j.Target {
+	if job.WireBlob != j.Blob || job.wireTarget != j.Target {
 		t.Error("wire fields must carry the exact strings the pool sent")
 	}
 }

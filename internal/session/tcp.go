@@ -55,7 +55,7 @@ func newTCPTransport(nc net.Conn) *tcpTransport {
 	}
 }
 
-func (t *tcpTransport) Send(msgType string, params interface{}, deadline time.Time) error {
+func (t *tcpTransport) send(msgType string, params interface{}, deadline time.Time) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	t.nextID++
@@ -87,22 +87,11 @@ func (t *tcpTransport) Send(msgType string, params interface{}, deadline time.Ti
 		t.wbuf, err = stratum.AppendRPCRequest(t.wbuf, t.nextID, stratum.MethodKeepalive,
 			map[string]string{"id": t.token})
 	default:
-		// No rpc mapping: send it as a request of that method so hostile
-		// or future message types still cross the wire (the server answers
-		// unknown methods with a proper rpc error).
-		t.wbuf, err = stratum.AppendRPCRequest(t.wbuf, t.nextID, msgType, params)
+		return fmt.Errorf("session: no tcp stratum request for %q", msgType)
 	}
 	if err != nil {
 		return err
 	}
-	return t.writeLocked(deadline)
-}
-
-func (t *tcpTransport) SendRaw(data []byte, deadline time.Time) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	t.wbuf = append(t.wbuf[:0], data...)
-	t.wbuf = append(t.wbuf, '\n')
 	return t.writeLocked(deadline)
 }
 
@@ -124,7 +113,7 @@ func (t *tcpTransport) synth(msgType string, payload interface{}) error {
 	return nil
 }
 
-func (t *tcpTransport) ReadEnvelope(deadline time.Time) (stratum.Envelope, error) {
+func (t *tcpTransport) readEnvelope(deadline time.Time) (stratum.Envelope, error) {
 	for len(t.pending) == 0 {
 		if err := t.readFrame(deadline); err != nil {
 			return stratum.Envelope{}, err
@@ -196,17 +185,17 @@ func (t *tcpTransport) decodeResult(env stratum.RPCEnvelope) error {
 	}
 }
 
-// Buffered reports whether a frame is already decoded (pending) or
+// buffered reports whether a frame is already decoded (pending) or
 // sitting in the read buffer — anything the server flushed in the same
 // write as a frame already consumed.
-func (t *tcpTransport) Buffered() bool {
+func (t *tcpTransport) buffered() bool {
 	return len(t.pending) > 0 || t.br.Buffered() > 0
 }
 
-func (t *tcpTransport) ServerClocked() bool { return true }
+func (t *tcpTransport) serverClocked() bool { return true }
 
-// Close ends the session. The dialect has no goodbye frame — liveness is
+// close ends the session. The dialect has no goodbye frame — liveness is
 // the keepalive window — so closing the socket is the handshake.
-func (t *tcpTransport) Close() error { return t.nc.Close() }
+func (t *tcpTransport) close() error { return t.nc.Close() }
 
-func (t *tcpTransport) Abort() error { return t.nc.Close() }
+func (t *tcpTransport) abort() error { return t.nc.Close() }

@@ -47,9 +47,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultWindow is the PPLNS window size in entries: payouts are split
+// defaultWindow is the PPLNS window size in entries: payouts are split
 // over the last N shares of the canonical chain, difficulty-weighted.
-const DefaultWindow = 2048
+const defaultWindow = 2048
 
 // DefaultMaxHeightSkew bounds how far above the current tip height an
 // entry may claim to sit. Claimed heights interleave naturally (each
@@ -79,10 +79,10 @@ const (
 // Validation errors.
 var (
 	ErrDuplicate  = errors.New("sharechain: entry already in chain")
-	ErrBadEntry   = errors.New("sharechain: structurally invalid entry")
-	ErrHeightSkew = errors.New("sharechain: claimed height too far ahead of tip")
+	errBadEntry   = errors.New("sharechain: structurally invalid entry")
+	errHeightSkew = errors.New("sharechain: claimed height too far ahead of tip")
 	ErrBadPoW     = errors.New("sharechain: proof of work does not verify")
-	ErrUnverified = errors.New("sharechain: no verifier configured for remote entries")
+	errUnverified = errors.New("sharechain: no verifier configured for remote entries")
 	// ErrBelowHorizon refuses an entry that sorts into history the chain
 	// has already folded into its base.
 	ErrBelowHorizon = errors.New("sharechain: entry sorts below the finality horizon")
@@ -157,7 +157,7 @@ type Verifier func(batch []*Entry, verdicts []error)
 
 // Config parameterises a Chain.
 type Config struct {
-	// Window is the PPLNS window size in entries (DefaultWindow if 0).
+	// Window is the PPLNS window size in entries (defaultWindow if 0).
 	Window int
 	// Verify validates the PoW of unverified entries (gossiped-in
 	// shares). Locally-accepted shares were already verified by the pool
@@ -228,7 +228,7 @@ type account struct {
 // New builds an empty chain.
 func New(cfg Config) *Chain {
 	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
+		cfg.Window = defaultWindow
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -246,9 +246,6 @@ func New(cfg Config) *Chain {
 		paired:       cfg.Metrics.Counter("pool.sharechain_paired_verifies"),
 	}
 }
-
-// Window returns the configured PPLNS window size.
-func (c *Chain) Window() int { return c.cfg.Window }
 
 // Len returns the number of entries in the chain, folded ones included.
 func (c *Chain) Len() int {
@@ -317,7 +314,7 @@ func (c *Chain) placeLocked(e *Entry) (int, error) {
 	case c.foldedLocked(e):
 		return pos, ErrBelowHorizon
 	case e.Height > c.tipHeightLocked()+DefaultMaxHeightSkew:
-		return pos, ErrHeightSkew
+		return pos, errHeightSkew
 	}
 	return pos, nil
 }
@@ -326,7 +323,7 @@ func (c *Chain) placeLocked(e *Entry) (int, error) {
 func (c *Chain) validate(e *Entry) error {
 	if e.Diff == 0 || e.Height == 0 || len(e.Token) == 0 ||
 		len(e.Token) > MaxTokenLen || len(e.Blob) == 0 || len(e.Blob) > DefaultMaxBlobBytes {
-		return ErrBadEntry
+		return errBadEntry
 	}
 	return nil
 }
@@ -384,7 +381,7 @@ func (c *Chain) InsertUnverified(batch []*Entry, done func(e *Entry, reorged boo
 		verdicts := make([]error, len(survivors))
 		if c.cfg.Verify == nil {
 			for j := range verdicts {
-				verdicts[j] = ErrUnverified
+				verdicts[j] = errUnverified
 			}
 		} else {
 			c.cfg.Verify(survivors, verdicts)

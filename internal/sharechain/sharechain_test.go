@@ -148,11 +148,11 @@ func TestDuplicateAndValidation(t *testing.T) {
 		{Height: 1, Token: "a", Diff: 1, Blob: make([]byte, 4096)}, // oversize blob
 	}
 	for i, b := range bad {
-		if _, err := c.Insert(b, true); !errors.Is(err, ErrBadEntry) {
+		if _, err := c.Insert(b, true); !errors.Is(err, errBadEntry) {
 			t.Fatalf("bad[%d]: %v", i, err)
 		}
 	}
-	if _, err := c.Insert(mkEntry(1+DefaultMaxHeightSkew+1, "a", 1, 7), true); !errors.Is(err, ErrHeightSkew) {
+	if _, err := c.Insert(mkEntry(1+DefaultMaxHeightSkew+1, "a", 1, 7), true); !errors.Is(err, errHeightSkew) {
 		t.Fatalf("skew: expected ErrHeightSkew")
 	}
 }
@@ -167,7 +167,7 @@ func TestDuplicateAndValidation(t *testing.T) {
 func TestVerifierGatesRemoteEntries(t *testing.T) {
 	// No verifier: remote entries are refused outright.
 	c := New(Config{Window: 4})
-	if _, err := c.Insert(mkEntry(1, "a", 1, 1), false); !errors.Is(err, ErrUnverified) {
+	if _, err := c.Insert(mkEntry(1, "a", 1, 1), false); !errors.Is(err, errUnverified) {
 		t.Fatalf("nil verifier: %v", err)
 	}
 
@@ -187,7 +187,7 @@ func TestVerifierGatesRemoteEntries(t *testing.T) {
 		{"good+bad pair", []*Entry{good, evil}, []error{nil, ErrBadPoW}, []int{2}, 0},
 		{"pair, one below the horizon", []*Entry{late, good}, []error{ErrBelowHorizon, nil}, []int{1}, 0},
 		{"pair racing a local insert", []*Entry{good, racer}, []error{nil, ErrDuplicate}, []int{2}, 1},
-		{"pair, both refused before the verify", []*Entry{late, {Height: 101, Token: "zero", Blob: []byte{1}}}, []error{ErrBelowHorizon, ErrBadEntry}, nil, 0},
+		{"pair, both refused before the verify", []*Entry{late, {Height: 101, Token: "zero", Blob: []byte{1}}}, []error{ErrBelowHorizon, errBadEntry}, nil, 0},
 		{"good pair", []*Entry{good, good2}, []error{nil, nil}, []int{2}, 0},
 	}
 	for _, tc := range cases {

@@ -128,30 +128,6 @@ func (s *Sim) ScheduleAfter(d time.Duration, fn func()) {
 	s.mu.Unlock()
 }
 
-// Every schedules fn at the fixed interval d starting d from now, until
-// the returned cancel function is called.
-func (s *Sim) Every(d time.Duration, fn func()) (cancel func()) {
-	stopped := false
-	var mu sync.Mutex
-	var tick func()
-	tick = func() {
-		mu.Lock()
-		dead := stopped
-		mu.Unlock()
-		if dead {
-			return
-		}
-		fn()
-		s.ScheduleAfter(d, tick)
-	}
-	s.ScheduleAfter(d, tick)
-	return func() {
-		mu.Lock()
-		stopped = true
-		mu.Unlock()
-	}
-}
-
 // pop removes the earliest event not after limit, with ok=false when the
 // queue is exhausted or the next event lies beyond limit.
 func (s *Sim) pop(limit time.Time) (event, bool) {
@@ -192,11 +168,4 @@ func (s *Sim) RunUntil(limit time.Time) int {
 // RunFor advances the simulation by d. See RunUntil.
 func (s *Sim) RunFor(d time.Duration) int {
 	return s.RunUntil(s.Now().Add(d))
-}
-
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.evts)
 }

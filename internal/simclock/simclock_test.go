@@ -59,8 +59,8 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if ran {
 		t.Error("event beyond limit was executed")
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", s.Pending())
+	if len(s.evts) != 1 {
+		t.Errorf("%d events queued, want 1", len(s.evts))
 	}
 	s.RunFor(time.Hour)
 	if !ran {
@@ -82,21 +82,6 @@ func TestHandlersMayScheduleMoreEvents(t *testing.T) {
 	s.RunFor(time.Minute)
 	if count != 10 {
 		t.Errorf("chained events ran %d times, want 10", count)
-	}
-}
-
-func TestEveryAndCancel(t *testing.T) {
-	s := New(t0)
-	n := 0
-	cancel := s.Every(time.Minute, func() { n++ })
-	s.RunFor(5*time.Minute + time.Second)
-	if n != 5 {
-		t.Fatalf("ticks = %d, want 5", n)
-	}
-	cancel()
-	s.RunFor(10 * time.Minute)
-	if n != 5 {
-		t.Errorf("ticks after cancel = %d, want 5", n)
 	}
 }
 

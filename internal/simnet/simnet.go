@@ -141,12 +141,6 @@ func (n *Network) produceBlock() {
 	n.scheduleNext()
 }
 
-// TotalBlocks reports blocks produced since Start (excluding bootstrap).
-func (n *Network) TotalBlocks() int { return n.totalBlocks }
-
-// PoolBlocks reports how many of those the pool won.
-func (n *Network) PoolBlocks() int { return n.poolBlocks }
-
 // PollJob implements the watcher-facing job source: it returns the pool's
 // current PoW input for an endpoint/slot, or ok=false when the service is
 // unreachable (activity 0 — the May 6/7 outage in Figure 5).

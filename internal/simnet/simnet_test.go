@@ -76,8 +76,8 @@ func TestPoolShareConvergesToHashRateShare(t *testing.T) {
 	sim, _, pool, net := newSimWorld(t, 5.5e6, 462e6, nil, 2)
 	net.Start()
 	sim.RunFor(14 * 24 * time.Hour)
-	total := net.TotalBlocks()
-	poolBlocks := net.PoolBlocks()
+	total := net.totalBlocks
+	poolBlocks := net.poolBlocks
 	share := float64(poolBlocks) / float64(total)
 	want := 5.5 / 462 // 1.19%
 	if math.Abs(share-want) > 0.006 {
@@ -158,8 +158,8 @@ func TestPoolBlocksPayThePoolWallet(t *testing.T) {
 	if poolPaid == 0 || otherPaid == 0 {
 		t.Errorf("coinbase split pool=%d other=%d; want both nonzero", poolPaid, otherPaid)
 	}
-	if poolPaid != net.PoolBlocks() {
-		t.Errorf("wallet-attributed blocks %d != network count %d", poolPaid, net.PoolBlocks())
+	if poolPaid != net.poolBlocks {
+		t.Errorf("wallet-attributed blocks %d != network count %d", poolPaid, net.poolBlocks)
 	}
 }
 

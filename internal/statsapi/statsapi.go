@@ -40,13 +40,13 @@ import (
 
 // Options tune aggregation granularity.
 type Options struct {
-	// BucketNs is the time-series bucket width (default 10s).
-	BucketNs int64
+	// bucketNs is the time-series bucket width (default 10s).
+	bucketNs int64
 }
 
 func (o *Options) fillDefaults() {
-	if o.BucketNs <= 0 {
-		o.BucketNs = 10 * int64(time.Second)
+	if o.bucketNs <= 0 {
+		o.bucketNs = 10 * int64(time.Second)
 	}
 }
 
@@ -207,18 +207,18 @@ func (a *API) apply(ev *archive.Event) {
 		acct := a.account(ev.Actor)
 		acct.credit += ev.Amount
 		acct.shares++
-		b := acct.series.at(ev.TimeNs, a.opts.BucketNs)
+		b := acct.series.at(ev.TimeNs, a.opts.bucketNs)
 		b.Hashes += ev.Amount
 		b.Accepted++
-		pb := a.pool.at(ev.TimeNs, a.opts.BucketNs)
+		pb := a.pool.at(ev.TimeNs, a.opts.bucketNs)
 		pb.Hashes += ev.Amount
 		pb.Accepted++
 	case archive.KindShareStale:
-		a.pool.at(ev.TimeNs, a.opts.BucketNs).Stale++
+		a.pool.at(ev.TimeNs, a.opts.bucketNs).Stale++
 	case archive.KindShareDuplicate:
-		a.pool.at(ev.TimeNs, a.opts.BucketNs).Dup++
+		a.pool.at(ev.TimeNs, a.opts.bucketNs).Dup++
 	case archive.KindShareRejected:
-		a.pool.at(ev.TimeNs, a.opts.BucketNs).Rejected++
+		a.pool.at(ev.TimeNs, a.opts.bucketNs).Rejected++
 	case archive.KindBlockFound:
 		a.blocks.push(blockEntry{
 			Height:    ev.Height,
@@ -385,7 +385,7 @@ func (a *API) servePoolSeries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "archive read failed", http.StatusInternalServerError)
 		return
 	}
-	resp := seriesResponse{BucketNs: a.opts.BucketNs, Buckets: page}
+	resp := seriesResponse{BucketNs: a.opts.bucketNs, Buckets: page}
 	if more {
 		resp.NextCursor = encodeCursor("pool", next)
 	}
@@ -412,7 +412,7 @@ func (a *API) serveAccountSeries(w http.ResponseWriter, r *http.Request, token s
 		http.Error(w, "archive read failed", http.StatusInternalServerError)
 		return
 	}
-	resp := seriesResponse{Token: token, BucketNs: a.opts.BucketNs, Buckets: page}
+	resp := seriesResponse{Token: token, BucketNs: a.opts.bucketNs, Buckets: page}
 	if more {
 		resp.NextCursor = encodeCursor("acct", next)
 	}

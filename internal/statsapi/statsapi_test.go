@@ -23,7 +23,7 @@ func newTestAPI(t *testing.T) (*API, *archive.MemStore, *metrics.Registry) {
 	t.Helper()
 	store := archive.NewMemStore(1 << 12)
 	reg := metrics.NewRegistry()
-	return New(store, reg, Options{BucketNs: bucketNs}), store, reg
+	return New(store, reg, Options{bucketNs: bucketNs}), store, reg
 }
 
 func get(t *testing.T, a *API, url string, into interface{}) *httptest.ResponseRecorder {

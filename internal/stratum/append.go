@@ -24,7 +24,7 @@ import (
 //lint:hotpath
 func AppendJobNotifyLine(dst []byte, j Job) []byte {
 	dst = append(dst, `{"jsonrpc":"2.0","method":"job","params":`...)
-	dst = AppendJobJSON(dst, j)
+	dst = appendJobJSON(dst, j)
 	dst = append(dst, '}')
 	return append(dst, '\n')
 }
@@ -36,15 +36,15 @@ func AppendJobNotifyLine(dst []byte, j Job) []byte {
 //lint:hotpath
 func AppendJobEnvelope(dst []byte, j Job) []byte {
 	dst = append(dst, `{"type":"job","params":`...)
-	dst = AppendJobJSON(dst, j)
+	dst = appendJobJSON(dst, j)
 	return append(dst, '}')
 }
 
-// AppendJobJSON appends the Job object itself, field order matching the
+// appendJobJSON appends the Job object itself, field order matching the
 // struct tags json.Marshal walks.
 //
 //lint:hotpath
-func AppendJobJSON(dst []byte, j Job) []byte {
+func appendJobJSON(dst []byte, j Job) []byte {
 	dst = append(dst, `{"job_id":"`...)
 	dst = append(dst, j.JobID...)
 	dst = append(dst, `","blob":"`...)

@@ -119,4 +119,5 @@ func TestAppendersAllocFree(t *testing.T) {
 	pin("AppendSubmitOKLine", func() { buf = AppendSubmitOKLine(buf[:0], id, 1<<40) })
 	pin("AppendKeepaliveOKLine", func() { buf = AppendKeepaliveOKLine(buf[:0], id) })
 	pin("AppendHashAcceptedEnvelope", func() { buf = AppendHashAcceptedEnvelope(buf[:0], 1<<40) })
+	pin("DecodeNonce", func() { _, _ = DecodeNonce("deadbeef") })
 }

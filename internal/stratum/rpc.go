@@ -72,8 +72,8 @@ const (
 // near the cap is hostile or broken.
 const MaxRPCLine = 8192
 
-// RPCError is the error member of a response.
-type RPCError struct {
+// rpcError is the error member of a response.
+type rpcError struct {
 	Code    int    `json:"code"`
 	Message string `json:"message"`
 }
@@ -88,12 +88,8 @@ type RPCEnvelope struct {
 	Method  string          `json:"method,omitempty"`
 	Params  json.RawMessage `json:"params,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
-	Error   *RPCError       `json:"error,omitempty"`
+	Error   *rpcError       `json:"error,omitempty"`
 }
-
-// IsRequest reports whether the envelope is a client request (has a
-// method and an id).
-func (e RPCEnvelope) IsRequest() bool { return e.Method != "" && len(e.ID) > 0 }
 
 // IsNotification reports whether the envelope is a server push.
 func (e RPCEnvelope) IsNotification() bool { return e.Method != "" && len(e.ID) == 0 }
@@ -184,7 +180,7 @@ func AppendRPCResult(dst []byte, id json.RawMessage, result interface{}) ([]byte
 func AppendRPCError(dst []byte, id json.RawMessage, code int, msg string) ([]byte, error) {
 	line, err := json.Marshal(RPCEnvelope{
 		ID: normalizeID(id), JSONRPC: "2.0",
-		Error: &RPCError{Code: code, Message: msg},
+		Error: &rpcError{Code: code, Message: msg},
 	})
 	if err != nil {
 		return nil, err
@@ -204,7 +200,7 @@ func normalizeID(id json.RawMessage) json.RawMessage {
 // RPC line-read errors.
 var (
 	ErrRPCLineTooLong = errors.New("stratum: rpc line exceeds MaxRPCLine")
-	ErrRPCBadJSON     = errors.New("stratum: rpc line is not valid JSON")
+	errRPCBadJSON     = errors.New("stratum: rpc line is not valid JSON")
 )
 
 // ReadRPCLine reads one newline-delimited frame from r, enforcing
@@ -225,7 +221,7 @@ func ReadRPCLine(r *bufio.Reader) ([]byte, error) {
 func UnmarshalRPC(line []byte) (RPCEnvelope, error) {
 	var e RPCEnvelope
 	if err := json.Unmarshal(line, &e); err != nil {
-		return RPCEnvelope{}, fmt.Errorf("%w: %v", ErrRPCBadJSON, err)
+		return RPCEnvelope{}, fmt.Errorf("%w: %v", errRPCBadJSON, err)
 	}
 	return e, nil
 }

@@ -22,7 +22,7 @@ func TestRPCRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !env.IsRequest() || env.IsNotification() {
+	if !(env.Method != "" && len(env.ID) > 0) || env.IsNotification() {
 		t.Fatalf("frame shape wrong: %+v", env)
 	}
 	if env.Method != MethodLogin || string(env.ID) != "7" {
@@ -46,7 +46,7 @@ func TestRPCNotifyAndResponseShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !env.IsNotification() || env.IsRequest() {
+	if !env.IsNotification() || (env.Method != "" && len(env.ID) > 0) {
 		t.Fatalf("notification shape wrong: %+v", env)
 	}
 
@@ -145,7 +145,7 @@ func FuzzRPC(f *testing.F) {
 				t.Fatalf("round trip of %q: %v", line, err)
 			}
 		}
-		if env.IsRequest() && env.IsNotification() {
+		if (env.Method != "" && len(env.ID) > 0) && env.IsNotification() {
 			t.Fatal("frame cannot be both request and notification")
 		}
 	})

@@ -118,7 +118,7 @@ func (e Envelope) Decode(out interface{}) error {
 // Obfuscation constants: an 8-byte key XORed at a fixed offset inside the
 // blob (within the prev-hash field, so it garbles the chain pointer for
 // anyone using the blob outside the official miner).
-const ObfuscationOffset = 9
+const obfuscationOffset = 9
 
 var obfuscationKey = [8]byte{0x63, 0x6E, 0x68, 0x76, 0x2E, 0x63, 0x6F, 0x21}
 
@@ -129,11 +129,11 @@ var obfuscationKey = [8]byte{0x63, 0x6E, 0x68, 0x76, 0x2E, 0x63, 0x6F, 0x21}
 //
 //lint:hotpath
 func ObfuscateBlob(blob []byte) {
-	if len(blob) < ObfuscationOffset+len(obfuscationKey) {
+	if len(blob) < obfuscationOffset+len(obfuscationKey) {
 		return // blob too short to carry the obfuscated window
 	}
 	for i, k := range obfuscationKey {
-		blob[ObfuscationOffset+i] ^= k
+		blob[obfuscationOffset+i] ^= k
 	}
 }
 
@@ -149,8 +149,8 @@ func DecodeBlob(s string) ([]byte, error) {
 // allocation-free on rejection too (a flood of malformed blobs must not
 // turn into a flood of error-formatting allocations).
 var (
-	ErrBlobOddLength = errors.New("stratum: bad blob hex: odd length")
-	ErrBlobBadDigit  = errors.New("stratum: bad blob hex digit")
+	errBlobOddLength = errors.New("stratum: bad blob hex: odd length")
+	errBlobBadDigit  = errors.New("stratum: bad blob hex digit")
 )
 
 // AppendDecodedBlob decodes a wire blob into dst, reusing its capacity. The
@@ -162,7 +162,7 @@ var (
 //lint:hotpath
 func AppendDecodedBlob(dst []byte, s string) ([]byte, error) {
 	if len(s)%2 != 0 {
-		return nil, ErrBlobOddLength
+		return nil, errBlobOddLength
 	}
 	for i := 0; i < len(s); i += 2 {
 		hi := unhexTable[s[i]]
@@ -170,7 +170,7 @@ func AppendDecodedBlob(dst []byte, s string) ([]byte, error) {
 		// Valid digits decode to 0..15; 0xFF marks anything else, so a
 		// single range check covers both characters.
 		if hi|lo >= 0x10 {
-			return nil, ErrBlobBadDigit
+			return nil, errBlobBadDigit
 		}
 		dst = append(dst, hi<<4|lo)
 	}
@@ -207,15 +207,15 @@ func EncodeNonce(n uint32) string {
 // Nonce/target parse errors are static so the per-submit decode paths
 // stay allocation-free on rejection.
 var (
-	ErrBadNonce  = errors.New("stratum: bad nonce")
-	ErrBadTarget = errors.New("stratum: bad target")
+	errBadNonce  = errors.New("stratum: bad nonce")
+	errBadTarget = errors.New("stratum: bad target")
 )
 
 // DecodeNonce parses a Submit nonce.
 //
 //lint:hotpath
 func DecodeNonce(s string) (uint32, error) {
-	return decodeHexLE32(s, ErrBadNonce)
+	return decodeHexLE32(s, errBadNonce)
 }
 
 // EncodeTarget formats a compact target.
@@ -232,7 +232,7 @@ func EncodeTarget(t uint32) string {
 //
 //lint:hotpath
 func DecodeTarget(s string) (uint32, error) {
-	return decodeHexLE32(s, ErrBadTarget)
+	return decodeHexLE32(s, errBadTarget)
 }
 
 // decodeHexLE32 parses exactly eight hex digits as a little-endian uint32

@@ -64,7 +64,7 @@ func TestObfuscationAltersOnlyTheWindow(t *testing.T) {
 	for i := range blob {
 		if blob[i] != orig[i] {
 			changed++
-			if i < ObfuscationOffset || i >= ObfuscationOffset+8 {
+			if i < obfuscationOffset || i >= obfuscationOffset+8 {
 				t.Errorf("byte %d outside window changed", i)
 			}
 		}

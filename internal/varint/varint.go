@@ -5,19 +5,16 @@
 // byte strings must never decode to the same header.
 package varint
 
-import (
-	"errors"
-	"io"
-)
+import "errors"
 
-// MaxLen is the maximum number of bytes a uint64 varint can occupy.
-const MaxLen = 10
+// maxLen is the maximum number of bytes a uint64 varint can occupy.
+const maxLen = 10
 
 var (
-	// ErrOverflow is returned when a varint exceeds 64 bits.
-	ErrOverflow = errors.New("varint: value overflows uint64")
-	// ErrNonCanonical is returned for a valid but non-minimal encoding.
-	ErrNonCanonical = errors.New("varint: non-canonical encoding")
+	// errOverflow is returned when a varint exceeds 64 bits.
+	errOverflow = errors.New("varint: value overflows uint64")
+	// errNonCanonical is returned for a valid but non-minimal encoding.
+	errNonCanonical = errors.New("varint: non-canonical encoding")
 	// ErrTruncated is returned when input ends mid-varint.
 	ErrTruncated = errors.New("varint: truncated input")
 )
@@ -49,45 +46,18 @@ func Decode(buf []byte) (uint64, int, error) {
 	for i := 0; i < len(buf); i++ {
 		b := buf[i]
 		if i == 9 && b > 1 {
-			return 0, 0, ErrOverflow
+			return 0, 0, errOverflow
 		}
 		v |= uint64(b&0x7f) << (7 * uint(i))
 		if b&0x80 == 0 {
 			if b == 0 && i > 0 {
-				return 0, 0, ErrNonCanonical
+				return 0, 0, errNonCanonical
 			}
 			return v, i + 1, nil
 		}
-		if i == MaxLen-1 {
-			return 0, 0, ErrOverflow
+		if i == maxLen-1 {
+			return 0, 0, errOverflow
 		}
 	}
 	return 0, 0, ErrTruncated
-}
-
-// ReadFrom reads a canonical varint from r one byte at a time.
-func ReadFrom(r io.ByteReader) (uint64, error) {
-	var v uint64
-	for i := 0; ; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				return 0, ErrTruncated
-			}
-			return 0, err
-		}
-		if i == 9 && b > 1 {
-			return 0, ErrOverflow
-		}
-		v |= uint64(b&0x7f) << (7 * uint(i))
-		if b&0x80 == 0 {
-			if b == 0 && i > 0 {
-				return 0, ErrNonCanonical
-			}
-			return v, nil
-		}
-		if i == MaxLen-1 {
-			return 0, ErrOverflow
-		}
-	}
 }

@@ -38,22 +38,22 @@ func TestRoundTripKnownValues(t *testing.T) {
 
 func TestDecodeRejectsNonCanonical(t *testing.T) {
 	// 0x80 0x00 decodes to 0 but is two bytes: must be rejected.
-	if _, _, err := Decode([]byte{0x80, 0x00}); err != ErrNonCanonical {
+	if _, _, err := Decode([]byte{0x80, 0x00}); err != errNonCanonical {
 		t.Errorf("non-canonical zero: err = %v, want ErrNonCanonical", err)
 	}
 	// 0xff 0x00 -> 127 encoded non-minimally.
-	if _, _, err := Decode([]byte{0xff, 0x00}); err != ErrNonCanonical {
+	if _, _, err := Decode([]byte{0xff, 0x00}); err != errNonCanonical {
 		t.Errorf("non-canonical 127: err = %v, want ErrNonCanonical", err)
 	}
 }
 
 func TestDecodeRejectsOverflow(t *testing.T) {
 	in := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}
-	if _, _, err := Decode(in); err != ErrOverflow {
+	if _, _, err := Decode(in); err != errOverflow {
 		t.Errorf("overflow: err = %v, want ErrOverflow", err)
 	}
 	long := bytes.Repeat([]byte{0xff}, 11)
-	if _, _, err := Decode(long); err != ErrOverflow {
+	if _, _, err := Decode(long); err != errOverflow {
 		t.Errorf("11-byte varint: err = %v, want ErrOverflow", err)
 	}
 }
@@ -64,20 +64,6 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, _, err := Decode(nil); err != ErrTruncated {
 		t.Errorf("empty: err = %v, want ErrTruncated", err)
-	}
-}
-
-func TestReadFrom(t *testing.T) {
-	buf := Append(nil, 987654321)
-	r := bytes.NewReader(buf)
-	v, err := ReadFrom(r)
-	if err != nil || v != 987654321 {
-		t.Fatalf("ReadFrom = (%d, %v), want (987654321, nil)", v, err)
-	}
-	// Truncated stream.
-	r = bytes.NewReader([]byte{0x80})
-	if _, err := ReadFrom(r); err != ErrTruncated {
-		t.Errorf("ReadFrom truncated: err = %v, want ErrTruncated", err)
 	}
 }
 

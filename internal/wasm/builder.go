@@ -1,59 +1,56 @@
 package wasm
 
-// BodyBuilder assembles a function body instruction by instruction. It is
+// bodyBuilder assembles a function body instruction by instruction. It is
 // used by the synthetic-web generator to produce the miner and non-miner
 // modules the crawler later captures and fingerprints.
-type BodyBuilder struct {
+type bodyBuilder struct {
 	buf []byte
 }
 
-// NewBody returns an empty builder.
-func NewBody() *BodyBuilder { return &BodyBuilder{} }
+// newBody returns an empty builder.
+func newBody() *bodyBuilder { return &bodyBuilder{} }
 
-// Op emits an opcode with no immediate.
-func (b *BodyBuilder) Op(op Opcode) *BodyBuilder {
+// op emits an opcode with no immediate.
+func (b *bodyBuilder) op(op opcode) *bodyBuilder {
 	b.buf = append(b.buf, byte(op))
 	return b
 }
 
-// U32 emits an opcode with a u32 immediate (call, br, local.get, ...).
-func (b *BodyBuilder) U32(op Opcode, v uint32) *BodyBuilder {
+// u32 emits an opcode with a u32 immediate (call, br, local.get, ...).
+func (b *bodyBuilder) u32(op opcode, v uint32) *bodyBuilder {
 	b.buf = append(b.buf, byte(op))
 	b.buf = appendU32(b.buf, v)
 	return b
 }
 
-// Mem emits a load/store with align and offset immediates.
-func (b *BodyBuilder) Mem(op Opcode, align, offset uint32) *BodyBuilder {
+// mem emits a load/store with align and offset immediates.
+func (b *bodyBuilder) mem(op opcode, align, offset uint32) *bodyBuilder {
 	b.buf = append(b.buf, byte(op))
 	b.buf = appendU32(b.buf, align)
 	b.buf = appendU32(b.buf, offset)
 	return b
 }
 
-// I32Const emits an i32.const.
-func (b *BodyBuilder) I32Const(v int32) *BodyBuilder {
-	b.buf = append(b.buf, byte(OpI32Const))
+// i32Const emits an i32.const.
+func (b *bodyBuilder) i32Const(v int32) *bodyBuilder {
+	b.buf = append(b.buf, byte(opI32Const))
 	b.buf = appendS64(b.buf, int64(v))
 	return b
 }
 
-// Block emits a void block header; pair with End.
-func (b *BodyBuilder) Block(op Opcode) *BodyBuilder {
+// block emits a void block header; pair with end.
+func (b *bodyBuilder) block(op opcode) *bodyBuilder {
 	b.buf = append(b.buf, byte(op), 0x40)
 	return b
 }
 
-// End closes the innermost block (or the function).
-func (b *BodyBuilder) End() *BodyBuilder { return b.Op(OpEnd) }
+// end closes the innermost block (or the function).
+func (b *bodyBuilder) end() *bodyBuilder { return b.op(opEnd) }
 
-// Finish terminates the body and returns the raw bytes.
-func (b *BodyBuilder) Finish() []byte {
-	return append(b.buf, byte(OpEnd))
+// finish terminates the body and returns the raw bytes.
+func (b *bodyBuilder) finish() []byte {
+	return append(b.buf, byte(opEnd))
 }
-
-// Raw returns the bytes emitted so far without a terminator.
-func (b *BodyBuilder) Raw() []byte { return b.buf }
 
 // rng is a small deterministic generator (xorshift64*) so that synthesised
 // modules are reproducible from a seed. math/rand would work too, but a
@@ -95,19 +92,19 @@ type SynthSpec struct {
 func Synthesize(spec SynthSpec) *Module {
 	r := newRng(spec.Seed)
 	m := &Module{
-		Types:    []FuncType{{Params: []ValType{I32, I32}, Results: []ValType{I32}}},
-		Imports:  spec.Imports,
-		Memories: []Limits{{Min: spec.Pages}},
+		types:    []funcType{{params: []valType{i32, i32}, results: []valType{i32}}},
+		imports:  spec.Imports,
+		memories: []limits{{min: spec.Pages}},
 		Names:    map[uint32]string{},
 	}
 	for k, v := range spec.Names {
 		m.Names[k] = v
 	}
-	nImports := uint32(m.NumImportedFuncs())
+	nImports := uint32(m.numImportedFuncs())
 	for i := 0; i < spec.Funcs; i++ {
-		m.Functions = append(m.Functions, 0)
+		m.functions = append(m.functions, 0)
 		m.Codes = append(m.Codes, Code{
-			Locals: []LocalDecl{{Count: 4, Type: I64}, {Count: 2, Type: I32}},
+			locals: []localDecl{{count: 4, typ: i64}, {count: 2, typ: i32}},
 			Body:   synthBody(r, spec),
 		})
 	}
@@ -125,33 +122,33 @@ func Synthesize(spec SynthSpec) *Module {
 // not meant to execute; they are meant to *decode* exactly like real miner
 // bodies so every fingerprinting code path runs against realistic input.
 func synthBody(r *rng, spec SynthSpec) []byte {
-	b := NewBody()
-	b.Block(OpLoop)
-	aluXor := []Opcode{OpI64Xor, OpI64Shl, OpI64ShrU, OpI64Rotl, OpI64Rotr, OpI32Xor, OpI32Shl, OpI32ShrU}
-	aluPlain := []Opcode{OpI64Add, OpI64Sub, OpI64Mul, OpI64And, OpI64Or, OpI32Add, OpI32Mul, OpI32And}
+	b := newBody()
+	b.block(opLoop)
+	aluXor := []opcode{opI64Xor, opI64Shl, opI64ShrU, opI64Rotl, opI64Rotr, opI32Xor, opI32Shl, opI32ShrU}
+	aluPlain := []opcode{opI64Add, opI64Sub, opI64Mul, opI64And, opI64Or, opI32Add, opI32Mul, opI32And}
 	for i := 0; i < spec.BodyOps; i++ {
 		roll := float64(r.intn(1000)) / 1000
 		switch {
 		case roll < spec.MemWeight/2:
-			b.I32Const(int32(r.intn(1 << 20)))
-			b.Mem(OpI64Load, 3, uint32(r.intn(2048)))
+			b.i32Const(int32(r.intn(1 << 20)))
+			b.mem(opI64Load, 3, uint32(r.intn(2048)))
 		case roll < spec.MemWeight:
-			b.I32Const(int32(r.intn(1 << 20)))
-			b.U32(OpLocalGet, uint32(r.intn(4)))
-			b.Mem(OpI64Store, 3, uint32(r.intn(2048)))
+			b.i32Const(int32(r.intn(1 << 20)))
+			b.u32(opLocalGet, uint32(r.intn(4)))
+			b.mem(opI64Store, 3, uint32(r.intn(2048)))
 		case roll < spec.MemWeight+spec.XorWeight:
-			b.U32(OpLocalGet, uint32(r.intn(4)))
-			b.U32(OpLocalGet, uint32(r.intn(4)))
-			b.Op(aluXor[r.intn(len(aluXor))])
-			b.U32(OpLocalSet, uint32(r.intn(4)))
+			b.u32(opLocalGet, uint32(r.intn(4)))
+			b.u32(opLocalGet, uint32(r.intn(4)))
+			b.op(aluXor[r.intn(len(aluXor))])
+			b.u32(opLocalSet, uint32(r.intn(4)))
 		default:
-			b.U32(OpLocalGet, uint32(r.intn(4)))
-			b.U32(OpLocalGet, uint32(r.intn(4)))
-			b.Op(aluPlain[r.intn(len(aluPlain))])
-			b.U32(OpLocalSet, uint32(r.intn(4)))
+			b.u32(opLocalGet, uint32(r.intn(4)))
+			b.u32(opLocalGet, uint32(r.intn(4)))
+			b.op(aluPlain[r.intn(len(aluPlain))])
+			b.u32(opLocalSet, uint32(r.intn(4)))
 		}
 	}
-	b.End() // loop
-	b.U32(OpLocalGet, 4)
-	return b.Finish()
+	b.end() // loop
+	b.u32(opLocalGet, 4)
+	return b.finish()
 }

@@ -8,9 +8,9 @@ import (
 
 // Decoding errors.
 var (
-	ErrBadMagic   = errors.New("wasm: bad magic or version")
-	ErrTruncated  = errors.New("wasm: truncated module")
-	ErrBadSection = errors.New("wasm: malformed section")
+	errBadMagic   = errors.New("wasm: bad magic or version")
+	errTruncated  = errors.New("wasm: truncated module")
+	errBadSection = errors.New("wasm: malformed section")
 )
 
 var magic = []byte{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00}
@@ -38,7 +38,7 @@ func (r *reader) u32() (uint32, error) {
 
 func (r *reader) take(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.b) {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	out := r.b[r.off : r.off+n]
 	r.off += n
@@ -47,7 +47,7 @@ func (r *reader) take(n int) ([]byte, error) {
 
 func (r *reader) byte() (byte, error) {
 	if r.off >= len(r.b) {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	b := r.b[r.off]
 	r.off++
@@ -66,19 +66,19 @@ func (r *reader) name() (string, error) {
 	return string(b), nil
 }
 
-func (r *reader) limits() (Limits, error) {
-	var l Limits
+func (r *reader) limits() (limits, error) {
+	var l limits
 	flag, err := r.byte()
 	if err != nil {
 		return l, err
 	}
-	l.Min, err = r.u32()
+	l.min, err = r.u32()
 	if err != nil {
 		return l, err
 	}
 	if flag == 1 {
-		l.HasMax = true
-		l.Max, err = r.u32()
+		l.hasMax = true
+		l.max, err = r.u32()
 		if err != nil {
 			return l, err
 		}
@@ -123,7 +123,7 @@ func (r *reader) constExpr() ([]byte, error) {
 				return nil, err
 			}
 		default:
-			return nil, fmt.Errorf("%w: opcode %#x in const expr", ErrBadSection, op)
+			return nil, fmt.Errorf("%w: opcode %#x in const expr", errBadSection, op)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func (r *reader) constExpr() ([]byte, error) {
 // Decode parses a WebAssembly binary module.
 func Decode(buf []byte) (*Module, error) {
 	if !IsWasm(buf) {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	m := &Module{Names: map[uint32]string{}}
 	r := &reader{b: buf, off: 8}
@@ -168,7 +168,7 @@ func Decode(buf []byte) (*Module, error) {
 				if err != nil {
 					return nil, err
 				}
-				m.Functions = append(m.Functions, ti)
+				m.functions = append(m.functions, ti)
 			}
 		case secMemory:
 			n, err := sr.u32()
@@ -180,7 +180,7 @@ func Decode(buf []byte) (*Module, error) {
 				if err != nil {
 					return nil, err
 				}
-				m.Memories = append(m.Memories, l)
+				m.memories = append(m.memories, l)
 			}
 		case secGlobal:
 			if err := decodeGlobals(sr, m); err != nil {
@@ -226,7 +226,7 @@ func Decode(buf []byte) (*Module, error) {
 			// Parsed for framing only; contents are irrelevant to
 			// fingerprinting and ignored.
 		default:
-			return nil, fmt.Errorf("%w: unknown id %d", ErrBadSection, id)
+			return nil, fmt.Errorf("%w: unknown id %d", errBadSection, id)
 		}
 	}
 	return m, nil
@@ -243,9 +243,9 @@ func decodeTypes(r *reader, m *Module) error {
 			return err
 		}
 		if form != 0x60 {
-			return fmt.Errorf("%w: functype form %#x", ErrBadSection, form)
+			return fmt.Errorf("%w: functype form %#x", errBadSection, form)
 		}
-		var t FuncType
+		var t funcType
 		np, err := r.u32()
 		if err != nil {
 			return err
@@ -255,7 +255,7 @@ func decodeTypes(r *reader, m *Module) error {
 			if err != nil {
 				return err
 			}
-			t.Params = append(t.Params, ValType(b))
+			t.params = append(t.params, valType(b))
 		}
 		nr, err := r.u32()
 		if err != nil {
@@ -266,9 +266,9 @@ func decodeTypes(r *reader, m *Module) error {
 			if err != nil {
 				return err
 			}
-			t.Results = append(t.Results, ValType(b))
+			t.results = append(t.results, valType(b))
 		}
-		m.Types = append(m.Types, t)
+		m.types = append(m.types, t)
 	}
 	return nil
 }
@@ -294,8 +294,8 @@ func decodeImports(r *reader, m *Module) error {
 			if im.Type, err = r.u32(); err != nil {
 				return err
 			}
-		case ExtMemory:
-			if im.Mem, err = r.limits(); err != nil {
+		case extMemory:
+			if im.mem, err = r.limits(); err != nil {
 				return err
 			}
 		default:
@@ -303,7 +303,7 @@ func decodeImports(r *reader, m *Module) error {
 				return err
 			}
 		}
-		m.Imports = append(m.Imports, im)
+		m.imports = append(m.imports, im)
 	}
 	return nil
 }
@@ -314,21 +314,21 @@ func decodeGlobals(r *reader, m *Module) error {
 		return err
 	}
 	for i := uint32(0); i < n; i++ {
-		var g Global
+		var g global
 		t, err := r.byte()
 		if err != nil {
 			return err
 		}
-		g.Type = ValType(t)
+		g.typ = valType(t)
 		mut, err := r.byte()
 		if err != nil {
 			return err
 		}
-		g.Mutable = mut == 1
-		if g.Init, err = r.constExpr(); err != nil {
+		g.mutable = mut == 1
+		if g.init, err = r.constExpr(); err != nil {
 			return err
 		}
-		m.Globals = append(m.Globals, g)
+		m.globals = append(m.globals, g)
 	}
 	return nil
 }
@@ -362,7 +362,7 @@ func decodeCodes(r *reader, m *Module) error {
 			if err != nil {
 				return err
 			}
-			c.Locals = append(c.Locals, LocalDecl{Count: cnt, Type: ValType(tb)})
+			c.locals = append(c.locals, localDecl{count: cnt, typ: valType(tb)})
 		}
 		c.Body = body[br.off:]
 		m.Codes = append(m.Codes, c)
@@ -376,21 +376,21 @@ func decodeData(r *reader, m *Module) error {
 		return err
 	}
 	for i := uint32(0); i < n; i++ {
-		var d DataSegment
-		if d.MemIndex, err = r.u32(); err != nil {
+		var d dataSegment
+		if d.memIndex, err = r.u32(); err != nil {
 			return err
 		}
-		if d.Offset, err = r.constExpr(); err != nil {
+		if d.offset, err = r.constExpr(); err != nil {
 			return err
 		}
 		sz, err := r.u32()
 		if err != nil {
 			return err
 		}
-		if d.Init, err = r.take(int(sz)); err != nil {
+		if d.init, err = r.take(int(sz)); err != nil {
 			return err
 		}
-		m.Data = append(m.Data, d)
+		m.data = append(m.data, d)
 	}
 	return nil
 }

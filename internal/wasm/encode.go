@@ -14,16 +14,16 @@ func Encode(m *Module) []byte {
 	}
 
 	// Type section.
-	if len(m.Types) > 0 {
-		p := appendU32(nil, uint32(len(m.Types)))
-		for _, t := range m.Types {
+	if len(m.types) > 0 {
+		p := appendU32(nil, uint32(len(m.types)))
+		for _, t := range m.types {
 			p = append(p, 0x60)
-			p = appendU32(p, uint32(len(t.Params)))
-			for _, v := range t.Params {
+			p = appendU32(p, uint32(len(t.params)))
+			for _, v := range t.params {
 				p = append(p, byte(v))
 			}
-			p = appendU32(p, uint32(len(t.Results)))
-			for _, v := range t.Results {
+			p = appendU32(p, uint32(len(t.results)))
+			for _, v := range t.results {
 				p = append(p, byte(v))
 			}
 		}
@@ -31,17 +31,17 @@ func Encode(m *Module) []byte {
 	}
 
 	// Import section.
-	if len(m.Imports) > 0 {
-		p := appendU32(nil, uint32(len(m.Imports)))
-		for _, im := range m.Imports {
+	if len(m.imports) > 0 {
+		p := appendU32(nil, uint32(len(m.imports)))
+		for _, im := range m.imports {
 			p = appendName(p, im.Module)
 			p = appendName(p, im.Name)
 			p = append(p, im.Kind)
 			switch im.Kind {
 			case ExtFunc:
 				p = appendU32(p, im.Type)
-			case ExtMemory:
-				p = appendLimits(p, im.Mem)
+			case extMemory:
+				p = appendLimits(p, im.mem)
 			default:
 				// Tables/globals are not imported by any module we model.
 				p = appendU32(p, 0)
@@ -51,34 +51,34 @@ func Encode(m *Module) []byte {
 	}
 
 	// Function section.
-	if len(m.Functions) > 0 {
-		p := appendU32(nil, uint32(len(m.Functions)))
-		for _, ti := range m.Functions {
+	if len(m.functions) > 0 {
+		p := appendU32(nil, uint32(len(m.functions)))
+		for _, ti := range m.functions {
 			p = appendU32(p, ti)
 		}
 		section(secFunction, p)
 	}
 
 	// Memory section.
-	if len(m.Memories) > 0 {
-		p := appendU32(nil, uint32(len(m.Memories)))
-		for _, mem := range m.Memories {
+	if len(m.memories) > 0 {
+		p := appendU32(nil, uint32(len(m.memories)))
+		for _, mem := range m.memories {
 			p = appendLimits(p, mem)
 		}
 		section(secMemory, p)
 	}
 
 	// Global section.
-	if len(m.Globals) > 0 {
-		p := appendU32(nil, uint32(len(m.Globals)))
-		for _, g := range m.Globals {
-			p = append(p, byte(g.Type))
-			if g.Mutable {
+	if len(m.globals) > 0 {
+		p := appendU32(nil, uint32(len(m.globals)))
+		for _, g := range m.globals {
+			p = append(p, byte(g.typ))
+			if g.mutable {
 				p = append(p, 1)
 			} else {
 				p = append(p, 0)
 			}
-			p = append(p, g.Init...)
+			p = append(p, g.init...)
 		}
 		section(secGlobal, p)
 	}
@@ -99,10 +99,10 @@ func Encode(m *Module) []byte {
 		p := appendU32(nil, uint32(len(m.Codes)))
 		for _, c := range m.Codes {
 			var body []byte
-			body = appendU32(body, uint32(len(c.Locals)))
-			for _, l := range c.Locals {
-				body = appendU32(body, l.Count)
-				body = append(body, byte(l.Type))
+			body = appendU32(body, uint32(len(c.locals)))
+			for _, l := range c.locals {
+				body = appendU32(body, l.count)
+				body = append(body, byte(l.typ))
 			}
 			body = append(body, c.Body...)
 			p = appendU32(p, uint32(len(body)))
@@ -112,13 +112,13 @@ func Encode(m *Module) []byte {
 	}
 
 	// Data section.
-	if len(m.Data) > 0 {
-		p := appendU32(nil, uint32(len(m.Data)))
-		for _, d := range m.Data {
-			p = appendU32(p, d.MemIndex)
-			p = append(p, d.Offset...)
-			p = appendU32(p, uint32(len(d.Init)))
-			p = append(p, d.Init...)
+	if len(m.data) > 0 {
+		p := appendU32(nil, uint32(len(m.data)))
+		for _, d := range m.data {
+			p = appendU32(p, d.memIndex)
+			p = append(p, d.offset...)
+			p = appendU32(p, uint32(len(d.init)))
+			p = append(p, d.init...)
 		}
 		section(secData, p)
 	}
@@ -162,12 +162,12 @@ func appendName(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendLimits(dst []byte, l Limits) []byte {
-	if l.HasMax {
+func appendLimits(dst []byte, l limits) []byte {
+	if l.hasMax {
 		dst = append(dst, 1)
-		dst = appendU32(dst, l.Min)
-		return appendU32(dst, l.Max)
+		dst = appendU32(dst, l.min)
+		return appendU32(dst, l.max)
 	}
 	dst = append(dst, 0)
-	return appendU32(dst, l.Min)
+	return appendU32(dst, l.min)
 }

@@ -1,25 +1,25 @@
 package wasm
 
-// ValType is a WebAssembly value type.
-type ValType byte
+// valType is a WebAssembly value type.
+type valType byte
 
 // MVP value types.
 const (
-	I32 ValType = 0x7F
-	I64 ValType = 0x7E
-	F32 ValType = 0x7D
-	F64 ValType = 0x7C
+	i32 valType = 0x7F
+	i64 valType = 0x7E
+	f32 valType = 0x7D
+	f64 valType = 0x7C
 )
 
-func (v ValType) String() string {
+func (v valType) String() string {
 	switch v {
-	case I32:
+	case i32:
 		return "i32"
-	case I64:
+	case i64:
 		return "i64"
-	case F32:
+	case f32:
 		return "f32"
-	case F64:
+	case f64:
 		return "f64"
 	default:
 		return "valtype(?)"
@@ -45,22 +45,20 @@ const (
 // External kinds used by imports and exports.
 const (
 	ExtFunc   = 0
-	ExtTable  = 1
-	ExtMemory = 2
-	ExtGlobal = 3
+	extMemory = 2
 )
 
-// FuncType is a function signature.
-type FuncType struct {
-	Params  []ValType
-	Results []ValType
+// funcType is a function signature.
+type funcType struct {
+	params  []valType
+	results []valType
 }
 
-// Limits describe a memory's page bounds (64 KiB pages).
-type Limits struct {
-	Min    uint32
-	Max    uint32
-	HasMax bool
+// limits describe a memory's page bounds (64 KiB pages).
+type limits struct {
+	min    uint32
+	max    uint32
+	hasMax bool
 }
 
 // Import declares an imported entity.
@@ -69,7 +67,7 @@ type Import struct {
 	Name   string
 	Kind   byte
 	Type   uint32 // ExtFunc: type index
-	Mem    Limits // ExtMemory
+	mem    limits // extMemory
 }
 
 // Export makes an entity visible to the host.
@@ -79,53 +77,53 @@ type Export struct {
 	Index uint32
 }
 
-// Global is a module global variable.
-type Global struct {
-	Type    ValType
-	Mutable bool
-	Init    []byte // constant-expression bytes including the end opcode
+// global is a module global variable.
+type global struct {
+	typ     valType
+	mutable bool
+	init    []byte // constant-expression bytes including the end opcode
 }
 
 // Code is a function body: local declarations plus raw instruction bytes
 // (terminated by the 0x0B end opcode).
 type Code struct {
-	Locals []LocalDecl
+	locals []localDecl
 	Body   []byte
 }
 
-// LocalDecl declares Count locals of the same type.
-type LocalDecl struct {
-	Count uint32
-	Type  ValType
+// localDecl declares count locals of the same type.
+type localDecl struct {
+	count uint32
+	typ   valType
 }
 
-// DataSegment initialises linear memory.
-type DataSegment struct {
-	MemIndex uint32
-	Offset   []byte // constant-expression bytes including end
-	Init     []byte
+// dataSegment initialises linear memory.
+type dataSegment struct {
+	memIndex uint32
+	offset   []byte // constant-expression bytes including end
+	init     []byte
 }
 
 // Module is a decoded (or under-construction) WebAssembly module.
 type Module struct {
-	Types     []FuncType
-	Imports   []Import
-	Functions []uint32 // type index per module-defined function
-	Memories  []Limits
-	Globals   []Global
+	types     []funcType
+	imports   []Import
+	functions []uint32 // type index per module-defined function
+	memories  []limits
+	globals   []global
 	Exports   []Export
 	Codes     []Code
-	Data      []DataSegment
+	data      []dataSegment
 	// Names holds function names from the "name" custom section, keyed by
 	// function index (imports included in the index space).
 	Names map[uint32]string
 }
 
-// NumImportedFuncs counts imported functions, which precede module-defined
+// numImportedFuncs counts imported functions, which precede module-defined
 // functions in the index space.
-func (m *Module) NumImportedFuncs() int {
+func (m *Module) numImportedFuncs() int {
 	n := 0
-	for _, im := range m.Imports {
+	for _, im := range m.imports {
 		if im.Kind == ExtFunc {
 			n++
 		}
@@ -133,15 +131,12 @@ func (m *Module) NumImportedFuncs() int {
 	return n
 }
 
-// FuncName returns the name-section name of function index i, or "".
-func (m *Module) FuncName(i uint32) string { return m.Names[i] }
-
-// MemoryPages returns the minimum page count of the first memory (0 if the
+// memoryPages returns the minimum page count of the first memory (0 if the
 // module declares none). Miners are recognisable by large scratchpad
 // memories: CryptoNight needs 2 MiB = 32 pages before heap overhead.
-func (m *Module) MemoryPages() uint32 {
-	if len(m.Memories) == 0 {
+func (m *Module) memoryPages() uint32 {
+	if len(m.memories) == 0 {
 		return 0
 	}
-	return m.Memories[0].Min
+	return m.memories[0].min
 }

@@ -2,63 +2,53 @@ package wasm
 
 import "fmt"
 
-// Opcode is a single-byte MVP instruction opcode.
-type Opcode byte
+// opcode is a single-byte MVP instruction opcode.
+type opcode byte
 
-// Opcodes referenced by name elsewhere in the codebase.
+// The opcodes the builder, the walker and the feature extractor name.
 const (
-	OpUnreachable  Opcode = 0x00
-	OpNop          Opcode = 0x01
-	OpBlock        Opcode = 0x02
-	OpLoop         Opcode = 0x03
-	OpIf           Opcode = 0x04
-	OpElse         Opcode = 0x05
-	OpEnd          Opcode = 0x0B
-	OpBr           Opcode = 0x0C
-	OpBrIf         Opcode = 0x0D
-	OpBrTable      Opcode = 0x0E
-	OpReturn       Opcode = 0x0F
-	OpCall         Opcode = 0x10
-	OpCallIndirect Opcode = 0x11
-	OpDrop         Opcode = 0x1A
-	OpSelect       Opcode = 0x1B
-	OpLocalGet     Opcode = 0x20
-	OpLocalSet     Opcode = 0x21
-	OpLocalTee     Opcode = 0x22
-	OpGlobalGet    Opcode = 0x23
-	OpGlobalSet    Opcode = 0x24
-	OpI32Load      Opcode = 0x28
-	OpI64Load      Opcode = 0x29
-	OpI32Store     Opcode = 0x36
-	OpI64Store     Opcode = 0x37
-	OpMemorySize   Opcode = 0x3F
-	OpMemoryGrow   Opcode = 0x40
-	OpI32Const     Opcode = 0x41
-	OpI64Const     Opcode = 0x42
-	OpF32Const     Opcode = 0x43
-	OpF64Const     Opcode = 0x44
-	OpI32Add       Opcode = 0x6A
-	OpI32Sub       Opcode = 0x6B
-	OpI32Mul       Opcode = 0x6C
-	OpI32And       Opcode = 0x71
-	OpI32Or        Opcode = 0x72
-	OpI32Xor       Opcode = 0x73
-	OpI32Shl       Opcode = 0x74
-	OpI32ShrS      Opcode = 0x75
-	OpI32ShrU      Opcode = 0x76
-	OpI32Rotl      Opcode = 0x77
-	OpI32Rotr      Opcode = 0x78
-	OpI64Add       Opcode = 0x7C
-	OpI64Sub       Opcode = 0x7D
-	OpI64Mul       Opcode = 0x7E
-	OpI64And       Opcode = 0x83
-	OpI64Or        Opcode = 0x84
-	OpI64Xor       Opcode = 0x85
-	OpI64Shl       Opcode = 0x86
-	OpI64ShrS      Opcode = 0x87
-	OpI64ShrU      Opcode = 0x88
-	OpI64Rotl      Opcode = 0x89
-	OpI64Rotr      Opcode = 0x8A
+	opBlock        opcode = 0x02
+	opLoop         opcode = 0x03
+	opIf           opcode = 0x04
+	opEnd          opcode = 0x0B
+	opBr           opcode = 0x0C
+	opBrIf         opcode = 0x0D
+	opBrTable      opcode = 0x0E
+	opCall         opcode = 0x10
+	opCallIndirect opcode = 0x11
+	opDrop         opcode = 0x1A
+	opSelect       opcode = 0x1B
+	opLocalGet     opcode = 0x20
+	opLocalSet     opcode = 0x21
+	opGlobalSet    opcode = 0x24
+	opI64Load      opcode = 0x29
+	opI64Store     opcode = 0x37
+	opMemorySize   opcode = 0x3F
+	opMemoryGrow   opcode = 0x40
+	opI32Const     opcode = 0x41
+	opI64Const     opcode = 0x42
+	opF32Const     opcode = 0x43
+	opF64Const     opcode = 0x44
+	opI32Add       opcode = 0x6A
+	opI32Mul       opcode = 0x6C
+	opI32And       opcode = 0x71
+	opI32Xor       opcode = 0x73
+	opI32Shl       opcode = 0x74
+	opI32ShrS      opcode = 0x75
+	opI32ShrU      opcode = 0x76
+	opI32Rotl      opcode = 0x77
+	opI32Rotr      opcode = 0x78
+	opI64Add       opcode = 0x7C
+	opI64Sub       opcode = 0x7D
+	opI64Mul       opcode = 0x7E
+	opI64And       opcode = 0x83
+	opI64Or        opcode = 0x84
+	opI64Xor       opcode = 0x85
+	opI64Shl       opcode = 0x86
+	opI64ShrS      opcode = 0x87
+	opI64ShrU      opcode = 0x88
+	opI64Rotl      opcode = 0x89
+	opI64Rotr      opcode = 0x8A
 )
 
 // immKind describes an opcode's immediate encoding.
@@ -80,40 +70,40 @@ const (
 
 // immOf returns the immediate kind of op, or an error for gaps in the MVP
 // opcode space.
-func immOf(op Opcode) (immKind, error) {
+func immOf(op opcode) (immKind, error) {
 	switch {
-	case op == OpBlock || op == OpLoop || op == OpIf:
+	case op == opBlock || op == opLoop || op == opIf:
 		return immBlockType, nil
-	case op == OpBr || op == OpBrIf || op == OpCall ||
-		(op >= OpLocalGet && op <= OpGlobalSet):
+	case op == opBr || op == opBrIf || op == opCall ||
+		(op >= opLocalGet && op <= opGlobalSet):
 		return immU32, nil
-	case op == OpCallIndirect:
+	case op == opCallIndirect:
 		return immU32Byte, nil
-	case op == OpBrTable:
+	case op == opBrTable:
 		return immBrTable, nil
 	case op >= 0x28 && op <= 0x3E:
 		return immMemarg, nil
-	case op == OpMemorySize || op == OpMemoryGrow:
+	case op == opMemorySize || op == opMemoryGrow:
 		return immByte, nil
-	case op == OpI32Const:
+	case op == opI32Const:
 		return immS32, nil
-	case op == OpI64Const:
+	case op == opI64Const:
 		return immS64, nil
-	case op == OpF32Const:
+	case op == opF32Const:
 		return immF32, nil
-	case op == OpF64Const:
+	case op == opF64Const:
 		return immF64, nil
-	case op <= 0x11 || op == OpDrop || op == OpSelect || (op >= 0x45 && op <= 0xBF):
+	case op <= 0x11 || op == opDrop || op == opSelect || (op >= 0x45 && op <= 0xBF):
 		return immNone, nil
 	default:
 		return immNone, fmt.Errorf("wasm: unknown opcode %#02x", byte(op))
 	}
 }
 
-// WalkBody calls fn for every instruction in a function body (the raw bytes
+// walkBody calls fn for every instruction in a function body (the raw bytes
 // after local declarations, including the trailing end). fn receives the
 // opcode and the instruction's byte offset.
-func WalkBody(body []byte, fn func(op Opcode, offset int) error) error {
+func walkBody(body []byte, fn func(op opcode, offset int) error) error {
 	r := &reader{b: body}
 	for r.off < len(r.b) {
 		at := r.off
@@ -121,7 +111,7 @@ func WalkBody(body []byte, fn func(op Opcode, offset int) error) error {
 		if err != nil {
 			return err
 		}
-		op := Opcode(b)
+		op := opcode(b)
 		kind, err := immOf(op)
 		if err != nil {
 			return err
@@ -187,39 +177,39 @@ func WalkBody(body []byte, fn func(op Opcode, offset int) error) error {
 // distinctive" (§3.2).
 type Features struct {
 	Ops    int // total instructions
-	Xor    int
-	Shift  int
-	Rotate int
-	Load   int
-	Store  int
-	Mul    int
-	Call   int
-	Funcs  int // module-defined functions
+	xor    int
+	shift  int
+	rotate int
+	load   int
+	store  int
+	mul    int
+	call   int
+	funcs  int // module-defined functions
 	Pages  uint32
 }
 
 // ExtractFeatures walks all function bodies of m.
 func ExtractFeatures(m *Module) (Features, error) {
-	f := Features{Funcs: len(m.Codes), Pages: m.MemoryPages()}
+	f := Features{funcs: len(m.Codes), Pages: m.memoryPages()}
 	for _, c := range m.Codes {
-		err := WalkBody(c.Body, func(op Opcode, _ int) error {
+		err := walkBody(c.Body, func(op opcode, _ int) error {
 			f.Ops++
 			switch {
-			case op == OpI32Xor || op == OpI64Xor:
-				f.Xor++
-			case op == OpI32Shl || op == OpI32ShrS || op == OpI32ShrU ||
-				op == OpI64Shl || op == OpI64ShrS || op == OpI64ShrU:
-				f.Shift++
-			case op == OpI32Rotl || op == OpI32Rotr || op == OpI64Rotl || op == OpI64Rotr:
-				f.Rotate++
+			case op == opI32Xor || op == opI64Xor:
+				f.xor++
+			case op == opI32Shl || op == opI32ShrS || op == opI32ShrU ||
+				op == opI64Shl || op == opI64ShrS || op == opI64ShrU:
+				f.shift++
+			case op == opI32Rotl || op == opI32Rotr || op == opI64Rotl || op == opI64Rotr:
+				f.rotate++
 			case op >= 0x28 && op <= 0x35:
-				f.Load++
+				f.load++
 			case op >= 0x36 && op <= 0x3E:
-				f.Store++
-			case op == OpI32Mul || op == OpI64Mul:
-				f.Mul++
-			case op == OpCall || op == OpCallIndirect:
-				f.Call++
+				f.store++
+			case op == opI32Mul || op == opI64Mul:
+				f.mul++
+			case op == opCall || op == opCallIndirect:
+				f.call++
 			}
 			return nil
 		})
@@ -236,7 +226,7 @@ func (f Features) MixRatio() float64 {
 	if f.Ops == 0 {
 		return 0
 	}
-	return float64(f.Xor+f.Shift+f.Rotate) / float64(f.Ops)
+	return float64(f.xor+f.shift+f.rotate) / float64(f.Ops)
 }
 
 // MemoryRatio returns loads+stores per instruction, high for scratchpad
@@ -245,5 +235,5 @@ func (f Features) MemoryRatio() float64 {
 	if f.Ops == 0 {
 		return 0
 	}
-	return float64(f.Load+f.Store) / float64(f.Ops)
+	return float64(f.load+f.store) / float64(f.Ops)
 }

@@ -7,31 +7,31 @@ import (
 )
 
 func sampleModule() *Module {
-	body := NewBody().
-		U32(OpLocalGet, 0).
-		U32(OpLocalGet, 1).
-		Op(OpI32Xor).
-		Finish()
+	body := newBody().
+		u32(opLocalGet, 0).
+		u32(opLocalGet, 1).
+		op(opI32Xor).
+		finish()
 	return &Module{
-		Types: []FuncType{
-			{Params: []ValType{I32, I32}, Results: []ValType{I32}},
-			{Params: nil, Results: nil},
+		types: []funcType{
+			{params: []valType{i32, i32}, results: []valType{i32}},
+			{params: nil, results: nil},
 		},
-		Imports: []Import{
+		imports: []Import{
 			{Module: "env", Name: "abort", Kind: ExtFunc, Type: 1},
-			{Module: "env", Name: "memory", Kind: ExtMemory, Mem: Limits{Min: 32, Max: 64, HasMax: true}},
+			{Module: "env", Name: "memory", Kind: extMemory, mem: limits{min: 32, max: 64, hasMax: true}},
 		},
-		Functions: []uint32{0},
-		Memories:  []Limits{{Min: 33}},
-		Globals: []Global{
-			{Type: I32, Mutable: true, Init: NewBody().I32Const(7).Finish()},
+		functions: []uint32{0},
+		memories:  []limits{{min: 33}},
+		globals: []global{
+			{typ: i32, mutable: true, init: newBody().i32Const(7).finish()},
 		},
 		Exports: []Export{{Name: "cryptonight_hash", Kind: ExtFunc, Index: 1}},
 		Codes: []Code{
-			{Locals: []LocalDecl{{Count: 2, Type: I64}}, Body: body},
+			{locals: []localDecl{{count: 2, typ: i64}}, Body: body},
 		},
-		Data: []DataSegment{
-			{MemIndex: 0, Offset: NewBody().I32Const(16).Finish(), Init: []byte("sbox")},
+		data: []dataSegment{
+			{memIndex: 0, offset: newBody().i32Const(16).finish(), init: []byte("sbox")},
 		},
 		Names: map[uint32]string{1: "cryptonight_hash"},
 	}
@@ -47,20 +47,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Types) != 2 || len(got.Types[0].Params) != 2 || got.Types[0].Results[0] != I32 {
-		t.Errorf("types: %+v", got.Types)
+	if len(got.types) != 2 || len(got.types[0].params) != 2 || got.types[0].results[0] != i32 {
+		t.Errorf("types: %+v", got.types)
 	}
-	if len(got.Imports) != 2 || got.Imports[0].Name != "abort" || got.Imports[1].Mem.Max != 64 {
-		t.Errorf("imports: %+v", got.Imports)
+	if len(got.imports) != 2 || got.imports[0].Name != "abort" || got.imports[1].mem.max != 64 {
+		t.Errorf("imports: %+v", got.imports)
 	}
-	if len(got.Functions) != 1 || got.Functions[0] != 0 {
-		t.Errorf("functions: %+v", got.Functions)
+	if len(got.functions) != 1 || got.functions[0] != 0 {
+		t.Errorf("functions: %+v", got.functions)
 	}
-	if got.MemoryPages() != 33 {
-		t.Errorf("pages = %d, want 33", got.MemoryPages())
+	if got.memoryPages() != 33 {
+		t.Errorf("pages = %d, want 33", got.memoryPages())
 	}
-	if len(got.Globals) != 1 || !got.Globals[0].Mutable {
-		t.Errorf("globals: %+v", got.Globals)
+	if len(got.globals) != 1 || !got.globals[0].mutable {
+		t.Errorf("globals: %+v", got.globals)
 	}
 	if len(got.Exports) != 1 || got.Exports[0].Name != "cryptonight_hash" {
 		t.Errorf("exports: %+v", got.Exports)
@@ -68,13 +68,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(got.Codes) != 1 || !bytes.Equal(got.Codes[0].Body, m.Codes[0].Body) {
 		t.Errorf("code bodies differ")
 	}
-	if got.Codes[0].Locals[0] != (LocalDecl{Count: 2, Type: I64}) {
-		t.Errorf("locals: %+v", got.Codes[0].Locals)
+	if got.Codes[0].locals[0] != (localDecl{count: 2, typ: i64}) {
+		t.Errorf("locals: %+v", got.Codes[0].locals)
 	}
-	if len(got.Data) != 1 || string(got.Data[0].Init) != "sbox" {
-		t.Errorf("data: %+v", got.Data)
+	if len(got.data) != 1 || string(got.data[0].init) != "sbox" {
+		t.Errorf("data: %+v", got.data)
 	}
-	if got.FuncName(1) != "cryptonight_hash" {
+	if got.Names[1] != "cryptonight_hash" {
 		t.Errorf("names: %+v", got.Names)
 	}
 	// Re-encoding a decoded module must be byte-identical (stable fingerprints).
@@ -84,7 +84,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not wasm at all")); err != ErrBadMagic {
+	if _, err := Decode([]byte("not wasm at all")); err != errBadMagic {
 		t.Errorf("bad magic: err = %v", err)
 	}
 	// Valid magic, truncated section.
@@ -126,16 +126,16 @@ func TestLEBAcceptsNonMinimal(t *testing.T) {
 }
 
 func TestWalkBodyCountsAndOffsets(t *testing.T) {
-	body := NewBody().
-		I32Const(1024).
-		Mem(OpI64Load, 3, 16).
-		U32(OpLocalGet, 0).
-		Op(OpI64Xor).
-		U32(OpLocalSet, 1).
-		Finish()
-	var ops []Opcode
+	body := newBody().
+		i32Const(1024).
+		mem(opI64Load, 3, 16).
+		u32(opLocalGet, 0).
+		op(opI64Xor).
+		u32(opLocalSet, 1).
+		finish()
+	var ops []opcode
 	var offsets []int
-	err := WalkBody(body, func(op Opcode, off int) error {
+	err := walkBody(body, func(op opcode, off int) error {
 		ops = append(ops, op)
 		offsets = append(offsets, off)
 		return nil
@@ -143,7 +143,7 @@ func TestWalkBodyCountsAndOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Opcode{OpI32Const, OpI64Load, OpLocalGet, OpI64Xor, OpLocalSet, OpEnd}
+	want := []opcode{opI32Const, opI64Load, opLocalGet, opI64Xor, opLocalSet, opEnd}
 	if len(ops) != len(want) {
 		t.Fatalf("ops = %v, want %v", ops, want)
 	}
@@ -158,19 +158,19 @@ func TestWalkBodyCountsAndOffsets(t *testing.T) {
 }
 
 func TestWalkBodyBrTable(t *testing.T) {
-	b := NewBody()
-	b.Block(OpBlock).Block(OpBlock)
-	b.I32Const(1)
+	b := newBody()
+	b.block(opBlock).block(opBlock)
+	b.i32Const(1)
 	// br_table with 2 targets + default.
-	b.buf = append(b.buf, byte(OpBrTable))
+	b.buf = append(b.buf, byte(opBrTable))
 	b.buf = appendU32(b.buf, 2)
 	b.buf = appendU32(b.buf, 0)
 	b.buf = appendU32(b.buf, 1)
 	b.buf = appendU32(b.buf, 0)
-	b.End().End()
-	body := b.Finish()
+	b.end().end()
+	body := b.finish()
 	n := 0
-	if err := WalkBody(body, func(op Opcode, _ int) error { n++; return nil }); err != nil {
+	if err := walkBody(body, func(op opcode, _ int) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 7 { // block block i32.const br_table end end end
@@ -179,7 +179,7 @@ func TestWalkBodyBrTable(t *testing.T) {
 }
 
 func TestWalkBodyRejectsUnknownOpcode(t *testing.T) {
-	if err := WalkBody([]byte{0xFE, 0x0B}, func(Opcode, int) error { return nil }); err == nil {
+	if err := walkBody([]byte{0xFE, 0x0B}, func(opcode, int) error { return nil }); err == nil {
 		t.Error("unknown opcode accepted")
 	}
 }
@@ -209,8 +209,8 @@ func TestExtractFeaturesOnSynthesizedMiner(t *testing.T) {
 	if fm.Pages != 36 || fb.Pages != 2 {
 		t.Errorf("pages: %d/%d", fm.Pages, fb.Pages)
 	}
-	if fm.Funcs != 8 {
-		t.Errorf("funcs = %d", fm.Funcs)
+	if fm.funcs != 8 {
+		t.Errorf("funcs = %d", fm.funcs)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestSynthesizedModulesDecode(t *testing.T) {
 	if len(m.Codes) != 16 {
 		t.Errorf("codes = %d", len(m.Codes))
 	}
-	if m.FuncName(1) != "cn_slow_hash" {
+	if m.Names[1] != "cn_slow_hash" {
 		t.Error("name section lost")
 	}
 	if _, err := ExtractFeatures(m); err != nil {

@@ -23,7 +23,7 @@ func cachedBinary(spec fingerprint.FamilySpec, version int) []byte {
 }
 
 // Default population-category mix, loosely web-shaped.
-var defaultSiteCats = []Weighted{
+var defaultSiteCats = []weighted{
 	{rulespace.CatBusiness, 0.16}, {rulespace.CatTech, 0.12},
 	{rulespace.CatShopping, 0.10}, {rulespace.CatBlog, 0.09},
 	{rulespace.CatEntMusic, 0.08}, {rulespace.CatEducation, 0.07},
@@ -41,11 +41,11 @@ var defaultSiteCats = []Weighted{
 func DefaultConfig(tld TLD, n int, seed uint64) Config {
 	cfg := Config{
 		TLD:           tld,
-		N:             n,
-		Seed:          seed,
-		SiteCats:      defaultSiteCats,
-		DeadFamilyMix: deadFamilyMix,
-		AdNetCats: []Weighted{ // cpmstar is a *gaming* ad network
+		n:             n,
+		seed:          seed,
+		siteCats:      defaultSiteCats,
+		deadFamilyMix: deadFamilyMix,
+		adNetCats: []weighted{ // cpmstar is a *gaming* ad network
 			{rulespace.CatGaming, 0.75}, {rulespace.CatEntMusic, 0.15},
 			{rulespace.CatTech, 0.10},
 		},
@@ -59,15 +59,15 @@ func DefaultConfig(tld TLD, n int, seed uint64) Config {
 		cfg.DeadMinerRate = 764.0 / 950_000 // NoCoin hits without Wasm, minus ad network
 		cfg.AdNetworkRate = 100.0 / 950_000
 		cfg.BenignWasmRate = (796.0 - 737.0) / 950_000
-		cfg.DeadCats = []Weighted{ // Table 3, Alexa "NoCoin" column shape
+		cfg.deadCats = []weighted{ // Table 3, Alexa "NoCoin" column shape
 			{rulespace.CatGaming, 0.16}, {rulespace.CatEducation, 0.09},
 			{rulespace.CatShopping, 0.08}, {rulespace.CatPorn, 0.07},
 			{rulespace.CatTech, 0.06}, {rulespace.CatBusiness, 0.05},
 			{rulespace.CatEntMusic, 0.05}, {rulespace.CatBlog, 0.04},
 		}
-		cfg.TLSBrokenRate = 0.28
+		cfg.tlsBrokenRate = 0.28
 		cfg.OfficialLoaderFrac = 0.26 // yields ≈129/737 NoCoin-visible (family-gated)
-		cfg.FamilyMix = []Weighted{   // Table 1, Alexa column
+		cfg.familyMix = []weighted{   // Table 1, Alexa column
 			{fingerprint.FamilyCoinhive, 311},
 			{fingerprint.FamilySkencituer, 123},
 			{fingerprint.FamilyCryptoloot, 103},
@@ -79,7 +79,7 @@ func DefaultConfig(tld TLD, n int, seed uint64) Config {
 			{fingerprint.FamilyWpMonero, 14},
 			{fingerprint.FamilyDeepMiner, 14},
 		}
-		cfg.MinerCats = []Weighted{ // Table 3, Alexa "Signature" column
+		cfg.minerCats = []weighted{ // Table 3, Alexa "Signature" column
 			{rulespace.CatPorn, 0.19}, {rulespace.CatTech, 0.08},
 			{rulespace.CatFilesharing, 0.08}, {rulespace.CatEducation, 0.05},
 			{rulespace.CatEntMusic, 0.05}, {rulespace.CatGaming, 0.04},
@@ -92,15 +92,15 @@ func DefaultConfig(tld TLD, n int, seed uint64) Config {
 		cfg.DeadMinerRate = 468.0 / 9_000_000
 		cfg.AdNetworkRate = 60.0 / 9_000_000
 		cfg.BenignWasmRate = (1491.0 - 1372.0) / 9_000_000
-		cfg.DeadCats = []Weighted{ // Table 3, .org "NoCoin" column shape
+		cfg.deadCats = []weighted{ // Table 3, .org "NoCoin" column shape
 			{rulespace.CatGaming, 0.25}, {rulespace.CatBusiness, 0.08},
 			{rulespace.CatEducation, 0.06}, {rulespace.CatPorn, 0.05},
 			{rulespace.CatShopping, 0.04}, {rulespace.CatBlog, 0.04},
 			{rulespace.CatHealth, 0.04}, {rulespace.CatTech, 0.03},
 		}
-		cfg.TLSBrokenRate = 0.52
+		cfg.tlsBrokenRate = 0.52
 		cfg.OfficialLoaderFrac = 0.465 // yields ≈450/1372 NoCoin-visible (family-gated)
-		cfg.FamilyMix = []Weighted{    // Table 1, .org column
+		cfg.familyMix = []weighted{    // Table 1, .org column
 			{fingerprint.FamilyCoinhive, 711},
 			{fingerprint.FamilyCryptoloot, 183},
 			{fingerprint.FamilyWebStatiBid, 120},
@@ -112,7 +112,7 @@ func DefaultConfig(tld TLD, n int, seed uint64) Config {
 			{fingerprint.FamilyWpMonero, 18},
 			{fingerprint.FamilyMonerise, 16},
 		}
-		cfg.MinerCats = []Weighted{ // Table 3, .org "Signature" column
+		cfg.minerCats = []weighted{ // Table 3, .org "Signature" column
 			{rulespace.CatReligion, 0.09}, {rulespace.CatBusiness, 0.08},
 			{rulespace.CatEducation, 0.08}, {rulespace.CatHealth, 0.07},
 			{rulespace.CatTech, 0.06}, {rulespace.CatBlog, 0.04},
@@ -125,28 +125,28 @@ func DefaultConfig(tld TLD, n int, seed uint64) Config {
 		cfg.DeadMinerRate = 6_600.0 / 116_000_000
 		cfg.AdNetworkRate = 800.0 / 116_000_000
 		cfg.BenignWasmRate = 700.0 / 116_000_000
-		cfg.DeadCats = defaultSiteCats
-		cfg.TLSBrokenRate = 0.30
+		cfg.deadCats = defaultSiteCats
+		cfg.tlsBrokenRate = 0.30
 		cfg.OfficialLoaderFrac = 0.30
-		cfg.FamilyMix = comNetFamilyMix
-		cfg.MinerCats = defaultSiteCats
+		cfg.familyMix = comNetFamilyMix
+		cfg.minerCats = defaultSiteCats
 	case TLDNet:
 		cfg.MinerWasmRate = 800.0 / 12_000_000
 		cfg.DeadMinerRate = 590.0 / 12_000_000
 		cfg.AdNetworkRate = 80.0 / 12_000_000
 		cfg.BenignWasmRate = 70.0 / 12_000_000
-		cfg.DeadCats = defaultSiteCats
-		cfg.TLSBrokenRate = 0.30
+		cfg.deadCats = defaultSiteCats
+		cfg.tlsBrokenRate = 0.30
 		cfg.OfficialLoaderFrac = 0.30
-		cfg.FamilyMix = comNetFamilyMix
-		cfg.MinerCats = defaultSiteCats
+		cfg.familyMix = comNetFamilyMix
+		cfg.minerCats = defaultSiteCats
 	}
 	return cfg
 }
 
 // deadFamilyMix shapes Fig. 2's script-family bars: the stock-loader
 // population is overwhelmingly coinhive.
-var deadFamilyMix = []Weighted{
+var deadFamilyMix = []weighted{
 	{fingerprint.FamilyCoinhive, 0.85},
 	{fingerprint.FamilyAuthedmine, 0.06},
 	{fingerprint.FamilyWpMonero, 0.04},
@@ -154,7 +154,7 @@ var deadFamilyMix = []Weighted{
 	{fingerprint.FamilyDeepMiner, 0.02},
 }
 
-var comNetFamilyMix = []Weighted{
+var comNetFamilyMix = []weighted{
 	{fingerprint.FamilyCoinhive, 0.62},
 	{fingerprint.FamilyAuthedmine, 0.07},
 	{fingerprint.FamilyWpMonero, 0.06},

@@ -148,14 +148,14 @@ func AppendStaticHTML(dst []byte, s *Site) []byte {
 	b = append(b, `<script src="https://code.jquery.com/jquery-3.3.1.min.js"></script>`+"\n"...)
 	b = append(b, `<script>window.dataLayer=window.dataLayer||[];function gtag(){dataLayer.push(arguments);}</script>`+"\n"...)
 
-	if s.DeadMiner != nil {
+	if s.deadMiner != nil {
 		// The stock loader is there for any list to match; nothing will
 		// ever run it.
-		if l, ok := loaderFor(s.DeadMiner.Family); ok {
-			b = l.appendTo(b, s.DeadMiner.Token)
+		if l, ok := loaderFor(s.deadMiner.family); ok {
+			b = l.appendTo(b, s.deadMiner.token)
 		}
 	}
-	if s.AdNetwork == "cpmstar" {
+	if s.adNetwork == "cpmstar" {
 		b = append(b, `<script src="https://cdn.cpmstar.com/cached/js/cpmstar.js"></script>`+"\n"...)
 	}
 	if s.Miner != nil && s.Miner.OfficialLoader {
@@ -250,8 +250,8 @@ func AppendExecuted(dst []byte, s *Site) ([]byte, ExecutedArtifacts) {
 		art.WSHosts = append(art.WSHosts, backendHost(s))
 	}
 	if s.BenignWasm != nil {
-		if spec, ok := fingerprint.SpecByName(s.BenignWasm.Family); ok {
-			art.Wasm = append(art.Wasm, cachedBinary(spec, s.BenignWasm.Version%spec.Versions))
+		if spec, ok := fingerprint.SpecByName(s.BenignWasm.family); ok {
+			art.Wasm = append(art.Wasm, cachedBinary(spec, s.BenignWasm.version%spec.Versions))
 		}
 	}
 	return b, art

@@ -19,13 +19,13 @@ func refRenderStaticHTML(s *Site) string {
 	b.WriteString(`<meta charset="utf-8">` + "\n")
 	b.WriteString(`<script src="https://code.jquery.com/jquery-3.3.1.min.js"></script>` + "\n")
 	b.WriteString(`<script>window.dataLayer=window.dataLayer||[];function gtag(){dataLayer.push(arguments);}</script>` + "\n")
-	if s.DeadMiner != nil {
-		if ls, ok := familySpec(s.DeadMiner.Family); ok {
+	if s.deadMiner != nil {
+		if ls, ok := familySpec(s.deadMiner.family); ok {
 			fmt.Fprintf(&b, "<script src=%q></script>\n", ls.scriptURL)
-			fmt.Fprintf(&b, "<script>"+ls.inline+"</script>\n", s.DeadMiner.Token)
+			fmt.Fprintf(&b, "<script>"+ls.inline+"</script>\n", s.deadMiner.token)
 		}
 	}
-	if s.AdNetwork == "cpmstar" {
+	if s.adNetwork == "cpmstar" {
 		b.WriteString(`<script src="https://cdn.cpmstar.com/cached/js/cpmstar.js"></script>` + "\n")
 	}
 	if s.Miner != nil && s.Miner.OfficialLoader {
@@ -98,9 +98,9 @@ func TestRenderMatchesFmtReference(t *testing.T) {
 				t.Fatalf("%s: Execute HTML differs from the fmt reference\ngot:\n%s\nwant:\n%s", s.Domain, got, want)
 			}
 			switch {
-			case s.DeadMiner != nil:
+			case s.deadMiner != nil:
 				branches["dead"]++
-			case s.AdNetwork == "cpmstar":
+			case s.adNetwork == "cpmstar":
 				branches["cpmstar"]++
 			case s.Miner == nil:
 			case !s.Miner.OfficialLoader:

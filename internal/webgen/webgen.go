@@ -40,22 +40,22 @@ type MinerDeployment struct {
 	// NoCoin even on the post-execution HTML, which is why the paper finds
 	// 82%/67% of Wasm-confirmed miners missing from the list.
 	OfficialLoader bool
-	Throttle       float64 // fraction of CPU left idle by the miner
+	throttle       float64 // fraction of CPU left idle by the miner
 }
 
 // WasmDeployment is benign WebAssembly on a site.
 type WasmDeployment struct {
-	Family  string
-	Version int
+	family  string
+	version int
 }
 
-// DeadDeployment is a miner script that never executes: the stock loader
+// deadDeployment is a miner script that never executes: the stock loader
 // tag is in the HTML (so block lists flag it) but no Wasm is ever
 // instantiated — parked sites, wrong tokens, disabled accounts. These are
 // the bulk of the paper's "NoCoin hits without mining Wasm" population.
-type DeadDeployment struct {
-	Family string
-	Token  string
+type deadDeployment struct {
+	family string
+	token  string
 }
 
 // LoadProfile drives the browser's page-load heuristic.
@@ -73,38 +73,38 @@ type Site struct {
 	Rank       int
 	Categories []string
 	Miner      *MinerDeployment
-	DeadMiner  *DeadDeployment
+	deadMiner  *deadDeployment
 	BenignWasm *WasmDeployment
-	AdNetwork  string // "cpmstar" for the gaming ad network FP sites
+	adNetwork  string // "cpmstar" for the gaming ad network FP sites
 	Load       LoadProfile
 }
 
-// Weighted is a generic weighted choice entry.
-type Weighted struct {
-	Key    string
-	Weight float64
+// weighted is a generic weighted choice entry.
+type weighted struct {
+	key    string
+	weight float64
 }
 
-// Config parameterises corpus generation. All rates are fractions of N.
+// Config parameterises corpus generation. All rates are fractions of n.
 type Config struct {
 	TLD  TLD
-	N    int
-	Seed uint64
+	n    int
+	seed uint64
 
 	MinerWasmRate      float64 // sites that mine when executed
 	OfficialLoaderFrac float64 // of miners, fraction using the stock loader tag
 	DeadMinerRate      float64 // sites with a stock loader but no execution
 	AdNetworkRate      float64 // cpmstar-carrying sites
 	BenignWasmRate     float64
-	TLSBrokenRate      float64
+	tlsBrokenRate      float64
 	TimeoutRate        float64 // sites that never fire a load event
 
-	FamilyMix     []Weighted // miner family mix (may include "UnknownWSS")
-	DeadFamilyMix []Weighted // dead-deployment script families
-	SiteCats      []Weighted // general population categories
-	MinerCats     []Weighted // category prior for miner sites
-	DeadCats      []Weighted // category prior for dead-deployment sites
-	AdNetCats     []Weighted // category prior for ad-network sites
+	familyMix     []weighted // miner family mix (may include "UnknownWSS")
+	deadFamilyMix []weighted // dead-deployment script families
+	siteCats      []weighted // general population categories
+	minerCats     []weighted // category prior for miner sites
+	deadCats      []weighted // category prior for dead-deployment sites
+	adNetCats     []weighted // category prior for ad-network sites
 }
 
 // Corpus is a generated population.
@@ -133,27 +133,27 @@ func (r *rng) next() uint64 {
 func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-func (r *rng) pick(w []Weighted) string {
+func (r *rng) pick(w []weighted) string {
 	total := 0.0
 	for _, e := range w {
-		total += e.Weight
+		total += e.weight
 	}
 	x := r.float() * total
 	for _, e := range w {
-		x -= e.Weight
+		x -= e.weight
 		if x <= 0 {
-			return e.Key
+			return e.key
 		}
 	}
-	return w[len(w)-1].Key
+	return w[len(w)-1].key
 }
 
 // Generate builds a deterministic corpus from cfg.
 func Generate(cfg Config) *Corpus {
-	c := &Corpus{Cfg: cfg, Sites: make([]*Site, 0, cfg.N)}
-	for i := 0; i < cfg.N; i++ {
+	c := &Corpus{Cfg: cfg, Sites: make([]*Site, 0, cfg.n)}
+	for i := 0; i < cfg.n; i++ {
 		domain := domainFor(cfg.TLD, i)
-		h := keccak.Sum256([]byte(fmt.Sprintf("site:%d:%s", cfg.Seed, domain)))
+		h := keccak.Sum256([]byte(fmt.Sprintf("site:%d:%s", cfg.seed, domain)))
 		r := newRng(uint64(h[0]) | uint64(h[1])<<8 | uint64(h[2])<<16 | uint64(h[3])<<24 |
 			uint64(h[4])<<32 | uint64(h[5])<<40 | uint64(h[6])<<48 | uint64(h[7])<<56)
 		s := &Site{
@@ -164,41 +164,41 @@ func Generate(cfg Config) *Corpus {
 		roll := r.float()
 		switch {
 		case roll < cfg.MinerWasmRate:
-			fam := r.pick(cfg.FamilyMix)
+			fam := r.pick(cfg.familyMix)
 			s.Miner = &MinerDeployment{
 				Family:         fam,
 				Version:        r.intn(versionsOf(fam)),
 				Token:          fmt.Sprintf("tok-%x", h[8:14]),
 				OfficialLoader: r.float() < cfg.OfficialLoaderFrac,
-				Throttle:       0.3 * r.float(),
+				throttle:       0.3 * r.float(),
 			}
-			s.Categories = []string{r.pick(cfg.MinerCats)}
+			s.Categories = []string{r.pick(cfg.minerCats)}
 		case roll < cfg.MinerWasmRate+cfg.DeadMinerRate:
-			s.DeadMiner = &DeadDeployment{
-				Family: r.pick(cfg.DeadFamilyMix),
-				Token:  fmt.Sprintf("tok-%x", h[8:14]),
+			s.deadMiner = &deadDeployment{
+				family: r.pick(cfg.deadFamilyMix),
+				token:  fmt.Sprintf("tok-%x", h[8:14]),
 			}
-			s.Categories = []string{r.pick(cfg.DeadCats)}
+			s.Categories = []string{r.pick(cfg.deadCats)}
 		case roll < cfg.MinerWasmRate+cfg.DeadMinerRate+cfg.AdNetworkRate:
-			s.AdNetwork = "cpmstar"
-			s.Categories = []string{r.pick(cfg.AdNetCats)}
+			s.adNetwork = "cpmstar"
+			s.Categories = []string{r.pick(cfg.adNetCats)}
 		case roll < cfg.MinerWasmRate+cfg.DeadMinerRate+cfg.AdNetworkRate+cfg.BenignWasmRate:
 			s.BenignWasm = &WasmDeployment{
-				Family:  r.pick(benignFamilies),
-				Version: r.intn(4),
+				family:  r.pick(benignFamilies),
+				version: r.intn(4),
 			}
-			s.Categories = []string{r.pick(cfg.SiteCats)}
+			s.Categories = []string{r.pick(cfg.siteCats)}
 		default:
-			s.Categories = []string{r.pick(cfg.SiteCats)}
+			s.Categories = []string{r.pick(cfg.siteCats)}
 		}
 		// Some sites carry a secondary category, as RuleSpace does.
 		if r.float() < 0.2 {
-			s.Categories = append(s.Categories, r.pick(cfg.SiteCats))
+			s.Categories = append(s.Categories, r.pick(cfg.siteCats))
 		}
 		s.Load = LoadProfile{
 			HasLoadEvent: r.float() >= cfg.TimeoutRate,
 			LoadEventMs:  200 + r.intn(2800),
-			TLSBroken:    r.float() < cfg.TLSBrokenRate,
+			TLSBroken:    r.float() < cfg.tlsBrokenRate,
 		}
 		for n := r.intn(3); n > 0; n-- {
 			s.Load.DOMChangeMs = append(s.Load.DOMChangeMs, 100+r.intn(1500))
@@ -208,11 +208,11 @@ func Generate(cfg Config) *Corpus {
 	return c
 }
 
-var benignFamilies = []Weighted{
-	{Key: "game-engine", Weight: 0.4},
-	{Key: "image-codec", Weight: 0.3},
-	{Key: "math-kernel", Weight: 0.15},
-	{Key: "crypto-lib", Weight: 0.15},
+var benignFamilies = []weighted{
+	{key: "game-engine", weight: 0.4},
+	{key: "image-codec", weight: 0.3},
+	{key: "math-kernel", weight: 0.15},
+	{key: "crypto-lib", weight: 0.15},
 }
 
 func domainFor(tld TLD, i int) string {

@@ -45,7 +45,7 @@ func TestMinerRateApproximatesConfig(t *testing.T) {
 			miners++
 		}
 	}
-	want := cfg.MinerWasmRate * float64(cfg.N)
+	want := cfg.MinerWasmRate * float64(cfg.n)
 	if float64(miners) < want*0.7 || float64(miners) > want*1.3 {
 		t.Errorf("miners = %d, want ~%.0f", miners, want)
 	}

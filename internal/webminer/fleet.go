@@ -11,10 +11,10 @@ type Task struct {
 	URL       string
 	SiteKey   string
 	LinkID    string
-	CaptchaID string
-	// WantShares is passed to Client.Mine; ignored for link/captcha
+	captchaID string
+	// wantShares is passed to Client.Mine; ignored for link/captcha
 	// sessions, which end when the goal is reached.
-	WantShares int
+	wantShares int
 }
 
 // TaskResult pairs a task's index with its session outcome.
@@ -31,26 +31,26 @@ type TaskResult struct {
 type Fleet struct {
 	// Variant must match the pool chain's PoW profile.
 	Variant cryptonight.Variant
-	// Workers bounds concurrent sessions (0 = GOMAXPROCS).
-	Workers int
-	// MaxHashesPerJob is forwarded to each Client (0 = Client default).
-	MaxHashesPerJob int
+	// workers bounds concurrent sessions (0 = GOMAXPROCS).
+	workers int
+	// maxHashesPerJob is forwarded to each Client (0 = Client default).
+	maxHashesPerJob int
 }
 
 // Run mines every task and returns the outcomes in task order.
 func (f *Fleet) Run(tasks []Task) []TaskResult {
 	results := make([]TaskResult, len(tasks))
-	parallel.ForEach(len(tasks), f.Workers, func(_, i int) {
+	parallel.ForEach(len(tasks), f.workers, func(_, i int) {
 		t := tasks[i]
 		c := &Client{
 			URL:             t.URL,
 			SiteKey:         t.SiteKey,
 			LinkID:          t.LinkID,
-			CaptchaID:       t.CaptchaID,
+			captchaID:       t.captchaID,
 			Variant:         f.Variant,
-			MaxHashesPerJob: f.MaxHashesPerJob,
+			maxHashesPerJob: f.maxHashesPerJob,
 		}
-		r, err := c.Mine(t.WantShares)
+		r, err := c.Mine(t.wantShares)
 		results[i] = TaskResult{Result: r, Err: err}
 	})
 	return results

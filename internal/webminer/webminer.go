@@ -28,14 +28,14 @@ type Client struct {
 	SiteKey string
 	// LinkID, when set, attaches the session to a short link's hash goal.
 	LinkID string
-	// CaptchaID, when set, attaches the session to a proof-of-work captcha;
+	// captchaID, when set, attaches the session to a proof-of-work captcha;
 	// the session ends when the service pushes the verification token
 	// (surfaced in Result.ResolvedURL).
-	CaptchaID string
+	captchaID string
 	// Variant must match the pool chain's PoW profile.
 	Variant cryptonight.Variant
-	// MaxHashesPerJob bounds the nonce search per job (0 = 1<<22).
-	MaxHashesPerJob int
+	// maxHashesPerJob bounds the nonce search per job (0 = 1<<22).
+	maxHashesPerJob int
 	// Threads splits the nonce search across workers, each with its own
 	// scratchpad — the paper's reference laptop reaches its 20 H/s "with 4
 	// threads". 0 or 1 means single-threaded.
@@ -71,8 +71,8 @@ func (c *Client) Mine(wantShares int) (Result, error) {
 	switch {
 	case c.LinkID != "":
 		user = "link:" + c.LinkID
-	case c.CaptchaID != "":
-		user = "captcha:" + c.CaptchaID
+	case c.captchaID != "":
+		user = "captcha:" + c.captchaID
 	}
 	sess, err := session.Dial(c.URL, stratum.Auth{SiteKey: c.SiteKey, Type: "anonymous", User: user})
 	if err != nil {
@@ -104,7 +104,7 @@ func (c *Client) Mine(wantShares int) (Result, error) {
 			cryptonight.PutHasher(h)
 		}
 	}()
-	maxHashes := c.MaxHashesPerJob
+	maxHashes := c.maxHashesPerJob
 	if maxHashes == 0 {
 		maxHashes = 1 << 22
 	}
@@ -196,7 +196,7 @@ func (c *Client) Mine(wantShares int) (Result, error) {
 				}
 				res.SharesAccepted++
 				res.CreditedHashes = ha.Hashes
-				if c.LinkID == "" && c.CaptchaID == "" && res.SharesAccepted >= wantShares {
+				if c.LinkID == "" && c.captchaID == "" && res.SharesAccepted >= wantShares {
 					return res, nil
 				}
 				accepted = true

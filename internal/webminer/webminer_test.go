@@ -165,7 +165,7 @@ func TestCaptchaEndToEnd(t *testing.T) {
 	c := &Client{
 		URL:       wsEndpoint(srv, 9),
 		SiteKey:   "form-site",
-		CaptchaID: cap.ID,
+		captchaID: cap.ID,
 		Variant:   cryptonight.Test,
 	}
 	res, err := c.Mine(0)
@@ -241,7 +241,7 @@ func TestFleetResolvesLinksConcurrently(t *testing.T) {
 			LinkID:  id,
 		}
 	}
-	f := &Fleet{Variant: cryptonight.Test, Workers: 4}
+	f := &Fleet{Variant: cryptonight.Test, workers: 4}
 	results := f.Run(tasks)
 	if len(results) != n {
 		t.Fatalf("results = %d, want %d", len(results), n)
@@ -264,9 +264,9 @@ func TestFleetResolvesLinksConcurrently(t *testing.T) {
 func TestFleetMinesSharesAcrossSites(t *testing.T) {
 	srv, pool := startService(t)
 	tasks := []Task{
-		{URL: wsEndpoint(srv, 0), SiteKey: "fleet-a", WantShares: 2},
-		{URL: wsEndpoint(srv, 7), SiteKey: "fleet-b", WantShares: 3},
-		{URL: wsEndpoint(srv, 31), SiteKey: "fleet-a", WantShares: 1},
+		{URL: wsEndpoint(srv, 0), SiteKey: "fleet-a", wantShares: 2},
+		{URL: wsEndpoint(srv, 7), SiteKey: "fleet-b", wantShares: 3},
+		{URL: wsEndpoint(srv, 31), SiteKey: "fleet-a", wantShares: 1},
 	}
 	f := &Fleet{Variant: cryptonight.Test}
 	results := f.Run(tasks)

@@ -10,21 +10,29 @@ import (
 	"time"
 )
 
-// DefaultMaxMessage bounds assembled message size (16 MiB): miner protocol
-// messages are tiny, so anything larger indicates a broken or hostile peer.
-const DefaultMaxMessage = 16 << 20
+// defaultMaxMessage bounds a client conn's inbound messages (16 MiB):
+// pool pushes carry user-supplied link URLs, so the client side allows
+// far more than any legitimate message needs.
+const defaultMaxMessage = 16 << 20
 
-// ErrClosed is returned after the connection has been closed locally.
-var ErrClosed = errors.New("ws: connection closed")
+// maxServerMessage bounds a server conn's inbound messages, single frames
+// and assembled fragments alike. It equals the TCP stratum dialect's line
+// bound (stratum.MaxRPCLine; ws may not import stratum): a miner's largest
+// message is a few hundred bytes, and the conn's read buffer, which keeps
+// the size of the largest frame it has read, pins no more than this.
+const maxServerMessage = 8192
+
+// errClosed is returned after the connection has been closed locally.
+var errClosed = errors.New("ws: connection closed")
 
 // CloseError carries the peer's close status.
 type CloseError struct {
 	Code   uint16
-	Reason string
+	reason string
 }
 
 func (e *CloseError) Error() string {
-	return fmt.Sprintf("ws: closed by peer: code %d %q", e.Code, e.Reason)
+	return fmt.Sprintf("ws: closed by peer: code %d %q", e.Code, e.reason)
 }
 
 // Conn is a WebSocket connection. Reads must be single-threaded; writes are
@@ -39,30 +47,22 @@ type Conn struct {
 	closed    bool
 	sentClose bool
 
-	// reuseRead makes ReadMessage decode frames into a per-connection
-	// buffer instead of allocating per frame (see EnableReadBufferReuse).
-	reuseRead bool
-	rframe    Frame
-	rbuf      []byte
+	// ReadMessage decodes every frame into rframe and rbuf, so the
+	// steady-state read loop allocates nothing.
+	rframe Frame
+	rbuf   []byte
 }
 
 func newConn(nc net.Conn, br *bufio.Reader, client bool) *Conn {
 	if br == nil {
 		br = bufio.NewReader(nc)
 	}
-	return &Conn{nc: nc, br: br, client: client, maxMsg: DefaultMaxMessage}
+	c := &Conn{nc: nc, br: br, client: client, maxMsg: maxServerMessage}
+	if client {
+		c.maxMsg = defaultMaxMessage
+	}
+	return c
 }
-
-// SetMaxMessage bounds the assembled message size in bytes.
-func (c *Conn) SetMaxMessage(n int64) { c.maxMsg = n }
-
-// EnableReadBufferReuse switches ReadMessage to a per-connection read
-// buffer: the returned payload is then only valid until the next
-// ReadMessage call. The pool's serve path opts in (it fully decodes each
-// message before reading the next), which keeps a 10k-session box from
-// allocating one fresh payload per inbound frame. Callers that retain
-// payloads across reads must not enable it.
-func (c *Conn) EnableReadBufferReuse() { c.reuseRead = true }
 
 // SetReadDeadline bounds future reads; a zero time removes the bound.
 // Load generators use it so a stalled peer parks a session instead of a
@@ -77,9 +77,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.nc.SetWriteDeadlin
 // load tests, and abrupt (no close handshake) teardown when simulating
 // network failure. Normal users never need it.
 func (c *Conn) NetConn() net.Conn { return c.nc }
-
-// LocalAddr returns the underlying transport address.
-func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 
 // RemoteAddr returns the peer transport address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
@@ -98,7 +95,7 @@ func (c *Conn) WriteMessage(op Opcode, data []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return errClosed
 	}
 	return WriteFrame(c.nc, f)
 }
@@ -111,71 +108,25 @@ func (c *Conn) WriteRawFrame(frame []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return errClosed
 	}
 	//lint:ignore lockscope writeMu exists to serialise frame writers on this socket
 	_, err := c.nc.Write(frame)
 	return err
 }
 
-// WriteFragmented sends data split into chunks of fragSize as a fragmented
-// message, exercising continuation frames (mostly useful for tests and for
-// simulating miners behind small-MTU paths).
-func (c *Conn) WriteFragmented(op Opcode, data []byte, fragSize int) error {
-	if fragSize <= 0 {
-		return c.WriteMessage(op, data)
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	first := true
-	for {
-		n := fragSize
-		last := n >= len(data)
-		if last {
-			n = len(data)
-		}
-		f := &Frame{Fin: last, Payload: append([]byte(nil), data[:n]...)}
-		if first {
-			f.Opcode = op
-		} else {
-			f.Opcode = OpContinuation
-		}
-		if c.client {
-			f.Masked = true
-			if _, err := rand.Read(f.MaskKey[:]); err != nil {
-				return err
-			}
-		}
-		if err := WriteFrame(c.nc, f); err != nil {
-			return err
-		}
-		if last {
-			return nil
-		}
-		data = data[n:]
-		first = false
-	}
-}
-
 // ReadMessage returns the next complete data message, transparently
 // answering pings and completing the close handshake. On a peer close it
-// returns a *CloseError.
+// returns a *CloseError. The payload is valid until the next ReadMessage
+// call: a single-frame message is the conn's own read buffer.
 func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	var msgOp Opcode
 	var msg []byte
 	assembling := false
+	f := &c.rframe
 	for {
-		var f *Frame
 		var err error
-		if c.reuseRead {
-			f = &c.rframe
-			c.rbuf, err = ReadFrameInto(c.br, f, c.maxMsg, c.rbuf[:0])
-		} else {
-			f, err = ReadFrame(c.br, c.maxMsg)
-		}
+		c.rbuf, err = ReadFrameInto(c.br, f, c.maxMsg, c.rbuf[:0])
 		if err != nil {
 			// A frame-level protocol violation (oversize or fragmented
 			// control frame, reserved bits, non-minimal length) must be
@@ -184,43 +135,42 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 			// A spec-correct peer (TestOversizeFrameGets1009Close plays one)
 			// distinguishes a 1002/1009 close from a raw reset.
 			switch {
-			case errors.Is(err, ErrFrameTooBig):
-				c.failConnection(CloseTooBig, "frame exceeds read limit")
-			case errors.Is(err, ErrControlTooLong),
-				errors.Is(err, ErrFragmentedControl),
-				errors.Is(err, ErrReservedBits),
-				errors.Is(err, ErrBadLength):
-				c.failConnection(CloseProtocolError, err.Error())
+			case errors.Is(err, errFrameTooBig):
+				c.failConnection(closeTooBig, "frame exceeds read limit")
+			case errors.Is(err, errControlTooLong),
+				errors.Is(err, errFragmentedControl),
+				errors.Is(err, errReservedBits),
+				errors.Is(err, errBadLength):
+				c.failConnection(closeProtocolError, err.Error())
 			}
 			return 0, nil, err
 		}
 		// Enforce masking direction (RFC 6455 §5.1).
 		if c.client && f.Masked {
-			c.failConnection(CloseProtocolError, "masked server frame")
-			return 0, nil, ErrUnexpectedMask
+			c.failConnection(closeProtocolError, "masked server frame")
+			return 0, nil, errUnexpectedMask
 		}
-		if !c.client && !f.Masked && f.Opcode != OpClose {
+		if !c.client && !f.Masked && f.Opcode != opClose {
 			// Some stacks send unmasked close; tolerate only that.
-			c.failConnection(CloseProtocolError, "unmasked client frame")
-			return 0, nil, ErrMaskRequired
+			c.failConnection(closeProtocolError, "unmasked client frame")
+			return 0, nil, errMaskRequired
 		}
 		switch f.Opcode {
-		case OpPing:
+		case opPing:
 			// Answer with the same payload.
-			pong := append([]byte(nil), f.Payload...)
-			if err := c.WriteMessage(OpPong, pong); err != nil {
+			if err := c.WriteMessage(opPong, f.Payload); err != nil {
 				return 0, nil, err
 			}
-		case OpPong:
+		case opPong:
 			// Unsolicited pongs are ignored (RFC 6455 §5.5.3).
-		case OpClose:
-			code, reason := DecodeClosePayload(f.Payload)
+		case opClose:
+			code, reason := decodeClosePayload(f.Payload)
 			c.writeCloseOnce(code, "")
 			c.shutdown()
-			return 0, nil, &CloseError{Code: code, Reason: reason}
-		case OpText, OpBinary:
+			return 0, nil, &CloseError{Code: code, reason: reason}
+		case OpText, opBinary:
 			if assembling {
-				c.failConnection(CloseProtocolError, "new message during fragmentation")
+				c.failConnection(closeProtocolError, "new message during fragmentation")
 				return 0, nil, errors.New("ws: interleaved data message")
 			}
 			if f.Fin {
@@ -229,29 +179,24 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 			assembling = true
 			msgOp = f.Opcode
 			msg = append(msg, f.Payload...)
-		case OpContinuation:
+		case opContinuation:
 			if !assembling {
-				c.failConnection(CloseProtocolError, "continuation without start")
+				c.failConnection(closeProtocolError, "continuation without start")
 				return 0, nil, errors.New("ws: unexpected continuation frame")
 			}
-			if c.maxMsg > 0 && int64(len(msg)+len(f.Payload)) > c.maxMsg {
-				c.failConnection(CloseTooBig, "message too big")
-				return 0, nil, ErrFrameTooBig
+			if int64(len(msg)+len(f.Payload)) > c.maxMsg {
+				c.failConnection(closeTooBig, "message too big")
+				return 0, nil, errFrameTooBig
 			}
 			msg = append(msg, f.Payload...)
 			if f.Fin {
 				return msgOp, msg, nil
 			}
 		default:
-			c.failConnection(CloseProtocolError, "unknown opcode")
+			c.failConnection(closeProtocolError, "unknown opcode")
 			return 0, nil, fmt.Errorf("ws: unknown opcode %#x", byte(f.Opcode))
 		}
 	}
-}
-
-// Ping sends a ping frame with the given payload.
-func (c *Conn) Ping(payload []byte) error {
-	return c.WriteMessage(OpPing, payload)
 }
 
 func (c *Conn) writeCloseOnce(code uint16, reason string) {
@@ -262,7 +207,7 @@ func (c *Conn) writeCloseOnce(code uint16, reason string) {
 	if already {
 		return
 	}
-	_ = c.WriteMessage(OpClose, EncodeClosePayload(code, reason))
+	_ = c.WriteMessage(opClose, encodeClosePayload(code, reason))
 }
 
 func (c *Conn) failConnection(code uint16, reason string) {
@@ -290,7 +235,7 @@ func (c *Conn) InitiateClose(code uint16, reason string) {
 // Close performs the closing handshake with a normal status and tears down
 // the transport.
 func (c *Conn) Close() error {
-	return c.CloseWithCode(CloseNormal, "")
+	return c.CloseWithCode(closeNormal, "")
 }
 
 // CloseWithCode sends the given close status before tearing down.

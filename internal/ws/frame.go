@@ -20,30 +20,30 @@ type Opcode byte
 
 // RFC 6455 §5.2 opcodes.
 const (
-	OpContinuation Opcode = 0x0
+	opContinuation Opcode = 0x0
 	OpText         Opcode = 0x1
-	OpBinary       Opcode = 0x2
-	OpClose        Opcode = 0x8
-	OpPing         Opcode = 0x9
-	OpPong         Opcode = 0xA
+	opBinary       Opcode = 0x2
+	opClose        Opcode = 0x8
+	opPing         Opcode = 0x9
+	opPong         Opcode = 0xA
 )
 
-// IsControl reports whether the opcode is a control opcode.
-func (o Opcode) IsControl() bool { return o&0x8 != 0 }
+// isControl reports whether the opcode is a control opcode.
+func (o Opcode) isControl() bool { return o&0x8 != 0 }
 
 func (o Opcode) String() string {
 	switch o {
-	case OpContinuation:
+	case opContinuation:
 		return "continuation"
 	case OpText:
 		return "text"
-	case OpBinary:
+	case opBinary:
 		return "binary"
-	case OpClose:
+	case opClose:
 		return "close"
-	case OpPing:
+	case opPing:
 		return "ping"
-	case OpPong:
+	case opPong:
 		return "pong"
 	default:
 		return fmt.Sprintf("opcode(%#x)", byte(o))
@@ -52,14 +52,10 @@ func (o Opcode) String() string {
 
 // Close status codes (RFC 6455 §7.4.1).
 const (
-	CloseNormal          = 1000
-	CloseGoingAway       = 1001
-	CloseProtocolError   = 1002
-	CloseUnsupported     = 1003
-	CloseInvalidPayload  = 1007
-	ClosePolicyViolation = 1008
-	CloseTooBig          = 1009
-	CloseInternalErr     = 1011
+	closeNormal        = 1000
+	CloseGoingAway     = 1001
+	closeProtocolError = 1002
+	closeTooBig        = 1009
 )
 
 // Frame is a single wire frame.
@@ -73,18 +69,18 @@ type Frame struct {
 
 // Protocol errors.
 var (
-	ErrControlTooLong    = errors.New("ws: control frame payload exceeds 125 bytes")
-	ErrFragmentedControl = errors.New("ws: fragmented control frame")
-	ErrReservedBits      = errors.New("ws: reserved bits set")
-	ErrBadLength         = errors.New("ws: non-minimal or invalid length encoding")
-	ErrMaskRequired      = errors.New("ws: client frame not masked")
-	ErrUnexpectedMask    = errors.New("ws: server frame masked")
-	ErrFrameTooBig       = errors.New("ws: frame exceeds read limit")
+	errControlTooLong    = errors.New("ws: control frame payload exceeds 125 bytes")
+	errFragmentedControl = errors.New("ws: fragmented control frame")
+	errReservedBits      = errors.New("ws: reserved bits set")
+	errBadLength         = errors.New("ws: non-minimal or invalid length encoding")
+	errMaskRequired      = errors.New("ws: client frame not masked")
+	errUnexpectedMask    = errors.New("ws: server frame masked")
+	errFrameTooBig       = errors.New("ws: frame exceeds read limit")
 )
 
-// MaskBytes applies the WebSocket XOR mask in place, starting at the given
+// maskBytes applies the WebSocket XOR mask in place, starting at the given
 // position within the mask cycle, and returns the next position.
-func MaskBytes(key [4]byte, pos int, b []byte) int {
+func maskBytes(key [4]byte, pos int, b []byte) int {
 	for i := range b {
 		b[i] ^= key[(pos+i)&3]
 	}
@@ -94,12 +90,12 @@ func MaskBytes(key [4]byte, pos int, b []byte) int {
 // WriteFrame encodes f to w. The payload slice is masked in place when
 // f.Masked is set (callers who need the plaintext afterwards must copy).
 func WriteFrame(w io.Writer, f *Frame) error {
-	if f.Opcode.IsControl() {
+	if f.Opcode.isControl() {
 		if len(f.Payload) > 125 {
-			return ErrControlTooLong
+			return errControlTooLong
 		}
 		if !f.Fin {
-			return ErrFragmentedControl
+			return errFragmentedControl
 		}
 	}
 	var hdr [14]byte
@@ -126,7 +122,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 		hdr[1] |= 0x80
 		copy(hdr[n:], f.MaskKey[:])
 		n += 4
-		MaskBytes(f.MaskKey, 0, f.Payload)
+		maskBytes(f.MaskKey, 0, f.Payload)
 	}
 	if _, err := w.Write(hdr[:n]); err != nil {
 		return err
@@ -135,23 +131,16 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ReadFrame decodes one frame from r. maxPayload bounds the accepted
-// payload size (0 means unlimited). Masked payloads are unmasked before
-// returning.
-func ReadFrame(r io.Reader, maxPayload int64) (*Frame, error) {
-	f := &Frame{}
-	if _, err := ReadFrameInto(r, f, maxPayload, nil); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // ReadFrameInto decodes one frame from r into f, reading the payload into
 // buf's capacity (growing it when needed) instead of allocating per frame.
-// It returns the possibly-grown buffer; f.Payload aliases it. This is the
-// serve path's read primitive: one long-lived buffer per connection makes
-// the steady-state ReadMessage loop allocation-free.
+// maxPayload bounds the accepted payload size (0 means unlimited); a
+// masked payload is unmasked. It returns the possibly-grown buffer, and
+// f.Payload aliases it. f is overwritten whole, so what it held before
+// never shows through, not even on error. This is ReadMessage's read
+// primitive: one long-lived buffer per connection makes its steady-state
+// loop allocation-free.
 func ReadFrameInto(r io.Reader, f *Frame, maxPayload int64, buf []byte) ([]byte, error) {
+	*f = Frame{}
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return buf, err
@@ -159,9 +148,8 @@ func ReadFrameInto(r io.Reader, f *Frame, maxPayload int64, buf []byte) ([]byte,
 	f.Fin = hdr[0]&0x80 != 0
 	f.Opcode = Opcode(hdr[0] & 0x0F)
 	f.Masked = hdr[1]&0x80 != 0
-	f.Payload = nil
 	if hdr[0]&0x70 != 0 {
-		return buf, ErrReservedBits
+		return buf, errReservedBits
 	}
 	length := int64(hdr[1] & 0x7F)
 	switch length {
@@ -172,7 +160,7 @@ func ReadFrameInto(r io.Reader, f *Frame, maxPayload int64, buf []byte) ([]byte,
 		}
 		length = int64(binary.BigEndian.Uint16(ext[:]))
 		if length < 126 {
-			return buf, ErrBadLength
+			return buf, errBadLength
 		}
 	case 127:
 		var ext [8]byte
@@ -181,20 +169,20 @@ func ReadFrameInto(r io.Reader, f *Frame, maxPayload int64, buf []byte) ([]byte,
 		}
 		u := binary.BigEndian.Uint64(ext[:])
 		if u>>63 != 0 || u < 1<<16 {
-			return buf, ErrBadLength
+			return buf, errBadLength
 		}
 		length = int64(u)
 	}
-	if f.Opcode.IsControl() {
+	if f.Opcode.isControl() {
 		if length > 125 {
-			return buf, ErrControlTooLong
+			return buf, errControlTooLong
 		}
 		if !f.Fin {
-			return buf, ErrFragmentedControl
+			return buf, errFragmentedControl
 		}
 	}
 	if maxPayload > 0 && length > maxPayload {
-		return buf, ErrFrameTooBig
+		return buf, errFrameTooBig
 	}
 	if f.Masked {
 		if _, err := io.ReadFull(r, f.MaskKey[:]); err != nil {
@@ -209,7 +197,7 @@ func ReadFrameInto(r io.Reader, f *Frame, maxPayload int64, buf []byte) ([]byte,
 		return buf, err
 	}
 	if f.Masked {
-		MaskBytes(f.MaskKey, 0, buf)
+		maskBytes(f.MaskKey, 0, buf)
 	}
 	f.Payload = buf
 	return buf, nil
@@ -237,20 +225,20 @@ func AppendServerFrame(dst []byte, op Opcode, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// EncodeClosePayload builds a close frame payload from a status code and
+// encodeClosePayload builds a close frame payload from a status code and
 // reason text.
-func EncodeClosePayload(code uint16, reason string) []byte {
+func encodeClosePayload(code uint16, reason string) []byte {
 	p := make([]byte, 2+len(reason))
 	binary.BigEndian.PutUint16(p, code)
 	copy(p[2:], reason)
 	return p
 }
 
-// DecodeClosePayload splits a close frame payload. An empty payload yields
-// CloseNormal per RFC 6455 §7.1.5.
-func DecodeClosePayload(p []byte) (code uint16, reason string) {
+// decodeClosePayload splits a close frame payload. An empty payload yields
+// closeNormal per RFC 6455 §7.1.5.
+func decodeClosePayload(p []byte) (code uint16, reason string) {
 	if len(p) < 2 {
-		return CloseNormal, ""
+		return closeNormal, ""
 	}
 	return binary.BigEndian.Uint16(p), string(p[2:])
 }

@@ -21,14 +21,14 @@ const guid = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 // handshakeTimeout bounds Dial's opening handshake I/O.
 const handshakeTimeout = 30 * time.Second
 
-// AcceptKey computes the Sec-WebSocket-Accept value for a client key.
-func AcceptKey(clientKey string) string {
+// acceptKey computes the Sec-WebSocket-Accept value for a client key.
+func acceptKey(clientKey string) string {
 	h := sha1.Sum([]byte(clientKey + guid))
 	return base64.StdEncoding.EncodeToString(h[:])
 }
 
-// ErrNotWebSocket is returned by Upgrade for plain HTTP requests.
-var ErrNotWebSocket = errors.New("ws: request is not a websocket upgrade")
+// errNotWebSocket is returned by Upgrade for plain HTTP requests.
+var errNotWebSocket = errors.New("ws: request is not a websocket upgrade")
 
 func headerContainsToken(h http.Header, key, token string) bool {
 	for _, v := range h.Values(key) {
@@ -48,7 +48,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 		!headerContainsToken(r.Header, "Connection", "Upgrade") ||
 		!strings.EqualFold(r.Header.Get("Upgrade"), "websocket") {
 		http.Error(w, "not a websocket handshake", http.StatusBadRequest)
-		return nil, ErrNotWebSocket
+		return nil, errNotWebSocket
 	}
 	if r.Header.Get("Sec-WebSocket-Version") != "13" {
 		w.Header().Set("Sec-WebSocket-Version", "13")
@@ -72,7 +72,7 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
 		"Upgrade: websocket\r\n" +
 		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Accept: " + AcceptKey(key) + "\r\n\r\n"
+		"Sec-WebSocket-Accept: " + acceptKey(key) + "\r\n\r\n"
 	if _, err := rw.WriteString(resp); err != nil {
 		nc.Close()
 		return nil, err
@@ -148,7 +148,7 @@ func Dial(rawURL string, tlsCfg *tls.Config) (*Conn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("ws: handshake rejected: %s", resp.Status)
 	}
-	if got := resp.Header.Get("Sec-WebSocket-Accept"); got != AcceptKey(key) {
+	if got := resp.Header.Get("Sec-WebSocket-Accept"); got != acceptKey(key) {
 		nc.Close()
 		return nil, fmt.Errorf("ws: bad Sec-WebSocket-Accept %q", got)
 	}
