@@ -4,8 +4,10 @@ package netpark
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // poller is the epoll readiness source for real sockets: one epoll fd,
@@ -13,23 +15,26 @@ import (
 // session re-parks explicitly), and a single wait goroutine dispatching
 // wakes onto the parker's worker pool.
 //
-// Lifetime discipline: only the wait goroutine ever closes the epoll fd.
-// If close() closed it directly, the loop's next EpollWait could land on
-// a *reused* fd number — typically the next Parker's epoll instance —
-// and silently steal its oneshot events, leaving sessions parked
-// forever. Instead close() closes the wake pipe's write end; the loop
-// sees the always-pending wake event, exits, and closes the fds it owns.
-// add/drop guard their EpollCtl calls with the closed flag under mu for
-// the same reason.
+// The wait goroutine never blocks in epoll_wait: a blocking syscall holds
+// its P until sysmon retakes it (20 µs–10 ms), so on a box with few Ps
+// the parker's wait could starve runnable goroutines. The epoll fd is
+// itself pollable, so it is non-blocking, owned by an *os.File, and the
+// loop waits for it in the runtime netpoller ([IO wait]), calling
+// epoll_wait only with a zero timeout once the fd is readable.
+//
+// Lifetime: the file owns the epoll fd. close() marks the poller closed
+// under mu, so no add/drop issues an EpollCtl afterwards, then closes the
+// file: that wakes the loop's wait, and the runtime defers the real
+// close(2) until an in-flight epoll_wait returns, so the loop can never
+// wait on a reused fd number (typically the next Parker's epoll
+// instance) and steal its oneshot events.
 type poller struct {
-	epfd  int
-	wakeR int // pipe read end registered in epfd; EOF = shutdown
+	epfd int
+	ep   *os.File // owns epfd
 
 	mu     sync.Mutex
 	byFd   map[int32]*entry
 	closed bool
-
-	wakeW int // pipe write end; closing it wakes the loop, guarded by mu
 }
 
 var errPollerClosed = errors.New("netpark: poller closed")
@@ -39,29 +44,30 @@ func newPoller(p *Parker) (*poller, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pipefds [2]int
-	if err := syscall.Pipe2(pipefds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		_ = syscall.Close(epfd)
 		return nil, err
 	}
-	// Level-triggered, no oneshot: the shutdown event must stay pending
-	// until the loop consumes it, however late it gets scheduled.
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(pipefds[0])}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pipefds[0], &ev); err != nil {
-		_ = syscall.Close(epfd)
-		_ = syscall.Close(pipefds[0])
-		_ = syscall.Close(pipefds[1])
+	ep := os.NewFile(uintptr(epfd), "netpark-epoll")
+	// A deadline is refused unless the runtime netpoller took the fd.
+	if err := ep.SetReadDeadline(time.Time{}); err != nil {
+		_ = ep.Close()
 		return nil, err
 	}
-	pl := &poller{epfd: epfd, wakeR: pipefds[0], wakeW: pipefds[1], byFd: map[int32]*entry{}}
-	go pl.loop(p)
+	rc, err := ep.SyscallConn()
+	if err != nil {
+		_ = ep.Close()
+		return nil, err
+	}
+	pl := &poller{epfd: epfd, ep: ep, byFd: map[int32]*entry{}}
+	go pl.loop(p, rc)
 	return pl, nil
 }
 
 // add registers e's connection for one readability wake. The byFd slot
 // and the epoll_ctl happen under one lock so a wake racing the
 // registration always finds its entry, and so no registration can land
-// on an epfd the loop has already closed.
+// on an epfd close() has already released.
 func (pl *poller) add(e *entry, sc syscall.Conn) error {
 	rc, err := sc.SyscallConn()
 	if err != nil {
@@ -117,27 +123,31 @@ func (pl *poller) drop(e *entry) {
 	pl.mu.Unlock()
 }
 
-func (pl *poller) loop(p *Parker) {
+// loop harvests ready registrations until the file is closed. Each round
+// polls first and parks in the netpoller only when nothing is ready, so
+// events left over from a full batch are taken without a wait.
+func (pl *poller) loop(p *Parker, rc syscall.RawConn) {
 	events := make([]syscall.EpollEvent, 128)
+	var n int
+	var werr error
+	poll := func(fd uintptr) bool {
+		n, werr = syscall.EpollWait(int(fd), events, 0)
+		return n > 0 || werr != nil
+	}
 	for {
-		n, err := syscall.EpollWait(pl.epfd, events, -1)
-		if err == syscall.EINTR {
-			continue
-		}
-		if err != nil {
-			pl.shutdownFds()
+		if err := rc.Read(poll); err != nil {
+			pl.close() // closed, or the netpoller failed: stop either way
 			return
 		}
-		stop := false
+		if werr == syscall.EINTR {
+			continue
+		}
+		if werr != nil {
+			pl.close()
+			return
+		}
 		for i := 0; i < n; i++ {
 			fd := events[i].Fd
-			if fd == int32(pl.wakeR) {
-				// Shutdown wake. Finish dispatching this batch first —
-				// the conn events in it were consumed (oneshot) and
-				// would otherwise be lost.
-				stop = true
-				continue
-			}
 			pl.mu.Lock()
 			e := pl.byFd[fd]
 			delete(pl.byFd, fd)
@@ -146,29 +156,11 @@ func (pl *poller) loop(p *Parker) {
 				p.wake(e)
 			}
 		}
-		if stop {
-			pl.shutdownFds()
-			return
-		}
 	}
 }
 
-// shutdownFds releases the fds the loop owns. Under mu so an in-flight
-// add/drop that already passed its closed check finishes its EpollCtl
-// before the epfd dies.
-func (pl *poller) shutdownFds() {
-	pl.mu.Lock()
-	pl.closed = true // loop exit without close(): make add/drop stop either way
-	_ = syscall.Close(pl.epfd)
-	_ = syscall.Close(pl.wakeR)
-	pl.mu.Unlock()
-}
-
-// close asks the loop to shut down: mark the poller closed so no new
-// registration lands, then close the wake pipe's write end — EOF makes
-// the read end readable, a level-triggered event the loop cannot miss no
-// matter how late it runs. The loop closes the epoll fd itself, so its
-// number cannot be reused out from under a pending EpollWait.
+// close marks the poller closed so no new registration lands, then
+// closes the epoll file, which wakes the loop out of its wait.
 func (pl *poller) close() {
 	pl.mu.Lock()
 	if pl.closed {
@@ -176,8 +168,6 @@ func (pl *poller) close() {
 		return
 	}
 	pl.closed = true
-	wakeW := pl.wakeW
-	pl.wakeW = -1
 	pl.mu.Unlock()
-	_ = syscall.Close(wakeW)
+	_ = pl.ep.Close()
 }

@@ -3,6 +3,7 @@ package netpark
 import (
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,25 +91,7 @@ func TestParkImmediatelyReadable(t *testing.T) {
 func TestParkTCP(t *testing.T) {
 	p := New(2)
 	defer p.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	client, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	server := <-accepted
-	defer server.Close()
+	client, server := tcpPair(t)
 
 	var ready atomic.Int32
 	ok := p.Park(server, time.Now().Add(time.Minute), func() { ready.Add(1) }, func() {})
@@ -191,5 +174,118 @@ func TestGoroutineDiet(t *testing.T) {
 	after := runtime.NumGoroutine()
 	if grew := after - before; grew > 16 {
 		t.Fatalf("parking %d conns grew goroutines by %d — parked conns must not hold goroutines", n, grew)
+	}
+}
+
+// tcpPair returns both ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	client, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server = <-accepted
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// pollerLoopStates returns the scheduler state ("IO wait", "syscall",
+// "running", …) of every goroutine running (*poller).loop.
+func pollerLoopStates() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var states []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "netpark.(*poller).loop") {
+			continue
+		}
+		open, end := strings.IndexByte(g, '['), strings.IndexByte(g, ']')
+		if open < 0 || end < open {
+			continue
+		}
+		state, _, _ := strings.Cut(g[open+1:end], ",") // drop ", N minutes"
+		states = append(states, state)
+	}
+	return states
+}
+
+// TestPollerWaitsInNetpoller pins where the epoll wait goroutine sleeps:
+// parked in the runtime netpoller ([IO wait]), which holds no P, not in a
+// blocking epoll_wait ([syscall]), which holds one until sysmon retakes it.
+func TestPollerWaitsInNetpoller(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the epoll poller is linux-only")
+	}
+	p := New(2)
+	defer p.Close()
+	_, server := tcpPair(t)
+	if !p.Park(server, time.Now().Add(time.Minute), func() {}, func() {}) {
+		t.Fatal("TCP park refused on linux")
+	}
+	var states []string
+	waitFor(t, "the poller loop to sleep", func() bool {
+		states = pollerLoopStates()
+		if len(states) == 0 {
+			return false
+		}
+		for _, s := range states {
+			if s == "running" || s == "runnable" {
+				return false
+			}
+		}
+		return true
+	})
+	for _, s := range states {
+		if s != "IO wait" {
+			t.Fatalf("poller loop goroutines sleep in %q, want all in [IO wait]", states)
+		}
+	}
+}
+
+// TestParkerCloseThenReuse closes a parker with a TCP conn parked, waits
+// for its poller loop to exit, and parks on a fresh parker, whose epoll
+// fd likely reuses the closed one's number. The new park must wake on a
+// write, and the conn parked at Close must never fire.
+func TestParkerCloseThenReuse(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the epoll poller is linux-only")
+	}
+	var stale, ready atomic.Int32
+	p1 := New(2)
+	client1, server1 := tcpPair(t)
+	if !p1.Park(server1, time.Now().Add(time.Minute), func() { stale.Add(1) }, func() { stale.Add(1) }) {
+		t.Fatal("TCP park refused on linux")
+	}
+	p1.Close()
+	waitFor(t, "the closed poller's loop to exit", func() bool { return len(pollerLoopStates()) == 0 })
+
+	p2 := New(2)
+	defer p2.Close()
+	client2, server2 := tcpPair(t)
+	if !p2.Park(server2, time.Now().Add(time.Minute), func() { ready.Add(1) }, func() {}) {
+		t.Fatal("TCP park refused on the fresh parker")
+	}
+	if _, err := client1.Write([]byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client2.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "wake on the fresh parker", func() bool { return ready.Load() == 1 })
+	time.Sleep(20 * time.Millisecond)
+	if n := stale.Load(); n != 0 {
+		t.Fatalf("conn parked on the closed parker fired %d callbacks, want 0", n)
 	}
 }
