@@ -11,8 +11,9 @@ package coinhive
 // share-chain's Verifier, verifyBatch) before admission, so a hostile
 // peer buys nothing but its own disconnection. The verify runs on the p2p
 // reader goroutine of the link the entry came in on, outside the chain
-// lock; when the reader finds a second share frame already buffered
-// behind the first, the two are verified as a pair in one Sum2.
+// lock; share frames the reader finds already whole in its buffer behind
+// the first (up to p2p's ingestBatch) are verified as one batch, four
+// hashes per kernel walk (cryptonight.SumBatch).
 //
 // When a Federation is configured, found-block settlement takes its
 // payout vector from the share-chain's PPLNS window instead of the
@@ -121,29 +122,18 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	return f, nil
 }
 
-// verifyBatch is the share-chain's verifier: the batch two at a time,
-// each pair in one Sum2 on two pooled hashers, and an odd last entry in
-// one Sum.
+// verifyBatch is the share-chain's verifier: the batch's blobs hashed in
+// one SumBatch, four at a time. NewFederation validated the variant, so
+// SumBatch does not panic.
 func verifyBatch(v cryptonight.Variant, batch []*sharechain.Entry, verdicts []error) {
-	h, err := cryptonight.GetHasher(v)
-	if err != nil {
-		for i := range verdicts {
-			verdicts[i] = err
-		}
-		return
+	blobs := make([][]byte, len(batch))
+	for i, e := range batch {
+		blobs[i] = e.Blob
 	}
-	defer cryptonight.PutHasher(h)
-	i := 0
-	if len(batch) > 1 {
-		o, _ := cryptonight.GetHasher(v) // the variant is valid: h came from its pool
-		defer cryptonight.PutHasher(o)
-		for ; i+1 < len(batch); i += 2 {
-			x, y := h.Sum2(o, batch[i].Blob, batch[i+1].Blob)
-			verdicts[i], verdicts[i+1] = powVerdict(batch[i], x), powVerdict(batch[i+1], y)
-		}
-	}
-	if i < len(batch) {
-		verdicts[i] = powVerdict(batch[i], h.Sum(batch[i].Blob))
+	sums := make([][32]byte, len(batch))
+	cryptonight.SumBatch(v, blobs, sums)
+	for i, e := range batch {
+		verdicts[i] = powVerdict(e, sums[i])
 	}
 }
 

@@ -24,15 +24,19 @@
 // The scratchpad is held as little-endian uint64 lanes, so the 2^12–2^19
 // memory-hard rounds do no byte marshalling at all. Explode, the main loop
 // and implode have two implementations, chosen once per hash: on amd64
-// CPUs with AES-NI, four assembly kernels (kernels_amd64.s — one AESENC
-// per main-loop round, a second main loop that runs two hashes' rounds
-// interleaved for Sum2, eight AES blocks in flight through explode and
-// implode, each kernel entered in bounded slices so a Full-profile hash
-// stays preemptible); everywhere else walkGo, which runs the same steps on
-// uint64 register pairs through the T-tables (aesround.go, aeskey.go) and
-// is the reference the kernels are tested against. Mining and verification
-// code paths reuse Hashers: either explicitly (NewHasher, one per
-// goroutine) or through the per-variant pool behind Sum and Grind.
+// CPUs with AES-NI, the assembly kernels (kernels_amd64.s), and
+// everywhere else walkGo, which runs the same steps on uint64 register
+// pairs through the T-tables (aesround.go, aeskey.go) and is the reference
+// the kernels are tested against. The kernels are: for Sum, one AESENC
+// per main-loop round, and eight AES blocks in flight through explode and
+// implode; for SumBatch, a main loop that runs four hashes' rounds
+// interleaved, and — on CPUs with AVX-512 VAES — an explode and an implode
+// that hold four hashes' 32 blocks in eight ZMM registers (without VAES
+// the four explode and implode one after another). Each kernel is entered
+// in bounded slices so a Full-profile hash stays preemptible. Mining and
+// verification code paths reuse Hashers: either explicitly (NewHasher, one
+// per goroutine) or through the per-variant pool behind Sum, SumBatch and
+// Grind.
 package cryptonight
 
 import (
@@ -117,23 +121,6 @@ func (h *Hasher) Sum(data []byte) [32]byte {
 	// AES-NI kernels or walkGo (kernels_*.go).
 	h.walk(&state)
 	return finish(&state)
-}
-
-// Sum2 computes the CryptoNight hashes of a, on h, and of b, on o: the
-// same digests as h.Sum(a) and o.Sum(b), in less time than both. The two
-// main loops run interleaved, so one hash's serial round fills the AES
-// unit and multiplier the other's leaves idle; absorb, explode, implode
-// and the final hash stay per hash. o must be a second Hasher of h's
-// variant.
-//
-//lint:hotpath
-func (h *Hasher) Sum2(o *Hasher, a, b []byte) (x, y [32]byte) {
-	if o == h || o.v != h.v {
-		panic("cryptonight: Sum2 needs a second Hasher of the same variant")
-	}
-	sa, sb := h.absorb(a), o.absorb(b)
-	h.walk2(o, &sa, &sb)
-	return finish(&sa), finish(&sb)
 }
 
 // absorb is a hash's first step: the Keccak state of data, and the two
@@ -321,6 +308,49 @@ func Sum(data []byte, v Variant) [32]byte {
 	sum := h.Sum(data)
 	PutHasher(h)
 	return sum
+}
+
+// SumBatch sets sums[i] to Sum(blobs[i], v) for every blob, in less time
+// than that many Sums: four at a time, as one 4-lane walk on four pooled
+// Hashers (walk4). A last group of two or three is padded to four by
+// repeating its blobs, which costs less than hashing them one by one; a
+// lone blob, or a last one, runs Sum. At steady state it allocates
+// nothing. It panics, like Sum, on an invalid variant, and if sums is
+// shorter than blobs.
+//
+//lint:hotpath
+func SumBatch(v Variant, blobs [][]byte, sums [][32]byte) {
+	_ = sums[:len(blobs)]
+	if len(blobs) == 1 {
+		sums[0] = Sum(blobs[0], v)
+		return
+	}
+	var hs [4]*Hasher
+	for i := range hs {
+		h, err := GetHasher(v)
+		if err != nil {
+			panic(err)
+		}
+		hs[i] = h
+	}
+	var st [4][200]byte
+	for start := 0; start < len(blobs); start += len(hs) {
+		group := blobs[start:min(start+len(hs), len(blobs))]
+		if len(group) == 1 {
+			sums[start] = hs[0].Sum(group[0])
+			break
+		}
+		for i, h := range hs {
+			st[i] = h.absorb(group[i%len(group)])
+		}
+		walk4(&hs, &st)
+		for i := range group {
+			sums[start+i] = finish(&st[i])
+		}
+	}
+	for _, h := range hs {
+		PutHasher(h)
+	}
 }
 
 // CheckDifficulty reports whether hash satisfies the given difficulty under

@@ -253,15 +253,16 @@ func BenchmarkSumTestVariant(b *testing.B) {
 	}
 }
 
-// BenchmarkSum2TestVariant measures one Sum2 — two hashes — under the
-// Test profile; set it against two ops of BenchmarkSumTestVariant.
-func BenchmarkSum2TestVariant(b *testing.B) {
-	h, _ := NewHasher(Test)
-	o, _ := NewHasher(Test)
+// BenchmarkSumBatchTestVariant measures one SumBatch of four blobs — one
+// 4-lane walk — under the Test profile; set it against four ops of
+// BenchmarkSumTestVariant.
+func BenchmarkSumBatchTestVariant(b *testing.B) {
 	in := []byte("benchmark input blob that is header-sized, 76 bytes total pad pad pad!!")
+	blobs := [][]byte{in, in, in, in}
+	sums := make([][32]byte, len(blobs))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Sum2(o, in, in)
+		SumBatch(Test, blobs, sums)
 	}
 }
 

@@ -6,9 +6,10 @@ package cryptonight
 // the amd64 kernels always take the pure-Go path.
 func (h *Hasher) walk(state *[200]byte) { h.walkGo(state) }
 
-// walk2 is walk for two hashes: without the kernels there is nothing to
-// interleave, so it is two walks.
-func (h *Hasher) walk2(o *Hasher, sa, sb *[200]byte) {
-	h.walkGo(sa)
-	o.walkGo(sb)
+// walk4 is walk for four hashes: without the kernels there is nothing to
+// interleave, so it is four walks.
+func walk4(hs *[4]*Hasher, st *[4][200]byte) {
+	for i, h := range hs {
+		h.walkGo(&st[i])
+	}
 }

@@ -58,28 +58,48 @@ func TestSumPathsAgree(t *testing.T) {
 	}
 }
 
+// batchInputs are n blobs for SumBatch: random ones of unequal lengths,
+// with an empty blob and a repeat of the first among them once n allows.
+func batchInputs(rng *rand.Rand, n int) [][]byte {
+	blobs := make([][]byte, n)
+	for i := range blobs {
+		blobs[i] = make([]byte, rng.Intn(200))
+		rng.Read(blobs[i])
+	}
+	if n > 3 {
+		blobs[2] = nil
+		blobs[3] = blobs[0]
+	}
+	return blobs
+}
+
 // FuzzSumPathsAgree holds the dispatch path to walkGo on one blob and,
-// with pair set, holds Sum2 of the blob and its reverse to two Sums on
-// both paths.
+// with batch set, holds SumBatch of the blob, its reverse and its two
+// halves to four Sums on every SumBatch path.
 func FuzzSumPathsAgree(f *testing.F) {
 	for i, in := range goldenInputs() {
 		f.Add(in, uint8(i), i%2 == 1)
 	}
-	hs, partners := pathHashers(f), pathHashers(f)
-	f.Fuzz(func(t *testing.T, blob []byte, profile uint8, pair bool) {
+	hs := pathHashers(f)
+	f.Fuzz(func(t *testing.T, blob []byte, profile uint8, batch bool) {
 		h := hs[int(profile)%len(hs)]
 		got := h.Sum(blob)
-		if pair {
-			o := partners[int(profile)%len(hs)]
+		if batch {
 			other := slices.Clone(blob)
 			slices.Reverse(other)
-			want := [2][32]byte{got, o.Sum(other)}
-			if x, y := h.Sum2(o, blob, other); [2][32]byte{x, y} != want {
-				t.Errorf("%s: dispatch Sum2 %x, two Sums %x", h.v.Name, [2][32]byte{x, y}, want)
+			blobs := [][]byte{blob, other, blob[:len(blob)/2], blob[len(blob)/2:]}
+			want := make([][32]byte, len(blobs))
+			for i, b := range blobs {
+				want[i] = h.Sum(b)
 			}
-			forceSoftAES(t)
-			if x, y := h.Sum2(o, blob, other); [2][32]byte{x, y} != want {
-				t.Errorf("%s: walkGo Sum2 %x, two Sums %x", h.v.Name, [2][32]byte{x, y}, want)
+			for _, path := range batchPaths() {
+				forcePath(t, path)
+				for _, n := range []int{2, 3, 4} {
+					sums := make([][32]byte, n)
+					if SumBatch(h.v, blobs[:n], sums); !slices.Equal(sums, want[:n]) {
+						t.Errorf("%s, %s: SumBatch of %d %x, Sums %x", path, h.v.Name, n, sums, want[:n])
+					}
+				}
 			}
 		}
 		forceSoftAES(t) // restored when this input's t ends
@@ -89,68 +109,74 @@ func FuzzSumPathsAgree(f *testing.F) {
 	})
 }
 
-// TestSum2MatchesSum holds Sum2 to two Sums on every pathVariants profile,
-// through the dispatch and through walkGo: random blobs of unequal
-// lengths, the same blob on both sides, and an empty blob.
-func TestSum2MatchesSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	hs, partners := pathHashers(t), pathHashers(t)
-	type pair struct{ a, b []byte }
-	var pairs []pair
-	for i := 0; i < 4; i++ {
-		a, b := make([]byte, rng.Intn(200)), make([]byte, rng.Intn(200))
-		rng.Read(a)
-		rng.Read(b)
-		pairs = append(pairs, pair{a, b})
-	}
-	same := goldenInputs()[6]
-	pairs = append(pairs, pair{same, same}, pair{nil, same}, pair{same, []byte{}})
-	check := func(path string) {
-		for i, h := range hs {
-			o := partners[i]
-			for _, p := range pairs {
-				want := [2][32]byte{h.Sum(p.a), o.Sum(p.b)}
-				if x, y := h.Sum2(o, p.a, p.b); [2][32]byte{x, y} != want {
-					t.Errorf("%s, %s, %d- and %d-byte blobs: Sum2 %x, two Sums %x", path, h.v.Name, len(p.a), len(p.b), [2][32]byte{x, y}, want)
-				}
-			}
+// TestSumBatchMatchesSum holds SumBatch to per-blob Sums on every
+// pathVariants profile, for batches of 1 to 9 blobs — one 4-lane walk,
+// two, a padded last group of two or three, a lone last blob — on every
+// path the CPU has: the VAES explode and implode, the 4-lane main loop
+// with one-lane explode and implode, and walkGo.
+func TestSumBatchMatchesSum(t *testing.T) {
+	blobs := batchInputs(rand.New(rand.NewSource(26)), 9)
+	hs := pathHashers(t)
+	want := make([][][32]byte, len(hs))
+	for i, h := range hs {
+		for _, b := range blobs {
+			want[i] = append(want[i], h.Sum(b))
 		}
 	}
-	check("dispatch")
-	forceSoftAES(t)
-	check("walkGo")
+	for _, path := range batchPaths() {
+		t.Run(path, func(t *testing.T) {
+			forcePath(t, path)
+			for i, h := range hs {
+				for n := 1; n <= len(blobs); n++ {
+					sums := make([][32]byte, n)
+					if SumBatch(h.v, blobs[:n], sums); !slices.Equal(sums, want[i][:n]) {
+						t.Errorf("%s, batch of %d: %x, Sums %x", h.v.Name, n, sums, want[i][:n])
+					}
+				}
+			}
+		})
+	}
 }
 
-// TestSum2RefusesMisuse: a Hasher paired with itself, or with one of
-// another variant, is a programming error.
-func TestSum2RefusesMisuse(t *testing.T) {
-	hs := pathHashers(t)
-	for name, o := range map[string]*Hasher{"itself": hs[0], "another variant": hs[2]} {
+// TestSumBatchRefusesMisuse: too few sums for the blobs, or an invalid
+// variant, is a programming error, as an invalid variant is for Sum.
+func TestSumBatchRefusesMisuse(t *testing.T) {
+	blobs := [][]byte{{1}, {2}, {3}}
+	for name, call := range map[string]func(){
+		"short sums":      func() { SumBatch(Test, blobs, make([][32]byte, 2)) },
+		"invalid variant": func() { SumBatch(Variant{Name: "bad", ScratchpadSize: 100, Iterations: 1}, blobs, make([][32]byte, 3)) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Sum2 with %s did not panic", name)
+					t.Errorf("SumBatch with %s did not panic", name)
 				}
 			}()
-			hs[0].Sum2(o, nil, nil)
+			call()
 		}()
 	}
 }
 
 // TestSumAllocsBothPaths extends TestSumAllocs' zero-allocation pin to a
-// hash that enters every kernel more than once, to walkGo, and to Sum2.
+// hash that enters every kernel more than once, on every path, and to a
+// steady-state SumBatch of nine blobs (two 4-lane walks and a lone Sum)
+// when the race detector is off.
 func TestSumAllocsBothPaths(t *testing.T) {
 	in := goldenInputs()[6]
-	h, o := pathHashers(t)[4], pathHashers(t)[4]
-	for _, path := range []string{"sliced", "walkGo"} {
-		if path == "walkGo" {
-			forceSoftAES(t)
-		}
+	h := pathHashers(t)[4]
+	blobs := batchInputs(rand.New(rand.NewSource(3)), 9)
+	sums := make([][32]byte, len(blobs))
+	for _, path := range batchPaths() {
+		forcePath(t, path)
 		if n := testing.AllocsPerRun(5, func() { h.Sum(in) }); n != 0 {
 			t.Errorf("%s Sum allocates %.1f objects/op, want 0", path, n)
 		}
-		if n := testing.AllocsPerRun(5, func() { h.Sum2(o, in, in) }); n != 0 {
-			t.Errorf("%s Sum2 allocates %.1f objects/op, want 0", path, n)
+		if raceEnabled {
+			continue
+		}
+		SumBatch(h.v, blobs, sums) // fill the pool
+		if n := testing.AllocsPerRun(5, func() { SumBatch(h.v, blobs, sums) }); n != 0 {
+			t.Errorf("%s SumBatch allocates %.1f objects/op, want 0", path, n)
 		}
 	}
 }

@@ -386,8 +386,8 @@ func (sc *lockScanner) checkExpr(expr ast.Expr, held []lockInfo) {
 
 // cryptonightHeavy is the set of package-level cryptonight entry points
 // (and Hasher methods) that do scratchpad-scale work.
-var cryptonightHeavyFuncs = map[string]bool{"Sum": true, "GetHasher": true, "NewHasher": true}
-var cryptonightHeavyMethods = map[string]bool{"Sum": true, "Sum2": true, "Grind": true, "GrindStride": true}
+var cryptonightHeavyFuncs = map[string]bool{"Sum": true, "SumBatch": true, "GetHasher": true, "NewHasher": true}
+var cryptonightHeavyMethods = map[string]bool{"Sum": true, "Grind": true, "GrindStride": true}
 
 // blockingConnMethods are the methods that can block on a peer when the
 // receiver is a net.Conn (or the repo's ws.Conn).

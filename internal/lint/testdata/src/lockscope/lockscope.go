@@ -25,12 +25,20 @@ func (g *guarded) hashUnderLock(blob []byte) [32]byte {
 	return cryptonight.Sum(blob, cryptonight.Test) // want "cryptonight.Sum .* while g.mu is locked"
 }
 
-// pairUnderRead is the same bug with a paired verify: two hashes under
-// a read lock the chain's writers wait on.
-func (g *guarded) pairUnderRead(h, o *cryptonight.Hasher, a, b []byte) {
+// batchUnderRead is the same bug with a batched verify: several hashes
+// under a read lock the chain's writers wait on.
+func (g *guarded) batchUnderRead(blobs [][]byte, sums [][32]byte) {
 	g.rw.RLock()
-	h.Sum2(o, a, b) // want "Hasher.Sum2 while g.rw is locked"
+	cryptonight.SumBatch(cryptonight.Test, blobs, sums) // want "cryptonight.SumBatch .* while g.rw is locked"
 	g.rw.RUnlock()
+}
+
+// grindUnderLock is the bug with a Hasher method: a nonce search under
+// a lock.
+func (g *guarded) grindUnderLock(h *cryptonight.Hasher, blob []byte) {
+	g.mu.Lock()
+	h.Grind(blob, 0, 1, 0, 1) // want "Hasher.Grind while g.mu is locked"
+	g.mu.Unlock()
 }
 
 // sleepUnderRead parks every writer behind a sleeping reader.

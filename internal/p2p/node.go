@@ -24,6 +24,10 @@ const (
 	sendQueueDepth = 256
 	// syncBatch caps entries per sync response.
 	syncBatch = 256
+	// ingestBatch caps the share frames the reader takes from its buffer
+	// into one ingest, and so into one verify: two 4-lane CryptoNight
+	// walks.
+	ingestBatch = 8
 	// syncDeadlineBeats is how many of this node's tip beats a sync round
 	// may wait for its next response before it is abandoned, so a request
 	// or response lost on either side cannot end sync with a peer.
@@ -407,27 +411,13 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 		}
 		switch kind {
 		case frameShare:
-			e, _, err := decodeEntry(body)
+			batch, err := readShareBatch(br, body)
+			if len(batch) > 0 {
+				n.ingest(p, batch)
+			}
 			if err != nil {
 				return err
 			}
-			// A second share frame already whole in the buffer rides along,
-			// so the pair is verified in one paired hash; the reader never
-			// waits for a partner.
-			if !shareBuffered(br) {
-				n.ingest(p, &e)
-				continue
-			}
-			_, body, err = readFrame(br)
-			if err != nil {
-				return err
-			}
-			partner, _, err := decodeEntry(body)
-			if err != nil {
-				n.ingest(p, &e)
-				return err
-			}
-			n.ingest(p, &e, &partner)
 		case frameTip:
 			t, err := decodeTip(body)
 			if err != nil {
@@ -480,10 +470,9 @@ func (n *Node) readLoop(p *peer, br *bufio.Reader) error {
 	}
 }
 
-// ingest offers gossiped entries to the chain — one, or a pair the
-// chain's verifier checks in one paired hash — and settles each outcome
-// with admit.
-func (n *Node) ingest(from *peer, batch ...*sharechain.Entry) {
+// ingest offers a batch of gossiped entries to the chain, whose verifier
+// checks them together, and settles each outcome with admit.
+func (n *Node) ingest(from *peer, batch []*sharechain.Entry) {
 	n.cfg.Chain.InsertUnverified(batch, func(e *sharechain.Entry, reorged bool, err error) {
 		n.admit(from, e, reorged, err)
 	})
@@ -550,12 +539,12 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 // (full batch ⇒ more may follow) or closes it and lets the next tip
 // beat decide whether another round is needed.
 func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entry) {
-	i := 0
-	for ; i+1 < len(entries); i += 2 {
-		n.ingest(p, &entries[i], &entries[i+1])
-	}
-	if i < len(entries) {
-		n.ingest(p, &entries[i])
+	batch := make([]*sharechain.Entry, 0, ingestBatch)
+	for i := range entries {
+		if batch = append(batch, &entries[i]); len(batch) == ingestBatch || i == len(entries)-1 {
+			n.ingest(p, batch)
+			batch = batch[:0]
+		}
 	}
 	more := len(entries) == syncBatch
 	if !more {
@@ -585,6 +574,27 @@ func (n *Node) requestSync(p *peer, from uint64, after [32]byte) {
 	p.syncing = false
 	p.mu.Unlock()
 	n.abandoned.Inc()
+}
+
+// readShareBatch decodes the share frame body first and then every share
+// frame already whole in br's buffer behind it, up to ingestBatch in all,
+// so the batch is verified as one; it never waits for a frame. On a
+// decode error it returns the entries before it with the error.
+func readShareBatch(br *bufio.Reader, first []byte) ([]*sharechain.Entry, error) {
+	var batch []*sharechain.Entry
+	for body := first; ; {
+		e, _, err := decodeEntry(body)
+		if err != nil {
+			return batch, err
+		}
+		batch = append(batch, &e)
+		if len(batch) == ingestBatch || !shareBuffered(br) {
+			return batch, nil
+		}
+		if _, body, err = readFrame(br); err != nil {
+			return batch, err
+		}
+	}
 }
 
 // shareBuffered reports whether br's buffer already holds a whole share

@@ -2,11 +2,14 @@ package p2p
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -399,11 +402,11 @@ func TestIngestCountsRefusals(t *testing.T) {
 	}
 }
 
-// TestShareFramesVerifiedInPairs: N share frames that reach a node in one
-// write are verified as ⌊N/2⌋ pairs, plus one alone when N is odd; a
-// lone frame is admitted without waiting for a partner that never comes.
-func TestShareFramesVerifiedInPairs(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8} {
+// TestShareFramesVerifiedInBatches: N share frames that reach a node in
+// one write are verified in batches of ingestBatch, the last one short;
+// a lone frame is admitted without waiting for more that never come.
+func TestShareFramesVerifiedInBatches(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 8, 11} {
 		reg := metrics.NewRegistry()
 		var mu sync.Mutex
 		var seen []int
@@ -434,20 +437,100 @@ func TestShareFramesVerifiedInPairs(t *testing.T) {
 			c.Close()
 		})
 		node.Close()
-		want := make([]int, n/2, n/2+1)
-		for i := range want {
-			want[i] = 2
-		}
-		if n%2 == 1 {
-			want = append(want, 1)
+		want := map[int][]int{1: {1}, 2: {2}, 5: {5}, 8: {8}, 11: {8, 3}}[n]
+		batched := 0
+		for _, b := range want {
+			if b > 1 {
+				batched += b
+			}
 		}
 		if !reflect.DeepEqual(seen, want) {
 			t.Errorf("%d frames in one write: verifier saw batches %v, want %v", n, seen, want)
 		}
-		if got := reg.Counter("pool.sharechain_paired_verifies").Load(); got != uint64(n&^1) {
-			t.Errorf("%d frames: pool.sharechain_paired_verifies = %d, want %d", n, got, n&^1)
+		if got := reg.Counter("pool.sharechain_batched_verifies").Load(); got != uint64(batched) {
+			t.Errorf("%d frames: pool.sharechain_batched_verifies = %d, want %d", n, got, batched)
 		}
 	}
+}
+
+// chunkReader delivers its bytes at most n at a time, so a bufio.Reader
+// over it holds frames split at arbitrary points.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[k:]
+	return k, nil
+}
+
+// FuzzShareBatches holds readShareBatch to a frame-at-a-time decode: for
+// any byte stream, delivered in reads of any size, the batches readLoop
+// ingests, concatenated, are the share entries a frame-at-a-time decode
+// yields up to its first error, and no batch exceeds ingestBatch.
+func FuzzShareBatches(f *testing.F) {
+	var frames []byte
+	for i := 0; i < 11; i++ {
+		frames = AppendShareFrame(frames, testEntry(uint64(1+i), "tok", 1, byte(i)))
+	}
+	f.Add(frames, uint16(1<<12))
+	f.Add(frames, uint16(100))
+	f.Add(frames, uint16(1))
+	mixed := AppendShareFrame(nil, testEntry(1, "a", 1, 1))
+	mixed = appendTipFrame(mixed, 3, [32]byte{4})
+	mixed = AppendShareFrame(mixed, testEntry(2, "b", 1, 2))
+	f.Add(mixed, uint16(1<<12))
+	bad := slices.Clone(frames)
+	bad[len(bad)/2] ^= 0xff // inside the sixth frame
+	f.Add(bad, uint16(1<<12))
+	f.Add(frames[:len(frames)-3], uint16(1<<12))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		var want []sharechain.Entry
+		br := bufio.NewReader(bytes.NewReader(data))
+		for {
+			kind, body, err := readFrame(br)
+			if err != nil {
+				break
+			}
+			if kind != frameShare {
+				continue
+			}
+			e, _, err := decodeEntry(body)
+			if err != nil {
+				break
+			}
+			want = append(want, e)
+		}
+		var got []sharechain.Entry
+		br = bufio.NewReader(&chunkReader{data, int(chunk) + 1})
+		for {
+			kind, body, err := readFrame(br)
+			if err != nil {
+				break
+			}
+			if kind != frameShare {
+				continue
+			}
+			batch, err := readShareBatch(br, body)
+			if len(batch) > ingestBatch {
+				t.Fatalf("batch of %d, over ingestBatch", len(batch))
+			}
+			for _, e := range batch {
+				got = append(got, *e)
+			}
+			if err != nil {
+				break
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batched reader decoded %d entries, frame at a time %d, or different ones", len(got), len(want))
+		}
+	})
 }
 
 // TestSyncRequestStartsAtHorizon: a node behind a peer asks for entries

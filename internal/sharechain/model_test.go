@@ -253,8 +253,8 @@ func TestChainMatchesModel(t *testing.T) {
 		c, reg = build(true)
 		_, refused := deliver(t, c, reg, set, rng.Perm(len(set)), false, rng)
 		lateRefused += refused
-		if got := reg.Counter("pool.sharechain_paired_verifies").Load(); got == 0 {
-			t.Fatalf("seed %d: no batch reached the verifier as a pair", seed)
+		if got := reg.Counter("pool.sharechain_batched_verifies").Load(); got == 0 {
+			t.Fatalf("seed %d: no batch of two or more reached the verifier", seed)
 		}
 	}
 	if lateRefused == 0 {

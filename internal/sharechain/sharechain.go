@@ -148,9 +148,9 @@ func (e *Entry) before(o *Entry) bool {
 }
 
 // Verifier checks the proofs of work of a batch of entries, writing entry
-// i's verdict (nil: it verifies) to verdicts[i]. It takes the batch two
-// at a time, so a paired hash can check both entries of each pair; the
-// pool injects one backed by its pooled CryptoNight hashers. A nil
+// i's verdict (nil: it verifies) to verdicts[i]. It takes the batch
+// whole, so a batched hash can check several entries at once; the pool
+// injects one backed by its pooled CryptoNight hashers. A nil
 // verifier makes admission of unverified (remote) entries an error, never
 // a silent admission.
 type Verifier func(batch []*Entry, verdicts []error)
@@ -209,11 +209,18 @@ type Chain struct {
 	// The horizon's sizes: the constants, except in tests that shrink them.
 	reorgDepth, foldChunk int
 
+	// verifying holds the IDs of the entries InsertUnverified is verifying
+	// now, so a second copy is refused instead of verified again. It is
+	// read and written under mu held for reading plus verifyingMu, or
+	// under mu held for writing.
+	verifyingMu sync.Mutex
+	verifying   map[[32]byte]struct{}
+
 	height       *metrics.Gauge
 	reorgs       *metrics.Counter
 	belowHorizon *metrics.Counter
 	lateDups     *metrics.Counter
-	paired       *metrics.Counter
+	batched      *metrics.Counter
 }
 
 // account is one token's all-time credit, and the chain's one copy of the
@@ -237,13 +244,14 @@ func New(cfg Config) *Chain {
 		cfg:          cfg,
 		credit:       map[string]*account{},
 		window:       map[string]uint64{},
+		verifying:    map[[32]byte]struct{}{},
 		reorgDepth:   reorgDepth,
 		foldChunk:    foldChunk,
 		height:       cfg.Metrics.Gauge("pool.sharechain_height"),
 		reorgs:       cfg.Metrics.Counter("pool.sharechain_reorgs"),
 		belowHorizon: cfg.Metrics.Counter("pool.sharechain_below_horizon"),
 		lateDups:     cfg.Metrics.Counter("pool.sharechain_late_duplicates"),
-		paired:       cfg.Metrics.Counter("pool.sharechain_paired_verifies"),
+		batched:      cfg.Metrics.Counter("pool.sharechain_batched_verifies"),
 	}
 }
 
@@ -354,27 +362,37 @@ func (c *Chain) Insert(e *Entry, verified bool) (reorged bool, err error) {
 // yet checked. Each entry is checked against the chain under the read
 // lock; the survivors go to Config.Verify in one call, outside any lock,
 // so verification of concurrent gossip parallelises like the pool's
-// submit path, and a batch of two is one paired hash; each verified entry
-// is then inserted under the write lock, re-checked there as Insert
-// checks. done is called once per entry, in batch order, after the whole
-// batch is placed and outside the lock, with what Insert would have
-// returned for it.
+// submit path, and a batch is hashed several entries at a time; each
+// verified entry is then inserted under the write lock, re-checked there
+// as Insert checks. An entry whose copy another call is verifying now is
+// refused as ErrDuplicate before the verify: its ID covers every field,
+// so the copy's verdict is its own. done is called once per entry, in
+// batch order, after the whole batch is placed and outside the lock,
+// with what Insert would have returned for it.
 func (c *Chain) InsertUnverified(batch []*Entry, done func(e *Entry, reorged bool, err error)) {
 	errs := make([]error, len(batch))
 	reorged := make([]bool, len(batch))
 	survivors := make([]*Entry, 0, len(batch))
 	c.mu.RLock()
+	c.verifyingMu.Lock()
 	for i, e := range batch {
 		if errs[i] = c.validate(e); errs[i] == nil {
 			_, errs[i] = c.placeLocked(e)
 		}
+		if errs[i] == nil {
+			if _, busy := c.verifying[e.id]; busy {
+				errs[i] = ErrDuplicate
+			}
+		}
 		switch errs[i] {
 		case nil:
+			c.verifying[e.id] = struct{}{}
 			survivors = append(survivors, e)
 		case ErrBelowHorizon:
 			c.belowHorizon.Inc()
 		}
 	}
+	c.verifyingMu.Unlock()
 	c.mu.RUnlock()
 
 	if len(survivors) > 0 {
@@ -385,7 +403,9 @@ func (c *Chain) InsertUnverified(batch []*Entry, done func(e *Entry, reorged boo
 			}
 		} else {
 			c.cfg.Verify(survivors, verdicts)
-			c.paired.Add(uint64(len(survivors) &^ 1))
+			if len(survivors) > 1 {
+				c.batched.Add(uint64(len(survivors)))
+			}
 		}
 		j := 0
 		for i := range batch {
@@ -400,6 +420,12 @@ func (c *Chain) InsertUnverified(batch []*Entry, done func(e *Entry, reorged boo
 				reorged[i], errs[i] = c.insertLocked(e, false)
 			}
 		}
+		// In the same critical section as the inserts: a copy checked
+		// after this finds the entry held, one checked before finds it
+		// being verified.
+		for _, e := range survivors {
+			delete(c.verifying, e.id)
+		}
 		c.mu.Unlock()
 	}
 	for i, e := range batch {
@@ -410,7 +436,9 @@ func (c *Chain) InsertUnverified(batch []*Entry, done func(e *Entry, reorged boo
 // insertLocked places one entry, structurally valid and (unless verified)
 // already through the verifier, in the chain as it stands now: the check
 // before the verify ran against a snapshot. A duplicate found only here
-// raced another reader and lost after paying for a full verify.
+// was admitted during the verify by a local (verified) Insert, and cost a
+// full verify; a copy verifying in another call is refused before its
+// verify (InsertUnverified).
 func (c *Chain) insertLocked(e *Entry, verified bool) (reorged bool, err error) {
 	var pos int
 	switch pos, err = c.placeLocked(e); {

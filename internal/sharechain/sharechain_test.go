@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -225,6 +227,9 @@ func TestVerifierGatesRemoteEntries(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) || !reflect.DeepEqual(seen, tc.seen) {
 			t.Errorf("%s: verdicts %v, verifier saw batches %v; want %v, %v", tc.name, got, seen, tc.want, tc.seen)
 		}
+		if n := len(c.verifying); n != 0 {
+			t.Errorf("%s: %d IDs left in the verifying set", tc.name, n)
+		}
 		for i, e := range batch {
 			if held := tc.want[i] == nil || tc.want[i] == ErrDuplicate; c.has(e) != held {
 				t.Errorf("%s: entry %d held = %v, want %v", tc.name, i, !held, held)
@@ -239,15 +244,17 @@ func TestVerifierGatesRemoteEntries(t *testing.T) {
 		if _, err := c.Insert(mkEntry(103, "evil", 1, 6), true); !errors.Is(err, ErrDuplicate) {
 			t.Errorf("%s: local duplicate: %v", tc.name, err)
 		}
-		var paired uint64
+		var batched uint64
 		for _, n := range tc.seen {
-			paired += uint64(n &^ 1)
+			if n > 1 {
+				batched += uint64(n)
+			}
 		}
 		if got := reg.Counter("pool.sharechain_late_duplicates").Load(); got != tc.lateDups {
 			t.Errorf("%s: pool.sharechain_late_duplicates = %d, want %d", tc.name, got, tc.lateDups)
 		}
-		if got := reg.Counter("pool.sharechain_paired_verifies").Load(); got != paired {
-			t.Errorf("%s: pool.sharechain_paired_verifies = %d, want %d", tc.name, got, paired)
+		if got := reg.Counter("pool.sharechain_batched_verifies").Load(); got != batched {
+			t.Errorf("%s: pool.sharechain_batched_verifies = %d, want %d", tc.name, got, batched)
 		}
 	}
 }
@@ -380,6 +387,56 @@ func TestLateDuplicateCounted(t *testing.T) {
 	}
 	if got := reg.Counter("pool.sharechain_late_duplicates").Load(); got != 1 {
 		t.Fatalf("pool.sharechain_late_duplicates = %d, want 1", got)
+	}
+}
+
+// TestConcurrentCopiesVerifiedOnce: while one reader verifies an entry, a
+// second reader ingesting a copy of it is refused as a duplicate without
+// a verify of its own, and the first reader's copy is admitted; once it
+// is held, a third copy is refused by the chain itself.
+func TestConcurrentCopiesVerifiedOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var verifies atomic.Int32
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	c := New(Config{Metrics: reg, Verify: func(batch []*Entry, _ []error) {
+		verifies.Add(1)
+		entered <- struct{}{}
+		<-release
+	}})
+	copyOf := func() *Entry { return mkEntry(1, "a", 1, 1) }
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Insert(copyOf(), false)
+		first <- err
+	}()
+	<-entered
+	second := make(chan error, 1)
+	go func() {
+		_, err := c.Insert(copyOf(), false)
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if !errors.Is(err, ErrDuplicate) {
+			t.Errorf("copy ingested mid-verify: %v, want ErrDuplicate", err)
+		}
+	case <-entered:
+		t.Errorf("copy ingested mid-verify was verified again")
+	case <-time.After(5 * time.Second):
+		t.Errorf("copy ingested mid-verify neither refused nor verified")
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("first copy: %v", err)
+	}
+	if _, err := c.Insert(copyOf(), false); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("copy ingested after admission: %v, want ErrDuplicate", err)
+	}
+	if n := verifies.Load(); n != 1 {
+		t.Fatalf("verifier ran %d times, want 1", n)
+	}
+	if got := reg.Counter("pool.sharechain_late_duplicates").Load(); got != 0 {
+		t.Fatalf("pool.sharechain_late_duplicates = %d, want 0", got)
 	}
 }
 
