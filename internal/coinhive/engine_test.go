@@ -23,7 +23,7 @@ func startStratum(t *testing.T, handler *coinhive.Server, keepalive ...time.Dura
 	t.Helper()
 	ss := coinhive.NewStratumServer(handler.Engine())
 	if len(keepalive) > 0 {
-		ss.KeepaliveWindow = keepalive[0]
+		ss.SetKeepaliveWindow(keepalive[0])
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

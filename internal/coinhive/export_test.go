@@ -16,6 +16,10 @@ func (e *Engine) AbuseState(key string) (score float64, bannedUntil time.Time) {
 	return s, bannedUntil
 }
 
+// SetKeepaliveWindow shortens the peer-silence window for tests that
+// exercise keepalive reaping. Call it before Serve.
+func (s *StratumServer) SetKeepaliveWindow(d time.Duration) { s.keepalive = d }
+
 // state snapshots one identity's decayed score and ban deadline.
 func (t *abuseTable) state(key string, nowNs int64) (score float64, bannedUntilNs int64) {
 	sh := t.shardFor(key)

@@ -70,7 +70,7 @@ func TestStratumParkedSessionsGetJobPushes(t *testing.T) {
 }
 
 // TestStratumParkedKeepaliveLifecycle drives the keepalive window
-// through the parker's deadline heap: a session that keeps pinging
+// through the parker's deadline timers: a session that keeps pinging
 // survives window after window (each ping waking and re-parking it),
 // while a silent one is reaped by the park timer with no goroutine ever
 // dedicated to watching it.

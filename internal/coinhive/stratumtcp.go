@@ -38,7 +38,7 @@ import (
 // login.pass carries the ws dialect's user field, so "link:ID" and
 // "captcha:ID" sessions work identically over TCP. Oversize lines and
 // unparseable JSON get one error response and the connection is dropped;
-// a connection silent for longer than KeepaliveWindow is dropped without
+// a connection silent for longer than keepaliveWindow is dropped without
 // ceremony — that is what keepalived is for.
 //
 // Scaling shape: a server-clocked session is silent almost all of its
@@ -54,14 +54,10 @@ import (
 type StratumServer struct {
 	eng *Engine
 
-	// KeepaliveWindow bounds peer silence: each read (or park) waits at
-	// most this long before the connection is declared dead. Zero means
-	// the default of 90 seconds. Compliant clients ping every
-	// session.KeepaliveInterval (30s) while busy, so production windows
-	// must stay comfortably above that; sub-interval windows are for
-	// tests. Set it before calling Serve; connection goroutines read it
-	// unsynchronised.
-	KeepaliveWindow time.Duration
+	// keepalive bounds peer silence: keepaliveWindow, except in tests,
+	// which shorten it before calling Serve (connection goroutines read
+	// it unsynchronised).
+	keepalive time.Duration
 
 	conns  connSet[*stratumConn]
 	parker *netpark.Parker
@@ -103,6 +99,12 @@ type StratumServer struct {
 	queueDepth *metrics.Gauge     // connections with an unwritten push (Peak = widest backlog)
 }
 
+// keepaliveWindow bounds peer silence: each read (or park) waits at most
+// this long before the connection is declared dead. Compliant clients
+// ping every session.KeepaliveInterval (30s) while busy, so it stays
+// comfortably above that.
+const keepaliveWindow = 90 * time.Second
+
 // parkGrace bounds the read wait after a park wake: the wake promised
 // bytes, so if none show up quickly the session re-parks instead of
 // holding a goroutine for the rest of the keepalive window.
@@ -127,6 +129,7 @@ func NewStratumServer(e *Engine) *StratumServer {
 	reg := e.pool.Metrics()
 	s := &StratumServer{
 		eng:        e,
+		keepalive:  keepaliveWindow,
 		parker:     netpark.New(0),
 		pushWake:   make(chan struct{}, 1),
 		stop:       make(chan struct{}),
@@ -313,13 +316,6 @@ func (s *StratumServer) fanOut() {
 	s.eng.jobsSent.Add(sent)
 }
 
-func (s *StratumServer) keepaliveWindow() time.Duration {
-	if s.KeepaliveWindow > 0 {
-		return s.KeepaliveWindow
-	}
-	return 90 * time.Second
-}
-
 // borrowReader hands out a pooled MaxRPCLine-sized bufio reader bound to
 // nc. Paired with putReader around every park, so buffers follow the
 // active sessions instead of pinning one per live connection.
@@ -449,7 +445,7 @@ func (c *stratumConn) runSteps(resumed bool) {
 		if c.br.Buffered() > 0 {
 			continue // a pipelined request is already in hand
 		}
-		if c.park(time.Now().Add(c.srv.keepaliveWindow())) {
+		if c.park(time.Now().Add(c.srv.keepalive)) {
 			return
 		}
 	}
@@ -475,8 +471,10 @@ func (c *stratumConn) park(deadline time.Time) bool {
 
 // onWake resumes a parked session on its own goroutine. Resumed sessions
 // are exactly the active ones, so the goroutine count tracks activity —
-// the whole point of parking. (Running runSteps inline on the parker
-// worker would let one slow line-read starve every other resume.)
+// the whole point of parking. The parker calls it on the goroutine that
+// saw readiness (the epoll loop or a memconn writer), so it must not
+// block: running runSteps inline there would stall every other wake
+// behind one slow line-read.
 func (c *stratumConn) onWake() { go c.runSteps(true) }
 
 // enqueuePush stores one pre-encoded push line in the conn's slot and,
@@ -590,7 +588,7 @@ func (c *stratumConn) writePushLocked(line []byte, tipNs int64) error {
 // rules on them; only transport death (EOF, keepalive timeout) is an
 // error.
 func (c *stratumConn) readCommand() (Command, error) {
-	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.keepaliveWindow())); err != nil {
+	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.keepalive)); err != nil {
 		return Command{}, err
 	}
 	line, err := stratum.ReadRPCLine(c.br)

@@ -168,12 +168,17 @@ func log2(v uint64) int {
 // ResolveResult covers both destination tables.
 type ResolveResult struct {
 	sampledTop     int
+	feasibleTop    int // sampled minus the InfeasibleHashes-priced links
 	ResolvedTop    int
 	topDomains     []analysis.RankEntry // Table 4
 	sampledTail    int
 	ResolvedTail   int
 	tailCategories []analysis.RankEntry // Table 5
 	Uncategorized  float64
+	// requiredHashes sums the resolved links' prices: what the header
+	// prints, a function of the corpus alone. HashesComputed, the miners'
+	// actual work, depends on how the concurrent fleet is scheduled.
+	requiredHashes uint64
 	HashesComputed int64
 }
 
@@ -286,6 +291,9 @@ func RunResolve(scale Scale, perUserSample, tailSample int) (ResolveResult, erro
 		if spec.Hashes == linkgen.InfeasibleHashes {
 			continue
 		}
+		if sm.kind == kindTop {
+			res.feasibleTop++
+		}
 		minable = append(minable, sm)
 		tasks = append(tasks, webminer.Task{
 			URL:     wsBase + "/proxy" + fmt.Sprintf("%d", sm.idx%pool.NumEndpoints()),
@@ -305,6 +313,7 @@ func RunResolve(scale Scale, perUserSample, tailSample int) (ResolveResult, erro
 			continue
 		}
 		url := out.Result.ResolvedURL
+		res.requiredHashes += specs[minable[i].idx].Hashes
 		switch minable[i].kind {
 		case kindTop:
 			res.ResolvedTop++
@@ -341,7 +350,7 @@ func hostOf(u string) string {
 // Render prints Tables 4 and 5.
 func (r ResolveResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Tables 4 & 5 — link destinations (resolved by mining; %d hashes computed)\n", r.HashesComputed)
+	fmt.Fprintf(&b, "Tables 4 & 5 — link destinations (resolved by mining; %d hashes required)\n", r.requiredHashes)
 	fmt.Fprintf(&b, "\n[Table 4] top-10 users: %d/%d links resolved\n", r.ResolvedTop, r.sampledTop)
 	rows := [][]string{}
 	for i, e := range r.topDomains {

@@ -12,8 +12,8 @@ import (
 
 // poller is the epoll readiness source for real sockets: one epoll fd,
 // level-triggered EPOLLONESHOT registrations (one wake per park — the
-// session re-parks explicitly), and a single wait goroutine dispatching
-// wakes onto the parker's worker pool.
+// session re-parks explicitly), and a single wait goroutine that runs
+// each woken entry's onReady itself.
 //
 // The wait goroutine never blocks in epoll_wait: a blocking syscall holds
 // its P until sysmon retakes it (20 µs–10 ms), so on a box with few Ps

@@ -3,15 +3,14 @@
 // between keepalives; a blocked reader goroutine per live session means
 // 50k sessions cost 50k stacks doing nothing. Parking instead registers
 // the connection with a readiness source — epoll for real sockets,
-// an ArmReadWaker hook for in-memory conns — plus a deadline min-heap,
-// and resumes the session on a small worker pool when bytes arrive or
-// the deadline (the keepalive window) expires. Goroutine count then
-// scales with *active* sessions, not live ones.
+// an ArmReadWaker hook for in-memory conns — plus a runtime timer for
+// the deadline (the keepalive window), and calls back when bytes arrive
+// or the deadline expires. Goroutine count then scales with *active*
+// sessions, not live ones.
 package netpark
 
 import (
 	"net"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -24,254 +23,113 @@ type readWaker interface {
 
 // entry is one parked connection. Single-use: a wake or timeout claims it
 // exactly once (the atomic arbitrates between the readiness source and
-// the deadline heap), and resuming re-parks with a fresh entry.
+// the deadline timer), and resuming re-parks with a fresh entry.
 type entry struct {
-	deadlineNs int64
-	onReady    func()
-	onTimeout  func()
-	claimed    atomic.Bool
+	onReady   func()
+	onTimeout func()
+	timer     *time.Timer
+	claimed   atomic.Bool
 	// fd is the epoll-registered descriptor, negative otherwise. Atomic
-	// because the poller registers it after the entry is already visible
-	// to the deadline heap.
+	// because the poller registers it after the deadline timer is armed.
 	fd atomic.Int32
 }
 
 // Parker parks connections until readability or a deadline.
 type Parker struct {
-	mu      sync.Mutex
-	heap    []*entry // min-heap by deadlineNs, lazy removal of claimed entries
-	readyq  []*entry
-	rhead   int
-	ready   sync.Cond
-	stopped bool
-
-	kick  chan struct{} // nudges the timer loop after an earlier deadline lands
-	stopc chan struct{}
-
-	poller *poller // epoll readiness for real sockets; nil when unavailable
-	parked atomic.Int64
+	stopped atomic.Bool
+	poller  *poller // epoll readiness for real sockets; nil when unavailable
+	parked  atomic.Int64
 }
 
-// New starts a parker with the given resume-worker count (<=0 picks a
-// small default). Workers run the onReady callbacks, so their count
-// bounds how many resumed sessions execute concurrently — the active-
-// session ceiling, deliberately far below the parked-session count.
-func New(workers int) *Parker {
-	if workers <= 0 {
-		workers = 8
-	}
-	p := &Parker{
-		kick:  make(chan struct{}, 1),
-		stopc: make(chan struct{}),
-	}
-	p.ready.L = &p.mu
+// New starts a parker. Its argument is unused: callbacks run on the
+// goroutine that saw readiness or on the deadline's timer (see Park), so
+// there is no worker pool to size.
+func New(int) *Parker {
+	p := &Parker{}
 	p.poller, _ = newPoller(p)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	go p.timerLoop()
 	return p
 }
 
 // Parked reports how many connections are currently parked.
 func (p *Parker) Parked() int64 { return p.parked.Load() }
 
-// Park registers nc until it becomes readable (onReady, run on a parker
-// worker) or deadline passes (onTimeout, run on the timer goroutine —
-// it must be cheap; closing a connection is). Exactly one of the two
-// fires, once. It returns false when the connection offers no readiness
-// source the parker can use — the caller then keeps its own goroutine.
+// Park registers nc until it becomes readable (onReady) or deadline
+// passes (onTimeout). Exactly one of the two fires, once. onReady runs on
+// the goroutine that saw readiness — the epoll loop, or the memconn
+// writer (or Park's own caller when data is already buffered) — and
+// onTimeout on the deadline's runtime timer goroutine, so both must be
+// cheap and must not block: spawning a goroutine or closing a connection
+// is. It returns false when the connection offers no readiness source the
+// parker can use — the caller then keeps its own goroutine.
 //
 // The caller must not touch the connection after a successful Park until
 // its callback fires: the callback may run before Park even returns (data
-// already buffered). Park's internal lock provides the happens-before
-// between the caller's pre-Park writes and the callback's reads.
+// already buffered or deadline already past). Arming the timer and the
+// readiness source provide the happens-before between the caller's
+// pre-Park writes and the callback's reads.
 func (p *Parker) Park(nc net.Conn, deadline time.Time, onReady, onTimeout func()) bool {
-	e := &entry{deadlineNs: deadline.UnixNano(), onReady: onReady, onTimeout: onTimeout}
-	e.fd.Store(-1)
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
+	rw, isWaker := nc.(readWaker)
+	sc, isSock := nc.(syscall.Conn)
+	if p.stopped.Load() || !isWaker && (p.poller == nil || !isSock) {
 		return false
 	}
-	p.heapPush(e)
-	front := p.heap[0] == e
-	p.mu.Unlock()
-	if front {
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
-	}
-	// Arm the readiness source only after releasing p.mu: a waker may fire
-	// synchronously (data already buffered) and wake() re-enters the lock.
-	if rw, ok := nc.(readWaker); ok {
-		p.parked.Add(1)
+	e := &entry{onReady: onReady, onTimeout: onTimeout}
+	e.fd.Store(-1)
+	p.parked.Add(1)
+	// The timer is armed first so a wake always finds e.timer set.
+	e.timer = time.AfterFunc(time.Until(deadline), func() { p.expire(e) })
+	if isWaker {
 		rw.ArmReadWaker(func() { p.wake(e) })
 		return true
 	}
-	if p.poller != nil {
-		if sc, ok := nc.(syscall.Conn); ok {
-			p.parked.Add(1)
-			if p.poller.add(e, sc) == nil {
-				return true
-			}
-			p.parked.Add(-1)
-		}
+	if p.poller.add(e, sc) == nil {
+		return true
 	}
-	// No readiness source: withdraw the entry (the heap skips claimed
-	// entries lazily) and let the caller keep its dedicated goroutine.
-	e.claimed.Store(true)
+	// Registration failed: withdraw the entry and let the caller keep its
+	// goroutine — unless the deadline already claimed it, in which case
+	// onTimeout owns the connection.
+	if !e.claimed.CompareAndSwap(false, true) {
+		return true
+	}
+	e.timer.Stop()
+	p.parked.Add(-1)
 	return false
 }
 
-// wake claims e and queues its onReady on the worker pool. Loses cleanly
-// to a concurrent timeout claim.
+// wake claims e and runs its onReady on the calling goroutine. Loses
+// cleanly to a concurrent timeout claim. Wakes still fire after Close so
+// a resumed session observes its dead transport and tears down.
 func (p *Parker) wake(e *entry) {
 	if !e.claimed.CompareAndSwap(false, true) {
 		return
 	}
+	e.timer.Stop()
 	p.parked.Add(-1)
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		// Workers are gone; the resume must still happen so the session
-		// observes its dead transport and tears down.
-		go e.onReady()
+	e.onReady()
+}
+
+// expire is e's deadline: it claims e, forgets its epoll registration and
+// runs onTimeout. After Close no timeout fires.
+func (p *Parker) expire(e *entry) {
+	if p.stopped.Load() || !e.claimed.CompareAndSwap(false, true) {
 		return
 	}
-	p.readyq = append(p.readyq, e)
-	p.ready.Signal()
-	p.mu.Unlock()
-}
-
-func (p *Parker) worker() {
-	for {
-		p.mu.Lock()
-		for p.rhead == len(p.readyq) && !p.stopped {
-			p.ready.Wait()
-		}
-		if p.rhead == len(p.readyq) {
-			p.mu.Unlock()
-			return
-		}
-		e := p.readyq[p.rhead]
-		p.readyq[p.rhead] = nil
-		p.rhead++
-		if p.rhead == len(p.readyq) {
-			p.readyq = p.readyq[:0]
-			p.rhead = 0
-		}
-		p.mu.Unlock()
-		e.onReady()
+	p.parked.Add(-1)
+	if p.poller != nil && e.fd.Load() >= 0 {
+		p.poller.drop(e)
 	}
+	e.onTimeout()
 }
 
-func (p *Parker) timerLoop() {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		now := time.Now().UnixNano()
-		var due []*entry
-		p.mu.Lock()
-		for len(p.heap) > 0 {
-			top := p.heap[0]
-			if top.claimed.Load() {
-				p.heapPop()
-				continue
-			}
-			if top.deadlineNs > now {
-				break
-			}
-			p.heapPop()
-			if top.claimed.CompareAndSwap(false, true) {
-				due = append(due, top)
-			}
-		}
-		wait := time.Hour
-		if len(p.heap) > 0 {
-			wait = time.Duration(p.heap[0].deadlineNs - now)
-		}
-		p.mu.Unlock()
-		for _, e := range due {
-			p.parked.Add(-1)
-			if p.poller != nil && e.fd.Load() >= 0 {
-				p.poller.drop(e)
-			}
-			e.onTimeout()
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-timer.C:
-		case <-p.kick:
-		case <-p.stopc:
-			return
-		}
-	}
-}
-
-// Close stops the parker: workers drain the ready queue and exit, the
-// timer stops firing, the poller shuts down. Entries still parked never
-// fire — callers shutting down are expected to tear their connections
-// down directly.
+// Close stops the parker: no further park is accepted, no deadline
+// fires, and the poller shuts down. Entries still parked never time out
+// — callers shutting down are expected to tear their connections down
+// directly.
 func (p *Parker) Close() {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
+	if p.stopped.Swap(true) {
 		return
 	}
-	p.stopped = true
-	p.ready.Broadcast()
-	p.mu.Unlock()
-	close(p.stopc)
 	if p.poller != nil {
 		p.poller.close()
 	}
-}
-
-// Min-heap by deadlineNs, hand-rolled to keep entries as typed pointers.
-
-func (p *Parker) heapPush(e *entry) {
-	p.heap = append(p.heap, e)
-	i := len(p.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.heap[parent].deadlineNs <= p.heap[i].deadlineNs {
-			break
-		}
-		p.heap[parent], p.heap[i] = p.heap[i], p.heap[parent]
-		i = parent
-	}
-}
-
-func (p *Parker) heapPop() *entry {
-	h := p.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	p.heap = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && p.heap[l].deadlineNs < p.heap[small].deadlineNs {
-			small = l
-		}
-		if r < last && p.heap[r].deadlineNs < p.heap[small].deadlineNs {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		p.heap[i], p.heap[small] = p.heap[small], p.heap[i]
-		i = small
-	}
-	return top
 }

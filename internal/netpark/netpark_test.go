@@ -24,7 +24,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestParkWakesOnMemconnData(t *testing.T) {
-	p := New(2)
+	p := New(0)
 	defer p.Close()
 	client, server := memconn.Pipe()
 	var ready, timeout atomic.Int32
@@ -48,7 +48,7 @@ func TestParkWakesOnMemconnData(t *testing.T) {
 }
 
 func TestParkTimesOut(t *testing.T) {
-	p := New(2)
+	p := New(0)
 	defer p.Close()
 	_, server := memconn.Pipe()
 	var ready, timeout atomic.Int32
@@ -63,7 +63,7 @@ func TestParkTimesOut(t *testing.T) {
 }
 
 func TestParkWakesOnPeerClose(t *testing.T) {
-	p := New(2)
+	p := New(0)
 	defer p.Close()
 	client, server := memconn.Pipe()
 	var ready atomic.Int32
@@ -75,7 +75,7 @@ func TestParkWakesOnPeerClose(t *testing.T) {
 }
 
 func TestParkImmediatelyReadable(t *testing.T) {
-	p := New(2)
+	p := New(0)
 	defer p.Close()
 	client, server := memconn.Pipe()
 	if _, err := client.Write([]byte("x")); err != nil {
@@ -89,7 +89,7 @@ func TestParkImmediatelyReadable(t *testing.T) {
 }
 
 func TestParkTCP(t *testing.T) {
-	p := New(2)
+	p := New(0)
 	defer p.Close()
 	client, server := tcpPair(t)
 
@@ -126,7 +126,7 @@ func TestParkTCP(t *testing.T) {
 // TestParkStorm parks many conns and wakes them all at once — the shape a
 // tip-change fan-out produces — checking claims stay exactly-once.
 func TestParkStorm(t *testing.T) {
-	p := New(4)
+	p := New(0)
 	defer p.Close()
 	const n = 500
 	var ready atomic.Int32
@@ -159,7 +159,7 @@ func TestParkStorm(t *testing.T) {
 // count by more than the parker's own fixed overhead.
 func TestGoroutineDiet(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := New(4)
+	p := New(0)
 	defer p.Close()
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -175,6 +175,77 @@ func TestGoroutineDiet(t *testing.T) {
 	if grew := after - before; grew > 16 {
 		t.Fatalf("parking %d conns grew goroutines by %d — parked conns must not hold goroutines", n, grew)
 	}
+}
+
+// TestParkMassExpiry gives 1,000 memconn entries one shared deadline:
+// each must time out exactly once, none may wake, and a write after the
+// expiry must find every entry already claimed.
+func TestParkMassExpiry(t *testing.T) {
+	p := New(0)
+	defer p.Close()
+	const n = 1000
+	var ready atomic.Int32
+	var timeouts [n]atomic.Int32
+	clients := make([]*memconn.Conn, n)
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for i := range clients {
+		i := i
+		client, server := memconn.Pipe()
+		clients[i] = client
+		if !p.Park(server, deadline, func() { ready.Add(1) }, func() { timeouts[i].Add(1) }) {
+			t.Fatal("park refused")
+		}
+	}
+	waitFor(t, "every entry to expire", func() bool { return p.Parked() == 0 })
+	for _, c := range clients {
+		if _, err := c.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	for i := range timeouts {
+		if got := timeouts[i].Load(); got != 1 {
+			t.Fatalf("entry %d timed out %d times, want 1", i, got)
+		}
+	}
+	if got := ready.Load(); got != 0 {
+		t.Fatalf("onReady fired %d times for expired entries, want 0", got)
+	}
+}
+
+// TestParkerCloseStopsMemconnDeadline closes a parker with a memconn
+// entry parked: its deadline passes afterwards and nothing fires.
+func TestParkerCloseStopsMemconnDeadline(t *testing.T) {
+	p := New(0)
+	_, server := memconn.Pipe()
+	var fired atomic.Int32
+	if !p.Park(server, time.Now().Add(20*time.Millisecond), func() { fired.Add(1) }, func() { fired.Add(1) }) {
+		t.Fatal("park refused")
+	}
+	p.Close()
+	time.Sleep(100 * time.Millisecond)
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("entry parked at Close fired %d callbacks after its deadline, want 0", n)
+	}
+}
+
+// TestParkerStartsOnlyThePollerGoroutine pins New's footprint: at most
+// one goroutine, the epoll wait loop. Wakes run on the goroutine that saw
+// readiness and deadlines on runtime timers, so nothing else is started.
+func TestParkerStartsOnlyThePollerGoroutine(t *testing.T) {
+	before := parkerGoroutines()
+	p := New(0)
+	defer p.Close()
+	if grew := parkerGoroutines() - before; grew > 1 {
+		t.Fatalf("New started %d goroutines, want at most 1 (the poller loop)", grew)
+	}
+}
+
+// parkerGoroutines counts live goroutines started by netpark itself.
+func parkerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by repro/internal/netpark.")
 }
 
 // tcpPair returns both ends of a loopback TCP connection.
@@ -228,7 +299,7 @@ func TestPollerWaitsInNetpoller(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the epoll poller is linux-only")
 	}
-	p := New(2)
+	p := New(0)
 	defer p.Close()
 	_, server := tcpPair(t)
 	if !p.Park(server, time.Now().Add(time.Minute), func() {}, func() {}) {
@@ -263,7 +334,7 @@ func TestParkerCloseThenReuse(t *testing.T) {
 		t.Skip("the epoll poller is linux-only")
 	}
 	var stale, ready atomic.Int32
-	p1 := New(2)
+	p1 := New(0)
 	client1, server1 := tcpPair(t)
 	if !p1.Park(server1, time.Now().Add(time.Minute), func() { stale.Add(1) }, func() { stale.Add(1) }) {
 		t.Fatal("TCP park refused on linux")
@@ -271,7 +342,7 @@ func TestParkerCloseThenReuse(t *testing.T) {
 	p1.Close()
 	waitFor(t, "the closed poller's loop to exit", func() bool { return len(pollerLoopStates()) == 0 })
 
-	p2 := New(2)
+	p2 := New(0)
 	defer p2.Close()
 	client2, server2 := tcpPair(t)
 	if !p2.Park(server2, time.Now().Add(time.Minute), func() { ready.Add(1) }, func() {}) {

@@ -323,12 +323,18 @@ func TestDuplicateGossipCounted(t *testing.T) {
 		mint(t, nodes[0], "solo", 1, uint32(i))
 	}
 	waitConverged(t, 30, nodes...)
-	var dups uint64
-	for _, n := range nodes {
-		dups += n.reg.Counter("p2p.shares_duplicate").Load()
+	// The duplicates are the relayed second copies, which may still be
+	// queued when the chains converge: poll rather than sample once.
+	dups := func() (sum uint64) {
+		for _, n := range nodes {
+			sum += n.reg.Counter("p2p.shares_duplicate").Load()
+		}
+		return sum
 	}
-	if dups == 0 {
-		t.Fatalf("full mesh with relay produced zero duplicate deliveries")
+	for deadline := time.Now().Add(5 * time.Second); dups() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("full mesh with relay produced zero duplicate deliveries")
+		}
 	}
 	// Credit must count each entry exactly once despite duplicates.
 	for i, n := range nodes {

@@ -168,15 +168,16 @@ func (c *Client) Mine(wantShares int) (Result, error) {
 		// client-clocked dialect resolves on the next job (the server
 		// always sends one) and the server-clocked one on an accept or a
 		// stale re-job. Anything pushed in between (link resolution,
-		// fresh work) is handled in place.
-		accepted, stale := false, false
+		// fresh work) is handled in place. A duplicate resolves the turn in
+		// either dialect with no job.
+		accepted, stale, dup := false, false, false
 		for {
 			if submitted && serverClocked {
 				// Drain anything the server flushed together with the
 				// resolution (a link_resolved/captcha_verified riding a
 				// submit accept) before grinding again — those frames are
 				// already buffered, so this never blocks.
-				if (accepted || (stale && haveJob)) && !sess.Buffered() {
+				if (accepted || dup || (stale && haveJob)) && !sess.Buffered() {
 					break
 				}
 			} else if haveJob {
@@ -232,6 +233,14 @@ func (c *Client) Mine(wantShares int) (Result, error) {
 					// The tip outran our job; the replacement notification
 					// follows. Invalidate the current job until it arrives.
 					stale, haveJob = true, false
+					continue
+				}
+				if e.Error == stratum.DuplicateShareMessage {
+					// Another session of this token already submitted
+					// the share (concurrent links mine one blob from the
+					// same cursor). The pool sends no job for a replay:
+					// keep this one and grind on from the cursor.
+					dup, haveJob = true, true
 					continue
 				}
 				return res, fmt.Errorf("webminer: pool error: %s", e.Error)

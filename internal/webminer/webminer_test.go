@@ -122,6 +122,32 @@ func TestResolveShortLinkEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLinkResolvesPastDuplicateShare resolves nine links of one token on
+// one endpoint in turn. Sessions rotate over the backend's eight
+// templates, so the ninth mines the first one's blob from the same nonce
+// cursor and its first share is already in the account's memo: the pool
+// answers "duplicate share" and sends no fresh job, and the miner must
+// grind on from its advanced cursor.
+func TestLinkResolvesPastDuplicateShare(t *testing.T) {
+	srv, pool := startService(t)
+	for i := 0; i < 9; i++ {
+		url := "https://example.org/" + itoa(i)
+		c := &Client{
+			URL:     wsEndpoint(srv, 3),
+			SiteKey: "dup-creator",
+			LinkID:  pool.Links().Create("dup-creator", url, 8),
+			Variant: cryptonight.Test,
+		}
+		res, err := c.Mine(0)
+		if err != nil {
+			t.Fatalf("link %d: %v", i, err)
+		}
+		if res.ResolvedURL != url {
+			t.Fatalf("link %d resolved to %q, want %q", i, res.ResolvedURL, url)
+		}
+	}
+}
+
 func TestMinerAssetsServed(t *testing.T) {
 	srv, _ := startService(t)
 	resp, err := http.Get(srv.URL + "/lib/coinhive.min.js")
