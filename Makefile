@@ -54,7 +54,9 @@ loc:
 # fast suite under the race detector, ten seconds each of fuzzing the p2p
 # frame decoders (the federation's one untrusted wire), the p2p reader's
 # share-frame batching (batches must decode what frame-at-a-time reads
-# would) and the ws frame decoder (the miners' untrusted wire), one pass of every package micro-
+# would), the stratum front's pipelined-run reader (runs must hold the
+# commands line-at-a-time reads would, without reading the conn) and the
+# ws frame decoder (the miners' untrusted wire), one pass of every package micro-
 # benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
 # attributes blocks" check keeps running), the nested benchmark module's
 # own vet + tests (root `./...` skips it, so a product-side rename the
@@ -80,6 +82,7 @@ check:
 	$(GO) test -race -count=10 -run 'Park|Poller' ./internal/netpark
 	$(GO) test -run '^$$' -fuzz '^FuzzP2PDecode$$' -fuzztime 10s ./internal/p2p
 	$(GO) test -run '^$$' -fuzz '^FuzzShareBatches$$' -fuzztime 10s ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRun$$' -fuzztime 10s ./internal/coinhive
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameInto$$' -fuzztime 10s ./internal/ws
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments ./internal/nocoin ./internal/htmlx ./internal/webgen ./internal/crawler ./internal/browser
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

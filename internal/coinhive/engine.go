@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/blockchain"
+	"repro/internal/cryptonight"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/stratum"
@@ -202,10 +204,11 @@ func (e *Engine) bindSession(endpoint int, t sessionTransport) *MinerSession {
 }
 
 // stepDeliver advances a session by one decoded command and delivers the
-// replies. It reports whether the session is over (delivery failed, or a
+// replies; pre holds the sums hashed ahead for the command's run (nil for
+// none). It reports whether the session is over (delivery failed, or a
 // fatal error event was produced); the caller then owns closing ms.
-func (e *Engine) stepDeliver(ms *MinerSession, t sessionTransport, cmd Command) (done bool) {
-	evs := ms.Step(cmd)
+func (e *Engine) stepDeliver(ms *MinerSession, t sessionTransport, cmd Command, pre *prehashed) (done bool) {
+	evs := ms.step(cmd, pre)
 	if t.deliver(ms, cmd, evs) != nil {
 		return true
 	}
@@ -228,7 +231,7 @@ func (e *Engine) serveSession(endpoint int, t sessionTransport) {
 		if err != nil {
 			return
 		}
-		if e.stepDeliver(ms, t, cmd) {
+		if e.stepDeliver(ms, t, cmd, nil) {
 			return
 		}
 	}
@@ -353,7 +356,10 @@ func (ms *MinerSession) offend(pts float64, nowNs int64) bool {
 // Step advances the state machine by one client message and returns the
 // replies to deliver, in order. The returned slice is reused by the next
 // Step.
-func (ms *MinerSession) Step(cmd Command) []Event {
+func (ms *MinerSession) Step(cmd Command) []Event { return ms.step(cmd, nil) }
+
+// step is Step with the sums hashed ahead for cmd's run, if any.
+func (ms *MinerSession) step(cmd Command, pre *prehashed) []Event {
 	ms.evs = ms.evs[:0]
 	if !ms.authed.Load() {
 		// The one legal first message is authentication; anything else —
@@ -370,7 +376,7 @@ func (ms *MinerSession) Step(cmd Command) []Event {
 	case CmdOpen:
 		ms.emitError("unexpected "+stratum.TypeAuth, false)
 	case CmdSubmit:
-		ms.submit(cmd)
+		ms.submit(cmd, pre)
 	case cmdKeepalive:
 		ms.emit(Event{Kind: evKeepalive})
 		// The keepalive is the one clock a server-clocked dialect gives a
@@ -490,7 +496,7 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 // silent stale re-job. The defense screens — rate limit, served-tier
 // check, and the pool's duplicate memo — all come before the CryptoNight
 // verify, which is what every abusive shape is trying to make us burn.
-func (ms *MinerSession) submit(cmd Command) {
+func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 	p := ms.eng.pool
 	e := ms.eng
 	// Parsed once, here: the served-tier check needs the difficulty the ID
@@ -515,19 +521,19 @@ func (ms *MinerSession) submit(cmd Command) {
 	// grace for in-flight shares). Anything else is a diff gamer forging
 	// cheap targets; answer with the unknown-job re-job shape, scored,
 	// without parsing further or verifying.
-	if d := ms.curDiff.Load(); d != 0 {
-		if refOK && ref.diff != d && (ref.diff == 0 || ref.diff != ms.prevDiff) {
-			e.forgedDiffs.Inc()
-			if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
-				return
-			}
-			ms.emitJob(true)
+	if !ms.servedTier(ref, refOK) {
+		e.forgedDiffs.Inc()
+		if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
 			return
 		}
+		ms.emitJob(true)
+		return
 	}
+	// A sum hashed ahead is charged to the submit that uses it, so
+	// server.submit_ns still covers the hash.
 	verifyStart := time.Now()
-	out, err := p.submitShare(ms.siteKey, cmd.JobID, ref, refOK, cmd.Nonce, cmd.Result, ms.linkID)
-	ms.eng.submitNs.Observe(time.Since(verifyStart))
+	out, err := p.submitShare(ms.siteKey, cmd.JobID, ref, refOK, cmd.Nonce, cmd.Result, ms.linkID, pre)
+	ms.eng.submitNs.Observe(time.Since(verifyStart) + pre.takeSpent())
 	stale := false
 	retargeted := false
 	switch err {
@@ -605,6 +611,68 @@ func (ms *MinerSession) submit(cmd Command) {
 	} else if retargeted {
 		ms.emitJobRetarget(false, true)
 	}
+}
+
+// servedTier reports whether a submit's job ID passes the served-tier
+// check: off vardiff, or at the tier the session is served or the one
+// before it. An unparsed ID passes; the pool refuses it as unknown.
+func (ms *MinerSession) servedTier(ref jobRef, refOK bool) bool {
+	d := ms.curDiff.Load()
+	return d == 0 || !refOK || ref.diff == d || (ref.diff != 0 && ref.diff == ms.prevDiff)
+}
+
+// prehash hashes, in one cryptonight.SumBatch, the blobs of a pipelined
+// run's submits that pass the screens Step applies before a verify and
+// that write nothing: the session is authed, the served-tier check
+// passes, and the pool resolves the job (issued, current, inside the
+// vardiff clamp, not in the account's duplicate memo). A blob repeated
+// in the run is hashed once. Fewer than two blobs leave pre empty: one
+// hash costs as much here as in verify.
+//
+// The screens are read before the run's first step, so a step can still
+// turn a pre-hashed submit away (the rate limit, which spends a token
+// and so is no screen here, a tip move, a retarget, a ban): that hash is
+// spent like a bad-PoW submit's verify, at most runMax per run. A submit
+// not pre-hashed is hashed in verify, which takes a sum from pre only
+// for a byte-equal blob.
+func (ms *MinerSession) prehash(run []Command, pre *prehashed) {
+	pre.n = 0
+	if len(run) < 2 || !ms.authed.Load() {
+		return
+	}
+	p := ms.eng.pool
+	for i := range run {
+		cmd := &run[i]
+		if cmd.Kind != CmdSubmit {
+			continue
+		}
+		ref, refOK := parseJobID(cmd.JobID)
+		if !ms.servedTier(ref, refOK) {
+			continue
+		}
+		k := pre.n
+		tmpl, blob, _, err := p.resolve(ms.siteKey, cmd.JobID, ref, refOK, cmd.Nonce, pre.blobs[k][:0])
+		if err != nil || len(blob) > hashingBlobCap {
+			continue
+		}
+		blockchain.SpliceNonce(blob, tmpl.NonceOffset(), cmd.Nonce)
+		if pre.index(blob) < 0 {
+			pre.lens[k] = uint8(len(blob))
+			pre.n++
+		}
+	}
+	if pre.n < 2 {
+		pre.n = 0
+		return
+	}
+	var blobs [runMax][]byte
+	for i := 0; i < pre.n; i++ {
+		blobs[i] = pre.blobs[i][:pre.lens[i]]
+	}
+	t0 := time.Now()
+	cryptonight.SumBatch(p.variant, blobs[:pre.n], pre.sums[:pre.n])
+	pre.perHashNs = int64(time.Since(t0)) / int64(pre.n)
+	p.batchedVerifies.Add(uint64(pre.n))
 }
 
 // submitCommand decodes the wire-level share fields shared by every

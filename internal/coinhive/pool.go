@@ -14,6 +14,7 @@
 package coinhive
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/blockchain"
@@ -287,6 +289,10 @@ type Pool struct {
 	kept       atomic.Uint64 // pool's 30% cut, cumulative
 	paid       atomic.Uint64 // users' 70%, cumulative
 
+	// batchedVerifies counts the submit hashes MinerSession.prehash did
+	// ahead of their steps, in walks of two or more.
+	batchedVerifies *metrics.Counter
+
 	// settleMu serialises the rare won-a-block path: chain append, reward
 	// settlement and the found-block record.
 	settleMu sync.Mutex
@@ -324,6 +330,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		blocksFound:  cfg.Metrics.Counter("pool.blocks_found"),
 		shardRefresh: cfg.Metrics.Counter("pool.shard_refresh"),
 		jobEncodes:   cfg.Metrics.Counter("pool.job_encodes"),
+
+		batchedVerifies: cfg.Metrics.Counter("pool.batched_verifies"),
 	}
 	for i := range p.stripes {
 		p.stripes[i].accts = map[string]*Account{}
@@ -635,18 +643,19 @@ type ShareOutcome struct {
 // concurrent submitters verify in parallel.
 func (p *Pool) SubmitShare(token, jobID string, nonce uint32, result [32]byte, linkID string) (ShareOutcome, error) {
 	ref, ok := parseJobID(jobID)
-	return p.submitShare(token, jobID, ref, ok, nonce, result, linkID)
+	return p.submitShare(token, jobID, ref, ok, nonce, result, linkID, nil)
 }
 
 // submitShare is SubmitShare for a caller that has already parsed the job
-// ID (the engine): resolve the job, verify the hash, credit the account.
-// Each stage's error leaves through the one reject below.
-func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce uint32, result [32]byte, linkID string) (ShareOutcome, error) {
-	var bbuf [128]byte // hashing blobs fit; keeps the verify path alloc-free
+// ID (the engine), and that may hold sums hashed ahead (pre, nil for
+// none): resolve the job, verify the hash, credit the account. Each
+// stage's error leaves through the one reject below.
+func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce uint32, result [32]byte, linkID string, pre *prehashed) (ShareOutcome, error) {
+	var bbuf [hashingBlobCap]byte // keeps the verify path alloc-free
 	tmpl, blob, tip, err := p.resolve(token, jobID, ref, refOK, nonce, bbuf[:0])
 	var out ShareOutcome
 	if err == nil {
-		out.diff, err = p.verify(ref, tmpl, blob, nonce, result)
+		out.diff, err = p.verify(ref, tmpl, blob, nonce, result, pre)
 	}
 	if err == nil {
 		out.credited, err = p.credit(token, ref.memoKey(nonce), out.diff)
@@ -782,10 +791,16 @@ func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32
 // to the tier the ID itself carries — the tier that is then credited,
 // which keeps TotalHashes an unbiased hashrate estimate across retargets
 // (credit scales with the difficulty actually served). The difficulty is
-// returned with errLowShare as well as with success.
-func (p *Pool) verify(ref jobRef, tmpl *blockchain.Block, blob []byte, nonce uint32, result [32]byte) (diff uint64, err error) {
+// returned with errLowShare as well as with success. The hash is pre's
+// sum for a byte-equal blob, if it holds one, and Sum's otherwise, so
+// the verdict never depends on what was hashed ahead.
+func (p *Pool) verify(ref jobRef, tmpl *blockchain.Block, blob []byte, nonce uint32, result [32]byte, pre *prehashed) (diff uint64, err error) {
 	blockchain.SpliceNonce(blob, tmpl.NonceOffset(), nonce)
-	if cryptonight.Sum(blob, p.variant) != result {
+	sum, ok := pre.sum(blob)
+	if !ok {
+		sum = cryptonight.Sum(blob, p.variant)
+	}
+	if sum != result {
 		return 0, ErrBadShare
 	}
 	diff = p.shareDifficulty(ref.link)
@@ -796,6 +811,68 @@ func (p *Pool) verify(ref jobRef, tmpl *blockchain.Block, blob []byte, nonce uin
 		return diff, errLowShare
 	}
 	return diff, nil
+}
+
+// hashingBlobCap bounds the hashing blobs the submit path holds on the
+// stack; every template's blob fits.
+const hashingBlobCap = 128
+
+// runMax caps a pipelined run: the commands stratumConn.runSteps takes
+// from its read buffer at once, and so the submits one prehash hashes
+// together. Eight is two 4-lane walks, as p2p's ingestBatch.
+const runMax = 8
+
+// prehashed holds the distinct blobs of one pipelined run's screened
+// submits and their CryptoNight sums, hashed together by
+// MinerSession.prehash before the run is stepped. It lives on the
+// stepping goroutine's stack.
+type prehashed struct {
+	n     int
+	lens  [runMax]uint8
+	blobs [runMax][hashingBlobCap]byte
+	sums  [runMax][32]byte
+	// perHashNs is the walk's time over its hashes. spentNs is what the
+	// last hit charged, until the submit that took the hit observes it in
+	// server.submit_ns (takeSpent).
+	perHashNs, spentNs int64
+}
+
+// sum returns the sum hashed ahead for a blob byte-equal to blob, if
+// there is one. A nil table holds none.
+//
+//lint:hotpath
+func (t *prehashed) sum(blob []byte) (sum [32]byte, ok bool) {
+	if t == nil {
+		return sum, false
+	}
+	i := t.index(blob)
+	if i < 0 {
+		return sum, false
+	}
+	t.spentNs = t.perHashNs
+	return t.sums[i], true
+}
+
+// index returns the position of the blob byte-equal to blob, or -1.
+//
+//lint:hotpath
+func (t *prehashed) index(blob []byte) int {
+	for i := 0; i < t.n; i++ {
+		if bytes.Equal(t.blobs[i][:t.lens[i]], blob) {
+			return i
+		}
+	}
+	return -1
+}
+
+// takeSpent returns and clears the walk time the last hit charged.
+func (t *prehashed) takeSpent() time.Duration {
+	if t == nil {
+		return 0
+	}
+	d := t.spentNs
+	t.spentNs = 0
+	return time.Duration(d)
 }
 
 // credit books diff hashes to the account and this round, and returns the

@@ -2,6 +2,7 @@ package coinhive
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net"
@@ -406,10 +407,20 @@ func (c *stratumConn) die() {
 // runSteps drives the session until it parks or dies. The first entry
 // runs on the accept goroutine; every re-entry runs on a fresh resume
 // goroutine (see onWake), so a parked session holds no stack at all.
+//
+// A command is read together with the run of pipelined commands already
+// whole in the read buffer behind it (readRun), and the run's submits
+// are hashed together before its commands are stepped and answered one
+// by one, in order (MinerSession.prehash). The run and its sums live on
+// this stack, so a parked conn carries neither.
 func (c *stratumConn) runSteps(resumed bool) {
 	if c.br == nil {
 		c.br = c.srv.borrowReader(c.nc)
 	}
+	var (
+		runBuf [runMax]Command
+		pre    prehashed
+	)
 	for {
 		if resumed {
 			resumed = false
@@ -438,9 +449,13 @@ func (c *stratumConn) runSteps(resumed bool) {
 			c.die()
 			return
 		}
-		if c.srv.eng.stepDeliver(c.ms, c, cmd) {
-			c.die()
-			return
+		run := readRun(c.br, append(runBuf[:0], cmd))
+		c.ms.prehash(run, &pre)
+		for i := range run {
+			if c.srv.eng.stepDeliver(c.ms, c, run[i], &pre) {
+				c.die()
+				return
+			}
 		}
 		if c.br.Buffered() > 0 {
 			continue // a pipelined request is already in hand
@@ -583,15 +598,44 @@ func (c *stratumConn) writePushLocked(line []byte, tipNs int64) error {
 	return nil
 }
 
-// readCommand reads one request line. Codec failures (oversize line, bad
-// JSON, unknown method, undecodable params) become Commands so the engine
-// rules on them; only transport death (EOF, keepalive timeout) is an
-// error.
+// readCommand reads one request line, waiting at most the keepalive
+// window for it.
 func (c *stratumConn) readCommand() (Command, error) {
 	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.keepalive)); err != nil {
 		return Command{}, err
 	}
-	line, err := stratum.ReadRPCLine(c.br)
+	return decodeCommand(stratum.ReadRPCLine(c.br))
+}
+
+// readRun appends to run, which holds the command just read, every
+// command whose whole line is already in br's buffer, up to runMax in
+// all, while the last one is a submit: the rule p2p's readShareBatch
+// follows. It never waits for bytes: it stops at a partial line.
+func readRun(br *bufio.Reader, run []Command) []Command {
+	for len(run) < runMax && run[len(run)-1].Kind == CmdSubmit && lineBuffered(br) {
+		cmd, err := decodeCommand(stratum.ReadRPCLine(br))
+		if err != nil {
+			break // a whole buffered line reads without error
+		}
+		run = append(run, cmd)
+	}
+	return run
+}
+
+// lineBuffered reports whether br's buffer already holds a whole request
+// line, so reading it can neither block nor fail.
+//
+//lint:hotpath
+func lineBuffered(br *bufio.Reader) bool {
+	buf, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// decodeCommand turns one ReadRPCLine result into a Command. Codec
+// failures (oversize line, bad JSON, unknown method, undecodable params)
+// become Commands so the engine rules on them; only transport death
+// (EOF, keepalive timeout) is an error.
+func decodeCommand(line []byte, err error) (Command, error) {
 	if err == stratum.ErrRPCLineTooLong {
 		// One parse-error response, then the engine's fatal path drops the
 		// connection — an oversize line means the framing itself is gone.

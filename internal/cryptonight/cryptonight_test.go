@@ -2,6 +2,7 @@ package cryptonight
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -253,16 +254,25 @@ func BenchmarkSumTestVariant(b *testing.B) {
 	}
 }
 
-// BenchmarkSumBatchTestVariant measures one SumBatch of four blobs — one
-// 4-lane walk — under the Test profile; set it against four ops of
-// BenchmarkSumTestVariant.
+// BenchmarkSumBatchTestVariant measures one SumBatch of 1, 2, 3, 4 and 8
+// distinct blobs under the Test profile and reports ns/hash: what one
+// hash costs depends on how many arrive together (a lone blob runs Sum,
+// a group of two or three is padded to a 4-lane walk).
 func BenchmarkSumBatchTestVariant(b *testing.B) {
-	in := []byte("benchmark input blob that is header-sized, 76 bytes total pad pad pad!!")
-	blobs := [][]byte{in, in, in, in}
-	sums := make([][32]byte, len(blobs))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SumBatch(Test, blobs, sums)
+	for _, n := range []int{1, 2, 3, 4, 8} {
+		b.Run(fmt.Sprintf("blobs=%d", n), func(b *testing.B) {
+			blobs := make([][]byte, n)
+			for i := range blobs {
+				blobs[i] = []byte("benchmark input blob that is header-sized, 76 bytes total pad pad pad!!")
+				blobs[i][0] = byte(i)
+			}
+			sums := make([][32]byte, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SumBatch(Test, blobs, sums)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/hash")
+		})
 	}
 }
 

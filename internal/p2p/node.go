@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -538,10 +539,19 @@ func (n *Node) maybeSync(p *peer, remoteCount uint64, remoteTip [32]byte) {
 // finishSyncRound ingests a sync batch and either continues the round
 // (full batch ⇒ more may follow) or closes it and lets the next tip
 // beat decide whether another round is needed.
+//
+// The batch answers a request made from the horizon the chain had then.
+// A fold since may have moved the horizon past part of it: that part is
+// history this node held and folded, so it is dropped, not ingested to
+// be counted below the horizon as a diverged node's entries are.
 func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entry) {
+	cp, folded := n.cfg.Chain.Checkpoint()
 	batch := make([]*sharechain.Entry, 0, ingestBatch)
 	for i := range entries {
-		if batch = append(batch, &entries[i]); len(batch) == ingestBatch || i == len(entries)-1 {
+		if e := &entries[i]; !folded || !atOrBelow(e, &cp) {
+			batch = append(batch, e)
+		}
+		if len(batch) == ingestBatch || (len(batch) > 0 && i == len(entries)-1) {
 			n.ingest(p, batch)
 			batch = batch[:0]
 		}
@@ -554,9 +564,23 @@ func (n *Node) finishSyncRound(p *peer, t tipAnnounce, entries []sharechain.Entr
 		return
 	}
 	// Full batch ⇒ more may follow: resume strictly after the last entry,
-	// so a batch that sits wholly at one height still makes progress.
+	// so a batch that sits wholly at one height still makes progress, or
+	// after the horizon if a fold has passed the last entry.
 	last := &entries[len(entries)-1]
+	if folded && atOrBelow(last, &cp) {
+		n.requestSync(p, cp.Height, cp.ID)
+		return
+	}
 	n.requestSync(p, last.Height, last.ID())
+}
+
+// atOrBelow reports whether e sorts at or below cp's last folded entry.
+func atOrBelow(e *sharechain.Entry, cp *sharechain.Checkpoint) bool {
+	if e.Height != cp.Height {
+		return e.Height < cp.Height
+	}
+	id := e.ID()
+	return bytes.Compare(id[:], cp.ID[:]) <= 0
 }
 
 // requestSync offers a sync request to the peer and restarts the

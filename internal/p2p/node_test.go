@@ -787,6 +787,73 @@ func TestCatchUpAfterMissedFold(t *testing.T) {
 	}
 }
 
+// TestSyncResponseAfterFold: an honest node whose chain folds between
+// its sync request and the response drops the part of the response the
+// fold put at or below its horizon, uncounted. The peer answers from the
+// node's old horizon with entries the node itself held then (an honest
+// peer converged with it); counting them in
+// pool.sharechain_below_horizon would flag a healthy node as diverged.
+func TestSyncResponseAfterFold(t *testing.T) {
+	reg := metrics.NewRegistry()
+	chain := sharechain.New(sharechain.Config{Window: testWindow, Verify: acceptAll, Metrics: reg})
+	height := uint64(0)
+	mintLocal := func(n int) {
+		for i := 0; i < n; i++ {
+			height++
+			if _, err := chain.Insert(testEntry(height, fmt.Sprintf("acct%d", height%5), 1, byte(height>>8)), true); err != nil {
+				t.Fatalf("insert at %d: %v", height, err)
+			}
+		}
+	}
+	mintLocal(heldBound) // exactly one fold
+	before, _ := chain.Checkpoint()
+	node, err := NewNode(Config{NodeID: 9, Chain: chain, Registry: reg, TipInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	runHandshake(t, node, func(c net.Conn) {
+		_, count := chain.Tip()
+		h := hello{version: protocolVersion, nodeID: 5, count: uint64(count) + 1000, tip: [32]byte{1}}
+		c.Write(appendHelloFrame(nil, &h))
+		br := bufio.NewReader(c)
+		nextSyncReq := func() syncReq {
+			for {
+				kind, body, err := readFrame(br)
+				if err != nil {
+					t.Fatalf("no sync request: %v", err)
+				}
+				if kind == frameSyncReq {
+					r, err := decodeSyncReq(body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return r
+				}
+			}
+		}
+		r := nextSyncReq()
+		resp := chain.EntriesFrom(r.from, r.after, syncBatch)
+		mintLocal(testFoldChunk) // the second fold, while the request is out
+		after, _ := chain.Checkpoint()
+		if after.Height <= resp[len(resp)-1].Height {
+			t.Fatalf("horizon %d → %d does not cover the response's last height %d", before.Height, after.Height, resp[len(resp)-1].Height)
+		}
+		c.Write(appendSyncRespFrame(nil, uint64(count)+1000, [32]byte{1}, resp))
+		// The full batch asks for more, from the new horizon rather than
+		// through the folded history; the response is settled by then.
+		if r := nextSyncReq(); r.from != after.Height || r.after != after.ID {
+			t.Errorf("round resumed from height %d, want the horizon %d", r.from, after.Height)
+		}
+		c.Close()
+	})
+	for _, name := range []string{"pool.sharechain_below_horizon", "p2p.shares_rejected", "p2p.shares_ingested"} {
+		if got := reg.Counter(name).Load(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+}
+
 // TestColdRestartAfterFolds: three nodes fold at least three times; one
 // is killed and replaced with an empty chain. The replacement adopts a
 // checkpoint and converges to the same tip (count and hash), credit,
