@@ -55,8 +55,10 @@ loc:
 # frame decoders (the federation's one untrusted wire), the p2p reader's
 # share-frame batching (batches must decode what frame-at-a-time reads
 # would), the stratum front's pipelined-run reader (runs must hold the
-# commands line-at-a-time reads would, without reading the conn) and the
-# ws frame decoder (the miners' untrusted wire), one pass of every package micro-
+# commands line-at-a-time reads would, without reading the conn), the
+# ws frame decoder (the miners' untrusted wire) and the CryptoNight
+# paths (the assembly kernels and SumBatch's walks of 2 to 8 lanes must
+# hash what walkGo does), one pass of every package micro-
 # benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
 # attributes blocks" check keeps running), the nested benchmark module's
 # own vet + tests (root `./...` skips it, so a product-side rename the
@@ -84,6 +86,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzShareBatches$$' -fuzztime 10s ./internal/p2p
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRun$$' -fuzztime 10s ./internal/coinhive
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameInto$$' -fuzztime 10s ./internal/ws
+	$(GO) test -run '^$$' -fuzz '^FuzzSumPathsAgree$$' -fuzztime 10s ./internal/cryptonight
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments ./internal/nocoin ./internal/htmlx ./internal/webgen ./internal/crawler ./internal/browser
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 

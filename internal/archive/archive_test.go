@@ -1,11 +1,13 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -446,4 +448,47 @@ func TestAppendPathAllocs(t *testing.T) {
 	}
 	close(blocked.gate)
 	rec.Close()
+}
+
+// FuzzDecodeRecord feeds decodeRecord any bytes. It must not panic; a
+// record it accepts must re-encode byte for byte through AppendRecord,
+// and every cut of it must read as errShortRecord, the torn tail a
+// reopen truncates. The seeds are encoded records — real events, empty
+// and 8 KiB Actor and Ref — and every cut of one record.
+func FuzzDecodeRecord(f *testing.F) {
+	evs := testEvents(4)
+	evs = append(evs, Event{Kind: KindShareAccepted}, Event{
+		Kind:  KindBlockFound,
+		Actor: strings.Repeat("a", 8<<10),
+		Ref:   strings.Repeat("r", 8<<10),
+	})
+	for i := range evs {
+		f.Add(AppendRecord(nil, &evs[i]))
+	}
+	rec := AppendRecord(nil, &evs[0])
+	for cut := 0; cut < len(rec); cut++ {
+		f.Add(rec[:cut])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ev Event
+		n, err := decodeRecord(b, &ev)
+		if err != nil {
+			if n != 0 || !errors.Is(err, errShortRecord) && !errors.Is(err, errCorruptRecord) {
+				t.Fatalf("decodeRecord = %d, %v", n, err)
+			}
+			return
+		}
+		if n < frameOverhead+fixedPayload || n > len(b) {
+			t.Fatalf("decodeRecord consumed %d of %d bytes", n, len(b))
+		}
+		if re := AppendRecord(nil, &ev); !bytes.Equal(re, b[:n]) {
+			t.Fatalf("accepted record %x re-encodes as %x", b[:n], re)
+		}
+		for cut := 0; cut < n; cut++ {
+			var cutEv Event
+			if _, err := decodeRecord(b[:cut], &cutEv); !errors.Is(err, errShortRecord) {
+				t.Fatalf("record cut to %d of %d bytes: %v, want errShortRecord", cut, n, err)
+			}
+		}
+	})
 }

@@ -12,8 +12,8 @@ package coinhive
 // peer buys nothing but its own disconnection. The verify runs on the p2p
 // reader goroutine of the link the entry came in on, outside the chain
 // lock; share frames the reader finds already whole in its buffer behind
-// the first (up to p2p's ingestBatch) are verified as one batch, four
-// hashes per kernel walk (cryptonight.SumBatch).
+// the first (up to p2p's ingestBatch) are verified as one batch, in one
+// kernel walk (cryptonight.SumBatch).
 //
 // When a Federation is configured, found-block settlement takes its
 // payout vector from the share-chain's PPLNS window instead of the
@@ -123,8 +123,8 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 }
 
 // verifyBatch is the share-chain's verifier: the batch's blobs hashed in
-// one SumBatch, four at a time. NewFederation validated the variant, so
-// SumBatch does not panic.
+// one SumBatch, up to eight per walk. NewFederation validated the
+// variant, so SumBatch does not panic.
 func verifyBatch(v cryptonight.Variant, batch []*sharechain.Entry, verdicts []error) {
 	blobs := make([][]byte, len(batch))
 	for i, e := range batch {

@@ -819,7 +819,7 @@ const hashingBlobCap = 128
 
 // runMax caps a pipelined run: the commands stratumConn.runSteps takes
 // from its read buffer at once, and so the submits one prehash hashes
-// together. Eight is two 4-lane walks, as p2p's ingestBatch.
+// together. Eight is one full SumBatch walk, as p2p's ingestBatch.
 const runMax = 8
 
 // prehashed holds the distinct blobs of one pipelined run's screened

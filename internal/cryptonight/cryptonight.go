@@ -29,14 +29,14 @@
 // pairs through the T-tables (aesround.go, aeskey.go) and is the reference
 // the kernels are tested against. The kernels are: for Sum, one AESENC
 // per main-loop round, and eight AES blocks in flight through explode and
-// implode; for SumBatch, a main loop that runs four hashes' rounds
-// interleaved, and — on CPUs with AVX-512 VAES — an explode and an implode
-// that hold four hashes' 32 blocks in eight ZMM registers (without VAES
-// the four explode and implode one after another). Each kernel is entered
-// in bounded slices so a Full-profile hash stays preemptible. Mining and
-// verification code paths reuse Hashers: either explicitly (NewHasher, one
-// per goroutine) or through the per-variant pool behind Sum, SumBatch and
-// Grind.
+// implode; for SumBatch, a main loop that runs the rounds of two to eight
+// hashes interleaved, one lane each, and — on CPUs with AVX-512 VAES — an
+// explode and an implode that hold four hashes' 32 blocks in eight ZMM
+// registers (without VAES each hash explodes and implodes on its own).
+// Each kernel is entered in bounded slices so a Full-profile hash stays
+// preemptible. Mining and verification code paths reuse Hashers: either
+// explicitly (NewHasher, one per goroutine) or through the per-variant
+// pool behind Sum, SumBatch and Grind.
 package cryptonight
 
 import (
@@ -311,12 +311,10 @@ func Sum(data []byte, v Variant) [32]byte {
 }
 
 // SumBatch sets sums[i] to Sum(blobs[i], v) for every blob, in less time
-// than that many Sums: four at a time, as one 4-lane walk on four pooled
-// Hashers (walk4). A last group of two or three is padded to four by
-// repeating its blobs, which costs less than hashing them one by one; a
-// lone blob, or a last one, runs Sum. At steady state it allocates
-// nothing. It panics, like Sum, on an invalid variant, and if sums is
-// shorter than blobs.
+// than that many Sums: up to eight at a time, as one walk on one pooled
+// Hasher per blob (walkN). A lone blob, or a lone last one, runs Sum. At
+// steady state it allocates nothing. It panics, like Sum, on an invalid
+// variant, and if sums is shorter than blobs.
 //
 //lint:hotpath
 func SumBatch(v Variant, blobs [][]byte, sums [][32]byte) {
@@ -325,30 +323,31 @@ func SumBatch(v Variant, blobs [][]byte, sums [][32]byte) {
 		sums[0] = Sum(blobs[0], v)
 		return
 	}
-	var hs [4]*Hasher
-	for i := range hs {
+	var hs [8]*Hasher
+	lanes := hs[:min(len(blobs), len(hs))]
+	for i := range lanes {
 		h, err := GetHasher(v)
 		if err != nil {
 			panic(err)
 		}
-		hs[i] = h
+		lanes[i] = h
 	}
-	var st [4][200]byte
+	var st [8][200]byte
 	for start := 0; start < len(blobs); start += len(hs) {
 		group := blobs[start:min(start+len(hs), len(blobs))]
 		if len(group) == 1 {
 			sums[start] = hs[0].Sum(group[0])
 			break
 		}
-		for i, h := range hs {
-			st[i] = h.absorb(group[i%len(group)])
+		for i, b := range group {
+			st[i] = hs[i].absorb(b)
 		}
-		walk4(&hs, &st)
+		walkN(&hs, &st, len(group))
 		for i := range group {
 			sums[start+i] = finish(&st[i])
 		}
 	}
-	for _, h := range hs {
+	for _, h := range lanes {
 		PutHasher(h)
 	}
 }

@@ -254,12 +254,12 @@ func BenchmarkSumTestVariant(b *testing.B) {
 	}
 }
 
-// BenchmarkSumBatchTestVariant measures one SumBatch of 1, 2, 3, 4 and 8
+// BenchmarkSumBatchTestVariant measures one SumBatch of 1 to 8 and of 16
 // distinct blobs under the Test profile and reports ns/hash: what one
 // hash costs depends on how many arrive together (a lone blob runs Sum,
-// a group of two or three is padded to a 4-lane walk).
+// 2 to 8 run as one walk of that many lanes, 16 as two of eight).
 func BenchmarkSumBatchTestVariant(b *testing.B) {
-	for _, n := range []int{1, 2, 3, 4, 8} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16} {
 		b.Run(fmt.Sprintf("blobs=%d", n), func(b *testing.B) {
 			blobs := make([][]byte, n)
 			for i := range blobs {

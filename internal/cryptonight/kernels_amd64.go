@@ -29,9 +29,10 @@ func cpuid1ECX() uint32 {
 // keeps that near 0.1 ms for every profile. Full's 2 MB pad misses cache
 // on most rounds (~32 ns each, against ~10 ns on Test's 64 KiB), so its
 // 2^19 rounds in one call would be 17 ms; 2^12 of them are 0.13 ms. A
-// 64 KiB explode/implode slice is ~8 µs. A 4-lane main-loop call runs
-// mainSlice/4 rounds of each of its hashes, the same bound; a 4-lane
-// ZMM explode/implode slice, four 64 KiB pads, is ~17 µs.
+// 64 KiB explode/implode slice is ~8 µs. An n-lane main-loop call runs
+// mainSlice/n rounds of each of its hashes, mainSlice rounds in all, no
+// longer than a one-lane call; a 4-lane ZMM explode/implode slice, four
+// 64 KiB pads, is ~17 µs.
 const (
 	mainSlice = 1 << 12        // main-loop iterations per call
 	padSlice  = (64 << 10) / 8 // scratchpad lanes (64 KiB) per explode/implode call
@@ -59,7 +60,7 @@ func explode4Asm(hs *[4]*Hasher, off int, chunks int)
 func implode4Asm(hs *[4]*Hasher, off int, chunks int)
 
 //go:noescape
-func mainLoop4Asm(hs *[4]*Hasher, mask uint64, iters int)
+func mainLoopNAsm(hs *[8]*Hasher, n int, mask uint64, iters int)
 
 // walk runs explode, the main loop and implode for one hash — on the AES-NI
 // kernels when the CPU has them, else on the pure-Go path.
@@ -77,50 +78,66 @@ func (h *Hasher) walk(state *[200]byte) {
 	h.implode(state)
 }
 
-// walk4 is walk for four hashes at once, hs[i]'s over st[i]: the four
-// main loops run as one interleaved kernel, a slice of each per call, and
-// on CPUs with VAES the four explodes and implodes run as one ZMM kernel
-// each; otherwise each lane explodes and implodes on its own.
+// walkN is walk for hs[0:n] at once (2 ≤ n ≤ 8), hs[i]'s over st[i]:
+// the n main loops run as one interleaved kernel, a slice of each per
+// call. On CPUs with VAES the explodes and implodes run four lanes to a
+// ZMM kernel call; a last two or three lanes fill the call's four slots
+// by repeating their last Hasher, which writes that pad's bytes twice
+// over but hashes nothing more, and a lone last lane, or every lane
+// without VAES, explodes and implodes on its own. Lanes n and up are not
+// touched.
 //
 //lint:hotpath
-func walk4(hs *[4]*Hasher, st *[4][200]byte) {
+func walkN(hs *[8]*Hasher, st *[8][200]byte, n int) {
 	if !hasAESNI {
-		for i, h := range hs {
+		for i, h := range hs[:n] {
 			h.walkGo(&st[i])
 		}
 		return
 	}
 	h0 := hs[0]
+	// zmm is the number of lanes the 4-lane ZMM kernels take.
+	zmm := 0
 	if hasVAES {
-		for i, h := range hs {
-			h.loadText(&st[i])
-			h.loadAB(&st[i])
-		}
-		for off := 0; off < len(h0.pad); off += padSlice {
-			explode4Asm(hs, off, min(padSlice, len(h0.pad)-off)/16)
-		}
-	} else {
-		for i, h := range hs {
-			h.explode(&st[i])
+		zmm = n
+		if n%4 == 1 {
+			zmm--
 		}
 	}
-	for left := h0.v.Iterations; left > 0; left -= mainSlice / 4 {
-		mainLoop4Asm(hs, h0.mask(), min(mainSlice/4, left))
-	}
-	if hasVAES {
-		for i, h := range hs {
-			h.loadText(&st[i])
+	var q4 [4]*Hasher
+	for q := 0; q < zmm; q += 4 {
+		for i := range q4 {
+			l := min(q+i, zmm-1)
+			q4[i] = hs[l]
+			hs[l].loadText(&st[l])
+			hs[l].loadAB(&st[l])
 		}
 		for off := 0; off < len(h0.pad); off += padSlice {
-			implode4Asm(hs, off, min(padSlice, len(h0.pad)-off)/16)
+			explode4Asm(&q4, off, min(padSlice, len(h0.pad)-off)/16)
 		}
-		for i, h := range hs {
-			h.storeText(&st[i])
+	}
+	for i := zmm; i < n; i++ {
+		hs[i].explode(&st[i])
+	}
+	slice := mainSlice / n
+	for left := h0.v.Iterations; left > 0; left -= slice {
+		mainLoopNAsm(hs, n, h0.mask(), min(slice, left))
+	}
+	for q := 0; q < zmm; q += 4 {
+		for i := range q4 {
+			l := min(q+i, zmm-1)
+			q4[i] = hs[l]
+			hs[l].loadText(&st[l])
 		}
-	} else {
-		for i, h := range hs {
-			h.implode(&st[i])
+		for off := 0; off < len(h0.pad); off += padSlice {
+			implode4Asm(&q4, off, min(padSlice, len(h0.pad)-off)/16)
 		}
+		for i := q; i < min(q+4, zmm); i++ {
+			hs[i].storeText(&st[i])
+		}
+	}
+	for i := zmm; i < n; i++ {
+		hs[i].implode(&st[i])
 	}
 }
 

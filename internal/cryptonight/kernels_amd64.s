@@ -303,95 +303,145 @@ implode4:
 	STORE32
 	RET
 
-// The 4-lane round: HALF1 and HALF2 again, with every register they
-// need beyond a (two GPRs a lane) taken from AX, CX and DX: the mask is
-// read from memory, the line address is built in CX from the pad, a
-// register or a memory operand, and MULQ reads d0 from the line. That
-// leaves 14 GPRs for 4 lanes' a and 3 pads; the 4th pad waits on the
-// stack.
+// The n-lane round: HALF1 and HALF2 again, for up to eight lanes. Lane i
+// keeps a in Xi, so AESENC takes its key straight from there, and a copy
+// of a0 in R(8+i), so the next line's address does not wait on a move out
+// of XMM; its pad pointer sits in the stack slot (128+8*i)(SP), which
+// ADDQ loads off the critical path. b (which each round leaves equal to
+// c) lives in X(12+i) for lanes 0..3 and in the stack slot (16*i)(SP) for
+// lanes 4..7. With the mask in BX, the lane count in SI and the round
+// counter in DI, AX, CX and DX are the GPR scratch, and X8..X11 the XMM
+// scratch all lanes share, which register renaming makes free.
 //
-// QHALF1: c = AES round of the a-addressed line, keyed by a; store b ^ c.
-#define QHALF1(mask, pad, a0, a1, b, c, k, kt) \
+// NHALF1: c = AES round of the a-addressed line, keyed by a; store b ^ c
+// there; b = c.
+#define NHALF1(i, a0, a, b) \
 	MOVQ a0, CX; \
-	ANDQ mask, CX; \
-	ADDQ pad, CX; \
-	MOVQ a0, k; \
-	MOVQ a1, kt; \
-	PUNPCKLQDQ kt, k; \
-	MOVOU (CX), c; \
-	AESENC k, c; \
-	PXOR c, b; \
-	MOVOU b, (CX)
+	ANDQ BX, CX; \
+	ADDQ (128+8*i)(SP), CX; \
+	MOVOU (CX), X8; \
+	AESENC a, X8; \
+	MOVOU b, X9; \
+	PXOR X8, X9; \
+	MOVOU X9, (CX); \
+	MOVOU X8, b
 
-// QHALF2: a += hi:lo of c0 × d0 on the c-addressed line d; store a;
-// a ^= d; b = c.
-#define QHALF2(mask, pad, a0, a1, b, c) \
-	MOVQ c, AX; \
+// NHALF2: a += hi:lo of c0 × d0 on the c-addressed line d; store a;
+// a ^= d. c0 is the low half of b, which NHALF1 left equal to c. The GPR
+// copy of a0 takes the same add and XOR, reading d0 before the store.
+#define NHALF2(i, a0, a, b) \
+	MOVQ b, AX; \
 	MOVQ AX, CX; \
-	ANDQ mask, CX; \
-	ADDQ pad, CX; \
+	ANDQ BX, CX; \
+	ADDQ (128+8*i)(SP), CX; \
+	MOVOU (CX), X10; \
 	MULQ (CX); \
 	ADDQ DX, a0; \
-	ADDQ AX, a1; \
-	MOVQ (CX), AX; \
-	MOVQ 8(CX), DX; \
-	MOVQ a0, (CX); \
-	MOVQ a1, 8(CX); \
-	XORQ AX, a0; \
-	XORQ DX, a1; \
-	MOVO c, b
+	XORQ (CX), a0; \
+	MOVQ DX, X11; \
+	MOVQ AX, X9; \
+	PUNPCKLQDQ X9, X11; \
+	PADDQ X11, a; \
+	MOVOU a, (CX); \
+	PXOR X10, a
 
-// QLOAD loads hash i's (of the four at AX) a into a0:a1 and b into b.
-#define QLOAD(i, a0, a1, b) \
+// NLOAD loads lane i's (of the hashes at AX) pad pointer into its slot,
+// its a into a and a0, and its b into b.
+#define NLOAD(i, a0, a, b) \
 	MOVQ (8*i)(AX), DX; \
+	MOVQ Hasher_pad(DX), CX; \
+	MOVQ CX, (128+8*i)(SP); \
+	MOVOU Hasher_ab(DX), a; \
 	MOVQ Hasher_ab(DX), a0; \
-	MOVQ (Hasher_ab+8)(DX), a1; \
-	MOVOU (Hasher_ab+16)(DX), b
+	MOVOU (Hasher_ab+16)(DX), X8; \
+	MOVOU X8, b
 
-// QSTORE stores them back.
-#define QSTORE(i, a0, a1, b) \
+// NSTORE stores lane i's a and b back.
+#define NSTORE(i, a, b) \
 	MOVQ (8*i)(AX), DX; \
-	MOVQ a0, Hasher_ab(DX); \
-	MOVQ a1, (Hasher_ab+8)(DX); \
-	MOVOU b, (Hasher_ab+16)(DX)
+	MOVOU a, Hasher_ab(DX); \
+	MOVOU b, X8; \
+	MOVOU X8, (Hasher_ab+16)(DX)
 
-// func mainLoop4Asm(hs *[4]*Hasher, mask uint64, iters int)
-// Runs iters rounds of four independent hashes, each over its own
-// scratchpad from its own ab, interleaved half-round by half-round. Each
-// round is one serial chain of ~26 cycles that keeps the AES unit and the
-// multiplier busy a few cycles of it; the other hashes' chains run in the
-// gaps, sharing scratch registers, which register renaming makes free.
-// a lives in R8:R9, R10:R11, R12:R13, R14:R15, b in X0..X3, c in X4..X7,
-// the pads in SI, DI, BX and pad3.
-TEXT ·mainLoop4Asm(SB), NOSPLIT, $8-24
+// BELOW jumps to label when the lane count is below k: lane k-1 is not
+// one of this call's. The count is fixed for a call, so every such
+// branch is predicted.
+#define BELOW(k, label) \
+	CMPQ SI, $k; \
+	JLT label
+
+// func mainLoopNAsm(hs *[8]*Hasher, n int, mask uint64, iters int)
+// Runs iters rounds of hs[0:n] (2 ≤ n ≤ 8), each hash over its own
+// scratchpad from its own ab, interleaved half-round by half-round; it
+// reads and writes no Hasher past hs[n-1]. Each round is one serial chain
+// of two dependent scratchpad loads, AESENC and MULQ; the other lanes'
+// chains run in its gaps. Only SSE2 and AES-NI are used.
+TEXT ·mainLoopNAsm(SB), NOSPLIT, $192-32
 	MOVQ hs+0(FP), AX
-	MOVQ 0(AX), DX
-	MOVQ Hasher_pad(DX), SI
-	MOVQ 8(AX), DX
-	MOVQ Hasher_pad(DX), DI
-	MOVQ 16(AX), DX
-	MOVQ Hasher_pad(DX), BX
-	MOVQ 24(AX), DX
-	MOVQ Hasher_pad(DX), DX
-	MOVQ DX, pad3-8(SP)
-	QLOAD(0, R8, R9, X0)
-	QLOAD(1, R10, R11, X1)
-	QLOAD(2, R12, R13, X2)
-	QLOAD(3, R14, R15, X3)
-mainloop4:
-	QHALF1(mask+8(FP), SI, R8, R9, X0, X4, X8, X12)
-	QHALF1(mask+8(FP), DI, R10, R11, X1, X5, X9, X13)
-	QHALF1(mask+8(FP), BX, R12, R13, X2, X6, X10, X14)
-	QHALF1(mask+8(FP), pad3-8(SP), R14, R15, X3, X7, X11, X15)
-	QHALF2(mask+8(FP), SI, R8, R9, X0, X4)
-	QHALF2(mask+8(FP), DI, R10, R11, X1, X5)
-	QHALF2(mask+8(FP), BX, R12, R13, X2, X6)
-	QHALF2(mask+8(FP), pad3-8(SP), R14, R15, X3, X7)
-	DECQ iters+16(FP)
-	JNZ mainloop4
+	MOVQ n+8(FP), SI
+	MOVQ mask+16(FP), BX
+	MOVQ iters+24(FP), DI
+	NLOAD(0, R8, X0, X12)
+	NLOAD(1, R9, X1, X13)
+	BELOW(3, mainloopN)
+	NLOAD(2, R10, X2, X14)
+	BELOW(4, mainloopN)
+	NLOAD(3, R11, X3, X15)
+	BELOW(5, mainloopN)
+	NLOAD(4, R12, X4, (16*4)(SP))
+	BELOW(6, mainloopN)
+	NLOAD(5, R13, X5, (16*5)(SP))
+	BELOW(7, mainloopN)
+	NLOAD(6, R14, X6, (16*6)(SP))
+	BELOW(8, mainloopN)
+	NLOAD(7, R15, X7, (16*7)(SP))
+mainloopN:
+	NHALF1(0, R8, X0, X12)
+	NHALF1(1, R9, X1, X13)
+	BELOW(3, half2N)
+	NHALF1(2, R10, X2, X14)
+	BELOW(4, half2N)
+	NHALF1(3, R11, X3, X15)
+	BELOW(5, half2N)
+	NHALF1(4, R12, X4, (16*4)(SP))
+	BELOW(6, half2N)
+	NHALF1(5, R13, X5, (16*5)(SP))
+	BELOW(7, half2N)
+	NHALF1(6, R14, X6, (16*6)(SP))
+	BELOW(8, half2N)
+	NHALF1(7, R15, X7, (16*7)(SP))
+half2N:
+	NHALF2(0, R8, X0, X12)
+	NHALF2(1, R9, X1, X13)
+	BELOW(3, nextN)
+	NHALF2(2, R10, X2, X14)
+	BELOW(4, nextN)
+	NHALF2(3, R11, X3, X15)
+	BELOW(5, nextN)
+	NHALF2(4, R12, X4, (16*4)(SP))
+	BELOW(6, nextN)
+	NHALF2(5, R13, X5, (16*5)(SP))
+	BELOW(7, nextN)
+	NHALF2(6, R14, X6, (16*6)(SP))
+	BELOW(8, nextN)
+	NHALF2(7, R15, X7, (16*7)(SP))
+nextN:
+	DECQ DI
+	JNZ mainloopN
 	MOVQ hs+0(FP), AX
-	QSTORE(0, R8, R9, X0)
-	QSTORE(1, R10, R11, X1)
-	QSTORE(2, R12, R13, X2)
-	QSTORE(3, R14, R15, X3)
+	NSTORE(0, X0, X12)
+	NSTORE(1, X1, X13)
+	BELOW(3, doneN)
+	NSTORE(2, X2, X14)
+	BELOW(4, doneN)
+	NSTORE(3, X3, X15)
+	BELOW(5, doneN)
+	NSTORE(4, X4, (16*4)(SP))
+	BELOW(6, doneN)
+	NSTORE(5, X5, (16*5)(SP))
+	BELOW(7, doneN)
+	NSTORE(6, X6, (16*6)(SP))
+	BELOW(8, doneN)
+	NSTORE(7, X7, (16*7)(SP))
+doneN:
 	RET

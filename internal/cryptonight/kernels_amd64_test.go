@@ -23,7 +23,7 @@ func forceSoftAES(t *testing.T) {
 var cpuAESNI, cpuVAES = hasAESNI, hasVAES
 
 // batchPaths lists the SumBatch paths this CPU can run: walkGo, the
-// 4-lane main loop with one-lane explode and implode ("xmm", with
+// n-lane main loop with one-lane explode and implode ("xmm", with
 // AES-NI) and the VAES explode and implode ("vaes").
 func batchPaths() []string {
 	paths := []string{"walkGo"}
@@ -177,6 +177,52 @@ func TestVAESKernelsMatchCryptoAES(t *testing.T) {
 			}
 			if h.text != want || !slices.Equal(h.pad[48:], pads[i][48:]) {
 				t.Fatalf("trial %d lane %d: explode4Asm carried %x or overran the pad", trial, i, h.text)
+			}
+		}
+	}
+}
+
+// TestMainLoopNMatchesMainLoop holds the n-lane main loop to the
+// one-lane kernel: for every lane count from 2 to 8, hs[0:n] after one
+// call, and after a second carrying on from it, must equal as many
+// rounds of mainLoopAsm on a copy of each Hasher, and hs[n:] must be
+// untouched, pads and registers alike. The 128-byte pad makes a round's
+// two lines often one, so a lane that read its line after writing it
+// fails.
+func TestMainLoopNMatchesMainLoop(t *testing.T) {
+	if !cpuAESNI {
+		t.Skip("no AES-NI on this CPU")
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, v := range []Variant{pathVariants[2], Test} {
+		for n := 2; n <= 8; n++ {
+			var hs, want [8]*Hasher
+			for i := range hs {
+				h, err := NewHasher(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range h.pad {
+					h.pad[j] = rng.Uint64()
+				}
+				for j := range h.ab {
+					h.ab[j] = rng.Uint64()
+				}
+				w := *h
+				w.pad = slices.Clone(h.pad)
+				hs[i], want[i] = h, &w
+			}
+			for _, rounds := range []int{1, 1001} {
+				mainLoopNAsm(&hs, n, hs[0].mask(), rounds)
+				for _, w := range want[:n] {
+					mainLoopAsm(&w.pad[0], w.mask(), rounds, &w.ab)
+				}
+				for i, h := range hs {
+					if h.ab != want[i].ab || !slices.Equal(h.pad, want[i].pad) {
+						t.Fatalf("%s, %d lanes, %d rounds: lane %d ab %x, want %x (pads equal: %t)",
+							v.Name, n, rounds, i, h.ab, want[i].ab, slices.Equal(h.pad, want[i].pad))
+					}
+				}
 			}
 		}
 	}

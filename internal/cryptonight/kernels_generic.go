@@ -6,10 +6,10 @@ package cryptonight
 // the amd64 kernels always take the pure-Go path.
 func (h *Hasher) walk(state *[200]byte) { h.walkGo(state) }
 
-// walk4 is walk for four hashes: without the kernels there is nothing to
-// interleave, so it is four walks.
-func walk4(hs *[4]*Hasher, st *[4][200]byte) {
-	for i, h := range hs {
+// walkN is walk for hs[0:n]: without the kernels there is nothing to
+// interleave, so it is n walks.
+func walkN(hs *[8]*Hasher, st *[8][200]byte, n int) {
+	for i, h := range hs[:n] {
 		h.walkGo(&st[i])
 	}
 }

@@ -74,31 +74,36 @@ func batchInputs(rng *rand.Rand, n int) [][]byte {
 }
 
 // FuzzSumPathsAgree holds the dispatch path to walkGo on one blob and,
-// with batch set, holds SumBatch of the blob, its reverse and its two
-// halves to four Sums on every SumBatch path.
+// when lanes%9 is 2 or more, holds a SumBatch of that many blobs — the
+// blob, its reverse, its two halves and the blob with one byte more —
+// to per-blob Sums on every SumBatch path.
 func FuzzSumPathsAgree(f *testing.F) {
 	for i, in := range goldenInputs() {
-		f.Add(in, uint8(i), i%2 == 1)
+		f.Add(in, uint8(i), uint8(2+i))
 	}
+	f.Add(goldenInputs()[3], uint8(0), uint8(8))
+	f.Add(goldenInputs()[6], uint8(4), uint8(0))
 	hs := pathHashers(f)
-	f.Fuzz(func(t *testing.T, blob []byte, profile uint8, batch bool) {
+	f.Fuzz(func(t *testing.T, blob []byte, profile uint8, lanes uint8) {
 		h := hs[int(profile)%len(hs)]
 		got := h.Sum(blob)
-		if batch {
+		if n := int(lanes % 9); n >= 2 {
 			other := slices.Clone(blob)
 			slices.Reverse(other)
 			blobs := [][]byte{blob, other, blob[:len(blob)/2], blob[len(blob)/2:]}
-			want := make([][32]byte, len(blobs))
+			for k := len(blobs); k < n; k++ {
+				blobs = append(blobs, append(slices.Clone(blob), byte(k)))
+			}
+			blobs = blobs[:n]
+			want := make([][32]byte, n)
 			for i, b := range blobs {
 				want[i] = h.Sum(b)
 			}
 			for _, path := range batchPaths() {
 				forcePath(t, path)
-				for _, n := range []int{2, 3, 4} {
-					sums := make([][32]byte, n)
-					if SumBatch(h.v, blobs[:n], sums); !slices.Equal(sums, want[:n]) {
-						t.Errorf("%s, %s: SumBatch of %d %x, Sums %x", path, h.v.Name, n, sums, want[:n])
-					}
+				sums := make([][32]byte, n)
+				if SumBatch(h.v, blobs, sums); !slices.Equal(sums, want) {
+					t.Errorf("%s, %s: SumBatch of %d %x, Sums %x", path, h.v.Name, n, sums, want)
 				}
 			}
 		}
@@ -110,12 +115,13 @@ func FuzzSumPathsAgree(f *testing.F) {
 }
 
 // TestSumBatchMatchesSum holds SumBatch to per-blob Sums on every
-// pathVariants profile, for batches of 1 to 9 blobs — one 4-lane walk,
-// two, a padded last group of two or three, a lone last blob — on every
-// path the CPU has: the VAES explode and implode, the 4-lane main loop
-// with one-lane explode and implode, and walkGo.
+// pathVariants profile, for batches of 1 to 17 blobs — every walk of 2 to
+// 8 lanes, two full 8-lane walks, each after a full one, and a lone last
+// blob — on every path the CPU has: the VAES explode and implode, the
+// n-lane main loop with one-lane explode and implode, and walkGo (which
+// under -short stops Lite at nine blobs).
 func TestSumBatchMatchesSum(t *testing.T) {
-	blobs := batchInputs(rand.New(rand.NewSource(26)), 9)
+	blobs := batchInputs(rand.New(rand.NewSource(26)), 17)
 	hs := pathHashers(t)
 	want := make([][][32]byte, len(hs))
 	for i, h := range hs {
@@ -127,7 +133,13 @@ func TestSumBatchMatchesSum(t *testing.T) {
 		t.Run(path, func(t *testing.T) {
 			forcePath(t, path)
 			for i, h := range hs {
-				for n := 1; n <= len(blobs); n++ {
+				most := len(blobs)
+				if path == "walkGo" && h.v == Lite && testing.Short() {
+					// walkGo hashes a batch lane by lane, and a Lite
+					// hash on it takes ~0.4 s under the race detector.
+					most = 9
+				}
+				for n := 1; n <= most; n++ {
 					sums := make([][32]byte, n)
 					if SumBatch(h.v, blobs[:n], sums); !slices.Equal(sums, want[i][:n]) {
 						t.Errorf("%s, batch of %d: %x, Sums %x", h.v.Name, n, sums, want[i][:n])
@@ -159,12 +171,13 @@ func TestSumBatchRefusesMisuse(t *testing.T) {
 
 // TestSumAllocsBothPaths extends TestSumAllocs' zero-allocation pin to a
 // hash that enters every kernel more than once, on every path, and to a
-// steady-state SumBatch of nine blobs (two 4-lane walks and a lone Sum)
-// when the race detector is off.
+// steady-state SumBatch of eight blobs (one 8-lane walk) and of eleven
+// (an 8-lane walk and a 3-lane one, whose VAES explode and implode
+// repeat a Hasher) when the race detector is off.
 func TestSumAllocsBothPaths(t *testing.T) {
 	in := goldenInputs()[6]
 	h := pathHashers(t)[4]
-	blobs := batchInputs(rand.New(rand.NewSource(3)), 9)
+	blobs := batchInputs(rand.New(rand.NewSource(3)), 11)
 	sums := make([][32]byte, len(blobs))
 	for _, path := range batchPaths() {
 		forcePath(t, path)
@@ -174,9 +187,11 @@ func TestSumAllocsBothPaths(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		SumBatch(h.v, blobs, sums) // fill the pool
-		if n := testing.AllocsPerRun(5, func() { SumBatch(h.v, blobs, sums) }); n != 0 {
-			t.Errorf("%s SumBatch allocates %.1f objects/op, want 0", path, n)
+		for _, n := range []int{8, 11} {
+			SumBatch(h.v, blobs[:n], sums) // fill the pool
+			if allocs := testing.AllocsPerRun(5, func() { SumBatch(h.v, blobs[:n], sums) }); allocs != 0 {
+				t.Errorf("%s SumBatch of %d allocates %.1f objects/op, want 0", path, n, allocs)
+			}
 		}
 	}
 }

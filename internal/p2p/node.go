@@ -26,8 +26,8 @@ const (
 	// syncBatch caps entries per sync response.
 	syncBatch = 256
 	// ingestBatch caps the share frames the reader takes from its buffer
-	// into one ingest, and so into one verify: two 4-lane CryptoNight
-	// walks.
+	// into one ingest, and so into one verify: one 8-lane CryptoNight
+	// walk.
 	ingestBatch = 8
 	// syncDeadlineBeats is how many of this node's tip beats a sync round
 	// may wait for its next response before it is abandoned, so a request
