@@ -56,13 +56,15 @@ loc:
 # share-frame batching (batches must decode what frame-at-a-time reads
 # would), the stratum front's pipelined-run reader (runs must hold the
 # commands line-at-a-time reads would, without reading the conn), the
-# ws frame decoder (the miners' untrusted wire) and the CryptoNight
+# ws frame decoder (the miners' untrusted wire), the CryptoNight
 # paths (the assembly kernels and SumBatch's walks of 2 to 8 lanes must
-# hash what walkGo does), one pass of every package micro-
-# benchmark (so the bodies cannot rot, and Fig5Day's "one simulated day
-# attributes blocks" check keeps running), the nested benchmark module's
-# own vet + tests (root `./...` skips it, so a product-side rename the
-# benchmark depends on would otherwise break it unnoticed). No live
+# hash what walkGo does) and the archive record decoder
+# (FuzzDecodeRecord: it reads segments a crash may have cut short), one
+# pass of every package micro-benchmark (so the bodies cannot rot, and
+# Fig5Day's "one simulated day attributes blocks" check keeps running),
+# the nested benchmark module's own vet + tests (root `./...` skips it,
+# so a product-side rename the benchmark depends on would otherwise
+# break it unnoticed). No live
 # load gate runs here: every assertion the retired ones made fails a
 # test in the -short -race pass (DESIGN.md "The last gates and their
 # twins"). Abuse containment and the honest miners' latency under
@@ -87,6 +89,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRun$$' -fuzztime 10s ./internal/coinhive
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameInto$$' -fuzztime 10s ./internal/ws
 	$(GO) test -run '^$$' -fuzz '^FuzzSumPathsAgree$$' -fuzztime 10s ./internal/cryptonight
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/archive
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/keccak ./internal/blockchain ./internal/simclock ./internal/cryptonight ./internal/experiments ./internal/nocoin ./internal/htmlx ./internal/webgen ./internal/crawler ./internal/browser
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 

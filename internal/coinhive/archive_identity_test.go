@@ -152,8 +152,7 @@ func TestCrossTransportArchiveIdentical(t *testing.T) {
 				MaxDifficulty:      4096,
 			}
 			c.Ban = coinhive.BanConfig{
-				BanThreshold: 100,
-				OffenseScore: 25,
+				BanThreshold: 40,
 				BanDuration:  time.Minute,
 			}
 			c.Archive = rec

@@ -20,8 +20,10 @@ import (
 // on the hot path (the lockscope analyzer enforces the first two).
 
 // BanConfig tunes the defense layer. The zero value disables it
-// (BanThreshold == 0). The score decays at the fixed banDecayPerSec, and
-// malformed frames score the fixed banMalformedScore.
+// (BanThreshold == 0). The score decays at the fixed banDecayPerSec,
+// malformed frames score the fixed banMalformedScore and every other
+// rejected abuse banOffenseScore; the stale bound and the bucket bursts
+// are fixed too (banStaleFloodAfter, banLoginBurst, banSubmitBurst).
 type BanConfig struct {
 	// BanThreshold is the banscore at which an identity is banned.
 	// 0 disables the entire defense layer.
@@ -29,21 +31,9 @@ type BanConfig struct {
 	// BanDuration is how long a ban lasts (default 10m).
 	BanDuration time.Duration
 
-	// OffenseScore is what each rejected abuse scores (default 10): a
-	// resubmitted (job, nonce), a stale past StaleFloodAfter, a job ID at
-	// a difficulty never served, or an exhausted login or submit bucket.
-	OffenseScore float64
-
-	// StaleFloodAfter is the consecutive-stale bound: after this many
-	// stale shares with no accept between them the session stops getting
-	// re-jobs and earns {-4, "too many stale"} instead (default 8).
-	StaleFloodAfter int
-
-	// Login/submit token buckets, per identity. Rates are tokens/second;
-	// bursts the bucket capacity (and initial fill). Defaults: logins
-	// 5/s burst 10, submits 20/s; the submit burst is banSubmitBurst.
+	// Login/submit token buckets, per identity, in tokens/second.
+	// Defaults: logins 5/s, submits 20/s.
 	LoginRatePerSec  float64
-	LoginBurst       float64
 	SubmitRatePerSec float64
 
 	// BanByRemoteHost additionally keys scores and bans on the peer's
@@ -64,17 +54,8 @@ func (c *BanConfig) fillDefaults() {
 	if c.BanDuration == 0 {
 		c.BanDuration = 10 * time.Minute
 	}
-	if c.OffenseScore == 0 {
-		c.OffenseScore = 10
-	}
-	if c.StaleFloodAfter == 0 {
-		c.StaleFloodAfter = 8
-	}
 	if c.LoginRatePerSec == 0 {
 		c.LoginRatePerSec = 5
-	}
-	if c.LoginBurst == 0 {
-		c.LoginBurst = 10
 	}
 	if c.SubmitRatePerSec == 0 {
 		c.SubmitRatePerSec = 20
@@ -89,7 +70,18 @@ const (
 	// banMalformedScore scores a garbage frame, bad params or an unknown
 	// message type.
 	banMalformedScore = 5
-	// banSubmitBurst is the submit bucket's capacity (and initial fill).
+	// banOffenseScore is what every other rejected abuse scores: a
+	// resubmitted (job, nonce), a stale past banStaleFloodAfter, a job ID
+	// at a difficulty the session is not served, or an exhausted login or
+	// submit bucket.
+	banOffenseScore = 10
+	// banStaleFloodAfter is the consecutive-stale bound: after this many
+	// stale shares with no accept between them the session stops getting
+	// re-jobs and earns {-4, "too many stale"} instead.
+	banStaleFloodAfter = 8
+	// banLoginBurst and banSubmitBurst are the token buckets' capacities
+	// (and initial fills).
+	banLoginBurst  = 10
 	banSubmitBurst = 40
 )
 
@@ -248,7 +240,7 @@ func (t *abuseTable) allowLogin(key string, nowNs int64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entryLocked(key, nowNs)
-	refillLocked(&e.loginTokens, &e.loginAtNs, nowNs, t.cfg.LoginRatePerSec, t.cfg.LoginBurst)
+	refillLocked(&e.loginTokens, &e.loginAtNs, nowNs, t.cfg.LoginRatePerSec, banLoginBurst)
 	if e.loginTokens < 1 {
 		return false
 	}

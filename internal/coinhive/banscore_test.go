@@ -10,7 +10,6 @@ func testBanTable() *abuseTable {
 		BanThreshold:    100,
 		BanDuration:     time.Minute,
 		LoginRatePerSec: 2,
-		LoginBurst:      6,
 	}
 	cfg.fillDefaults()
 	return newAbuseTable(cfg)
@@ -85,9 +84,9 @@ func TestBanscoreLoginBucket(t *testing.T) {
 	tab := testBanTable()
 	now := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 
-	// The bucket starts full at burst (6): honest reconnect churn inside
-	// the burst is never throttled.
-	for i := 0; i < 6; i++ {
+	// The bucket starts full at burst (banLoginBurst, 10): honest
+	// reconnect churn inside the burst is never throttled.
+	for i := 0; i < banLoginBurst; i++ {
 		if !tab.allowLogin("hammer", now) {
 			t.Fatalf("login %d throttled inside burst", i)
 		}

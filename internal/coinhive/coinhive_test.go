@@ -150,30 +150,26 @@ func TestJobTopology(t *testing.T) {
 }
 
 func TestJobIDCodecRoundTrip(t *testing.T) {
-	cases := []struct {
-		backend int
-		seq     uint32
-		slot    int
-		link    bool
-		diff    uint64
-	}{
-		{0, 1, 0, false, 0},
-		{15, 4294967295, 7, false, 0},
-		{3, 42, 5, true, 0},
-		{9, 0, 1, true, 0},
-		{0, 1, 0, false, 1},
-		{15, 4294967295, 7, false, 4096},
-		{9, 7, 3, false, 8},
+	cases := []jobRef{
+		{0, 1, 0, 256},
+		{15, 4294967295, 7, 256},
+		{3, 42, 5, 16},
+		{9, 0, 1, 16},
+		{0, 1, 0, 1},
+		{15, 4294967295, 7, 4096},
+		{9, 7, 3, 8},
 	}
 	for _, c := range cases {
-		id := makeJobID(c.backend, c.seq, c.slot, c.link, c.diff)
+		id := makeJobID(c.backend, c.seq, c.slot, c.diff)
 		ref, ok := parseJobID(id)
-		if !ok || ref != (jobRef{c.backend, c.seq, c.slot, c.link, c.diff}) {
+		if !ok || ref != c {
 			t.Errorf("round trip %+v via %q -> (%+v,%v)", c, id, ref, ok)
 		}
 	}
-	for _, bad := range []string{"", "-", "1-", "1-2", "x-1-2", "1-x-2", "1-2-x", "99999", "-1-2-3", "1-2--L",
-		"1-2-3-d", "1-2-3-dx", "1-2-3-d0", "1-2-3-d-1", "1-2-3-L-d"} {
+	// Every job ID names its difficulty: the suffix-less and "-L" forms
+	// of earlier versions are malformed.
+	for _, bad := range []string{"", "-", "1-", "1-2", "x-1-2", "1-x-2", "1-2-x", "99999", "-1-2-3", "1-2-3", "1-2-3-L",
+		"1-2-3-d", "1-2-3-dx", "1-2-3-d0", "1-2-3-d-1", "1-2-3-L-d", "1-2-3-d16-L", "1-2-d16", "x-2-3-d16"} {
 		if _, ok := parseJobID(bad); ok {
 			t.Errorf("parseJobID(%q) accepted malformed ID", bad)
 		}
@@ -279,13 +275,14 @@ func TestSubmitShareRejectsForgeries(t *testing.T) {
 	if _, err := pool.SubmitShare("t", "99999", nonce, sum, ""); err != errUnknownJob {
 		t.Errorf("unknown job: err = %v", err)
 	}
-	// Self-elected link tier: the difficulty class is pinned when the pool
-	// mints the job, so suffixing "-L" onto a normal ID must not resolve.
-	if _, err := pool.SubmitShare("t", j.JobID+"-L", nonce, sum, ""); err != errUnknownJob {
-		t.Errorf("forged link suffix: err = %v", err)
+	// Self-elected difficulty: one no tier serves (vardiff is off) must
+	// not resolve. Which served tier a session may claim is the engine's
+	// check (TestStaticAndLinkTiersRefuseEachOther).
+	if _, err := pool.SubmitShare("t", strings.TrimSuffix(j.JobID, "16")+"1", nonce, sum, ""); err != errUnknownJob {
+		t.Errorf("forged difficulty: err = %v", err)
 	}
-	// Well-formed but never-minted ID (wrong generation for the slot).
-	if _, err := pool.SubmitShare("t", "0-999999-0", nonce, sum, ""); err != errUnknownJob {
+	// Well-formed but never-minted ID (a generation the shard never reached).
+	if _, err := pool.SubmitShare("t", "0-999999-0-d16", nonce, sum, ""); err != errUnknownJob {
 		t.Errorf("fabricated generation: err = %v", err)
 	}
 	// Replay after tip change: force a new tip via ProduceWinningBlock.

@@ -252,18 +252,21 @@ type MinerSession struct {
 	siteKey   string
 	linkID    string
 	captchaID string
-	lowDiff   bool
 	closed    bool
 
 	// remote is the transport's peer host (empty when unknown); used only
 	// for optional per-host banning.
 	remote string
 
-	// Vardiff state. curDiff is the difficulty currently served: 0 means
-	// the session is on the static tier (vardiff off, or a link/captcha
-	// session). Atomic because mintWire reads it from the TCP push
-	// fan-out goroutine; the rest is Step-goroutine only.
-	curDiff      atomic.Uint64
+	// curDiff is the difficulty the session is served — static, link or
+	// vardiff, set at open — and so the tier its submits may claim
+	// (servedTier, with prevDiff's grace). Atomic because mintWire reads
+	// it from the TCP push fan-out goroutine; the rest is Step-goroutine
+	// only.
+	curDiff atomic.Uint64
+	// Vardiff state, used only when retargets is set (vardiff on, an
+	// ordinary session).
+	retargets    bool
 	prevDiff     uint64 // one retarget of grace for in-flight shares
 	vdWin        vardiffWindow
 	lastAcceptNs int64
@@ -286,14 +289,11 @@ func (ms *MinerSession) Close() {
 // mintWire mints the session's current PoW input in its encode-once form
 // — what a reply carries and what a server-clocked transport pushes when
 // the chain tip moves, the same wire bytes going to every session on the
-// same tier without re-marshaling. Safe for concurrent use with Step once
-// the session is authed (curDiff is the one retarget-mutated field it
-// reads, and it is atomic).
+// same difficulty without re-marshaling. Safe for concurrent use with
+// Step once the session is authed (curDiff is the one retarget-mutated
+// field it reads, and it is atomic).
 func (ms *MinerSession) mintWire() *jobWire {
-	if d := ms.curDiff.Load(); d != 0 {
-		return ms.eng.pool.jobWire(ms.endpoint, ms.slot, d, false)
-	}
-	return ms.eng.pool.jobWire(ms.endpoint, ms.slot, 0, ms.lowDiff)
+	return ms.eng.pool.jobWire(ms.endpoint, ms.slot, ms.curDiff.Load())
 }
 
 func (ms *MinerSession) emit(ev Event) {
@@ -383,7 +383,7 @@ func (ms *MinerSession) step(cmd Command, pre *prehashed) []Event {
 		// silent session: evaluate the idle downstep on it, so a session
 		// whose difficulty outgrew its hashrate (or a sandbagger gone
 		// quiet) descends back toward the goal cadence.
-		if ms.curDiff.Load() != 0 {
+		if ms.retargets {
 			if _, ok := ms.vardiffIdle(ms.eng.clock.Now().UnixNano()); ok {
 				ms.emitJobRetarget(false, true)
 			}
@@ -447,7 +447,7 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 			e.rateLimited.Inc()
 			// The trip itself is an offense: a reconnect hammer burning
 			// login tokens converts its own rejections into a ban.
-			if ms.offend(e.ban.OffenseScore, nowNs) {
+			if ms.offend(banOffenseScore, nowNs) {
 				return ms.evs
 			}
 			ms.emit(Event{
@@ -473,11 +473,13 @@ func (ms *MinerSession) open(auth stratum.Auth) []Event {
 			return ms.evs
 		}
 	}
-	ms.lowDiff = ms.linkID != "" || ms.captchaID != ""
+	lowDiff := ms.linkID != "" || ms.captchaID != ""
+	ms.curDiff.Store(p.shareDifficulty(lowDiff))
 	// Vardiff applies to ordinary sessions only: link/captcha sessions
 	// mine toward fixed hash goals at the dedicated low tier, so
 	// retargeting them would change goal semantics mid-visit.
-	if e.vardiff.enabled() && !ms.lowDiff {
+	if e.vardiff.enabled() && !lowDiff {
+		ms.retargets = true
 		ms.curDiff.Store(e.vardiff.clampDiff(p.shareDifficulty(false)))
 		ms.vdWin.init(vardiffWindowShares)
 		ms.lastAcceptNs = e.clock.Now().UnixNano()
@@ -506,7 +508,7 @@ func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 		nowNs := e.clock.Now().UnixNano()
 		if !e.abuse.allowSubmit(ms.siteKey, nowNs) {
 			e.rateLimited.Inc()
-			if ms.offend(e.ban.OffenseScore, nowNs) {
+			if ms.offend(banOffenseScore, nowNs) {
 				return
 			}
 			ms.emit(Event{
@@ -516,14 +518,14 @@ func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 			return
 		}
 	}
-	// Served-tier check: a vardiff session may only submit the difficulty
-	// it is being served (or the one just before it — one retarget of
-	// grace for in-flight shares). Anything else is a diff gamer forging
-	// cheap targets; answer with the unknown-job re-job shape, scored,
-	// without parsing further or verifying.
+	// Served-tier check: a session may only submit the difficulty it is
+	// being served — static, link or vardiff — or, after a retarget, the
+	// one just before it (grace for in-flight shares). Anything else is a
+	// tier gamer forging cheap targets; answer with the unknown-job re-job
+	// shape, scored, without verifying.
 	if !ms.servedTier(ref, refOK) {
 		e.forgedDiffs.Inc()
-		if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
+		if ms.offend(banOffenseScore, ms.abuseNowNs()) {
 			return
 		}
 		ms.emitJob(true)
@@ -553,12 +555,12 @@ func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 				}})
 			}
 		}
-		if d := ms.curDiff.Load(); d != 0 {
+		if ms.retargets {
 			// A share at the served tier proves the miner has moved on to
 			// the new target, so the previous-tier grace is over: leaving
 			// prevDiff open would keep the old, possibly cheaper tier
 			// submittable for the rest of the retarget interval.
-			if ref.diff == d {
+			if ref.diff == ms.curDiff.Load() {
 				ms.prevDiff = 0
 			}
 			_, retargeted = ms.vardiffAccept(e.clock.Now().UnixNano())
@@ -577,9 +579,9 @@ func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 			p.sharesStale.Inc()
 		}
 		ms.staleRun++
-		if e.ban.enabled() && ms.staleRun > e.ban.StaleFloodAfter {
+		if e.ban.enabled() && ms.staleRun > banStaleFloodAfter {
 			e.staleFloods.Inc()
-			if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
+			if ms.offend(banOffenseScore, ms.abuseNowNs()) {
 				return
 			}
 			ms.emit(Event{
@@ -593,7 +595,7 @@ func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 		// A replay of a share the account was already paid for — on this
 		// session or, across a reconnect, an earlier one. Named and scored;
 		// no fresh work for replays.
-		if ms.offend(e.ban.OffenseScore, ms.abuseNowNs()) {
+		if ms.offend(banOffenseScore, ms.abuseNowNs()) {
 			return
 		}
 		ms.emitError(stratum.DuplicateShareMessage, false)
@@ -613,12 +615,12 @@ func (ms *MinerSession) submit(cmd Command, pre *prehashed) {
 	}
 }
 
-// servedTier reports whether a submit's job ID passes the served-tier
-// check: off vardiff, or at the tier the session is served or the one
-// before it. An unparsed ID passes; the pool refuses it as unknown.
+// servedTier is the one rule for which tier a session may submit: the
+// job ID's difficulty must be the one the session is served, or the one
+// before its last retarget (prevDiff, 0 until a retarget, matches no
+// parsed ID). An unparsed ID passes; the pool refuses it as unknown.
 func (ms *MinerSession) servedTier(ref jobRef, refOK bool) bool {
-	d := ms.curDiff.Load()
-	return d == 0 || !refOK || ref.diff == d || (ref.diff != 0 && ref.diff == ms.prevDiff)
+	return !refOK || ref.diff == ms.curDiff.Load() || ref.diff == ms.prevDiff
 }
 
 // prehash hashes, in one cryptonight.SumBatch, the blobs of a pipelined
@@ -651,7 +653,7 @@ func (ms *MinerSession) prehash(run []Command, pre *prehashed) {
 			continue
 		}
 		k := pre.n
-		tmpl, blob, _, err := p.resolve(ms.siteKey, cmd.JobID, ref, refOK, cmd.Nonce, pre.blobs[k][:0])
+		tmpl, blob, _, err := p.resolve(ms.siteKey, ref, refOK, cmd.Nonce, pre.blobs[k][:0])
 		if err != nil || len(blob) > hashingBlobCap {
 			continue
 		}

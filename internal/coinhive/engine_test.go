@@ -284,11 +284,9 @@ func TestSessionsReleasedOnDisconnect(t *testing.T) {
 func TestLoginHammerRateLimitedThenBanned(t *testing.T) {
 	srv, handler, _ := startService(t, 4, func(c *coinhive.PoolConfig) {
 		c.Ban = coinhive.BanConfig{
-			BanThreshold:    100,
+			BanThreshold:    40,
 			BanDuration:     time.Minute,
-			OffenseScore:    25,
 			LoginRatePerSec: 1,
-			LoginBurst:      2,
 		}
 	})
 	_, addr := startStratum(t, handler)
@@ -303,16 +301,16 @@ func TestLoginHammerRateLimitedThenBanned(t *testing.T) {
 			_, _, err = s.Login()
 			return err
 		}
-		// Two logins spend the burst; refusals 1-3 score 25 each and the
+		// Ten logins spend the burst; refusals 1-3 score 10 each and the
 		// fourth reaches the threshold, so it is answered with the ban.
-		for i := 1; i <= 7; i++ {
+		for i := 1; i <= 15; i++ {
 			err := login()
 			switch {
-			case i <= 2 && err != nil:
+			case i <= 10 && err != nil:
 				t.Fatalf("%s login %d inside the burst: %v", url, i, err)
-			case i > 2 && i <= 5 && (err == nil || !strings.Contains(err.Error(), stratum.RateLimitedMessage)):
+			case i > 10 && i <= 13 && (err == nil || !strings.Contains(err.Error(), stratum.RateLimitedMessage)):
 				t.Fatalf("%s login %d: err = %v, want %q", url, i, err, stratum.RateLimitedMessage)
-			case i > 5 && !errors.Is(err, session.ErrBanned):
+			case i > 13 && !errors.Is(err, session.ErrBanned):
 				t.Fatalf("%s login %d: err = %v, want ErrBanned", url, i, err)
 			}
 		}
@@ -386,8 +384,7 @@ func TestCrossTransportDefenseIdentical(t *testing.T) {
 			MaxDifficulty:      4096,
 		}
 		c.Ban = coinhive.BanConfig{
-			BanThreshold: 100,
-			OffenseScore: 25,
+			BanThreshold: 40,
 			BanDuration:  time.Minute,
 		}
 	}
@@ -463,7 +460,7 @@ func TestCrossTransportDefenseIdentical(t *testing.T) {
 		submitOne(4, !sess.ServerClocked())
 
 		// The duplicate flood: replaying the just-paid share is named and
-		// scored (25 a hit); the fourth offense crosses the threshold.
+		// scored (10 a hit); the fourth offense crosses the threshold.
 		for i := 0; i < 3; i++ {
 			if err := sess.Submit(job.ID, nonce, sum); err != nil {
 				t.Fatal(err)

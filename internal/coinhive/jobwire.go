@@ -9,11 +9,11 @@ import (
 // jobWire is one job notification encoded once for every transport: the
 // decoded Job (for correlation and tests), the TCP dialect's complete
 // notify line, and the ws dialect's complete pre-built text frame (the
-// header is included — payload length is fixed per tier, so nothing about
-// the frame is per-session). A jobWire is immutable after construction
-// and shared by reference: a tip event encodes each (backend, slot, tier)
-// combination exactly once, however many thousand sessions the fan-out
-// then hands the same bytes to.
+// header is included — payload length is fixed per difficulty, so nothing
+// about the frame is per-session). A jobWire is immutable after
+// construction and shared by reference: a tip event encodes each
+// (backend, slot, difficulty) combination exactly once, however many
+// thousand sessions the fan-out then hands the same bytes to.
 type jobWire struct {
 	job     stratum.Job
 	tcpLine []byte // JSON-RPC job notification, trailing newline included
@@ -32,12 +32,12 @@ func (p *Pool) newJobWire(j stratum.Job) *jobWire {
 	return w
 }
 
-// jobWire returns the current pre-encoded job for an endpoint/slot at the
-// given tier (diff 0 + forLink=false is the static tier). Wires are
-// minted lazily under the shard lock and cached until the next refresh;
-// refreshes replace the cache slices wholesale, so a wire handed to an
-// in-flight event stays valid (and merely stale) after the tip moves.
-func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *jobWire {
+// jobWire returns the current pre-encoded job for an endpoint/slot at
+// difficulty diff — whichever tier serves it. Wires are minted lazily
+// under the shard lock and cached until the next refresh, which drops the
+// cache, so a wire handed to an in-flight event stays valid (and merely
+// stale) after the tip moves.
+func (p *Pool) jobWire(endpoint, slot int, diff uint64) *jobWire {
 	b := p.backendOfEndpoint(endpoint)
 	sh := p.backends[b]
 	s := ((slot % templatesPerBackend) + templatesPerBackend) % templatesPerBackend
@@ -46,40 +46,17 @@ func (p *Pool) jobWire(endpoint, slot int, diff uint64, forLink bool) *jobWire {
 	if tip := p.cfg.Chain.TipID(); sh.tip != tip {
 		p.refreshShardLocked(sh, b, tip)
 	}
-	switch {
-	case forLink:
-		if sh.wireLink[s] == nil {
-			if sh.linkJobIDs[s] == "" {
-				sh.linkJobIDs[s] = makeJobID(b, sh.refreshSeq, s, true, 0)
-			}
-			sh.wireLink[s] = p.newJobWire(stratum.Job{
-				JobID: sh.linkJobIDs[s], Blob: sh.jobBlobHex[s], Target: p.linkTargetHex,
-			})
-		}
-		return sh.wireLink[s]
-	case diff != 0:
-		tier := sh.wireDiff[diff]
-		if tier == nil {
-			if sh.wireDiff == nil {
-				sh.wireDiff = map[uint64][]*jobWire{}
-			}
-			tier = make([]*jobWire, templatesPerBackend)
-			sh.wireDiff[diff] = tier
-		}
-		if tier[s] == nil {
-			tier[s] = p.newJobWire(stratum.Job{
-				JobID:  makeJobID(b, sh.refreshSeq, s, false, diff),
-				Blob:   sh.jobBlobHex[s],
-				Target: stratum.EncodeTarget(cryptonight.DifficultyForTarget(diff)),
-			})
-		}
-		return tier[s]
-	default:
-		if sh.wireStatic[s] == nil {
-			sh.wireStatic[s] = p.newJobWire(stratum.Job{
-				JobID: sh.jobIDs[s], Blob: sh.jobBlobHex[s], Target: p.targetHex,
-			})
-		}
-		return sh.wireStatic[s]
+	tier := sh.wires[diff]
+	if tier == nil {
+		tier = make([]*jobWire, templatesPerBackend)
+		sh.wires[diff] = tier
 	}
+	if tier[s] == nil {
+		tier[s] = p.newJobWire(stratum.Job{
+			JobID:  makeJobID(b, sh.refreshSeq, s, diff),
+			Blob:   sh.jobBlobHex[s],
+			Target: stratum.EncodeTarget(cryptonight.DifficultyForTarget(diff)),
+		})
+	}
+	return tier[s]
 }

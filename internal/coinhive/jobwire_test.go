@@ -22,19 +22,17 @@ import (
 func TestJobWireBitIdenticalAcrossTiers(t *testing.T) {
 	pool := newTestPool(t, 4)
 	tiers := []struct {
-		name    string
-		diff    uint64
-		forLink bool
+		name string
+		diff uint64
 	}{
-		{"static", 0, false},
-		{"link", 0, true},
-		{"vardiff-16", 16, false},
-		{"vardiff-256", 256, false},
-		{"vardiff-1M", 1 << 20, false},
+		{"static", 4},
+		{"link", 16},
+		{"vardiff-256", 256},
+		{"vardiff-1M", 1 << 20},
 	}
 	for _, tier := range tiers {
 		for slot := 0; slot < 3; slot++ {
-			w := pool.jobWire(0, slot, tier.diff, tier.forLink)
+			w := pool.jobWire(0, slot, tier.diff)
 			if w == nil || w.job.JobID == "" {
 				t.Fatalf("%s slot %d: empty wire", tier.name, slot)
 			}
@@ -64,8 +62,8 @@ func TestJobWireBitIdenticalAcrossTiers(t *testing.T) {
 	encodes := pool.jobEncodes.Load()
 	for _, tier := range tiers {
 		for slot := 0; slot < 3; slot++ {
-			w1 := pool.jobWire(0, slot, tier.diff, tier.forLink)
-			if w2 := pool.jobWire(0, slot, tier.diff, tier.forLink); w2 != w1 {
+			w1 := pool.jobWire(0, slot, tier.diff)
+			if w2 := pool.jobWire(0, slot, tier.diff); w2 != w1 {
 				t.Errorf("%s slot %d: cache returned distinct wires", tier.name, slot)
 			}
 		}
@@ -99,8 +97,8 @@ func TestServePushPathAllocFree(t *testing.T) {
 	s := NewStratumServer(eng)
 	defer s.Shutdown()
 
-	w := pool.jobWire(0, 0, 0, false)
-	if allocs := testing.AllocsPerRun(500, func() { pool.jobWire(0, 0, 0, false) }); allocs != 0 {
+	w := pool.jobWire(0, 0, 4)
+	if allocs := testing.AllocsPerRun(500, func() { pool.jobWire(0, 0, 4) }); allocs != 0 {
 		t.Errorf("jobWire cache hit: %v allocs/op, want 0", allocs)
 	}
 

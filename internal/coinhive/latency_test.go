@@ -206,12 +206,9 @@ func TestHonestLatencyUnderAttack(t *testing.T) {
 func attackedP99(t *testing.T, miners, shares int) time.Duration {
 	_, handler, pool := startService(t, 2, func(c *coinhive.PoolConfig) {
 		c.Ban = coinhive.BanConfig{
-			BanThreshold:    100,
+			BanThreshold:    20,
 			BanDuration:     time.Minute,
-			OffenseScore:    25,
-			StaleFloodAfter: 4,
 			LoginRatePerSec: 2,
-			LoginBurst:      6,
 		}
 	})
 	dial := memStratum(t, handler)
@@ -270,7 +267,7 @@ func attackedP99(t *testing.T, miners, shares int) time.Duration {
 		})
 		// A bogus-job flooder submits against a never-issued job ID.
 		attack(fmt.Sprintf("attack-bogus-%d", i), func(m *memMiner, res stratum.LoginResult) (stratum.RPCEnvelope, error) {
-			env, _, err := m.submit(res, "0-999999-0", 0, [32]byte{}, 5*time.Second)
+			env, _, err := m.submit(res, "0-999999-0-d2", 0, [32]byte{}, 5*time.Second)
 			if err == nil && env.Error != nil && env.Error.Code == stratum.RPCStaleJob {
 				_, err = stratum.ReadRPCLine(m.br) // the re-job behind the named stale
 			}

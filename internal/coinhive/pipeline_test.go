@@ -35,7 +35,7 @@ func newPipeService(t *testing.T) *pipeService {
 	s.rec = archive.NewRecorder(s.store, nil, 0)
 	_, handler, pool := startService(t, 4, func(c *coinhive.PoolConfig) {
 		c.Vardiff = coinhive.VardiffConfig{TargetSharesPerMin: 240, MinDifficulty: 1, MaxDifficulty: 4}
-		c.Ban = coinhive.BanConfig{BanThreshold: 1e6, OffenseScore: 25, BanDuration: time.Minute}
+		c.Ban = coinhive.BanConfig{BanThreshold: 1e6, BanDuration: time.Minute}
 		c.Archive = s.rec
 	})
 	s.pool, s.dial = pool, memStratum(t, handler)
@@ -130,7 +130,7 @@ func TestStratumPipelinedSubmitsMatchOneByOne(t *testing.T) {
 		seq, _ := strconv.Atoi(parts[1])
 		stale := strings.Join([]string{parts[0], strconv.Itoa(seq - 1), parts[2], parts[3]}, "-")
 		forged := strings.Join(parts[:3], "-") + "-d1"
-		static := strings.Join(parts[:3], "-")
+		link := strings.Join(parts[:3], "-") + "-d16" // the link tier's difficulty
 
 		var lines []string
 		id := 1 // login took 1
@@ -155,14 +155,14 @@ func TestStratumPipelinedSubmitsMatchOneByOne(t *testing.T) {
 		sub("no-such-job", valid[4])
 		sub(forged, valid[4])
 		// Run 2: S4..S8 and one bad PoW hashed ahead; S1 is a paid
-		// duplicate, S9 under the static-tier ID a forged tier.
+		// duplicate, S9 under the link-tier ID a forged tier.
 		sub(j, valid[4])
 		sub(j, valid[5])
 		sub(j, bad(0))
 		sub(j, valid[1])
 		sub(j, valid[6])
 		sub(j, valid[7])
-		sub(static, valid[9])
+		sub(link, valid[9])
 		sub(j, valid[8])
 		// Runs 3 and 4: one submit each, cut by a keepalive and by a
 		// submit with an undecodable nonce.

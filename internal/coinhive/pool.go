@@ -121,7 +121,8 @@ type FoundBlock struct {
 // Errors returned by SubmitShare. errStaleJob marks honest work the
 // chain outran — a job this pool really minted, submitted after a tip
 // move or template refresh; errUnknownJob marks identifiers the pool
-// never issued (malformed, forged, or self-upgraded to the link tier).
+// never issued (malformed, from a future generation, or at a difficulty
+// no tier serves).
 // The session engine re-jobs both the same way, but only stale ones
 // count toward pool.shares_stale.
 var (
@@ -149,18 +150,14 @@ type backendShard struct {
 	templates  []*blockchain.Block // [slot]
 	blobs      [][]byte            // cached hashing blobs per template
 	jobBlobHex []string            // cached obfuscated wire blobs
-	jobIDs     []string            // per-slot wire job IDs for this refresh
-	linkJobIDs []string            // per-slot link-difficulty IDs, built on demand
 	wire       []byte              // obfuscation scratch
 
-	// Pre-encoded wire forms per slot (and per vardiff tier), minted
-	// lazily on first handout after each refresh — the encode-once cache
-	// behind the job-push fan-out (see jobwire.go). The slices are
-	// replaced, not cleared, on refresh: in-flight events keep valid
-	// pointers to the old generation's wires.
-	wireStatic []*jobWire
-	wireLink   []*jobWire
-	wireDiff   map[uint64][]*jobWire
+	// wires holds the pre-encoded jobs of this refresh, per difficulty
+	// and slot — the static, link and vardiff tiers alike, each minted
+	// lazily on its first handout: the encode-once cache behind the
+	// job-push fan-out (see jobwire.go). A refresh drops the slices, so
+	// in-flight events keep valid pointers to the old generation's wires.
+	wires map[uint64][]*jobWire
 }
 
 // accountStripe holds the accounts (and this round's hash credit) for the
@@ -220,18 +217,17 @@ type jobRef struct {
 	backend int
 	seq     uint32 // the shard's refresh generation
 	slot    int
-	link    bool
-	diff    uint64 // vardiff tier the ID carries; 0 on the two static tiers
+	diff    uint64 // the difficulty the job was served at
 }
 
 // memoKey folds a submission's tier-independent identity — the
 // backend/generation/slot triple that names one PoW blob, plus the nonce —
-// to the memo's fixed-width key (FNV-1a). The job ID's difficulty and link
-// suffixes are deliberately excluded: a retargeted (or link-tier) ID names
-// the same blob as its siblings at other tiers, so one nonce must dedupe
-// across all of them — keying on the full ID string would let a miner
-// straddling a retarget resubmit the same hash under the old and new tier
-// IDs for double credit. A 64-bit digest over ≤128 live entries makes an
+// to the memo's fixed-width key (FNV-1a). The job ID's difficulty is
+// deliberately excluded: an ID at one difficulty names the same blob as
+// its siblings at the others, so one nonce must dedupe across all of
+// them — keying on the full ID string would let a miner straddling a
+// retarget resubmit the same hash under the old and new tier IDs for
+// double credit. A 64-bit digest over ≤128 live entries makes an
 // accidental collision — a rejected honest share — vanishingly unlikely,
 // and a deliberate collision still earns the attacker nothing but their
 // own rejection.
@@ -261,12 +257,6 @@ type Pool struct {
 	links    *LinkStore
 	captchas *CaptchaService
 
-	// targetHex and linkTargetHex are the wire encodings of the two share
-	// targets; they depend only on the pool configuration, so encoding them
-	// once keeps Job() off the hex/alloc path entirely.
-	targetHex     string
-	linkTargetHex string
-
 	// Share accounting counters live in the metrics registry, so the
 	// same atomics feed StatsSnapshot and /metrics exposition.
 	sharesOK *metrics.Counter
@@ -284,7 +274,8 @@ type Pool struct {
 	shardRefresh *metrics.Counter
 	// jobEncodes counts jobWire constructions — against server.jobs_sent
 	// it is the bytes-marshaled-per-push telemetry: a healthy fan-out
-	// encodes once per (backend, slot, tier) per refresh, not per session.
+	// encodes once per (backend, slot, difficulty) per refresh, not per
+	// session.
 	jobEncodes *metrics.Counter
 	kept       atomic.Uint64 // pool's 30% cut, cumulative
 	paid       atomic.Uint64 // users' 70%, cumulative
@@ -338,8 +329,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		p.stripes[i].round = map[string]uint64{}
 		p.stripes[i].memo = map[string]*shareMemo{}
 	}
-	p.targetHex = stratum.EncodeTarget(cryptonight.DifficultyForTarget(cfg.ShareDifficulty))
-	p.linkTargetHex = stratum.EncodeTarget(cryptonight.DifficultyForTarget(cfg.LinkShareDifficulty))
 	tip := cfg.Chain.TipID()
 	p.backends = make([]*backendShard, DefaultNumBackends)
 	for b := range p.backends {
@@ -347,8 +336,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			templates:  make([]*blockchain.Block, templatesPerBackend),
 			blobs:      make([][]byte, templatesPerBackend),
 			jobBlobHex: make([]string, templatesPerBackend),
-			jobIDs:     make([]string, templatesPerBackend),
-			linkJobIDs: make([]string, templatesPerBackend),
+			wires:      map[uint64][]*jobWire{},
 		}
 		p.refreshShardLocked(sh, b, tip)
 		p.backends[b] = sh
@@ -468,54 +456,45 @@ func (p *Pool) backendOfEndpoint(endpoint int) int {
 	return endpoint % DefaultNumBackends
 }
 
-// makeJobID encodes the owning backend, the shard's refresh generation and
-// the template slot into the wire job identifier ("backend-seq-slot", with
-// a "-L" suffix for link-difficulty jobs and a "-d<N>" suffix for
-// vardiff-retargeted ones, N being the decimal difficulty served). A share
-// routes straight to its shard and slot without any per-job lookup table,
-// and the generation makes identifiers from before a tip change
-// unresolvable — the stale-job rejection the per-job map used to provide.
-// Static-tier IDs are minted once per shard refresh; vardiff IDs per job
-// handout, since the difficulty is per-session state.
+// makeJobID encodes the owning backend, the shard's refresh generation,
+// the template slot and the difficulty served into the wire job
+// identifier, "backend-seq-slot-d<diff>". A share routes straight to its
+// shard and slot without any per-job lookup table, and the generation
+// makes identifiers from before a tip change stale — the rejection the
+// per-job map used to provide. The static, link and vardiff tiers differ
+// only in the difficulty, so an ID is a pure function of those four
+// numbers, minted with its wire on the first handout of a refresh.
 //
 // Encoding the difficulty in the ID is what makes credit scale with the
 // difficulty actually served: SubmitShare verifies against and credits the
-// ID's own tier, and the engine separately guarantees the session was
-// really served that tier (a forged "-d1" is rejected before verification).
-func makeJobID(backend int, seq uint32, slot int, link bool, diff uint64) string {
+// ID's own difficulty, resolve refuses one no tier serves, and the engine
+// separately guarantees the session was really served it (a forged "-d1"
+// is rejected before verification).
+func makeJobID(backend int, seq uint32, slot int, diff uint64) string {
 	var buf [48]byte
 	b := strconv.AppendUint(buf[:0], uint64(backend), 10)
 	b = append(b, '-')
 	b = strconv.AppendUint(b, uint64(seq), 10)
 	b = append(b, '-')
 	b = strconv.AppendUint(b, uint64(slot), 10)
-	if link {
-		b = append(b, '-', 'L')
-	}
-	if diff > 0 {
-		b = append(b, '-', 'd')
-		b = strconv.AppendUint(b, diff, 10)
-	}
+	b = append(b, '-', 'd')
+	b = strconv.AppendUint(b, diff, 10)
 	return string(b)
 }
 
-// parseJobID inverts makeJobID. link and diff are mutually exclusive (the
-// link tier is never retargeted).
+// parseJobID inverts makeJobID.
 func parseJobID(id string) (ref jobRef, ok bool) {
-	if strings.HasSuffix(id, "-L") {
-		ref.link = true
-		id = id[:len(id)-2]
+	// The numeric fields are pure digits, so "-d" can only be the
+	// difficulty suffix.
+	k := strings.LastIndex(id, "-d")
+	if k < 0 {
+		return jobRef{}, false
 	}
-	// The numeric fields are pure digits, so "-d" can only be the vardiff
-	// suffix; a link ID carrying one was never minted.
-	if k := strings.LastIndex(id, "-d"); k >= 0 {
-		d, err := strconv.ParseUint(id[k+2:], 10, 64)
-		if err != nil || d == 0 || ref.link {
-			return jobRef{}, false
-		}
-		ref.diff = d
-		id = id[:k]
+	d, err := strconv.ParseUint(id[k+2:], 10, 64)
+	if err != nil || d == 0 {
+		return jobRef{}, false
 	}
+	id = id[:k]
 	i := strings.IndexByte(id, '-')
 	j := strings.LastIndexByte(id, '-')
 	if i <= 0 || j <= i {
@@ -533,8 +512,7 @@ func parseJobID(id string) (ref jobRef, ok bool) {
 	if err != nil || slot < 0 {
 		return jobRef{}, false
 	}
-	ref.backend, ref.seq, ref.slot = b, uint32(seq), slot
-	return ref, true
+	return jobRef{backend: b, seq: uint32(seq), slot: slot, diff: d}, true
 }
 
 // refreshShardLocked rebuilds one backend's PoW inputs on a new tip. The
@@ -560,19 +538,15 @@ func (p *Pool) refreshShardLocked(sh *backendShard, backend int, tip [32]byte) {
 		sh.wire = append(sh.wire[:0], sh.blobs[s]...)
 		stratum.ObfuscateBlob(sh.wire)
 		sh.jobBlobHex[s] = stratum.EncodeBlob(sh.wire)
-		sh.jobIDs[s] = makeJobID(backend, sh.refreshSeq, s, false, 0)
-		sh.linkJobIDs[s] = "" // minted on the first link job of this refresh
 	}
-	sh.wireStatic = make([]*jobWire, len(sh.templates))
-	sh.wireLink = make([]*jobWire, len(sh.templates))
-	clear(sh.wireDiff)
+	clear(sh.wires)
 }
 
 // RefreshIfStale rebuilds templates when the chain tip moved (called by the
 // simulation after background miners extend the chain). Shards also refresh
 // lazily on their next Job, so this is an optimisation, not a correctness
-// requirement; submits against a stale shard are rejected with
-// errUnknownJob until that shard hands out fresh work.
+// requirement: a shard's own jobs are stale from the moment the tip moves,
+// refreshed or not, and resolve refuses them with errStaleJob either way.
 func (p *Pool) RefreshIfStale() {
 	tip := p.cfg.Chain.TipID()
 	for b, sh := range p.backends {
@@ -618,8 +592,9 @@ func (st *accountStripe) accountLocked(token string) *Account {
 // obfuscated, exactly as Coinhive serves it. slot selects one of the
 // backend's rotating templates, so polling one endpoint reveals at most
 // templatesPerBackend distinct inputs per block (the paper measured 8).
+// The job is the link tier's when forLink is set, else the static tier's.
 func (p *Pool) Job(endpoint, slot int, forLink bool) stratum.Job {
-	return p.jobWire(endpoint, slot, 0, forLink).job
+	return p.jobWire(endpoint, slot, p.shareDifficulty(forLink)).job
 }
 
 // ShareOutcome reports what an accepted share achieved.
@@ -652,7 +627,7 @@ func (p *Pool) SubmitShare(token, jobID string, nonce uint32, result [32]byte, l
 // stage's error leaves through the one reject below.
 func (p *Pool) submitShare(token, jobID string, ref jobRef, refOK bool, nonce uint32, result [32]byte, linkID string, pre *prehashed) (ShareOutcome, error) {
 	var bbuf [hashingBlobCap]byte // keeps the verify path alloc-free
-	tmpl, blob, tip, err := p.resolve(token, jobID, ref, refOK, nonce, bbuf[:0])
+	tmpl, blob, tip, err := p.resolve(token, ref, refOK, nonce, bbuf[:0])
 	var out ShareOutcome
 	if err == nil {
 		out.diff, err = p.verify(ref, tmpl, blob, nonce, result, pre)
@@ -725,13 +700,17 @@ func (p *Pool) reject(err error, token, jobID string, nonce uint32, diff uint64)
 // buf, and the chain tip the job was current on; or errUnknownJob for an
 // identifier the pool never issued, errStaleJob for one the chain has
 // outrun, errDuplicateShare for a share the account was already paid for.
-func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32, buf []byte) (tmpl *blockchain.Block, blob []byte, tip [32]byte, err error) {
-	if !refOK || ref.backend >= len(p.backends) || ref.slot >= templatesPerBackend {
-		return nil, nil, tip, errUnknownJob
-	}
-	// A vardiff-tier ID is only meaningful when vardiff is on and its
-	// difficulty inside the configured clamp; anything else was forged.
-	if vd := p.cfg.Vardiff; ref.diff != 0 && (!vd.enabled() || ref.diff < vd.MinDifficulty || ref.diff > vd.MaxDifficulty) {
+//
+// An ID is a pure function of (backend, generation, slot, difficulty), so
+// two rules decide it. Legitimacy: the difficulty is one some tier serves
+// — ShareDifficulty, LinkShareDifficulty, or inside the vardiff clamp.
+// Currency: the ID's generation is the shard's and the shard is on the
+// chain tip; an older generation, or the current one after the tip moved,
+// is stale, and a future generation was never issued. Whether the
+// session submitting it was served that difficulty is the engine's
+// served-tier check, which runs before this.
+func (p *Pool) resolve(token string, ref jobRef, refOK bool, nonce uint32, buf []byte) (tmpl *blockchain.Block, blob []byte, tip [32]byte, err error) {
+	if !refOK || ref.backend >= len(p.backends) || ref.slot >= templatesPerBackend || !p.servesDifficulty(ref.diff) {
 		return nil, nil, tip, errUnknownJob
 	}
 	// Duplicate pre-check before the CryptoNight verify: a duplicate
@@ -749,42 +728,31 @@ func (p *Pool) resolve(token, jobID string, ref jobRef, refOK bool, nonce uint32
 	sh := p.backends[ref.backend]
 	tip = p.cfg.Chain.TipID()
 	sh.mu.RLock()
-	// A static-tier ID must equal the ID this refresh actually minted for
-	// the slot (link IDs are minted lazily, so an un-issued link ID is the
-	// empty string and never matches) and the shard must still be on the
-	// chain tip. Together these reproduce what the per-job lookup table
-	// enforced: only issued, non-stale jobs resolve, and the difficulty
-	// tier is pinned at issue time, not chosen by the submitter. A
-	// vardiff-tier ID is a pure function of (backend, generation, slot,
-	// diff), so currency is the generation + tip check; its difficulty
-	// legitimacy is the clamp above plus the engine's served-tier check
-	// (the session rejects tiers it was never served before verification).
-	minted := sh.jobIDs[ref.slot]
-	if ref.link {
-		minted = sh.linkJobIDs[ref.slot]
-	}
 	curSeq := sh.refreshSeq
 	current := sh.tip == tip && ref.seq == curSeq
-	if ref.diff == 0 {
-		current = current && minted == jobID
-	}
 	if current {
 		tmpl = sh.templates[ref.slot]
 		blob = append(buf, sh.blobs[ref.slot]...)
 	}
 	sh.mu.RUnlock()
-	if current {
+	switch {
+	case current:
 		return tmpl, blob, tip, nil
-	}
-	// Was this identifier ever real? A current-generation ID that
-	// matches the minted string (tip moved under it) or any ID from an
-	// earlier generation is honest-but-stale; anything else — a future
-	// generation, or a current-generation string the shard never
-	// issued (e.g. an un-minted link tier) — was forged.
-	if minted == jobID || ref.seq < curSeq || (ref.diff != 0 && ref.seq == curSeq) {
+	case ref.seq <= curSeq:
 		return nil, nil, tip, errStaleJob
+	default:
+		return nil, nil, tip, errUnknownJob
 	}
-	return nil, nil, tip, errUnknownJob
+}
+
+// servesDifficulty reports whether some tier serves diff: the static or
+// the link tier, or — with vardiff on — any difficulty inside its clamp.
+func (p *Pool) servesDifficulty(diff uint64) bool {
+	if diff == p.cfg.ShareDifficulty || diff == p.cfg.LinkShareDifficulty {
+		return true
+	}
+	vd := p.cfg.Vardiff
+	return vd.enabled() && diff >= vd.MinDifficulty && diff <= vd.MaxDifficulty
 }
 
 // verify splices the nonce into blob, checks the claimed hash and holds it
@@ -803,10 +771,7 @@ func (p *Pool) verify(ref jobRef, tmpl *blockchain.Block, blob []byte, nonce uin
 	if sum != result {
 		return 0, ErrBadShare
 	}
-	diff = p.shareDifficulty(ref.link)
-	if ref.diff != 0 {
-		diff = ref.diff
-	}
+	diff = ref.diff
 	if !cryptonight.CheckCompactTarget(result, cryptonight.DifficultyForTarget(diff)) {
 		return diff, errLowShare
 	}

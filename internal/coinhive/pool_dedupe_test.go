@@ -59,8 +59,8 @@ func TestPoolDuplicateAcrossTiersRejected(t *testing.T) {
 	pool := newTestPool(t, 16, func(c *PoolConfig) {
 		c.Vardiff = VardiffConfig{TargetSharesPerMin: 240, MinDifficulty: 1, MaxDifficulty: 4096}
 	})
-	jLow := pool.jobWire(0, 0, 4, false).job
-	jHigh := pool.jobWire(0, 0, 32, false).job
+	jLow := pool.jobWire(0, 0, 4).job
+	jHigh := pool.jobWire(0, 0, 32).job
 	jStatic := pool.Job(0, 0, false)
 	// One hash ground against the hardest tier meets every lower target.
 	nonce, sum := mineShare(t, pool, jHigh)

@@ -115,8 +115,8 @@ func TestSubmitShareRejectReasons(t *testing.T) {
 		twice bool
 	}{
 		{name: "malformed ID", prepare: withID("not-a-job"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
-		{name: "backend out of range", prepare: withID("99-1-0"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
-		{name: "slot out of range", prepare: withID("0-1-99"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "backend out of range", prepare: withID("99-1-0-d16"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "slot out of range", prepare: withID("0-1-99-d16"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
 		{name: "forged vardiff tier", prepare: withID("0-1-0-d8192"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
 		{name: "pre-verify duplicate", prepare: func(t *testing.T, pool *Pool) share {
 			s := mined(t, pool)
@@ -132,10 +132,13 @@ func TestSubmitShareRejectReasons(t *testing.T) {
 			}
 			return s
 		}, wantErr: errStaleJob, wantKind: archive.KindShareStale},
-		{name: "never issued", prepare: withID("0-999999-0"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		{name: "never issued", prepare: withID("0-999999-0-d16"), wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
+		// The link tier's ID at the next generation: a well-formed ID at a
+		// served difficulty that the shard has not minted yet.
 		{name: "never issued link tier", prepare: func(t *testing.T, pool *Pool) share {
 			s := mined(t, pool)
-			s.jobID += "-L"
+			ref, _ := parseJobID(s.jobID)
+			s.jobID = makeJobID(ref.backend, ref.seq+1, ref.slot, pool.cfg.LinkShareDifficulty)
 			return s
 		}, wantErr: errUnknownJob, wantKind: archive.KindShareRejected},
 		{name: "bad hash", prepare: func(t *testing.T, pool *Pool) share {
@@ -225,27 +228,90 @@ func TestSubmitShareRejectReasons(t *testing.T) {
 // accepts re-encodes to an ID that parses to the same fields, and every
 // minted ID parses back to what it was minted from.
 func FuzzParseJobID(f *testing.F) {
-	for _, seed := range []string{"0-1-0", "15-4294967295-7", "3-42-5-L", "9-7-3-d8", "", "-", "1-2--L", "1-2-3-d0", "1-2-3-L-d"} {
-		f.Add(seed, 0, uint32(0), 0, false, uint64(0))
+	for _, seed := range []string{"0-1-0-d256", "15-4294967295-7-d16", "3-42-5-L", "9-7-3-d8", "", "-", "1-2--d4", "1-2-3-d0", "1-2-3-L-d"} {
+		f.Add(seed, 0, uint32(0), 0, uint64(1))
 	}
-	f.Add("", 15, uint32(1<<31), 7, true, uint64(0))
-	f.Add("", 3, uint32(9), 2, false, uint64(4096))
-	f.Fuzz(func(t *testing.T, id string, backend int, seq uint32, slot int, link bool, diff uint64) {
+	f.Add("", 15, uint32(1<<31), 7, uint64(16))
+	f.Add("", 3, uint32(9), 2, uint64(4096))
+	f.Fuzz(func(t *testing.T, id string, backend int, seq uint32, slot int, diff uint64) {
 		if ref, ok := parseJobID(id); ok {
-			again, ok := parseJobID(makeJobID(ref.backend, ref.seq, ref.slot, ref.link, ref.diff))
+			again, ok := parseJobID(makeJobID(ref.backend, ref.seq, ref.slot, ref.diff))
 			if !ok || again != ref {
 				t.Fatalf("parseJobID(%q) = %+v does not survive re-encoding", id, ref)
 			}
 		}
-		// What the pool mints: non-negative indices, and a link ID never
-		// carries a vardiff tier.
-		if backend < 0 || slot < 0 || (link && diff != 0) {
+		// What the pool mints: non-negative indices, a non-zero difficulty.
+		if backend < 0 || slot < 0 || diff == 0 {
 			return
 		}
-		minted := makeJobID(backend, seq, slot, link, diff)
-		if ref, ok := parseJobID(minted); !ok || ref != (jobRef{backend, seq, slot, link, diff}) {
-			t.Fatalf("parseJobID(makeJobID(%d,%d,%d,%v,%d) = %q) = (%+v,%v)",
-				backend, seq, slot, link, diff, minted, ref, ok)
+		minted := makeJobID(backend, seq, slot, diff)
+		if ref, ok := parseJobID(minted); !ok || ref != (jobRef{backend, seq, slot, diff}) {
+			t.Fatalf("parseJobID(makeJobID(%d,%d,%d,%d) = %q) = (%+v,%v)",
+				backend, seq, slot, diff, minted, ref, ok)
 		}
 	})
+}
+
+// TestStaticAndLinkTiersRefuseEachOther pins the served-tier rule with
+// vardiff off: a session may submit only the difficulty it is served. A
+// static session's share that meets only the link target, sent under
+// the link-tier ID of its own slot, is a forged tier — and so is a link
+// session's share under the static-tier ID, which would credit its link
+// goal at the wrong difficulty. Each gets the forged-tier answer a
+// vardiff session gets: server.shares_forged, the offense scored, a
+// re-job, and no credit.
+func TestStaticAndLinkTiersRefuseEachOther(t *testing.T) {
+	pool := newTestPool(t, 256, func(c *PoolConfig) {
+		c.Ban = BanConfig{BanThreshold: 1000, BanDuration: time.Minute}
+	})
+	eng := NewEngine(pool)
+	forged := pool.Metrics().Counter("server.shares_forged")
+	// grind returns a share for j whose hash misses the static target
+	// unless meetsStatic, so it meets only the tier j names.
+	grind := func(j stratum.Job, meetsStatic bool) (uint32, [32]byte) {
+		static := cryptonight.DifficultyForTarget(pool.cfg.ShareDifficulty)
+		for from := uint32(0); ; {
+			nonce, sum := mineShare(t, pool, j, from)
+			if cryptonight.CheckCompactTarget(sum, static) == meetsStatic {
+				return nonce, sum
+			}
+			from = nonce + 1
+		}
+	}
+	cases := []struct {
+		name, user string
+		// claimLink: the session submits under the link tier's ID for its
+		// own slot; otherwise under the static tier's.
+		claimLink bool
+	}{
+		{"static session claims the link tier", "", true},
+		{"link session claims the static tier", "link:" + pool.Links().Create("tier-site", "https://example.org", 1<<20), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			site := "site-" + tc.name
+			ms := eng.NewSession(0)
+			defer ms.Close()
+			ms.Step(Command{Kind: CmdOpen, Auth: stratum.Auth{SiteKey: site, Type: "anonymous", User: tc.user}})
+			if !ms.authed.Load() {
+				t.Fatal("session did not open")
+			}
+			claimed := pool.Job(0, ms.slot, tc.claimLink)
+			nonce, sum := grind(claimed, !tc.claimLink)
+			forged0 := forged.Load()
+			evs := ms.Step(Command{Kind: CmdSubmit, JobID: claimed.JobID, Nonce: nonce, Result: sum})
+			if len(evs) != 1 || evs[0].Kind != EvJob || !evs[0].stale {
+				t.Fatalf("replies %+v, want one stale re-job", evs)
+			}
+			if got := forged.Load() - forged0; got != 1 {
+				t.Errorf("server.shares_forged moved by %d, want 1", got)
+			}
+			if score, _ := eng.AbuseState(site); score != 10 {
+				t.Errorf("banscore = %v, want one offense (10)", score)
+			}
+			if a, _ := pool.AccountSnapshot(site); a.TotalHashes != 0 {
+				t.Errorf("credited %d hashes for a forged tier, want 0", a.TotalHashes)
+			}
+		})
+	}
 }

@@ -321,8 +321,8 @@ func (t *wsTransport) serverClocked() bool { return false }
 
 // deliver renders each event as one envelope frame, in order. The two
 // steady-state events take encode-once paths: a job's frame bytes were
-// already minted by the jobWire cache (shared by every session on the
-// same vardiff tier), and an accepted-share ack is assembled by the
+// already minted by the jobWire cache (shared by every session served the
+// same difficulty), and an accepted-share ack is assembled by the
 // alloc-free appenders into the transport's scratch buffer. Everything
 // else — auth, errors, link and captcha notifications — is cold and
 // keeps the reflective marshal.

@@ -21,7 +21,7 @@ func TestPushSlotLatestWins(t *testing.T) {
 	pool := newTestPool(t, 4)
 	s := NewStratumServer(NewEngine(pool))
 	defer s.Shutdown()
-	older, newer := pool.jobWire(0, 0, 0, false).tcpLine, pool.jobWire(0, 1, 0, false).tcpLine
+	older, newer := pool.jobWire(0, 0, 4).tcpLine, pool.jobWire(0, 1, 4).tcpLine
 	if bytes.Equal(older, newer) {
 		t.Fatal("two template slots minted the same job line")
 	}

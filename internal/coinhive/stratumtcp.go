@@ -277,7 +277,7 @@ func (s *StratumServer) PushStatsSince(c metrics.HistCursor) (pushes uint64, lat
 
 // fanOut pushes the current job to every authenticated session — the
 // server-clocked half of the dialect. The wire bytes are minted at most
-// once per (tip × vardiff tier) by the jobWire cache; every session on
+// once per (tip × difficulty) by the jobWire cache; every session on
 // the same tier shares the same line. Latency is observed per session at
 // the moment its bytes hit the socket, measured since the (earliest
 // coalesced) tip event, so the histogram's p99 is the fan-out tail: how
@@ -287,16 +287,16 @@ func (s *StratumServer) fanOut() {
 	if ns := s.pendingTipNs.Swap(0); ns != 0 {
 		t0 = ns
 	}
-	// One wire lookup per (endpoint, slot, tier) instead of per session:
-	// mintWire takes the template shard's lock, and a 50k-session swarm
-	// spans only a few dozen distinct wires. If the tip moves mid-loop the
-	// cache serves the old tip's wire to the remaining sessions — exactly
-	// what an uncached loop part-way through its snapshot does — and the
-	// pending pushWake fans the new tip out to everyone right after.
+	// One wire lookup per (endpoint, slot, difficulty) instead of per
+	// session: mintWire takes the template shard's lock, and a
+	// 50k-session swarm spans only a few dozen distinct wires. If the tip
+	// moves mid-loop the cache serves the old tip's wire to the remaining
+	// sessions — exactly what an uncached loop part-way through its
+	// snapshot does — and the pending pushWake fans the new tip out to
+	// everyone right after.
 	type wireKey struct {
 		endpoint, slot int
 		diff           uint64
-		low            bool
 	}
 	wires := make(map[wireKey]*jobWire, 64)
 	var sent uint64
@@ -305,7 +305,7 @@ func (s *StratumServer) fanOut() {
 			continue
 		}
 		ms := c.ms
-		k := wireKey{ms.endpoint, ms.slot, ms.curDiff.Load(), ms.lowDiff}
+		k := wireKey{ms.endpoint, ms.slot, ms.curDiff.Load()}
 		w := wires[k]
 		if w == nil {
 			w = ms.mintWire()

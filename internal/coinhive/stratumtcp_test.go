@@ -292,19 +292,15 @@ func TestStratumTCPStaleSubmitNamedAndRejobbed(t *testing.T) {
 }
 
 // TestStratumTCPStaleFloodBoundedAndBanned pins the defended dialect's
-// bounded stale retry loop: the first StaleFloodAfter consecutive stales
-// are named and re-jobbed as usual, everything past the bound earns
-// {-4, "too many stale"} with NO replacement job, and a flooder that
-// keeps going crosses the banscore threshold — {-5, "banned"}, the
-// connection dropped, and the identity's next login turned away.
+// bounded stale retry loop: the first 8 consecutive stales (the fixed
+// stale-flood bound) are named and re-jobbed as usual, everything past
+// the bound earns {-4, "too many stale"} with NO replacement job, and a
+// flooder that keeps going crosses the banscore threshold — {-5,
+// "banned"}, the connection dropped, and the identity's next login
+// turned away.
 func TestStratumTCPStaleFloodBoundedAndBanned(t *testing.T) {
 	defended := func(c *coinhive.PoolConfig) {
-		c.Ban = coinhive.BanConfig{
-			BanThreshold:    100,
-			StaleFloodAfter: 2,
-			OffenseScore:    25,
-			BanDuration:     time.Minute,
-		}
+		c.Ban = coinhive.BanConfig{BanThreshold: 40, BanDuration: time.Minute}
 	}
 	_, handler, pool := startService(t, 4, defended)
 	_, addr := startStratum(t, handler)
@@ -331,8 +327,8 @@ func TestStratumTCPStaleFloodBoundedAndBanned(t *testing.T) {
 			id, res.ID, res.Job.JobID, stratum.EncodeNonce(nonce), stratum.EncodeBlob(sum[:])))
 	}
 
-	// Stales 1..StaleFloodAfter: named stale, replacement job behind it.
-	for i := 0; i < 2; i++ {
+	// Stales 1..8: named stale, replacement job behind it.
+	for i := 0; i < 8; i++ {
 		resubmit(10 + i)
 		c.mustReadError(stratum.RPCStaleJob)
 		if rejob, err := c.readEnvelope(); err != nil || rejob.Method != stratum.TypeJob {
@@ -348,7 +344,7 @@ func TestStratumTCPStaleFloodBoundedAndBanned(t *testing.T) {
 			t.Errorf("flood %d: message = %q, want %q", i+1, env.Error.Message, stratum.TooManyStaleMessage)
 		}
 	}
-	// Each flood offense scored 25: the fourth crosses the threshold.
+	// Each flood offense scored 10: the fourth crosses the threshold.
 	resubmit(30)
 	env := c.mustReadError(stratum.RPCBanned)
 	if env.Error.Message != stratum.BannedMessage {
@@ -356,10 +352,10 @@ func TestStratumTCPStaleFloodBoundedAndBanned(t *testing.T) {
 	}
 	c.mustBeClosed()
 
-	// All six replays were honest-shaped stale work as far as the share
+	// All twelve replays were honest-shaped stale work as far as the share
 	// accounting goes; the defense layer is what cut the session off.
-	if st := pool.StatsSnapshot(); st.SharesStale != 6 || st.SharesOK != 0 {
-		t.Errorf("SharesStale=%d SharesOK=%d, want 6,0", st.SharesStale, st.SharesOK)
+	if st := pool.StatsSnapshot(); st.SharesStale != 12 || st.SharesOK != 0 {
+		t.Errorf("SharesStale=%d SharesOK=%d, want 12,0", st.SharesStale, st.SharesOK)
 	}
 
 	// The ban is keyed on the identity, not the connection: a fresh dial
@@ -379,16 +375,11 @@ func TestStratumTCPStaleFloodBoundedAndBanned(t *testing.T) {
 // twin of the stale-flood test: submits against a never-issued job ID
 // (a future generation) earn the same re-job shape, but they count toward
 // the same consecutive-run bound — a bogus-ID flooder stops earning
-// re-jobs after StaleFloodAfter, then accumulates to a ban, instead of
-// riding silent re-jobs forever under the submit rate limit.
+// re-jobs after the stale-flood bound, then accumulates to a ban,
+// instead of riding silent re-jobs forever under the submit rate limit.
 func TestStratumTCPBogusJobFloodBoundedAndBanned(t *testing.T) {
 	defended := func(c *coinhive.PoolConfig) {
-		c.Ban = coinhive.BanConfig{
-			BanThreshold:    100,
-			StaleFloodAfter: 2,
-			OffenseScore:    25,
-			BanDuration:     time.Minute,
-		}
+		c.Ban = coinhive.BanConfig{BanThreshold: 40, BanDuration: time.Minute}
 	}
 	_, handler, pool := startService(t, 4, defended)
 	_, addr := startStratum(t, handler)
@@ -396,12 +387,12 @@ func TestStratumTCPBogusJobFloodBoundedAndBanned(t *testing.T) {
 	c := dialRaw(t, addr)
 	res := c.login("bogus-tcp-key")
 	resubmit := func(id int) {
-		c.sendLine(fmt.Sprintf(`{"id":%d,"jsonrpc":"2.0","method":"submit","params":{"id":%q,"job_id":"0-999999-0","nonce":"00000000","result":%q}}`,
+		c.sendLine(fmt.Sprintf(`{"id":%d,"jsonrpc":"2.0","method":"submit","params":{"id":%q,"job_id":"0-999999-0-d4","nonce":"00000000","result":%q}}`,
 			id, res.ID, strings.Repeat("00", 32)))
 	}
 
-	// Rejections 1..StaleFloodAfter: the unknown-job re-job shape.
-	for i := 0; i < 2; i++ {
+	// Rejections 1..8: the unknown-job re-job shape.
+	for i := 0; i < 8; i++ {
 		resubmit(10 + i)
 		c.mustReadError(stratum.RPCStaleJob)
 		if rejob, err := c.readEnvelope(); err != nil || rejob.Method != stratum.TypeJob {
@@ -413,7 +404,7 @@ func TestStratumTCPBogusJobFloodBoundedAndBanned(t *testing.T) {
 		resubmit(20 + i)
 		c.mustReadError(stratum.RPCTooManyStale)
 	}
-	// Each flood offense scored 25: the fourth crosses the threshold.
+	// Each flood offense scored 10: the fourth crosses the threshold.
 	resubmit(30)
 	c.mustReadError(stratum.RPCBanned)
 	c.mustBeClosed()

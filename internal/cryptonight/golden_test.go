@@ -210,12 +210,17 @@ func TestPooledGrindRace(t *testing.T) {
 }
 
 // TestSumAllocs pins the zero-allocation property of the pooled hash path
-// for the Test variant (the profile large-scale simulation runs on).
+// for the Test variant (the profile large-scale simulation runs on). The
+// pooled pin runs only without the race detector, which makes sync.Pool
+// drop a random share of Puts, so a pooled Sum there sometimes allocates
+// a fresh Hasher; the NewHasher Sum and Grind pins run either way.
 func TestSumAllocs(t *testing.T) {
 	in := goldenInputs()[6]
-	Sum(in, Test) // prime the pool
-	if n := testing.AllocsPerRun(20, func() { Sum(in, Test) }); n != 0 {
-		t.Errorf("pooled Sum allocates %.1f objects/op, want 0", n)
+	if !raceEnabled {
+		Sum(in, Test) // prime the pool
+		if n := testing.AllocsPerRun(20, func() { Sum(in, Test) }); n != 0 {
+			t.Errorf("pooled Sum allocates %.1f objects/op, want 0", n)
+		}
 	}
 	h, err := NewHasher(Test)
 	if err != nil {

@@ -2,11 +2,11 @@
 // serve path: job pushes (both dialects), submit acks and keepalive acks.
 // Each appends the exact bytes the generic json.Marshal path produces —
 // pinned bit-for-bit by tests — without the envelope/params double
-// marshal, so the fan-out can encode one job once per vardiff tier and
+// marshal, so the fan-out can encode one job once per difficulty and
 // the per-submit reply path stays allocation-free.
 //
 // The hand-rolled encoders skip JSON string escaping: every field they
-// write is pool-minted (job IDs are digits and -Ld suffixes, blobs and
+// write is pool-minted (job IDs are digits, dashes and a "d", blobs and
 // targets are hex, statuses are fixed words), none of which json.Marshal
 // would escape either. Anything caller-controlled (the RPC id) goes
 // through RPCIDVerbatim first; callers fall back to the marshal path when

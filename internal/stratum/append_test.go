@@ -11,7 +11,7 @@ func jobSamples() []Job {
 	blob := "0707c0a8f2e305a8a0" // representative hex; exact content irrelevant
 	return []Job{
 		{JobID: "3-17-2", Blob: blob, Target: "711b0d00"},
-		{JobID: "3-17-2-L", Blob: blob, Target: "ffffff0f"},
+		{JobID: "3-17-2-d16", Blob: blob, Target: "ffffff0f"},
 		{JobID: "0-1-0-d16", Blob: blob, Target: "ffffff0f"},
 		{JobID: "15-4294967295-7-d256", Blob: blob, Target: "711b0d00"},
 		{JobID: "8-42-3-d1048576", Blob: blob, Target: "ff0f0000"},
